@@ -1,6 +1,6 @@
 # Convenience entry points; dune is the real build system.
 
-.PHONY: all build test bench bench-hotpath bench-net bench-durability bench-obs bench-sync bench-cluster check clean
+.PHONY: all build test bench bench-hotpath bench-net bench-durability bench-obs bench-sync bench-cluster bench-serve check clean
 
 all: build
 
@@ -58,6 +58,14 @@ bench-cluster:
 # shrinks the sweeps and does not overwrite the artifact.)
 bench-obs:
 	dune exec bench/main.exe -- obs
+
+# End-to-end benchmark of `forkbase serve` (fbperf): the dataset and sync
+# workloads over seeds 1..SEEDS, printing each metric's median and
+# quartiles across seeds (20-second runs, as BENCHMARK.json sets them).
+# `make bench-serve SEEDS=10`.
+SEEDS ?= 5
+bench-serve:
+	python3 tools/bench_serve.py --seeds $(SEEDS) --seconds 20 --workloads dataset,sync
 
 # The pre-commit gate: full build, full test suite, the observability
 # smoke (instrumentation overhead + histogram/exposition/tracing smoke,

@@ -345,28 +345,34 @@ let read_impl t ~repair ~count id =
   in
   try_owners [] owner_list
 
-let iter_impl t f =
+(* [each store fresh] enumerates one up member; [fresh id] is true only
+   the first time [id] turns up, so replicas are visited once. *)
+let union_impl t each =
   let members, _ = snapshot t in
   let seen = Hash.Tbl.create 1024 in
+  let fresh id =
+    (not (Hash.Tbl.mem seen id)) && (Hash.Tbl.replace seen id (); true)
+  in
   Array.iter
     (fun m ->
       if m.m_up then
         (* Remote members have no wire enumeration and raise [Failure]
-           from [iter]; a union over what the reachable, enumerable
+           from [iter]/[ids]; a union over what the reachable, enumerable
            members hold is the best a composite can offer. *)
         match
           with_retries t (fun () ->
-              try
-                m.m_store.Store.iter (fun id encoded ->
-                    if not (Hash.Tbl.mem seen id) then begin
-                      Hash.Tbl.replace seen id ();
-                      f id encoded
-                    end)
-              with Failure _ -> ())
+              try each m.m_store fresh with Failure _ -> ())
         with
         | Ok () -> ()
         | Error _ -> ())
     members
+
+let iter_impl t f =
+  union_impl t (fun s fresh ->
+      s.Store.iter (fun id encoded -> if fresh id then f id encoded))
+
+let ids_impl t f =
+  union_impl t (fun s fresh -> s.Store.ids (fun id -> if fresh id then f id))
 
 let store t =
   let put chunk = put_impl t chunk in
@@ -421,6 +427,7 @@ let store t =
     mem;
     stats = (fun () -> Mutex.protect t.lock (fun () -> t.agg));
     iter = (fun f -> iter_impl t f);
+    ids = (fun f -> ids_impl t f);
     delete }
 
 (* ------------------------------ rebalance ----------------------------- *)

@@ -62,7 +62,8 @@ val create :
     (no sleeping between retries — pass e.g. [0.005] in production). *)
 
 val store : t -> Store.t
-(** The routing store.  [iter] unions distinct chunks across up members;
+(** The routing store.  [iter] and [ids] union distinct chunks across up
+    members (skipping members that refuse enumeration);
     [delete] addresses every member (GC must reach all replicas);
     [stats] aggregates this cluster handle's own traffic. *)
 

@@ -160,6 +160,10 @@ let wrap config (inner : Store.t) =
     inner.Store.iter f;
     Hash.Tbl.iter f torn
   in
+  let ids f =
+    inner.Store.ids f;
+    Hash.Tbl.iter (fun id _ -> f id) torn
+  in
   let delete id =
     if Hash.Tbl.mem torn id then begin
       Hash.Tbl.remove torn id;
@@ -177,5 +181,5 @@ let wrap config (inner : Store.t) =
       physical_bytes = s.Store.physical_bytes + torn_bytes }
   in
   ( { Store.name = Printf.sprintf "faulty(%Ld):%s" config.seed inner.Store.name;
-      put; get; get_raw; peek; mem; stats; iter; delete },
+      put; get; get_raw; peek; mem; stats; iter; ids; delete },
     c )

@@ -65,5 +65,5 @@ val total_faults : counters -> int
 val wrap : config -> Store.t -> Store.t * counters
 (** [wrap config inner] returns the fault-injecting store and its live
     fault counters.  Torn bytes are held in an overlay and never written
-    into [inner], so [inner] itself stays healthy; [iter], [mem], [peek]
-    and [delete] all see the overlay as if it were physical storage. *)
+    into [inner], so [inner] itself stays healthy; [iter], [ids], [mem],
+    [peek] and [delete] all see the overlay as if it were physical storage. *)

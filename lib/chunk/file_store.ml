@@ -108,7 +108,8 @@ let create ?(fsync = false) ~root () =
   in
   let peek id = read_file_opt (path_of root id) in
   let mem id = Sys.file_exists (path_of root id) in
-  let iter f =
+  (* Every committed chunk file as (id, path); names only, no reads. *)
+  let walk f =
     Array.iter
       (fun sub ->
         let dir = Filename.concat root sub in
@@ -121,13 +122,15 @@ let create ?(fsync = false) ~root () =
                 | Ok raw -> (
                   match Hash.of_raw raw with
                   | Error _ -> ()
-                  | Ok id -> (
-                    match read_file_opt (Filename.concat dir file) with
-                    | None -> ()
-                    | Some data -> f id data)))
+                  | Ok id -> f id (Filename.concat dir file)))
             (Sys.readdir dir))
       (Sys.readdir root)
   in
+  let iter f =
+    walk (fun id path ->
+        match read_file_opt path with None -> () | Some data -> f id data)
+  in
+  let ids f = walk (fun id _ -> f id) in
   let delete id =
     let path = path_of root id in
     match (Unix.stat path).Unix.st_size with
@@ -147,4 +150,4 @@ let create ?(fsync = false) ~root () =
         true)
   in
   { Store.name = "file:" ^ root; put; get; get_raw; peek; mem;
-    stats = (fun () -> !stats); iter; delete }
+    stats = (fun () -> !stats); iter; ids; delete }

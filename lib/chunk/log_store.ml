@@ -743,15 +743,18 @@ let store t =
           t.c.deletes <- t.c.deletes + 1;
           true)
   in
+  let snapshot () =
+    locked t (fun () -> Hash.Tbl.fold (fun id _ acc -> id :: acc) t.index [])
+  in
   let iter f =
     (* Snapshot the ids, then re-look each one up: a compaction between
        the snapshot and the read invalidates offsets but not ids, and a
        concurrently deleted id is an absence (File_store's TOCTOU rule). *)
-    let ids = locked t (fun () -> Hash.Tbl.fold (fun id _ acc -> id :: acc) t.index []) in
     List.iter
       (fun id -> match peek id with Some raw -> f id raw | None -> ())
-      ids
+      (snapshot ())
   in
+  let ids f = List.iter f (snapshot ()) in
   let stats () =
     locked t (fun () ->
         { Store.physical_chunks = Hash.Tbl.length t.index;
@@ -762,7 +765,7 @@ let store t =
           gets = t.gets })
   in
   { Store.name = "log:" ^ t.root; put; get; get_raw; peek; mem; stats; iter;
-    delete }
+    ids; delete }
 
 let export_pack t ~path =
   let entries = ref [] in

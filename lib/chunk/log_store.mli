@@ -83,7 +83,8 @@ val create : ?config:config -> root:string -> unit -> t
 val store : t -> Store.t
 (** The {!Store.t} view: [put] appends (content-addressed dedup against
     the index), [get]/[get_raw]/[peek] are positioned reads, [delete]
-    appends a tombstone, [iter] walks the live index. *)
+    appends a tombstone, [iter] walks the live index reading each payload,
+    [ids] snapshots the index and reads nothing. *)
 
 val sync : t -> unit
 (** Force the group commit: every record appended so far is acknowledged

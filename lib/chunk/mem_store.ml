@@ -71,6 +71,11 @@ let create_with_handle ?(name = "mem") () =
     in
     List.iter (fun (id, enc) -> f id enc) snapshot
   in
+  let ids f =
+    List.iter f
+      (Mutex.protect h.lock (fun () ->
+           Hash.Tbl.fold (fun id _ acc -> id :: acc) h.tbl []))
+  in
   let delete id =
     Mutex.protect h.lock (fun () ->
         match Hash.Tbl.find_opt h.tbl id with
@@ -86,7 +91,7 @@ let create_with_handle ?(name = "mem") () =
           true)
   in
   ( { Store.name; put; get; get_raw; peek; mem; stats = (fun () -> h.stats);
-      iter; delete },
+      iter; ids; delete },
     h )
 
 let create ?name () = fst (create_with_handle ?name ())
@@ -98,7 +103,3 @@ let tamper h id ~f =
       | Some encoded ->
         Hash.Tbl.replace h.tbl id (f encoded);
         true)
-
-let chunk_ids h =
-  Mutex.protect h.lock (fun () ->
-      Hash.Tbl.fold (fun id _ acc -> id :: acc) h.tbl [])

@@ -17,6 +17,3 @@ val tamper :
 (** [tamper h id ~f] replaces the stored encoded bytes of chunk [id] with
     [f bytes], {e without} changing the identity it is served under — the
     malicious-provider move.  Returns [false] if the chunk is absent. *)
-
-val chunk_ids : handle -> Fb_hash.Hash.t list
-(** All identities currently stored (test/bench introspection). *)

@@ -4,8 +4,8 @@
     [wrap] times every [put]/[get]/[get_raw]/[mem]/[delete] into
     {!Fb_obs.Obs} latency histograms ([<prefix>.put_seconds], ...) and
     registers the store's own counters ({!Store.stats}) as gauges, so a
-    single registry dump reports the whole storage picture.  [peek] and
-    [iter] pass through unmetered — maintenance reads (scrub, gc
+    single registry dump reports the whole storage picture.  [peek],
+    [iter] and [ids] pass through unmetered — maintenance reads (scrub, gc
     marking, replica repair) must not distort the operational numbers.
 
     When {!Fb_obs.Obs.is_enabled} is false each operation pays one

@@ -182,6 +182,7 @@ let reader t =
           (fun id ->
             match find t id with Some raw -> f id raw | None -> ())
           t.ids);
+    ids = (fun f -> Array.iter f t.ids);
     delete = (fun _ -> frozen t.path ()) }
 
 let with_overlay ~packs overlay =
@@ -226,21 +227,28 @@ let with_overlay ~packs overlay =
     | None -> find_pack id
   in
   let mem id = overlay.Store.mem id || in_pack id in
-  let iter f =
+  (* Overlay first, then each pack; [fresh id] is true only the first
+     time [id] turns up. *)
+  let union overlay_each pack_each =
     let seen = Hash.Tbl.create 1024 in
-    overlay.Store.iter (fun id raw ->
-        Hash.Tbl.replace seen id ();
-        f id raw);
+    let fresh id =
+      (not (Hash.Tbl.mem seen id)) && (Hash.Tbl.replace seen id (); true)
+    in
+    overlay_each fresh;
     List.iter
-      (fun p ->
-        Array.iter
-          (fun id ->
-            if not (Hash.Tbl.mem seen id) then begin
-              Hash.Tbl.replace seen id ();
-              match find p id with Some raw -> f id raw | None -> ()
-            end)
-          p.ids)
+      (fun p -> Array.iter (fun id -> if fresh id then pack_each p id) p.ids)
       packs
+  in
+  let iter f =
+    union
+      (fun fresh ->
+        overlay.Store.iter (fun id raw -> if fresh id then f id raw))
+      (fun p id -> match find p id with Some raw -> f id raw | None -> ())
+  in
+  let ids f =
+    union
+      (fun fresh -> overlay.Store.ids (fun id -> if fresh id then f id))
+      (fun _ id -> f id)
   in
   let combined () =
     let o = Store.stats overlay in
@@ -260,4 +268,5 @@ let with_overlay ~packs overlay =
     mem;
     stats = combined;
     iter;
+    ids;
     delete = (fun id -> overlay.Store.delete id) }

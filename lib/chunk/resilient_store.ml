@@ -156,5 +156,6 @@ let wrap ?replica ?(max_retries = 4) ?(backoff_s = 0.0) ?(max_backoff_s = 1.0)
       put; get; get_raw; peek; mem;
       stats = primary.Store.stats;
       iter = primary.Store.iter;
+      ids = primary.Store.ids;
       delete = primary.Store.delete },
     st )

@@ -25,7 +25,7 @@
     After [max_retries] extra attempts a transient failure is re-raised
     for the caller (Forkbase surfaces it as a typed [Errors.Transient]).
 
-    [iter], [delete] and [stats] address the primary only. *)
+    [iter], [ids], [delete] and [stats] address the primary only. *)
 
 type stats = {
   mutable retries : int;  (** extra attempts made after a transient fault *)

@@ -202,18 +202,22 @@ let store t =
         (not m.down) && Store.mem m.backend id)
       (owner_indices t id)
   in
-  let iter f =
-    (* Distinct chunks across members; replicas visited once. *)
+  (* Distinct chunks across members; replicas visited once. *)
+  let union each =
     let seen = Hash.Tbl.create 1024 in
+    let fresh id =
+      (not (Hash.Tbl.mem seen id)) && (Hash.Tbl.replace seen id (); true)
+    in
     Array.iter
-      (fun (m : member) ->
-        if not m.down then
-          m.backend.Store.iter (fun id encoded ->
-              if not (Hash.Tbl.mem seen id) then begin
-                Hash.Tbl.replace seen id ();
-                f id encoded
-              end))
+      (fun (m : member) -> if not m.down then each m.backend fresh)
       t.members
+  in
+  let iter f =
+    union (fun s fresh ->
+        s.Store.iter (fun id encoded -> if fresh id then f id encoded))
+  in
+  let ids f =
+    union (fun s fresh -> s.Store.ids (fun id -> if fresh id then f id))
   in
   let delete id =
     let deleted = ref false in
@@ -234,6 +238,7 @@ let store t =
     mem;
     stats = (fun () -> t.agg);
     iter;
+    ids;
     delete }
 
 let rebalance t =

@@ -39,6 +39,7 @@ type t = {
   mem : Fb_hash.Hash.t -> bool;
   stats : unit -> stats;
   iter : (Fb_hash.Hash.t -> string -> unit) -> unit;
+  ids : (Fb_hash.Hash.t -> unit) -> unit;
   delete : Fb_hash.Hash.t -> bool;
 }
 
@@ -62,5 +63,6 @@ let get_exn t h =
   match t.get h with Some c -> c | None -> raise Not_found
 
 let mem t h = t.mem h
+let ids t f = t.ids f
 let stats t = t.stats ()
 let physical_bytes t = (t.stats ()).physical_bytes

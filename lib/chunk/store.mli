@@ -48,7 +48,14 @@ type t = {
   mem : Fb_hash.Hash.t -> bool;
   stats : unit -> stats;
   iter : (Fb_hash.Hash.t -> string -> unit) -> unit;
-    (** Iterate over (identity, encoded bytes) of every stored chunk. *)
+    (** Iterate over (identity, encoded bytes) of every stored chunk.
+        Reads every payload: for passes that need the bytes (scrub, pack
+        export, rebalance). *)
+  ids : (Fb_hash.Hash.t -> unit) -> unit;
+    (** The identities [iter] would visit, without reading any chunk
+        bytes: an index snapshot, an id table or a directory listing.
+        Composites take the same union [iter] takes.  Enumeration-only
+        callers (the sync Bloom summary) use this. *)
   delete : Fb_hash.Hash.t -> bool;
     (** Remove a chunk (garbage collection only); [true] if it existed. *)
 }
@@ -61,6 +68,7 @@ val get_exn : t -> Fb_hash.Hash.t -> Chunk.t
 (** @raise Not_found if the chunk is absent. *)
 
 val mem : t -> Fb_hash.Hash.t -> bool
+val ids : t -> (Fb_hash.Hash.t -> unit) -> unit
 val stats : t -> stats
 
 val physical_bytes : t -> int

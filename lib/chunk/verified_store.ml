@@ -17,9 +17,11 @@ let wrap ?(once = false) (inner : Store.t) =
      itself runs outside the lock — verifying twice is harmless). *)
   let seen : unit Hash.Tbl.t = Hash.Tbl.create 64 in
   let seen_lock = Mutex.create () in
+  let verified id =
+    once && Mutex.protect seen_lock (fun () -> Hash.Tbl.mem seen id)
+  in
   let check_bytes id raw =
-    if once && Mutex.protect seen_lock (fun () -> Hash.Tbl.mem seen id) then
-      Some raw
+    if verified id then Some raw
     else if Hash.equal (Hash.of_string raw) id then begin
       if once then
         Mutex.protect seen_lock (fun () -> Hash.Tbl.replace seen id ());
@@ -48,8 +50,13 @@ let wrap ?(once = false) (inner : Store.t) =
       match Chunk.decode raw with Ok c -> Some c | Error _ -> None)
   in
   (* [mem] must not vouch for bytes a read would refuse: answer through the
-     checked (non-counting) path so a tampered chunk is absent everywhere. *)
-  let mem id = checked_peek id <> None in
+     checked (non-counting) path so a tampered chunk is absent everywhere.
+     An id whose bytes already passed in [once] mode would be served
+     unhashed by that path anyway, so only its presence is asked: an index
+     probe instead of a read. *)
+  let mem id =
+    if verified id then inner.Store.mem id else checked_peek id <> None
+  in
   let delete id =
     Mutex.protect seen_lock (fun () -> Hash.Tbl.remove seen id);
     inner.Store.delete id

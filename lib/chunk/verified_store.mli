@@ -21,4 +21,12 @@ val wrap : ?once:bool -> Store.t -> Store.t * violations
     [once] (default [false]) verifies each chunk only the first time its
     bytes are served and trusts repeats — the cheap clean path when the
     threat is media damage rather than a malicious provider that could
-    swap bytes between reads.  The default re-hashes every read. *)
+    swap bytes between reads.  The default re-hashes every read.
+
+    Cost of [mem]: with [once:false] every call reads and hashes the
+    chunk.  With [once:true] the first call on an id reads, hashes and
+    records it like a read does; once an id has passed, [mem] is the
+    inner store's [mem] (an index probe on the log backend) and reads no
+    bytes.  Only bytes that were hashed mark an id as passed — [put]
+    does not — and [delete] forgets it.  [ids] and [iter] pass through
+    to the inner store unverified. *)

@@ -1007,13 +1007,15 @@ let chunk_stat ?(user = default_user) t =
 (* Summarise every chunk held locally as one sized Bloom filter — the
    whole-store have-exchange that replaces per-wave membership probes.
    Callers must treat positives as "probably" and confirm before
-   skipping ([Sync.Bloom]); negatives are definitive. *)
+   skipping ([Sync.Bloom]); negatives are definitive.  Built from
+   [Store.ids], so it costs one pass over the index and reads no chunk
+   bytes. *)
 let sync_bloom ?(user = default_user) t =
   guard @@ fun () ->
   let* () = check t ~user ~key:"*" ~branch:"*" Acl.Read in
   let expected = (Store.stats t.store).Store.physical_chunks in
   let bloom = Sync.Bloom.create ~expected in
-  t.store.Store.iter (fun id _ -> Sync.Bloom.add bloom id);
+  Store.ids t.store (Sync.Bloom.add bloom);
   Ok bloom
 
 (* ---------------- bundles ---------------- *)

@@ -182,6 +182,7 @@ let member_store m =
         | s -> s.Store.stats ()
         | exception Store.Transient _ -> Store.empty_stats);
     iter = (fun f -> (member_obtain m).Store.iter f);
+    ids = (fun f -> (member_obtain m).Store.ids f);
     delete = (fun id -> (member_obtain m).Store.delete id) }
 
 let member_close m =

@@ -747,6 +747,7 @@ let chunk_store ?user t =
       mem;
       stats;
       iter = (fun _ -> unsupported "iter");
+      ids = (fun _ -> unsupported "ids");
       delete = (fun _ -> unsupported "delete") }
   in
   (* Tamper rejection on every read: bytes that do not hash to the id

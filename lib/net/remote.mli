@@ -229,7 +229,7 @@ val chunk_store : ?user:string -> t -> Fb_chunk.Store.t
     ({!Fb_chunk.Verified_store}), so a lying server cannot serve forged
     bytes — a mismatch reads as absent and the caller fails over.
 
-    Unsupported over the wire: [iter] and [delete] raise [Failure]
+    Unsupported over the wire: [iter], [ids] and [delete] raise [Failure]
     (never a silent no-op) — physical enumeration and GC belong to the
     member node; composites must skip members whose stores refuse them.
     The needed grants are instance-wide ([key pattern "*"]): [Read] for

@@ -177,7 +177,9 @@ let verb_hists =
     [ "put"; "put-csv"; "get"; "get-at"; "head"; "latest"; "list"; "log";
       "branch"; "rename"; "meta"; "diff"; "merge"; "verify"; "stat";
       "metrics"; "metrics-json"; "fsck"; "scrub"; "get-json"; "diff-json";
-      "log-json"; "stat-json"; "latest-json"; "prove"; "batch" ];
+      "log-json"; "stat-json"; "latest-json"; "prove"; "batch"; "sync-have";
+      "sync-get"; "sync-put"; "sync-advance"; "sync-bloom"; "chunk-put";
+      "chunk-stat" ];
   tbl
 
 let other_hist = Obs.histogram "fb.net.other_seconds"

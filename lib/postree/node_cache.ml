@@ -28,8 +28,8 @@ type 'a node = {
 (* Read-only verbs of the network service share one cache from many
    threads, and a cache {e read} mutates the recency list — so every
    entry point runs under [lock].  The store liveness probe in
-   [find_live] (possibly a stat syscall) deliberately happens outside
-   the critical section. *)
+   [find_live] (a [Store.mem], which may touch the disk) deliberately
+   happens outside the critical section. *)
 type 'a t = {
   name : string;
   lock : Mutex.t;
@@ -171,9 +171,12 @@ let find_live t store id =
   in
   match hit with
   | Some value when Store.mem store id ->
-    (* The liveness probe keeps a hit cheap (hashtable/stat lookup) while
-       guaranteeing we never serve a decode for a chunk the store no longer
-       holds — even if its deletion bypassed [Store.delete]. *)
+    (* The liveness probe guarantees we never serve a decode for a chunk
+       the store no longer holds — even if its deletion bypassed
+       [Store.delete].  It costs whatever the store's [mem] costs: a table
+       probe on mem/log, a stat on file.  Under [Verified_store ~once:true]
+       an entry decoded through that store was hashed on that read, so the
+       probe is the inner index lookup, not a re-read of the chunk. *)
     Mutex.protect t.lock (fun () ->
         t.hits <- t.hits + 1;
         match Hash.Tbl.find_opt t.tbl id with

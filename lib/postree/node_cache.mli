@@ -11,7 +11,9 @@
       deletions through [Store.delete] invalidate eagerly;
     - {!find_live} re-probes [Store.mem] on every hit, so even a deletion
       that bypassed the hook (raw backend access) can never be served from
-      the cache.
+      the cache.  A hit therefore costs one [Store.mem] of the store it is
+      given; under [Verified_store ~once:true] that is the inner backend's
+      index probe for any chunk already read (and so hashed) through it.
 
     Capacity comes from the [FB_NODE_CACHE] environment variable (entries
     per cache, default 1024, [0] disables); benches flip all caches at once

@@ -29,4 +29,5 @@ let () =
       ("net", Test_net.suite);
       ("cluster", Test_cluster.suite);
       ("pipeline", Test_pipeline.suite);
-      ("sync", Test_sync.suite) ]
+      ("sync", Test_sync.suite);
+      ("ids", Test_ids.suite) ]

@@ -424,6 +424,10 @@ let test_remote_chunk_store () =
             (match s.Store.iter (fun _ _ -> ()) with
             | () -> false
             | exception Failure _ -> true);
+          check bool_ "ids refused" true
+            (match Store.ids s (fun _ -> ()) with
+            | () -> false
+            | exception Failure msg -> contains ~affix:"ids" msg);
           check bool_ "delete refused" true
             (match s.Store.delete id with
             | (_ : bool) -> false

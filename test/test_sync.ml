@@ -359,6 +359,59 @@ let run_push_pull_roundtrip mode () =
           | Ok _ -> Alcotest.fail "divergent push accepted"
           | Error e -> Alcotest.fail (Errors.to_string e)))
 
+(* ---------------- per-verb server histograms ---------------- *)
+
+(* Each sync and cluster verb is timed under its own fb.net.<verb>_seconds
+   histogram, so a push's bloom, have and put costs can be told apart;
+   none of them falls into the catch-all. *)
+let test_sync_verb_histograms () =
+  let module Obs = Fb_obs.Obs in
+  let verbs =
+    [ "sync_have"; "sync_get"; "sync_put"; "sync_advance"; "sync_bloom";
+      "chunk_put"; "chunk_stat" ]
+  in
+  let count name =
+    Obs.hist_count (Obs.histogram ("fb.net." ^ name ^ "_seconds"))
+  in
+  let was = Obs.is_enabled () in
+  Obs.set_enabled true;
+  Fun.protect ~finally:(fun () -> Obs.set_enabled was) @@ fun () ->
+  let before = List.map count verbs and other_before = count "other" in
+  let src_store = Mem_store.create () in
+  let src = FB.create src_store in
+  let put tag =
+    ignore
+      (ok_fb
+         (FB.put src ~key:"table"
+            (Value.map_of_bindings src_store (bindings 1500 tag))))
+  in
+  with_server (FB.create (Mem_store.create ())) (fun srv ->
+      with_remote srv (fun r ->
+          put "v";
+          ignore (ok_fb (Remote.push r src ~key:"table"));
+          (* A second push finds shared chunks: bloom positives are
+             confirmed with sync-have. *)
+          put "w";
+          ignore (ok_fb (Remote.push r src ~key:"table"));
+          (* Pushes and pulls batch their puts and gets; single frames
+             of each are what carry the verb's own name. *)
+          let leaf = Chunk.v Chunk.Leaf_blob "single sync-put" in
+          let leaf_id = Hash.to_hex (Chunk.hash leaf) in
+          ignore
+            (ok_fb
+               (Remote.raw r
+                  [ "sync-put"; "table"; "master"; leaf_id; Chunk.encode leaf ]));
+          let chunks = Remote.chunk_store r in
+          let id = Store.put chunks (Chunk.v Chunk.Leaf_blob "cluster slice") in
+          check bool_ "sync-get serves the chunk" true
+            (Store.get chunks id <> None);
+          ignore (Store.stats chunks)));
+  List.iter2
+    (fun verb b ->
+      check bool_ (verb ^ " has its own histogram") true (count verb > b))
+    verbs before;
+  check int_ "nothing fell into other_seconds" other_before (count "other")
+
 (* ---------------- tamper refusal over the wire ---------------- *)
 
 (* A malicious server answers sync-get with corrupted bytes.  The puller
@@ -417,4 +470,6 @@ let suite =
     Alcotest.test_case "push/pull round trip (threaded)" `Quick
       (run_push_pull_roundtrip `Threaded);
     Alcotest.test_case "pull refuses tampered chunks" `Quick
-      test_pull_refuses_tampered_chunks ]
+      test_pull_refuses_tampered_chunks;
+    Alcotest.test_case "sync verbs have their own histograms" `Quick
+      test_sync_verb_histograms ]
