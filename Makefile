@@ -65,7 +65,7 @@ bench-obs:
 # `make bench-serve SEEDS=10`.
 SEEDS ?= 5
 bench-serve:
-	python3 tools/bench_serve.py --seeds $(SEEDS) --seconds 20 --workloads dataset,sync
+	python3 tools/bench_serve.py --seeds $(SEEDS)
 
 # The pre-commit gate: full build, full test suite, the observability
 # smoke (instrumentation overhead + histogram/exposition/tracing smoke,

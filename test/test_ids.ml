@@ -15,6 +15,7 @@ module Pack = Fb_chunk.Pack
 module Faulty = Fb_chunk.Faulty_store
 module Resilient = Fb_chunk.Resilient_store
 module Cluster = Fb_chunk.Cluster_store
+module Sharded = Fb_chunk.Sharded_store
 module Verified = Fb_chunk.Verified_store
 module Metered = Fb_chunk.Metered_store
 module Node_cache = Fb_postree.Node_cache
@@ -169,6 +170,24 @@ let prop_cluster =
                      (Printf.sprintf "m%d" i, Mem_store.create ())))
               ())))
 
+(* Both views skip down members.  With two of three members down, the
+   chunks whose two replicas both sit on down members drop out of both. *)
+let prop_sharded =
+  property "sharded over mem members, members down" (fun ops ->
+      let t =
+        Sharded.create ~replicas:2
+          ~members:
+            (List.init 3 (fun i -> (Printf.sprintf "m%d" i, Mem_store.create ())))
+          ()
+      in
+      let s = Sharded.store t in
+      List.iter (apply s) ops;
+      let up = agree s in
+      Sharded.set_down t "m1" true;
+      let one_down = agree s in
+      Sharded.set_down t "m2" true;
+      up && one_down && agree s)
+
 (* ---------------- read costs ---------------- *)
 
 (* Counts every byte read the wrapped store serves: [get]/[get_raw],
@@ -288,6 +307,7 @@ let suite =
     prop_faulty;
     prop_resilient;
     prop_cluster;
+    prop_sharded;
     Alcotest.test_case "once: verified mem reads nothing" `Quick
       test_once_verified_mem_reads_nothing;
     Alcotest.test_case "once: tampered mem refused" `Quick

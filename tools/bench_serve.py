@@ -3,12 +3,12 @@
 
 Run from the repository root:
 
-    python3 tools/bench_serve.py --seeds 5 --seconds 20 --workloads dataset,sync
+    python3 tools/bench_serve.py --seeds 5
 
-For each workload and each seed 1..N this runs
-`python3 fbperf/run.py --workload W --seed S --seconds T --trace 0`, reads the
-JSON result on its last line of output, and prints, per metric, the median and
-the quartiles across seeds.  A failed run is reported and left out of the
+For the dataset and sync workloads and each seed 1..N this runs
+`python3 fbperf/run.py --workload W --seed S --seconds 20 --trace 0` (the run
+length BENCHMARK.json sets), reads the JSON result on its last line of output,
+and prints, per metric, the median and the quartiles across seeds.  A failed run is reported and left out of the
 summary; the exit status is non-zero if any run failed or reported failed
 operations.
 """
@@ -19,6 +19,9 @@ import statistics
 import subprocess
 import sys
 
+SECONDS = 20
+WORKLOADS = ("dataset", "sync")
+
 
 def quartiles(xs):
     if len(xs) < 2:
@@ -27,9 +30,9 @@ def quartiles(xs):
     return q[0], q[2]
 
 
-def run_once(workload, seed, seconds):
+def run_once(workload, seed):
     cmd = [sys.executable, "fbperf/run.py", "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+           "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0"]
     proc = subprocess.run(cmd, stdout=subprocess.PIPE,
                           stderr=subprocess.DEVNULL, text=True)
     lines = proc.stdout.strip().splitlines()
@@ -41,16 +44,14 @@ def run_once(workload, seed, seconds):
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seeds", type=int, default=5)
-    ap.add_argument("--seconds", type=int, default=20)
-    ap.add_argument("--workloads", default="dataset,sync")
     args = ap.parse_args()
 
     ok = True
-    for workload in args.workloads.split(","):
+    for workload in WORKLOADS:
         values = {}
         units = {}
         for seed in range(1, args.seeds + 1):
-            result = run_once(workload, seed, args.seconds)
+            result = run_once(workload, seed)
             if result is None:
                 print(f"{workload} seed {seed}: run failed", file=sys.stderr)
                 ok = False
