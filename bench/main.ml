@@ -1357,7 +1357,7 @@ let run_hotpath ?(quick = false) () =
     (if quick then
        "HOT PATH (quick sanity): kernel equivalence + throughput smoke run"
      else
-       "HOT PATH: unboxed SHA-256 kernel, fused chunker scan, decoded-node \
+       "HOT PATH: SHA-256 kernels, fused chunker scan, decoded-node \
         cache\n\
         (throughputs single-threaded; tree ops on a mem store)");
   let module Sha256 = Fb_hash.Sha256 in
@@ -1376,22 +1376,46 @@ let run_hotpath ?(quick = false) () =
     let rng = Prng.create seed in
     String.init n (fun _ -> Char.chr (Prng.next_int rng 256))
   in
-  (* --- 1. SHA-256: optimized kernel vs Int32 reference oracle --- *)
+  (* --- 1. SHA-256: native and OCaml kernels vs the Int32 reference --- *)
+  let ocaml_digest s =
+    let ctx = Sha256.init_ocaml () in
+    Sha256.update ctx s;
+    Sha256.finalize ctx
+  in
+  (* Every available kernel must agree with the oracle on odd-length random
+     buffers (partial final blocks, both padding cases). *)
+  let rng = Prng.create 0x0ddL in
+  for i = 0 to 63 do
+    let buf = rand_string (Int64.of_int i) (1 + (2 * Prng.next_int rng 4096)) in
+    let expect = Sha256_ref.digest buf in
+    if not (String.equal (ocaml_digest buf) expect
+            && String.equal (Sha256.digest buf) expect)
+    then failwith (Printf.sprintf "sha256 kernels disagree on %d bytes"
+                     (String.length buf))
+  done;
+  let active = if Sha256.native then "native" else "ocaml" in
+  Printf.printf "sha256 kernels agree on 64 odd-length buffers; active: %s\n"
+    active;
   let sha_sizes = if quick then [ 65536 ] else [ 4096; 65536 ] in
   let sha_mib = if quick then 2 else 32 in
-  Printf.printf "%-24s %12s %12s %9s\n" "sha256 (buffer size)" "ref MB/s"
-    "new MB/s" "speedup";
+  Printf.printf "%-24s %10s %10s %10s\n" "sha256 (buffer size)" "ref MB/s"
+    "ocaml MB/s" "native MB/s";
   let sha_rows =
     List.map
       (fun size ->
         let buf = rand_string 0x5aL size in
-        assert (String.equal (Sha256.digest buf) (Sha256_ref.digest buf));
         let reps = max 1 (sha_mib * 1024 * 1024 / size) in
-        let new_mb = mb_s size reps (fun () -> Sha256.digest buf) in
         let ref_mb = mb_s size reps (fun () -> Sha256_ref.digest buf) in
-        Printf.printf "%-24d %12.1f %12.1f %8.2fx\n" size ref_mb new_mb
-          (new_mb /. ref_mb);
-        (size, ref_mb, new_mb))
+        let ocaml_mb = mb_s size reps (fun () -> ocaml_digest buf) in
+        let native_mb =
+          if Sha256.native then Some (mb_s size reps (fun () -> Sha256.digest buf))
+          else None
+        in
+        Printf.printf "%-24d %10.1f %10.1f %10s\n" size ref_mb ocaml_mb
+          (match native_mb with
+           | Some m -> Printf.sprintf "%.1f" m
+           | None -> "n/a");
+        (size, ref_mb, ocaml_mb, native_mb))
       sha_sizes
   in
   (* --- 2. chunker: fused feed_string vs per-char feed --- *)
@@ -1475,7 +1499,8 @@ let run_hotpath ?(quick = false) () =
   if not quick then begin
     let json =
       Printf.sprintf
-        "{\"sha256\":[%s],\n\
+        "{\"sha256_kernel\":\"%s\",\n\
+         \"sha256\":[%s],\n\
          \"chunker\":{\"per_char_mb_s\":%.1f,\"fast_mb_s\":%.1f,\
          \"speedup\":%.2f},\n\
          \"tree\":{\"entries\":%d,\"lookups\":%d,\n\
@@ -1484,13 +1509,17 @@ let run_hotpath ?(quick = false) () =
         \  \"cache_on\":{\"lookup_p50_us\":%.2f,\"lookup_p99_us\":%.2f,\
          \"diff_ms\":%.3f,\"merge_ms\":%.3f},\n\
         \  \"lookup_p50_speedup\":%.2f}}\n"
+        active
         (String.concat ","
            (List.map
-              (fun (size, ref_mb, new_mb) ->
+              (fun (size, ref_mb, ocaml_mb, native_mb) ->
                 Printf.sprintf
-                  "{\"buffer\":%d,\"ref_mb_s\":%.1f,\"new_mb_s\":%.1f,\
-                   \"speedup\":%.2f}"
-                  size ref_mb new_mb (new_mb /. ref_mb))
+                  "{\"buffer\":%d,\"ref_mb_s\":%.1f,\"ocaml_mb_s\":%.1f,\
+                   \"native_mb_s\":%s}"
+                  size ref_mb ocaml_mb
+                  (match native_mb with
+                   | Some m -> Printf.sprintf "%.1f" m
+                   | None -> "null"))
               sha_rows))
         slow_mb fast_mb (fast_mb /. slow_mb) n lookups off_p50 off_p99
         off_diff off_merge on_p50 on_p99 on_diff on_merge (off_p50 /. on_p50)

@@ -1119,7 +1119,11 @@ module Top = struct
     let cdelta name = Float.max 0.0 (assoc name cur.counters -. assoc name prev.counters) in
     let buf = Buffer.create 2048 in
     let line fmt = Printf.ksprintf (fun s -> Buffer.add_string buf (s ^ "\n")) fmt in
-    line "forkbase top — %s — interval %.1f s" target dt;
+    line "forkbase top — %s — interval %.1f s — sha256 %s" target dt
+      (match List.assoc_opt "hash.sha256_native" cur.gauges with
+       | Some 1.0 -> "native"
+       | Some _ -> "ocaml"
+       | None -> "unknown");
     line "requests: %6.1f/s   batches: %5.1f/s   errors: %4.1f/s   conns: %.0f"
       (cdelta "fb.net.frames" /. dt)
       (cdelta "fb.net.batches" /. dt)

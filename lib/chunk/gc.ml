@@ -27,16 +27,19 @@ let reachable store ~children ~roots =
 let sweep store ~children ~roots =
   let live = reachable store ~children ~roots in
   let dead = ref [] in
-  store.Store.iter (fun id encoded ->
-      if not (Hash.Set.mem id live) then
-        dead := (id, String.length encoded) :: !dead);
+  Store.ids store (fun id ->
+      if not (Hash.Set.mem id live) then dead := id :: !dead);
+  (* Only dead chunks are read, once each, for the bytes they free. *)
   let swept_bytes = ref 0 and swept_chunks = ref 0 in
   List.iter
-    (fun (id, size) ->
-      if Store.delete store id then begin
-        incr swept_chunks;
-        swept_bytes := !swept_bytes + size
-      end)
+    (fun id ->
+      match Store.peek store id with
+      | None -> ()
+      | Some encoded ->
+        if Store.delete store id then begin
+          incr swept_chunks;
+          swept_bytes := !swept_bytes + String.length encoded
+        end)
     !dead;
   { live_chunks = Hash.Set.cardinal live;
     swept_chunks = !swept_chunks;

@@ -26,4 +26,6 @@ val sweep :
   children:(Chunk.t -> Fb_hash.Hash.t list) ->
   roots:Fb_hash.Hash.t list ->
   result
-(** Delete every chunk not reachable from [roots]. *)
+(** Delete every chunk not reachable from [roots].  Dead chunks are found
+    by enumerating ids, so besides marking only the dead payloads are read
+    (once each, through [peek], to total [swept_bytes]). *)

@@ -24,7 +24,13 @@
 
    [update_bytes]/[update_sub] stream whole blocks straight from the
    caller's buffer; only a trailing partial block is copied into the
-   context. *)
+   context.
+
+   On an x86-64 CPU whose CPUID advertises the SHA extensions (plus SSE4.1
+   and SSSE3), every block goes instead to the C kernel in
+   [sha256_stubs.c], which compresses a whole run of blocks per call.  The
+   choice is made once, when this module is initialised; the OCaml kernel
+   below is the only one that runs anywhere else. *)
 
 external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
 external bswap64 : int64 -> int64 = "%bswap_int64"
@@ -38,20 +44,34 @@ let ( >>> ) = Int64.shift_right_logical
 let m32 = 0xFFFFFFFFL
 let mh32 = 0xFFFFFFFF00000000L
 
+external native_available : unit -> bool = "fb_sha256_native_available"
+  [@@noalloc]
+
+(* [native_blocks h b pos n] compresses the [n] blocks at [b.[pos]]. *)
+external native_blocks : int array -> Bytes.t -> int -> int -> unit
+  = "fb_sha256_native_blocks" [@@noalloc]
+
+let native = native_available ()
+
 type ctx = {
   h : int array;            (* eight working hash words, canonical 32-bit *)
   block : Bytes.t;          (* 64-byte input block being filled *)
   mutable fill : int;       (* bytes currently in [block] *)
   mutable total : int;      (* total message length in bytes *)
+  use_native : bool;        (* compress with [native_blocks] *)
 }
 
-let init () =
+let make use_native =
   { h =
       [| 0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a;
          0x510e527f; 0x9b05688c; 0x1f83d9ab; 0x5be0cd19 |];
     block = Bytes.create 64;
     fill = 0;
-    total = 0 }
+    total = 0;
+    use_native }
+
+let init () = make native
+let init_ocaml () = make false
 
 (* GENERATED-KERNEL-BEGIN: tools/gen_sha256_kernel.py *)
 let compress_block (h : int array) (b : Bytes.t) pos =
@@ -536,7 +556,15 @@ let compress_block (h : int array) (b : Bytes.t) pos =
   ()
 (* GENERATED-KERNEL-END *)
 
-let compress ctx = compress_block ctx.h ctx.block 0
+(* Compress the [n] whole blocks starting at [b.[pos]]. *)
+let compress_blocks ctx b pos n =
+  if ctx.use_native then native_blocks ctx.h b pos n
+  else
+    for i = 0 to n - 1 do
+      compress_block ctx.h b (pos + (i * 64))
+    done
+
+let compress ctx = compress_blocks ctx ctx.block 0 1
 
 let update_bytes ctx b ~pos ~len =
   if pos < 0 || len < 0 || pos + len > Bytes.length b then
@@ -556,12 +584,12 @@ let update_bytes ctx b ~pos ~len =
     end
   end;
   (* Whole blocks stream straight from [b]; no copy into [ctx.block]. *)
-  if ctx.fill = 0 then
-    while !len >= 64 do
-      compress_block ctx.h b !pos;
-      pos := !pos + 64;
-      len := !len - 64
-    done;
+  if ctx.fill = 0 && !len >= 64 then begin
+    let n = !len / 64 in
+    compress_blocks ctx b !pos n;
+    pos := !pos + (n * 64);
+    len := !len - (n * 64)
+  end;
   if !len > 0 then begin
     Bytes.blit b !pos ctx.block ctx.fill !len;
     ctx.fill <- ctx.fill + !len

@@ -1,20 +1,34 @@
-(** Pure-OCaml SHA-256 (FIPS 180-4).
+(** SHA-256 (FIPS 180-4).
 
-    The sealed build environment ships no digest library, so ForkBase carries
-    its own implementation.  The compression function is a fully unrolled,
-    branch-free [Int64] kernel (generated by [tools/gen_sha256_kernel.py])
-    that ocamlopt compiles to straight-line unboxed machine arithmetic;
-    {!Sha256_ref} keeps the original Int32 kernel as a differential-testing
-    oracle.  It is validated against the NIST test vectors in the test
-    suite.  The incremental interface mirrors the usual
-    [init]/[update]/[finalize] shape so large values can be hashed without
-    concatenating their serialized form. *)
+    Two block kernels share one incremental [init]/[update]/[finalize]
+    interface, so large values can be hashed without concatenating their
+    serialized form:
+
+    - a C kernel on the x86 SHA extensions (SHA-NI), used when CPUID
+      reports SHA, SSE4.1 and SSSE3 (see {!native});
+    - a fully unrolled, branch-free [Int64] OCaml kernel (generated by
+      [tools/gen_sha256_kernel.py]) that ocamlopt compiles to straight-line
+      unboxed machine arithmetic.  It is the fallback on every other CPU and
+      architecture.
+
+    The kernel is chosen once, when the module is initialised.  Both give
+    bit-identical digests: the test suite runs each through the NIST
+    vectors and against {!Sha256_ref}, the original Int32 kernel kept as a
+    differential-testing oracle. *)
 
 type ctx
 (** Mutable hashing context. *)
 
+val native : bool
+(** [true] when this CPU's SHA-256 instructions compress every block. *)
+
 val init : unit -> ctx
 (** Fresh context. *)
+
+val init_ocaml : unit -> ctx
+(** Test-only: a fresh context that compresses with the OCaml kernel even
+    when {!native} holds, so tests and the hot-path benchmark can compare
+    the two kernels on one machine. *)
 
 val update : ctx -> string -> unit
 (** Absorb a whole string. *)

@@ -1111,6 +1111,10 @@ let start ?(config = default_config) ?save fb =
       in
       Obs.gauge "fb.net.connections_active" (fun () ->
           float_of_int (active_conns t));
+      (* Which SHA-256 kernel this node hashes with, so a recorded number
+         can be traced to the kernel that produced it. *)
+      Obs.gauge "hash.sha256_native" (fun () ->
+          if Fb_hash.Sha256.native then 1.0 else 0.0);
       (match t.ev with
        | None -> ()
        | Some st ->

@@ -109,6 +109,101 @@ let test_sha_differential () =
     (Invalid_argument "Sha256.finalize_into") (fun () ->
       Sha256.finalize_into (Sha256.init ()) (Bytes.create 16) ~pos:0)
 
+(* Both block kernels: the OCaml one everywhere, the SHA-NI one where this
+   CPU has it.  [Sha256.init] picks the native kernel when available. *)
+let kernels =
+  Sha256.init_ocaml :: (if Sha256.native then [ Sha256.init ] else [])
+
+let nist_vectors =
+  [ ("", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
+    ("abc", "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
+    ( "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+      "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1" );
+    ( "abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmnhijklmno\
+       ijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu",
+      "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1" );
+    ( String.make 1_000_000 'a',
+      "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0" ) ]
+
+let kernel_vectors init () =
+  List.iter
+    (fun (msg, expect) ->
+      let ctx = init () in
+      Sha256.update ctx msg;
+      check string_
+        (Printf.sprintf "%d-byte vector" (String.length msg))
+        expect
+        (Hex.encode (Sha256.finalize ctx)))
+    nist_vectors
+
+let test_sha_ocaml_kernel_vectors = kernel_vectors Sha256.init_ocaml
+
+let () =
+  if not Sha256.native then
+    prerr_endline
+      "test_hash: this CPU has no SHA-NI; the native SHA-256 kernel is \
+       skipped, the OCaml kernel is still tested"
+
+let test_sha_native_kernel_vectors () =
+  if not Sha256.native then Alcotest.skip ();
+  kernel_vectors Sha256.init ()
+
+(* One way of feeding a segment [s.[pos .. pos+len)] to a context. *)
+type feed = Whole | Sub | Bytes_at of int | Chars
+
+let feed ctx s pos len = function
+  | Whole -> Sha256.update ctx (String.sub s pos len)
+  | Sub -> Sha256.update_sub ctx s ~pos ~len
+  | Bytes_at off ->
+    (* The segment at an arbitrary offset in a larger buffer. *)
+    let b = Bytes.make (off + len + 3) '\x55' in
+    Bytes.blit_string s pos b off len;
+    Sha256.update_bytes ctx b ~pos:off ~len
+  | Chars -> String.iter (Sha256.update_char ctx) (String.sub s pos len)
+
+(* A 0-5,000 byte string and a feeding plan: sorted cut points (biased
+   towards block boundaries) and a feed per segment. *)
+let mix_arb =
+  let open QCheck.Gen in
+  let gen =
+    int_range 0 5000 >>= fun n ->
+    string_size ~gen:char (return n) >>= fun s ->
+    let cut =
+      oneof
+        [ int_range 0 n;
+          map (fun k -> min n (64 * k)) (int_range 0 ((n / 64) + 1)) ]
+    in
+    list_size (int_range 0 12) cut >>= fun cuts ->
+    let segs = List.sort_uniq compare ((0 :: cuts) @ [ n ]) in
+    let feed_gen =
+      frequency
+        [ (3, return Whole); (3, return Sub);
+          (3, map (fun o -> Bytes_at o) (int_range 0 70)); (1, return Chars) ]
+    in
+    list_repeat (List.length segs) feed_gen >|= fun feeds -> (s, segs, feeds)
+  in
+  let print (s, segs, _) =
+    Printf.sprintf "len %d, cuts [%s]" (String.length s)
+      (String.concat "; " (List.map string_of_int segs))
+  in
+  QCheck.make ~print gen
+
+let kernels_agree (s, segs, feeds) =
+  let expect = Sha256_ref.digest s in
+  List.for_all
+    (fun init ->
+      let ctx = init () in
+      let rec go segs feeds =
+        match (segs, feeds) with
+        | a :: (b :: _ as rest), f :: feeds ->
+          feed ctx s a (b - a) f;
+          go rest feeds
+        | _ -> ()
+      in
+      go segs feeds;
+      String.equal (Sha256.finalize ctx) expect)
+    kernels
+
 (* ------------------------- Hex ------------------------- *)
 
 let test_hex_roundtrip () =
@@ -281,6 +376,8 @@ let qcheck_cases =
     Test.make ~name:"sha256 = reference oracle" ~count:200
       (string_gen Gen.char)
       (fun s -> String.equal (Sha256.digest s) (Sha256_ref.digest s));
+    Test.make ~name:"sha256 kernels = reference under update mixes"
+      ~count:300 mix_arb kernels_agree;
     Test.make ~name:"rolling: feed_string = per-byte feed" ~count:200
       (pair (list (string_gen Gen.char)) (int_range 0 1_000_000))
       (fun (segments, seed) ->
@@ -323,6 +420,10 @@ let suite =
       Alcotest.test_case "sha256 448-bit vector" `Quick test_sha_448bits;
       Alcotest.test_case "sha256 896-bit vector" `Quick test_sha_896bits;
       Alcotest.test_case "sha256 million a" `Slow test_sha_million_a;
+      Alcotest.test_case "sha256 OCaml kernel NIST vectors" `Quick
+        test_sha_ocaml_kernel_vectors;
+      Alcotest.test_case "sha256 native kernel NIST vectors" `Quick
+        test_sha_native_kernel_vectors;
       Alcotest.test_case "sha256 block boundaries" `Quick
         test_sha_block_boundaries;
       Alcotest.test_case "sha256 update_sub" `Quick test_sha_update_sub;

@@ -249,6 +249,29 @@ let test_paranoid_mem_reads_each_time () =
     check int_ "one inner read per mem" i !reads
   done
 
+(* Marking peeks each live chunk once; the sweep finds the dead set by id
+   and peeks only the dead ones, so L live + D dead costs L + D reads. *)
+let test_gc_sweep_reads_each_chunk_once () =
+  let mem = Mem_store.create () in
+  let inner, reads = counting mem in
+  let live_n = 7 and dead_n = 5 in
+  let live = List.init live_n (fun i -> Store.put inner (blob i)) in
+  let dead = List.init dead_n (fun i -> Store.put inner (blob (100 + i))) in
+  let dead_bytes =
+    List.fold_left
+      (fun acc id -> acc + String.length (Option.get (Store.peek mem id)))
+      0 dead
+  in
+  reads := 0;
+  let r = Fb_chunk.Gc.sweep inner ~children:(fun _ -> []) ~roots:live in
+  check int_ "reads L + D payloads" (live_n + dead_n) !reads;
+  check int_ "live chunks" live_n r.Fb_chunk.Gc.live_chunks;
+  check int_ "swept chunks" dead_n r.Fb_chunk.Gc.swept_chunks;
+  check int_ "swept bytes" dead_bytes r.Fb_chunk.Gc.swept_bytes;
+  check bool_ "live kept, dead gone" true
+    (List.for_all (Store.mem mem) live
+     && not (List.exists (Store.mem mem) dead))
+
 (* The server's stack: metered over verified-once over the log. *)
 let with_server_stack f =
   with_temp_dir (fun dir ->
@@ -319,4 +342,6 @@ let suite =
     Alcotest.test_case "sync_bloom reads no bytes" `Quick
       test_sync_bloom_reads_nothing;
     Alcotest.test_case "node cache hit reads no bytes" `Quick
-      test_node_cache_hit_reads_nothing ]
+      test_node_cache_hit_reads_nothing;
+    Alcotest.test_case "gc sweep reads each chunk once" `Quick
+      test_gc_sweep_reads_each_chunk_once ]

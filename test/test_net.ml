@@ -831,6 +831,10 @@ let test_metrics_sidecar () =
         (Tutil.contains metrics "fb_net_frames");
       check bool_ "per-verb histogram exported" true
         (Tutil.contains metrics "fb_net_put_seconds");
+      check bool_ "active sha256 kernel exported" true
+        (Tutil.contains metrics
+           (Printf.sprintf "hash_sha256_native %d"
+              (Bool.to_int Fb_hash.Sha256.native)));
       let healthz = http_get mport "/healthz" in
       check string_ "healthz 200" "200" (status_of healthz);
       check bool_ "healthz reports ok" true (Tutil.contains healthz "\"ok\"");
