@@ -1,6 +1,6 @@
 # Convenience entry points; dune is the real build system.
 
-.PHONY: all build test bench bench-hotpath bench-net bench-durability bench-obs bench-sync bench-cluster bench-serve check clean
+.PHONY: all build test bench bench-hotpath bench-net bench-durability bench-obs bench-sync bench-cluster ab check clean
 
 all: build
 
@@ -59,13 +59,18 @@ bench-cluster:
 bench-obs:
 	dune exec bench/main.exe -- obs
 
-# End-to-end benchmark of `forkbase serve` (fbperf): the dataset and sync
-# workloads over seeds 1..SEEDS, printing each metric's median and
-# quartiles across seeds (20-second runs, as BENCHMARK.json sets them).
-# `make bench-serve SEEDS=10`.
-SEEDS ?= 5
-bench-serve:
-	python3 tools/bench_serve.py --seeds $(SEEDS)
+# Paired A/B of the `forkbase serve` benchmark (fbperf): BASE, extracted
+# from its committed files into a scratch directory, against the working
+# tree, over the listed seeds and workloads (20-second runs, as
+# BENCHMARK.json sets them), alternating which side runs first per seed.
+# Prints each metric's medians, quartiles and wins per workload; fails if
+# a run fails or space_amp, wire_kib_per_op or the failed-operation count
+# differ within a pair.  `make ab BASE=HEAD~1 SEEDS=1,2,3 WORKLOADS=sync`.
+BASE ?= HEAD
+SEEDS ?= 1,2,3,4,5
+WORKLOADS ?= sync,dataset
+ab:
+	python3 tools/ab.py --base $(BASE) --seeds $(SEEDS) --workloads $(WORKLOADS)
 
 # The pre-commit gate: full build, full test suite, the observability
 # smoke (instrumentation overhead + histogram/exposition/tracing smoke,

@@ -1105,10 +1105,17 @@ module Top = struct
     let n = String.length s and m = String.length suffix in
     n >= m && String.sub s (n - m) m = suffix
 
+  (* Stage histograms under fb.net. that are not verbs; each gets its own
+     line below the verb table. *)
+  let stage_hists =
+    [ ("reply encode", "fb.net.reply_encode_seconds");
+      ("lock wait", "fb.rwlock.wait_seconds") ]
+
   (* fb.net.<verb>_seconds -> <verb> *)
   let verb_of_hist name =
     let prefix = "fb.net." and suffix = "_seconds" in
-    if starts_with ~prefix name && ends_with ~suffix name then
+    if List.exists (fun (_, h) -> h = name) stage_hists then None
+    else if starts_with ~prefix name && ends_with ~suffix name then
       Some
         (String.sub name (String.length prefix)
            (String.length name - String.length prefix - String.length suffix))
@@ -1191,22 +1198,30 @@ module Top = struct
              Some (k, fmt_bytes v)
            else None)
          cur.gauges);
-    let wait = assoc "fb.rwlock.wait_seconds" (List.map (fun (k, s) -> (k, float_of_int (Obs.snapshot_total s))) cur.hists) in
-    if wait > 0.0 then begin
-      match List.assoc_opt "fb.rwlock.wait_seconds" cur.hists with
-      | Some snap ->
-        let prev_snap =
-          Option.value
-            (List.assoc_opt "fb.rwlock.wait_seconds" prev.hists)
-            ~default:Obs.empty_snapshot
-        in
-        let d = Obs.snapshot_sub snap prev_snap in
-        let use = if Obs.snapshot_total d > 0 then d else snap in
-        line "";
-        line "lock wait: p50 %s  p99 %s"
-          (fmt_seconds (Obs.snapshot_quantile use 0.5))
-          (fmt_seconds (Obs.snapshot_quantile use 0.99))
-      | None -> ()
+    (* Stage lines: the interval's quantiles, or the lifetime's when the
+       interval saw no sample. *)
+    let stages =
+      List.filter_map
+        (fun (title, name) ->
+          match List.assoc_opt name cur.hists with
+          | Some snap when Obs.snapshot_total snap > 0 ->
+            let prev_snap =
+              Option.value (List.assoc_opt name prev.hists)
+                ~default:Obs.empty_snapshot
+            in
+            let d = Obs.snapshot_sub snap prev_snap in
+            let use = if Obs.snapshot_total d > 0 then d else snap in
+            Some
+              (Printf.sprintf "%s: p50 %s  p99 %s  (%.1f/s)" title
+                 (fmt_seconds (Obs.snapshot_quantile use 0.5))
+                 (fmt_seconds (Obs.snapshot_quantile use 0.99))
+                 (float_of_int (Obs.snapshot_total d) /. dt))
+          | _ -> None)
+        stage_hists
+    in
+    if stages <> [] then begin
+      line "";
+      List.iter (fun l -> line "%s" l) stages
     end;
     Buffer.contents buf
 

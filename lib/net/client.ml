@@ -12,8 +12,8 @@ let error_to_string = function
 type t = {
   fd : Unix.file_descr;
   user : string;
-  max_frame : int;
   timeout_s : float option;
+  reader : Frame.reader;
   mutable closed : bool;
 }
 
@@ -66,8 +66,9 @@ let connect ?host ?port ?(user = "anonymous")
   | Error _ as e -> e
   | Ok fd ->
     Ok
-      { fd; user; max_frame;
+      { fd; user;
         timeout_s = (if timeout_s > 0.0 then Some timeout_s else None);
+        reader = Frame.reader ~max_frame ();
         closed = false }
 
 let is_open t = not t.closed
@@ -95,11 +96,10 @@ let roundtrip ?user t req =
     let user = Option.value user ~default:t.user in
     match
       match
-        Frame.write_frame ?timeout_s:t.timeout_s t.fd
-          (Frame.encode_request ~user ?trace:(current_trace ()) req)
+        Frame.send_frame ?timeout_s:t.timeout_s t.fd
+          (Frame.request_frame ~user ?trace:(current_trace ()) req)
       with
-      | Ok () ->
-        Frame.read_frame ~max_frame:t.max_frame ?timeout_s:t.timeout_s t.fd
+      | Ok () -> Frame.read_frame ?timeout_s:t.timeout_s t.reader t.fd
       | Error _ as e -> e
     with
     | Ok payload -> (

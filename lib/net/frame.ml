@@ -19,25 +19,54 @@ let default_max_frame = 16 * 1024 * 1024
    max_frame); more means the peer is speaking something else. *)
 let max_len_bytes = 5
 
-(* ------------------------- pure codecs ------------------------- *)
+(* ------------------------- frame builders ------------------------- *)
 
-let encode_frame payload = Codec.to_string Codec.bytes payload
+(* A frame is built by running one writer twice: a sizing pass that only
+   counts bytes, then a writing pass into a single buffer allocated at
+   the exact frame size, length prefix included.  Payload strings are
+   gathered by reference and blitted once, straight from the caller's
+   values — no growable buffer, no [contents] copy, no re-framing. *)
+type sink = { out : Bytes.t; mutable pos : int; sizing : bool }
 
-let decode_frame ?(max_frame = default_max_frame) ?(pos = 0) buf =
-  let n = String.length buf in
-  let rec varint i shift acc count =
-    if count >= max_len_bytes then Error (Malformed "length varint too long")
-    else if i >= n then Ok `Need_more
-    else
-      let b = Char.code (String.unsafe_get buf i) in
-      let acc = acc lor ((b land 0x7f) lsl shift) in
-      if b land 0x80 <> 0 then varint (i + 1) (shift + 7) acc (count + 1)
-      else if b = 0 && count > 0 then Error (Malformed "non-minimal length")
-      else if acc > max_frame then Error (Too_large acc)
-      else if n - (i + 1) < acc then Ok `Need_more
-      else Ok (`Frame (String.sub buf (i + 1) acc, i + 1 + acc))
-  in
-  varint pos 0 0 0
+let put_byte s b =
+  if not s.sizing then Bytes.set s.out s.pos (Char.unsafe_chr b);
+  s.pos <- s.pos + 1
+
+(* LEB128 over the 63-bit pattern, as Fb_codec writes it; [lsr] makes
+   the loop terminate for the negative patterns zigzag produces. *)
+let rec put_varint_bits s v =
+  if v land lnot 0x7f = 0 then put_byte s v
+  else begin
+    put_byte s (0x80 lor (v land 0x7f));
+    put_varint_bits s (v lsr 7)
+  end
+
+let put_varint s v =
+  if v < 0 then invalid_arg "Frame: negative varint";
+  put_varint_bits s v
+
+let put_zigzag s v =
+  put_varint_bits s ((v lsl 1) lxor (v asr (Sys.int_size - 1)))
+
+let put_string s str =
+  let n = String.length str in
+  put_varint s n;
+  if not s.sizing then Bytes.blit_string str 0 s.out s.pos n;
+  s.pos <- s.pos + n
+
+let put_list s put xs =
+  put_varint s (List.length xs);
+  List.iter (put s) xs
+
+let build write =
+  let count = { out = Bytes.empty; pos = 0; sizing = true } in
+  write count;
+  let len = count.pos in
+  put_varint count len;
+  let s = { out = Bytes.create count.pos; pos = 0; sizing = false } in
+  put_varint s len;
+  write s;
+  Bytes.unsafe_to_string s.out
 
 (* Version 2: requests are tagged single/batch, responses carry a typed
    status ahead of the payload (v1 carried a bare bool + pre-rendered
@@ -68,13 +97,13 @@ let flag_trace = 0x80
 let flag_seq = 0x40
 let kind_mask = 0x3f
 
-let write_envelope_headers w ~trace ~seq =
+let put_envelope s ~trace ~seq =
   (match trace with
    | Some t ->
-     Codec.bytes w t.trace_id;
-     Codec.zigzag w t.parent_span
+     put_string s t.trace_id;
+     put_zigzag s t.parent_span
    | None -> ());
-  match seq with Some s -> Codec.varint w s | None -> ()
+  match seq with Some q -> put_varint s q | None -> ()
 
 let flags_of ~trace ~seq =
   (match trace with Some _ -> flag_trace | None -> 0)
@@ -94,22 +123,18 @@ let read_envelope_headers r kind_byte =
   in
   (trace, seq)
 
-let encode_request ~user ?trace ?seq req =
-  Codec.to_string
-    (fun w () ->
-      Codec.u8 w protocol_version;
-      let kind =
-        (match req with Single _ -> kind_single | Batch _ -> kind_batch)
-        lor flags_of ~trace ~seq
-      in
-      Codec.u8 w kind;
-      Codec.bytes w user;
-      write_envelope_headers w ~trace ~seq;
+let request_frame ~user ?trace ?seq req =
+  build (fun s ->
+      put_byte s protocol_version;
+      put_byte s
+        ((match req with Single _ -> kind_single | Batch _ -> kind_batch)
+         lor flags_of ~trace ~seq);
+      put_string s user;
+      put_envelope s ~trace ~seq;
       match req with
-      | Single tokens -> Codec.list w Codec.bytes tokens
+      | Single tokens -> put_list s put_string tokens
       | Batch reqs ->
-        Codec.list w (fun w tokens -> Codec.list w Codec.bytes tokens) reqs)
-    ()
+        put_list s (fun s tokens -> put_list s put_string tokens) reqs)
 
 let decode_request payload =
   Codec.of_string
@@ -157,25 +182,25 @@ let error_code = function
   | Errors.Transient _ -> 8
   | Errors.Invalid _ -> 9
 
-let write_error w (e : Errors.t) =
-  Codec.u8 w (error_code e);
+let put_error s (e : Errors.t) =
+  put_byte s (error_code e);
   match e with
-  | Errors.Key_not_found k -> Codec.bytes w k
+  | Errors.Key_not_found k -> put_string s k
   | Errors.Branch_not_found { key; branch } ->
-    Codec.bytes w key;
-    Codec.bytes w branch
-  | Errors.Version_not_found v -> Codec.bytes w v
+    put_string s key;
+    put_string s branch
+  | Errors.Version_not_found v -> put_string s v
   | Errors.Permission_denied { user; action } ->
-    Codec.bytes w user;
-    Codec.bytes w action
+    put_string s user;
+    put_string s action
   | Errors.Merge_conflict { key; details } ->
-    Codec.bytes w key;
-    Codec.list w Codec.bytes details
+    put_string s key;
+    put_list s put_string details
   | Errors.Type_mismatch { expected; got } ->
-    Codec.bytes w expected;
-    Codec.bytes w got
+    put_string s expected;
+    put_string s got
   | Errors.Corrupt msg | Errors.Transient msg | Errors.Invalid msg ->
-    Codec.bytes w msg
+    put_string s msg
 
 let read_error r code : Errors.t =
   match code with
@@ -219,43 +244,39 @@ type response = One of reply | Many of reply list | Event of event
 
 let kind_event = 2
 
-let write_reply w (reply : reply) =
+let put_reply s (reply : reply) =
   match reply with
   | Ok payload ->
-    Codec.u8 w status_ok;
-    Codec.bytes w payload
-  | Error e -> write_error w e
+    put_byte s status_ok;
+    put_string s payload
+  | Error e -> put_error s e
 
 let read_reply r : reply =
   let code = Codec.read_u8 r in
   if code = status_ok then Ok (Codec.read_bytes r) else Error (read_error r code)
 
-let encode_response ?trace ?seq resp =
-  Codec.to_string
-    (fun w () ->
-      let kind =
-        (match resp with
-         | One _ -> kind_single
-         | Many _ -> kind_batch
-         | Event _ -> kind_event)
-        lor flags_of ~trace ~seq
-      in
-      Codec.u8 w kind;
-      write_envelope_headers w ~trace ~seq;
+let response_frame ?trace ?seq resp =
+  build (fun s ->
+      put_byte s
+        ((match resp with
+          | One _ -> kind_single
+          | Many _ -> kind_batch
+          | Event _ -> kind_event)
+         lor flags_of ~trace ~seq);
+      put_envelope s ~trace ~seq;
       match resp with
-      | One reply -> write_reply w reply
-      | Many replies -> Codec.list w write_reply replies
+      | One reply -> put_reply s reply
+      | Many replies -> put_list s put_reply replies
       | Event e ->
-        Codec.varint w e.sub_id;
-        Codec.bytes w e.ev_key;
-        Codec.bytes w e.ev_branch;
-        Codec.bytes w e.new_head;
+        put_varint s e.sub_id;
+        put_string s e.ev_key;
+        put_string s e.ev_branch;
+        put_string s e.new_head;
         (match e.old_head with
-         | None -> Codec.bool w false
+         | None -> put_byte s 0
          | Some h ->
-           Codec.bool w true;
-           Codec.bytes w h))
-    ()
+           put_byte s 1;
+           put_string s h))
 
 let decode_response payload =
   Codec.of_string
@@ -312,54 +333,126 @@ let rec wait_fd ~read fd deadline =
 let wait_readable fd deadline = wait_fd ~read:true fd deadline
 let wait_writable fd deadline = wait_fd ~read:false fd deadline
 
-let read_byte fd deadline buf1 =
-  let rec go () =
-    match wait_readable fd deadline with
-    | Error _ as e -> e
-    | Ok () -> (
-      match Unix.read fd buf1 0 1 with
-      | 0 -> Error Eof
-      | _ -> Ok (Char.code (Bytes.unsafe_get buf1 0))
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ())
-  in
-  go ()
+(* ------------------------- incremental reader ------------------------- *)
 
-let read_frame ?(max_frame = default_max_frame) ?timeout_s fd =
-  let deadline = deadline_of_timeout timeout_s in
-  let buf1 = Bytes.create 1 in
-  let rec read_len shift acc count =
-    if count >= max_len_bytes then Error (Malformed "length varint too long")
-    else
-      match read_byte fd deadline buf1 with
-      | Error _ as e -> e
-      | Ok b ->
-        let acc = acc lor ((b land 0x7f) lsl shift) in
-        if b land 0x80 <> 0 then read_len (shift + 7) acc (count + 1)
-        else if b = 0 && count > 0 then Error (Malformed "non-minimal length")
-        else if acc > max_frame then Error (Too_large acc)
-        else Ok acc
+(* One state machine reads frames for every consumer: the event loop
+   (non-blocking, one [read] per readiness), the Mux reader thread and
+   the blocking engines.  Length-prefix bytes are parsed as they arrive
+   from the scratch buffer; once the prefix is complete and within the
+   limit, the body is allocated at its announced length and filled —
+   the bytes of a frame are buffered exactly once, however they were
+   split across reads.  A bad prefix fails before any body byte is
+   buffered, and the failure is sticky. *)
+type reader = {
+  max_frame : int;
+  scratch : Bytes.t;
+  mutable len_acc : int;
+  mutable len_shift : int;
+  mutable len_bytes : int;  (* continuation bytes of the prefix so far *)
+  mutable body : Bytes.t;   (* the frame being filled; empty between frames *)
+  mutable fill : int;
+  mutable failed : error option;
+  ready : string Queue.t;   (* complete frames not yet taken *)
+}
+
+let reader ?(max_frame = default_max_frame) ?scratch () =
+  let scratch =
+    match scratch with Some b -> b | None -> Bytes.create 65536
   in
-  match read_len 0 0 0 with
-  | Error _ as e -> e
-  | Ok len ->
-    let buf = Bytes.create len in
-    let rec fill off =
-      if off >= len then Ok (Bytes.unsafe_to_string buf)
-      else
+  if Bytes.length scratch = 0 then invalid_arg "Frame.reader: empty scratch";
+  { max_frame; scratch; len_acc = 0; len_shift = 0; len_bytes = 0;
+    body = Bytes.empty; fill = 0; failed = None; ready = Queue.create () }
+
+let next r = Queue.take_opt r.ready
+
+let complete_body r =
+  Queue.push (Bytes.unsafe_to_string r.body) r.ready;
+  r.body <- Bytes.empty;
+  r.fill <- 0
+
+(* Checked on every byte, so an invalid prefix fails on the byte that
+   makes it invalid. *)
+let prefix_byte r b =
+  let acc = r.len_acc lor ((b land 0x7f) lsl r.len_shift) in
+  if b land 0x80 <> 0 then begin
+    r.len_bytes <- r.len_bytes + 1;
+    if r.len_bytes >= max_len_bytes then
+      r.failed <- Some (Malformed "length varint too long")
+    else begin
+      r.len_acc <- acc;
+      r.len_shift <- r.len_shift + 7
+    end
+  end
+  else if b = 0 && r.len_bytes > 0 then
+    r.failed <- Some (Malformed "non-minimal length")
+  else if acc > r.max_frame then r.failed <- Some (Too_large acc)
+  else begin
+    r.len_acc <- 0;
+    r.len_shift <- 0;
+    r.len_bytes <- 0;
+    if acc = 0 then Queue.push "" r.ready else r.body <- Bytes.create acc
+  end
+
+let feed r src off len =
+  if off < 0 || len < 0 || off + len > Bytes.length src then
+    invalid_arg "Frame.feed";
+  let stop = off + len in
+  let rec go i =
+    if Option.is_none r.failed && i < stop then
+      if Bytes.length r.body > 0 then begin
+        let k = min (Bytes.length r.body - r.fill) (stop - i) in
+        Bytes.blit src i r.body r.fill k;
+        r.fill <- r.fill + k;
+        if r.fill = Bytes.length r.body then complete_body r;
+        go (i + k)
+      end
+      else begin
+        prefix_byte r (Char.code (Bytes.get src i));
+        go (i + 1)
+      end
+  in
+  go off;
+  match r.failed with None -> Ok () | Some e -> Error e
+
+let read_some r read =
+  match r.failed with
+  | Some e -> Error e
+  | None ->
+    let body_left = Bytes.length r.body - r.fill in
+    if body_left >= Bytes.length r.scratch then begin
+      (* Deep inside a large body: every byte the socket has up to the
+         body's end belongs to it, so read straight into place. *)
+      let n = read r.body r.fill body_left in
+      r.fill <- r.fill + n;
+      if r.fill = Bytes.length r.body then complete_body r;
+      Ok n
+    end
+    else
+      let n = read r.scratch 0 (Bytes.length r.scratch) in
+      Result.map (fun () -> n) (feed r r.scratch 0 n)
+
+let read_frame ?timeout_s r fd =
+  let deadline = deadline_of_timeout timeout_s in
+  let rec go () =
+    match next r with
+    | Some frame -> Ok frame
+    | None -> (
+      match r.failed with
+      | Some e -> Error e
+      | None -> (
         match wait_readable fd deadline with
         | Error _ as e -> e
         | Ok () -> (
-          match Unix.read fd buf off (len - off) with
-          | 0 -> Error Eof
-          | k -> fill (off + k)
-          | exception Unix.Unix_error (Unix.EINTR, _, _) -> fill off)
-    in
-    fill 0
+          match read_some r (Unix.read fd) with
+          | Ok 0 -> Error Eof
+          | Ok _ | Error _ -> go ()
+          | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ())))
+  in
+  go ()
 
-let write_frame ?timeout_s fd payload =
+let send_frame ?timeout_s fd frame =
   let deadline = deadline_of_timeout timeout_s in
-  let s = encode_frame payload in
-  let b = Bytes.unsafe_of_string s in
+  let b = Bytes.unsafe_of_string frame in
   let len = Bytes.length b in
   let rec go off =
     if off >= len then Ok ()

@@ -58,10 +58,23 @@
     rendering stays at the CLI edge.  Version 1 frames (bool + rendered
     English) are rejected by version number with a clean error.
 
-    The pure codecs below operate on strings (testable without sockets);
-    the [_frame] IO operates on file descriptors with an optional
-    deadline and a maximum frame size, so one bad peer can neither wedge
-    a reader forever nor make it allocate unboundedly. *)
+    {b One allocation per frame.}  Every frame costs one allocation and
+    one copy of its payload bytes on each side of the socket:
+    {ul
+    {- {!request_frame} and {!response_frame} size the frame first, then
+       write it — length prefix included — into one buffer of exactly
+       that size, blitting each payload string once from the caller's
+       value.}
+    {- A {!reader} parses the length prefix as bytes arrive, then
+       allocates the body once at its announced length and fills it,
+       however the stream was split across reads.}}
+
+    {b Early refusal.}  A reader refuses an oversize, non-minimal or
+    runaway length prefix on the byte that makes it invalid — before a
+    single body byte is buffered — so one bad peer can neither make a
+    reader allocate unboundedly nor hold it waiting for a body it will
+    never accept.  Blocking reads take an optional deadline, so a peer
+    cannot wedge a reader forever either. *)
 
 type error =
   | Eof        (** peer closed the stream *)
@@ -77,18 +90,7 @@ val default_max_frame : int
 val protocol_version : int
 (** 2. *)
 
-(** {1 Pure codecs} *)
-
-val encode_frame : string -> string
-(** Varint length + payload. *)
-
-val decode_frame :
-  ?max_frame:int -> ?pos:int -> string ->
-  ([ `Frame of string * int | `Need_more ], error) result
-(** Decode one frame from [buf] starting at [pos].  [`Frame (payload,
-    next)] returns the payload and the offset of the next frame;
-    [`Need_more] means the buffer holds only a frame prefix.  Never
-    raises. *)
+(** {1 Messages} *)
 
 type request =
   | Single of string list          (** one verb + arguments *)
@@ -98,9 +100,12 @@ type trace = { trace_id : string; parent_span : int }
 (** The optional trace header: the caller's trace id and the span the
     server should record its request span under. *)
 
-val encode_request :
+val request_frame :
   user:string -> ?trace:trace -> ?seq:int -> request -> string
-(** [seq] must be non-negative (it travels as an unsigned varint). *)
+(** The complete wire frame — length prefix and payload — built in one
+    exactly sized allocation.  [seq] must be non-negative (it travels as
+    an unsigned varint).
+    @raise Invalid_argument on a negative [seq]. *)
 
 val decode_request :
   string -> (string * trace option * int option * request, string) result
@@ -123,7 +128,9 @@ type event = {
 
 type response = One of reply | Many of reply list | Event of event
 
-val encode_response : ?trace:trace -> ?seq:int -> response -> string
+val response_frame : ?trace:trace -> ?seq:int -> response -> string
+(** The complete wire frame of a response, built like {!request_frame}. *)
+
 val decode_response :
   string -> (trace option * int option * response, string) result
 (** [(trace, seq, response)].  [seq] echoes the request's sequence id
@@ -144,22 +151,56 @@ val wait_writable :
   Unix.file_descr -> float option -> (unit, error) result
 (** Block until the fd is ready or the absolute deadline passes. *)
 
-val write_frame :
+val send_frame :
   ?timeout_s:float -> Unix.file_descr -> string -> (unit, error) result
-(** Write one complete frame; the optional deadline covers the whole
-    frame.  @raise Unix.Unix_error on transport failure (e.g. [EPIPE]
-    once the peer is gone). *)
+(** Write one frame built by {!request_frame} or {!response_frame}, as
+    is; the optional deadline covers the whole frame.
+    @raise Unix.Unix_error on transport failure (e.g. [EPIPE] once the
+    peer is gone). *)
+
+(** {1 Incremental reading} *)
+
+type reader
+(** Frame-reading state for one byte stream.  Bytes are fed in pieces of
+    any size; complete frames queue up until taken with {!next}.  After
+    an error the reader is finished: every later call reports the same
+    error (frames completed before it can still be taken). *)
+
+val reader : ?max_frame:int -> ?scratch:Bytes.t -> unit -> reader
+(** [max_frame] defaults to {!default_max_frame}.  [scratch] is where
+    {!read_some} lands socket bytes before parsing them (64 KiB of its
+    own by default).  A feed consumes the scratch completely, so one
+    scratch may be shared by every reader that a single thread drives —
+    the event loop's connections share one. *)
+
+val feed : reader -> Bytes.t -> int -> int -> (unit, error) result
+(** [feed r buf off len] consumes [len] bytes of [buf] from [off].  A
+    length prefix above [max_frame], non-minimal, or longer than 5 bytes
+    fails on the byte that makes it so, with nothing of the body
+    buffered.  @raise Invalid_argument on an out-of-range slice. *)
+
+val next : reader -> string option
+(** Take the oldest complete frame's payload. *)
+
+val read_some :
+  reader -> (Bytes.t -> int -> int -> int) -> (int, error) result
+(** Make exactly one call to [read buf off len] (typically
+    [Unix.read fd]) and consume what it returns.  The call lands in the
+    scratch, or — when the frame being filled still lacks at least a
+    scratch's worth of bytes — straight into the frame's body.  [Ok 0]
+    is end of stream.  Exceptions from [read] (e.g. [EAGAIN]) escape
+    with nothing consumed. *)
 
 val read_frame :
-  ?max_frame:int -> ?timeout_s:float -> Unix.file_descr ->
-  (string, error) result
-(** Read one complete frame.  [timeout_s] bounds the {e whole} frame, so
-    a byte-at-a-time peer cannot hold the reader past the deadline;
-    omitted or [<= 0.] means block indefinitely.  On [Too_large] the
-    length prefix has been consumed but the payload has not — the stream
-    is desynchronized and the connection should be closed.  Never raises
-    on EOF/timeout; [Unix.Unix_error] can still escape for genuine
-    socket failures. *)
+  ?timeout_s:float -> reader -> Unix.file_descr -> (string, error) result
+(** Block until the reader holds one complete frame and take it.  Reuse
+    one reader per stream: bytes of later frames read along the way stay
+    in it.  [timeout_s] bounds the {e whole} frame, so a byte-at-a-time
+    peer cannot hold the reader past the deadline; omitted or [<= 0.]
+    means block indefinitely.  On [Too_large]/[Malformed] the stream is
+    desynchronized and the connection should be closed.  Never raises on
+    EOF/timeout; [Unix.Unix_error] can still escape for genuine socket
+    failures. *)
 
 val resolve_host : string -> (Unix.inet_addr, string) result
 (** Dotted quad, or a name via [gethostbyname]. *)

@@ -93,8 +93,9 @@ let deliver_event t trace (ev : Frame.event) =
   | Some cb -> ( try cb trace ev with _ -> ())
 
 let reader_loop t () =
+  let rd = Frame.reader ~max_frame:t.max_frame () in
   let rec loop () =
-    match Frame.read_frame ~max_frame:t.max_frame t.fd with
+    match Frame.read_frame rd t.fd with
     | Ok payload -> (
       match Frame.decode_response payload with
       | Ok (_, Some seq, resp) ->
@@ -163,10 +164,10 @@ let send ?user ?install t req =
   match registered with
   | Error _ as e -> e
   | Ok seq -> (
-    let wire = Frame.encode_request ~user ?trace:(current_trace ()) ~seq req in
+    let wire = Frame.request_frame ~user ?trace:(current_trace ()) ~seq req in
     match
       Mutex.protect t.wr_mu (fun () ->
-          Frame.write_frame ?timeout_s:t.timeout_s t.fd wire)
+          Frame.send_frame ?timeout_s:t.timeout_s t.fd wire)
     with
     | Ok () -> Ok seq
     | Error e ->

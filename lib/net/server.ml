@@ -84,12 +84,12 @@ type job = {
 type completion = { c_cid : int; c_serial : bool; c_wire : string }
 
 (* Per-connection state owned exclusively by the loop thread.  Reads are
-   incremental ([inbuf] holds the undecoded tail between polls); writes
+   incremental ([reader] holds the partial frame between polls); writes
    go through a bounded outbox drained on POLLOUT. *)
 type conn = {
   cid : int;
   fd : Unix.file_descr;
-  mutable inbuf : string;
+  reader : Frame.reader;
   parked : (Frame.trace option * int option * string * Frame.request) Queue.t;
   outq : string Queue.t;
   mutable out_off : int;        (* bytes of the outq head already written *)
@@ -105,6 +105,7 @@ type conn = {
 
 type event_state = {
   ev : Ev.t;
+  scratch : Bytes.t;  (* the loop's read buffer, shared by every reader *)
   conns : (int, conn) Hashtbl.t;
   by_fd : (int, conn) Hashtbl.t;  (* raw fd -> conn, for Ev dispatch *)
   subs : (int, int * string option * string option) Hashtbl.t;
@@ -183,6 +184,14 @@ let verb_hists =
   tbl
 
 let other_hist = Obs.histogram "fb.net.other_seconds"
+
+(* Building reply frames — worker replies, loop-inline replies and
+   pushed events alike — is its own stage, so it does not hide inside
+   a request's transit time. *)
+let reply_encode_hist = Obs.histogram "fb.net.reply_encode_seconds"
+
+let reply_frame ?trace ?seq resp =
+  Obs.time reply_encode_hist (fun () -> Frame.response_frame ?trace ?seq resp)
 
 let verb_hist verb =
   match Hashtbl.find_opt verb_hists verb with
@@ -303,10 +312,10 @@ let record_slow t ~verb ~user ~ms trace_ref =
 
 (* ------------------------- request processing ------------------------- *)
 
-(* Execute one decoded request and produce the encoded response payload,
-   echoing the request's sequence id.  Transport-free: the threaded
-   engine runs it on the connection thread, the event engine on a worker
-   thread — in both cases under the striped rwlocks. *)
+(* Execute one decoded request and produce the response frame, echoing
+   the request's sequence id.  Transport-free: the threaded engine runs
+   it on the connection thread, the event engine on a worker thread — in
+   both cases under the striped rwlocks. *)
 let process t ~user ~trace ~seq req =
   let user = if user = "" then t.cfg.default_user else user in
   let ctx = span_ctx trace in
@@ -361,7 +370,7 @@ let process t ~user ~trace ~seq req =
   in
   let ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
   if ms >= t.cfg.slow_ms then record_slow t ~verb:label ~user ~ms trace_ref;
-  Frame.encode_response ?seq resp
+  reply_frame ?seq resp
 
 (* SUBSCRIBE/UNSUBSCRIBE are connection verbs, not store verbs: they
    mutate loop-owned registration state, so the loop handles them inline
@@ -382,11 +391,11 @@ let subscription_of_tokens tokens =
    wedged past the deadline) and the connection loop should end.  The
    read deadline doubles as the write deadline: a peer that stops
    draining its socket cannot pin a connection thread forever. *)
-let respond t fd resp =
+let respond t fd wire =
   let timeout_s =
     if t.cfg.read_timeout_s > 0.0 then Some t.cfg.read_timeout_s else None
   in
-  match Frame.write_frame ?timeout_s fd resp with
+  match Frame.send_frame ?timeout_s fd wire with
   | Ok () -> true
   | Error _ -> false
   | exception Unix.Unix_error _ -> false
@@ -407,13 +416,12 @@ let serve_request_threaded t fd payload =
     (* Frame boundaries are intact, only this payload was bad: answer and
        keep the connection. *)
     respond t fd
-      (Frame.encode_response
-         (Frame.One (Error (Errors.Invalid ("bad request: " ^ e)))))
+      (reply_frame (Frame.One (Error (Errors.Invalid ("bad request: " ^ e)))))
   | Ok (_, _, seq, req) when is_conn_verb req ->
     (* The threaded engine has no push path: every thread blocks in read
        between requests, so there is nowhere to deliver events from. *)
     respond t fd
-      (Frame.encode_response ?seq
+      (reply_frame ?seq
          (Frame.One
             (Error
                (Errors.Invalid
@@ -426,15 +434,16 @@ let handle_conn t id fd =
   let timeout_s =
     if t.cfg.read_timeout_s > 0.0 then Some t.cfg.read_timeout_s else None
   in
+  let reader = Frame.reader ~max_frame:t.cfg.max_frame () in
   let rec loop () =
-    match Frame.read_frame ~max_frame:t.cfg.max_frame ?timeout_s fd with
+    match Frame.read_frame ?timeout_s reader fd with
     | Ok payload -> if serve_request_threaded t fd payload then loop ()
     | Error Frame.Eof -> ()
     | Error Frame.Timeout ->
       Obs.incr proto_errors;
       ignore
         (respond t fd
-           (Frame.encode_response
+           (reply_frame
               (Frame.One
                  (Error (Errors.Transient "read timeout: closing connection")))))
     | Error (Frame.Too_large _ as e) | Error (Frame.Malformed _ as e) ->
@@ -443,7 +452,7 @@ let handle_conn t id fd =
       Obs.incr proto_errors;
       ignore
         (respond t fd
-           (Frame.encode_response
+           (reply_frame
               (Frame.One (Error (Errors.Invalid (Frame.error_to_string e))))))
     | exception Unix.Unix_error _ -> Obs.incr proto_errors
   in
@@ -514,10 +523,10 @@ let worker_loop t st () =
     match job with
     | None -> ()
     | Some j ->
-      let payload =
+      let wire =
         try process t ~user:j.j_user ~trace:j.j_trace ~seq:j.j_seq j.j_req
         with e ->
-          Frame.encode_response ?seq:j.j_seq
+          reply_frame ?seq:j.j_seq
             (Frame.One
                (Error
                   (Errors.Invalid
@@ -525,8 +534,7 @@ let worker_loop t st () =
       in
       Mutex.protect st.done_mu (fun () ->
           Queue.push
-            { c_cid = j.j_cid; c_serial = j.j_serial;
-              c_wire = Frame.encode_frame payload }
+            { c_cid = j.j_cid; c_serial = j.j_serial; c_wire = wire }
             st.done_q);
       wake st;
       next ()
@@ -611,8 +619,7 @@ let close_conn t st conn =
   ignore t
 
 let reply_inline t st conn ?seq reply =
-  enqueue_out t st conn
-    (Frame.encode_frame (Frame.encode_response ?seq (Frame.One reply)))
+  enqueue_out t st conn (reply_frame ?seq (Frame.One reply))
 
 (* Handle SUBSCRIBE/UNSUBSCRIBE on the loop thread. *)
 let handle_conn_verb t st conn ~seq tokens =
@@ -688,54 +695,40 @@ let drain_parked t st conn =
   go ();
   if !pushed then Condition.broadcast st.jobs_cond
 
-(* Parse as many complete frames as the input buffer holds; park each
-   decoded request.  Returns [false] when the stream is desynchronized
-   (oversize/malformed length) and the connection must wind down. *)
-let ingest t st conn =
-  let buf = conn.inbuf in
-  let n = String.length buf in
-  let rec go pos =
-    if pos >= n then begin
-      conn.inbuf <- "";
-      true
-    end
-    else
-      match Frame.decode_frame ~max_frame:t.cfg.max_frame ~pos buf with
-      | Ok `Need_more ->
-        conn.inbuf <- (if pos = 0 then buf else String.sub buf pos (n - pos));
-        true
-      | Ok (`Frame (payload, next)) ->
-        Obs.incr frames_total;
-        (match Frame.decode_request payload with
-         | Error e ->
-           Obs.incr proto_errors;
-           reply_inline t st conn
-             (Error (Errors.Invalid ("bad request: " ^ e)))
-         | Ok (user, trace, seq, req) ->
-           let user = if user = "" then t.cfg.default_user else user in
-           Queue.push (trace, seq, user, req) conn.parked);
-        go next
-      | Error e ->
-        Obs.incr proto_errors;
-        reply_inline t st conn
-          (Error (Errors.Invalid (Frame.error_to_string e)));
-        conn.inbuf <- "";
-        false
-  in
-  go 0
+(* Park every complete frame the reader holds as a decoded request. *)
+let rec ingest t st conn =
+  match Frame.next conn.reader with
+  | None -> ()
+  | Some payload ->
+    Obs.incr frames_total;
+    (match Frame.decode_request payload with
+     | Error e ->
+       Obs.incr proto_errors;
+       reply_inline t st conn (Error (Errors.Invalid ("bad request: " ^ e)))
+     | Ok (user, trace, seq, req) ->
+       let user = if user = "" then t.cfg.default_user else user in
+       Queue.push (trace, seq, user, req) conn.parked);
+    ingest t st conn
 
-let read_chunk = 65536
-
-let handle_readable t st conn scratch =
-  match Unix.read conn.fd scratch 0 read_chunk with
-  | 0 ->
+(* One read per readiness.  A framing error (oversize or malformed
+   length) desynchronizes the stream: it is reported and the connection
+   winds down. *)
+let handle_readable t st conn =
+  match Frame.read_some conn.reader (Unix.read conn.fd) with
+  | Ok 0 ->
     (* EOF.  Drop the connection; in-flight replies have nowhere to go. *)
     close_conn t st conn
-  | n ->
+  | Ok _ ->
     conn.last_read <- Unix.gettimeofday ();
-    conn.inbuf <- conn.inbuf ^ Bytes.sub_string scratch 0 n;
-    if ingest t st conn then drain_parked t st conn
-    else conn.close_after_flush <- true;
+    ingest t st conn;
+    drain_parked t st conn;
+    sync_interest t st conn
+  | Error e ->
+    conn.last_read <- Unix.gettimeofday ();
+    ingest t st conn;
+    Obs.incr proto_errors;
+    reply_inline t st conn (Error (Errors.Invalid (Frame.error_to_string e)));
+    conn.close_after_flush <- true;
     sync_interest t st conn
   | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
@@ -778,16 +771,14 @@ let drain_done t st =
             | None -> ()
             | Some conn ->
               Obs.incr events_pushed_total;
-              let frame =
-                Frame.encode_response ?trace
-                  (Frame.Event
-                     { Frame.sub_id = sid; ev_key = ev.key;
-                       ev_branch = ev.branch;
-                       new_head = Forkbase.version_string ev.new_head;
-                       old_head =
-                         Option.map Forkbase.version_string ev.old_head })
-              in
-              enqueue_out t st conn (Frame.encode_frame frame))
+              enqueue_out t st conn
+                (reply_frame ?trace
+                   (Frame.Event
+                      { Frame.sub_id = sid; ev_key = ev.key;
+                        ev_branch = ev.branch;
+                        new_head = Forkbase.version_string ev.new_head;
+                        old_head =
+                          Option.map Forkbase.version_string ev.old_head })))
         st.subs)
     pushes
 
@@ -813,7 +804,10 @@ let accept_ready t st =
           in
           let now = Unix.gettimeofday () in
           let conn =
-            { cid; fd; inbuf = ""; parked = Queue.create ();
+            { cid; fd;
+              reader =
+                Frame.reader ~max_frame:t.cfg.max_frame ~scratch:st.scratch ();
+              parked = Queue.create ();
               outq = Queue.create (); out_off = 0; out_bytes = 0;
               inflight = 0; serial_busy = false; last_read = now;
               last_write_progress = now; conn_subs = [];
@@ -895,7 +889,6 @@ let drain_wake st =
   go ()
 
 let event_loop t st () =
-  let scratch = Bytes.create read_chunk in
   let listen_i = Ev.fd_int t.listen_fd in
   let wake_i = Ev.fd_int st.wake_r in
   Ev.modify st.ev t.listen_fd Ev.pollin;
@@ -921,7 +914,7 @@ let event_loop t st () =
             else begin
               if Ev.writable re then flush_out st conn;
               if Ev.readable re && Hashtbl.mem st.conns conn.cid then
-                handle_readable t st conn scratch;
+                handle_readable t st conn;
               sync_interest t st conn
             end
       done;
@@ -1090,7 +1083,8 @@ let start ?(config = default_config) ?save fb =
           Unix.set_nonblock wake_w;
           Unix.set_nonblock fd;
           Some
-            { ev = Ev.create (); conns = Hashtbl.create 256;
+            { ev = Ev.create (); scratch = Bytes.create 65536;
+              conns = Hashtbl.create 256;
               by_fd = Hashtbl.create 256; subs = Hashtbl.create 16;
               next_sub = 1; last_sweep = 0.0;
               wake_r; wake_w; jobs = Queue.create ();

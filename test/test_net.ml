@@ -50,56 +50,59 @@ let with_client ?user srv f =
 
 (* ---------------- pure framing ---------------- *)
 
+(* Feed a whole byte string to a fresh reader: the frames it yields and
+   its verdict. *)
+let read_all ?max_frame s =
+  let r = Frame.reader ?max_frame () in
+  let res = Frame.feed r (Bytes.of_string s) 0 (String.length s) in
+  let rec take acc =
+    match Frame.next r with Some f -> take (f :: acc) | None -> List.rev acc
+  in
+  (take [], res)
+
 let test_frame_roundtrip () =
   List.iter
     (fun payload ->
-      match Frame.decode_frame (Frame.encode_frame payload) with
-      | Ok (`Frame (p, next)) ->
-        check string_ "payload" payload p;
-        check int_ "consumed all" (String.length (Frame.encode_frame payload)) next
+      match read_all (Frame_ref.encode_frame payload) with
+      | [ p ], Ok () -> check string_ "payload" payload p
       | _ -> Alcotest.fail "frame did not round-trip")
     [ ""; "x"; "hello\nworld"; String.make 300 'a'; String.make 70000 '\x00' ]
 
 let test_frame_stream () =
   (* Several frames back to back decode in sequence. *)
   let payloads = [ "one"; ""; "three\nlines\nhere"; String.make 500 'z' ] in
-  let buf = String.concat "" (List.map Frame.encode_frame payloads) in
-  let rec go pos acc =
-    if pos >= String.length buf then List.rev acc
-    else
-      match Frame.decode_frame ~pos buf with
-      | Ok (`Frame (p, next)) -> go next (p :: acc)
-      | _ -> Alcotest.fail "stream decode failed"
-  in
-  check bool_ "all frames" true (go 0 [] = payloads)
+  let buf = String.concat "" (List.map Frame_ref.encode_frame payloads) in
+  check bool_ "all frames" true (read_all buf = (payloads, Ok ()))
 
 let test_frame_truncated () =
-  let full = Frame.encode_frame (String.make 300 'q') in
+  let full = Frame_ref.encode_frame (String.make 300 'q') in
   for cut = 0 to String.length full - 1 do
-    match Frame.decode_frame (String.sub full 0 cut) with
-    | Ok `Need_more -> ()
+    match read_all (String.sub full 0 cut) with
+    | [], Ok () -> ()
     | _ -> Alcotest.failf "prefix of %d bytes should need more" cut
   done
 
 let test_frame_limits () =
-  (match Frame.decode_frame ~max_frame:10 (Frame.encode_frame (String.make 100 'x')) with
-  | Error (Frame.Too_large 100) -> ()
+  (match
+     read_all ~max_frame:10 (Frame_ref.encode_frame (String.make 100 'x'))
+   with
+  | [], Error (Frame.Too_large 100) -> ()
   | _ -> Alcotest.fail "oversize frame accepted");
   (* Non-minimal varint length: 0x80 0x00 encodes 0 in two bytes. *)
-  (match Frame.decode_frame "\x80\x00" with
-  | Error (Frame.Malformed _) -> ()
+  (match read_all "\x80\x00" with
+  | [], Error (Frame.Malformed _) -> ()
   | _ -> Alcotest.fail "non-minimal length accepted");
   (* A length varint longer than 5 bytes is not a frame. *)
-  (match Frame.decode_frame "\xff\xff\xff\xff\xff\xff" with
-  | Error (Frame.Malformed _) -> ()
+  (match read_all "\xff\xff\xff\xff\xff\xff" with
+  | [], Error (Frame.Malformed _) -> ()
   | _ -> Alcotest.fail "runaway varint accepted")
 
 let qcheck_frame_roundtrip =
   QCheck.Test.make ~count:200 ~name:"frame encode/decode round-trip"
     QCheck.(string_of_size Gen.(0 -- 2000))
     (fun payload ->
-      match Frame.decode_frame (Frame.encode_frame payload) with
-      | Ok (`Frame (p, _)) -> String.equal p payload
+      match read_all (Frame_ref.encode_frame payload) with
+      | [ p ], Ok () -> String.equal p payload
       | _ -> false)
 
 let request_gen =
@@ -113,7 +116,10 @@ let qcheck_request_roundtrip =
   QCheck.Test.make ~count:300 ~name:"request encode/decode round-trip"
     (QCheck.make QCheck.Gen.(pair (string_size (0 -- 20)) request_gen))
     (fun (user, req) ->
-      match Frame.decode_request (Frame.encode_request ~user req) with
+      match
+        Frame.decode_request
+          (Frame_ref.payload_of (Frame.request_frame ~user req))
+      with
       | Ok (u, None, None, r) -> String.equal u user && r = req
       | _ -> false)
 
@@ -135,7 +141,10 @@ let qcheck_trace_roundtrip =
     (QCheck.make
        QCheck.Gen.(triple (string_size (0 -- 20)) trace_gen request_gen))
     (fun (user, trace, req) ->
-      match Frame.decode_request (Frame.encode_request ~user ?trace req) with
+      match
+        Frame.decode_request
+          (Frame_ref.payload_of (Frame.request_frame ~user ?trace req))
+      with
       | Ok (u, t, None, r) -> String.equal u user && t = trace && r = req
       | _ -> false)
 
@@ -210,9 +219,318 @@ let qcheck_response_roundtrip =
   QCheck.Test.make ~count:300 ~name:"typed response encode/decode round-trip"
     (QCheck.make response_gen)
     (fun resp ->
-      match Frame.decode_response (Frame.encode_response resp) with
+      match
+        Frame.decode_response (Frame_ref.payload_of (Frame.response_frame resp))
+      with
       | Ok (None, None, r) -> r = resp
       | _ -> false)
+
+(* ---------------- exact-size frame builders vs the reference ---------------- *)
+
+let binary n = QCheck.Gen.(string_size ~gen:char (0 -- n))
+
+let any_seq_gen =
+  QCheck.Gen.(
+    opt
+      (oneof
+         [ int_bound 127; int_bound ((1 lsl 30) - 1);
+           map (fun x -> x land max_int) int ]))
+
+let any_trace_gen =
+  QCheck.Gen.(
+    opt
+      (map2
+         (fun trace_id parent_span -> { Frame.trace_id; parent_span })
+         (binary 40) int))
+
+let binary_request_gen =
+  let open QCheck.Gen in
+  let tokens = list_size (0 -- 6) (binary 300) in
+  oneof
+    [ map (fun t -> Frame.Single t) tokens;
+      map (fun b -> Frame.Batch b) (list_size (0 -- 5) tokens) ]
+
+let binary_reply_gen =
+  QCheck.Gen.(
+    frequency
+      [ (1, return (Ok ""));
+        (4, map Result.ok (binary 5000));
+        (3, map Result.error errors_gen) ])
+
+let event_gen =
+  QCheck.Gen.(
+    map
+      (fun (sub_id, ev_key, ev_branch, (new_head, old_head)) ->
+        { Frame.sub_id; ev_key; ev_branch; new_head; old_head })
+      (quad (int_bound ((1 lsl 30) - 1)) (binary 40) (binary 40)
+         (pair (binary 60) (opt (binary 60)))))
+
+let any_response_gen =
+  QCheck.Gen.(
+    oneof
+      [ map (fun r -> Frame.One r) binary_reply_gen;
+        map (fun rs -> Frame.Many rs) (list_size (0 -- 8) binary_reply_gen);
+        map (fun e -> Frame.Event e) event_gen ])
+
+let request_frame_matches ~user ?trace ?seq req =
+  String.equal
+    (Frame.request_frame ~user ?trace ?seq req)
+    (Frame_ref.encode_frame (Frame_ref.encode_request ~user ?trace ?seq req))
+
+let response_frame_matches ?trace ?seq resp =
+  String.equal
+    (Frame.response_frame ?trace ?seq resp)
+    (Frame_ref.encode_frame (Frame_ref.encode_response ?trace ?seq resp))
+
+let qcheck_request_frame_oracle =
+  QCheck.Test.make ~count:400
+    ~name:"request_frame = encode_frame (encode_request ...)"
+    (QCheck.make
+       QCheck.Gen.(quad (binary 30) any_trace_gen any_seq_gen binary_request_gen))
+    (fun (user, trace, seq, req) -> request_frame_matches ~user ?trace ?seq req)
+
+let qcheck_response_frame_oracle =
+  QCheck.Test.make ~count:400
+    ~name:"response_frame = encode_frame (encode_response ...)"
+    (QCheck.make QCheck.Gen.(triple any_trace_gen any_seq_gen any_response_gen))
+    (fun (trace, seq, resp) -> response_frame_matches ?trace ?seq resp)
+
+(* The shapes the random generators only reach by chance, pinned: every
+   Errors.t constructor, events with and without an old head, empty
+   batches, and each header combination. *)
+let test_frame_builders_fixed_cases () =
+  let errors =
+    [ Errors.Key_not_found "k";
+      Errors.Branch_not_found { key = "k"; branch = "b" };
+      Errors.Version_not_found "v";
+      Errors.Permission_denied { user = "u"; action = "a" };
+      Errors.Merge_conflict { key = "k"; details = [] };
+      Errors.Merge_conflict { key = "k"; details = [ "x"; ""; "\x00\xff" ] };
+      Errors.Type_mismatch { expected = "map"; got = "blob" };
+      Errors.Corrupt "c"; Errors.Transient ""; Errors.Invalid "i" ]
+  in
+  let event old_head =
+    Frame.Event
+      { Frame.sub_id = 3; ev_key = "k"; ev_branch = "master";
+        new_head = "head"; old_head }
+  in
+  let responses =
+    [ Frame.One (Ok ""); Frame.One (Ok (String.make 200 '\x80'));
+      Frame.Many []; Frame.Many [ Ok ""; Ok "x" ];
+      Frame.Many (List.map Result.error errors);
+      event None; event (Some "old") ]
+    @ List.map (fun e -> Frame.One (Error e)) errors
+  in
+  let requests =
+    [ Frame.Single []; Frame.Single [ "" ]; Frame.Batch [];
+      Frame.Batch [ [] ]; Frame.Batch [ [ "sync-get"; "00" ]; [ "stat" ] ] ]
+  in
+  let traces =
+    [ None; Some { Frame.trace_id = ""; parent_span = min_int };
+      Some { Frame.trace_id = String.make 32 'a'; parent_span = max_int } ]
+  in
+  let seqs = [ None; Some 0; Some 127; Some 128; Some max_int ] in
+  List.iter
+    (fun trace ->
+      List.iter
+        (fun seq ->
+          List.iter
+            (fun resp ->
+              check bool_ "response frame" true
+                (response_frame_matches ?trace ?seq resp))
+            responses;
+          List.iter
+            (fun req ->
+              check bool_ "request frame" true
+                (request_frame_matches ~user:"" ?trace ?seq req))
+            requests)
+        seqs)
+    traces;
+  check bool_ "negative seq refused" true
+    (match Frame.request_frame ~user:"u" ~seq:(-1) (Frame.Single []) with
+     | _ -> false
+     | exception Invalid_argument _ -> true)
+
+(* ---------------- incremental reader vs the whole-buffer decoder ---------------- *)
+
+let reader_max_frame = 300
+
+(* What the reference decoder makes of a whole stream: its frames, and —
+   when it fails — the error with the length of the shortest stream
+   prefix that already yields it. *)
+let oracle_frames stream =
+  let n = String.length stream in
+  let decode ~pos buf =
+    Frame_ref.decode_frame ~max_frame:reader_max_frame ~pos buf
+  in
+  let rec go pos acc =
+    if pos >= n then (List.rev acc, None)
+    else
+      match decode ~pos stream with
+      | Ok (`Frame (p, next)) -> go next (p :: acc)
+      | Ok `Need_more -> (List.rev acc, None)
+      | Error e ->
+        let rec first_bad k =
+          match decode ~pos (String.sub stream 0 k) with
+          | Error _ -> k
+          | Ok _ -> first_bad (k + 1)
+        in
+        (List.rev acc, Some (e, first_bad pos))
+  in
+  go 0 []
+
+let take_all r =
+  let rec go acc =
+    match Frame.next r with Some f -> go (f :: acc) | None -> List.rev acc
+  in
+  go []
+
+(* A reader driven through [read_some] by reads that return at most the
+   next piece size (1 byte once the pieces run out).  On error: the
+   error and the stream range of the read that reported it. *)
+let run_reader ~scratch stream pieces =
+  let r =
+    Frame.reader ~max_frame:reader_max_frame ~scratch:(Bytes.create scratch) ()
+  in
+  let n = String.length stream in
+  let pos = ref 0 and pieces = ref pieces in
+  let read buf off len =
+    let piece =
+      match !pieces with
+      | [] -> 1
+      | p :: rest ->
+        pieces := rest;
+        p
+    in
+    let k = min len (min piece (n - !pos)) in
+    Bytes.blit_string stream !pos buf off k;
+    pos := !pos + k;
+    k
+  in
+  let frames = ref [] in
+  let rec loop () =
+    let before = !pos in
+    let res = Frame.read_some r read in
+    frames := List.rev_append (take_all r) !frames;
+    match res with
+    | Ok 0 -> None
+    | Ok _ -> loop ()
+    | Error e -> Some (e, before, !pos)
+  in
+  let err = loop () in
+  (List.rev !frames, err)
+
+(* The same stream fed one byte at a time: on error, the exact count of
+   bytes consumed when it was reported. *)
+let feed_bytewise stream =
+  let r = Frame.reader ~max_frame:reader_max_frame () in
+  let b = Bytes.of_string stream in
+  let frames = ref [] in
+  let rec go i =
+    if i >= Bytes.length b then None
+    else
+      let res = Frame.feed r b i 1 in
+      frames := List.rev_append (take_all r) !frames;
+      match res with Ok () -> go (i + 1) | Error e -> Some (e, i + 1)
+  in
+  let err = go 0 in
+  (List.rev !frames, err)
+
+let stream_gen =
+  let open QCheck.Gen in
+  let payload =
+    frequency
+      [ (1, return ""); (3, binary 40); (2, binary (reader_max_frame + 60)) ]
+  in
+  let tail =
+    oneof
+      [ return "";
+        (* a frame cut short *)
+        map
+          (fun p ->
+            let w = Frame_ref.encode_frame p in
+            String.sub w 0 (String.length w / 2))
+          (binary 200);
+        return "\xe8\x07" (* announces 1000 bytes: too large *);
+        return "\x85\x00" (* non-minimal *);
+        return "\xff\xff\xff\xff\xff\xff" (* runaway varint *) ]
+  in
+  let pieces =
+    list_size (0 -- 60)
+      (frequency [ (3, return 1); (3, 1 -- 8); (2, 1 -- 700) ])
+  in
+  map
+    (fun (frames, tail, pieces, scratch) ->
+      (String.concat "" (List.map Frame_ref.encode_frame frames) ^ tail,
+       pieces, scratch))
+    (quad (list_size (0 -- 8) payload) tail pieces (oneofl [ 1; 16; 4096 ]))
+
+let qcheck_reader_oracle =
+  QCheck.Test.make ~count:400
+    ~name:"incremental reader = decode_frame over any split"
+    (QCheck.make
+       ~print:(fun (s, pieces, scratch) ->
+         Printf.sprintf "stream %S, %d pieces, scratch %d" s
+           (List.length pieces) scratch)
+       stream_gen)
+    (fun (stream, pieces, scratch) ->
+      let frames, err = oracle_frames stream in
+      let got, got_err = run_reader ~scratch stream pieces in
+      let split_ok =
+        got = frames
+        &&
+        match err, got_err with
+        | None, None -> true
+        | Some (e, at), Some (e', lo, hi) -> e = e' && lo < at && at <= hi
+        | _ -> false
+      in
+      split_ok && feed_bytewise stream = (frames, err))
+
+(* ---------------- allocation budgets ---------------- *)
+
+(* Bytes allocated by [f].  The minor collections on both sides settle
+   the runtime's allocation counters, which otherwise lag large
+   (major-heap) allocations. *)
+let allocated f =
+  Gc.minor ();
+  let before = Gc.allocated_bytes () in
+  let v = f () in
+  Gc.minor ();
+  (v, Gc.allocated_bytes () -. before)
+
+let test_encode_alloc_budget () =
+  let resp =
+    Frame.Many
+      (List.init 64 (fun i -> Ok (String.make 4096 (Char.chr (65 + (i mod 26))))))
+  in
+  ignore (Frame.response_frame ~seq:9 resp);
+  let frame, bytes = allocated (fun () -> Frame.response_frame ~seq:9 resp) in
+  let len = float_of_int (String.length frame) in
+  if bytes > 1.25 *. len then
+    Alcotest.failf "encoding a %.0f-byte reply allocated %.0f bytes" len bytes
+
+let test_reader_alloc_budget () =
+  let payload = String.make (4 * 1024 * 1024) 'r' in
+  let wire = Bytes.of_string (Frame_ref.encode_frame payload) in
+  let n = Bytes.length wire in
+  let r = Frame.reader () in
+  let piece = 64 * 1024 in
+  let frame, bytes =
+    allocated (fun () ->
+        let rec go off =
+          if off < n then begin
+            (match Frame.feed r wire off (min piece (n - off)) with
+             | Ok () -> ()
+             | Error e -> Alcotest.fail (Frame.error_to_string e));
+            go (off + piece)
+          end
+        in
+        go 0;
+        Frame.next r)
+  in
+  check bool_ "frame read back" true (frame = Some payload);
+  if bytes > 2.0 *. float_of_int n then
+    Alcotest.failf "reading a %d-byte frame allocated %.0f bytes" n bytes
 
 let test_request_rejects_garbage () =
   check bool_ "bad version" true
@@ -221,7 +539,9 @@ let test_request_rejects_garbage () =
   check bool_ "trailing garbage" true
     (Result.is_error
        (Frame.decode_request
-          (Frame.encode_request ~user:"u" (Frame.Single [ "a" ]) ^ "x")));
+          (Frame_ref.payload_of
+             (Frame.request_frame ~user:"u" (Frame.Single [ "a" ]))
+           ^ "x")));
   check bool_ "unknown request kind" true
     (Result.is_error (Frame.decode_request "\x02\x07"))
 
@@ -455,16 +775,15 @@ let test_slow_peer () =
         ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
         (fun () ->
           let frame =
-            Frame.encode_frame
-              (Frame.encode_request ~user:"slow"
-                 (Frame.Single [ "put"; "s"; "master"; "v" ]))
+            Frame.request_frame ~user:"slow"
+              (Frame.Single [ "put"; "s"; "master"; "v" ])
           in
           String.iter
             (fun ch ->
               ignore (Unix.write fd (Bytes.make 1 ch) 0 1);
               Thread.delay 0.002)
             frame;
-          match Frame.read_frame ~timeout_s:5.0 fd with
+          match Frame.read_frame ~timeout_s:5.0 (Frame.reader ()) fd with
           | Ok payload -> (
             match Frame.decode_response payload with
             | Ok (_, _, Frame.One (Ok _)) -> ()
@@ -481,7 +800,7 @@ let test_read_timeout () =
         (fun () ->
           (* Send nothing: the server must give up on its own — with a
              typed Transient, not prose parsing. *)
-          match Frame.read_frame ~timeout_s:5.0 fd with
+          match Frame.read_frame ~timeout_s:5.0 (Frame.reader ()) fd with
           | Ok payload -> (
             match Frame.decode_response payload with
             | Ok (_, _, Frame.One (Error (Errors.Transient msg))) ->
@@ -510,6 +829,41 @@ let test_max_frame () =
   with_server ~config fb (fun srv ->
       with_client srv (fun c ->
           ignore (ok_cl (Client.request c [ "put"; "k"; "master"; "small" ]))))
+
+(* A peer that announces one byte more than the limit and then sends
+   nothing: the refusal must come from the prefix alone — a server that
+   waited for the announced body would sit on this connection until the
+   read deadline. *)
+let test_early_refusal () =
+  List.iter
+    (fun mode ->
+      let fb = FB.create (Fb_chunk.Mem_store.create ()) in
+      let config = { test_config with max_frame = 256; mode } in
+      with_server ~config fb (fun srv ->
+          let fd = raw_connect (Server.port srv) in
+          Fun.protect
+            ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+            (fun () ->
+              let prefix =
+                String.sub (Frame_ref.encode_frame (String.make 257 'x')) 0 2
+              in
+              ignore (Unix.write_substring fd prefix 0 2);
+              let rd = Frame.reader () in
+              (match Frame.read_frame ~timeout_s:5.0 rd fd with
+               | Ok payload -> (
+                 match Frame.decode_response payload with
+                 | Ok (_, _, Frame.One (Error (Errors.Invalid msg))) ->
+                   check bool_ "too large" true (Tutil.contains msg "too large")
+                 | _ -> Alcotest.fail "expected an Invalid reply")
+               | Error e -> Alcotest.fail (Frame.error_to_string e));
+              match Frame.read_frame ~timeout_s:5.0 rd fd with
+              | Error Frame.Eof -> ()
+              | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> ()
+              | Ok _ -> Alcotest.fail "a second reply"
+              | Error e ->
+                Alcotest.failf "connection not closed: %s"
+                  (Frame.error_to_string e))))
+    [ `Event; `Threaded ]
 
 let count_fds () = Array.length (Sys.readdir "/proc/self/fd")
 
@@ -602,16 +956,15 @@ let test_soak () =
             ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
             (fun () ->
               let frame =
-                Frame.encode_frame
-                  (Frame.encode_request ~user:"slow"
-                     (Frame.Single [ "put"; "slowkey"; "master"; "slow value" ]))
+                Frame.request_frame ~user:"slow"
+                  (Frame.Single [ "put"; "slowkey"; "master"; "slow value" ])
               in
               String.iter
                 (fun ch ->
                   ignore (Unix.write fd (Bytes.make 1 ch) 0 1);
                   Thread.delay 0.001)
                 frame;
-              match Frame.read_frame ~timeout_s:10.0 fd with
+              match Frame.read_frame ~timeout_s:10.0 (Frame.reader ()) fd with
               | Ok payload -> (
                 match Frame.decode_response payload with
                 | Ok (_, _, Frame.One (Ok _)) -> ()
@@ -831,6 +1184,8 @@ let test_metrics_sidecar () =
         (Tutil.contains metrics "fb_net_frames");
       check bool_ "per-verb histogram exported" true
         (Tutil.contains metrics "fb_net_put_seconds");
+      check bool_ "reply encode stage exported" true
+        (Tutil.contains metrics "fb_net_reply_encode_seconds_count");
       check bool_ "active sha256 kernel exported" true
         (Tutil.contains metrics
            (Printf.sprintf "hash_sha256_native %d"
@@ -888,6 +1243,15 @@ let suite =
     Alcotest.test_case "header-less v2 compatibility" `Quick
       test_headerless_v2_compat;
     QCheck_alcotest.to_alcotest qcheck_response_roundtrip;
+    QCheck_alcotest.to_alcotest qcheck_request_frame_oracle;
+    QCheck_alcotest.to_alcotest qcheck_response_frame_oracle;
+    Alcotest.test_case "frame builders on fixed cases" `Quick
+      test_frame_builders_fixed_cases;
+    QCheck_alcotest.to_alcotest qcheck_reader_oracle;
+    Alcotest.test_case "reply encode allocation budget" `Quick
+      test_encode_alloc_budget;
+    Alcotest.test_case "frame read allocation budget" `Quick
+      test_reader_alloc_budget;
     Alcotest.test_case "request rejects garbage" `Quick
       test_request_rejects_garbage;
     Alcotest.test_case "v1 frames rejected" `Quick test_v1_frames_rejected;
@@ -900,6 +1264,8 @@ let suite =
     Alcotest.test_case "slow peer" `Quick test_slow_peer;
     Alcotest.test_case "read timeout" `Quick test_read_timeout;
     Alcotest.test_case "max frame" `Quick test_max_frame;
+    Alcotest.test_case "oversize prefix refused before its body" `Quick
+      test_early_refusal;
     Alcotest.test_case "failed connect leaks no fd" `Quick
       test_connect_failure_leaks_no_fd;
     Alcotest.test_case "deferred watch delivery" `Quick test_deferred_watch;

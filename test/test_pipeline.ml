@@ -83,7 +83,8 @@ let qcheck_seq_roundtrip =
          quad (string_size (0 -- 20)) trace_gen seq_gen request_gen))
     (fun (user, trace, seq, req) ->
       match
-        Frame.decode_request (Frame.encode_request ~user ?trace ?seq req)
+        Frame.decode_request
+          (Frame_ref.payload_of (Frame.request_frame ~user ?trace ?seq req))
       with
       | Ok (u, t, s, r) ->
         String.equal u user && t = trace && s = seq && r = req
@@ -101,7 +102,8 @@ let qcheck_response_seq_roundtrip =
     (fun (trace, seq, reply) ->
       match
         Frame.decode_response
-          (Frame.encode_response ?trace ?seq (Frame.One reply))
+          (Frame_ref.payload_of
+             (Frame.response_frame ?trace ?seq (Frame.One reply)))
       with
       | Ok (t, s, Frame.One r) -> t = trace && s = seq && r = reply
       | _ -> false)
@@ -119,7 +121,8 @@ let qcheck_event_roundtrip =
     (QCheck.make QCheck.Gen.(pair trace_gen event_gen))
     (fun (trace, ev) ->
       match
-        Frame.decode_response (Frame.encode_response ?trace (Frame.Event ev))
+        Frame.decode_response
+          (Frame_ref.payload_of (Frame.response_frame ?trace (Frame.Event ev)))
       with
       | Ok (t, None, Frame.Event e) -> t = trace && e = ev
       | _ -> false)
@@ -160,7 +163,7 @@ let with_fake_server logic f =
       (fun () ->
         match Unix.accept lfd with
         | fd, _ ->
-          (try logic fd with _ -> ());
+          (try logic (Frame.reader ()) fd with _ -> ());
           (try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
           (try Unix.close fd with Unix.Unix_error _ -> ())
         | exception Unix.Unix_error _ -> ())
@@ -172,8 +175,8 @@ let with_fake_server logic f =
       Thread.join th)
     (fun () -> f port)
 
-let read_tagged_single fd =
-  match Frame.read_frame ~timeout_s:5.0 fd with
+let read_tagged_single rd fd =
+  match Frame.read_frame ~timeout_s:5.0 rd fd with
   | Ok p -> (
     match Frame.decode_request p with
     | Ok (_, _, Some seq, Frame.Single [ tok ]) -> (seq, tok)
@@ -182,8 +185,7 @@ let read_tagged_single fd =
 
 let send_reply fd ~seq payload =
   match
-    Frame.write_frame fd
-      (Frame.encode_response ~seq (Frame.One (Ok payload)))
+    Frame.send_frame fd (Frame.response_frame ~seq (Frame.One (Ok payload)))
   with
   | Ok () -> ()
   | Error e -> Alcotest.fail (Frame.error_to_string e)
@@ -193,9 +195,9 @@ let send_reply fd ~seq payload =
    order. *)
 let test_out_of_order_replies () =
   with_fake_server
-    (fun fd ->
-      let s1, t1 = read_tagged_single fd in
-      let s2, t2 = read_tagged_single fd in
+    (fun rd fd ->
+      let s1, t1 = read_tagged_single rd fd in
+      let s2, t2 = read_tagged_single rd fd in
       send_reply fd ~seq:s2 ("echo:" ^ t2);
       send_reply fd ~seq:s1 ("echo:" ^ t1))
     (fun port ->
@@ -219,12 +221,12 @@ let test_out_of_order_replies () =
    outstanding request rather than hanging it. *)
 let test_unknown_sequence_rejected () =
   with_fake_server
-    (fun fd ->
-      let seq, _ = read_tagged_single fd in
+    (fun rd fd ->
+      let seq, _ = read_tagged_single rd fd in
       send_reply fd ~seq:(seq + 999) "stray";
       (* Hold the connection open: the poison must come from the stray
          tag, not from EOF. *)
-      ignore (Frame.read_frame ~timeout_s:5.0 fd))
+      ignore (Frame.read_frame ~timeout_s:5.0 rd fd))
     (fun port ->
       let m = ok_cl (Mux.connect ~port ()) in
       Fun.protect
@@ -318,9 +320,8 @@ let test_slow_reader_backpressure () =
           (try
              for i = 1 to 300 do
                let wire =
-                 Frame.encode_frame
-                   (Frame.encode_request ~user:"greedy" ~seq:i
-                      (Frame.Single [ "get"; "big"; "master" ]))
+                 Frame.request_frame ~user:"greedy" ~seq:i
+                   (Frame.Single [ "get"; "big"; "master" ])
                in
                ignore
                  (Unix.write fd (Bytes.unsafe_of_string wire) 0
@@ -563,9 +564,9 @@ let test_remote_reconnect () =
    must be delivered, never dropped. *)
 let test_push_races_subscribe_reply () =
   with_fake_server
-    (fun fd ->
+    (fun rd fd ->
       let seq =
-        match Frame.read_frame ~timeout_s:5.0 fd with
+        match Frame.read_frame ~timeout_s:5.0 rd fd with
         | Ok p -> (
           match Frame.decode_request p with
           | Ok (_, _, Some seq, Frame.Single ("subscribe" :: _)) -> seq
@@ -575,17 +576,15 @@ let test_push_races_subscribe_reply () =
       (* Reply and push in ONE write so both land in one segment: the
          client cannot see a gap between them. *)
       let wire =
-        Frame.encode_frame
-          (Frame.encode_response ~seq (Frame.One (Ok "7")))
-        ^ Frame.encode_frame
-            (Frame.encode_response
-               (Frame.Event
-                  { Frame.sub_id = 7; ev_key = "k"; ev_branch = "master";
-                    new_head = "deadbeef"; old_head = None }))
+        Frame.response_frame ~seq (Frame.One (Ok "7"))
+        ^ Frame.response_frame
+            (Frame.Event
+               { Frame.sub_id = 7; ev_key = "k"; ev_branch = "master";
+                 new_head = "deadbeef"; old_head = None })
       in
       ignore (Unix.write_substring fd wire 0 (String.length wire));
       (* Hold the connection open: a drop must not be masked by EOF. *)
-      ignore (Frame.read_frame ~timeout_s:5.0 fd))
+      ignore (Frame.read_frame ~timeout_s:5.0 rd fd))
     (fun port ->
       let m = ok_cl (Mux.connect ~port ()) in
       Fun.protect

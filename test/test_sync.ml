@@ -137,31 +137,36 @@ let qcheck_sync_put_frame_roundtrip =
         Frame.Single [ "sync-put"; key; branch; "deadbeef"; bytes ]
       in
       match
-        Frame.decode_request (Frame.encode_request ~user:"sync" ?seq req)
+        Frame.decode_request
+          (Frame_ref.payload_of (Frame.request_frame ~user:"sync" ?seq req))
       with
       | Ok (u, _, s, r) -> u = "sync" && s = seq && r = req
       | Error _ -> false)
 
-(* Any strict prefix of an encoded frame must decode as [`Need_more] or
-   a malformed-prefix error — never as a complete (bogus) frame. *)
+(* Any strict prefix of an encoded frame must leave the reader waiting
+   for more or report a malformed prefix — never yield a complete
+   (bogus) frame. *)
 let qcheck_truncated_frame =
   let any_string n = QCheck.Gen.(string_size ~gen:(char_range '\000' '\255') (0 -- n)) in
   QCheck.Test.make ~count:300 ~name:"truncated frames never parse"
     (QCheck.make QCheck.Gen.(pair (any_string 500) (float_bound_inclusive 1.0)))
     (fun (payload, frac) ->
-      let wire = Frame.encode_frame payload in
+      let wire = Frame_ref.encode_frame payload in
       let cut = int_of_float (frac *. float_of_int (String.length wire)) in
-      let cut = min cut (String.length wire - 1) in
-      let truncated = String.sub wire 0 (max 0 cut) in
-      match Frame.decode_frame truncated with
-      | Ok `Need_more -> true
-      | Error (Frame.Malformed _) -> true
-      | Ok (`Frame _) -> false
-      | Error _ -> false)
+      let cut = max 0 (min cut (String.length wire - 1)) in
+      let r = Frame.reader () in
+      let verdict = Frame.feed r (Bytes.of_string wire) 0 cut in
+      Frame.next r = None
+      && match verdict with
+         | Ok () | Error (Frame.Malformed _) -> true
+         | Error _ -> false)
 
 let test_oversize_frame_rejected () =
-  let wire = Frame.encode_frame (String.make 4096 'x') in
-  match Frame.decode_frame ~max_frame:1024 wire with
+  let wire = Frame_ref.encode_frame (String.make 4096 'x') in
+  match
+    Frame.feed (Frame.reader ~max_frame:1024 ()) (Bytes.of_string wire) 0
+      (String.length wire)
+  with
   | Error (Frame.Too_large n) ->
     check bool_ "announces the oversize length" true (n >= 4096)
   | _ -> Alcotest.fail "oversize frame accepted"
@@ -412,6 +417,31 @@ let test_sync_verb_histograms () =
     verbs before;
   check int_ "nothing fell into other_seconds" other_before (count "other")
 
+(* Reply framing is its own stage: a pull's sync-get BATCH frame records
+   a fb.net.reply_encode_seconds sample instead of hiding in transit. *)
+let test_reply_encode_histogram () =
+  let module Obs = Fb_obs.Obs in
+  let module Mux = Fb_net.Mux in
+  let hist = Obs.histogram "fb.net.reply_encode_seconds" in
+  let was = Obs.is_enabled () in
+  Obs.set_enabled true;
+  Fun.protect ~finally:(fun () -> Obs.set_enabled was) @@ fun () ->
+  let store = Mem_store.create () in
+  let id = Store.put store (Chunk.v Chunk.Leaf_blob "framed once") in
+  with_server (FB.create store) (fun srv ->
+      let m =
+        match Mux.connect ~port:(Server.port srv) () with
+        | Ok m -> m
+        | Error e -> Alcotest.fail (Fb_net.Client.error_to_string e)
+      in
+      Fun.protect ~finally:(fun () -> Mux.close m) @@ fun () ->
+      let before = Obs.hist_count hist in
+      (match Mux.batch m [ [ "sync-get"; Hash.to_hex id ] ] with
+       | Ok [ Ok _ ] -> ()
+       | _ -> Alcotest.fail "sync-get batch failed");
+      check bool_ "the batch reply was timed" true
+        (Obs.hist_count hist > before))
+
 (* ---------------- tamper refusal over the wire ---------------- *)
 
 (* A malicious server answers sync-get with corrupted bytes.  The puller
@@ -471,5 +501,7 @@ let suite =
       (run_push_pull_roundtrip `Threaded);
     Alcotest.test_case "pull refuses tampered chunks" `Quick
       test_pull_refuses_tampered_chunks;
+    Alcotest.test_case "sync-get batch records reply encode time" `Quick
+      test_reply_encode_histogram;
     Alcotest.test_case "sync verbs have their own histograms" `Quick
       test_sync_verb_histograms ]
