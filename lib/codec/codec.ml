@@ -1,21 +1,64 @@
-type writer = Buffer.t
+(* One writer, three ways of keeping bytes: [Grow] (what [writer] makes)
+   doubles its buffer as needed; [Count] keeps none and only advances
+   [pos], sizing an encoding; [Exact] writes into a buffer of exactly the
+   encoding's size.  Every encoder below stores through the same checks,
+   so an encoding is defined once whichever way its bytes are kept. *)
+type mode = Grow | Count | Exact
 
-let writer ?(initial_size = 256) () = Buffer.create initial_size
-let contents = Buffer.contents
-let length = Buffer.length
+type writer = { mutable buf : Bytes.t; mutable pos : int; mode : mode }
+
+let writer ?(initial_size = 256) () =
+  { buf = Bytes.create (max 1 initial_size); pos = 0; mode = Grow }
+
+let counter () = { buf = Bytes.empty; pos = 0; mode = Count }
+
+let exact n =
+  if n < 0 then invalid_arg "Codec.exact: negative size";
+  { buf = Bytes.create n; pos = 0; mode = Exact }
+
+let length w = w.pos
+
+let contents w =
+  match w.mode with
+  | Grow -> Bytes.sub_string w.buf 0 w.pos
+  | Exact when w.pos = Bytes.length w.buf -> Bytes.unsafe_to_string w.buf
+  | Exact -> invalid_arg "Codec.contents: exact writer not full"
+  | Count -> invalid_arg "Codec.contents: a counter keeps no bytes"
+
+(* [n] more bytes do not fit at [pos]: grow the buffer, or answer false
+   when the writer keeps no bytes. *)
+let overflow w n =
+  match w.mode with
+  | Count -> false
+  | Exact -> invalid_arg "Codec: write past the end of an exact writer"
+  | Grow ->
+    let len = ref (Bytes.length w.buf) in
+    while w.pos + n > !len do
+      len := 2 * !len
+    done;
+    let b = Bytes.create !len in
+    Bytes.blit w.buf 0 b 0 w.pos;
+    w.buf <- b;
+    true
+
+let add_byte w v =
+  let pos = w.pos in
+  if pos < Bytes.length w.buf || overflow w 1 then
+    Bytes.unsafe_set w.buf pos (Char.unsafe_chr v);
+  w.pos <- pos + 1
 
 let u8 w v =
   if v < 0 || v > 255 then invalid_arg "Codec.u8: out of range";
-  Buffer.add_char w (Char.unsafe_chr v)
+  add_byte w v
 
 (* LEB128 over the 63-bit two's-complement pattern of an OCaml int: at most
    9 bytes (9 × 7 = 63 bits exactly).  [lsr] makes the loop terminate for
    negative patterns too, which zigzag encoding relies on. *)
 let varint_bits w v =
   let rec go v =
-    if v land lnot 0x7f = 0 then Buffer.add_char w (Char.unsafe_chr v)
+    if v land lnot 0x7f = 0 then add_byte w v
     else begin
-      Buffer.add_char w (Char.unsafe_chr (0x80 lor (v land 0x7f)));
+      add_byte w (0x80 lor (v land 0x7f));
       go (v lsr 7)
     end
   in
@@ -28,14 +71,20 @@ let varint w v =
 let zigzag w v = varint_bits w ((v lsl 1) lxor (v asr (Sys.int_size - 1)))
 
 let i64 w v =
-  let b = Bytes.create 8 in
-  Bytes.set_int64_be b 0 v;
-  Buffer.add_bytes w b
+  let pos = w.pos in
+  if pos + 8 <= Bytes.length w.buf || overflow w 8 then
+    Bytes.set_int64_be w.buf pos v;
+  w.pos <- pos + 8
 
 let f64 w v = i64 w (Int64.bits_of_float v)
 let bool w v = u8 w (if v then 1 else 0)
 
-let raw w s = Buffer.add_string w s
+let raw w s =
+  let n = String.length s in
+  let pos = w.pos in
+  if pos + n <= Bytes.length w.buf || overflow w n then
+    Bytes.unsafe_blit_string s 0 w.buf pos n;
+  w.pos <- pos + n
 
 let bytes w s =
   varint w (String.length s);

@@ -10,8 +10,25 @@
 type writer
 
 val writer : ?initial_size:int -> unit -> writer
+(** A writer into a buffer that grows as needed. *)
+
+val counter : unit -> writer
+(** A writer that keeps no bytes, only their count ({!length}): run an
+    encoder on it to size the encoding. *)
+
+val exact : int -> writer
+(** A writer into one buffer of exactly [n] bytes, for an encoding a
+    {!counter} has sized.  {!contents} returns that buffer, without a
+    copy, once it is full.
+    @raise Invalid_argument on a write past the [n] bytes. *)
+
 val contents : writer -> string
+(** The bytes written.
+    @raise Invalid_argument on a {!counter}, or on an {!exact} writer that
+    is not full. *)
+
 val length : writer -> int
+(** Bytes written (or counted) so far. *)
 
 val u8 : writer -> int -> unit
 (** @raise Invalid_argument if outside [\[0, 255\]]. *)

@@ -21,52 +21,20 @@ let max_len_bytes = 5
 
 (* ------------------------- frame builders ------------------------- *)
 
-(* A frame is built by running one writer twice: a sizing pass that only
-   counts bytes, then a writing pass into a single buffer allocated at
-   the exact frame size, length prefix included.  Payload strings are
-   gathered by reference and blitted once, straight from the caller's
-   values — no growable buffer, no [contents] copy, no re-framing. *)
-type sink = { out : Bytes.t; mutable pos : int; sizing : bool }
-
-let put_byte s b =
-  if not s.sizing then Bytes.set s.out s.pos (Char.unsafe_chr b);
-  s.pos <- s.pos + 1
-
-(* LEB128 over the 63-bit pattern, as Fb_codec writes it; [lsr] makes
-   the loop terminate for the negative patterns zigzag produces. *)
-let rec put_varint_bits s v =
-  if v land lnot 0x7f = 0 then put_byte s v
-  else begin
-    put_byte s (0x80 lor (v land 0x7f));
-    put_varint_bits s (v lsr 7)
-  end
-
-let put_varint s v =
-  if v < 0 then invalid_arg "Frame: negative varint";
-  put_varint_bits s v
-
-let put_zigzag s v =
-  put_varint_bits s ((v lsl 1) lxor (v asr (Sys.int_size - 1)))
-
-let put_string s str =
-  let n = String.length str in
-  put_varint s n;
-  if not s.sizing then Bytes.blit_string str 0 s.out s.pos n;
-  s.pos <- s.pos + n
-
-let put_list s put xs =
-  put_varint s (List.length xs);
-  List.iter (put s) xs
-
+(* A frame is built by running one encoder twice through [Codec]: a
+   counting pass that only sizes it, then a writing pass into a single
+   buffer of exactly the frame's size, length prefix included.  Payload
+   strings are blitted once, straight from the caller's values — no
+   growable buffer, no [contents] copy, no re-framing. *)
 let build write =
-  let count = { out = Bytes.empty; pos = 0; sizing = true } in
+  let count = Codec.counter () in
   write count;
-  let len = count.pos in
-  put_varint count len;
-  let s = { out = Bytes.create count.pos; pos = 0; sizing = false } in
-  put_varint s len;
-  write s;
-  Bytes.unsafe_to_string s.out
+  let len = Codec.length count in
+  Codec.varint count len;
+  let w = Codec.exact (Codec.length count) in
+  Codec.varint w len;
+  write w;
+  Codec.contents w
 
 (* Version 2: requests are tagged single/batch, responses carry a typed
    status ahead of the payload (v1 carried a bare bool + pre-rendered
@@ -97,13 +65,13 @@ let flag_trace = 0x80
 let flag_seq = 0x40
 let kind_mask = 0x3f
 
-let put_envelope s ~trace ~seq =
+let put_envelope w ~trace ~seq =
   (match trace with
    | Some t ->
-     put_string s t.trace_id;
-     put_zigzag s t.parent_span
+     Codec.bytes w t.trace_id;
+     Codec.zigzag w t.parent_span
    | None -> ());
-  match seq with Some q -> put_varint s q | None -> ()
+  match seq with Some q -> Codec.varint w q | None -> ()
 
 let flags_of ~trace ~seq =
   (match trace with Some _ -> flag_trace | None -> 0)
@@ -124,17 +92,17 @@ let read_envelope_headers r kind_byte =
   (trace, seq)
 
 let request_frame ~user ?trace ?seq req =
-  build (fun s ->
-      put_byte s protocol_version;
-      put_byte s
+  build (fun w ->
+      Codec.u8 w protocol_version;
+      Codec.u8 w
         ((match req with Single _ -> kind_single | Batch _ -> kind_batch)
          lor flags_of ~trace ~seq);
-      put_string s user;
-      put_envelope s ~trace ~seq;
+      Codec.bytes w user;
+      put_envelope w ~trace ~seq;
       match req with
-      | Single tokens -> put_list s put_string tokens
+      | Single tokens -> Codec.list w Codec.bytes tokens
       | Batch reqs ->
-        put_list s (fun s tokens -> put_list s put_string tokens) reqs)
+        Codec.list w (fun w tokens -> Codec.list w Codec.bytes tokens) reqs)
 
 let decode_request payload =
   Codec.of_string
@@ -182,25 +150,25 @@ let error_code = function
   | Errors.Transient _ -> 8
   | Errors.Invalid _ -> 9
 
-let put_error s (e : Errors.t) =
-  put_byte s (error_code e);
+let put_error w (e : Errors.t) =
+  Codec.u8 w (error_code e);
   match e with
-  | Errors.Key_not_found k -> put_string s k
+  | Errors.Key_not_found k -> Codec.bytes w k
   | Errors.Branch_not_found { key; branch } ->
-    put_string s key;
-    put_string s branch
-  | Errors.Version_not_found v -> put_string s v
+    Codec.bytes w key;
+    Codec.bytes w branch
+  | Errors.Version_not_found v -> Codec.bytes w v
   | Errors.Permission_denied { user; action } ->
-    put_string s user;
-    put_string s action
+    Codec.bytes w user;
+    Codec.bytes w action
   | Errors.Merge_conflict { key; details } ->
-    put_string s key;
-    put_list s put_string details
+    Codec.bytes w key;
+    Codec.list w Codec.bytes details
   | Errors.Type_mismatch { expected; got } ->
-    put_string s expected;
-    put_string s got
+    Codec.bytes w expected;
+    Codec.bytes w got
   | Errors.Corrupt msg | Errors.Transient msg | Errors.Invalid msg ->
-    put_string s msg
+    Codec.bytes w msg
 
 let read_error r code : Errors.t =
   match code with
@@ -244,39 +212,36 @@ type response = One of reply | Many of reply list | Event of event
 
 let kind_event = 2
 
-let put_reply s (reply : reply) =
+let put_reply w (reply : reply) =
   match reply with
   | Ok payload ->
-    put_byte s status_ok;
-    put_string s payload
-  | Error e -> put_error s e
+    Codec.u8 w status_ok;
+    Codec.bytes w payload
+  | Error e -> put_error w e
 
 let read_reply r : reply =
   let code = Codec.read_u8 r in
   if code = status_ok then Ok (Codec.read_bytes r) else Error (read_error r code)
 
 let response_frame ?trace ?seq resp =
-  build (fun s ->
-      put_byte s
+  build (fun w ->
+      Codec.u8 w
         ((match resp with
           | One _ -> kind_single
           | Many _ -> kind_batch
           | Event _ -> kind_event)
          lor flags_of ~trace ~seq);
-      put_envelope s ~trace ~seq;
+      put_envelope w ~trace ~seq;
       match resp with
-      | One reply -> put_reply s reply
-      | Many replies -> put_list s put_reply replies
+      | One reply -> put_reply w reply
+      | Many replies -> Codec.list w put_reply replies
       | Event e ->
-        put_varint s e.sub_id;
-        put_string s e.ev_key;
-        put_string s e.ev_branch;
-        put_string s e.new_head;
-        (match e.old_head with
-         | None -> put_byte s 0
-         | Some h ->
-           put_byte s 1;
-           put_string s h))
+        Codec.varint w e.sub_id;
+        Codec.bytes w e.ev_key;
+        Codec.bytes w e.ev_branch;
+        Codec.bytes w e.new_head;
+        Codec.bool w (Option.is_some e.old_head);
+        Option.iter (Codec.bytes w) e.old_head)
 
 let decode_response payload =
   Codec.of_string
@@ -337,19 +302,26 @@ let wait_writable fd deadline = wait_fd ~read:false fd deadline
 
 (* One state machine reads frames for every consumer: the event loop
    (non-blocking, one [read] per readiness), the Mux reader thread and
-   the blocking engines.  Length-prefix bytes are parsed as they arrive
-   from the scratch buffer; once the prefix is complete and within the
-   limit, the body is allocated at its announced length and filled —
-   the bytes of a frame are buffered exactly once, however they were
-   split across reads.  A bad prefix fails before any body byte is
-   buffered, and the failure is sticky. *)
+   the blocking engines.  Socket bytes land in the scratch buffer and are
+   parsed from there.  Length-prefix bytes are parsed as they arrive; a
+   bad prefix fails before any body byte is buffered, and the failure is
+   sticky.
+
+   A body is allocated once, at its announced length, but only after
+   [commit] of its bytes (or all of them, if fewer) have arrived; bytes
+   before that wait in [stage], which grows with them.  So what a reader
+   holds follows what its peer sent, not what the peer announced: a
+   prefix alone reserves nothing. *)
 type reader = {
   max_frame : int;
   scratch : Bytes.t;
+  commit : int;
   mutable len_acc : int;
   mutable len_shift : int;
   mutable len_bytes : int;  (* continuation bytes of the prefix so far *)
-  mutable body : Bytes.t;   (* the frame being filled; empty between frames *)
+  mutable want : int;       (* announced length of the frame being read; 0 between frames *)
+  stage : Buffer.t;         (* its first bytes, until [commit] of them arrive *)
+  mutable body : Bytes.t;   (* the frame's body once allocated; empty before *)
   mutable fill : int;
   mutable failed : error option;
   ready : string Queue.t;   (* complete frames not yet taken *)
@@ -360,15 +332,14 @@ let reader ?(max_frame = default_max_frame) ?scratch () =
     match scratch with Some b -> b | None -> Bytes.create 65536
   in
   if Bytes.length scratch = 0 then invalid_arg "Frame.reader: empty scratch";
-  { max_frame; scratch; len_acc = 0; len_shift = 0; len_bytes = 0;
-    body = Bytes.empty; fill = 0; failed = None; ready = Queue.create () }
+  (* Half a scratch: one full read that starts a large frame commits it
+     without staging. *)
+  { max_frame; scratch; commit = max 1 (Bytes.length scratch / 2);
+    len_acc = 0; len_shift = 0; len_bytes = 0; want = 0;
+    stage = Buffer.create 64; body = Bytes.empty; fill = 0; failed = None;
+    ready = Queue.create () }
 
 let next r = Queue.take_opt r.ready
-
-let complete_body r =
-  Queue.push (Bytes.unsafe_to_string r.body) r.ready;
-  r.body <- Bytes.empty;
-  r.fill <- 0
 
 (* Checked on every byte, so an invalid prefix fails on the byte that
    makes it invalid. *)
@@ -390,7 +361,37 @@ let prefix_byte r b =
     r.len_acc <- 0;
     r.len_shift <- 0;
     r.len_bytes <- 0;
-    if acc = 0 then Queue.push "" r.ready else r.body <- Bytes.create acc
+    if acc = 0 then Queue.push "" r.ready else r.want <- acc
+  end
+
+(* Offer the [avail] bytes at [src.[i]] to the frame being read; returns
+   how many it took (none when the call only allocated the body). *)
+let body_bytes r src i avail =
+  if Bytes.length r.body = 0 then begin
+    let staged = Buffer.length r.stage in
+    if staged + avail < min r.want r.commit then begin
+      Buffer.add_subbytes r.stage src i avail;
+      avail
+    end
+    else begin
+      r.body <- Bytes.create r.want;
+      Buffer.blit r.stage 0 r.body 0 staged;
+      Buffer.reset r.stage;
+      r.fill <- staged;
+      0
+    end
+  end
+  else begin
+    let k = min (r.want - r.fill) avail in
+    Bytes.blit src i r.body r.fill k;
+    r.fill <- r.fill + k;
+    if r.fill = r.want then begin
+      Queue.push (Bytes.unsafe_to_string r.body) r.ready;
+      r.body <- Bytes.empty;
+      r.fill <- 0;
+      r.want <- 0
+    end;
+    k
   end
 
 let feed r src off len =
@@ -399,13 +400,7 @@ let feed r src off len =
   let stop = off + len in
   let rec go i =
     if Option.is_none r.failed && i < stop then
-      if Bytes.length r.body > 0 then begin
-        let k = min (Bytes.length r.body - r.fill) (stop - i) in
-        Bytes.blit src i r.body r.fill k;
-        r.fill <- r.fill + k;
-        if r.fill = Bytes.length r.body then complete_body r;
-        go (i + k)
-      end
+      if r.want > 0 then go (i + body_bytes r src i (stop - i))
       else begin
         prefix_byte r (Char.code (Bytes.get src i));
         go (i + 1)
@@ -418,18 +413,8 @@ let read_some r read =
   match r.failed with
   | Some e -> Error e
   | None ->
-    let body_left = Bytes.length r.body - r.fill in
-    if body_left >= Bytes.length r.scratch then begin
-      (* Deep inside a large body: every byte the socket has up to the
-         body's end belongs to it, so read straight into place. *)
-      let n = read r.body r.fill body_left in
-      r.fill <- r.fill + n;
-      if r.fill = Bytes.length r.body then complete_body r;
-      Ok n
-    end
-    else
-      let n = read r.scratch 0 (Bytes.length r.scratch) in
-      Result.map (fun () -> n) (feed r r.scratch 0 n)
+    let n = read r.scratch 0 (Bytes.length r.scratch) in
+    Result.map (fun () -> n) (feed r r.scratch 0 n)
 
 let read_frame ?timeout_s r fd =
   let deadline = deadline_of_timeout timeout_s in

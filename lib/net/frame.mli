@@ -67,7 +67,10 @@
        value.}
     {- A {!reader} parses the length prefix as bytes arrive, then
        allocates the body once at its announced length and fills it,
-       however the stream was split across reads.}}
+       however the stream was split across reads.  The allocation waits
+       until half a scratch of the body (or all of it, if shorter) has
+       arrived, so what a reader holds follows the bytes its peer sent,
+       not the length it announced.}}
 
     {b Early refusal.}  A reader refuses an oversize, non-minimal or
     runaway length prefix on the byte that makes it invalid — before a
@@ -169,7 +172,8 @@ type reader
 val reader : ?max_frame:int -> ?scratch:Bytes.t -> unit -> reader
 (** [max_frame] defaults to {!default_max_frame}.  [scratch] is where
     {!read_some} lands socket bytes before parsing them (64 KiB of its
-    own by default).  A feed consumes the scratch completely, so one
+    own by default); its size also sets when a body is allocated (see
+    {!feed}).  A feed consumes the scratch completely, so one
     scratch may be shared by every reader that a single thread drives —
     the event loop's connections share one. *)
 
@@ -177,7 +181,8 @@ val feed : reader -> Bytes.t -> int -> int -> (unit, error) result
 (** [feed r buf off len] consumes [len] bytes of [buf] from [off].  A
     length prefix above [max_frame], non-minimal, or longer than 5 bytes
     fails on the byte that makes it so, with nothing of the body
-    buffered.  @raise Invalid_argument on an out-of-range slice. *)
+    buffered.  A legal prefix allocates nothing by itself: the body is
+    allocated once half a scratch of it (or all of it) has been fed.  @raise Invalid_argument on an out-of-range slice. *)
 
 val next : reader -> string option
 (** Take the oldest complete frame's payload. *)
@@ -185,9 +190,7 @@ val next : reader -> string option
 val read_some :
   reader -> (Bytes.t -> int -> int -> int) -> (int, error) result
 (** Make exactly one call to [read buf off len] (typically
-    [Unix.read fd]) and consume what it returns.  The call lands in the
-    scratch, or — when the frame being filled still lacks at least a
-    scratch's worth of bytes — straight into the frame's body.  [Ok 0]
+    [Unix.read fd]) into the scratch and {!feed} what it returns.  [Ok 0]
     is end of stream.  Exceptions from [read] (e.g. [EAGAIN]) escape
     with nothing consumed. *)
 

@@ -101,6 +101,40 @@ let test_reader_positions () =
   ignore (Codec.read_raw r 2);
   Codec.expect_end r
 
+(* An encoder touching every writer primitive. *)
+let enc_fields w (n, z, s, i, xs) =
+  Codec.varint w n;
+  Codec.zigzag w z;
+  Codec.bytes w s;
+  Codec.i64 w i;
+  Codec.f64 w (Int64.to_float i);
+  Codec.bool w (n land 1 = 0);
+  Codec.u8 w (n land 0xff);
+  Codec.raw w s;
+  Codec.list w Codec.bytes xs
+
+let fields_gen =
+  QCheck.Gen.(
+    map
+      (fun ((n, z), (s, i, xs)) -> (n, z, s, i, xs))
+      (pair
+         (pair (int_bound max_int) int)
+         (triple (string_size (0 -- 300)) ui64
+            (list_size (0 -- 5) (string_size (0 -- 40))))))
+
+let test_exact_writer_misuse () =
+  let raises name f =
+    check bool_ name true
+      (match f () with _ -> false | exception Invalid_argument _ -> true)
+  in
+  raises "write past the end" (fun () ->
+      let w = Codec.exact 1 in
+      Codec.u8 w 1;
+      Codec.u8 w 2);
+  raises "blit past the end" (fun () -> Codec.raw (Codec.exact 2) "abc");
+  raises "contents before full" (fun () -> Codec.contents (Codec.exact 1));
+  raises "contents of a counter" (fun () -> Codec.contents (Codec.counter ()))
+
 let qcheck_cases =
   let open QCheck in
   [ Test.make ~name:"varint roundtrip" ~count:500 (int_bound max_int)
@@ -109,6 +143,20 @@ let qcheck_cases =
         roundtrip Codec.zigzag Codec.read_zigzag v = Ok v);
     Test.make ~name:"bytes roundtrip" ~count:500 (string_gen Gen.char)
       (fun s -> roundtrip Codec.bytes Codec.read_bytes s = Ok s);
+    Test.make ~name:"counter and exact writers agree with the growable one"
+      ~count:300 (make fields_gen) (fun v ->
+        let grown =
+          let w = Codec.writer ~initial_size:1 () in
+          enc_fields w v;
+          Codec.contents w
+        in
+        let count = Codec.counter () in
+        enc_fields count v;
+        let w = Codec.exact (Codec.length count) in
+        enc_fields w v;
+        Codec.length count = String.length grown
+        && String.equal (Codec.contents w) grown
+        && String.equal (Codec.to_string enc_fields v) grown);
     Test.make ~name:"decoder never raises on garbage" ~count:500
       (string_gen Gen.char)
       (fun s ->
@@ -138,4 +186,5 @@ let suite =
       Alcotest.test_case "list" `Quick test_list;
       Alcotest.test_case "trailing garbage" `Quick test_trailing_garbage;
       Alcotest.test_case "hash" `Quick test_hash_codec;
-      Alcotest.test_case "reader positions" `Quick test_reader_positions ]
+      Alcotest.test_case "reader positions" `Quick test_reader_positions;
+      Alcotest.test_case "exact writer misuse" `Quick test_exact_writer_misuse ]

@@ -865,6 +865,48 @@ let test_early_refusal () =
                   (Frame.error_to_string e))))
     [ `Event; `Threaded ]
 
+(* Many peers that each announce a legal frame at the limit and then send
+   nothing: what the server holds for them must follow the bytes they
+   sent, not the lengths they announced. *)
+let test_prefix_only_peers () =
+  let max_frame = 1024 * 1024 and peers = 32 in
+  let prefix =
+    let w = Frame_ref.encode_frame (String.make max_frame 'x') in
+    String.sub w 0 (String.length w - max_frame)
+  in
+  List.iter
+    (fun mode ->
+      let fb = FB.create (Fb_chunk.Mem_store.create ()) in
+      let config = { test_config with max_frame; mode } in
+      with_server ~config fb (fun srv ->
+          let fds = ref [] in
+          Fun.protect
+            ~finally:(fun () ->
+              List.iter
+                (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
+                !fds)
+            (fun () ->
+              let (), bytes =
+                allocated (fun () ->
+                    for _ = 1 to peers do
+                      let fd = raw_connect (Server.port srv) in
+                      fds := fd :: !fds;
+                      ignore
+                        (Unix.write_substring fd prefix 0 (String.length prefix))
+                    done;
+                    (* A round trip on a fresh connection, then a pause:
+                       the server has read every prefix by now. *)
+                    with_client srv (fun c ->
+                        ignore (ok_cl (Client.request c [ "stat" ])));
+                    Thread.delay 0.2)
+              in
+              let announced = float_of_int (peers * max_frame) in
+              if bytes > announced /. 4.0 then
+                Alcotest.failf
+                  "%d prefix-only peers made the server allocate %.0f bytes"
+                  peers bytes)))
+    [ `Event; `Threaded ]
+
 let count_fds () = Array.length (Sys.readdir "/proc/self/fd")
 
 let test_connect_failure_leaks_no_fd () =
@@ -1266,6 +1308,8 @@ let suite =
     Alcotest.test_case "max frame" `Quick test_max_frame;
     Alcotest.test_case "oversize prefix refused before its body" `Quick
       test_early_refusal;
+    Alcotest.test_case "prefix-only peers allocate no bodies" `Quick
+      test_prefix_only_peers;
     Alcotest.test_case "failed connect leaks no fd" `Quick
       test_connect_failure_leaks_no_fd;
     Alcotest.test_case "deferred watch delivery" `Quick test_deferred_watch;
