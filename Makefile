@@ -66,11 +66,18 @@ bench-obs:
 # Prints each metric's medians, quartiles and wins per workload; fails if
 # a run fails or space_amp, wire_kib_per_op or the failed-operation count
 # differ within a pair.  `make ab BASE=HEAD~1 SEEDS=1,2,3 WORKLOADS=sync`.
+# TRACE=1 runs traced pairs instead: it fails if a count that fixes the work
+# (sync.*, chunk.new_puts_per_op, chunk.flushes_per_op,
+# chunk.log_bytes_per_user_byte, server.frames_per_op) differs within a
+# pair, and prints the counts a change may move (postree.*, chunk.gets/puts,
+# hash.bytes).
 BASE ?= HEAD
 SEEDS ?= 1,2,3,4,5
 WORKLOADS ?= sync,dataset
+TRACE ?= 0
 ab:
-	python3 tools/ab.py --base $(BASE) --seeds $(SEEDS) --workloads $(WORKLOADS)
+	python3 tools/ab.py --base $(BASE) --seeds $(SEEDS) --workloads $(WORKLOADS) \
+	  $(if $(filter 1,$(TRACE)),--trace)
 
 # The pre-commit gate: full build, full test suite, the observability
 # smoke (instrumentation overhead + histogram/exposition/tracing smoke,

@@ -641,6 +641,23 @@ let merge ?(user = default_user) ?message ?(strategy = Fail_on_conflict) t
       move_head t ~key ~branch:into uid;
       Ok uid
 
+(* A store that reads through to [base] and keeps its own writes in a
+   throwaway in-memory store, so a preview can run the real merge without
+   growing [base]. *)
+let scratch_over (base : Store.t) =
+  let scratch = Fb_chunk.Mem_store.create ~name:"merge-preview" () in
+  let first f id =
+    match f scratch id with Some _ as r -> r | None -> f base id
+  in
+  { base with
+    Store.name = base.Store.name ^ "+preview";
+    put = scratch.Store.put;
+    get = first (fun s -> s.Store.get);
+    get_raw = first (fun s -> s.Store.get_raw);
+    peek = first (fun s -> s.Store.peek);
+    mem = (fun id -> scratch.Store.mem id || base.Store.mem id);
+    delete = scratch.Store.delete }
+
 let merge_preview ?(user = default_user) t ~key ~into ~from_branch =
   guard @@ fun () ->
   let* () = check t ~user ~key ~branch:into Acl.Read in
@@ -658,6 +675,7 @@ let merge_preview ?(user = default_user) t ~key ~into ~from_branch =
     | Some b when Hash.equal b theirs_uid -> Ok `Already_merged
     | Some b when Hash.equal b ours_uid -> Ok `Fast_forward
     | _ -> (
+      let t = { t with store = scratch_over t.store } in
       let* ours_fnode = load_fnode t ours_uid in
       let* theirs_fnode = load_fnode t theirs_uid in
       let* ours = value_of_fnode t ours_fnode in

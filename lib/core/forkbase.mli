@@ -208,8 +208,9 @@ val merge_preview :
   ?user:string -> t -> key:string -> into:string -> from_branch:string ->
   ([ `Fast_forward | `Already_merged | `Clean | `Conflicts of string list ],
    Errors.t) result
-(** Dry-run merge classification — nothing is committed and no head moves:
-    what {!merge} with the default strategy would do. *)
+(** Dry-run merge classification — nothing is committed, no head moves and
+    no chunk is written (it needs only [Read] on both branches): what
+    {!merge} with the default strategy would do. *)
 
 (** {1 Dataset conveniences (Select / Export)} *)
 

@@ -395,27 +395,35 @@ module Make (E : ENTRY) = struct
 
   (* ---------------- leaf row ---------------- *)
 
-  (* The leaf level as index entries (split key, child id, count).  For a
-     single-leaf tree we synthesize the index entry. *)
+  (* Index entries [levels] below node [h]; [levels >= 1] and [h] is an
+     index node at least [levels] deep. *)
+  let rec row_below store h levels =
+    match read_node store h with
+    | Leaf _ -> corrupt "row_below: unexpected leaf at %s" (Hash.to_hex h)
+    | Index ies ->
+      if levels = 1 then ies
+      else List.concat_map (fun ie -> row_below store ie.child (levels - 1)) ies
+
+  (* The leaf level as index entries (split key, child id, count); for a
+     single-leaf tree the entry is synthesized.  Only the leftmost leaf is
+     read, to learn the height. *)
   let leaf_row t =
-    let rec rows h =
-      match read_node t.store h with
-      | Leaf entries ->
-        (* Only reachable when the root itself is a leaf. *)
-        (match entries with
-         | [] -> []
-         | _ ->
-           [ { split = E.key (last_exn entries); child = h;
-               count = List.length entries } ])
-      | Index ies -> (
-        match ies with
-        | [] -> []
-        | first :: _ -> (
-          match read_node t.store first.child with
-          | Leaf _ -> ies
-          | Index _ -> List.concat_map (fun ie -> rows ie.child) ies))
-    in
-    match t.root with None -> [] | Some h -> rows h
+    match t.root with
+    | None -> []
+    | Some h -> (
+      match height t with
+      | 1 -> (
+        match read_node t.store h with
+        | Leaf [] | Index _ -> []
+        | Leaf entries ->
+          [ { split = E.key (last_exn entries); child = h;
+              count = List.length entries } ])
+      | ht -> row_below t.store h (ht - 1))
+
+  let chunk_of_hash store h =
+    match Store.get store h with
+    | Some c -> c
+    | None -> corrupt "missing chunk %s" (Hash.to_hex h)
 
   let leaf_entries t h =
     match read_node t.store h with
@@ -562,15 +570,6 @@ module Make (E : ENTRY) = struct
      structure — always a handful of small nodes — is first expanded into
      the row of sub-tree pointers at the shorter side's root height. *)
 
-  (* Entries [levels] below node [h]; [levels >= 1] and [h] is an index
-     node at least [levels] deep. *)
-  let rec row_below store h levels =
-    match read_node store h with
-    | Leaf _ -> corrupt "row_below: unexpected leaf at %s" (Hash.to_hex h)
-    | Index ies ->
-      if levels = 1 then ies
-      else List.concat_map (fun ie -> row_below store ie.child (levels - 1)) ies
-
   let node_height store h =
     let rec go h acc =
       match read_node store h with
@@ -683,7 +682,17 @@ module Make (E : ENTRY) = struct
     | Removed e -> Remove (E.key e)
     | Modified (_, e2) -> Put e2
 
-  (* ---------------- merge ---------------- *)
+  (* ---------------- merge ----------------
+
+     The merge walks the three leaf rows side by side.  They are cut into
+     segments at the split keys where all three rows end a leaf, so a
+     segment covers the same key range in every row.  A segment that only
+     one side changed is taken from that side as leaf references; only the
+     segments both sides changed are decoded and merged entry by entry.
+     The output row is then assembled as [update] assembles its row: a
+     referenced leaf passes through while the chunker sits on a boundary
+     and is fed entry by entry otherwise, so the result is the tree [build]
+     would make from the merged record set. *)
 
   type conflict = {
     key : E.key;
@@ -697,36 +706,151 @@ module Make (E : ENTRY) = struct
   let resolve_ours c = Some c.ours
   let resolve_theirs c = Some c.theirs
 
-  let equal_edit a b =
+  (* One piece of the merged leaf row, in key order: an input's leaves by
+     reference (with the id of that input's last leaf), or the merged
+     entries of a two-sided segment. *)
+  type piece =
+    | Leaves of t * Hash.t option * index_entry list
+    | Entries of E.t list
+
+  (* Cut three leaf rows at their common split keys; the last segment runs
+     to the end of every row. *)
+  let segments rb ro rt =
+    let rec go rb ro rt sb so st acc =
+      match rb, ro, rt with
+      | b :: rb', o :: ro', t :: rt' ->
+        let lo x y = if E.compare_key x y <= 0 then x else y in
+        let m = lo b.split (lo o.split t.split) in
+        let step ie rest seg =
+          if E.compare_key ie.split m = 0 then (rest, ie :: seg)
+          else (ie :: rest, seg)
+        in
+        let rb, sb = step b rb' sb
+        and ro, so = step o ro' so
+        and rt, st = step t rt' st in
+        if E.compare_key b.split o.split = 0
+           && E.compare_key b.split t.split = 0
+        then
+          go rb ro rt [] [] []
+            ((List.rev sb, List.rev so, List.rev st) :: acc)
+        else go rb ro rt sb so st acc
+      | _ ->
+        List.rev
+          (( List.rev_append sb rb,
+             List.rev_append so ro,
+             List.rev_append st rt )
+           :: acc)
+    in
+    go rb ro rt [] [] [] []
+
+  let same_children a b =
+    List.equal (fun x y -> Hash.equal x.child y.child) a b
+
+  let same_entry a b =
     match a, b with
-    | Put x, Put y -> E.equal x y
-    | Remove _, Remove _ -> true
-    | Put _, Remove _ | Remove _, Put _ -> false
+    | None, None -> true
+    | Some x, Some y -> E.equal x y
+    | Some _, None | None, Some _ -> false
+
+  (* Merge the entries of one two-sided segment.  Per key: a side equal to
+     base yields the other side, two equal sides agree, anything else is a
+     conflict offered to [on_conflict].  [acc] and [conflicts] are
+     reversed. *)
+  let merge_entries on_conflict bs os ts (acc, conflicts) =
+    let take k = function
+      | e :: rest when E.compare_key (E.key e) k = 0 -> (Some e, rest)
+      | l -> (None, l)
+    in
+    let keep e acc = match e with Some e -> e :: acc | None -> acc in
+    let rec go bs os ts acc conflicts =
+      let min_key =
+        List.fold_left
+          (fun m l ->
+            match l, m with
+            | [], _ -> m
+            | e :: _, Some k when E.compare_key k (E.key e) <= 0 -> m
+            | e :: _, _ -> Some (E.key e))
+          None [ bs; os; ts ]
+      in
+      match min_key with
+      | None -> (acc, conflicts)
+      | Some k ->
+        let b, bs = take k bs and o, os = take k os and t, ts = take k ts in
+        if same_entry o b then go bs os ts (keep t acc) conflicts
+        else if same_entry t b || same_entry o t then
+          go bs os ts (keep o acc) conflicts
+        else
+          let edit = function Some e -> Put e | None -> Remove k in
+          let c = { key = k; base = b; ours = edit o; theirs = edit t } in
+          match on_conflict c with
+          | None -> go bs os ts acc (c :: conflicts)
+          | Some ed ->
+            if E.compare_key (edit_key ed) k <> 0 then
+              invalid_arg "Postree.merge: resolver edit for another key";
+            let acc = match ed with Put e -> e :: acc | Remove _ -> acc in
+            go bs os ts acc conflicts
+    in
+    go bs os ts acc conflicts
 
   let merge ?(on_conflict = fun _ -> None) ~base ~ours ~theirs () =
     Obs.with_span span_merge @@ fun () ->
-    let da = List.map edit_of_change (diff base ours) in
-    let db = List.map edit_of_change (diff base theirs) in
-    (* Both lists are key-sorted; walk them to find overlapping keys. *)
-    let rec go da db to_apply conflicts =
-      match da, db with
-      | _, [] -> (to_apply, conflicts)
-      | [], e :: rest -> go [] rest (e :: to_apply) conflicts
-      | a :: ra, b :: rb ->
-        let c = E.compare_key (edit_key a) (edit_key b) in
-        if c < 0 then go ra db to_apply conflicts
-        else if c > 0 then go da rb (b :: to_apply) conflicts
-        else if equal_edit a b then go ra rb to_apply conflicts
-        else
-          let key = edit_key a in
-          let conflict = { key; base = find base key; ours = a; theirs = b } in
-          (match on_conflict conflict with
-           | Some e -> go ra rb (e :: to_apply) conflicts
-           | None -> go ra rb to_apply (conflict :: conflicts))
+    let rb = leaf_row base and ro = leaf_row ours and rt = leaf_row theirs in
+    let entries src ies =
+      List.concat_map (fun ie -> leaf_entries src ie.child) ies
     in
-    let to_apply, conflicts = go da db [] [] in
+    let last row = if row = [] then None else Some (last_exn row).child in
+    let last_o = last ro and last_t = last rt in
+    (* Plan before writing anything: the resolver runs and every conflict
+       is found first, so a merge that fails leaves the store as it was. *)
+    let plan, conflicts =
+      List.fold_left
+        (fun (plan, conflicts) (sb, so, st) ->
+          if same_children so sb then
+            (Leaves (theirs, last_t, st) :: plan, conflicts)
+          else if same_children st sb || same_children so st then
+            (Leaves (ours, last_o, so) :: plan, conflicts)
+          else
+            let merged, conflicts =
+              merge_entries on_conflict (entries base sb) (entries ours so)
+                (entries theirs st) ([], conflicts)
+            in
+            (Entries (List.rev merged) :: plan, conflicts))
+        ([], []) (segments rb ro rt)
+    in
     if conflicts <> [] then Error (List.rev conflicts)
-    else Ok (update ours (List.rev to_apply))
+    else begin
+      let store = ours.store in
+      let out = ref [] in
+      let emit items =
+        let id = Store.put store (leaf_chunk items) in
+        out :=
+          { split = E.key (last_exn items); child = id;
+            count = List.length items }
+          :: !out
+      in
+      let ch = Chunker.create ~params ~max_bytes:max_node_bytes ~emit () in
+      let add e = Chunker.add ch e (encode_entry e) in
+      (* A row's last leaf may end without a pattern, so it is fed rather
+         than passed through. *)
+      let pass src last ie =
+        if Chunker.pending ch || Option.equal Hash.equal (Some ie.child) last
+        then
+          List.iter add (leaf_entries src ie.child)
+        else begin
+          (* The result lives in [ours.store]: copy a leaf it lacks. *)
+          if src.store != store && not (Store.mem store ie.child) then
+            ignore (Store.put store (chunk_of_hash src.store ie.child));
+          out := ie :: !out
+        end
+      in
+      List.iter
+        (function
+          | Leaves (src, last, ies) -> List.iter (pass src last) ies
+          | Entries es -> List.iter add es)
+        (List.rev plan);
+      Chunker.finish ch;
+      Ok { ours with root = build_up store (List.rev !out) }
+    end
 
   (* ---------------- Merkle proofs ---------------- *)
 
@@ -797,11 +921,6 @@ module Make (E : ENTRY) = struct
     leaf_entries : int;
     leaf_node_sizes : int list;
   }
-
-  let chunk_of_hash store h =
-    match Store.get store h with
-    | Some c -> c
-    | None -> corrupt "missing chunk %s" (Hash.to_hex h)
 
   let node_stats t =
     match t.root with

@@ -12,7 +12,7 @@ module type ENTRY = sig
   val compare_key : key -> key -> int
 
   val equal : t -> t -> bool
-  (** Structural equality of whole entries (used by [diff]). *)
+  (** Structural equality of whole entries (used by [diff] and [merge]). *)
 
   val encode : Fb_codec.Codec.writer -> t -> unit
   val decode : Fb_codec.Codec.reader -> t
@@ -142,11 +142,23 @@ module type S = sig
   val merge :
     ?on_conflict:resolver -> base:t -> ours:t -> theirs:t -> unit ->
     (t, conflict list) result
-  (** Three-way merge: diff [ours] and [theirs] against [base], apply
-      [theirs]'s non-conflicting edits onto [ours].  Pages of sub-trees
-      modified on only one side are reused, not rebuilt (Fig. 3) — reuse is
-      observable as dedup hits in the store statistics.  Default resolver
-      resolves nothing: any genuinely conflicting key yields [Error]. *)
+  (** Three-way merge (Fig. 3).  The three leaf rows are cut into segments
+      at the split keys where all three end a leaf.  A segment that only
+      one side changed is taken from that side by reference: its leaves are
+      neither decoded nor re-hashed, only linked into the result.  Segments
+      both sides changed are merged entry by entry: a side equal to [base]
+      yields the other side, two equal edits agree, and anything else is a
+      conflict.  Conflicts are found in key order and [on_conflict] is
+      called once per conflict, in key order; its edit must be for the
+      conflict's key ([Invalid_argument] otherwise).  The default resolver
+      resolves nothing, so any genuine conflict yields [Error] with the
+      conflicts in key order.
+
+      The result is the tree [build] would make from the merged record set
+      (structural invariance).  It lives in [ours]'s store: a leaf taken
+      from [base] or [theirs] that this store lacks is copied into it.  A
+      merge that returns [Error] writes nothing: conflicts are found and
+      the merge planned before any chunk is put. *)
 
   (** {1 Merkle proofs}
 

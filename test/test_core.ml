@@ -272,13 +272,19 @@ let test_merge_preview () =
     (ok (FB.merge_preview fb ~key:"d" ~into:"master" ~from_branch:"dev")
      = `Fast_forward);
   ignore (ok (FB.import_csv fb ~key:"d" "id,v\n1,A\n2,b\n"));
+  (* A preview only reads: the merged tree it builds is thrown away. *)
+  let chunks () = (Store.stats (FB.store fb)).Store.physical_chunks in
+  let before = chunks () in
   check bool_ "clean" true
     (ok (FB.merge_preview fb ~key:"d" ~into:"master" ~from_branch:"dev")
      = `Clean);
+  check int_ "clean preview writes nothing" before (chunks ());
   ignore (ok (FB.import_csv fb ~key:"d" "id,v\n1,A\n2,x\n"));
+  let before = chunks () in
   (match ok (FB.merge_preview fb ~key:"d" ~into:"master" ~from_branch:"dev") with
    | `Conflicts (_ :: _) -> ()
    | _ -> Alcotest.fail "expected conflicts");
+  check int_ "conflicting preview writes nothing" before (chunks ());
   (* Preview never moves heads. *)
   check bool_ "heads untouched" true
     (Tutil.contains (ok (FB.export_csv fb ~key:"d")) "2,x")

@@ -478,22 +478,274 @@ let test_merge_remove_vs_modify () =
   | Error _ -> Alcotest.fail "one conflict expected"
 
 let test_merge_page_reuse () =
-  (* Fig. 3: disjoint merges mostly reuse pages; measure dedup hits. *)
+  (* Fig. 3: one key edited per side, far apart.  The merge passes every
+     untouched leaf through by reference, so its store traffic is bounded
+     by the tree's height, not its size: it reads the sides' new paths (the
+     shared index nodes are in the decoded-node cache since the sides were
+     built) and writes the merged tree's new nodes. *)
+  Fb_postree.Node_cache.set_capacity_all 1024;
+  Fun.protect ~finally:(fun () ->
+      Fb_postree.Node_cache.set_capacity_all
+        Fb_postree.Node_cache.default_capacity)
+  @@ fun () ->
   let store = Mem_store.create () in
   let base = Pmap.of_bindings store (mk_bindings 20_000) in
   let ours = Pmap.put base "key-000100" "A" in
   let theirs = Pmap.put base "key-019000" "B" in
+  let height = Pmap.height base in
+  let s0 = Store.stats store in
+  let merged =
+    match Pmap.merge ~base ~ours ~theirs () with
+    | Ok m -> m
+    | Error _ -> Alcotest.fail "conflict"
+  in
+  let s1 = Store.stats store in
+  let gets = s1.Store.gets - s0.Store.gets
+  and puts = s1.Store.puts - s0.Store.puts
+  and fresh = s1.Store.physical_chunks - s0.Store.physical_chunks in
+  check bool_
+    (Printf.sprintf "fresh %d <= 4 + 3 * height %d" fresh height)
+    true (fresh <= 4 + (3 * height));
+  check bool_
+    (Printf.sprintf "gets %d <= 4 * height %d" gets height)
+    true (gets <= 4 * height);
+  check bool_
+    (Printf.sprintf "puts %d <= 8 * height %d" puts height)
+    true (puts <= 8 * height);
+  check bool_ "canonical" true
+    (same_root merged
+       (Pmap.update base
+          [ Pmap.Put (Pmap.binding "key-000100" "A");
+            Pmap.Put (Pmap.binding "key-019000" "B") ]))
+
+let test_merge_conflict_writes_nothing () =
+  let store = Mem_store.create () in
+  let base = Pmap.of_bindings store (mk_bindings 5000) in
+  let ours =
+    Pmap.update base
+      [ Pmap.Put (Pmap.binding "key-000010" "ours");
+        Pmap.Put (Pmap.binding "key-002500" "ours") ]
+  in
+  let theirs =
+    Pmap.update base
+      [ Pmap.Put (Pmap.binding "key-002500" "theirs");
+        Pmap.Put (Pmap.binding "key-004990" "theirs") ]
+  in
   let s0 = Store.stats store in
   (match Pmap.merge ~base ~ours ~theirs () with
-   | Ok _ -> ()
-   | Error _ -> Alcotest.fail "conflict");
+   | Ok _ -> Alcotest.fail "expected a conflict"
+   | Error cs -> check int_ "one conflict" 1 (List.length cs));
   let s1 = Store.stats store in
-  let puts = s1.Store.puts - s0.Store.puts in
-  let fresh = s1.Store.physical_chunks - s0.Store.physical_chunks in
-  check bool_
-    (Printf.sprintf "fresh %d << puts %d" fresh puts)
-    true
-    (fresh <= 4 + (3 * Pmap.height base))
+  check int_ "no puts" s0.Store.puts s1.Store.puts;
+  check int_ "no new chunks" s0.Store.physical_chunks s1.Store.physical_chunks
+
+(* ---------------- merge against the reference algorithm ----------------
+
+   Multi-level trees (2k-20k entries, plus empty and single-leaf bases),
+   each side making clustered and scattered puts and removes, appends,
+   tail deletes and last-leaf edits, with ops shared by both sides to force
+   agreements and conflicts.  The merged root must be the canonical tree of
+   the model's record set, and result, conflicts and resolver calls must
+   equal the diff + diff + update algorithm's ({!Merge_ref}). *)
+
+module Ref = Merge_ref.Make (struct
+  include Pmap
+
+  type entry = binding
+  type key = string
+end)
+
+(* Base keys sit on even slots, inserts on odd ones, appends past 2n. *)
+let slot_key i = Printf.sprintf "k%07d" i
+
+type merge_op =
+  | Cluster_put of int * int    (* first slot, length *)
+  | Scatter_put of int list
+  | Cluster_remove of int * int
+  | Scatter_remove of int list
+  | Append of int
+  | Drop_tail of int
+  | Edit_tail of int
+  | Keep_first of int           (* 0 empties the side *)
+
+type merge_case = {
+  n : int;
+  ours_ops : merge_op list;
+  theirs_ops : merge_op list;
+  shared : merge_op list;       (* applied by both sides *)
+  agree : bool;                 (* shared puts write equal values *)
+  resolver : int;               (* 0 none, 1 ours, 2 theirs *)
+}
+
+let edits_of_op n tag op =
+  let put i = Pmap.Put (Pmap.binding (slot_key i) (Printf.sprintf "%s%d" tag i)) in
+  let rm i = Pmap.Remove (slot_key i) in
+  let range lo len = List.init (max 0 len) (fun j -> lo + j) in
+  let tail len = range (2 * max 0 (n - len)) (2 * min n len) in
+  match op with
+  | Cluster_put (s, l) -> List.map put (range s l)
+  | Scatter_put l -> List.map put l
+  | Cluster_remove (s, l) -> List.map rm (range s l)
+  | Scatter_remove l -> List.map rm l
+  | Append l -> List.map put (range (2 * n) l)
+  | Drop_tail l -> List.map rm (tail l)
+  | Edit_tail l -> List.filter_map (fun i -> if i mod 2 = 0 then Some (put i) else None) (tail l)
+  | Keep_first m -> List.map rm (range (2 * m) (2 * (n - m)))
+
+let pp_merge_op = function
+  | Cluster_put (s, l) -> Printf.sprintf "cluster_put(%d,%d)" s l
+  | Scatter_put l -> Printf.sprintf "scatter_put(%d)" (List.length l)
+  | Cluster_remove (s, l) -> Printf.sprintf "cluster_remove(%d,%d)" s l
+  | Scatter_remove l -> Printf.sprintf "scatter_remove(%d)" (List.length l)
+  | Append l -> Printf.sprintf "append(%d)" l
+  | Drop_tail l -> Printf.sprintf "drop_tail(%d)" l
+  | Edit_tail l -> Printf.sprintf "edit_tail(%d)" l
+  | Keep_first m -> Printf.sprintf "keep_first(%d)" m
+
+let pp_merge_case c =
+  let ops l = String.concat ";" (List.map pp_merge_op l) in
+  Printf.sprintf "n=%d ours=[%s] theirs=[%s] shared=[%s] agree=%b resolver=%d"
+    c.n (ops c.ours_ops) (ops c.theirs_ops) (ops c.shared) c.agree c.resolver
+
+let gen_merge_case =
+  let open QCheck.Gen in
+  frequency [ (1, return 0); (1, int_range 1 12); (8, int_range 2000 20000) ]
+  >>= fun n ->
+  let slots = max 1 (2 * n) in
+  let slot = int_bound (slots - 1) in
+  let op =
+    frequency
+      [ (4, map2 (fun s l -> Cluster_put (s, l)) slot (int_range 1 200));
+        (3, map (fun l -> Scatter_put l) (list_size (int_range 1 40) slot));
+        (2, map2 (fun s l -> Cluster_remove (s, l)) slot (int_range 1 200));
+        (2, map (fun l -> Scatter_remove l) (list_size (int_range 1 40) slot));
+        (2, map (fun l -> Append l) (int_range 1 300));
+        (1, map (fun l -> Drop_tail l) (int_range 1 300));
+        (2, map (fun l -> Edit_tail l) (int_range 1 40));
+        (1, map (fun m -> Keep_first m) (int_range 0 10)) ]
+  in
+  let ops = list_size (int_range 0 3) op in
+  map3
+    (fun (ours_ops, theirs_ops) (shared, agree) resolver ->
+      { n; ours_ops; theirs_ops; shared; agree; resolver })
+    (pair ops ops)
+    (pair (list_size (int_range 0 2) op) bool)
+    (int_bound 2)
+
+(* The three-way rule per key, over plain bindings. *)
+let model_merge resolver base ours theirs =
+  let tbl l =
+    let t = Hashtbl.create 1024 in
+    List.iter (fun (k, v) -> Hashtbl.replace t k v) l;
+    t
+  in
+  let b = tbl base and o = tbl ours and t = tbl theirs in
+  let keys =
+    List.sort_uniq compare (List.map fst base @ List.map fst ours @ List.map fst theirs)
+  in
+  List.filter_map
+    (fun k ->
+      let bv = Hashtbl.find_opt b k
+      and ov = Hashtbl.find_opt o k
+      and tv = Hashtbl.find_opt t k in
+      let v =
+        if ov = bv then tv
+        else if tv = bv || ov = tv then ov
+        else match resolver with 1 -> ov | 2 -> tv | _ -> None
+      in
+      Option.map (fun v -> (k, v)) v)
+    keys
+
+let merge_case_base store c =
+  Pmap.of_bindings store (List.init c.n (fun i -> (slot_key (2 * i), "b")))
+
+let merge_case_side c base tag own =
+  let shared_tag = if c.agree then "s" else tag in
+  Pmap.update base
+    (List.concat_map (edits_of_op c.n tag) own
+     @ List.concat_map (edits_of_op c.n shared_tag) c.shared)
+
+let merge_case_sides store c =
+  let base = merge_case_base store c in
+  (base, merge_case_side c base "o" c.ours_ops,
+   merge_case_side c base "t" c.theirs_ops)
+
+let check_merge_case c =
+  let store = Mem_store.create () in
+  let base, ours, theirs = merge_case_sides store c in
+  let resolver =
+    match c.resolver with
+    | 1 -> Pmap.resolve_ours
+    | 2 -> Pmap.resolve_theirs
+    | _ -> fun _ -> None
+  in
+  let recording () =
+    let calls = ref [] in
+    ((fun conflict ->
+       calls := conflict :: !calls;
+       resolver conflict),
+     calls)
+  in
+  let on_new, calls_new = recording () in
+  let on_ref, calls_ref = recording () in
+  let got = Pmap.merge ~on_conflict:on_new ~base ~ours ~theirs () in
+  let want = Ref.merge ~equal:( = ) ~on_conflict:on_ref ~base ~ours ~theirs () in
+  let fail fmt = Printf.ksprintf (fun s -> QCheck.Test.fail_report s) fmt in
+  if !calls_new <> !calls_ref then fail "resolver calls differ";
+  match got, want with
+  | Ok m, Ok r ->
+    let model =
+      Pmap.of_bindings store
+        (model_merge c.resolver (Pmap.bindings base) (Pmap.bindings ours)
+           (Pmap.bindings theirs))
+    in
+    if not (same_root m r) then fail "merged root differs from the reference";
+    if not (same_root m model) then fail "merged root is not the model's tree";
+    (match Pmap.validate m with
+     | Ok () -> true
+     | Error e -> fail "validate: %s" e)
+  | Error cs, Error rs -> cs = rs || fail "conflict lists differ"
+  | Ok _, Error _ -> fail "reference conflicts, merge does not"
+  | Error _, Ok _ -> fail "merge conflicts, reference does not"
+
+let merge_oracle_property =
+  QCheck.Test.make ~name:"pos-tree: merge = reference on multi-level trees"
+    ~count:30
+    (QCheck.make ~print:pp_merge_case gen_merge_case)
+    check_merge_case
+
+let test_merge_theirs_in_second_store () =
+  (* [theirs] lives in a store that holds nothing else: the leaves the
+     merge takes from it are copied, so the result is complete in
+     [ours.store]. *)
+  let c =
+    { n = 8000;
+      ours_ops = [ Cluster_put (100, 50); Append 40 ];
+      theirs_ops =
+        [ Scatter_put [ 3000; 7001; 9000; 12002 ]; Cluster_remove (14000, 300) ];
+      shared = [];
+      agree = false;
+      resolver = 0 }
+  in
+  let want =
+    let base, ours, theirs = merge_case_sides (Mem_store.create ()) c in
+    match Ref.merge ~equal:( = ) ~base ~ours ~theirs () with
+    | Ok r -> r
+    | Error _ -> Alcotest.fail "reference conflicts"
+  in
+  let store = Mem_store.create () in
+  let base = merge_case_base store c in
+  let ours = merge_case_side c base "o" c.ours_ops in
+  let theirs =
+    merge_case_side c (merge_case_base (Mem_store.create ()) c) "t"
+      c.theirs_ops
+  in
+  match Pmap.merge ~base ~ours ~theirs () with
+  | Error _ -> Alcotest.fail "unexpected conflict"
+  | Ok m ->
+    check bool_ "same root as the reference" true (same_root m want);
+    check bool_ "result in ours' store" true (Pmap.store m == store);
+    check bool_ "validate" true (Pmap.validate m = Ok ())
 
 (* ---------------- validation / corruption ---------------- *)
 
@@ -819,7 +1071,7 @@ let qcheck_cases =
   ]
 
 let suite =
-  List.map QCheck_alcotest.to_alcotest qcheck_cases
+  List.map QCheck_alcotest.to_alcotest (qcheck_cases @ [ merge_oracle_property ])
   @ [ Alcotest.test_case "empty tree" `Quick test_empty;
       Alcotest.test_case "build and find" `Quick test_build_and_find;
       Alcotest.test_case "single entry" `Quick test_single_entry;
@@ -857,6 +1109,10 @@ let suite =
       Alcotest.test_case "merge remove vs modify" `Quick
         test_merge_remove_vs_modify;
       Alcotest.test_case "merge page reuse" `Slow test_merge_page_reuse;
+      Alcotest.test_case "merge conflict writes nothing" `Quick
+        test_merge_conflict_writes_nothing;
+      Alcotest.test_case "merge theirs in second store" `Quick
+        test_merge_theirs_in_second_store;
       Alcotest.test_case "validate detects bitflip" `Quick
         test_validate_detects_bitflip;
       Alcotest.test_case "validate detects missing chunk" `Quick

@@ -21,6 +21,14 @@ The exit status is non-zero if any run failed, if any run reported failed
 operations, or if `space_amp`, `wire_kib_per_op` or the failed-operation count
 differ between the two sides of a pair: those are fixed by the seed, so a
 difference means the change altered the work, not its speed.
+
+With `--trace` the pairs run `--trace 1` and report the per-layer metrics
+instead.  The counts that fix the work a change must keep (every `sync.*`
+count, `chunk.new_puts_per_op`, `chunk.flushes_per_op`,
+`chunk.log_bytes_per_user_byte` and `server.frames_per_op`) must be identical
+within each pair, or the exit status is non-zero.  The counts a change may
+legitimately move (`postree.*`, `chunk.gets_per_op`, `chunk.puts_per_op` and
+`hash.bytes_per_op`) are printed per pair, not gated.
 """
 
 import argparse
@@ -34,6 +42,19 @@ import tempfile
 
 SECONDS = 20
 SAME_PER_SEED = ("space_amp", "wire_kib_per_op")
+TRACED_SAME = ("chunk.new_puts_per_op", "chunk.flushes_per_op",
+               "chunk.log_bytes_per_user_byte", "server.frames_per_op")
+TRACED_MOVABLE = ("chunk.gets_per_op", "chunk.puts_per_op", "hash.bytes_per_op")
+
+
+def same_per_seed(name, trace):
+    if not trace:
+        return name in SAME_PER_SEED
+    return name.startswith("sync.") or name in TRACED_SAME
+
+
+def movable(name):
+    return name.startswith("postree.") or name in TRACED_MOVABLE
 
 
 def quartiles(xs):
@@ -49,9 +70,10 @@ def extract(rev, dest):
     subprocess.run(["tar", "-x", "-C", dest], input=archive.stdout, check=True)
 
 
-def run_once(tree, workload, seed):
+def run_once(tree, workload, seed, trace):
     cmd = [sys.executable, "fbperf/run.py", "--workload", workload,
-           "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0"]
+           "--seed", str(seed), "--seconds", str(SECONDS),
+           "--trace", "1" if trace else "0"]
     proc = subprocess.run(cmd, cwd=tree, stdout=subprocess.PIPE,
                           stderr=subprocess.DEVNULL, text=True)
     lines = proc.stdout.strip().splitlines()
@@ -66,12 +88,16 @@ def main():
     ap.add_argument("--seeds", default="1,2,3,4,5", help="comma-separated seeds")
     ap.add_argument("--workloads", default="sync,dataset",
                     help="comma-separated fbperf workloads")
+    ap.add_argument("--trace", action="store_true",
+                    help="run traced pairs and check the work counts")
     args = ap.parse_args()
     seeds = [int(s) for s in args.seeds.split(",") if s]
     workloads = [w for w in args.workloads.split(",") if w]
 
     with open("BENCHMARK.json") as f:
-        better = {m["name"]: m["better"] for m in json.load(f)["end_to_end"]}
+        bench = json.load(f)
+    better = {m["name"]: m["better"]
+              for m in bench["end_to_end"] + bench["per_layer"]}
 
     scratch = tempfile.mkdtemp(prefix="fb-ab-")
     ok = True
@@ -87,7 +113,7 @@ def main():
             pairs = 0
             for i, seed in enumerate(seeds):
                 order = ("base", "change") if i % 2 == 0 else ("change", "base")
-                results = {side: run_once(sides[side], workload, seed)
+                results = {side: run_once(sides[side], workload, seed, args.trace)
                            for side in order}
                 if any(r is None for r in results.values()):
                     print(f"{workload} seed {seed}: run failed", file=sys.stderr)
@@ -99,12 +125,16 @@ def main():
                               f"failed operations", file=sys.stderr)
                         ok = False
                 b, c = results["base"], results["change"]
-                for name in SAME_PER_SEED:
-                    if b["metrics"][name]["value"] != c["metrics"][name]["value"]:
+                for name in b["metrics"]:
+                    bv = b["metrics"][name]["value"]
+                    cv = c["metrics"][name]["value"]
+                    if same_per_seed(name, args.trace) and bv != cv:
                         print(f"{workload} seed {seed}: {name} differs "
-                              f"({b['metrics'][name]['value']} vs "
-                              f"{c['metrics'][name]['value']})", file=sys.stderr)
+                              f"({bv} vs {cv})", file=sys.stderr)
                         ok = False
+                    elif args.trace and movable(name):
+                        print(f"{workload} seed {seed}: {name} {bv:.6g} -> "
+                              f"{cv:.6g}", file=sys.stderr)
                 if b.get("failed") != c.get("failed"):
                     print(f"{workload} seed {seed}: failed-operation count differs",
                           file=sys.stderr)
