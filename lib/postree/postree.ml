@@ -131,6 +131,18 @@ module Make (E : ENTRY) = struct
     Chunker.finish ch;
     List.rev !out
 
+  (* A chunker whose every leaf is written to [store] and whose index
+     entry is pushed onto [out] (so [out] holds the leaf row reversed). *)
+  let leaf_chunker store out =
+    let emit items =
+      let id = Store.put store (leaf_chunk items) in
+      out :=
+        { split = E.key (last_exn items); child = id;
+          count = List.length items }
+        :: !out
+    in
+    Chunker.create ~params ~max_bytes:max_node_bytes ~emit ()
+
   let chunk_leaf_level store entries =
     chunk_level ~mk_chunk:leaf_chunk ~encode_item:encode_entry
       ~split_of:E.key ~count_of:(fun _ -> 1) store entries
@@ -170,15 +182,7 @@ module Make (E : ENTRY) = struct
   let build_sorted_seq store seq =
     Obs.with_span span_build @@ fun () ->
     let out = ref [] in
-    let emit items =
-      let chunk = leaf_chunk items in
-      let id = Store.put store chunk in
-      out :=
-        { split = E.key (last_exn items); child = id;
-          count = List.length items }
-        :: !out
-    in
-    let ch = Chunker.create ~params ~max_bytes:max_node_bytes ~emit () in
+    let ch = leaf_chunker store out in
     let prev = ref None in
     Seq.iter
       (fun e ->
@@ -469,15 +473,7 @@ module Make (E : ENTRY) = struct
            over the edited record set. *)
         let out = ref [] in
         let reuse ie = out := ie :: !out in
-        let emit items =
-          let chunk = leaf_chunk items in
-          let id = Store.put t.store chunk in
-          out :=
-            { split = E.key (last_exn items); child = id;
-              count = List.length items }
-            :: !out
-        in
-        let ch = Chunker.create ~params ~max_bytes:max_node_bytes ~emit () in
+        let ch = leaf_chunker t.store out in
         let add_entry e = Chunker.add ch e (encode_entry e) in
         (* Reuse whole leaves strictly before the one containing [k]; a key
            beyond every split targets the last leaf (appends coalesce into
@@ -821,14 +817,7 @@ module Make (E : ENTRY) = struct
     else begin
       let store = ours.store in
       let out = ref [] in
-      let emit items =
-        let id = Store.put store (leaf_chunk items) in
-        out :=
-          { split = E.key (last_exn items); child = id;
-            count = List.length items }
-          :: !out
-      in
-      let ch = Chunker.create ~params ~max_bytes:max_node_bytes ~emit () in
+      let ch = leaf_chunker store out in
       let add e = Chunker.add ch e (encode_entry e) in
       (* A row's last leaf may end without a pattern, so it is fed rather
          than passed through. *)
