@@ -753,7 +753,7 @@ let run_ablation () =
 
 let run_storage () =
   header
-    "STORAGE TIER: durable backend, LRU cache, verified reads, pack files\n\
+    "STORAGE TIER: durable backend, verified reads, pack files\n\
      (100k-entry map; 2000 random lookups per configuration)";
   let bindings =
     List.init 100_000 (fun i -> (Printf.sprintf "key-%08d" i, "value-payload"))
@@ -782,12 +782,6 @@ let run_storage () =
   ignore (Sys.command ("rm -rf " ^ Filename.quote tmp));
   let file_store = Fb_chunk.File_store.create ~root:tmp () in
   bench_lookups "file (directory backend)" file_store;
-  let cached, cstats = Fb_chunk.Cache_store.wrap ~capacity:4096 file_store in
-  bench_lookups "file + lru(4096)" cached;
-  Printf.printf "  cache: %d hits, %d misses, %d evictions (hit ratio %.1f%%)\n"
-    cstats.Fb_chunk.Cache_store.hits cstats.Fb_chunk.Cache_store.misses
-    cstats.Fb_chunk.Cache_store.evictions
-    (100.0 *. Fb_chunk.Cache_store.hit_ratio cstats);
   let verified, _ = Fb_chunk.Verified_store.wrap (Mem_store.create ()) in
   bench_lookups "mem + verify-on-read (paranoid)" verified;
   (* Pack: freeze the file store and read through the archive. *)

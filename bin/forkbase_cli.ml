@@ -1181,7 +1181,14 @@ module Top = struct
       (List.filter_map
          (fun (k, v) ->
            if ends_with ~suffix:".hit_ratio" k then
-             Some (k, Printf.sprintf "%5.1f%% hits" (v *. 100.0))
+             let name = Filename.chop_suffix k ".hit_ratio" in
+             let rejected =
+               Option.value ~default:0.0
+                 (List.assoc_opt (name ^ ".rejected") cur.gauges)
+             in
+             Some
+               (name, Printf.sprintf "%5.1f%% hits  %.0f rejected" (v *. 100.0)
+                  rejected)
            else None)
          cur.gauges);
     section "log store"

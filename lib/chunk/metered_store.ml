@@ -21,14 +21,6 @@ let register_store_stats ?(prefix = "fb_store") (s : Store.t) =
   stat ".dedup_hits" (fun () -> float_of_int (Store.stats s).Store.dedup_hits);
   stat ".dedup_ratio" (fun () -> Store.dedup_ratio (Store.stats s))
 
-let register_cache ?(prefix = "fb_cache") (cs : Cache_store.cache_stats) =
-  Obs.gauge (prefix ^ ".hits") (fun () -> float_of_int cs.Cache_store.hits);
-  Obs.gauge (prefix ^ ".misses") (fun () ->
-      float_of_int cs.Cache_store.misses);
-  Obs.gauge (prefix ^ ".evictions") (fun () ->
-      float_of_int cs.Cache_store.evictions);
-  Obs.gauge (prefix ^ ".hit_ratio") (fun () -> Cache_store.hit_ratio cs)
-
 let register_resilient ?(prefix = "fb_resilient")
     (rs : Resilient_store.stats) =
   let stat f read = Obs.gauge (prefix ^ f) (fun () -> float_of_int (read ())) in

@@ -20,10 +20,6 @@ val register_store_stats : ?prefix:string -> Store.t -> unit
 (** Register gauges over {!Store.stats} (physical chunks/bytes, logical
     bytes, puts, gets, dedup hits, dedup ratio) without metering. *)
 
-val register_cache : ?prefix:string -> Cache_store.cache_stats -> unit
-(** Fold an LRU cache's hits/misses/evictions and hit ratio into the
-    registry (default prefix ["fb_cache"]). *)
-
 val register_resilient : ?prefix:string -> Resilient_store.stats -> unit
 (** Fold the self-healing read stack's retry/repair counters into the
     registry (default prefix ["fb_resilient"]). *)

@@ -10,11 +10,16 @@ let default_capacity =
   | Some s -> (match int_of_string_opt s with Some n when n >= 0 -> n | _ -> 1024)
   | None -> 1024
 
+(* Ghost window, in multiples of capacity: how many recently rejected ids a
+   full cache remembers when deciding whether a miss is a repeat. *)
+let ghost_multiple = 4
+
 type stats = {
   hits : int;
   misses : int;
   evictions : int;
   invalidations : int;
+  rejected : int;
   size : int;
 }
 
@@ -37,10 +42,16 @@ type 'a t = {
   tbl : 'a node Hash.Tbl.t;
   mutable head : 'a node option;  (* most recent *)
   mutable tail : 'a node option;  (* least recent *)
+  (* Ids a full cache refused, oldest first; ids only, never values, so a
+     ghost can never serve a stale decode.  [ghost_ids] mirrors the queue
+     for membership and holds no duplicates. *)
+  ghost : Hash.t Queue.t;
+  ghost_ids : unit Hash.Tbl.t;
   mutable hits : int;
   mutable misses : int;
   mutable evictions : int;
   mutable invalidations : int;
+  mutable rejected : int;
 }
 
 (* Heterogeneous registry (as capacity-setter closures) so benches can turn
@@ -86,16 +97,22 @@ let invalidate_locked t id =
 let invalidate t id =
   Mutex.protect t.lock (fun () -> invalidate_locked t id)
 
+let clear_ghost t =
+  Queue.clear t.ghost;
+  Hash.Tbl.reset t.ghost_ids
+
 let clear t =
   Mutex.protect t.lock (fun () ->
       Hash.Tbl.reset t.tbl;
       t.head <- None;
-      t.tail <- None)
+      t.tail <- None;
+      clear_ghost t)
 
 let set_capacity t cap =
   if cap < 0 then invalid_arg "Node_cache.set_capacity";
   Mutex.protect t.lock (fun () ->
       t.capacity <- cap;
+      clear_ghost t;
       (* Shrinking (or disabling) evicts from the cold end. *)
       let continue = ref (Hash.Tbl.length t.tbl > cap) in
       while !continue do
@@ -119,6 +136,7 @@ let stats t =
         misses = t.misses;
         evictions = t.evictions;
         invalidations = t.invalidations;
+        rejected = t.rejected;
         size = Hash.Tbl.length t.tbl })
 
 let create ~name =
@@ -129,10 +147,13 @@ let create ~name =
       tbl = Hash.Tbl.create 512;
       head = None;
       tail = None;
+      ghost = Queue.create ();
+      ghost_ids = Hash.Tbl.create 512;
       hits = 0;
       misses = 0;
       evictions = 0;
-      invalidations = 0 }
+      invalidations = 0;
+      rejected = 0 }
   in
   registry := (fun cap -> set_capacity t cap) :: !registry;
   (* Deletions anywhere (GC sweep, scrub quarantine) must not leave a
@@ -141,26 +162,41 @@ let create ~name =
   let g suffix f = Obs.gauge ("node_cache." ^ name ^ "." ^ suffix) f in
   g "hits" (fun () -> float_of_int t.hits);
   g "misses" (fun () -> float_of_int t.misses);
+  g "rejected" (fun () -> float_of_int t.rejected);
   g "size" (fun () -> float_of_int (Hash.Tbl.length t.tbl));
   g "hit_ratio" (fun () ->
       let total = t.hits + t.misses in
       if total = 0 then 0.0 else float_of_int t.hits /. float_of_int total);
   t
 
+(* Admission: below capacity every id is admitted.  A full cache admits
+   an id only on its second miss within the ghost window; on the first it
+   remembers the id and drops the value.  A one-pass scan of fresh nodes
+   therefore leaves the residents in place instead of cycling itself
+   through the cache. *)
 let add t id value =
   Mutex.protect t.lock (fun () ->
-      if t.capacity > 0 && not (Hash.Tbl.mem t.tbl id) then begin
-        let n = { id; value; prev = None; next = None } in
-        Hash.Tbl.replace t.tbl id n;
-        push_front t n;
-        if Hash.Tbl.length t.tbl > t.capacity then
-          match t.tail with
-          | None -> ()
-          | Some n ->
-            unlink t n;
-            Hash.Tbl.remove t.tbl n.id;
-            t.evictions <- t.evictions + 1
-      end)
+      if t.capacity > 0 && not (Hash.Tbl.mem t.tbl id) then
+        if Hash.Tbl.length t.tbl < t.capacity || Hash.Tbl.mem t.ghost_ids id
+        then begin
+          let n = { id; value; prev = None; next = None } in
+          Hash.Tbl.replace t.tbl id n;
+          push_front t n;
+          if Hash.Tbl.length t.tbl > t.capacity then
+            match t.tail with
+            | None -> ()
+            | Some n ->
+              unlink t n;
+              Hash.Tbl.remove t.tbl n.id;
+              t.evictions <- t.evictions + 1
+        end
+        else begin
+          t.rejected <- t.rejected + 1;
+          Queue.push id t.ghost;
+          Hash.Tbl.replace t.ghost_ids id ();
+          if Queue.length t.ghost > ghost_multiple * t.capacity then
+            Hash.Tbl.remove t.ghost_ids (Queue.pop t.ghost)
+        end)
 
 let find_live t store id =
   let hit =

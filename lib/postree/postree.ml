@@ -575,16 +575,16 @@ module Make (E : ENTRY) = struct
     in
     go h 1
 
-  let rec diff_nodes store h1 h2 height acc =
+  (* [s1] holds the first tree's nodes and [s2] the second's: the two trees
+     may live in different stores. *)
+  let rec diff_nodes s1 s2 h1 h2 height acc =
     if Hash.equal h1 h2 then acc
     else
-      match read_node store h1, read_node store h2 with
+      match read_node s1 h1, read_node s2 h2 with
       | Leaf e1, Leaf e2 -> diff_entries e1 e2 acc
-      | Index i1, Index i2 -> diff_rows store i1 i2 (height - 1) acc
-      | Leaf e1, Index _ ->
-        diff_entries e1 (subtree_entries store [ h2 ]) acc
-      | Index _, Leaf e2 ->
-        diff_entries (subtree_entries store [ h1 ]) e2 acc
+      | Index i1, Index i2 -> diff_rows s1 s2 i1 i2 (height - 1) acc
+      | Leaf e1, Index _ -> diff_entries e1 (subtree_entries s2 [ h2 ]) acc
+      | Index _, Leaf e2 -> diff_entries (subtree_entries s1 [ h1 ]) e2 acc
 
   (* Walk two rows of index entries (pointing to sub-trees of [height]) by
      split key.  Children that align on the same split key are recursed into
@@ -592,17 +592,17 @@ module Make (E : ENTRY) = struct
      and compared entry-wise.  Thanks to structural invariance such spans
      only appear next to actual differences, so the walk skips identical
      regions wholesale. *)
-  and diff_rows store i1 i2 height acc =
+  and diff_rows s1 s2 i1 i2 height acc =
     let flush span1 span2 acc =
       match span1, span2 with
       | [], [] -> acc
       | [ a ], [ b ] ->
         (* A lone realigned pair keeps recursing instead of flattening. *)
-        diff_nodes store a.child b.child height acc
+        diff_nodes s1 s2 a.child b.child height acc
       | _ when height > 1 ->
         (* Boundary-shifted index spans: expand one level and realign —
            the shift is local, so the next level prunes again. *)
-        let expand span =
+        let expand store span =
           List.concat_map
             (fun ie ->
               match read_node store ie.child with
@@ -612,13 +612,13 @@ module Make (E : ENTRY) = struct
                   (Hash.to_hex ie.child))
             (List.rev span)
         in
-        diff_rows store (expand span1) (expand span2) (height - 1) acc
+        diff_rows s1 s2 (expand s1 span1) (expand s2 span2) (height - 1) acc
       | _ ->
         (* Leaf-level spans: compare the actual entries. *)
         let hs l = List.rev_map (fun ie -> ie.child) l in
         diff_entries
-          (subtree_entries store (hs span1))
-          (subtree_entries store (hs span2))
+          (subtree_entries s1 (hs span1))
+          (subtree_entries s2 (hs span2))
           acc
     in
     let rec walk l1 l2 span1 span2 acc =
@@ -650,24 +650,27 @@ module Make (E : ENTRY) = struct
         else begin
           let ht1 = node_height t1.store h1
           and ht2 = node_height t2.store h2 in
-          if ht1 = ht2 then diff_nodes t1.store h1 h2 ht1 []
+          if ht1 = ht2 then diff_nodes t1.store t2.store h1 h2 ht1 []
           else begin
             (* Expand both sides to the rows one level below the shorter
                root: that is the first level where content-defined
                boundaries realign, so pruning applies again. *)
             let target = max 1 (min ht1 ht2 - 1) in
-            let row_of h ht =
+            let row_of store h ht =
               if ht = target then
                 (* Only when the shorter tree is a single leaf. *)
                 let split =
-                  match read_node t1.store h with
+                  match read_node store h with
                   | Leaf es -> E.key (last_exn es)
                   | Index ies -> (last_exn ies).split
                 in
                 [ { split; child = h; count = 0 } ]
-              else row_below t1.store h (ht - target)
+              else row_below store h (ht - target)
             in
-            diff_rows t1.store (row_of h1 ht1) (row_of h2 ht2) target []
+            diff_rows t1.store t2.store
+              (row_of t1.store h1 ht1)
+              (row_of t2.store h2 ht2)
+              target []
           end
         end
     in

@@ -121,7 +121,9 @@ module type S = sig
 
   val diff : t -> t -> change list
   (** [diff t1 t2] — changes turning [t1] into [t2], sorted by key.
-      Sub-trees with equal ids are pruned without being read. *)
+      Sub-trees with equal ids are pruned without being read.  Each tree is
+      read through its own store, so [t1] and [t2] may live in different
+      stores; a diff across two stores equals the same diff inside one. *)
 
   val edit_of_change : change -> edit
   (** Forward direction: the edit that applies the change to [t1]. *)

@@ -184,72 +184,10 @@ let test_verified_store_rejects_forged_reads () =
      Alcotest.fail "forged chunk served"
    with Fb_postree.Postree.Corrupt _ -> ())
 
-let test_cache_store_semantics () =
-  let inner = Mem_store.create () in
-  let store, stats = Cache_store.wrap ~capacity:2 inner in
-  (* Cached stores behave identically. *)
-  store_semantics store;
-  ignore stats
-
-let test_cache_store_hits_and_eviction () =
-  let inner = Mem_store.create () in
-  let store, stats = Cache_store.wrap ~capacity:2 inner in
-  let id1 = Store.put store (Chunk.v Chunk.Leaf_blob "one") in
-  let id2 = Store.put store (Chunk.v Chunk.Leaf_blob "two") in
-  let id3 = Store.put store (Chunk.v Chunk.Leaf_blob "three") in
-  (* id1 was evicted by id3 (capacity 2, LRU). *)
-  check int_ "evictions" 1 stats.Cache_store.evictions;
-  ignore (Store.get store id3);
-  ignore (Store.get store id2);
-  check int_ "hits" 2 stats.Cache_store.hits;
-  ignore (Store.get store id1);
-  check int_ "miss refills" 1 stats.Cache_store.misses;
-  (* Inner reads dropped: id1 came from inner once. *)
-  check bool_ "content correct" true
-    (match Store.get store id1 with
-     | Some c -> String.equal c.Chunk.payload "one"
-     | None -> false);
-  (* Deleting forgets the cache entry. *)
-  ignore (store.Store.delete id2);
-  check bool_ "deleted gone" true (Store.get store id2 = None);
-  Alcotest.check_raises "capacity >= 1"
-    (Invalid_argument "Cache_store.wrap: capacity must be >= 1") (fun () ->
-      ignore (Cache_store.wrap ~capacity:0 inner))
-
-let test_cache_store_avoids_inner_reads () =
-  (* The decoded-node cache sits above the chunk-level LRU under test and
-     would absorb these reads before they reach it; switch it off for the
-     duration. *)
-  Fb_postree.Node_cache.set_capacity_all 0;
-  Fun.protect
-    ~finally:(fun () ->
-      Fb_postree.Node_cache.set_capacity_all
-        Fb_postree.Node_cache.default_capacity)
-    (fun () ->
-      let inner = Mem_store.create () in
-      let store, stats = Cache_store.wrap ~capacity:1000 inner in
-      let t =
-        Fb_postree.Pmap.of_bindings store
-          (List.init 5000 (fun i -> (Printf.sprintf "%05d" i, "value")))
-      in
-      let inner_gets_before = (Store.stats inner).Store.gets in
-      for i = 0 to 99 do
-        ignore (Fb_postree.Pmap.find t (Printf.sprintf "%05d" (i * 37)))
-      done;
-      check int_ "all served from cache" inner_gets_before
-        (Store.stats inner).Store.gets;
-      check bool_ "hits counted" true (stats.Cache_store.hits > 100))
-
 let suite =
   [ Alcotest.test_case "chunk roundtrip" `Quick test_chunk_roundtrip;
     Alcotest.test_case "verified store rejects forgeries" `Quick
       test_verified_store_rejects_forged_reads;
-    Alcotest.test_case "cache store semantics" `Quick
-      test_cache_store_semantics;
-    Alcotest.test_case "cache hits/eviction" `Quick
-      test_cache_store_hits_and_eviction;
-    Alcotest.test_case "cache avoids inner reads" `Quick
-      test_cache_store_avoids_inner_reads;
     Alcotest.test_case "chunk decode errors" `Quick test_chunk_decode_errors;
     Alcotest.test_case "chunk identity" `Quick test_chunk_identity;
     Alcotest.test_case "mem store semantics" `Quick test_mem_store;

@@ -861,6 +861,345 @@ let test_node_cache_unit () =
   check bool_ "disabled cache stores nothing" true
     (Node_cache.find_live off store id2 = None)
 
+(* Admission on second miss once full.  [chunk_ids store n] puts [n]
+   distinct chunks and returns their ids, so [find_live] has something to
+   probe. *)
+let chunk_ids store n =
+  Array.init n (fun i ->
+      Store.put store (Chunk.v Chunk.Leaf_blob (Printf.sprintf "node-%d" i)))
+
+let cache_of ~cap =
+  let c : string Node_cache.t = Node_cache.create ~name:"test-admit" in
+  Node_cache.set_capacity c cap;
+  c
+
+let test_node_cache_admits_below_capacity () =
+  (* Until the cache is full every add is admitted: plain LRU. *)
+  let store = Mem_store.create () in
+  let ids = chunk_ids store 8 in
+  let c = cache_of ~cap:8 in
+  Array.iteri (fun i id -> Node_cache.add c id (string_of_int i)) ids;
+  Array.iteri
+    (fun i id ->
+      check bool_ "admitted" true
+        (Node_cache.find_live c store id = Some (string_of_int i)))
+    ids;
+  let s = Node_cache.stats c in
+  check int_ "size" 8 s.Node_cache.size;
+  check int_ "nothing rejected" 0 s.Node_cache.rejected;
+  check int_ "nothing evicted" 0 s.Node_cache.evictions
+
+let test_node_cache_scan_resistant () =
+  (* A full cache meets a one-pass scan of many more distinct ids than it
+     holds: nothing resident is evicted and every resident still hits. *)
+  let store = Mem_store.create () in
+  let ids = chunk_ids store 108 in
+  let c = cache_of ~cap:8 in
+  for i = 0 to 7 do Node_cache.add c ids.(i) "resident" done;
+  for i = 8 to 107 do
+    check bool_ "scan misses" true (Node_cache.find_live c store ids.(i) = None);
+    Node_cache.add c ids.(i) "scan"
+  done;
+  let s = Node_cache.stats c in
+  check int_ "scan rejected" 100 s.Node_cache.rejected;
+  check int_ "no eviction" 0 s.Node_cache.evictions;
+  for i = 0 to 7 do
+    check bool_ "resident hits" true
+      (Node_cache.find_live c store ids.(i) = Some "resident")
+  done
+
+let test_node_cache_second_miss_admits () =
+  let store = Mem_store.create () in
+  let cap = 4 in
+  let window = Node_cache.ghost_multiple * cap in
+  let ids = chunk_ids store (cap + 2 + (2 * window)) in
+  let c = cache_of ~cap in
+  for i = 0 to cap - 1 do Node_cache.add c ids.(i) "resident" done;
+  (* Touch all but resident 0, which becomes the LRU entry. *)
+  for i = 1 to cap - 1 do ignore (Node_cache.find_live c store ids.(i)) done;
+  let x = ids.(cap) in
+  Node_cache.add c x "x";
+  check bool_ "first miss rejected" true (Node_cache.find_live c store x = None);
+  (* [window - 1] further rejections keep [x] inside the ghost window. *)
+  for i = cap + 2 to cap + window do Node_cache.add c ids.(i) "scan" done;
+  Node_cache.add c x "x";
+  check bool_ "second miss admitted" true
+    (Node_cache.find_live c store x = Some "x");
+  check bool_ "LRU resident evicted" true
+    (Node_cache.find_live c store ids.(0) = None);
+  check int_ "one eviction" 1 (Node_cache.stats c).Node_cache.evictions;
+  (* An id that [window] fresh rejections pushed out of the window is a
+     first miss again. *)
+  let y = ids.(cap + 1) in
+  Node_cache.add c y "y";
+  for i = cap + 2 + window to cap + 1 + (2 * window) do
+    Node_cache.add c ids.(i) "fresh"
+  done;
+  Node_cache.add c y "y";
+  check bool_ "aged-out ghost rejected" true
+    (Node_cache.find_live c store y = None)
+
+let test_node_cache_reset_empties_ghosts () =
+  (* [clear] and [set_capacity 0] then the old capacity give a fresh
+     cache: the first add is admitted, and an id rejected before the reset
+     is a first miss once the cache is full again. *)
+  let store = Mem_store.create () in
+  let ids = chunk_ids store 6 in
+  let x = ids.(5) in
+  List.iter
+    (fun reset ->
+      let c = cache_of ~cap:4 in
+      for i = 0 to 3 do Node_cache.add c ids.(i) "resident" done;
+      Node_cache.add c x "x";
+      check int_ "rejected before reset" 1 (Node_cache.stats c).Node_cache.rejected;
+      reset c;
+      check int_ "empty after reset" 0 (Node_cache.stats c).Node_cache.size;
+      Node_cache.add c ids.(4) "first";
+      check bool_ "first add admitted" true
+        (Node_cache.find_live c store ids.(4) = Some "first");
+      for i = 0 to 2 do Node_cache.add c ids.(i) "refill" done;
+      Node_cache.add c x "x";
+      check bool_ "old ghost forgotten" true
+        (Node_cache.find_live c store x = None))
+    [ Node_cache.clear;
+      (fun c -> Node_cache.set_capacity c 0; Node_cache.set_capacity c 4) ]
+
+let test_node_cache_full_invalidation () =
+  (* Delete invalidation and the liveness probe work as before on a full
+     cache, and the slot they free admits the next add. *)
+  let store = Mem_store.create () in
+  let ids = chunk_ids store 6 in
+  let c = cache_of ~cap:4 in
+  for i = 0 to 3 do Node_cache.add c ids.(i) "resident" done;
+  ignore (Store.delete store ids.(0));
+  check bool_ "deleted entry gone" true
+    (Node_cache.find_live c store ids.(0) = None);
+  check int_ "size after delete" 3 (Node_cache.stats c).Node_cache.size;
+  Node_cache.add c ids.(4) "fills the slot";
+  check bool_ "freed slot admits" true
+    (Node_cache.find_live c store ids.(4) = Some "fills the slot");
+  (* A resident whose chunk another store lacks is never served from it. *)
+  let other = Mem_store.create () in
+  check bool_ "liveness probe" true
+    (Node_cache.find_live c other ids.(1) = None);
+  check int_ "stale entry dropped" 3 (Node_cache.stats c).Node_cache.size;
+  Node_cache.add c ids.(5) "admitted";
+  check int_ "nothing rejected" 0 (Node_cache.stats c).Node_cache.rejected
+
+(* Reference model of the cache: an LRU list (most recent first), a FIFO
+   ghost list (oldest first) and the counters. *)
+type cache_op =
+  | Add of int
+  | Find of int
+  | Invalidate of int
+  | Delete of int
+  | Reput of int
+  | Clear
+  | Set_capacity of int
+
+let show_cache_op = function
+  | Add i -> Printf.sprintf "add %d" i
+  | Find i -> Printf.sprintf "find %d" i
+  | Invalidate i -> Printf.sprintf "invalidate %d" i
+  | Delete i -> Printf.sprintf "delete %d" i
+  | Reput i -> Printf.sprintf "reput %d" i
+  | Clear -> "clear"
+  | Set_capacity n -> Printf.sprintf "capacity %d" n
+
+let node_cache_model_property =
+  let universe = 12 in
+  let op =
+    let open QCheck.Gen in
+    let id = int_bound (universe - 1) in
+    frequency
+      [ (6, map (fun i -> Add i) id);
+        (6, map (fun i -> Find i) id);
+        (1, map (fun i -> Invalidate i) id);
+        (1, map (fun i -> Delete i) id);
+        (1, map (fun i -> Reput i) id);
+        (1, return Clear);
+        (1, map (fun n -> Set_capacity n) (int_bound 4)) ]
+  in
+  let ops =
+    QCheck.make
+      ~print:(fun (cap, l) ->
+        Printf.sprintf "capacity %d: %s" cap
+          (String.concat "; " (List.map show_cache_op l)))
+      QCheck.Gen.(pair (int_range 1 4) (list_size (int_range 0 120) op))
+  in
+  QCheck.Test.make ~name:"node cache = reference admission model" ~count:200
+    ops
+    (fun (cap0, ops) ->
+      let store = Mem_store.create () in
+      let chunk i = Chunk.v Chunk.Leaf_blob (Printf.sprintf "model-%d" i) in
+      let ids = Array.init universe (fun i -> Store.put store (chunk i)) in
+      let c = cache_of ~cap:cap0 in
+      let cap = ref cap0 and lru = ref [] and ghost = ref [] in
+      let present = Array.make universe true in
+      let hits = ref 0 and misses = ref 0 and evictions = ref 0
+      and invalidations = ref 0 and rejected = ref 0 and version = ref 0 in
+      let drop_lru i = lru := List.filter (fun (j, _) -> j <> i) !lru in
+      let evict_to n =
+        while List.length !lru > n do
+          lru := List.filteri (fun k _ -> k < List.length !lru - 1) !lru;
+          incr evictions
+        done
+      in
+      let invalidate i =
+        if List.mem_assoc i !lru then begin
+          drop_lru i;
+          incr invalidations
+        end
+      in
+      let step op =
+        match op with
+        | Add i ->
+          incr version;
+          let v = Printf.sprintf "%d@%d" i !version in
+          Node_cache.add c ids.(i) v;
+          if !cap > 0 && not (List.mem_assoc i !lru) then
+            if List.length !lru < !cap || List.mem i !ghost then begin
+              lru := (i, v) :: !lru;
+              evict_to !cap
+            end
+            else begin
+              incr rejected;
+              ghost := !ghost @ [ i ];
+              if List.length !ghost > Node_cache.ghost_multiple * !cap then
+                ghost := List.tl !ghost
+            end;
+          true
+        | Find i ->
+          let got = Node_cache.find_live c store ids.(i) in
+          let want =
+            match List.assoc_opt i !lru with
+            | Some v when present.(i) ->
+              incr hits;
+              drop_lru i;
+              lru := (i, v) :: !lru;
+              Some v
+            | Some _ ->
+              invalidate i;
+              incr misses;
+              None
+            | None ->
+              incr misses;
+              None
+          in
+          got = want
+        | Invalidate i ->
+          Node_cache.invalidate c ids.(i);
+          invalidate i;
+          true
+        | Delete i ->
+          if Store.delete store ids.(i) then invalidate i;
+          present.(i) <- false;
+          true
+        | Reput i ->
+          ignore (Store.put store (chunk i));
+          present.(i) <- true;
+          true
+        | Clear ->
+          Node_cache.clear c;
+          lru := [];
+          ghost := [];
+          true
+        | Set_capacity n ->
+          Node_cache.set_capacity c n;
+          cap := n;
+          ghost := [];
+          evict_to n;
+          true
+      in
+      List.for_all
+        (fun op ->
+          step op
+          &&
+          let s = Node_cache.stats c in
+          s.Node_cache.hits = !hits
+          && s.Node_cache.misses = !misses
+          && s.Node_cache.evictions = !evictions
+          && s.Node_cache.invalidations = !invalidations
+          && s.Node_cache.rejected = !rejected
+          && s.Node_cache.size = List.length !lru)
+        ops)
+
+let test_node_cache_diff_keeps_warm_path () =
+  (* Tree level: with 64 entries, a diff reading far more than 64 fresh
+     nodes leaves a warm key's path resident, so a following [find] of
+     that key reads nothing from the store. *)
+  Node_cache.set_capacity_all 0;
+  Node_cache.set_capacity_all 64;
+  Fun.protect ~finally:(fun () ->
+      Node_cache.set_capacity_all Node_cache.default_capacity)
+  @@ fun () ->
+  let store = Mem_store.create () in
+  let gets () = (Store.stats store).Store.gets in
+  let bs = mk_bindings 20_000 in
+  let t1 = Pmap.of_bindings store bs in
+  let t2 =
+    Pmap.of_bindings store
+      (List.mapi (fun i (k, v) -> (k, if i mod 97 = 0 then v ^ "!" else v)) bs)
+  in
+  (* Fill the cache from an unrelated tree so the rule is engaged. *)
+  let filler = Pmap.of_bindings store (mk_bindings ~seed:7L 20_000) in
+  let g0 = gets () in
+  ignore (Pmap.to_list filler);
+  check bool_ "filler reads more than the capacity" true (gets () - g0 > 64);
+  for _ = 1 to 3 do ignore (Pmap.find t1 "key-010000") done;
+  let g0 = gets () in
+  ignore (Pmap.find t1 "key-010000");
+  check int_ "warm find reads nothing" 0 (gets () - g0);
+  let g0 = gets () in
+  check int_ "diff size" ((20_000 + 96) / 97) (List.length (Pmap.diff t1 t2));
+  check bool_ "diff reads more than 64 fresh nodes" true (gets () - g0 > 64);
+  let g0 = gets () in
+  ignore (Pmap.find t1 "key-010000");
+  check int_ "warm find still reads nothing" 0 (gets () - g0)
+
+let test_diff_across_stores () =
+  (* Each side is read through its own store: a diff of trees in two
+     stores equals the same diff inside one, at equal and at different
+     heights, with the node cache on and off. *)
+  let bs = mk_bindings 5000 in
+  let edited =
+    List.filter_map
+      (fun (k, v) ->
+        if k = "key-001000" then None
+        else if k = "key-004000" then Some (k, "changed")
+        else Some (k, v))
+      bs
+    @ [ ("key-009999x", "fresh") ]
+  in
+  let cases =
+    [ ("equal heights", bs, edited);
+      ("different heights", bs, List.filteri (fun i _ -> i mod 40 = 0) edited);
+      ("different heights, reversed", mk_bindings 60, edited) ]
+  in
+  List.iter
+    (fun cap ->
+      Node_cache.set_capacity_all cap;
+      Fun.protect ~finally:(fun () ->
+          Node_cache.set_capacity_all Node_cache.default_capacity)
+      @@ fun () ->
+      List.iter
+        (fun (name, b1, b2) ->
+          let one = Mem_store.create () in
+          let want = Pmap.diff (Pmap.of_bindings one b1) (Pmap.of_bindings one b2) in
+          let t1 = Pmap.of_bindings (Mem_store.create ()) b1
+          and t2 = Pmap.of_bindings (Mem_store.create ()) b2 in
+          if name = "equal heights" then
+            check int_ "same height" (Pmap.height t1) (Pmap.height t2)
+          else
+            check bool_ "heights differ" true (Pmap.height t1 <> Pmap.height t2);
+          check bool_
+            (Printf.sprintf "%s, cache %d" name cap)
+            true
+            (Pmap.diff t1 t2 = want && Pmap.diff t2 t1 = Pmap.diff
+               (Pmap.of_bindings one b2) (Pmap.of_bindings one b1)))
+        cases)
+    [ Node_cache.default_capacity; 0 ]
+
 (* ---------------- golden hashes ---------------- *)
 
 let test_golden_hashes () =
@@ -1071,7 +1410,8 @@ let qcheck_cases =
   ]
 
 let suite =
-  List.map QCheck_alcotest.to_alcotest (qcheck_cases @ [ merge_oracle_property ])
+  List.map QCheck_alcotest.to_alcotest
+    (qcheck_cases @ [ merge_oracle_property; node_cache_model_property ])
   @ [ Alcotest.test_case "empty tree" `Quick test_empty;
       Alcotest.test_case "build and find" `Quick test_build_and_find;
       Alcotest.test_case "single entry" `Quick test_single_entry;
@@ -1126,6 +1466,19 @@ let suite =
         test_node_cache_invalidated_by_gc;
       Alcotest.test_case "node cache unit semantics" `Quick
         test_node_cache_unit;
+      Alcotest.test_case "node cache admits below capacity" `Quick
+        test_node_cache_admits_below_capacity;
+      Alcotest.test_case "node cache scan resistant" `Quick
+        test_node_cache_scan_resistant;
+      Alcotest.test_case "node cache second miss admits" `Quick
+        test_node_cache_second_miss_admits;
+      Alcotest.test_case "node cache reset empties ghosts" `Quick
+        test_node_cache_reset_empties_ghosts;
+      Alcotest.test_case "node cache invalidation when full" `Quick
+        test_node_cache_full_invalidation;
+      Alcotest.test_case "node cache diff keeps warm path" `Quick
+        test_node_cache_diff_keeps_warm_path;
+      Alcotest.test_case "diff across stores" `Quick test_diff_across_stores;
       Alcotest.test_case "golden hashes stable" `Quick test_golden_hashes;
       Alcotest.test_case "pset basics" `Quick test_pset_basics;
       Alcotest.test_case "pset proofs" `Quick test_pset_proofs ]
