@@ -1,6 +1,6 @@
 # Convenience entry points; dune is the real build system.
 
-.PHONY: all build test bench bench-hotpath bench-net bench-durability bench-obs bench-sync bench-cluster ab check clean
+.PHONY: all build test bench bench-hotpath bench-net bench-durability bench-obs bench-sync bench-cluster ab check loc clean
 
 all: build
 
@@ -18,12 +18,13 @@ bench:
 bench-hotpath:
 	dune exec bench/main.exe -- hotpath
 
-# Network benchmarks.  net-c10k: idle+active connection sweep of the
-# event-loop engine vs the thread-per-connection engine plus pipelined
-# depth 1/8/32 on one connection; writes BENCH_net.json.  net-scaling:
-# reader sweep 1->8 over the striped read/write locking,
-# striped-vs-coarse write p50, and 32-op BATCH frames vs single round
-# trips; writes BENCH_net_scaling.json.  (The older mixed-workload soak
+# Network benchmarks, all spoken through the Mux client.  net-c10k:
+# idle+active connection sweep of the event-loop engine vs the
+# thread-per-connection engine (idle connections are bare sockets) plus
+# pipelined depth 1/8/32 on one connection; writes BENCH_net.json.
+# net-scaling: reader sweep 1->8 over the striped read/write locking and
+# 32-op BATCH frames vs single round trips; writes
+# BENCH_net_scaling.json.  (The older mixed-workload soak
 # is `-- net`, writing BENCH_net_mixed.json.)
 bench-net:
 	dune exec bench/main.exe -- net-c10k
@@ -85,7 +86,7 @@ ab:
 # equivalence + cache on/off smoke), a ~1-second network smoke (2
 # concurrent clients over loopback, asserts zero dropped/corrupt frames
 # and a clean shutdown), a ~1-second concurrency smoke (reader scaling,
-# striped-vs-coarse writes, BATCH), an event-loop smoke (event vs
+# BATCH), an event-loop smoke (event vs
 # threaded connection sweep, SUBSCRIBE push, pipelined depths — fails if
 # the event engine drops a connection), a sub-second durability smoke
 # (group commit vs per-chunk fsync, recovery replay, truncation-point
@@ -107,6 +108,16 @@ check:
 	dune exec bench/main.exe -- sync-quick
 	dune exec bench/main.exe -- cluster-quick
 	dune exec bin/forkbase_cli.exe -- top --demo --once --interval 0.5
+
+# Lines of OCaml (*.ml + *.mli, counted with wc -l) per source
+# directory, and lib + bin + bench + test together: the measure of net
+# source size that ROADMAP.md tracks.
+loc:
+	@t=0; for d in lib bin bench test fbperf; do \
+	  n=$$(find $$d -name '*.ml' -o -name '*.mli' | xargs cat | wc -l); \
+	  printf '%-22s %6d\n' $$d $$n; \
+	  [ $$d = fbperf ] || t=$$((t + n)); \
+	done; printf '%-22s %6d\n' 'lib+bin+bench+test' $$t
 
 clean:
 	dune clean

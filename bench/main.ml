@@ -4,7 +4,7 @@
      dune exec bench/main.exe            -- run everything
      dune exec bench/main.exe -- fig4    -- run one experiment
      experiments: table1 fig2 fig3 fig4 fig5 fig6 siri ablation storage
-     resilience sharded cluster obs micro hotpath net net-scaling
+     resilience cluster obs micro hotpath net net-scaling
      net-c10k durability
      (cluster and the last four also have sub-second -quick variants)
 
@@ -808,7 +808,7 @@ let run_storage () =
 
 let run_resilience () =
   header
-    "RESILIENCE: clean-path overhead of retries + verified reads\n\
+    "RESILIENCE: clean-path overhead of verified and replicated reads\n\
      (100k-entry map; 2000 random lookups per configuration; no faults \
      injected)";
   let bindings =
@@ -840,81 +840,23 @@ let run_resilience () =
   let bare = bench "mem (baseline)" (Mem_store.create ()) in
   let paranoid, _ = Fb_chunk.Verified_store.wrap (Mem_store.create ()) in
   let p = bench "mem + verified every read (paranoid)" paranoid in
-  (* The deployable stack: first-read verification below (media-fault
-     threat model — a healthy chunk is immutable), retry + replica
-     fallback above ([~verify_reads:false]: the inner wrapper hashes). *)
-  let inner, _ = Fb_chunk.Verified_store.wrap ~once:true (Mem_store.create ()) in
-  let stack, _ =
-    Fb_chunk.Resilient_store.wrap ~replica:(Mem_store.create ())
-      ~verify_reads:false inner
+  (* The replication engine: a two-member cluster at W=2, which hashes
+     every read itself and fails over to the other copy on a mismatch. *)
+  let cluster =
+    Fb_chunk.Cluster_store.create ~replicas:2
+      ~members:[ ("a", Mem_store.create ()); ("b", Mem_store.create ()) ]
+      ()
   in
-  let r = bench "mem + verified-once + resilient" stack in
+  let r =
+    bench "cluster of 2 mem members (W=2)"
+      (Fb_chunk.Cluster_store.store cluster)
+  in
+  Fb_chunk.Cluster_store.close cluster;
   let pct x = 100.0 *. (x -. bare) /. bare in
   Printf.printf
-    "\nclean-path overhead vs bare: paranoid %+.1f%%; verified-once + \
-     resilient %+.1f%% (target < 15%%)\n"
+    "\nclean-path overhead vs bare: paranoid %+.1f%%; 2-member cluster \
+     %+.1f%%\n"
     (pct p) (pct r)
-
-(* ------------------------------------------------------------------ *)
-(* Sharded: ForkBase on the in-process sharded/replicated store (the  *)
-(* simulated distributed deployment; DESIGN.md substitutions).  The   *)
-(* real multi-node deployment is the `cluster` experiment below.      *)
-(* ------------------------------------------------------------------ *)
-
-let run_sharded () =
-  header
-    "SHARDED: ForkBase over an in-process sharded, replicated chunk store\n\
-     (5 members, replication factor 2, consistent-hash placement)";
-  let members =
-    List.init 5 (fun i -> (Printf.sprintf "node%d" i, Mem_store.create ()))
-  in
-  let cluster = Fb_chunk.Sharded_store.create ~replicas:2 ~members () in
-  let store = Fb_chunk.Sharded_store.store cluster in
-  let fb = FB.create store in
-  let csv = Csvgen.generate_of_size ~target_bytes:500_000 () in
-  let _, load_ms =
-    time_ms (fun () -> ignore (ok_fb (FB.import_csv fb ~key:"ds" csv)))
-  in
-  let tip = ok_fb (FB.head fb ~key:"ds") in
-  Printf.printf "loaded %.0f KB in %.0f ms; placement:\n"
-    (kb (String.length csv)) load_ms;
-  let healths = Fb_chunk.Sharded_store.health cluster in
-  let total_chunks = List.fold_left (fun a h -> a + h.Fb_chunk.Sharded_store.chunks) 0 healths in
-  List.iter
-    (fun h ->
-      Printf.printf "  %-7s %5d chunks (%4.1f%%)  %7.1f KB\n"
-        h.Fb_chunk.Sharded_store.member h.Fb_chunk.Sharded_store.chunks
-        (100.0 *. float_of_int h.Fb_chunk.Sharded_store.chunks
-         /. float_of_int total_chunks)
-        (kb h.Fb_chunk.Sharded_store.bytes))
-    healths;
-  let agg = Store.stats store in
-  Printf.printf
-    "logical (distinct chunks): %.1f KB; stored with 2x replication: %.1f \
-     KB\n"
-    (kb agg.Store.physical_bytes)
-    (kb (List.fold_left (fun a h -> a + h.Fb_chunk.Sharded_store.bytes) 0 healths));
-  (* Failure: lose a member mid-flight; reads fail over transparently. *)
-  Fb_chunk.Sharded_store.set_down cluster "node2" true;
-  let report, verify_ms =
-    time_ms (fun () -> ok_fb (FB.verify ~check_history_values:true fb tip))
-  in
-  let rs = Fb_chunk.Sharded_store.repair_stats cluster in
-  Printf.printf
-    "\nnode2 down: full verification still passes (%d chunks, %.0f ms), %d \
-     reads served by fallback replicas\n"
-    report.Fb_repr.Verify.value_chunks verify_ms
-    rs.Fb_chunk.Sharded_store.fallback_reads;
-  (* Writes continue during the outage; rebalance heals afterwards. *)
-  ignore (ok_fb (FB.import_csv fb ~key:"ds" (Edits.change_one_word csv)));
-  Fb_chunk.Sharded_store.set_down cluster "node2" false;
-  let copies, heal_ms =
-    time_ms (fun () -> Fb_chunk.Sharded_store.rebalance cluster)
-  in
-  Printf.printf
-    "outage writes accepted; rebalance restored %d replica copies in %.0f \
-     ms\n"
-    copies heal_ms
 
 (* ------------------------------------------------------------------ *)
 (* Cluster: the real multi-node deployment — chunks routed over TCP   *)
@@ -1300,17 +1242,17 @@ let run_obs ?(quick = false) () =
         ~finally:(fun () -> Fb_net.Server.stop srv)
         (fun () ->
           match
-            Fb_net.Client.connect ~port:(Fb_net.Server.port srv) ~user:"bench" ()
+            Fb_net.Mux.connect ~port:(Fb_net.Server.port srv) ~user:"bench" ()
           with
           | Error e -> failwith (Fb_net.Client.error_to_string e)
           | Ok c ->
             Fun.protect
-              ~finally:(fun () -> Fb_net.Client.close c)
+              ~finally:(fun () -> Fb_net.Mux.close c)
               (fun () ->
                 let req i =
                   let key = Printf.sprintf "k%d" (i mod 32) in
-                  ignore (Fb_net.Client.request c [ "put"; key; "master"; "v" ]);
-                  ignore (Fb_net.Client.request c [ "get"; key; "master" ])
+                  ignore (Fb_net.Mux.request c [ "put"; key; "master"; "v" ]);
+                  ignore (Fb_net.Mux.request c [ "get"; key; "master" ])
                 in
                 for i = 0 to (net_reqs / 10) - 1 do req i done;
                 let (), ms =
@@ -1565,7 +1507,7 @@ let run_net ?(quick = false) () =
   in
   let ops_done = Atomic.make 0 in
   let worker cid =
-    match Fb_net.Client.connect ~port ~user:(Printf.sprintf "bench%d" cid) ()
+    match Fb_net.Mux.connect ~port ~user:(Printf.sprintf "bench%d" cid) ()
     with
     | Error e ->
       Atomic.incr errors;
@@ -1573,7 +1515,7 @@ let run_net ?(quick = false) () =
     | Ok c ->
       let req verb tokens =
         let t0 = Unix.gettimeofday () in
-        let r = Fb_net.Client.request c tokens in
+        let r = Fb_net.Mux.request c tokens in
         record verb (Unix.gettimeofday () -. t0);
         Atomic.incr ops_done;
         match r with
@@ -1599,7 +1541,7 @@ let run_net ?(quick = false) () =
           ignore (req "merge" [ "merge"; key; "master"; b ])
         end
       done;
-      Fb_net.Client.close c
+      Fb_net.Mux.close c
   in
   let t0 = Unix.gettimeofday () in
   let threads = List.init clients (fun cid -> Thread.create worker cid) in
@@ -1634,13 +1576,13 @@ let run_net ?(quick = false) () =
   (* Graceful shutdown must leave nothing listening. *)
   Fb_net.Server.stop srv;
   let gone =
-    match Fb_net.Client.connect ~port ~timeout_s:1.0 () with
+    match Fb_net.Mux.connect ~port ~timeout_s:1.0 () with
     | Error _ -> true
     | Ok c ->
       (* Accept queue leftovers can win the connect race; a request must
          still fail against a stopped server. *)
-      let dead = Result.is_error (Fb_net.Client.request c [ "stat" ]) in
-      Fb_net.Client.close c;
+      let dead = Result.is_error (Fb_net.Mux.request c [ "stat" ]) in
+      Fb_net.Mux.close c;
       dead
   in
   if not gone then failwith "net bench: server still answering after stop";
@@ -1671,8 +1613,7 @@ let run_net ?(quick = false) () =
 (* ------------------------------------------------------------------ *)
 (* net-scaling: concurrency of the striped read/write server layer.   *)
 (*   1. read-only throughput as the reader count sweeps 1 -> 8        *)
-(*   2. write p50 under striped vs. coarse locking (regression check) *)
-(*   3. 32-op BATCH frames vs. 32 single round trips                  *)
+(*   2. 32-op BATCH frames vs. 32 single round trips                  *)
 (* ------------------------------------------------------------------ *)
 
 (* Chunk reads with device latency: every get / liveness probe blocks for
@@ -1700,11 +1641,11 @@ let run_net_scaling ?(quick = false) () =
     (if quick then "net-scaling-quick: striped server concurrency smoke"
      else
        Printf.sprintf
-         "net-scaling: reader sweep, striped vs coarse writes, batching \
-          (simulated %.0f us storage latency)"
+         "net-scaling: reader sweep, batching (simulated %.0f us storage \
+          latency)"
          (1e6 *. net_scaling_delay_s));
   let errors = Atomic.make 0 in
-  let with_server ?(slow = false) concurrency f =
+  let with_server ?(slow = false) f =
     let store = Fb_chunk.Metered_store.wrap (Mem_store.create ()) in
     let store =
       if slow then slow_store ~delay_s:net_scaling_delay_s store else store
@@ -1712,7 +1653,7 @@ let run_net_scaling ?(quick = false) () =
     let fb = FB.create store in
     let config =
       { Fb_net.Server.default_config with
-        port = 0; save_every_s = 0.0; read_timeout_s = 30.0; concurrency }
+        port = 0; save_every_s = 0.0; read_timeout_s = 30.0 }
     in
     match Fb_net.Server.start ~config fb with
     | Error e -> failwith ("net-scaling: " ^ e)
@@ -1723,14 +1664,14 @@ let run_net_scaling ?(quick = false) () =
   in
   let connect port cid =
     match
-      Fb_net.Client.connect ~port ~user:(Printf.sprintf "c%d" cid) ()
+      Fb_net.Mux.connect ~port ~user:(Printf.sprintf "c%d" cid) ()
     with
     | Ok c -> c
     | Error e ->
       failwith ("net-scaling connect: " ^ Fb_net.Client.error_to_string e)
   in
   let request c tokens =
-    match Fb_net.Client.request c tokens with
+    match Fb_net.Mux.request c tokens with
     | Ok payload -> payload
     | Error _ ->
       Atomic.incr errors;
@@ -1743,7 +1684,7 @@ let run_net_scaling ?(quick = false) () =
     for i = 0 to keys - 1 do
       ignore (request c [ "put"; key i; "master"; "v-" ^ key i ])
     done;
-    Fb_net.Client.close c
+    Fb_net.Mux.close c
   in
 
   (* 1. reader sweep: n clients, each issuing GETs against its own key
@@ -1753,7 +1694,7 @@ let run_net_scaling ?(quick = false) () =
   let reads_per_client = if quick then 100 else 800 in
   let reader_sweep = if quick then [ 1; 4 ] else [ 1; 2; 4; 8 ] in
   let sweep_results =
-    with_server ~slow:true `Striped (fun port ->
+    with_server ~slow:true (fun port ->
         populate port;
         List.map
           (fun n ->
@@ -1770,7 +1711,7 @@ let run_net_scaling ?(quick = false) () =
                           if request c [ "get"; k; "master" ] <> expect then
                             Atomic.incr errors
                         done;
-                        Fb_net.Client.close c)
+                        Fb_net.Mux.close c)
                       ())
               in
               List.iter Thread.join threads;
@@ -1796,73 +1737,11 @@ let run_net_scaling ?(quick = false) () =
     (List.hd (List.rev reader_sweep))
     read_scaling;
 
-  (* 2. write p50, striped vs coarse: 2 writers committing to their own
-     keys while 4 readers keep every stripe's read side busy — the
-     contention pattern where coarse locking makes writers queue behind
-     unrelated reads. *)
-  let write_p50 concurrency =
-    let writers = 2 and readers = if quick then 2 else 4 in
-    let writes = if quick then 30 else 200 in
-    with_server ~slow:true concurrency (fun port ->
-        populate port;
-        let stop = Atomic.make false in
-        let reader_threads =
-          List.init readers (fun cid ->
-              Thread.create
-                (fun () ->
-                  let c = connect port (100 + cid) in
-                  let k = key (cid mod keys) in
-                  while not (Atomic.get stop) do
-                    ignore (request c [ "get"; k; "master" ])
-                  done;
-                  Fb_net.Client.close c)
-                ())
-        in
-        let lat_lock = Mutex.create () in
-        let lats = ref [] in
-        let writer_threads =
-          List.init writers (fun cid ->
-              Thread.create
-                (fun () ->
-                  let c = connect port (200 + cid) in
-                  let k = Printf.sprintf "w%d" cid in
-                  let mine = ref [] in
-                  for i = 1 to writes do
-                    let t0 = Unix.gettimeofday () in
-                    let uid =
-                      request c
-                        [ "put"; k; "master"; Printf.sprintf "v%d-%d" cid i ]
-                    in
-                    mine := (Unix.gettimeofday () -. t0) :: !mine;
-                    if uid = "" then Atomic.incr errors
-                  done;
-                  Mutex.protect lat_lock (fun () -> lats := !mine @ !lats);
-                  Fb_net.Client.close c)
-                ())
-        in
-        List.iter Thread.join writer_threads;
-        Atomic.set stop true;
-        List.iter Thread.join reader_threads;
-        let a = Array.of_list !lats in
-        Array.sort compare a;
-        a.(Array.length a / 2))
-  in
-  (* Interleave the modes and keep each mode's best of two trials:
-     loopback p50 is noisy and the comparison must not hinge on which
-     mode ran while the machine was busy. *)
-  let best f = min (f ()) (f ()) in
-  let striped_p50 = best (fun () -> write_p50 `Striped) in
-  let coarse_p50 = best (fun () -> write_p50 `Coarse) in
-  let write_regression = (striped_p50 -. coarse_p50) /. coarse_p50 in
-  Printf.printf
-    "write p50: striped %.1f us, coarse %.1f us (%+.1f%% vs coarse)\n"
-    (1e6 *. striped_p50) (1e6 *. coarse_p50) (100.0 *. write_regression);
-
-  (* 3. batching: 32 GETs per frame vs 32 single round trips. *)
+  (* 2. batching: 32 GETs per frame vs 32 single round trips. *)
   let batch_size = 32 in
   let rounds = if quick then 10 else 100 in
   let single_ops_per_s, batch_ops_per_s =
-    with_server `Striped (fun port ->
+    with_server (fun port ->
         populate port;
         let c = connect port 0 in
         let gets =
@@ -1875,7 +1754,7 @@ let run_net_scaling ?(quick = false) () =
         let single = Unix.gettimeofday () -. t0 in
         let t0 = Unix.gettimeofday () in
         for _ = 1 to rounds do
-          match Fb_net.Client.batch c gets with
+          match Fb_net.Mux.batch c gets with
           | Ok replies ->
             List.iter
               (function Ok _ -> () | Error _ -> Atomic.incr errors)
@@ -1883,7 +1762,7 @@ let run_net_scaling ?(quick = false) () =
           | Error _ -> Atomic.incr errors
         done;
         let batched = Unix.gettimeofday () -. t0 in
-        Fb_net.Client.close c;
+        Fb_net.Mux.close c;
         let total = float_of_int (batch_size * rounds) in
         (total /. single, total /. batched))
   in
@@ -1906,12 +1785,9 @@ let run_net_scaling ?(quick = false) () =
           (if i > 0 then "," else "") n ops)
       sweep_results;
     Printf.bprintf b
-      "],\"read_scaling_8_over_1\":%.3f,\"write_p50_us_striped\":%.1f,\
-       \"write_p50_us_coarse\":%.1f,\"write_p50_regression\":%.4f,\
-       \"batch_size\":%d,\"batch_sub_ops_per_s\":%.1f,\
-       \"single_ops_per_s\":%.1f,\"batch_speedup\":%.3f,\"errors\":%d}\n"
-      read_scaling (1e6 *. striped_p50) (1e6 *. coarse_p50) write_regression
-      batch_size batch_ops_per_s single_ops_per_s batch_speedup
+      "],\"read_scaling_8_over_1\":%.3f,\"batch_size\":%d,\
+       \"batch_sub_ops_per_s\":%.1f,\"single_ops_per_s\":%.1f,\"batch_speedup\":%.3f,\"errors\":%d}\n"
+      read_scaling batch_size batch_ops_per_s single_ops_per_s batch_speedup
       (Atomic.get errors);
     let oc = open_out "BENCH_net_scaling.json" in
     Buffer.output_buffer oc b;
@@ -2010,16 +1886,40 @@ let run_net_c10k ?(quick = false) () =
      the bench process itself has no FD_SETSIZE ceiling; the servers
      under test keep their own discipline (which is the thing measured). *)
   let connect port =
-    match Fb_net.Client.connect ~port ~user:"bench" ~timeout_s:0.0 () with
+    match Fb_net.Mux.connect ~port ~user:"bench" ~timeout_s:0.0 () with
     | Ok c -> Some c
     | Error _ -> None
+  in
+  (* Idle connections are bare dialed sockets: a Mux per idle socket
+     would add a reader thread each to the process under test. *)
+  let dial port =
+    match Fb_net.Client.dial ~port ~timeout_s:0.0 () with
+    | Ok fd -> Some fd
+    | Error _ -> None
+  in
+  (* One untagged round trip on a bare socket. *)
+  let probe fd =
+    let frame =
+      Fb_net.Frame.request_frame ~user:"bench"
+        (Fb_net.Frame.Single [ "get"; "k0"; "master" ])
+    in
+    match
+      Result.bind (Fb_net.Frame.send_frame fd frame) (fun () ->
+          Fb_net.Frame.read_frame (Fb_net.Frame.reader ()) fd)
+    with
+    | Ok payload -> (
+      match Fb_net.Frame.decode_response payload with
+      | Ok (_, _, Fb_net.Frame.One (Ok _)) -> true
+      | _ -> false)
+    | Error _ -> false
+    | exception Unix.Unix_error _ -> false
   in
   let mode_name = function `Event -> "event" | `Threaded -> "threaded" in
   let active_reqs = if quick then 50 else 300 in
   let hot_writes = if quick then 10 else 50 in
   let point mode port n =
     (* Hold [n] idle connections open for the duration of the point. *)
-    let idles = Array.init n (fun _ -> connect port) in
+    let idles = Array.init n (fun _ -> dial port) in
     let established =
       Array.fold_left
         (fun acc -> function Some _ -> acc + 1 | None -> acc)
@@ -2063,16 +1963,16 @@ let run_net_c10k ?(quick = false) () =
                 (* Unmeasured warmup: first round trips pay connection
                    and thread ramp-up, not steady-state latency. *)
                 for _ = 1 to 10 do
-                  ignore (Fb_net.Client.request c [ "get"; "k0"; "master" ])
+                  ignore (Fb_net.Mux.request c [ "get"; "k0"; "master" ])
                 done;
                 for _ = 1 to active_reqs do
                   let r0 = Unix.gettimeofday () in
-                  match Fb_net.Client.request c [ "get"; "k0"; "master" ] with
+                  match Fb_net.Mux.request c [ "get"; "k0"; "master" ] with
                   | Ok _ -> mine := (Unix.gettimeofday () -. r0) :: !mine
                   | Error _ -> Atomic.incr errors
                 done;
                 Mutex.protect lat_mu (fun () -> lats := !mine @ !lats);
-                Fb_net.Client.close c)
+                Fb_net.Mux.close c)
             ())
     in
     let writer =
@@ -2083,13 +1983,13 @@ let run_net_c10k ?(quick = false) () =
           | Some c ->
             for i = 1 to hot_writes do
               match
-                Fb_net.Client.request c
+                Fb_net.Mux.request c
                   [ "put"; "hot"; "master"; Printf.sprintf "h%d" i ]
               with
               | Ok _ -> ()
               | Error _ -> Atomic.incr errors
             done;
-            Fb_net.Client.close c)
+            Fb_net.Mux.close c)
         ()
     in
     List.iter Thread.join getters;
@@ -2115,11 +2015,9 @@ let run_net_c10k ?(quick = false) () =
     Array.iter
       (function
         | None -> ()
-        | Some c ->
-          (match Fb_net.Client.request c [ "get"; "k0"; "master" ] with
-           | Ok _ -> incr alive
-           | Error _ -> ());
-          Fb_net.Client.close c)
+        | Some fd ->
+          if probe fd then incr alive;
+          (try Unix.close fd with Unix.Unix_error _ -> ()))
       idles;
     let p99 = percentile_ms !lats 99.0 in
     let pt =
@@ -2156,9 +2054,9 @@ let run_net_c10k ?(quick = false) () =
     with_server mode (fun port ->
         (match connect port with
          | Some c ->
-           ignore (Fb_net.Client.request c [ "put"; "k0"; "master"; "v0" ]);
-           ignore (Fb_net.Client.request c [ "put"; "hot"; "master"; "h0" ]);
-           Fb_net.Client.close c
+           ignore (Fb_net.Mux.request c [ "put"; "k0"; "master"; "v0" ]);
+           ignore (Fb_net.Mux.request c [ "put"; "hot"; "master"; "h0" ]);
+           Fb_net.Mux.close c
          | None -> failwith "net-c10k: populate connect failed");
         List.filter_map
           (fun n ->
@@ -2243,8 +2141,8 @@ let run_net_c10k ?(quick = false) () =
     with_pipeline_server (fun port ->
         (match connect port with
          | Some c ->
-           ignore (Fb_net.Client.request c [ "put"; "k0"; "master"; "v0" ]);
-           Fb_net.Client.close c
+           ignore (Fb_net.Mux.request c [ "put"; "k0"; "master"; "v0" ]);
+           Fb_net.Mux.close c
          | None -> failwith "net-c10k: populate connect failed");
         match Fb_net.Mux.connect ~port ~user:"bench" ~timeout_s:0.0 () with
         | Error e ->
@@ -2647,7 +2545,6 @@ let experiments =
     ("ablation", run_ablation);
     ("storage", run_storage);
     ("resilience", run_resilience);
-    ("sharded", run_sharded);
     ("cluster", fun () -> run_cluster_net ());
     ("cluster-quick", fun () -> run_cluster_net ~quick:true ());
     ("obs", fun () -> run_obs ());

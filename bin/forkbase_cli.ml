@@ -530,13 +530,6 @@ let serve_cmd =
          & info [ "max-frame" ] ~docv:"BYTES"
              ~doc:"Largest accepted request frame.")
   in
-  let coarse_arg =
-    Arg.(value & flag
-         & info [ "coarse" ]
-             ~doc:"Serialize every request under one global lock instead \
-                   of the striped read/write locking (debugging and A/B \
-                   benchmarking escape hatch).")
-  in
   let metrics_port_arg =
     Arg.(value & opt (some int) None
          & info [ "metrics-port" ] ~docv:"PORT"
@@ -578,7 +571,7 @@ let serve_cmd =
                    make no write progress for $(docv) seconds; 0 \
                    disables.")
   in
-  let run root user port host stdio save_every timeout max_frame coarse
+  let run root user port host stdio save_every timeout max_frame
       backend nodes replicas fsync metrics_port slow_ms threaded workers
       max_outbox write_stall =
     (* The log engine runs its background thread under the daemon: aged
@@ -622,7 +615,6 @@ let serve_cmd =
           { Fb_net.Server.default_config with
             host; port; default_user = user; save_every_s = save_every;
             read_timeout_s = timeout; max_frame;
-            concurrency = (if coarse then `Coarse else `Striped);
             metrics_port;
             slow_ms =
               Option.value slow_ms
@@ -650,7 +642,7 @@ let serve_cmd =
              framing, or on stdin/stdout with $(b,--stdio).")
     Term.(ret (const run $ root_arg $ user_arg $ port_arg
                $ host_arg ~doc:"Address to bind." $ stdio_arg
-               $ save_every_arg $ timeout_arg $ max_frame_arg $ coarse_arg
+               $ save_every_arg $ timeout_arg $ max_frame_arg
                $ backend_arg $ nodes_arg $ replicas_arg $ fsync_arg
                $ metrics_port_arg $ slow_ms_arg
                $ threaded_arg $ workers_arg $ max_outbox_arg

@@ -210,10 +210,21 @@ let owners t id = List.map (fun m -> m.m_name) (owner_states t id)
 
 (* -------------------------- fault discipline -------------------------- *)
 
+(* Exponent capped so the shift cannot overflow and one retry cannot
+   sleep past [max_backoff_s]; [jitter] (a uniform draw in [0,1)) scales
+   the delay into [0.5x, 1.5x) so a fleet of replicas hitting the same
+   fault does not retry in lockstep. *)
+let max_exponent = 16
+
+let backoff_duration ?(max_backoff_s = 1.0) ~backoff_s ~jitter attempt =
+  let e = min (max attempt 0) max_exponent in
+  let d = backoff_s *. float_of_int (1 lsl e) *. (0.5 +. jitter) in
+  Float.min d max_backoff_s
+
 (* Run [f] against one member, absorbing [Store.Transient] with bounded
-   jittered exponential backoff (Resilient_store's schedule).  Exhausted
-   retries return the last Transient as an [Error]; permanent exceptions
-   propagate to the caller. *)
+   jittered exponential backoff.  Exhausted retries return the last
+   Transient as an [Error]; permanent exceptions propagate to the
+   caller. *)
 let with_retries t f =
   let rec go attempt =
     match f () with
@@ -223,7 +234,7 @@ let with_retries t f =
       else begin
         if t.backoff_s > 0. then
           Thread.delay
-            (Resilient_store.backoff_duration ~backoff_s:t.backoff_s
+            (backoff_duration ~backoff_s:t.backoff_s
                ~jitter:(Fb_hash.Prng.next_float t.prng)
                attempt);
         go (attempt + 1)
@@ -277,73 +288,76 @@ let put_impl t chunk =
   id
 
 (* Walk owners in preference order.  [repair] controls whether a late
-   success re-puts the bytes into earlier failures (get path yes, peek
-   path no); [count] controls the gets counter. *)
+   success re-puts the bytes into the owners that could not serve them
+   (get path yes, peek path no); [count] controls the gets counter.
+
+   A member whose bytes fail the hash check loses its copy only inside
+   that repair, once healthy bytes are in hand: the damage may be a flip
+   on the way out of a healthy copy, and that copy may be the last one.
+   The delete comes first because a content-addressed [put] skips a name
+   that already exists.  A read that no owner answered at all (every one
+   down or out of retries) raises [Store.Transient], as a put does. *)
 let read_impl t ~repair ~count id =
   if count then bump_agg t ~f:(fun s -> { s with Store.gets = s.Store.gets + 1 });
   let owner_list = owner_states t id in
-  let rec try_owners tried = function
+  let repair_from raw tried =
+    Mutex.protect t.lock (fun () -> t.failover_reads <- t.failover_reads + 1);
+    (* Members that refuse (still down, still failing) keep their
+       failover tally; the next read retries them. *)
+    match Chunk.decode raw with
+    | Error _ -> ()
+    | Ok chunk ->
+      List.iter
+        (fun (peer, bad) ->
+          if peer.m_up then
+            match
+              with_retries t (fun () ->
+                  if bad then
+                    (try ignore (peer.m_store.Store.delete id)
+                     with Failure _ -> ());
+                  ignore (Store.put peer.m_store chunk))
+            with
+            | Ok () ->
+              peer.m_repairs <- peer.m_repairs + 1;
+              Mutex.protect t.lock (fun () -> t.repaired <- t.repaired + 1)
+            | Error _ -> ())
+        tried
+  in
+  (* [tried] pairs each owner that could not serve with whether it served
+     bad bytes; [answered] is whether any owner was reached at all. *)
+  let rec try_owners tried ~answered = function
     | [] ->
       if tried <> [] && count then
         Mutex.protect t.lock (fun () -> t.unavailable <- t.unavailable + 1);
-      None
-    | m :: rest ->
-      let skipped () = if count then m.m_failovers <- m.m_failovers + 1 in
-      if not m.m_up then begin
-        skipped ();
-        try_owners (m :: tried) rest
-      end
-      else begin
-        let reader () =
-          if repair then m.m_store.Store.get_raw id
-          else m.m_store.Store.peek id
-        in
+      if answered then None
+      else
+        raise
+          (Store.Transient
+             (Printf.sprintf "cluster %s: no owner of %s reachable" t.name
+                (Hash.to_hex id)))
+    | m :: rest -> (
+      let skip ~bad ~reached =
+        if count then m.m_failovers <- m.m_failovers + 1;
+        try_owners ((m, bad) :: tried) ~answered:(answered || reached) rest
+      in
+      let reader () =
+        if repair then m.m_store.Store.get_raw id else m.m_store.Store.peek id
+      in
+      if not m.m_up then skip ~bad:false ~reached:false
+      else
         match with_retries t reader with
-        | Error _ ->
-          skipped ();
-          try_owners (m :: tried) rest
-        | Ok None ->
-          skipped ();
-          try_owners (m :: tried) rest
-        | Ok (Some raw) ->
-          if Hash.equal (Hash.of_string raw) id then begin
-            if tried <> [] && repair then begin
-              Mutex.protect t.lock (fun () ->
-                  t.failover_reads <- t.failover_reads + 1);
-              (* Read repair: give every owner we skipped a good copy.
-                 Members that refuse (still down, still failing) keep
-                 their failover tally; the next read retries them. *)
-              match Chunk.decode raw with
-              | Ok chunk ->
-                List.iter
-                  (fun peer ->
-                    if peer.m_up then
-                      match
-                        with_retries t (fun () ->
-                            ignore (Store.put peer.m_store chunk))
-                      with
-                      | Ok () ->
-                        peer.m_repairs <- peer.m_repairs + 1;
-                        Mutex.protect t.lock (fun () ->
-                            t.repaired <- t.repaired + 1)
-                      | Error _ -> ())
-                  tried
-              | Error _ -> ()
-            end;
-            Some raw
-          end
-          else begin
-            (* Tamper-evidence at the routing tier: bytes that do not
-               re-hash to the id never leave the cluster.  Drop the bad
-               replica where the member allows it and look elsewhere. *)
-            Mutex.protect t.lock (fun () -> t.rejected <- t.rejected + 1);
-            skipped ();
-            (try ignore (m.m_store.Store.delete id) with _ -> ());
-            try_owners (m :: tried) rest
-          end
-      end
+        | Error _ -> skip ~bad:false ~reached:false
+        | Ok None -> skip ~bad:false ~reached:true
+        | Ok (Some raw) when Hash.equal (Hash.of_string raw) id ->
+          if tried <> [] && repair then repair_from raw tried;
+          Some raw
+        | Ok (Some _) ->
+          (* Tamper-evidence at the routing tier: bytes that do not
+             re-hash to the id never leave the cluster. *)
+          Mutex.protect t.lock (fun () -> t.rejected <- t.rejected + 1);
+          skip ~bad:true ~reached:true)
   in
-  try_owners [] owner_list
+  try_owners [] ~answered:false owner_list
 
 (* [each store fresh] enumerates one up member; [fresh id] is true only
    the first time [id] turns up, so replicas are visited once. *)

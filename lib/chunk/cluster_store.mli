@@ -9,7 +9,11 @@
     chunk, or serving bytes that do not re-hash to the id.  A read
     satisfied by a non-first owner triggers {e read repair}: the healthy
     bytes are re-put to every owner that could not serve them, so
-    replica counts converge back to W under a workload alone.
+    replica counts converge back to W under a workload alone.  A member
+    that served bad bytes has its copy deleted only then, just before
+    the healthy bytes go back: bad bytes may be a flip on the read path
+    over the last healthy copy, so a read that finds no good copy
+    deletes nothing.
 
     Members are plain {!Store.t}s, so the same engine clusters local
     stores in tests ({!Mem_store}, {!Faulty_store}) and real
@@ -20,12 +24,13 @@
     {!owner_ranks} are exposed so tests can check routing determinism
     and the rebalance delta independently of any live cluster.
 
-    Fault discipline (mirrors {!Resilient_store}): {!Store.Transient}
-    from a member is retried [max_retries] times with jittered
-    exponential backoff against that member, then the next owner is
-    tried; a put that reaches {e no} owner raises {!Store.Transient}
-    (the write cannot be placed); permanent refusals (corrupt bytes) are
-    never retried against the same member.
+    Fault discipline: {!Store.Transient} from a member is retried
+    [max_retries] times with jittered exponential backoff
+    ({!backoff_duration}) against that member, then the next owner is
+    tried; a put or read that reaches {e no} owner raises
+    {!Store.Transient} (a read that some owner answered, even with bad
+    bytes or "absent", returns [None]); permanent refusals (corrupt
+    bytes) are never retried against the same member.
 
     Per-node outcomes are exported as observability gauges
     [cluster.<name>.node.<i>.{up,puts,failovers,repairs}]. *)
@@ -45,6 +50,14 @@ val owner_ranks :
 (** The first [replicas] {e distinct} member indices clockwise from the
     id's ring position, preference order.  Deterministic in (id, ring)
     only. *)
+
+val backoff_duration :
+  ?max_backoff_s:float -> backoff_s:float -> jitter:float -> int -> float
+(** [backoff_duration ~backoff_s ~jitter attempt] is the pre-retry sleep
+    for the given (0-based) attempt: [backoff_s * 2^min(attempt, 16) *
+    (0.5 + jitter)], capped at [max_backoff_s] (default [1.0]).  [jitter]
+    is a uniform draw in [\[0, 1)]; the exponent cap keeps the shift from
+    overflowing on large attempt counts.  Exposed for tests. *)
 
 (** {1 Cluster lifecycle} *)
 

@@ -21,17 +21,6 @@ let register_store_stats ?(prefix = "fb_store") (s : Store.t) =
   stat ".dedup_hits" (fun () -> float_of_int (Store.stats s).Store.dedup_hits);
   stat ".dedup_ratio" (fun () -> Store.dedup_ratio (Store.stats s))
 
-let register_resilient ?(prefix = "fb_resilient")
-    (rs : Resilient_store.stats) =
-  let stat f read = Obs.gauge (prefix ^ f) (fun () -> float_of_int (read ())) in
-  stat ".retries" (fun () -> rs.Resilient_store.retries);
-  stat ".absorbed" (fun () -> rs.Resilient_store.absorbed);
-  stat ".gave_up" (fun () -> rs.Resilient_store.gave_up);
-  stat ".fallback_reads" (fun () -> rs.Resilient_store.fallback_reads);
-  stat ".heals" (fun () -> rs.Resilient_store.heals);
-  stat ".corrupt_rejected" (fun () -> rs.Resilient_store.corrupt_rejected);
-  stat ".unrecovered" (fun () -> rs.Resilient_store.unrecovered)
-
 let wrap ?(prefix = "fb_store") (inner : Store.t) =
   register_store_stats ~prefix inner;
   let h_put = Obs.histogram (prefix ^ ".put_seconds") in

@@ -19,7 +19,3 @@ val wrap : ?prefix:string -> Store.t -> Store.t
 val register_store_stats : ?prefix:string -> Store.t -> unit
 (** Register gauges over {!Store.stats} (physical chunks/bytes, logical
     bytes, puts, gets, dedup hits, dedup ratio) without metering. *)
-
-val register_resilient : ?prefix:string -> Resilient_store.stats -> unit
-(** Fold the self-healing read stack's retry/repair counters into the
-    registry (default prefix ["fb_resilient"]). *)

@@ -30,7 +30,7 @@ val dedup_ratio : stats -> float
 exception Transient of string
 (** A storage fault that may succeed on retry (flaky medium, lost RPC,
     injected by {!Faulty_store}).  Backends raise it from any operation;
-    {!Resilient_store} absorbs it with bounded retries, and the API layer
+    {!Cluster_store} absorbs it with bounded retries, and the API layer
     surfaces what escapes as a typed [Errors.Transient] value. *)
 
 type t = {

@@ -1,19 +1,9 @@
-(** Blocking TCP client for the ForkBase network service (wire layer).
+(** What every ForkBase TCP client shares: the typed error and the dial.
 
-    One connection, one outstanding request at a time (the protocol is
-    strict request/response).  Server-side failures come back as
-    [Remote] carrying the same typed {!Fb_core.Errors.t} a local caller
-    would get; transport failures come back as [Transport] and poison
-    the connection (every later call fails fast).  Most applications
-    want the {!Remote} module on top, which mirrors the typed
-    {!Fb_core.Forkbase} surface; this layer is the escape hatch for raw
-    verbs and the REPL.
-
-    When observability is enabled, every {!request}/{!batch} runs inside
-    a [net.client.request]/[net.client.batch] span and stamps the frame
-    with the calling thread's trace context ({!Frame.trace}), so the
-    server's spans for this request join the caller's trace.  With
-    [FB_OBS=0] no header is sent. *)
+    {!Mux} is the client — it pipelines tagged requests over one
+    connection.  This module holds the parts a raw-socket peer needs as
+    well: the error type a call fails with and the deadline-bounded TCP
+    dial. *)
 
 type error =
   | Remote of Fb_core.Errors.t  (** the verb failed server-side *)
@@ -22,54 +12,14 @@ type error =
 val error_to_string : error -> string
 (** Rendering for the CLI edge. *)
 
-type t
-
 val dial :
   ?host:string ->
   ?port:int ->
   ?timeout_s:float ->
   unit ->
   (Unix.file_descr, error) result
-(** The deadline-bounded TCP dial underneath {!connect} — resolve,
-    non-blocking connect bounded by [timeout_s], [TCP_NODELAY]; on any
-    failure the socket fd is closed before the error is returned.
-    Exposed so {!Mux} shares the exact same dial policy. *)
-
-val connect :
-  ?host:string ->
-  ?port:int ->
-  ?user:string ->
-  ?max_frame:int ->
-  ?timeout_s:float ->
-  unit ->
-  (t, error) result
-(** Defaults: host ["127.0.0.1"], port [7447], user ["anonymous"]
-    (sent with every request; the server applies it to access control
-    and authorship), [max_frame] {!Frame.default_max_frame}, [timeout_s]
-    [30.] ([<= 0.] disables).  The timeout bounds the TCP connect
-    itself and every later send/receive — one deadline policy for the
-    whole connection ({!Frame.deadline_of_timeout}).  On any failure
-    (resolve, connect, deadline, socket options) the socket fd is
-    closed before the error is returned — no descriptor leaks. *)
-
-val request : ?user:string -> t -> string list -> (string, error) result
-(** [request t (verb :: args)] — one round trip.  [Ok payload] on
-    success; [Error (Remote e)] carries the server's typed error
-    (missing key, permission, conflict, …). *)
-
-val batch :
-  ?user:string -> t -> string list list -> (Frame.reply list, error) result
-(** One frame carrying N sub-requests, answered by N in-order replies —
-    executed server-side under a single lock acquisition.  Sub-request
-    failures are per-reply ([Error] entries in the returned list) and do
-    not abort the rest of the batch; only transport-level failures
-    return [Error] at the outer level. *)
-
-val request_line : ?user:string -> t -> string -> (string, error) result
-(** Tokenize a {!Fb_core.Service}-style request line client-side (quotes
-    group, [""] is an empty argument), then {!request}. *)
-
-val is_open : t -> bool
-
-val close : t -> unit
-(** Idempotent. *)
+(** Defaults: host ["127.0.0.1"], port [7447], [timeout_s] [30.]
+    ([<= 0.] disables).  Resolve, non-blocking connect bounded by
+    [timeout_s], [TCP_NODELAY]; on any failure (resolve, connect,
+    deadline, socket options) the socket fd is closed before the error
+    is returned — no descriptor leaks. *)

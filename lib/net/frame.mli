@@ -145,7 +145,7 @@ val decode_response :
 val deadline_of_timeout : float option -> float option
 (** [Some t] with [t > 0.] becomes an absolute deadline; [None] or a
     non-positive timeout means no deadline.  Every IO helper below (and
-    {!Client.connect}) derives its deadline through this single
+    {!Client.dial}) derives its deadline through this single
     function, so "[<= 0.] disables" holds uniformly. *)
 
 val wait_readable :

@@ -1,17 +1,16 @@
 (** Pipelined, multiplexing TCP client for the ForkBase service.
 
-    Where {!Client} is strict request/response (one outstanding request,
-    blocking round trips), a [Mux.t] keeps {e many} requests in flight
-    on one connection: every outgoing frame is tagged with a sequence id
-    ({!Frame}, flag [0x40]), a dedicated reader thread demultiplexes the
+    A [Mux.t] keeps {e many} requests in flight on one connection:
+    every outgoing frame is tagged with a sequence id ({!Frame}, flag
+    [0x40]), a dedicated reader thread demultiplexes the
     (possibly out-of-order) tagged replies back to their waiters, and
     server-initiated [Event] frames are routed to SUBSCRIBE callbacks.
 
     Two usage styles:
     {ul
-    {- {!request}/{!batch} — blocking calls, same shape as {!Client};
-       many threads may call them concurrently over one connection and
-       their requests pipeline automatically.}
+    {- {!request}/{!batch} — blocking calls; many threads may call
+       them concurrently over one connection and their requests
+       pipeline automatically.}
     {- {!send} + {!await} — split issue from completion, for a single
        thread keeping a deep pipeline (the bench driver's depth-N
        sweep): issue N tickets, then await them.}}
@@ -43,9 +42,12 @@ val connect :
   ?timeout_s:float ->
   unit ->
   (t, error) result
-(** Same defaults and dial policy as {!Client.connect}
-    ({!Client.dial}).  [timeout_s] bounds the dial and every send;
-    receives block until the reply arrives or the connection dies. *)
+(** Defaults: host ["127.0.0.1"], port [7447], user ["anonymous"]
+    (sent with every request; the server applies it to access control
+    and authorship), [max_frame] {!Frame.default_max_frame}, [timeout_s]
+    [30.] ([<= 0.] disables).  Dials with {!Client.dial}.  [timeout_s]
+    bounds the dial and every send; receives block until the reply
+    arrives or the connection dies. *)
 
 val is_open : t -> bool
 
@@ -57,11 +59,20 @@ val close : t -> unit
 
 val request : ?user:string -> t -> string list -> (string, error) result
 (** One verb, pipelined under the hood; blocks for this request's reply
-    only.  Stamps the calling thread's trace context like
-    {!Client.request}. *)
+    only.  [Ok payload] on success; [Error (Remote e)] carries the
+    server's typed error (missing key, permission, conflict, …).  Runs
+    inside a [net.client.request] span and stamps the frame with the
+    calling thread's trace context ({!Frame.trace}), so the server's
+    spans for this request join the caller's trace; with [FB_OBS=0] no
+    header is sent. *)
 
 val batch :
   ?user:string -> t -> string list list -> (Frame.reply list, error) result
+(** One frame carrying N sub-requests, answered by N in-order replies —
+    executed server-side under a single lock acquisition.  Sub-request
+    failures are per-reply ([Error] entries in the returned list) and do
+    not abort the rest of the batch; only transport-level failures
+    return [Error] at the outer level. *)
 
 (** {1 Split issue/completion} *)
 

@@ -662,7 +662,7 @@ module Chunk = Fb_chunk.Chunk
    closure-free chunk-put verb (storage members hold graph slices),
    reads ride sync-get, membership rides sync-have.  Transport failures
    and server-side Transient both surface as [Store.Transient] so
-   Resilient_store / Cluster_store failover treats a dead node like any
+   Cluster_store failover treats a dead node like any
    flaky medium; other typed errors are permanent and raise [Failure].
    Every get re-hashes the served bytes (Verified_store) — a lying node
    cannot slip forged chunks into a cluster.  [iter] and [delete] have

@@ -42,7 +42,7 @@ val connect :
   ?timeout_s:float ->
   unit ->
   (t, Fb_core.Errors.t) result
-(** Same defaults as {!Client.connect}. *)
+(** Same defaults as {!Mux.connect}. *)
 
 val close : t -> unit
 val is_open : t -> bool

@@ -13,7 +13,6 @@ type config = {
   read_timeout_s : float;
   save_every_s : float;
   default_user : string;
-  concurrency : [ `Striped | `Coarse ];
   stripes : int;
   metrics_port : int option;
   slow_ms : float;
@@ -42,7 +41,6 @@ let default_config =
     read_timeout_s = 30.0;
     save_every_s = 5.0;
     default_user = "anonymous";
-    concurrency = `Striped;
     stripes = Rwlock.Striped.default_stripes;
     metrics_port = None;
     slow_ms = default_slow_ms;
@@ -220,17 +218,12 @@ let do_save t =
 let lock_mode = function Service.Read -> `Read | Service.Write -> `Write
 
 (* One lock acquisition for the whole request, shaped by the verb
-   classification.  [`Coarse] degrades every request to a global
-   exclusive section — kept selectable so the scaling benchmark (and a
-   worried operator) can A/B the two. *)
+   classification. *)
 let locked t ~access ~scope f =
-  match t.cfg.concurrency with
-  | `Coarse -> Rwlock.Striped.with_global t.locks ~mode:`Write f
-  | `Striped -> (
-    let mode = lock_mode access in
-    match scope with
-    | Service.Key key -> Rwlock.Striped.with_key t.locks ~mode key f
-    | Service.Global -> Rwlock.Striped.with_global t.locks ~mode f)
+  let mode = lock_mode access in
+  match scope with
+  | Service.Key key -> Rwlock.Striped.with_key t.locks ~mode key f
+  | Service.Global -> Rwlock.Striped.with_global t.locks ~mode f
 
 (* A batch runs under a single acquisition covering every sub-request:
    exclusive if any sub-request mutates, one stripe when all sub-requests

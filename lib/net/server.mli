@@ -98,10 +98,6 @@ type config = {
       Threaded mode: per-frame read/write deadline as before. *)
   save_every_s : float;   (** periodic save cadence; [<= 0.] disables *)
   default_user : string;  (** applied when a request carries no user *)
-  concurrency : [ `Striped | `Coarse ];
-  (** [`Striped] (default): classified reader-writer locking as above.
-      [`Coarse]: every request takes a global exclusive section — kept
-      selectable for benchmarking and as an operational escape hatch. *)
   stripes : int;          (** lock stripes; default 16, clamped to >= 1 *)
   metrics_port : int option;
   (** bind the HTTP telemetry sidecar here ([Some 0] = ephemeral, see
@@ -128,9 +124,9 @@ type config = {
 
 val default_config : config
 (** [127.0.0.1:7447], backlog 64, {!Frame.default_max_frame}, 30 s read
-    timeout, save every 5 s, user ["anonymous"], [`Striped] with 16
-    stripes, no metrics sidecar, slow log per [FB_SLOW_MS]; event mode
-    with 4 workers, 10_000 connections, 4 MiB outboxes, 30 s write-stall
+    timeout, save every 5 s, user ["anonymous"], 16 lock stripes, no
+    metrics sidecar, slow log per [FB_SLOW_MS]; event mode with 4
+    workers, 10_000 connections, 4 MiB outboxes, 30 s write-stall
     deadline, pipeline depth 128. *)
 
 type t

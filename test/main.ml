@@ -21,7 +21,6 @@ let () =
       ("edge", Test_edge.suite);
       ("faults", Test_faults.suite);
       ("patch", Test_patch.suite);
-      ("indexer", Test_indexer.suite);
       ("baselines", Test_baselines.suite);
       ("workload", Test_workload.suite);
       ("obs", Test_obs.suite);

@@ -184,6 +184,34 @@ let test_corrupt_replica_rejected () =
   | None -> Alcotest.fail "primary lost the chunk");
   Cluster.close c
 
+(* Faulty_store flips bits on the way out only, so a member serving bad
+   bytes may hold the last healthy copy.  The read must not delete it:
+   with the other owner down nothing serves the chunk, yet once that
+   owner is back a rebalance (which reads [a]'s copy through [iter]) and
+   the next read still find it. *)
+let test_bit_flip_keeps_last_copy () =
+  let inner = Mem_store.create ~name:"a-inner" () in
+  let a, _ =
+    Faulty.wrap { Faulty.calm with seed = 5L; bit_flip_p = 1.0 } inner
+  in
+  let c =
+    Cluster.create ~replicas:2
+      ~members:[ ("a", a); ("b", Mem_store.create ~name:"b" ()) ]
+      ()
+  in
+  let store = Cluster.store c in
+  Cluster.set_down c "b" true;
+  let id = Store.put store (blob 3) in
+  check bool_ "no good copy served" true (Store.get store id = None);
+  check bool_ "bad read deleted nothing" true (inner.Store.mem id);
+  Cluster.set_down c "b" false;
+  ignore (Cluster.rebalance c);
+  (match Store.get store id with
+  | Some chunk -> check string_ "payload" "cluster chunk 3" chunk.Chunk.payload
+  | None -> Alcotest.fail "the only healthy copy was lost");
+  check bool_ "copy still on a" true (inner.Store.mem id);
+  Cluster.close c
+
 let test_transient_members_retry () =
   (* Flaky-but-honest members: every op may transiently fail, yet the
      retry + failover stack must still answer everything correctly. *)
@@ -547,6 +575,8 @@ let suite =
       test_read_repair;
     Alcotest.test_case "corrupt replica rejected and healed" `Quick
       test_corrupt_replica_rejected;
+    Alcotest.test_case "bit flip never deletes the last healthy copy" `Quick
+      test_bit_flip_keeps_last_copy;
     Alcotest.test_case "transient members retried" `Quick
       test_transient_members_retry;
     Alcotest.test_case "no live owner -> Transient" `Quick

@@ -86,15 +86,17 @@ let test_single_and_empty_degenerates () =
   check bool_ "verify tiny" true
     (Result.is_ok (FB.verify fb (ok (FB.head fb ~key:"m"))))
 
-let test_sharded_replicas_exceed_members () =
+let test_replicas_exceed_members () =
   let members = [ ("only", Mem_store.create ()) ] in
-  let cluster = Fb_chunk.Sharded_store.create ~replicas:5 ~members () in
-  let store = Fb_chunk.Sharded_store.store cluster in
+  let cluster = Fb_chunk.Cluster_store.create ~replicas:5 ~members () in
+  let store = Fb_chunk.Cluster_store.store cluster in
   let id = Store.put store (Fb_chunk.Chunk.v Fb_chunk.Chunk.Leaf_blob "x") in
   (* Replicas capped at member count: one copy, still readable. *)
   check bool_ "readable" true (Store.get store id <> None);
   check int_ "one owner" 1
-    (List.length (Fb_chunk.Sharded_store.owners cluster id))
+    (List.length (Fb_chunk.Cluster_store.owners cluster id));
+  check int_ "replicas clamped" 1 (Fb_chunk.Cluster_store.replicas cluster);
+  Fb_chunk.Cluster_store.close cluster
 
 let test_store_stats_consistency_after_mixed_ops () =
   let store = Mem_store.create () in
@@ -136,7 +138,7 @@ let suite =
     Alcotest.test_case "degenerate sizes" `Quick
       test_single_and_empty_degenerates;
     Alcotest.test_case "replicas exceed members" `Quick
-      test_sharded_replicas_exceed_members;
+      test_replicas_exceed_members;
     Alcotest.test_case "stats consistency" `Quick
       test_store_stats_consistency_after_mixed_ops;
     Alcotest.test_case "csv structure in cells" `Quick

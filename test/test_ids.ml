@@ -13,9 +13,7 @@ module File_store = Fb_chunk.File_store
 module Log_store = Fb_chunk.Log_store
 module Pack = Fb_chunk.Pack
 module Faulty = Fb_chunk.Faulty_store
-module Resilient = Fb_chunk.Resilient_store
 module Cluster = Fb_chunk.Cluster_store
-module Sharded = Fb_chunk.Sharded_store
 module Verified = Fb_chunk.Verified_store
 module Metered = Fb_chunk.Metered_store
 module Node_cache = Fb_postree.Node_cache
@@ -153,13 +151,6 @@ let prop_faulty =
               { Faulty.calm with seed = 7L; torn_append_p = 0.5 }
               (Mem_store.create ()))))
 
-let prop_resilient =
-  property "resilient"
-    (on_fresh (fun () ->
-         fst
-           (Resilient.wrap ~replica:(Mem_store.create ())
-              (Mem_store.create ()))))
-
 let prop_cluster =
   property "cluster over mem members"
     (on_fresh (fun () ->
@@ -171,22 +162,34 @@ let prop_cluster =
               ())))
 
 (* Both views skip down members.  With two of three members down, the
-   chunks whose two replicas both sit on down members drop out of both. *)
+   chunks whose two replicas both sit on down members drop out of both,
+   and [mem] agrees with what they list. *)
 let prop_sharded =
   property "sharded over mem members, members down" (fun ops ->
       let t =
-        Sharded.create ~replicas:2
+        Cluster.create ~replicas:2
           ~members:
             (List.init 3 (fun i -> (Printf.sprintf "m%d" i, Mem_store.create ())))
           ()
       in
-      let s = Sharded.store t in
+      let s = Cluster.store t in
       List.iter (apply s) ops;
-      let up = agree s in
-      Sharded.set_down t "m1" true;
-      let one_down = agree s in
-      Sharded.set_down t "m2" true;
-      up && one_down && agree s)
+      let consistent () =
+        let listed = via_ids s in
+        listed = via_iter s
+        && List.for_all
+             (fun i ->
+               let id = Chunk.hash (blob i) in
+               Store.mem s id = List.exists (Hash.equal id) listed)
+             (List.init universe Fun.id)
+      in
+      let up = consistent () in
+      Cluster.set_down t "m1" true;
+      let one_down = consistent () in
+      Cluster.set_down t "m2" true;
+      let two_down = consistent () in
+      Cluster.close t;
+      up && one_down && two_down)
 
 (* ---------------- read costs ---------------- *)
 
@@ -328,7 +331,6 @@ let suite =
     prop_pack;
     prop_overlay;
     prop_faulty;
-    prop_resilient;
     prop_cluster;
     prop_sharded;
     Alcotest.test_case "once: verified mem reads nothing" `Quick

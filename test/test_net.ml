@@ -7,6 +7,7 @@ module Persistent = Fb_core.Persistent
 module Value = Fb_types.Value
 module Frame = Fb_net.Frame
 module Client = Fb_net.Client
+module Mux = Fb_net.Mux
 module Remote = Fb_net.Remote
 module Server = Fb_net.Server
 
@@ -45,8 +46,8 @@ let with_server ?(config = test_config) ?save fb f =
   Fun.protect ~finally:(fun () -> Server.stop srv) (fun () -> f srv)
 
 let with_client ?user srv f =
-  let c = ok_cl (Client.connect ?user ~port:(Server.port srv) ()) in
-  Fun.protect ~finally:(fun () -> Client.close c) (fun () -> f c)
+  let c = ok_cl (Mux.connect ?user ~port:(Server.port srv) ()) in
+  Fun.protect ~finally:(fun () -> Mux.close c) (fun () -> f c)
 
 (* ---------------- pure framing ---------------- *)
 
@@ -582,29 +583,31 @@ let test_server_roundtrip () =
           (* Values with newlines and quotes survive framing verbatim —
              exactly what the line transport could not carry. *)
           let value = "line one\nline two \"quoted\"\nline three" in
-          let uid = ok_cl (Client.request c [ "put"; "k"; "master"; value ]) in
+          let uid = ok_cl (Mux.request c [ "put"; "k"; "master"; value ]) in
           check bool_ "uid parses" true (Result.is_ok (FB.parse_version uid));
-          check string_ "get" value (ok_cl (Client.request c [ "get"; "k"; "master" ]));
-          check string_ "head" uid (ok_cl (Client.request c [ "head"; "k"; "master" ]));
-          ignore (ok_cl (Client.request c [ "branch"; "k"; "master"; "dev" ]));
-          ignore (ok_cl (Client.request c [ "put"; "k"; "dev"; "v2" ]));
-          ignore (ok_cl (Client.request c [ "merge"; "k"; "master"; "dev" ]));
-          check string_ "merged" "v2" (ok_cl (Client.request c [ "get"; "k"; "master" ]));
-          (* request_line tokenizes client-side. *)
-          check string_ "request_line" "v2"
-            (ok_cl (Client.request_line c "get k master"));
+          check string_ "get" value (ok_cl (Mux.request c [ "get"; "k"; "master" ]));
+          check string_ "head" uid (ok_cl (Mux.request c [ "head"; "k"; "master" ]));
+          ignore (ok_cl (Mux.request c [ "branch"; "k"; "master"; "dev" ]));
+          ignore (ok_cl (Mux.request c [ "put"; "k"; "dev"; "v2" ]));
+          ignore (ok_cl (Mux.request c [ "merge"; "k"; "master"; "dev" ]));
+          check string_ "merged" "v2" (ok_cl (Mux.request c [ "get"; "k"; "master" ]));
+          (* A service-style request line, tokenized client-side. *)
+          check string_ "tokenized line" "v2"
+            (ok_cl
+               (Mux.request c
+                  (ok_net (Fb_core.Service.tokenize "get \"k\" master"))));
           (* Application errors come back typed; the connection stays up. *)
-          (match Client.request c [ "get"; "missing"; "master" ] with
-          | Error (Client.Remote (Errors.Key_not_found _ | Errors.Branch_not_found _)) -> ()
+          (match Mux.request c [ "get"; "missing"; "master" ] with
+          | Error (Mux.Remote (Errors.Key_not_found _ | Errors.Branch_not_found _)) -> ()
           | Error e -> Alcotest.fail ("wrong error: " ^ Client.error_to_string e)
           | Ok _ -> Alcotest.fail "missing key should fail");
-          (match Client.request c [ "frobnicate" ] with
-          | Error (Client.Remote (Errors.Invalid msg)) ->
+          (match Mux.request c [ "frobnicate" ] with
+          | Error (Mux.Remote (Errors.Invalid msg)) ->
             check bool_ "bad verb" true (Tutil.contains msg "bad request")
           | Error e -> Alcotest.fail ("wrong error: " ^ Client.error_to_string e)
           | Ok _ -> Alcotest.fail "unknown verb accepted");
           check string_ "still alive" "v2"
-            (ok_cl (Client.request c [ "get"; "k"; "master" ]))))
+            (ok_cl (Mux.request c [ "get"; "k"; "master" ]))))
 
 let test_batch_roundtrip () =
   let fb = FB.create (Fb_chunk.Mem_store.create ()) in
@@ -613,7 +616,7 @@ let test_batch_roundtrip () =
           (* Same-key batch: one stripe, one lock acquisition. *)
           let replies =
             ok_cl
-              (Client.batch c
+              (Mux.batch c
                  [ [ "put"; "k"; "master"; "v1" ];
                    [ "get"; "k"; "master" ];
                    [ "get"; "missing"; "master" ];
@@ -626,11 +629,11 @@ let test_batch_roundtrip () =
           (* The failing sub-request poisoned neither its batch nor the
              connection. *)
           check string_ "alive after partial failure" "v1"
-            (ok_cl (Client.request c [ "get"; "k"; "master" ]));
+            (ok_cl (Mux.request c [ "get"; "k"; "master" ]));
           (* Cross-key batch: the combined scope is global. *)
           (match
              ok_cl
-               (Client.batch c
+               (Mux.batch c
                   [ [ "put"; "a"; "master"; "1" ];
                     [ "put"; "b"; "master"; "2" ];
                     [ "get"; "a"; "master" ];
@@ -640,13 +643,13 @@ let test_batch_roundtrip () =
            | _ -> Alcotest.fail "cross-key batch failed");
           (* Read-only batch (shared lock path). *)
           (match
-             ok_cl (Client.batch c [ [ "get"; "a"; "master" ]; [ "list" ] ])
+             ok_cl (Mux.batch c [ [ "get"; "a"; "master" ]; [ "list" ] ])
            with
            | [ Ok "1"; Ok keys ] ->
              check bool_ "list sees keys" true (Tutil.contains keys "k")
            | _ -> Alcotest.fail "read-only batch failed");
           (* An empty batch is answered, emptily. *)
-          check int_ "empty batch" 0 (List.length (ok_cl (Client.batch c [])))))
+          check int_ "empty batch" 0 (List.length (ok_cl (Mux.batch c [])))))
 
 let test_remote_typed () =
   let fb = FB.create (Fb_chunk.Mem_store.create ()) in
@@ -712,12 +715,12 @@ let test_server_user_identity () =
   let fb = FB.create (Fb_chunk.Mem_store.create ()) in
   with_server fb (fun srv ->
       with_client ~user:"alice" srv (fun c ->
-          ignore (ok_cl (Client.request c [ "put"; "k"; "master"; "v" ]));
-          let log = ok_cl (Client.request c [ "log"; "k"; "master" ]) in
+          ignore (ok_cl (Mux.request c [ "put"; "k"; "master"; "v" ]));
+          let log = ok_cl (Mux.request c [ "log"; "k"; "master" ]) in
           check bool_ "author recorded" true (Tutil.contains log "alice");
           (* Per-request override. *)
-          ignore (ok_cl (Client.request ~user:"bob" c [ "put"; "k"; "master"; "w" ]));
-          let log = ok_cl (Client.request c [ "log"; "k"; "master" ]) in
+          ignore (ok_cl (Mux.request ~user:"bob" c [ "put"; "k"; "master"; "w" ]));
+          let log = ok_cl (Mux.request c [ "log"; "k"; "master" ]) in
           check bool_ "override recorded" true (Tutil.contains log "bob")))
 
 let test_server_durability () =
@@ -727,7 +730,7 @@ let test_server_durability () =
       let uid =
         with_server ~save fb (fun srv ->
             with_client srv (fun c ->
-                ok_cl (Client.request c [ "put"; "k"; "master"; "durable" ])))
+                ok_cl (Mux.request c [ "put"; "k"; "master"; "durable" ])))
       in
       (* with_server stopped the server; stop runs the final save, so a
          fresh instance sees the head. *)
@@ -740,20 +743,20 @@ let test_server_shutdown () =
   let fb = FB.create (Fb_chunk.Mem_store.create ()) in
   let srv = ok_net (Server.start ~config:test_config fb) in
   let port = Server.port srv in
-  let c = ok_cl (Client.connect ~port ()) in
-  ignore (ok_cl (Client.request c [ "put"; "k"; "master"; "v" ]));
+  let c = ok_cl (Mux.connect ~port ()) in
+  ignore (ok_cl (Mux.request c [ "put"; "k"; "master"; "v" ]));
   Server.stop srv;
   check bool_ "stopped" false (Server.is_running srv);
   (* The open connection was kicked. *)
-  check bool_ "old conn dead" true (Result.is_error (Client.request c [ "stat" ]));
-  Client.close c;
+  check bool_ "old conn dead" true (Result.is_error (Mux.request c [ "stat" ]));
+  Mux.close c;
   (* New connections are refused (or dead on arrival via the backlog). *)
-  (match Client.connect ~port ~timeout_s:1.0 () with
+  (match Mux.connect ~port ~timeout_s:1.0 () with
   | Error _ -> ()
   | Ok c2 ->
     check bool_ "no service after stop" true
-      (Result.is_error (Client.request c2 [ "stat" ]));
-    Client.close c2);
+      (Result.is_error (Mux.request c2 [ "stat" ]));
+    Mux.close c2);
   (* stop is idempotent. *)
   Server.stop srv
 
@@ -813,22 +816,24 @@ let test_max_frame () =
   let fb = FB.create (Fb_chunk.Mem_store.create ()) in
   let config = { test_config with max_frame = 256 } in
   with_server ~config fb (fun srv ->
-      let c = ok_cl (Client.connect ~port:(Server.port srv) ()) in
+      let c = ok_cl (Mux.connect ~port:(Server.port srv) ()) in
       Fun.protect
-        ~finally:(fun () -> Client.close c)
+        ~finally:(fun () -> Mux.close c)
         (fun () ->
-          (match Client.request c [ "put"; "k"; "master"; String.make 4096 'x' ] with
-          | Error (Client.Remote (Errors.Invalid msg)) ->
+          (* The server cannot read the tag of a frame it refuses, so its
+             Invalid reply is untagged and poisons the pipelined stream. *)
+          (match Mux.request c [ "put"; "k"; "master"; String.make 4096 'x' ] with
+          | Error (Mux.Transport msg) ->
             check bool_ "too large" true (Tutil.contains msg "large")
           | Error e -> Alcotest.fail ("wrong error: " ^ Client.error_to_string e)
           | Ok _ -> Alcotest.fail "oversize frame accepted");
           (* The stream was desynchronized: the server hung up. *)
           check bool_ "connection closed" true
-            (Result.is_error (Client.request c [ "stat" ]))));
+            (Result.is_error (Mux.request c [ "stat" ]))));
   (* A small-but-legal request still works under the same limit. *)
   with_server ~config fb (fun srv ->
       with_client srv (fun c ->
-          ignore (ok_cl (Client.request c [ "put"; "k"; "master"; "small" ]))))
+          ignore (ok_cl (Mux.request c [ "put"; "k"; "master"; "small" ]))))
 
 (* A peer that announces one byte more than the limit and then sends
    nothing: the refusal must come from the prefix alone — a server that
@@ -897,7 +902,7 @@ let test_prefix_only_peers () =
                     (* A round trip on a fresh connection, then a pause:
                        the server has read every prefix by now. *)
                     with_client srv (fun c ->
-                        ignore (ok_cl (Client.request c [ "stat" ])));
+                        ignore (ok_cl (Mux.request c [ "stat" ])));
                     Thread.delay 0.2)
               in
               let announced = float_of_int (peers * max_frame) in
@@ -921,9 +926,9 @@ let test_connect_failure_leaks_no_fd () =
   Unix.close s;
   let before = count_fds () in
   for _ = 1 to 20 do
-    match Client.connect ~port ~timeout_s:0.5 () with
+    match Mux.connect ~port ~timeout_s:0.5 () with
     | Error _ -> ()
-    | Ok c -> Client.close c (* something raced onto the port; still no leak *)
+    | Ok c -> Mux.close c (* something raced onto the port; still no leak *)
   done;
   check int_ "no fd leaked by failed connects" before (count_fds ())
 
@@ -960,32 +965,32 @@ let test_soak () =
         Printf.ksprintf (fun s -> Atomic.incr errors; prerr_endline s) fmt
       in
       let worker cid () =
-        match Client.connect ~port ~user:(Printf.sprintf "u%d" cid) () with
+        match Mux.connect ~port ~user:(Printf.sprintf "u%d" cid) () with
         | Error e -> fail "c%d connect: %s" cid (Client.error_to_string e)
         | Ok c ->
           let key = Printf.sprintf "k%d" cid in
           for i = 0 to iterations - 1 do
             let v = Printf.sprintf "%d-%d\npayload line" cid i in
-            (match Client.request c [ "put"; key; "master"; v ] with
+            (match Mux.request c [ "put"; key; "master"; v ] with
             | Ok _ -> ()
             | Error e -> fail "c%d put %d: %s" cid i (Client.error_to_string e));
-            (match Client.request c [ "get"; key; "master" ] with
+            (match Mux.request c [ "get"; key; "master" ] with
             | Ok got when got = v -> ()
             | Ok got -> fail "c%d get %d: corrupt %S" cid i got
             | Error e -> fail "c%d get %d: %s" cid i (Client.error_to_string e));
             if i mod 5 = 0 then begin
               let b = Printf.sprintf "dev%d" i in
-              (match Client.request c [ "branch"; key; "master"; b ] with
+              (match Mux.request c [ "branch"; key; "master"; b ] with
               | Ok _ -> ()
               | Error e ->
                 fail "c%d branch %d: %s" cid i (Client.error_to_string e));
-              match Client.request c [ "merge"; key; "master"; b ] with
+              match Mux.request c [ "merge"; key; "master"; b ] with
               | Ok _ -> ()
               | Error e ->
                 fail "c%d merge %d: %s" cid i (Client.error_to_string e)
             end
           done;
-          Client.close c
+          Mux.close c
       in
       (* A byte-at-a-time peer runs alongside the fleet; everyone must
          still complete without corruption. *)
@@ -1046,32 +1051,32 @@ let test_mixed_soak () =
           for w = 0 to writers - 1 do
             ignore
               (ok_cl
-                 (Client.request c
+                 (Mux.request c
                     [ "put"; Printf.sprintf "w%d" w; "master"; "0" ]))
           done);
       let writers_done = Atomic.make 0 in
       let writer wid () =
-        (match Client.connect ~port () with
+        (match Mux.connect ~port () with
         | Error e -> fail "w%d connect: %s" wid (Client.error_to_string e)
         | Ok c ->
           let key = Printf.sprintf "w%d" wid in
           for i = 1 to writes do
-            match Client.request c [ "put"; key; "master"; string_of_int i ] with
+            match Mux.request c [ "put"; key; "master"; string_of_int i ] with
             | Ok _ -> ()
             | Error e -> fail "w%d put %d: %s" wid i (Client.error_to_string e)
           done;
-          Client.close c);
+          Mux.close c);
         Atomic.incr writers_done
       in
       let reader rid () =
-        match Client.connect ~port () with
+        match Mux.connect ~port () with
         | Error e -> fail "r%d connect: %s" rid (Client.error_to_string e)
         | Ok c ->
           let key = Printf.sprintf "w%d" (rid mod writers) in
           let last = ref (-1) in
           let observed = ref 0 in
           while Atomic.get writers_done < writers do
-            (match Client.request c [ "get"; key; "master" ] with
+            (match Mux.request c [ "get"; key; "master" ] with
             | Ok v -> (
               incr observed;
               match int_of_string_opt v with
@@ -1083,7 +1088,7 @@ let test_mixed_soak () =
             | Error e -> fail "r%d get: %s" rid (Client.error_to_string e))
           done;
           if !observed = 0 then fail "r%d observed nothing" rid;
-          Client.close c
+          Mux.close c
       in
       let threads =
         List.init writers (fun w -> Thread.create (writer w) ())
@@ -1115,7 +1120,7 @@ let test_trace_propagation () =
   let fb = FB.create (Fb_chunk.Mem_store.create ()) in
   with_server fb (fun srv ->
       with_client srv (fun c ->
-          ignore (ok_cl (Client.request c [ "put"; "k"; "master"; "v" ]))));
+          ignore (ok_cl (Mux.request c [ "put"; "k"; "master"; "v" ]))));
   let spans = Obs.spans () in
   match span_named "net.client.request" spans,
         span_named "net.server.request" spans with
@@ -1151,7 +1156,7 @@ let test_batch_trace_spans () =
   with_server fb (fun srv ->
       with_client srv (fun c ->
           match
-            Client.batch c
+            Mux.batch c
               [ [ "put"; "k"; "master"; "v1" ]; [ "get"; "k"; "master" ] ]
           with
           | Ok [ Ok _; Ok "v1" ] -> ()
@@ -1219,7 +1224,7 @@ let test_metrics_sidecar () =
         | None -> Alcotest.fail "sidecar did not start"
       in
       with_client srv (fun c ->
-          ignore (ok_cl (Client.request c [ "put"; "k"; "master"; "v" ])));
+          ignore (ok_cl (Mux.request c [ "put"; "k"; "master"; "v" ])));
       let metrics = http_get mport "/metrics" in
       check string_ "metrics 200" "200" (status_of metrics);
       check bool_ "prometheus exposition has the frame counter" true
@@ -1255,7 +1260,7 @@ let test_slow_request_log () =
   let config = { test_config with slow_ms = 0.0 } in
   with_server ~config fb (fun srv ->
       with_client srv (fun c ->
-          ignore (ok_cl (Client.request c [ "put"; "k"; "master"; "v" ])));
+          ignore (ok_cl (Mux.request c [ "put"; "k"; "master"; "v" ])));
       check bool_ "slow ring captured the request" true
         (Server.slow_trace_count srv > 0));
   let warns =

@@ -294,6 +294,58 @@ let test_pipelined_depth () =
    the server must cap the connection's outbox (stop reading — the
    high-water mark proves the cap engaged) and eventually cut the
    stalled connection loose, staying healthy for everyone else. *)
+(* The strict in-order rule for untagged frames, spoken over a raw
+   socket: an untagged request is admitted only once nothing else is in
+   flight, and it holds back the frames after it.  So its reply follows
+   every earlier tagged reply, precedes the later one, and carries no
+   sequence id.  The earlier requests write large values so that a
+   server breaking the rule would likely answer the cheap untagged get
+   first. *)
+let test_untagged_in_order () =
+  List.iter
+    (fun mode ->
+      let fb = FB.create (Fb_chunk.Mem_store.create ()) in
+      ignore (ok_fb (FB.put fb ~key:"u" (Fb_types.Value.string "untagged")));
+      with_server ~config:{ test_config with mode } fb (fun srv ->
+          let fd = ok_cl (Client.dial ~port:(Server.port srv) ()) in
+          Fun.protect
+            ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+            (fun () ->
+              let big = String.make (256 * 1024) 'x' in
+              let frame ?seq tokens =
+                Frame.request_frame ~user:"raw" ?seq (Frame.Single tokens)
+              in
+              let wire =
+                String.concat ""
+                  (List.init 3 (fun i ->
+                       frame ~seq:(i + 1)
+                         [ "put"; Printf.sprintf "k%d" i; "master"; big ])
+                  @ [ frame [ "get"; "u"; "master" ];
+                      frame ~seq:4 [ "get"; "u"; "master" ] ])
+              in
+              (match Frame.send_frame ~timeout_s:5.0 fd wire with
+               | Ok () -> ()
+               | Error e -> Alcotest.fail (Frame.error_to_string e));
+              let rd = Frame.reader () in
+              let replies =
+                List.init 5 (fun _ ->
+                    match Frame.read_frame ~timeout_s:5.0 rd fd with
+                    | Error e -> Alcotest.fail (Frame.error_to_string e)
+                    | Ok payload -> (
+                      match Frame.decode_response payload with
+                      | Ok (_, seq, Frame.One (Ok v)) -> (seq, v)
+                      | _ -> Alcotest.fail "unexpected reply"))
+              in
+              let seqs = List.map fst replies in
+              check bool_ "earlier tagged replies first" true
+                (List.sort compare (List.filteri (fun i _ -> i < 3) seqs)
+                 = [ Some 1; Some 2; Some 3 ]);
+              check bool_ "untagged reply fourth, with no sequence id" true
+                (List.nth replies 3 = (None, "untagged"));
+              check bool_ "later tagged reply last" true
+                (List.nth replies 4 = (Some 4, "untagged")))))
+    [ `Event; `Threaded ]
+
 let test_slow_reader_backpressure () =
   let fb = FB.create (Fb_chunk.Mem_store.create ()) in
   let config =
@@ -396,15 +448,15 @@ let test_subscribe_push_under_load () =
             List.init 3 (fun w ->
                 Thread.create
                   (fun () ->
-                    let c = ok_cl (Client.connect ~port ()) in
+                    let c = ok_cl (Mux.connect ~port ()) in
                     let key = Printf.sprintf "k%d" w in
                     for i = 1 to writes do
                       ignore
                         (ok_cl
-                           (Client.request c
+                           (Mux.request c
                               [ "put"; key; "master"; string_of_int i ]))
                     done;
-                    Client.close c)
+                    Mux.close c)
                   ())
           in
           List.iter Thread.join writers;
@@ -818,6 +870,8 @@ let suite =
       test_unknown_sequence_rejected;
     Alcotest.test_case "pipelined depth + concurrent mux" `Quick
       test_pipelined_depth;
+    Alcotest.test_case "untagged frame waits its turn (both engines)" `Quick
+      test_untagged_in_order;
     Alcotest.test_case "slow-reader backpressure" `Quick
       test_slow_reader_backpressure;
     Alcotest.test_case "subscribe push under load" `Quick
