@@ -13,7 +13,8 @@ test:
 bench:
 	dune exec bench/main.exe
 
-# Hot-path microbenchmarks (SHA-256 kernel, chunker scan, node cache);
+# Hot-path microbenchmarks (SHA-256 and CRC-32 kernels, chunker scan,
+# node cache);
 # writes BENCH_hotpath.json.
 bench-hotpath:
 	dune exec bench/main.exe -- hotpath
@@ -82,8 +83,8 @@ ab:
 
 # The pre-commit gate: full build, full test suite, the observability
 # smoke (instrumentation overhead + histogram/exposition/tracing smoke,
-# artifact untouched), a ~1-second hot-path sanity run (kernel
-# equivalence + cache on/off smoke), a ~1-second network smoke (2
+# artifact untouched), a ~1-second hot-path sanity run (SHA-256 and
+# CRC-32 kernel equivalence + cache on/off smoke), a ~1-second network smoke (2
 # concurrent clients over loopback, asserts zero dropped/corrupt frames
 # and a clean shutdown), a ~1-second concurrency smoke (reader scaling,
 # BATCH), an event-loop smoke (event vs

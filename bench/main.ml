@@ -1294,7 +1294,7 @@ let run_obs ?(quick = false) () =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Hot path: SHA-256 kernel, chunker scan, node-cache tree ops.       *)
+(* Hot path: SHA-256 and CRC-32 kernels, chunker scan, node cache.   *)
 (* ------------------------------------------------------------------ *)
 
 let run_hotpath ?(quick = false) () =
@@ -1302,11 +1302,12 @@ let run_hotpath ?(quick = false) () =
     (if quick then
        "HOT PATH (quick sanity): kernel equivalence + throughput smoke run"
      else
-       "HOT PATH: SHA-256 kernels, fused chunker scan, decoded-node \
-        cache\n\
+       "HOT PATH: SHA-256 and CRC-32 kernels, fused chunker scan, \
+        decoded-node cache\n\
         (throughputs single-threaded; tree ops on a mem store)");
   let module Sha256 = Fb_hash.Sha256 in
   let module Sha256_ref = Fb_hash.Sha256_ref in
+  let module Crc32 = Fb_hash.Crc32 in
   let module Rolling = Fb_hash.Rolling in
   let module Node_cache = Fb_postree.Node_cache in
   let mb = 1024.0 *. 1024.0 in
@@ -1363,7 +1364,35 @@ let run_hotpath ?(quick = false) () =
         (size, ref_mb, ocaml_mb, native_mb))
       sha_sizes
   in
-  (* --- 2. chunker: fused feed_string vs per-char feed --- *)
+  (* --- 2. CRC-32 (the pack log's record seal): native vs reference --- *)
+  (* Random contents at every start offset mod 8 and lengths around the
+     kernel's 8-byte steps. *)
+  for i = 0 to 255 do
+    let buf = rand_string (Int64.of_int (1000 + i)) (Prng.next_int rng 4200) in
+    let pos = Prng.next_int rng (1 + min 16 (String.length buf)) in
+    let len = Prng.next_int rng (1 + String.length buf - pos) in
+    if Crc32.update_sub Crc32.empty buf ~pos ~len
+       <> Crc32_ref.update_sub Crc32_ref.empty buf ~pos ~len
+    then failwith (Printf.sprintf "crc32 kernel disagrees: pos %d len %d" pos len)
+  done;
+  Printf.printf "crc32 native = reference on 256 random ranges\n";
+  let crc_sizes = if quick then [ 4096 ] else [ 4096; 1 lsl 20 ] in
+  let crc_mib = if quick then 2 else 64 in
+  Printf.printf "%-24s %10s %11s %8s\n" "crc32 (buffer size)" "ref MB/s"
+    "native MB/s" "speedup";
+  let crc_rows =
+    List.map
+      (fun size ->
+        let buf = rand_string 0xc3cL size in
+        let reps = max 1 (crc_mib * 1024 * 1024 / size) in
+        let ref_mb = mb_s size reps (fun () -> Crc32_ref.string buf) in
+        let native_mb = mb_s size reps (fun () -> Crc32.string buf) in
+        Printf.printf "%-24d %10.1f %11.1f %7.2fx\n" size ref_mb native_mb
+          (native_mb /. ref_mb);
+        (size, ref_mb, native_mb))
+      crc_sizes
+  in
+  (* --- 3. chunker: fused feed_string vs per-char feed --- *)
   let scan_bytes = (if quick then 2 else 16) * 1024 * 1024 in
   let scan = rand_string 0xbeefL scan_bytes in
   let params = Rolling.default_blob_params in
@@ -1386,7 +1415,7 @@ let run_hotpath ?(quick = false) () =
     "gamma tables: %d built, %d served from memo (%d MB scanned so far)\n"
     rstats.Rolling.gamma_builds rstats.Rolling.gamma_memo_hits
     (rstats.Rolling.bytes_scanned / (1024 * 1024));
-  (* --- 3. tree ops with the decoded-node cache off/on --- *)
+  (* --- 4. tree ops with the decoded-node cache off/on --- *)
   let n = if quick then 10_000 else 50_000 in
   let lookups = if quick then 1_000 else 5_000 in
   let tree_reps = if quick then 1 else 5 in
@@ -1446,6 +1475,7 @@ let run_hotpath ?(quick = false) () =
       Printf.sprintf
         "{\"sha256_kernel\":\"%s\",\n\
          \"sha256\":[%s],\n\
+         \"crc32\":[%s],\n\
          \"chunker\":{\"per_char_mb_s\":%.1f,\"fast_mb_s\":%.1f,\
          \"speedup\":%.2f},\n\
          \"tree\":{\"entries\":%d,\"lookups\":%d,\n\
@@ -1466,6 +1496,14 @@ let run_hotpath ?(quick = false) () =
                    | Some m -> Printf.sprintf "%.1f" m
                    | None -> "null"))
               sha_rows))
+        (String.concat ","
+           (List.map
+              (fun (size, ref_mb, native_mb) ->
+                Printf.sprintf
+                  "{\"buffer\":%d,\"ref_mb_s\":%.1f,\"native_mb_s\":%.1f,\
+                   \"speedup\":%.2f}"
+                  size ref_mb native_mb (native_mb /. ref_mb))
+              crc_rows))
         slow_mb fast_mb (fast_mb /. slow_mb) n lookups off_p50 off_p99
         off_diff off_merge on_p50 on_p99 on_diff on_merge (off_p50 /. on_p50)
     in

@@ -49,6 +49,7 @@ type counters = {
   mutable deletes : int;
   mutable flushes : int;
   mutable checkpoints : int;
+  mutable checkpoint_bytes : int;
   mutable compactions : int;
   mutable auto_compactions : int;
   mutable replayed_records : int;
@@ -70,9 +71,11 @@ type t = {
   mutable file_len : int;
   mutable synced_len : int;
   mutable ckpt_len : int; (* file_len as of the last checkpoint *)
+  mutable ckpt_size : int; (* bytes of the last checkpoint, 0 if none *)
   mutable pending : int; (* records appended since the last sync *)
   mutable pending_since : float;
   index : entry Hash.Tbl.t;
+  rec_buf : Bytes.t; (* record staging buffer, used under [lock] *)
   mutable live_payload : int; (* sum of live entry lengths *)
   mutable closed : bool;
   mutable thread : Thread.t option;
@@ -130,8 +133,7 @@ let read_file_opt path =
   | data -> Some data
   | exception (Sys_error _ | End_of_file) -> None
 
-let write_all fd bytes =
-  let len = Bytes.length bytes in
+let write_all fd bytes len =
   let n = ref 0 in
   while !n < len do
     n := !n + Unix.write fd bytes !n (len - !n)
@@ -159,9 +161,21 @@ let gen_of_filename name =
 
 (* ------------------------- record encoding ------------------------- *)
 
-let encode_record ~kind ~id ~payload =
+(* Records up to this size are laid out in the store's reusable buffer; a
+   larger one gets a buffer of its own, so one big chunk pins no memory. *)
+let rec_buf_size = 1 lsl 16
+
+let record_size payload = rec_overhead + String.length payload
+
+(* Lays the record out at the start of [buf] if it fits, else in a fresh
+   buffer, and returns the buffer holding it ([record_size payload]
+   bytes). *)
+let encode_record buf ~kind ~id ~payload =
   let len = String.length payload in
-  let b = Bytes.create (rec_overhead + len) in
+  let b =
+    if record_size payload <= Bytes.length buf then buf
+    else Bytes.create (record_size payload)
+  in
   Bytes.set b 0 (Char.chr kind);
   Bytes.set_int32_be b 1 (Int32.of_int len);
   Bytes.blit_string (Hash.to_raw id) 0 b 5 32;
@@ -232,29 +246,33 @@ let scan_records path ~start ~size ?(verify_hash = fun _ _ -> ()) apply =
 
 (* ------------------------- checkpoint index ------------------------- *)
 
+let idx_head_size = 32 (* magic, generation, covered, count *)
+let idx_entry_size = 48 (* id 32, off 8, len 8 *)
+
+let checkpoint_size count = idx_head_size + (count * idx_entry_size) + 4
+
+(* One exactly sized buffer, sealed in place: no per-entry allocation and
+   no copy of the body to append the CRC.  Returns the bytes written. *)
 let write_checkpoint_file ~fsync path ~gen ~covered index =
   let count = Hash.Tbl.length index in
-  let b = Buffer.create (36 + (count * 48)) in
-  Buffer.add_string b idx_magic;
-  let add64 v =
-    let s = Bytes.create 8 in
-    Bytes.set_int64_be s 0 (Int64.of_int v);
-    Buffer.add_bytes b s
-  in
-  add64 gen;
-  add64 covered;
-  add64 count;
+  let n = checkpoint_size count in
+  let b = Bytes.create n in
+  Bytes.blit_string idx_magic 0 b 0 8;
+  Bytes.set_int64_be b 8 (Int64.of_int gen);
+  Bytes.set_int64_be b 16 (Int64.of_int covered);
+  Bytes.set_int64_be b 24 (Int64.of_int count);
+  let pos = ref idx_head_size in
   Hash.Tbl.iter
     (fun id e ->
-      Buffer.add_string b (Hash.to_raw id);
-      add64 e.off;
-      add64 e.len)
+      Bytes.blit_string (Hash.to_raw id) 0 b !pos 32;
+      Bytes.set_int64_be b (!pos + 32) (Int64.of_int e.off);
+      Bytes.set_int64_be b (!pos + 40) (Int64.of_int e.len);
+      pos := !pos + idx_entry_size)
     index;
-  let body = Buffer.contents b in
-  let crc = Crc32.string body in
-  let s = Bytes.create 4 in
-  Bytes.set_int32_be s 0 (Int32.of_int crc);
-  write_file_atomic ~fsync path (body ^ Bytes.to_string s)
+  let crc = Crc32.update_bytes_sub Crc32.empty b ~pos:0 ~len:(n - 4) in
+  Bytes.set_int32_be b (n - 4) (Int32.of_int crc);
+  write_file_atomic ~fsync path (Bytes.unsafe_to_string b);
+  n
 
 (* Returns [Some (covered, entries)] when the checkpoint verifies and
    describes a prefix of the current log file; anything suspicious makes
@@ -266,7 +284,7 @@ let load_checkpoint path ~gen ~file_size =
     let n = String.length raw in
     (* Header: magic(8) gen(8) covered(8) count(8) = 32 bytes, then
        count * (id 32, off 8, len 8), then the CRC. *)
-    if n < 32 + 4 then None
+    if n < idx_head_size + 4 then None
     else if not (String.equal (String.sub raw 0 8) idx_magic) then None
     else if Crc32.update_sub Crc32.empty raw ~pos:0 ~len:(n - 4) <> u32be raw (n - 4)
     then None
@@ -276,7 +294,7 @@ let load_checkpoint path ~gen ~file_size =
       let count = u64be raw 24 in
       if
         g <> gen || count < 0
-        || n <> 32 + (count * 48) + 4
+        || n <> checkpoint_size count
         || covered < header_size || covered > file_size
       then None
       else begin
@@ -284,7 +302,7 @@ let load_checkpoint path ~gen ~file_size =
         let ok = ref true in
         (try
            for i = 0 to count - 1 do
-             let base = 32 + (i * 48) in
+             let base = idx_head_size + (i * idx_entry_size) in
              let id = Hash.of_raw_exn (String.sub raw base 32) in
              let off = u64be raw (base + 32) in
              let len = u64be raw (base + 40) in
@@ -314,6 +332,7 @@ let register_gauges t =
   gi "deletes" (fun () -> t.c.deletes);
   gi "flushes" (fun () -> t.c.flushes);
   gi "checkpoints" (fun () -> t.c.checkpoints);
+  gi "checkpoint_bytes" (fun () -> t.c.checkpoint_bytes);
   gi "compactions" (fun () -> t.c.compactions);
   gi "auto_compactions" (fun () -> t.c.auto_compactions);
   gi "replayed_records" (fun () -> t.c.replayed_records);
@@ -331,13 +350,20 @@ let garbage_locked t =
   - (rec_overhead * Hash.Tbl.length t.index)
 
 let checkpoint_locked t =
-  write_checkpoint_file ~fsync:t.config.fsync (idx_file t.root t.gen)
-    ~gen:t.gen ~covered:t.synced_len t.index;
+  let n =
+    write_checkpoint_file ~fsync:t.config.fsync (idx_file t.root t.gen)
+      ~gen:t.gen ~covered:t.synced_len t.index
+  in
   t.ckpt_len <- t.synced_len;
-  t.c.checkpoints <- t.c.checkpoints + 1
+  t.ckpt_size <- n;
+  t.c.checkpoints <- t.c.checkpoints + 1;
+  t.c.checkpoint_bytes <- t.c.checkpoint_bytes + n
 
 (* The group commit point: push appended records to stable storage, then
-   checkpoint if enough log has accumulated since the last one.  The
+   checkpoint if enough log has accumulated since the last one: at least
+   [checkpoint_bytes], and at least the size of the last checkpoint, so a
+   large index is rewritten no more often than its own size in new log —
+   checkpoint bytes stay within log bytes plus one checkpoint.  The
    checkpoint can only cover a synced prefix — its entries must never
    point past what a power cut can preserve. *)
 let sync_locked t =
@@ -347,8 +373,8 @@ let sync_locked t =
     t.pending <- 0;
     t.c.flushes <- t.c.flushes + 1
   end;
-  if t.synced_len - t.ckpt_len >= t.config.checkpoint_bytes then
-    checkpoint_locked t
+  if t.synced_len - t.ckpt_len >= max t.config.checkpoint_bytes t.ckpt_size
+  then checkpoint_locked t
 
 let maybe_group_commit_locked t =
   t.pending <- t.pending + 1;
@@ -359,10 +385,10 @@ let maybe_group_commit_locked t =
   then sync_locked t
 
 let append_record_locked t ~kind ~id ~payload =
-  let b = encode_record ~kind ~id ~payload in
-  write_all t.wfd b;
+  let n = record_size payload in
+  write_all t.wfd (encode_record t.rec_buf ~kind ~id ~payload) n;
   let payload_off = t.file_len + rec_head_size in
-  t.file_len <- t.file_len + Bytes.length b;
+  t.file_len <- t.file_len + n;
   maybe_group_commit_locked t;
   payload_off
 
@@ -411,7 +437,7 @@ let init_generation root gen =
   Fun.protect
     ~finally:(fun () -> Unix.close fd)
     (fun () ->
-      write_all fd (header_bytes gen);
+      write_all fd (header_bytes gen) header_size;
       Unix.fsync fd);
   write_file_atomic ~fsync:true (current_file root) (string_of_int gen ^ "\n")
 
@@ -473,6 +499,7 @@ let recover t =
     match load_checkpoint (idx_file t.root t.gen) ~gen:t.gen ~file_size:size with
     | Some (covered, entries) ->
       Hash.Tbl.iter (fun id e -> Hash.Tbl.replace t.index id e) entries;
+      t.ckpt_size <- checkpoint_size (Hash.Tbl.length entries);
       covered
     | None -> header_size
   in
@@ -520,7 +547,7 @@ let compact_locked ?(live = fun _ -> true) ?(on_stage = fun _ -> ()) t =
      Fun.protect
        ~finally:(fun () -> Unix.close fd)
        (fun () ->
-         write_all fd (header_bytes new_gen);
+         write_all fd (header_bytes new_gen) header_size;
          (* Rewrite in offset order: sequential reads of the old file. *)
          let entries =
            Hash.Tbl.fold (fun id e acc -> (id, e) :: acc) t.index []
@@ -532,11 +559,11 @@ let compact_locked ?(live = fun _ -> true) ?(on_stage = fun _ -> ()) t =
                match pread_locked t e.off e.len with
                | None -> () (* unreadable record: dropped, fsck's territory *)
                | Some payload ->
-                 let b = encode_record ~kind:0 ~id ~payload in
-                 write_all fd b;
+                 let n = record_size payload in
+                 write_all fd (encode_record t.rec_buf ~kind:0 ~id ~payload) n;
                  Hash.Tbl.replace new_index id
                    { off = !new_len + rec_head_size; len = e.len };
-                 new_len := !new_len + Bytes.length b)
+                 new_len := !new_len + n)
            entries;
          if t.config.fsync then Unix.fsync fd)
    with e ->
@@ -544,8 +571,10 @@ let compact_locked ?(live = fun _ -> true) ?(on_stage = fun _ -> ()) t =
      raise e);
   Sys.rename tmp new_log;
   if t.config.fsync then fsync_dir t.root;
-  write_checkpoint_file ~fsync:t.config.fsync (idx_file t.root new_gen)
-    ~gen:new_gen ~covered:!new_len new_index;
+  let ckpt_size =
+    write_checkpoint_file ~fsync:t.config.fsync (idx_file t.root new_gen)
+      ~gen:new_gen ~covered:!new_len new_index
+  in
   on_stage After_data;
   on_stage Before_switch;
   (* The commit point: CURRENT flips atomically to the new generation. *)
@@ -562,6 +591,7 @@ let compact_locked ?(live = fun _ -> true) ?(on_stage = fun _ -> ()) t =
   t.file_len <- !new_len;
   t.synced_len <- !new_len;
   t.ckpt_len <- !new_len;
+  t.ckpt_size <- ckpt_size;
   t.pending <- 0;
   t.live_payload <- Hash.Tbl.fold (fun _ e acc -> acc + e.len) t.index 0;
   t.c.compactions <- t.c.compactions + 1
@@ -623,16 +653,18 @@ let create ?(config = default_config) ~root () =
       file_len = 0;
       synced_len = 0;
       ckpt_len = 0;
+      ckpt_size = 0;
       pending = 0;
       pending_since = 0.0;
       index = Hash.Tbl.create 1024;
+      rec_buf = Bytes.create rec_buf_size;
       live_payload = 0;
       closed = false;
       thread = None;
       c =
         { appends = 0; deletes = 0; flushes = 0; checkpoints = 0;
-          compactions = 0; auto_compactions = 0; replayed_records = 0;
-          truncated_bytes = 0; background_errors = 0 };
+          checkpoint_bytes = 0; compactions = 0; auto_compactions = 0;
+          replayed_records = 0; truncated_bytes = 0; background_errors = 0 };
       puts = 0;
       gets = 0;
       dedup_hits = 0;

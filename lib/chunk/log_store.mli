@@ -49,7 +49,9 @@ type config = {
   group_window_s : float;
       (** ... or when the oldest unsynced record is this old (seconds) *)
   checkpoint_bytes : int;
-      (** write an index checkpoint every this many appended bytes *)
+      (** write an index checkpoint once this many bytes have been appended
+          since the last one — or the last checkpoint's own size, if that
+          is larger *)
   compactor : bool;
       (** run the background thread (aged-group flush + auto compaction) *)
   tick_s : float;  (** background thread wake-up interval *)
@@ -67,7 +69,8 @@ type counters = {
   mutable appends : int;
   mutable deletes : int;
   mutable flushes : int;           (** group-commit syncs performed *)
-  mutable checkpoints : int;
+  mutable checkpoints : int;       (** checkpoints written, compaction's own not counted *)
+  mutable checkpoint_bytes : int;  (** bytes those checkpoints wrote *)
   mutable compactions : int;
   mutable auto_compactions : int;  (** subset triggered by the background thread *)
   mutable replayed_records : int;  (** records replayed past the checkpoint on open *)

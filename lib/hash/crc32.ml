@@ -1,31 +1,23 @@
 type t = int
 
-(* Standard reflected table for polynomial 0xEDB88320. *)
-let table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref n in
-         for _ = 0 to 7 do
-           c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
-         done;
-         !c))
+(* The kernel is the slice-by-8 loop in [crc32_stubs.c]; its tables are
+   filled here, once, before anything can call [unsafe_update]. *)
+external init_tables : unit -> unit = "fb_crc32_init" [@@noalloc]
+
+let () = init_tables ()
+
+(* [unsafe_update crc b pos len] folds [b.[pos .. pos+len-1]] into [crc];
+   no bounds check. *)
+external unsafe_update : t -> Bytes.t -> int -> int -> t = "fb_crc32_update"
+  [@@noalloc]
 
 let empty = 0
 
-let mask = 0xFFFFFFFF
-
 let update_bytes_sub crc buf ~pos ~len =
-  if pos < 0 || len < 0 || pos + len > Bytes.length buf then
+  (* [pos > length - len], not [pos + len > length]: no overflow. *)
+  if pos < 0 || len < 0 || pos > Bytes.length buf - len then
     invalid_arg "Crc32.update_bytes_sub";
-  let table = Lazy.force table in
-  (* Keep the pre/post inversion out of the loop: work on the raw state. *)
-  let c = ref (crc lxor mask) in
-  for i = pos to pos + len - 1 do
-    c :=
-      Array.unsafe_get table ((!c lxor Char.code (Bytes.unsafe_get buf i)) land 0xff)
-      lxor (!c lsr 8)
-  done;
-  !c lxor mask
+  unsafe_update crc buf pos len
 
 let update_sub crc s ~pos ~len =
   update_bytes_sub crc (Bytes.unsafe_of_string s) ~pos ~len

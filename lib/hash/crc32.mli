@@ -4,7 +4,10 @@
     every append, strong enough that a torn or bit-damaged record fails
     verification with probability [1 - 2^-32].  Not a substitute for the
     content hash — chunks keep their SHA-256 identity; the CRC only
-    decides "is this record physically intact" during recovery replay. *)
+    decides "is this record physically intact" during recovery replay.
+
+    Computed by a portable C slice-by-8 kernel ([crc32_stubs.c]); the
+    range is checked here, before the kernel runs. *)
 
 type t = int
 (** A running CRC state, also the finished digest (low 32 bits). *)

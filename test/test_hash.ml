@@ -1,4 +1,5 @@
-(* Hash substrate: SHA-256 against FIPS/NIST vectors, Base32 against the
+(* Hash substrate: SHA-256 against FIPS/NIST vectors, CRC-32 against its
+   check value and the reference loop, Base32 against the
    RFC 4648 vectors, hex, SplitMix64 reference outputs, rolling-hash
    invariants. *)
 
@@ -354,6 +355,70 @@ let test_hash_tbl () =
     (fun i h -> check bool_ "tbl find" true (Hash.Tbl.find_opt tbl h = Some i))
     hs
 
+(* ------------------------- CRC-32 ------------------------- *)
+
+let test_crc_known () =
+  check int_ "empty" 0 (Crc32.string "");
+  check int_ "check value" 0xCBF43926 (Crc32.string "123456789");
+  let zeros = String.make (1 lsl 20) '\000' in
+  check int_ "1 MiB of zeros = reference" (Crc32_ref.string zeros)
+    (Crc32.string zeros);
+  check int_ "1 MiB of zeros" 0xA738EA1C (Crc32.string zeros)
+
+(* Every out-of-range [pos]/[len] is refused before the C kernel runs. *)
+let test_crc_bounds () =
+  let s = "0123456789abcdef" in
+  let b = Bytes.of_string s in
+  let n = String.length s in
+  let raises name f =
+    match f () with
+    | _ -> Alcotest.failf "%s: no Invalid_argument" name
+    | exception Invalid_argument _ -> ()
+  in
+  List.iter
+    (fun (pos, len) ->
+      let name = Printf.sprintf "pos %d len %d" pos len in
+      raises ("string " ^ name) (fun () -> Crc32.update_sub 0 s ~pos ~len);
+      raises ("bytes " ^ name) (fun () -> Crc32.update_bytes_sub 0 b ~pos ~len))
+    [ (-1, 1); (0, -1); (0, n + 1); (n, 1); (n + 1, 0); (1, n);
+      (max_int, 1); (1, max_int); (max_int, max_int); (min_int, 0) ];
+  (* The edges that are in range still work. *)
+  check int_ "empty at end" 0 (Crc32.update_sub 0 s ~pos:n ~len:0);
+  check int_ "whole" (Crc32.string s) (Crc32.update_bytes_sub 0 b ~pos:0 ~len:n)
+
+(* A 0-4 KiB buffer, a range inside it (any start, so unaligned words),
+   and a split point inside the range. *)
+let crc_arb =
+  let open QCheck.Gen in
+  let gen =
+    int_range 0 4096 >>= fun n ->
+    string_size ~gen:char (return n) >>= fun s ->
+    int_range 0 n >>= fun pos ->
+    int_range 0 (n - pos) >>= fun len ->
+    int_range 0 len >|= fun cut -> (s, pos, len, cut)
+  in
+  let print (s, pos, len, cut) =
+    Printf.sprintf "buffer %d, pos %d, len %d, cut %d" (String.length s) pos
+      len cut
+  in
+  QCheck.make ~print gen
+
+let crc_cases =
+  let open QCheck in
+  [ Test.make ~name:"crc32 = reference oracle" ~count:500 crc_arb
+      (fun (s, pos, len, _) ->
+        let b = Bytes.of_string s in
+        let expect = Crc32_ref.update_sub 0 s ~pos ~len in
+        Crc32.update_sub 0 s ~pos ~len = expect
+        && Crc32.update_bytes_sub 0 b ~pos ~len = expect
+        && Crc32.update_sub 0x12345678 s ~pos ~len
+           = Crc32_ref.update_sub 0x12345678 s ~pos ~len);
+    Test.make ~name:"crc32 chained = one-shot" ~count:300 crc_arb
+      (fun (s, pos, len, cut) ->
+        let first = Crc32.update_sub Crc32.empty s ~pos ~len:cut in
+        Crc32.update_sub first s ~pos:(pos + cut) ~len:(len - cut)
+        = Crc32.string (String.sub s pos len)) ]
+
 (* ------------------------- properties ------------------------- *)
 
 let qcheck_cases =
@@ -414,7 +479,7 @@ let qcheck_cases =
   ]
 
 let suite =
-  List.map (fun t -> QCheck_alcotest.to_alcotest t) qcheck_cases
+  List.map (fun t -> QCheck_alcotest.to_alcotest t) (qcheck_cases @ crc_cases)
   @ [ Alcotest.test_case "sha256 empty" `Quick test_sha_empty;
       Alcotest.test_case "sha256 abc" `Quick test_sha_abc;
       Alcotest.test_case "sha256 448-bit vector" `Quick test_sha_448bits;
@@ -431,6 +496,8 @@ let suite =
         test_sha_digest_strings;
       Alcotest.test_case "sha256 differential vs reference" `Quick
         test_sha_differential;
+      Alcotest.test_case "crc32 known answers" `Quick test_crc_known;
+      Alcotest.test_case "crc32 out-of-range pos/len" `Quick test_crc_bounds;
       Alcotest.test_case "hex roundtrip" `Quick test_hex_roundtrip;
       Alcotest.test_case "hex errors" `Quick test_hex_errors;
       Alcotest.test_case "base32 rfc vectors" `Quick test_base32_rfc;

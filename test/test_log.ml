@@ -582,6 +582,177 @@ let test_fsck_bad_hash () =
           | _ -> false);
         check int_ "physically sealed" 0 r.Log_store.fsck_torn_bytes)
 
+(* ------------------------- on-disk compatibility ------------------------- *)
+
+(* The layouts written out longhand, sealed with the reference CRC loop:
+   the native kernel and the one-buffer checkpoint writer must read and
+   write exactly these bytes. *)
+let ref_record ~kind ~id ~payload =
+  let len = String.length payload in
+  let b = Bytes.create (41 + len) in
+  Bytes.set b 0 (Char.chr kind);
+  Bytes.set_int32_be b 1 (Int32.of_int len);
+  Bytes.blit_string (Hash.to_raw id) 0 b 5 32;
+  Bytes.blit_string payload 0 b 37 len;
+  let crc = Crc32_ref.update_bytes_sub Crc32_ref.empty b ~pos:0 ~len:(37 + len) in
+  Bytes.set_int32_be b (37 + len) (Int32.of_int crc);
+  Bytes.to_string b
+
+(* The checkpoint as the old [Buffer]-based writer laid it out. *)
+let ref_checkpoint ~gen ~covered entries =
+  let b = Buffer.create 64 in
+  Buffer.add_string b "FBLOGIX\n";
+  let add64 v =
+    let s = Bytes.create 8 in
+    Bytes.set_int64_be s 0 (Int64.of_int v);
+    Buffer.add_bytes b s
+  in
+  add64 gen;
+  add64 covered;
+  add64 (List.length entries);
+  List.iter
+    (fun (id, off, len) ->
+      Buffer.add_string b (Hash.to_raw id);
+      add64 off;
+      add64 len)
+    entries;
+  let body = Buffer.contents b in
+  let s = Bytes.create 4 in
+  Bytes.set_int32_be s 0 (Int32.of_int (Crc32_ref.string body));
+  body ^ Bytes.to_string s
+
+(* A checkpoint's entries in file order (the layout is checked separately,
+   by comparing whole files). *)
+let checkpoint_entries raw =
+  let count = Int64.to_int (String.get_int64_be raw 24) in
+  List.init count (fun i ->
+      let base = 32 + (i * 48) in
+      ( Hash.of_raw_exn (String.sub raw base 32),
+        Int64.to_int (String.get_int64_be raw (base + 32)),
+        Int64.to_int (String.get_int64_be raw (base + 40)) ))
+
+let sort_entries = List.sort (fun (a, _, _) (b, _, _) -> Hash.compare a b)
+
+let test_on_disk_compat () =
+  with_temp_dir (fun dir ->
+      Unix.mkdir dir 0o755;
+      let header = Bytes.create 16 in
+      Bytes.blit_string "FBLOG01\n" 0 header 0 8;
+      Bytes.set_int64_be header 8 0L;
+      (* Records 0-5 appended, then blob 2 tombstoned, then 6-8: the
+         checkpoint covers the first six records, the rest is a tail. *)
+      let log = Buffer.create 4096 in
+      Buffer.add_bytes log header;
+      let expect = Hashtbl.create 16 in
+      let append i =
+        let payload = Chunk.encode (blob i) in
+        let id = blob_id i in
+        Hashtbl.replace expect id
+          (Buffer.length log + 37, String.length payload);
+        Buffer.add_string log (ref_record ~kind:0 ~id ~payload)
+      in
+      for i = 0 to 5 do append i done;
+      let covered = Buffer.length log in
+      let at_checkpoint =
+        Hashtbl.fold (fun id (off, len) acc -> (id, off, len) :: acc) expect []
+      in
+      Buffer.add_string log (ref_record ~kind:1 ~id:(blob_id 2) ~payload:"");
+      Hashtbl.remove expect (blob_id 2);
+      for i = 6 to 8 do append i done;
+      let expected =
+        sort_entries
+          (Hashtbl.fold (fun id (off, len) acc -> (id, off, len) :: acc) expect [])
+      in
+      let log_bytes = Buffer.contents log in
+      write_file (Filename.concat dir "gen-0.log") log_bytes;
+      write_file (Filename.concat dir "gen-0.idx")
+        (ref_checkpoint ~gen:0 ~covered at_checkpoint);
+      write_file (Filename.concat dir "CURRENT") "0\n";
+      (match Log_store.fsck ~root:dir with
+      | Error e -> Alcotest.fail e
+      | Ok r ->
+        check bool_ "reference-sealed root fscks clean" true
+          (Log_store.fsck_clean r);
+        check int_ "every record sealed" 10 r.Log_store.fsck_records;
+        check int_ "live after tombstone" 8 r.Log_store.fsck_live);
+      let reads dir what =
+        let h = Log_store.create ~config:quick_config ~root:dir () in
+        let s = Log_store.store h in
+        let c = Log_store.counters h in
+        check int_ (what ^ ": nothing truncated") 0 c.Log_store.truncated_bytes;
+        for i = 0 to 8 do
+          check bool_
+            (Printf.sprintf "%s: blob %d" what i)
+            (i <> 2)
+            (s.Store.get_raw (blob_id i) = Some (Chunk.encode (blob i)))
+        done;
+        (h, c.Log_store.replayed_records)
+      in
+      (* Through the checkpoint: only the four tail records replay. *)
+      let h, replayed = reads dir "checkpoint" in
+      check int_ "tail replayed past the checkpoint" 4 replayed;
+      (* The checkpoint writer: same entries, byte-identical layout. *)
+      Log_store.checkpoint h;
+      let idx = read_file (Log_store.idx_path h) in
+      let entries = checkpoint_entries idx in
+      check bool_ "checkpoint holds the hand-built index" true
+        (sort_entries entries = expected);
+      check bool_ "checkpoint bytes = reference serialisation" true
+        (String.equal idx
+           (ref_checkpoint ~gen:0 ~covered:(String.length log_bytes) entries));
+      (* The append path: new records are the reference records, for a
+         small chunk and for one larger than the staging buffer. *)
+      let big = Chunk.v Chunk.Leaf_blob (String.make 100_000 'x') in
+      List.iter (fun c -> ignore (Store.put (Log_store.store h) c)) [ blob 9; big ];
+      Log_store.sync h;
+      let record c =
+        ref_record ~kind:0 ~id:(Chunk.hash c) ~payload:(Chunk.encode c)
+      in
+      check bool_ "appended records = reference records" true
+        (String.equal
+           (read_file (Log_store.log_path h))
+           (log_bytes ^ record (blob 9) ^ record big));
+      Log_store.close h;
+      (* Without any checkpoint: the full replay reads the same. *)
+      Sys.remove (Filename.concat dir "gen-0.idx");
+      write_file (Filename.concat dir "gen-0.log") log_bytes;
+      let h, replayed = reads dir "full replay" in
+      check int_ "every record replayed" 10 replayed;
+      Log_store.close h)
+
+(* Checkpoints are paced by the index size: with a tiny [checkpoint_bytes]
+   and a sync after every record, the checkpoint bytes written stay within
+   the log bytes appended plus one checkpoint of the final index. *)
+let test_checkpoint_cadence () =
+  with_temp_dir (fun dir ->
+      let config = { quick_config with checkpoint_bytes = 1; group_chunks = 1 } in
+      let h = Log_store.create ~config ~root:dir () in
+      let s = Log_store.store h in
+      let n = 3000 in
+      for i = 0 to n - 1 do
+        ignore (Store.put s (blob i))
+      done;
+      let c = Log_store.counters h in
+      let appended = Log_store.synced_bytes h - 16 in
+      let one_checkpoint = 32 + (48 * n) + 4 in
+      check bool_
+        (Printf.sprintf "checkpoint bytes %d <= appended %d + one checkpoint %d"
+           c.Log_store.checkpoint_bytes appended one_checkpoint)
+        true
+        (c.Log_store.checkpoint_bytes <= appended + one_checkpoint);
+      check bool_
+        (Printf.sprintf "still checkpoints as the index grows (%d)"
+           c.Log_store.checkpoints)
+        true (c.Log_store.checkpoints >= 5);
+      check int_ "one flush per record" n c.Log_store.flushes;
+      (* The last checkpoint is recent: the tail to replay after a crash
+         is no longer than the log that checkpoint's own size allowed. *)
+      let idx = read_file (Log_store.idx_path h) in
+      let covered = Int64.to_int (String.get_int64_be idx 16) in
+      check bool_ "replay tail bounded by the last checkpoint's size" true
+        (Log_store.synced_bytes h - covered < String.length idx + 100);
+      Log_store.close h)
+
 (* ------------------------- the Persistent seam ------------------------- *)
 
 (* The fsync-ordering invariant end to end: after [save], a power cut
@@ -701,6 +872,10 @@ let suite =
     Alcotest.test_case "fsck" `Quick test_fsck;
     Alcotest.test_case "fsck: dishonest sealed record" `Quick
       test_fsck_bad_hash;
+    Alcotest.test_case "on-disk compatibility: reference-sealed log and idx"
+      `Quick test_on_disk_compat;
+    Alcotest.test_case "checkpoint cadence: bytes bounded by log + one index"
+      `Quick test_checkpoint_cadence;
     Alcotest.test_case "persistent: power cut after save" `Quick
       test_persistent_power_cut;
     Alcotest.test_case "persistent: backend autodetect" `Quick
