@@ -878,7 +878,7 @@ let run_cluster_net ?(quick = false) () =
   let module Cluster = Fb_chunk.Cluster_store in
   let module Chunk = Fb_chunk.Chunk in
   let ok_net = function Ok v -> v | Error e -> failwith e in
-  let config = { Server.default_config with port = 0; save_every_s = 0.0 } in
+  let config = { Server.default_config with port = 0 } in
   let start_node () =
     ok_net (Server.start ~config (FB.create (Mem_store.create ())))
   in
@@ -1233,7 +1233,7 @@ let run_obs ?(quick = false) () =
   let net_rps () =
     let fb = FB.create (Mem_store.create ()) in
     let config =
-      { Fb_net.Server.default_config with port = 0; save_every_s = 0.0 }
+      { Fb_net.Server.default_config with port = 0 }
     in
     match Fb_net.Server.start ~config fb with
     | Error e -> failwith ("obs net bench: " ^ e)
@@ -1524,7 +1524,7 @@ let run_net ?(quick = false) () =
   let fb = FB.create (Fb_chunk.Metered_store.wrap (Mem_store.create ())) in
   let config =
     { Fb_net.Server.default_config with
-      port = 0; save_every_s = 0.0; read_timeout_s = 30.0 }
+      port = 0; read_timeout_s = 30.0 }
   in
   let srv =
     match Fb_net.Server.start ~config fb with
@@ -1691,7 +1691,7 @@ let run_net_scaling ?(quick = false) () =
     let fb = FB.create store in
     let config =
       { Fb_net.Server.default_config with
-        port = 0; save_every_s = 0.0; read_timeout_s = 30.0 }
+        port = 0; read_timeout_s = 30.0 }
     in
     match Fb_net.Server.start ~config fb with
     | Error e -> failwith ("net-scaling: " ^ e)
@@ -1910,7 +1910,7 @@ let run_net_c10k ?(quick = false) () =
     let fb = FB.create (Mem_store.create ()) in
     let config =
       { Fb_net.Server.default_config with
-        port = 0; save_every_s = 0.0; read_timeout_s = 120.0;
+        port = 0; read_timeout_s = 120.0;
         backlog = 1024; mode }
     in
     match Fb_net.Server.start ~config fb with
@@ -2165,7 +2165,7 @@ let run_net_c10k ?(quick = false) () =
     let fb = FB.create store in
     let config =
       { Fb_net.Server.default_config with
-        port = 0; save_every_s = 0.0; read_timeout_s = 120.0;
+        port = 0; read_timeout_s = 120.0;
         backlog = 1024; mode = `Event; workers = 8 }
     in
     match Fb_net.Server.start ~config fb with
@@ -2351,6 +2351,19 @@ let run_durability ?(quick = false) () =
   Printf.printf "  pack log   (group commit)     %8.0f puts/s   (%d fsyncs)\n"
     log_puts flushes;
   Printf.printf "  speedup %.1fx\n" speedup;
+  (* Acknowledged head moves naming chunks just written, two keys
+     alternating: the crash matrix below also cuts inside and after each
+     of these ref records. *)
+  let heads = Hashtbl.create 2 in
+  let ref_ends =
+    List.init 6 (fun j ->
+        let key = Printf.sprintf "k%d" (j mod 2) in
+        let uid = Fb_chunk.Chunk.hash (durability_blob (j * (n / 6))) in
+        Log_store.append_ref log Log_store.Branches ~key ~branch:"master"
+          ~old:(Hashtbl.find_opt heads key) (Some uid) ();
+        Hashtbl.replace heads key uid;
+        (Log_store.file_bytes log, (key, uid)))
+  in
   (* Recovery time: reopen against the close-time checkpoint, then delete
      the side index and reopen again to force a full tail replay. *)
   let log_path = Log_store.log_path log in
@@ -2374,21 +2387,27 @@ let run_durability ?(quick = false) () =
     ckpt_replayed;
   Printf.printf "  full tail replay  %7.2f ms  (%d records replayed)\n"
     replay_ms replay_replayed;
-  (* Crash-matrix smoke: truncate the log at evenly spaced byte offsets;
-     every cut must recover to a prefix of sealed records, every surviving
-     read must re-hash, and a second reopen must find nothing to repair.
-     (The exhaustive every-byte matrix, including garbled tails, runs in
-     the test suite; this keeps the property exercised from `make check`.) *)
+  (* Crash-matrix smoke: truncate the log at evenly spaced byte offsets
+     and one byte inside and at the end of each ref record; every cut must
+     recover to a prefix of sealed records, every surviving read must
+     re-hash, the recovered heads must be a prefix of the acknowledged
+     moves and name only present chunks, and a second reopen must find
+     nothing to repair.  (The exhaustive every-byte matrices, including
+     garbled tails, run in the test suite; this keeps the property
+     exercised from `make check`.) *)
   let bytes = durability_read_file log_path in
   let header_size = 16 in
-  let points = if quick then 7 else 25 in
+  let spaced = if quick then 7 else 25 in
+  let cuts =
+    List.sort_uniq compare
+      (List.init spaced (fun p ->
+           header_size + (String.length bytes - header_size) * (p + 1) / spaced)
+      @ List.concat_map (fun (e, _) -> [ e - 1; e ]) ref_ends)
+  in
+  let points = List.length cuts in
   let rig = tmp_root "rig" in
   let crash_ok = ref 0 in
-  for p = 0 to points - 1 do
-    let cut =
-      header_size
-      + (String.length bytes - header_size) * (p + 1) / points
-    in
+  List.iter (fun cut ->
     durability_rm_rf rig;
     Unix.mkdir rig 0o755;
     durability_write_file (Filename.concat rig "gen-0.log")
@@ -2404,15 +2423,30 @@ let run_durability ?(quick = false) () =
           if not (Fb_hash.Hash.equal (Fb_chunk.Chunk.hash c) id) then
             sound := false
         | Error _ -> sound := false);
+    let acked = Hashtbl.create 2 in
+    List.iter
+      (fun (e, (key, uid)) -> if e <= cut then Hashtbl.replace acked key uid)
+      ref_ends;
+    let got = Log_store.refs r in
+    if
+      List.length got <> Hashtbl.length acked
+      || not
+           (List.for_all
+              (fun (_, key, _, uid) ->
+                Hashtbl.find_opt acked key = Some uid && Store.mem rs uid)
+              got)
+    then sound := false;
     Log_store.close r;
     let r2 = Log_store.create ~root:rig () in
     if (Log_store.counters r2).Log_store.truncated_bytes <> 0 then sound := false;
     Log_store.close r2;
     if !sound then incr crash_ok
-    else Printf.printf "  crash point at byte %d FAILED\n" cut
-  done;
-  Printf.printf "crash matrix: %d/%d truncation points recovered cleanly\n"
-    !crash_ok points;
+    else Printf.printf "  crash point at byte %d FAILED\n" cut)
+    cuts;
+  Printf.printf
+    "crash matrix: %d/%d truncation points recovered cleanly (%d inside or \
+     after ref records)\n"
+    !crash_ok points (2 * List.length ref_ends);
   durability_rm_rf file_root;
   durability_rm_rf log_root;
   durability_rm_rf rig;
@@ -2469,7 +2503,7 @@ let run_sync ?(quick = false) () =
   Printf.printf "built v1 (%d records) in %.0f ms\n%!" n build_ms;
   let srv_fb = FB.create (Mem_store.create ()) in
   let config =
-    { Fb_net.Server.default_config with port = 0; save_every_s = 0.0 }
+    { Fb_net.Server.default_config with port = 0 }
   in
   let srv =
     match Fb_net.Server.start ~config srv_fb with

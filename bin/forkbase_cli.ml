@@ -3,10 +3,12 @@
 
    State layout under --root (default ./.forkbase):
      log/       crash-consistent append-only pack log (Fb_chunk.Log_store;
-                the default engine for fresh roots)
+                the default engine for fresh roots): chunks and the ref
+                records of every branch and tag head move (the
+                client-side head record that the tamper-evidence threat
+                model assumes users keep)
      chunks/    content-addressed chunk files (Fb_chunk.File_store)
-     BRANCHES   serialized branch table (the client-side head record that
-                the tamper-evidence threat model assumes users keep) *)
+     refs/      the head log of a file-engine or cluster-router root *)
 
 open Cmdliner
 module FB = Fb_core.Forkbase
@@ -21,14 +23,15 @@ module Hash = Fb_hash.Hash
    "cluster" exists. *)
 let () = Fb_net.Cluster.register_provider ()
 
-let with_instance ?backend ?params root f =
-  match
-    Fb_core.Persistent.with_instance ?backend ?params ~root (fun fb -> f fb)
-  with
+let with_persistent ?backend ?params root f =
+  match Fb_core.Persistent.with_instance ?backend ?params ~root f with
   | Ok msg ->
     print_string msg;
     `Ok ()
   | Error e -> `Error (false, Errors.to_string e)
+
+let with_instance ?backend ?params root f =
+  with_persistent ?backend ?params root (fun i -> f i.Fb_core.Persistent.fb)
 
 let read_file path =
   let ic = open_in_bin path in
@@ -493,7 +496,7 @@ let provider_params nodes replicas =
 let fsync_arg =
   Arg.(value & opt bool true
        & info [ "fsync" ] ~docv:"BOOL"
-           ~doc:"Force chunk writes and table saves to stable storage \
+           ~doc:"Force chunk writes and head moves to stable storage \
                  before acknowledging them (default on: a power cut must \
                  not lose acknowledged data).  $(b,--fsync=false) trades \
                  that guarantee for throughput.")
@@ -512,12 +515,6 @@ let serve_cmd =
              ~doc:"Serve the legacy line protocol on stdin/stdout instead \
                    of TCP (single client; payloads with newlines are \
                    ambiguous — prefer the framed TCP transport).")
-  in
-  let save_every_arg =
-    Arg.(value & opt float 5.0
-         & info [ "save-every" ] ~docv:"SECONDS"
-             ~doc:"Persist the branch/tag tables every $(docv) seconds \
-                   (and always on shutdown); 0 disables the periodic save.")
   in
   let timeout_arg =
     Arg.(value & opt float 30.0
@@ -571,7 +568,7 @@ let serve_cmd =
                    make no write progress for $(docv) seconds; 0 \
                    disables.")
   in
-  let run root user port host stdio save_every timeout max_frame
+  let run root user port host stdio timeout max_frame
       backend nodes replicas fsync metrics_port slow_ms threaded workers
       max_outbox write_stall =
     (* The log engine runs its background thread under the daemon: aged
@@ -581,59 +578,54 @@ let serve_cmd =
       { Fb_chunk.Log_store.default_config with compactor = true }
     in
     let params = provider_params nodes replicas in
-    if stdio then
-      match
-        Fb_core.Persistent.open_ ~fsync ~backend ~log_config ~params ~root ()
-      with
-      | Error e -> `Error (false, Errors.to_string e)
-      | Ok fb ->
-        (* Line-oriented request/response loop on stdin/stdout — the
-           semantic view a REST gateway would wrap (see Fb_core.Service). *)
-        let rec loop () =
-          match In_channel.input_line stdin with
-          | None -> ()
-          | Some "" -> loop ()
-          | Some line ->
-            print_endline (Fb_core.Service.handle ~user fb line);
-            flush stdout;
-            ignore (Fb_core.Persistent.save ~fsync ~root fb);
-            loop ()
-        in
-        loop ();
-        Fb_core.Persistent.close ~root;
-        `Ok ()
-    else
-      (* Durable daemon: fsync chunk writes and table saves — a SIGTERM
-         (or power cut) must leave the branch table intact. *)
-      match
-        Fb_core.Persistent.open_ ~fsync ~backend ~log_config ~params ~root ()
-      with
-      | Error e -> `Error (false, Errors.to_string e)
-      | Ok fb ->
-        let save () = ignore (Fb_core.Persistent.save ~fsync ~root fb) in
-        let config =
-          { Fb_net.Server.default_config with
-            host; port; default_user = user; save_every_s = save_every;
-            read_timeout_s = timeout; max_frame;
-            metrics_port;
-            slow_ms =
-              Option.value slow_ms
-                ~default:Fb_net.Server.default_config.slow_ms;
-            mode = (if threaded then `Threaded else `Event);
-            workers; max_outbox; write_stall_s = write_stall }
-        in
-        (match Fb_net.Server.start ~config ~save fb with
-        | Error e -> `Error (false, e)
-        | Ok srv ->
-          Printf.printf "forkbase: serving %s on %s:%d%s (SIGINT/SIGTERM to stop)\n%!"
-            root host (Fb_net.Server.port srv)
-            (match Fb_net.Server.metrics_port srv with
-             | Some mp -> Printf.sprintf ", metrics on http://%s:%d" host mp
-             | None -> "");
-          Fb_net.Server.run srv;
-          Fb_core.Persistent.close ~root;
-          Printf.printf "forkbase: shut down cleanly\n%!";
-          `Ok ())
+    (* Every head move is journaled before the verb that made it answers,
+       so neither mode has anything to save on the way out. *)
+    match
+      Fb_core.Persistent.open_instance ~fsync ~backend ~log_config ~params
+        ~root ()
+    with
+    | Error e -> `Error (false, Errors.to_string e)
+    | Ok inst when stdio ->
+      (* Line-oriented request/response loop on stdin/stdout — the
+         semantic view a REST gateway would wrap (see Fb_core.Service). *)
+      let rec loop () =
+        match In_channel.input_line stdin with
+        | None -> ()
+        | Some "" -> loop ()
+        | Some line ->
+          print_endline (Fb_core.Service.handle ~user inst.fb line);
+          flush stdout;
+          loop ()
+      in
+      loop ();
+      Fb_core.Persistent.close inst;
+      `Ok ()
+    | Ok inst ->
+      let config =
+        { Fb_net.Server.default_config with
+          host; port; default_user = user;
+          read_timeout_s = timeout; max_frame;
+          metrics_port;
+          slow_ms =
+            Option.value slow_ms
+              ~default:Fb_net.Server.default_config.slow_ms;
+          mode = (if threaded then `Threaded else `Event);
+          workers; max_outbox; write_stall_s = write_stall }
+      in
+      (match Fb_net.Server.start ~config inst.fb with
+      | Error e ->
+        Fb_core.Persistent.close inst;
+        `Error (false, e)
+      | Ok srv ->
+        Printf.printf "forkbase: serving %s on %s:%d%s (SIGINT/SIGTERM to stop)\n%!"
+          root host (Fb_net.Server.port srv)
+          (match Fb_net.Server.metrics_port srv with
+           | Some mp -> Printf.sprintf ", metrics on http://%s:%d" host mp
+           | None -> "");
+        Fb_net.Server.run srv;
+        Fb_core.Persistent.close inst;
+        Printf.printf "forkbase: shut down cleanly\n%!";
+        `Ok ())
   in
   Cmd.v
     (Cmd.info "serve"
@@ -642,7 +634,7 @@ let serve_cmd =
              framing, or on stdin/stdout with $(b,--stdio).")
     Term.(ret (const run $ root_arg $ user_arg $ port_arg
                $ host_arg ~doc:"Address to bind." $ stdio_arg
-               $ save_every_arg $ timeout_arg $ max_frame_arg
+               $ timeout_arg $ max_frame_arg
                $ backend_arg $ nodes_arg $ replicas_arg $ fsync_arg
                $ metrics_port_arg $ slow_ms_arg
                $ threaded_arg $ workers_arg $ max_outbox_arg
@@ -822,7 +814,7 @@ let scrub_cmd =
              ~doc:"Another ForkBase root to restore damaged chunks from.")
   in
   let run root user backend dry_run repair_from =
-    with_instance ~backend root (fun fb ->
+    with_persistent ~backend root (fun { Fb_core.Persistent.fb; log; _ } ->
         ignore user;
         (* The replica root is opened through Persistent so any provider
            (log, per-file chunks, …) can donate healthy bytes. *)
@@ -845,15 +837,19 @@ let scrub_cmd =
             (fun () -> output_string oc raw)
         in
         let report = FB.scrub ?replica ~quarantine ~dry_run fb in
-        (* Under the log engine the chunk-level pass cannot see the log's
-           own physical structure (record seals, checkpoint agreement,
-           torn tails, crashed-compaction leftovers): fsck it too. *)
+        (* The chunk-level pass cannot see the physical structure of the
+           log holding the heads (record seals, checkpoint agreement, torn
+           tails, crashed-compaction leftovers, heads naming absent
+           chunks): fsck it too. *)
         let log_fsck, log_ok =
-          match Fb_core.Persistent.log_handle ~root with
+          match log with
           | None -> ("", true)
           | Some h ->
             Fb_chunk.Log_store.sync h;
-            (match Fb_chunk.Scrub.fsck_log ~root:(Filename.concat root "log") with
+            (match
+               Fb_chunk.Log_store.fsck_with ~mem:(Fb_chunk.Store.mem (FB.store fb))
+                 ~root:(Fb_chunk.Log_store.root h)
+             with
             | Error e -> (Printf.sprintf "log fsck failed: %s\n" e, false)
             | Ok r ->
               ( Format.asprintf "%a@." Fb_chunk.Scrub.pp_fsck_log r,
@@ -878,14 +874,14 @@ let scrub_cmd =
 
 let gc_cmd =
   let run root user backend =
-    with_instance ~backend root (fun fb ->
+    with_persistent ~backend root (fun inst ->
         ignore user;
-        let r = FB.gc fb in
+        let* r = Fb_core.Persistent.gc inst in
         (* Under the log engine a sweep only appends tombstones; compaction
            rewrites the surviving records into a fresh generation and is
            what actually returns the bytes to the filesystem. *)
         let compacted =
-          match Fb_core.Persistent.log_handle ~root with
+          match inst.log with
           | None -> ""
           | Some h ->
             let before = Fb_chunk.Log_store.file_bytes h in
@@ -903,7 +899,9 @@ let gc_cmd =
   Cmd.v
     (Cmd.info "gc"
        ~doc:"Delete chunks unreachable from any branch head (and compact \
-             the log engine's active generation).")
+             the active generation of the log holding the heads).  \
+             Refuses on a cluster member's root, whose heads live on \
+             the router.")
     Term.(ret (const run $ root_arg $ user_arg $ backend_arg))
 
 let metrics_cmd =
@@ -1231,7 +1229,7 @@ module Top = struct
     let store = Fb_chunk.Metered_store.wrap (Fb_chunk.Mem_store.create ()) in
     let fb = FB.create store in
     let config =
-      { Fb_net.Server.default_config with port = 0; save_every_s = 0.0 }
+      { Fb_net.Server.default_config with port = 0 }
     in
     match Fb_net.Server.start ~config fb with
     | Error e -> `Error (false, "demo server: " ^ e)
@@ -1345,11 +1343,12 @@ module Cluster_cli = struct
     | exception Unix.Unix_error _ -> false
 
   (* One serve child per node, stdio to ROOT/node-<i>.log so crashes
-     leave a trail.  The child is a full daemon: its own root, log
-     engine, periodic table saves. *)
+     leave a trail.  The child is a full daemon: its own root and log
+     engine.  The root is marked as a member's, so gc refuses it. *)
   let spawn_node root i (node : C.node) fsync =
     let nroot = node_root root i in
     mkdir_p nroot;
+    Fb_core.Persistent.mark_member ~root:nroot;
     let log_fd =
       Unix.openfile
         (nroot ^ ".log")
@@ -1364,8 +1363,7 @@ module Cluster_cli = struct
       (fun () ->
         Unix.create_process Sys.executable_name
           [| "forkbase"; "serve"; "--root"; nroot; "--host"; node.C.host;
-             "--port"; string_of_int node.C.port; "--save-every"; "1";
-             "--fsync"; string_of_bool fsync |]
+             "--port"; string_of_int node.C.port; "--fsync"; string_of_bool fsync |]
           null_fd log_fd log_fd)
 
   let wait_ready ?(timeout_s = 10.0) (node : C.node) =
@@ -1527,8 +1525,8 @@ let cluster_cmd =
   let hard_arg =
     Arg.(value & flag
          & info [ "hard" ]
-             ~doc:"SIGKILL instead of SIGTERM (simulates a crash: no \
-                   final save, recovery exercised on restart).")
+             ~doc:"SIGKILL instead of SIGTERM (simulates a crash: \
+                   recovery exercised on restart).")
   in
   let replicas_default_arg =
     Arg.(value & opt int 2

@@ -23,7 +23,7 @@ let ok = function
 
 let () =
   (* Three storage nodes, each a complete forkbase server. *)
-  let config = { Server.default_config with port = 0; save_every_s = 0.0 } in
+  let config = { Server.default_config with port = 0 } in
   let node () =
     match Server.start ~config (FB.create (Fb_chunk.Mem_store.create ())) with
     | Ok srv -> srv

@@ -43,9 +43,7 @@ let () =
 
   (* One server, striped read/write locking; an ephemeral port so the
      example never collides with a real daemon. *)
-  let config =
-    { Server.default_config with port = 0; save_every_s = 0.0 }
-  in
+  let config = { Server.default_config with port = 0 } in
   let srv =
     match Server.start ~config fb with
     | Ok s -> s

@@ -9,10 +9,11 @@ module Obs = Fb_obs.Obs
 
    Log header:  magic (8) | generation (8, BE)
    Record:      kind (1) | length (4, BE) | id (32) | payload | crc32 (4, BE)
-                kind 0 = append, 1 = delete tombstone (length 0);
+                kind 0 = append, 1 = delete tombstone (length 0), 2 = ref
+                move (payload: see [encode_ref_payload]);
                 the CRC covers kind..payload.
    Checkpoint:  magic (8) | generation (8) | covered (8) | count (8)
-                | count * (id 32, off 8, len 8) | crc32 (4)
+                | count * (id 32, off 8, len 8) | [ref_records] | crc32 (4)
                 [covered] is the log prefix the entries describe; replay
                 resumes there. *)
 
@@ -59,6 +60,11 @@ type counters = {
 
 type entry = { off : int; len : int } (* payload position in the log file *)
 
+type ref_table = Branches | Tags
+
+(* Current heads: (table, key, branch) -> uid. *)
+type refs = (ref_table * string * string, Hash.t) Hashtbl.t
+
 type compact_stage = After_data | Before_switch | After_switch
 
 type t = {
@@ -75,6 +81,9 @@ type t = {
   mutable pending : int; (* records appended since the last sync *)
   mutable pending_since : float;
   index : entry Hash.Tbl.t;
+  refs : refs;
+  mutable committing : bool; (* a waiter is in fsync outside [lock] *)
+  committed : Condition.t; (* broadcast when it returns *)
   rec_buf : Bytes.t; (* record staging buffer, used under [lock] *)
   mutable live_payload : int; (* sum of live entry lengths *)
   mutable closed : bool;
@@ -184,6 +193,41 @@ let encode_record buf ~kind ~id ~payload =
   Bytes.set_int32_be b (rec_head_size + len) (Int32.of_int crc);
   b
 
+(* A ref move's record id is the new uid, its payload
+   [table (1) | old uid (32) | key length (4, BE) | key | branch]; the
+   all-zero uid stands for "absent". *)
+let no_uid = String.make 32 '\000'
+let ref_head_size = 1 + 32 + 4
+let raw_uid = function Some u -> Hash.to_raw u | None -> no_uid
+let uid_of_raw s = if String.equal s no_uid then None else Some (Hash.of_raw_exn s)
+
+let encode_ref_payload table ~key ~old ~branch =
+  let klen = String.length key in
+  let b = Bytes.create (ref_head_size + klen + String.length branch) in
+  Bytes.set b 0 (match table with Branches -> '\000' | Tags -> '\001');
+  Bytes.blit_string (raw_uid old) 0 b 1 32;
+  Bytes.set_int32_be b 33 (Int32.of_int klen);
+  Bytes.blit_string key 0 b ref_head_size klen;
+  Bytes.blit_string branch 0 b (ref_head_size + klen) (String.length branch);
+  Bytes.unsafe_to_string b
+
+(* [Some ((table, key, branch), old, next)], or [None] for a payload
+   that is not a well-formed ref move. *)
+let decode_ref ~id payload =
+  let n = String.length payload in
+  if n < ref_head_size then None
+  else
+    let klen = u32be payload 33 in
+    match payload.[0] with
+    | ('\000' | '\001') as c when klen <= n - ref_head_size ->
+      let table = if c = '\000' then Branches else Tags in
+      let branch = String.sub payload (ref_head_size + klen) (n - ref_head_size - klen) in
+      Some
+        ( (table, String.sub payload ref_head_size klen, branch),
+          uid_of_raw (String.sub payload 1 32),
+          uid_of_raw (Hash.to_raw id) )
+    | _ -> None
+
 let header_bytes gen =
   let b = Bytes.create header_size in
   Bytes.blit_string log_magic 0 b 0 8;
@@ -214,7 +258,7 @@ let scan_records path ~start ~size ?(verify_hash = fun _ _ -> ()) apply =
             let kind = Char.code head.[0] in
             let len = u32be head 1 in
             if
-              kind > 1 || len > max_payload
+              kind > 2 || len > max_payload
               || (kind = 1 && len <> 0)
               || !pos + rec_overhead + len > size
             then sealed := false
@@ -231,9 +275,10 @@ let scan_records path ~start ~size ?(verify_hash = fun _ _ -> ()) apply =
                     (Crc32.update_sub Crc32.empty head ~pos:0 ~len:rec_head_size)
                     payload ~pos:0 ~len
                 in
-                if crc <> stored_crc then sealed := false
+                let id = Hash.of_raw_exn (String.sub head 5 32) in
+                if crc <> stored_crc || (kind = 2 && decode_ref ~id payload = None)
+                then sealed := false
                 else begin
-                  let id = Hash.of_raw_exn (String.sub head 5 32) in
                   if kind = 0 then verify_hash id payload;
                   apply ~kind ~id ~off:(!pos + rec_head_size) ~len ~payload;
                   pos := !pos + rec_overhead + len;
@@ -244,6 +289,25 @@ let scan_records path ~start ~size ?(verify_hash = fun _ _ -> ()) apply =
       done;
       (!pos, !records))
 
+let apply_ref refs (name, _, next) =
+  match next with
+  | Some u -> Hashtbl.replace refs name u
+  | None -> Hashtbl.remove refs name
+
+(* One sealed record's effect on an index and a ref table. *)
+let replay_record index refs ~kind ~id ~off ~len ~payload =
+  match kind with
+  | 0 -> Hash.Tbl.replace index id { off; len }
+  | 1 -> Hash.Tbl.remove index id
+  | _ -> Option.iter (apply_ref refs) (decode_ref ~id payload)
+
+(* Bytes the current heads take as records: live, not garbage. *)
+let ref_bytes refs =
+  Hashtbl.fold
+    (fun (_, key, branch) _ acc ->
+      acc + rec_overhead + ref_head_size + String.length key + String.length branch)
+    refs 0
+
 (* ------------------------- checkpoint index ------------------------- *)
 
 let idx_head_size = 32 (* magic, generation, covered, count *)
@@ -251,11 +315,25 @@ let idx_entry_size = 48 (* id 32, off 8, len 8 *)
 
 let checkpoint_size count = idx_head_size + (count * idx_entry_size) + 4
 
+(* The current heads as sealed ref records, each "absent before": what a
+   compaction appends after the live chunks and a checkpoint carries
+   after its index. *)
+let ref_records refs =
+  Hashtbl.fold
+    (fun (table, key, branch) uid acc ->
+      let payload = encode_ref_payload table ~key ~old:None ~branch in
+      Bytes.unsafe_to_string (encode_record Bytes.empty ~kind:2 ~id:uid ~payload)
+      :: acc)
+    refs []
+
+let total_length = List.fold_left (fun acc r -> acc + String.length r) 0
+
 (* One exactly sized buffer, sealed in place: no per-entry allocation and
    no copy of the body to append the CRC.  Returns the bytes written. *)
-let write_checkpoint_file ~fsync path ~gen ~covered index =
+let write_checkpoint_file ~fsync path ~gen ~covered index refs =
   let count = Hash.Tbl.length index in
-  let n = checkpoint_size count in
+  let heads = ref_records refs in
+  let n = checkpoint_size count + total_length heads in
   let b = Bytes.create n in
   Bytes.blit_string idx_magic 0 b 0 8;
   Bytes.set_int64_be b 8 (Int64.of_int gen);
@@ -269,21 +347,27 @@ let write_checkpoint_file ~fsync path ~gen ~covered index =
       Bytes.set_int64_be b (!pos + 40) (Int64.of_int e.len);
       pos := !pos + idx_entry_size)
     index;
+  List.iter
+    (fun r ->
+      Bytes.blit_string r 0 b !pos (String.length r);
+      pos := !pos + String.length r)
+    heads;
   let crc = Crc32.update_bytes_sub Crc32.empty b ~pos:0 ~len:(n - 4) in
   Bytes.set_int32_be b (n - 4) (Int32.of_int crc);
   write_file_atomic ~fsync path (Bytes.unsafe_to_string b);
   n
 
-(* Returns [Some (covered, entries)] when the checkpoint verifies and
-   describes a prefix of the current log file; anything suspicious makes
-   recovery fall back to a full replay. *)
+(* Returns [Some (covered, entries, refs, size)] when the checkpoint
+   verifies and describes a prefix of the current log file; anything
+   suspicious makes recovery fall back to a full replay. *)
 let load_checkpoint path ~gen ~file_size =
   match read_file_opt path with
   | None -> None
   | Some raw ->
     let n = String.length raw in
     (* Header: magic(8) gen(8) covered(8) count(8) = 32 bytes, then
-       count * (id 32, off 8, len 8), then the CRC. *)
+       count * (id 32, off 8, len 8), the heads' ref records, then the
+       CRC. *)
     if n < idx_head_size + 4 then None
     else if not (String.equal (String.sub raw 0 8) idx_magic) then None
     else if Crc32.update_sub Crc32.empty raw ~pos:0 ~len:(n - 4) <> u32be raw (n - 4)
@@ -294,7 +378,7 @@ let load_checkpoint path ~gen ~file_size =
       let count = u64be raw 24 in
       if
         g <> gen || count < 0
-        || n <> checkpoint_size count
+        || n < checkpoint_size count
         || covered < header_size || covered > file_size
       then None
       else begin
@@ -311,11 +395,25 @@ let load_checkpoint path ~gen ~file_size =
              Hash.Tbl.replace entries id { off; len }
            done
          with _ -> ok := false);
-        if !ok then Some (covered, entries) else None
+        let refs = Hashtbl.create 16 in
+        let stop, _ =
+          scan_records path ~start:(checkpoint_size count - 4) ~size:(n - 4)
+            (fun ~kind ~id ~off:_ ~len:_ ~payload ->
+              if kind = 2 then Option.iter (apply_ref refs) (decode_ref ~id payload)
+              else ok := false)
+        in
+        if !ok && stop = n - 4 then Some (covered, entries, refs, n) else None
       end
     end
 
 (* ------------------------- observability ------------------------- *)
+
+(* Dead record bytes: superseded or deleted chunks and superseded ref
+   moves. *)
+let garbage_locked t =
+  t.file_len - header_size - t.live_payload
+  - (rec_overhead * Hash.Tbl.length t.index)
+  - ref_bytes t.refs
 
 let register_gauges t =
   let g name f = Obs.gauge ("log." ^ t.root ^ "." ^ name) f in
@@ -325,9 +423,7 @@ let register_gauges t =
   gi "synced_bytes" (fun () -> t.synced_len);
   gi "live_chunks" (fun () -> Hash.Tbl.length t.index);
   gi "live_bytes" (fun () -> t.live_payload);
-  gi "garbage_bytes" (fun () ->
-      t.file_len - header_size - t.live_payload
-      - (rec_overhead * Hash.Tbl.length t.index));
+  gi "garbage_bytes" (fun () -> garbage_locked t);
   gi "appends" (fun () -> t.c.appends);
   gi "deletes" (fun () -> t.c.deletes);
   gi "flushes" (fun () -> t.c.flushes);
@@ -345,14 +441,10 @@ let locked t f =
   Mutex.lock t.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
 
-let garbage_locked t =
-  t.file_len - header_size - t.live_payload
-  - (rec_overhead * Hash.Tbl.length t.index)
-
 let checkpoint_locked t =
   let n =
     write_checkpoint_file ~fsync:t.config.fsync (idx_file t.root t.gen)
-      ~gen:t.gen ~covered:t.synced_len t.index
+      ~gen:t.gen ~covered:t.synced_len t.index t.refs
   in
   t.ckpt_len <- t.synced_len;
   t.ckpt_size <- n;
@@ -391,6 +483,47 @@ let append_record_locked t ~kind ~id ~payload =
   t.file_len <- t.file_len + n;
   maybe_group_commit_locked t;
   payload_off
+
+(* The acknowledgement wait for a record ending at [upto] in generation
+   [gen] (a compaction syncs all it carries over).  One waiter at a time
+   leads an fsync, outside [lock] so appends — and the branch table locks
+   held around them — never wait for the disk; the others wait for it and
+   find themselves covered, or lead the next fsync with everything
+   appended meanwhile. *)
+let commit_wait_hist = Obs.histogram "fb.log.commit_wait_seconds"
+
+let wait_durable t ~gen ~upto =
+  let t0 = Unix.gettimeofday () in
+  locked t (fun () ->
+      while t.gen = gen && t.synced_len < upto do
+        if t.committing then Condition.wait t.committed t.lock
+        else begin
+          t.committing <- true;
+          let fd = t.wfd and target = t.file_len in
+          Mutex.unlock t.lock;
+          let failed = match Unix.fsync fd with () -> None | exception e -> Some e in
+          Mutex.lock t.lock;
+          t.committing <- false;
+          Condition.broadcast t.committed;
+          Option.iter raise failed;
+          if t.gen = gen && target > t.synced_len then begin
+            t.synced_len <- target;
+            t.c.flushes <- t.c.flushes + 1;
+            (* Everything appended is synced: only a due checkpoint is left. *)
+            if target = t.file_len then begin
+              t.pending <- 0;
+              sync_locked t
+            end
+          end
+        end
+      done);
+  Obs.observe commit_wait_hist (Unix.gettimeofday () -. t0)
+
+(* Descriptors must not be swapped or closed under a leader's fsync. *)
+let await_commit_locked t =
+  while t.committing do
+    Condition.wait t.committed t.lock
+  done
 
 let pread_locked t off len =
   match
@@ -484,6 +617,25 @@ let remove_orphans root gen =
           try Sys.remove (Filename.concat root f) with Sys_error _ -> ())
       (Sys.readdir root)
 
+let append_ref t table ~key ~branch ~old next =
+  let gen, upto =
+    locked t (fun () ->
+        ensure_open t;
+        let payload = encode_ref_payload table ~key ~old ~branch in
+        let id =
+          match next with Some u -> u | None -> Hash.of_raw_exn no_uid
+        in
+        ignore (append_record_locked t ~kind:2 ~id ~payload);
+        apply_ref t.refs ((table, key, branch), old, next);
+        (t.gen, t.file_len))
+  in
+  fun () -> if t.config.fsync then wait_durable t ~gen ~upto
+
+let refs t =
+  locked t (fun () ->
+      Hashtbl.fold (fun (table, key, branch) uid acc -> (table, key, branch, uid) :: acc)
+        t.refs [])
+
 let recover t =
   let path = log_file t.root t.gen in
   let size = (Unix.stat path).Unix.st_size in
@@ -497,16 +649,15 @@ let recover t =
   let size = (Unix.stat path).Unix.st_size in
   let start =
     match load_checkpoint (idx_file t.root t.gen) ~gen:t.gen ~file_size:size with
-    | Some (covered, entries) ->
+    | Some (covered, entries, refs, size) ->
       Hash.Tbl.iter (fun id e -> Hash.Tbl.replace t.index id e) entries;
-      t.ckpt_size <- checkpoint_size (Hash.Tbl.length entries);
+      Hashtbl.iter (Hashtbl.replace t.refs) refs;
+      t.ckpt_size <- size;
       covered
     | None -> header_size
   in
   let stop, replayed =
-    scan_records path ~start ~size (fun ~kind ~id ~off ~len ~payload:_ ->
-        if kind = 0 then Hash.Tbl.replace t.index id { off; len }
-        else Hash.Tbl.remove t.index id)
+    scan_records path ~start ~size (replay_record t.index t.refs)
   in
   t.c.replayed_records <- t.c.replayed_records + replayed;
   if stop < size then begin
@@ -536,6 +687,7 @@ let reopen_fds_locked t =
 
 let compact_locked ?(live = fun _ -> true) ?(on_stage = fun _ -> ()) t =
   ensure_open t;
+  await_commit_locked t;
   sync_locked t;
   let new_gen = t.gen + 1 in
   let new_log = log_file t.root new_gen in
@@ -565,6 +717,12 @@ let compact_locked ?(live = fun _ -> true) ?(on_stage = fun _ -> ()) t =
                    { off = !new_len + rec_head_size; len = e.len };
                  new_len := !new_len + n)
            entries;
+         (* Current heads follow the chunks they name. *)
+         let heads = ref_records t.refs in
+         List.iter
+           (fun r -> write_all fd (Bytes.unsafe_of_string r) (String.length r))
+           heads;
+         new_len := !new_len + total_length heads;
          if t.config.fsync then Unix.fsync fd)
    with e ->
      (try Sys.remove tmp with Sys_error _ -> ());
@@ -573,7 +731,7 @@ let compact_locked ?(live = fun _ -> true) ?(on_stage = fun _ -> ()) t =
   if t.config.fsync then fsync_dir t.root;
   let ckpt_size =
     write_checkpoint_file ~fsync:t.config.fsync (idx_file t.root new_gen)
-      ~gen:new_gen ~covered:!new_len new_index
+      ~gen:new_gen ~covered:!new_len new_index t.refs
   in
   on_stage After_data;
   on_stage Before_switch;
@@ -657,6 +815,9 @@ let create ?(config = default_config) ~root () =
       pending = 0;
       pending_since = 0.0;
       index = Hash.Tbl.create 1024;
+      refs = Hashtbl.create 64;
+      committing = false;
+      committed = Condition.create ();
       rec_buf = Bytes.create rec_buf_size;
       live_payload = 0;
       closed = false;
@@ -701,6 +862,7 @@ let close t =
   | Some th ->
     Option.iter Thread.join th;
     locked t (fun () ->
+        await_commit_locked t;
         (* closed is already set; flush and seal directly. *)
         (if t.synced_len < t.file_len || t.pending > 0 then begin
            if t.config.fsync then Unix.fsync t.wfd;
@@ -710,7 +872,8 @@ let close t =
          end);
         checkpoint_locked t;
         (try Unix.close t.wfd with Unix.Unix_error _ -> ());
-        (try Unix.close t.rfd with Unix.Unix_error _ -> ()))
+        (try Unix.close t.rfd with Unix.Unix_error _ -> ()));
+    Obs.unregister_gauges_prefix ("log." ^ t.root ^ ".")
 
 (* ------------------------- introspection ------------------------- *)
 
@@ -720,6 +883,7 @@ let synced_bytes t = locked t (fun () -> t.synced_len)
 let garbage_bytes t = locked t (fun () -> garbage_locked t)
 let live_chunks t = locked t (fun () -> Hash.Tbl.length t.index)
 let counters t = t.c
+let root t = t.root
 let log_path t = log_file t.root t.gen
 let idx_path t = idx_file t.root t.gen
 
@@ -816,22 +980,31 @@ type fsck_report = {
   fsck_idx_valid : bool;
   fsck_idx_consistent : bool;
   fsck_orphan_gens : int list;
+  fsck_ref_records : int;
+  fsck_heads : int;
+  fsck_dangling_heads : (ref_table * string * string) list;
+  fsck_ref_conflicts : int;
 }
 
 let fsck_clean r =
   r.fsck_bad_hash = [] && r.fsck_torn_bytes = 0 && r.fsck_orphan_gens = []
   && r.fsck_idx_valid && r.fsck_idx_consistent
+  && r.fsck_dangling_heads = [] && r.fsck_ref_conflicts = 0
 
 let pp_fsck ppf r =
   Format.fprintf ppf
     "gen %d: %d records (%d live, %d bytes), %d torn tail bytes, %d bad \
-     hashes, idx %s/%s, %d orphan generations"
+     hashes, idx %s/%s, %d orphan generations; %d ref records (%d heads, \
+     %d dangling, %d conflicting)"
     r.fsck_generation r.fsck_records r.fsck_live r.fsck_bytes
     r.fsck_torn_bytes
     (List.length r.fsck_bad_hash)
     (if r.fsck_idx_valid then "valid" else "INVALID")
     (if r.fsck_idx_consistent then "consistent" else "INCONSISTENT")
     (List.length r.fsck_orphan_gens)
+    r.fsck_ref_records r.fsck_heads
+    (List.length r.fsck_dangling_heads)
+    r.fsck_ref_conflicts
 
 let same_index a b =
   Hash.Tbl.length a = Hash.Tbl.length b
@@ -843,7 +1016,13 @@ let same_index a b =
             | None -> false)
        a true
 
-let fsck ~root =
+let same_refs (a : refs) b =
+  Hashtbl.length a = Hashtbl.length b
+  && Hashtbl.fold
+       (fun k uid acc -> acc && Option.equal Hash.equal (Some uid) (Hashtbl.find_opt b k))
+       a true
+
+let run_fsck ~mem ~root =
   if not (Sys.file_exists root && Sys.is_directory root) then
     Error (Printf.sprintf "fsck: %s is not a log root" root)
   else
@@ -856,35 +1035,47 @@ let fsck ~root =
         let size = (Unix.stat path).Unix.st_size in
         let bad = ref [] in
         let full = Hash.Tbl.create 256 in
+        let full_refs : refs = Hashtbl.create 16 in
+        let ref_records = ref 0 in
+        let conflicts = ref 0 in
         let stop, records =
           scan_records path ~start:header_size ~size
             ~verify_hash:(fun id payload ->
               if not (Hash.equal (Hash.of_string payload) id) then
                 bad := id :: !bad)
-            (fun ~kind ~id ~off ~len ~payload:_ ->
-              if kind = 0 then Hash.Tbl.replace full id { off; len }
-              else Hash.Tbl.remove full id)
+            (fun ~kind ~id ~off ~len ~payload ->
+              (if kind = 2 then
+                 Option.iter
+                   (fun (name, old, _) ->
+                     incr ref_records;
+                     let replayed = Hashtbl.find_opt full_refs name in
+                     if not (Option.equal Hash.equal replayed old) then incr conflicts)
+                   (decode_ref ~id payload));
+              replay_record full full_refs ~kind ~id ~off ~len ~payload)
         in
         let idx_valid, idx_consistent =
           if not (Sys.file_exists (idx_file root gen)) then (true, true)
           else
             match load_checkpoint (idx_file root gen) ~gen ~file_size:stop with
             | None -> (false, false)
-            | Some (covered, entries) ->
-              let via_idx = Hash.Tbl.create (Hash.Tbl.length entries) in
-              Hash.Tbl.iter (fun id e -> Hash.Tbl.replace via_idx id e) entries;
+            | Some (covered, via_idx, idx_refs, _) ->
               ignore
                 (scan_records path ~start:covered ~size:stop
-                   (fun ~kind ~id ~off ~len ~payload:_ ->
-                     if kind = 0 then Hash.Tbl.replace via_idx id { off; len }
-                     else Hash.Tbl.remove via_idx id));
-              (true, same_index full via_idx)
+                   (replay_record via_idx idx_refs));
+              (true, same_index full via_idx && same_refs full_refs idx_refs)
         in
         let orphans =
           Array.to_list (Sys.readdir root)
           |> List.filter_map gen_of_filename
           |> List.sort_uniq compare
           |> List.filter (fun g -> g <> gen)
+        in
+        let mem = Option.value mem ~default:(Hash.Tbl.mem full) in
+        let dangling =
+          Hashtbl.fold
+            (fun k uid acc -> if mem uid then acc else k :: acc)
+            full_refs []
+          |> List.sort compare
         in
         { fsck_generation = gen;
           fsck_records = records;
@@ -894,9 +1085,16 @@ let fsck ~root =
           fsck_bad_hash = List.rev !bad;
           fsck_idx_valid = idx_valid;
           fsck_idx_consistent = idx_consistent;
-          fsck_orphan_gens = orphans }
+          fsck_orphan_gens = orphans;
+          fsck_ref_records = !ref_records;
+          fsck_heads = Hashtbl.length full_refs;
+          fsck_dangling_heads = dangling;
+          fsck_ref_conflicts = !conflicts }
       with
       | r -> Ok r
       | exception Sys_error e -> Error ("fsck: " ^ e)
       | exception Unix.Unix_error (e, _, _) ->
         Error ("fsck: " ^ Unix.error_message e))
+
+let fsck ~root = run_fsck ~mem:None ~root
+let fsck_with ~mem ~root = run_fsck ~mem:(Some mem) ~root

@@ -1,8 +1,10 @@
-(** Crash-consistent append-only pack log — the durable chunk engine.
+(** Crash-consistent append-only pack log — the durable chunk engine and
+    the journal of branch and tag heads.
 
-    One generation file [gen-<N>.log] holds every chunk as a CRC-sealed
-    record appended in arrival order; a side index [gen-<N>.idx] is a
-    periodic checkpoint of the in-memory (id -> offset, length) table; the
+    One generation file [gen-<N>.log] holds every chunk and every head
+    move as a CRC-sealed record appended in arrival order; a side index
+    [gen-<N>.idx] is a periodic checkpoint of the in-memory (id -> offset,
+    length) table and the current heads; the
     [CURRENT] file names the active generation.  This is the irmin-pack /
     single-file-repository layout: appends are sequential, random reads
     are one positioned read, and directory metadata is touched only at
@@ -12,31 +14,40 @@
 
     {v kind(1) | length(4, BE) | id(32) | payload(length) | crc32(4, BE) v}
 
-    where [kind] is 0 for a chunk append (payload = encoded chunk) and 1
-    for a delete tombstone (length 0), and the CRC covers everything
+    where [kind] is 0 for a chunk append (payload = encoded chunk), 1
+    for a delete tombstone (length 0) and 2 for a ref move: [id] is the
+    new head and the payload
+    [table(1: 0 branch, 1 tag) | old uid(32) | key length(4, BE) | key |
+    branch], an all-zero uid meaning "absent".  The CRC covers everything
     before it.  A record is facts-on-disk only once it is complete and
     its CRC verifies; recovery treats the first incomplete or unsealed
     record as the end of the log and truncates the torn tail.
+
+    {b Checkpoint.}  [magic(8) | generation(8) | covered(8) | count(8)],
+    [count] × [id(32) | off(8) | len(8)], one sealed ref record per
+    current head (old uid absent; none in a log without heads, whose
+    checkpoint layout is unchanged), then [crc32(4)].
 
     {b Group commit.}  Appends go to the OS immediately (one [write]) but
     [fsync] is batched: the log syncs after [group_chunks] unsynced
     records, when the oldest unsynced record is older than
     [group_window_s], or on an explicit {!sync}.  A chunk is
     {e acknowledged} — guaranteed to survive a power cut — only once a
-    sync covering it returns.  {!Fb_core.Persistent.save} syncs the log
-    before publishing the branch table, so a saved table never references
-    an unacknowledged chunk.
+    sync covering it returns.  A head move ({!append_ref}) follows the
+    chunks it names, so log order alone keeps a recovered head from
+    naming a lost chunk.
 
     {b Recovery.}  Opening a root replays: pick the generation named by
     [CURRENT] (falling back to the newest generation with a valid
     header), delete orphan generations left by a crashed compaction, load
-    the checkpoint index if it verifies, replay the log tail past the
-    checkpoint, and physically truncate a torn final record.
+    the checkpoint (index and heads) if it verifies, replay the log tail
+    past the checkpoint, and physically truncate a torn final record.
 
     {b Compaction.}  {!compact} rewrites live records (optionally
-    filtered by a GC liveness predicate) into generation [N+1], writes
-    its checkpoint, and atomically swaps [CURRENT]; a crash at any point
-    leaves either the old or the new generation fully intact.
+    filtered by a GC liveness predicate), then one ref record per current
+    head, into generation [N+1], writes its checkpoint, and atomically
+    swaps [CURRENT]; a crash at any point leaves either the old or the
+    new generation fully intact.
 
     A root must be driven by one process at a time (same contract as
     [File_store]); within a process every operation is thread-safe. *)
@@ -97,8 +108,27 @@ val checkpoint : t -> unit
 (** {!sync}, then unconditionally write the index checkpoint. *)
 
 val close : t -> unit
-(** Stop the background thread, sync, checkpoint, release descriptors.
-    Idempotent; using the {!store} view afterwards raises. *)
+(** Stop the background thread, sync, checkpoint, release descriptors
+    and retire the [log.<root>.*] gauges.  Idempotent; using the {!store}
+    view afterwards raises. *)
+
+(** {1 Heads} *)
+
+type ref_table = Branches | Tags
+
+val append_ref : t -> ref_table -> key:string -> branch:string ->
+  old:Fb_hash.Hash.t option -> Fb_hash.Hash.t option -> unit -> unit
+(** A {!Fb_repr.Branch.journal}: appends the move of [key]/[branch] from
+    [old] to [next] and returns its acknowledgement wait.  With [fsync]
+    on, the wait returns once a group commit covers the record (waiters
+    share one fsync, run outside the store's lock) and is observed in
+    {!commit_wait_hist}; with [fsync] off it returns at once. *)
+
+val refs : t -> (ref_table * string * string * Fb_hash.Hash.t) list
+(** The current heads (table, key, branch, uid), in no particular order. *)
+
+val commit_wait_hist : Fb_obs.Obs.histogram
+(** [fb.log.commit_wait_seconds]. *)
 
 type compact_stage =
   | After_data      (** new generation data + index written, [CURRENT] still old *)
@@ -130,6 +160,9 @@ val garbage_bytes : t -> int
 val live_chunks : t -> int
 val counters : t -> counters
 
+val root : t -> string
+(** The directory the log lives in. *)
+
 val log_path : t -> string
 (** Active generation file (for test harnesses). *)
 
@@ -153,14 +186,26 @@ type fsck_report = {
   fsck_idx_consistent : bool;
       (** checkpoint + tail replay reaches the full-replay state *)
   fsck_orphan_gens : int list; (** stray generations a crashed compaction left *)
+  fsck_ref_records : int;      (** sealed ref moves in the active generation *)
+  fsck_heads : int;            (** heads after replaying them *)
+  fsck_dangling_heads : (ref_table * string * string) list;
+      (** recovered heads whose uid is absent from the store *)
+  fsck_ref_conflicts : int;
+      (** ref moves whose old uid disagrees with the replayed head *)
 }
 
 val fsck_clean : fsck_report -> bool
-(** No damaged records, no torn tail, index consistent, no orphans. *)
+(** No damaged records, no torn tail, index consistent, no orphans, no
+    dangling head, no conflicting ref move. *)
 
 val fsck : root:string -> (fsck_report, string) result
 (** Offline check of a log root: replays every generation record,
-    re-hashes payloads, validates the checkpoint against a full replay.
-    Read-only — never repairs; recovery happens on {!create}. *)
+    re-hashes payloads, validates the checkpoint (index and heads)
+    against a full replay, and looks each head up among the log's
+    chunks.  Read-only — never repairs; recovery happens on {!create}. *)
+
+val fsck_with : mem:(Fb_hash.Hash.t -> bool) -> root:string ->
+  (fsck_report, string) result
+(** {!fsck} looking heads up with [mem]: for a refs-only log. *)
 
 val pp_fsck : Format.formatter -> fsck_report -> unit

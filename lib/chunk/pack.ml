@@ -65,8 +65,7 @@ let write_file ?(fsync = false) ~path entries =
          entries;
        List.iter (fun (_, encoded) -> output_string oc encoded) entries;
        (* The tmp bytes must be stable before the rename publishes them,
-          or a crash can promote a torn pack (same ordering as the branch
-          table save). *)
+          or a crash can promote a torn pack. *)
        if fsync then begin
          flush oc;
          Unix.fsync (Unix.descr_of_out_channel oc)

@@ -8,16 +8,11 @@ type config = {
 let config ?fsync ?log_config ?(params = []) ~root () =
   { root; fsync; log_config; params }
 
-type handle = ..
-
-type handle += Log_handle of Log_store.t
-
 type instance = {
   store : Store.t;
   kind : string;
-  sync : unit -> unit;
   close : unit -> unit;
-  handle : handle option;
+  log : Log_store.t option;
 }
 
 type t = {
@@ -91,7 +86,7 @@ let mem_provider =
       (fun _ ->
         Ok
           { store = Mem_store.create ();
-            kind = "mem"; sync = nop; close = nop; handle = None }) }
+            kind = "mem"; close = nop; log = None }) }
 
 let file_provider =
   { name = "file";
@@ -101,7 +96,7 @@ let file_provider =
       (fun c ->
         match File_store.create ?fsync:c.fsync ~root:(chunks_dir c.root) () with
         | store ->
-          Ok { store; kind = "file"; sync = nop; close = nop; handle = None }
+          Ok { store; kind = "file"; close = nop; log = None }
         | exception Sys_error e -> Error e
         | exception Failure e -> Error e) }
 
@@ -122,9 +117,8 @@ let log_provider =
           Ok
             { store = Log_store.store h;
               kind = "log";
-              sync = (fun () -> try Log_store.sync h with Failure _ -> ());
               close = (fun () -> try Log_store.close h with Failure _ -> ());
-              handle = Some (Log_handle h) }
+              log = Some h }
         | exception Sys_error e -> Error e
         | exception Failure e -> Error e) }
 

@@ -32,23 +32,13 @@ type config = {
 val config : ?fsync:bool -> ?log_config:Log_store.config ->
   ?params:(string * string) list -> root:string -> unit -> config
 
-(** Provider-specific live state an opened instance may expose beyond
-    the [Store.t] record (e.g. the log engine handle that compaction and
-    fsck need).  Extensible so providers in higher libraries can add
-    their own cases without this module knowing them. *)
-type handle = ..
-
-type handle += Log_handle of Log_store.t
-
 type instance = {
   store : Store.t;  (** The raw (unverified, unmetered) chunk store. *)
   kind : string;    (** Name of the provider that opened it. *)
-  sync : unit -> unit;
-      (** Durability barrier: every previously acknowledged write is on
-          stable storage when this returns.  [Persistent.save] calls it
-          before publishing a branch table. *)
   close : unit -> unit;  (** Release descriptors/threads; idempotent. *)
-  handle : handle option;
+  log : Log_store.t option;
+      (** The log engine behind [store], if any: it journals the heads
+          too, and compaction and fsck reach it. *)
 }
 
 type t = {

@@ -66,8 +66,10 @@ let guard f =
   | Store.Transient msg -> Error (Errors.Transient msg)
   | Fb_postree.Postree.Corrupt msg -> Error (Errors.Corrupt msg)
 
-let create ?(acl = Acl.open_instance ()) store =
-  { store; branches = Branch.create (); tags = Branch.create (); acl;
+let create ?(acl = Acl.open_instance ()) ?journal store =
+  let table t = Branch.create ?journal:(Option.map (fun j -> j t) journal) () in
+  { store; branches = table Fb_chunk.Log_store.Branches;
+    tags = table Fb_chunk.Log_store.Tags; acl;
     watch_lock = Mutex.create (); watchers = []; next_watch = 0;
     defer_depth = 0; pending = Queue.create () }
 

@@ -14,8 +14,14 @@ type uid = Fb_hash.Hash.t
 
 (** {1 Instances} *)
 
-val create : ?acl:Acl.t -> Fb_chunk.Store.t -> t
-(** New instance over [store]; the default ACL is {!Acl.open_instance}. *)
+val create :
+  ?acl:Acl.t -> ?journal:(Fb_chunk.Log_store.ref_table -> Fb_repr.Branch.journal) ->
+  Fb_chunk.Store.t -> t
+(** New instance over [store]; the default ACL is {!Acl.open_instance}.
+    [journal table] records every head move of the branch or tag table
+    (set, remove, rename) and each mutating call returns only after its
+    acknowledgement wait ({!Fb_repr.Branch.journal}); without it heads
+    live in memory only. *)
 
 val store : t -> Fb_chunk.Store.t
 val acl : t -> Acl.t
@@ -94,7 +100,8 @@ val put_all :
 (** Atomic multi-key Put: commit a version for every (key, value) pair and
     move all the branch heads together, or — on any permission or argument
     failure — move none.  Keys must be distinct.  Orphaned chunks from a
-    failed attempt are reclaimed by {!gc}. *)
+    failed attempt are reclaimed by {!gc}.  A journal records the moves
+    one by one, so a crash part-way through keeps a prefix of them. *)
 
 (** {1 Reading} *)
 
@@ -172,7 +179,7 @@ val delete_tag :
   ?user:string -> t -> key:string -> name:string -> (unit, Errors.t) result
 
 val tag_table : t -> Fb_repr.Branch.t
-(** The underlying name→uid table (persistence, like {!branch_table}). *)
+(** The underlying name→uid table (recovery, like {!branch_table}). *)
 
 (** {1 Diff and merge} *)
 

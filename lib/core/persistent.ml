@@ -1,134 +1,46 @@
 module Branch = Fb_repr.Branch
 module Provider = Fb_chunk.Store_provider
+module Log_store = Fb_chunk.Log_store
 
 let ( let* ) = Result.bind
 
 let branches_file root = Filename.concat root "BRANCHES"
 let tags_file root = Filename.concat root "TAGS"
-let log_dir root = Filename.concat root "log"
+let refs_dir root = Filename.concat root "refs"
+let member_file root = Filename.concat root "MEMBER"
 
-(* Live provider instances by root.  [save] must reach a durability
-   barrier (the instance [sync] hook) before it publishes a branch table
-   referencing freshly appended chunks, and the table writer only knows
-   the root — so every open instance registers here.  A root can be
-   opened more than once in-process (tests do); handles of one root
-   share underlying storage, so all of them are synced. *)
-let registry_lock = Mutex.create ()
-let instances : (string, Provider.instance) Hashtbl.t = Hashtbl.create 7
+type instance = {
+  root : string;
+  fb : Forkbase.t;
+  log : Log_store.t option;
+  close : unit -> unit;
+}
 
-let with_registry f =
-  Mutex.lock registry_lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock registry_lock) f
+let close i = i.close ()
 
-let register root i = with_registry (fun () -> Hashtbl.add instances root i)
-
-let unregister root i =
-  with_registry (fun () ->
-      let rest =
-        List.filter (fun i' -> i' != i) (Hashtbl.find_all instances root)
-      in
-      while Hashtbl.mem instances root do
-        Hashtbl.remove instances root
-      done;
-      List.iter (fun i' -> Hashtbl.add instances root i') (List.rev rest))
-
-let instances_of root = with_registry (fun () -> Hashtbl.find_all instances root)
-
-let log_handle ~root =
-  List.find_map
-    (fun (i : Provider.instance) ->
-      match i.Provider.handle with
-      | Some (Provider.Log_handle h) -> Some h
-      | _ -> None)
-    (instances_of root)
-
-(* Providers promise [sync] is a durability barrier and tolerate racing
-   a concurrent [close] — closing already performed the final sync. *)
-let sync_instances root =
-  List.iter (fun (i : Provider.instance) -> i.Provider.sync ()) (instances_of root)
-
-(* Once the last instance of a root is gone, gauges owned by its engine
-   (the log engine registers [log.<dir>.*]) read a dead engine's final
-   state forever — retire them.  Obs registration is last-writer-wins,
-   so a reopen re-registers under the same names and takes them back. *)
-let retire_gauges_if_last root =
-  if instances_of root = [] then
-    Fb_obs.Obs.unregister_gauges_prefix ("log." ^ log_dir root ^ ".")
-
-let close ~root =
-  let is = instances_of root in
-  with_registry (fun () ->
-      while Hashtbl.mem instances root do
-        Hashtbl.remove instances root
-      done);
-  List.iter (fun (i : Provider.instance) -> i.Provider.close ()) is;
-  retire_gauges_if_last root
-
-let read_table path =
-  if not (Sys.file_exists path) then Ok (Branch.create ())
+(* Roots written before heads moved into the log kept them in BRANCHES
+   and TAGS: journal each head like any other move, then remove the
+   files (a crash before that repeats an import that changes nothing). *)
+let import_table path into =
+  if not (Sys.file_exists path) then Ok false
   else
-    match
-      let ic = open_in_bin path in
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    with
-    | content -> (
-      match Branch.deserialize content with
-      | Ok t -> Ok t
-      | Error e -> Errors.corrupt "%s: %s" path e)
-    | exception Sys_error e -> Errors.corrupt "%s: %s" path e
-
-let copy_table ~into src =
-  List.iter
-    (fun key ->
+    match Branch.deserialize (In_channel.with_open_bin path In_channel.input_all) with
+    | Error e -> Errors.corrupt "%s: %s" path e
+    | Ok old ->
       List.iter
-        (fun (branch, uid) -> Branch.set_head into ~key ~branch uid)
-        (Branch.branches src ~key))
-    (Branch.keys src)
+        (fun key ->
+          List.iter
+            (fun (branch, uid) -> Branch.set_head into ~key ~branch uid)
+            (Branch.branches old ~key))
+        (Branch.keys old);
+      Ok true
 
-(* Push directory metadata (the rename) to stable storage.  Best-effort:
-   some filesystems refuse O_RDONLY opens of directories, and a failed
-   directory sync only widens the crash window back to what it was. *)
-let fsync_dir dir =
-  match Unix.openfile dir [ Unix.O_RDONLY ] 0 with
-  | fd ->
-    Fun.protect
-      ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-      (fun () -> try Unix.fsync fd with Unix.Unix_error _ -> ())
-  | exception Unix.Unix_error _ -> ()
-
-let write_table ?(fsync = false) path table =
-  match
-    let tmp = path ^ ".tmp" in
-    let oc = open_out_bin tmp in
-    (try
-       output_string oc (Branch.serialize table);
-       (* The tmp bytes must be on stable storage before the rename
-          publishes them, or a crash can promote a torn/empty table. *)
-       if fsync then begin
-         flush oc;
-         Unix.fsync (Unix.descr_of_out_channel oc)
-       end;
-       close_out oc
-     with e ->
-       close_out_noerr oc;
-       (try Sys.remove tmp with Sys_error _ -> ());
-       raise e);
-    Sys.rename tmp path;
-    if fsync then fsync_dir (Filename.dirname path)
-  with
-  | () -> Ok ()
-  | exception Sys_error e -> Errors.corrupt "writing %s: %s" path e
-  | exception Unix.Unix_error (err, _, _) ->
-    Errors.corrupt "writing %s: %s" path (Unix.error_message err)
-
-(* Returns the provider instance alongside the Forkbase handle so
-   [with_instance] can close exactly what it opened.  Backend names
-   resolve through the provider registry: an unknown name is a typed
-   [Invalid] listing what is registered; a provider that fails to open
-   its storage is [Corrupt]. *)
-let open_handle ?acl ?fsync ?(backend = "auto") ?log_config ?(params = [])
+(* Backend names resolve through the provider registry: an unknown name
+   is a typed [Invalid] listing what is registered; a provider that
+   fails to open its storage is [Corrupt].  Heads are journaled to the
+   chunk log when the engine is one, else to a refs-only log at
+   [root/refs]; an in-memory store keeps none. *)
+let open_instance ?acl ?fsync ?(backend = "auto") ?log_config ?(params = [])
     ~root () =
   let* provider =
     match Provider.resolve ~backend ~root with
@@ -136,67 +48,87 @@ let open_handle ?acl ?fsync ?(backend = "auto") ?log_config ?(params = [])
     | Error msg -> Error (Errors.Invalid msg)
   in
   let config = Provider.config ?fsync ?log_config ~params ~root () in
+  let* pi =
+    match provider.Provider.open_ config with
+    | Ok i -> Ok i
+    | Error msg -> Errors.corrupt "opening %s: %s" root msg
+    | exception (Sys_error msg | Failure msg) ->
+      Errors.corrupt "opening %s: %s" root msg
+  in
+  let own_log = ref None in
+  let close () =
+    Option.iter Log_store.close !own_log;
+    pi.Provider.close ()
+  in
   match
-    let* instance =
-      match provider.Provider.open_ config with
-      | Ok i -> Ok i
-      | Error msg -> Errors.corrupt "opening %s: %s" root msg
+    let log =
+      match pi.Provider.log, pi.Provider.kind with
+      | (Some _ as log), _ -> log
+      | None, "mem" -> None
+      | None, kind ->
+        (* As durable as the chunks its records name: the file engine
+           syncs chunk files only when asked. *)
+        let fsync = Option.value fsync ~default:(kind <> "file") in
+        let base = Option.value log_config ~default:Log_store.default_config in
+        let h =
+          Log_store.create ~config:{ base with fsync } ~root:(refs_dir root) ()
+        in
+        own_log := Some h;
+        Some h
     in
-    register root instance;
-    let finish () =
-      (* Stored bytes are untrusted: verify each chunk the first time it
-         is served so media damage (or a lying remote member) is refused
-         — and visible to scrub — instead of flowing out of the API as
-         silently wrong data. *)
-      let store, _violations =
-        Fb_chunk.Verified_store.wrap ~once:true instance.Provider.store
-      in
-      let store = Fb_chunk.Metered_store.wrap store in
-      let fb = Forkbase.create ?acl store in
-      let* branches = read_table (branches_file root) in
-      copy_table ~into:(Forkbase.branch_table fb) branches;
-      let* tags = read_table (tags_file root) in
-      copy_table ~into:(Forkbase.tag_table fb) tags;
-      Ok fb
+    (* Stored bytes are untrusted: verify each chunk the first time it is
+       served so media damage (or a lying remote member) is refused — and
+       visible to scrub — instead of flowing out of the API as silently
+       wrong data. *)
+    let store, _violations =
+      Fb_chunk.Verified_store.wrap ~once:true pi.Provider.store
     in
-    (match finish () with
-    | Ok fb -> Ok (fb, instance)
-    | Error _ as e ->
-      (* Don't leak a registered engine for an instance that never
-         existed (e.g. a corrupt branch table). *)
-      unregister root instance;
-      instance.Provider.close ();
-      retire_gauges_if_last root;
-      e)
+    let store = Fb_chunk.Metered_store.wrap store in
+    let fb =
+      Forkbase.create ?acl ?journal:(Option.map Log_store.append_ref log) store
+    in
+    Option.iter
+      (fun h ->
+        List.iter
+          (fun (table, key, branch, uid) ->
+            Branch.load
+              (if table = Log_store.Tags then Forkbase.tag_table fb
+               else Forkbase.branch_table fb)
+              [ (key, branch, uid) ])
+          (Log_store.refs h))
+      log;
+    let* b = import_table (branches_file root) (Forkbase.branch_table fb) in
+    let* t = import_table (tags_file root) (Forkbase.tag_table fb) in
+    if log <> None then
+      List.iter2
+        (fun imported path -> if imported then Sys.remove path)
+        [ b; t ] [ branches_file root; tags_file root ];
+    Ok { root; fb; log; close }
   with
-  | r -> r
-  | exception Sys_error e -> Errors.corrupt "opening %s: %s" root e
-  | exception Failure e -> Errors.corrupt "opening %s: %s" root e
+  | Ok _ as r -> r
+  | Error _ as e ->
+    close ();
+    e
+  | exception (Sys_error msg | Failure msg) ->
+    close ();
+    Errors.corrupt "opening %s: %s" root msg
 
 let open_ ?acl ?fsync ?backend ?log_config ?params ~root () =
-  let* fb, _instance =
-    open_handle ?acl ?fsync ?backend ?log_config ?params ~root ()
-  in
-  Ok fb
-
-let save ?fsync ~root fb =
-  (* Acknowledge every appended chunk before publishing heads that
-     reference them: a power cut after this save must never leave a table
-     pointing into an unsynced log tail. *)
-  sync_instances root;
-  let* () = write_table ?fsync (branches_file root) (Forkbase.branch_table fb) in
-  write_table ?fsync (tags_file root) (Forkbase.tag_table fb)
+  let* i = open_instance ?acl ?fsync ?backend ?log_config ?params ~root () in
+  Ok i.fb
 
 let with_instance ?acl ?fsync ?backend ?log_config ?params ~root f =
-  let* fb, instance =
-    open_handle ?acl ?fsync ?backend ?log_config ?params ~root ()
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      unregister root instance;
-      instance.Provider.close ();
-      retire_gauges_if_last root)
-    (fun () ->
-      let* result = f fb in
-      let* () = save ?fsync ~root fb in
-      Ok result)
+  let* i = open_instance ?acl ?fsync ?backend ?log_config ?params ~root () in
+  Fun.protect ~finally:i.close (fun () -> f i)
+
+let mark_member ~root =
+  Out_channel.with_open_bin (member_file root) (fun oc ->
+      output_string oc "cluster member\n")
+
+let gc i =
+  if Sys.file_exists (member_file i.root) then
+    Errors.invalid
+      "%s is a cluster member root: its chunks are named by the router's \
+       heads, which this root does not hold, so gc would sweep them all"
+      i.root
+  else Ok (Forkbase.gc i.fb)

@@ -57,7 +57,7 @@ let classify tokens =
   | [] -> (Read, Global)
   | verb :: args -> (
     match String.lowercase_ascii verb, args with
-    | ("put" | "put-csv" | "branch" | "merge" | "rename"), key :: _ ->
+    | ("put" | "put-csv" | "branch" | "merge" | "rename" | "tag"), key :: _ ->
       (Write, Key key)
     | ("sync-put" | "sync-advance"), key :: _ -> (Write, Key key)
     (* Chunk-level ingest is not key-scoped (cluster members hold an
@@ -135,6 +135,10 @@ let dispatch ?user fb tokens =
         Ok (Forkbase.version_string uid)
       | "rename", [ key; from_branch; to_branch ] ->
         let* () = Forkbase.rename_branch ?user fb ~key ~from_branch ~to_branch in
+        Ok ""
+      | "tag", [ key; name; uid ] ->
+        let* uid = Forkbase.parse_version uid in
+        let* () = Forkbase.tag ?user fb ~key ~name uid in
         Ok ""
       | "meta", [ uid ] ->
         let* uid = Forkbase.parse_version uid in

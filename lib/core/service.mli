@@ -19,6 +19,7 @@
     LOG <key> <branch>                  history lines
     BRANCH <key> <from> <new>           fork
     RENAME <key> <from> <to>            rename a branch
+    TAG <key> <name> <uid>              immutable name for a version
     META <uid>                          version metadata
     DIFF <key> <branch1> <branch2>      differential query
     MERGE <key> <into> <from>           three-way merge

@@ -244,8 +244,6 @@ let close t =
 
 (* ------------------------ provider registration ------------------------ *)
 
-type Provider.handle += Cluster_handle of t
-
 let param params key = List.assoc_opt key params
 
 let int_param params key =
@@ -301,10 +299,5 @@ let register_provider () =
               Ok
                 { Provider.store = store t;
                   kind = "cluster";
-                  (* Members are forkbase serve processes that own their
-                     durability (each node's log engine acknowledges
-                     before replying), so the router has no barrier of
-                     its own to force. *)
-                  sync = Fun.const ();
                   close = (fun () -> close t);
-                  handle = Some (Cluster_handle t) })) }
+                  log = None })) }

@@ -82,8 +82,6 @@ val close : t -> unit
 
 (** {1 Store-provider registration} *)
 
-type Fb_chunk.Store_provider.handle += Cluster_handle of t
-
 val register_provider : unit -> unit
 (** Register the ["cluster"] provider: [detect] claims roots holding a
     [CLUSTER] file; [open_] reads topology from [params] ([nodes],

@@ -11,7 +11,6 @@ type config = {
   backlog : int;
   max_frame : int;
   read_timeout_s : float;
-  save_every_s : float;
   default_user : string;
   stripes : int;
   metrics_port : int option;
@@ -39,7 +38,6 @@ let default_config =
     backlog = 64;
     max_frame = Frame.default_max_frame;
     read_timeout_s = 30.0;
-    save_every_s = 5.0;
     default_user = "anonymous";
     stripes = Rwlock.Striped.default_stripes;
     metrics_port = None;
@@ -129,7 +127,6 @@ type event_state = {
 type t = {
   cfg : config;
   fb : Forkbase.t;
-  save : (unit -> unit) option;
   listen_fd : Unix.file_descr;
   bound_port : int;
   started_at : float;
@@ -142,7 +139,6 @@ type t = {
   mutable conns_threaded : (int * Unix.file_descr) list;
   mutable next_id : int;
   mutable accept_thread : Thread.t option;
-  mutable saver_thread : Thread.t option;
   mutable metrics_http : Http.t option;
   mutable slow_traces : slow_trace list;  (* newest first, bounded *)
   ev : event_state option;  (* Some iff cfg.mode = `Event *)
@@ -154,7 +150,6 @@ let conns_total = Obs.counter "fb.net.connections"
 let frames_total = Obs.counter "fb.net.frames"
 let proto_errors = Obs.counter "fb.net.errors"
 let request_errors = Obs.counter "fb.net.request_errors"
-let save_errors = Obs.counter "fb.net.save_errors"
 let batches_total = Obs.counter "fb.net.batches"
 let batch_subrequests_total = Obs.counter "fb.net.batch_subrequests"
 let read_verbs_total = Obs.counter "fb.net.read_verbs"
@@ -174,7 +169,7 @@ let verb_hists =
       Hashtbl.replace tbl v
         (Obs.histogram (Printf.sprintf "fb.net.%s_seconds" metric)))
     [ "put"; "put-csv"; "get"; "get-at"; "head"; "latest"; "list"; "log";
-      "branch"; "rename"; "meta"; "diff"; "merge"; "verify"; "stat";
+      "branch"; "rename"; "tag"; "meta"; "diff"; "merge"; "verify"; "stat";
       "metrics"; "metrics-json"; "fsck"; "scrub"; "get-json"; "diff-json";
       "log-json"; "stat-json"; "latest-json"; "prove"; "batch"; "sync-have";
       "sync-get"; "sync-put"; "sync-advance"; "sync-bloom"; "chunk-put";
@@ -203,15 +198,6 @@ let shutdown_quiet fd =
   try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ()
 
 let is_running t = Mutex.protect t.state (fun () -> t.running)
-
-let do_save t =
-  match t.save with
-  | None -> ()
-  | Some save ->
-    (* The save serializes the branch/tag tables: exclusive across the
-       whole instance so it captures a consistent snapshot. *)
-    Rwlock.Striped.with_global t.locks ~mode:`Write (fun () ->
-        try save () with _ -> Obs.incr save_errors)
 
 (* ------------------------- locking ------------------------- *)
 
@@ -973,13 +959,18 @@ let healthz_body t =
         ls.ls_worker_queue ls.ls_subscriptions t.cfg.workers
     | _ -> ""
   in
+  let cw = Fb_chunk.Log_store.commit_wait_hist in
   Printf.sprintf
     "{\"status\":\"ok\",\"mode\":\"%s\",\"uptime_s\":%.1f,\
-     \"connections_active\":%d,\"port\":%d,\"slow_traces\":%d%s}"
+     \"connections_active\":%d,\"port\":%d,\"slow_traces\":%d,\
+     \"commit_wait\":{\"count\":%d,\"p50_ms\":%.3f,\"p99_ms\":%.3f}%s}"
     (match t.cfg.mode with `Event -> "event" | `Threaded -> "threaded")
     (Unix.gettimeofday () -. t.started_at)
     (active_conns t) t.bound_port
     (Mutex.protect t.state (fun () -> List.length t.slow_traces))
+    (Obs.hist_count cw)
+    (1000.0 *. Obs.quantile cw 0.5)
+    (1000.0 *. Obs.quantile cw 0.99)
     loop_fields
 
 let tracez_body t =
@@ -1026,23 +1017,7 @@ let port t = t.bound_port
 
 let metrics_port t = Option.map Http.port t.metrics_http
 
-let saver_loop t =
-  (* Short ticks instead of one long sleep so stop is prompt. *)
-  let tick = 0.05 in
-  let rec go elapsed =
-    if is_running t then begin
-      Thread.delay tick;
-      let elapsed = elapsed +. tick in
-      if elapsed >= t.cfg.save_every_s then begin
-        do_save t;
-        go 0.0
-      end
-      else go elapsed
-    end
-  in
-  go 0.0
-
-let start ?(config = default_config) ?save fb =
+let start ?(config = default_config) fb =
   match Frame.resolve_host config.host with
   | Error e -> Error e
   | Ok addr -> (
@@ -1088,12 +1063,12 @@ let start ?(config = default_config) ?save fb =
               worker_threads = []; watch = None }
       in
       let t =
-        { cfg = config; fb; save; listen_fd = fd; bound_port;
+        { cfg = config; fb; listen_fd = fd; bound_port;
           started_at = Unix.gettimeofday ();
           locks = Rwlock.Striped.create ~stripes:(max 1 config.stripes) ();
           state = Mutex.create ();
           running = true; conns_threaded = []; next_id = 0;
-          accept_thread = None; saver_thread = None;
+          accept_thread = None;
           metrics_http = None; slow_traces = []; ev = ev_state }
       in
       Obs.gauge "fb.net.connections_active" (fun () ->
@@ -1146,8 +1121,6 @@ let start ?(config = default_config) ?save fb =
          st.worker_threads <-
            List.init (max 1 config.workers) (fun _ ->
                Thread.create (worker_loop t st) ()));
-      if config.save_every_s > 0.0 && save <> None then
-        t.saver_thread <- Some (Thread.create saver_loop t);
       Obs.log_event
         ~fields:
           [ ("host", config.host); ("port", string_of_int bound_port);
@@ -1208,14 +1181,11 @@ let stop t =
        close_quiet t.listen_fd;
        close_quiet st.wake_r;
        close_quiet st.wake_w);
-    (match t.saver_thread with Some th -> Thread.join th | None -> ());
     (match t.metrics_http with
      | Some http ->
        Http.stop http;
        t.metrics_http <- None
      | None -> ());
-    (* Final save so SIGTERM leaves the branch table current on disk. *)
-    do_save t;
     Obs.log_event
       ~fields:[ ("port", string_of_int t.bound_port) ]
       Obs.Info "server stopped"

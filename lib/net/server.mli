@@ -54,15 +54,14 @@
     executes its N sub-requests under a {e single} lock acquisition and
     answers with one typed reply per sub-request, in order.
 
-    Durability: an optional [save] callback (typically
-    [Persistent.save ~fsync:true]) runs under a global exclusive
-    acquisition every [save_every_s] seconds and once more during
-    {!stop}, so SIGTERM leaves an intact, fsynced branch table.
+    Durability is the instance's own: a durable instance
+    ({!Fb_core.Persistent}) journals each head move before the verb that
+    made it replies, so the server keeps no table of its own to save.
 
     Observability ({!Fb_obs}): counters [fb.net.connections],
     [fb.net.frames], [fb.net.errors] (protocol/transport),
     [fb.net.request_errors] (verbs answering a typed error),
-    [fb.net.save_errors], [fb.net.batches], [fb.net.batch_subrequests],
+    [fb.net.batches], [fb.net.batch_subrequests],
     [fb.net.read_verbs], [fb.net.write_verbs], [fb.net.subscribes],
     [fb.net.events_pushed], [fb.net.stall_disconnects],
     [fb.net.conns_shed]; gauges [fb.net.connections_active] and (event
@@ -80,8 +79,10 @@
 
     Telemetry sidecar: with [metrics_port] set, a tiny HTTP/1.0 listener
     ({!Http}) serves [/metrics] (Prometheus exposition), [/healthz]
-    (liveness JSON — in event mode including open connections, outbox
-    high-water mark, worker-queue depth and subscription count),
+    (liveness JSON with the head-move acknowledgement wait
+    [fb.log.commit_wait_seconds] as count, p50 and p99 — in event mode
+    also open connections, outbox high-water mark, worker-queue depth
+    and subscription count),
     [/tracez] (recent slow traces) and [/trace.json] (Chrome
     [trace_event] dump of the span ring) on a separate port. *)
 
@@ -96,7 +97,6 @@ type config = {
   (** idle deadline; [<= 0.] disables.  Event mode: closes connections
       with nothing in flight, nothing buffered and no subscriptions.
       Threaded mode: per-frame read/write deadline as before. *)
-  save_every_s : float;   (** periodic save cadence; [<= 0.] disables *)
   default_user : string;  (** applied when a request carries no user *)
   stripes : int;          (** lock stripes; default 16, clamped to >= 1 *)
   metrics_port : int option;
@@ -124,7 +124,7 @@ type config = {
 
 val default_config : config
 (** [127.0.0.1:7447], backlog 64, {!Frame.default_max_frame}, 30 s read
-    timeout, save every 5 s, user ["anonymous"], 16 lock stripes, no
+    timeout, user ["anonymous"], 16 lock stripes, no
     metrics sidecar, slow log per [FB_SLOW_MS]; event mode with 4
     workers, 10_000 connections, 4 MiB outboxes, 30 s write-stall
     deadline, pipeline depth 128. *)
@@ -143,7 +143,7 @@ val loop_stats : t -> loop_stats option
     numbers are exported as [fb.net.loop.*] gauges and in [/healthz]. *)
 
 val start :
-  ?config:config -> ?save:(unit -> unit) -> Fb_core.Forkbase.t ->
+  ?config:config -> Fb_core.Forkbase.t ->
   (t, string) result
 (** Bind, listen and return immediately; connections are served on
     background threads.  Also ignores [SIGPIPE] process-wide (a vanished
@@ -164,7 +164,7 @@ val is_running : t -> bool
 
 val stop : t -> unit
 (** Graceful, idempotent shutdown: stop accepting, wake and drain the
-    I/O loop, worker pool and connection threads, run the final [save].
+    I/O loop, worker pool and connection threads.
     Safe to call from a signal-driven context. *)
 
 val run : t -> unit

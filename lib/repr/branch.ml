@@ -12,19 +12,26 @@ let default_branch = "master"
    heads of one key) is the caller's striped lock's job.  The critical
    sections are tiny (hashtable probes), so uncontended cost is a few
    nanoseconds. *)
+type journal =
+  key:string -> branch:string -> old:Hash.t option -> Hash.t option ->
+  unit -> unit
+
 type t = {
   lock : Mutex.t;
   (* key -> branch name -> head uid *)
   tbl : (string, (string, Hash.t) Hashtbl.t) Hashtbl.t;
+  journal : journal option;
 }
 
-let create () : t = { lock = Mutex.create (); tbl = Hashtbl.create 64 }
+let create ?journal () : t =
+  { lock = Mutex.create (); tbl = Hashtbl.create 64; journal }
 
-let head t ~key ~branch =
-  Mutex.protect t.lock (fun () ->
-      match Hashtbl.find_opt t.tbl key with
-      | None -> None
-      | Some branches -> Hashtbl.find_opt branches branch)
+let head_locked t ~key ~branch =
+  match Hashtbl.find_opt t.tbl key with
+  | None -> None
+  | Some branches -> Hashtbl.find_opt branches branch
+
+let head t ~key ~branch = Mutex.protect t.lock (fun () -> head_locked t ~key ~branch)
 
 let set_head_locked t ~key ~branch uid =
   let branches =
@@ -37,8 +44,29 @@ let set_head_locked t ~key ~branch uid =
   in
   Hashtbl.replace branches branch uid
 
+(* Every mutation: journaled under the table lock, so the journal's order
+   is the table's.  Returns the acknowledgement wait, which the caller
+   runs once the lock is released. *)
+let move_locked t ~key ~branch next =
+  let wait =
+    match t.journal with
+    | None -> ignore
+    | Some j -> j ~key ~branch ~old:(head_locked t ~key ~branch) next
+  in
+  (match next, Hashtbl.find_opt t.tbl key with
+  | Some uid, _ -> set_head_locked t ~key ~branch uid
+  | None, None -> ()
+  | None, Some b ->
+    Hashtbl.remove b branch;
+    if Hashtbl.length b = 0 then Hashtbl.remove t.tbl key);
+  wait
+
 let set_head t ~key ~branch uid =
-  Mutex.protect t.lock (fun () -> set_head_locked t ~key ~branch uid)
+  Mutex.protect t.lock (fun () -> move_locked t ~key ~branch (Some uid)) ()
+
+let load t heads =
+  Mutex.protect t.lock (fun () ->
+      List.iter (fun (key, branch, uid) -> set_head_locked t ~key ~branch uid) heads)
 
 let branches t ~key =
   Mutex.protect t.lock (fun () ->
@@ -57,53 +85,27 @@ let keys t =
 let exists t ~key ~branch = head t ~key ~branch <> None
 
 let remove t ~key ~branch =
-  Mutex.protect t.lock (fun () ->
-      match Hashtbl.find_opt t.tbl key with
-      | None -> false
-      | Some b ->
-        let existed = Hashtbl.mem b branch in
-        Hashtbl.remove b branch;
-        if Hashtbl.length b = 0 then Hashtbl.remove t.tbl key;
-        existed)
+  let existed, wait =
+    Mutex.protect t.lock (fun () ->
+        if head_locked t ~key ~branch = None then (false, ignore)
+        else (true, move_locked t ~key ~branch None))
+  in
+  wait ();
+  existed
 
+(* Journaled as the new name's creation, then the old name's removal: a
+   crash between the two leaves both names, never neither. *)
 let rename t ~key ~from_branch ~to_branch =
   Mutex.protect t.lock (fun () ->
-      let head_of branch =
-        match Hashtbl.find_opt t.tbl key with
-        | None -> None
-        | Some b -> Hashtbl.find_opt b branch
-      in
-      match head_of from_branch with
-      | None ->
-        Error (Printf.sprintf "no branch %S for key %S" from_branch key)
+      match head_locked t ~key ~branch:from_branch with
+      | None -> Error (Printf.sprintf "no branch %S for key %S" from_branch key)
+      | Some _ when head_locked t ~key ~branch:to_branch <> None ->
+        Error (Printf.sprintf "branch %S already exists for key %S" to_branch key)
       | Some uid ->
-        if head_of to_branch <> None then
-          Error
-            (Printf.sprintf "branch %S already exists for key %S" to_branch key)
-        else begin
-          (match Hashtbl.find_opt t.tbl key with
-           | None -> ()
-           | Some b -> Hashtbl.remove b from_branch);
-          set_head_locked t ~key ~branch:to_branch uid;
-          Ok ()
-        end)
-
-let serialize t =
-  let w = Codec.writer () in
-  let ks = keys t in
-  Codec.varint w (List.length ks);
-  List.iter
-    (fun key ->
-      Codec.bytes w key;
-      let bs = branches t ~key in
-      Codec.varint w (List.length bs);
-      List.iter
-        (fun (name, uid) ->
-          Codec.bytes w name;
-          Codec.hash w uid)
-        bs)
-    ks;
-  Codec.contents w
+        let created = move_locked t ~key ~branch:to_branch (Some uid) in
+        let removed = move_locked t ~key ~branch:from_branch None in
+        Ok (fun () -> created (); removed ()))
+  |> Result.map (fun wait -> wait ())
 
 let deserialize s =
   Codec.of_string

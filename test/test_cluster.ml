@@ -311,30 +311,30 @@ let test_provider_interchangeable () =
   List.iter
     (fun backend ->
       with_temp_root (fun root ->
-          let fb = ok_fb (Persistent.open_ ~backend ~root ()) in
+          let inst = ok_fb (Persistent.open_instance ~backend ~root ()) in
+          let fb = inst.Persistent.fb in
           let _uid =
             ok_fb (FB.put fb ~key:"k" (Fb_types.Value.string backend))
           in
           match ok_fb (FB.get fb ~key:"k") with
           | Fb_types.Value.Primitive (Fb_types.Primitive.String s) ->
             check string_ (backend ^ " roundtrip") backend s;
-            Persistent.close ~root
+            Persistent.close inst
           | _ -> Alcotest.fail "wrong value shape"))
     [ "mem"; "file"; "log" ]
 
 let test_provider_auto_detect () =
   with_temp_root (fun root ->
-      let fb = ok_fb (Persistent.open_ ~backend:"file" ~root ()) in
-      let _ = ok_fb (FB.put fb ~key:"k" (Fb_types.Value.string "v1")) in
-      ok_fb (Persistent.save ~root fb);
-      Persistent.close ~root;
+      let inst = ok_fb (Persistent.open_instance ~backend:"file" ~root ()) in
+      let _ = ok_fb (FB.put inst.fb ~key:"k" (Fb_types.Value.string "v1")) in
+      Persistent.close inst;
       (* Reopening with "auto" must find the file engine, not default to
          the log engine and see an empty store. *)
-      let fb2 = ok_fb (Persistent.open_ ~backend:"auto" ~root ()) in
-      (match ok_fb (FB.get fb2 ~key:"k") with
+      let inst2 = ok_fb (Persistent.open_instance ~backend:"auto" ~root ()) in
+      (match ok_fb (FB.get inst2.fb ~key:"k") with
       | Fb_types.Value.Primitive (Fb_types.Primitive.String s) -> check string_ "auto reopen" "v1" s
       | _ -> Alcotest.fail "wrong value shape");
-      Persistent.close ~root)
+      Persistent.close inst2)
 
 (* ---------------- Bloom have-exchange ---------------- *)
 
@@ -413,7 +413,7 @@ let test_chunk_verbs () =
 
 (* ---------------- networked composition ---------------- *)
 
-let test_config = { Server.default_config with port = 0; save_every_s = 0.0 }
+let test_config = { Server.default_config with port = 0 }
 
 let with_servers n f =
   let nodes =
@@ -511,12 +511,13 @@ let test_cluster_provider_end_to_end () =
                  (fun srv -> Printf.sprintf "127.0.0.1:%d" (Server.port srv))
                  nodes)
           in
-          let fb =
+          let inst =
             ok_fb
-              (Persistent.open_ ~backend:"cluster"
+              (Persistent.open_instance ~backend:"cluster"
                  ~params:[ ("nodes", nodes_param); ("replicas", "2") ]
                  ~root ())
           in
+          let fb = inst.Persistent.fb in
           let _ = ok_fb (FB.put fb ~key:"k" (Fb_types.Value.string "routed")) in
           (match ok_fb (FB.get fb ~key:"k") with
           | Fb_types.Value.Primitive (Fb_types.Primitive.String s) -> check string_ "routed value" "routed" s
@@ -539,7 +540,7 @@ let test_cluster_provider_end_to_end () =
               0 nodes
           in
           check bool_ "members hold the chunks" true (member_chunks > 0);
-          Persistent.close ~root))
+          Persistent.close inst))
 
 let test_push_bloom_stats () =
   (* The Bloom round rides push: a second push with overlapping history

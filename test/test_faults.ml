@@ -588,11 +588,8 @@ let test_persistent_crash_recovery () =
       (match Fb_core.Persistent.open_ ~backend:"file" ~root:dir () with
        | Error e -> Alcotest.fail (Errors.to_string e)
        | Ok fb ->
-         (match FB.put fb ~key:"k" (Value.string "v") with
-          | Ok _ -> ()
-          | Error e -> Alcotest.fail (Errors.to_string e));
-         match Fb_core.Persistent.save ~root:dir fb with
-         | Ok () -> ()
+         match FB.put fb ~key:"k" (Value.string "v") with
+         | Ok _ -> ()
          | Error e -> Alcotest.fail (Errors.to_string e));
       (* Crash artifact in the chunk tree; reopening recovers. *)
       let shard = Filename.concat (Filename.concat dir "chunks") "00" in

@@ -753,12 +753,341 @@ let test_checkpoint_cadence () =
         (Log_store.synced_bytes h - covered < String.length idx + 100);
       Log_store.close h)
 
+(* ------------------------- ref records ------------------------- *)
+
+(* Heads as a sorted, comparable list. *)
+let norm_refs refs =
+  List.sort compare (List.map (fun (t, k, b, u) -> (t, k, b, Hash.to_hex u)) refs)
+
+(* The heads a sequence of moves leaves, replayed by a model table. *)
+let model_refs moves =
+  let m = Hashtbl.create 8 in
+  List.iter
+    (fun (t, k, b, next) ->
+      match next with
+      | Some u -> Hashtbl.replace m (t, k, b) u
+      | None -> Hashtbl.remove m (t, k, b))
+    moves;
+  norm_refs (Hashtbl.fold (fun (t, k, b) u acc -> (t, k, b, u) :: acc) m [])
+
+let no_uid = String.make 32 '\000'
+
+(* The ref moves among a generation file's complete records, decoded
+   longhand from the documented layout: (end offset, move). *)
+let parse_ref_moves bytes =
+  let u32 s pos = Int32.to_int (String.get_int32_be s pos) land 0xFFFFFFFF in
+  let uid raw = if String.equal raw no_uid then None else Some (Hash.of_raw_exn raw) in
+  let rec go pos acc =
+    if pos + 41 > String.length bytes then List.rev acc
+    else
+      let kind = Char.code bytes.[pos] and len = u32 bytes (pos + 1) in
+      let stop = pos + 41 + len in
+      if stop > String.length bytes then List.rev acc
+      else if kind <> 2 then go stop acc
+      else
+        let p = String.sub bytes (pos + 37) len in
+        let klen = u32 p 33 in
+        let table = if p.[0] = '\000' then Log_store.Branches else Log_store.Tags in
+        let move =
+          ( table, String.sub p 37 klen,
+            String.sub p (37 + klen) (len - 37 - klen),
+            uid (String.sub bytes (pos + 5) 32) )
+        in
+        go stop ((stop, move) :: acc)
+  in
+  go 16 []
+
+(* A log of chunks and head moves, each move appended after the chunk
+   it names and acknowledged (its wait run) before the next: returns the
+   log handle and the acknowledged moves with their end offsets. *)
+let build_ref_log root =
+  let h = Log_store.create ~config:quick_config ~root () in
+  let s = Log_store.store h in
+  let current = Hashtbl.create 8 in
+  let acked = ref [] in
+  let move t k b next =
+    Log_store.append_ref h t ~key:k ~branch:b
+      ~old:(Hashtbl.find_opt current (t, k, b)) next ();
+    (match next with
+    | Some u -> Hashtbl.replace current (t, k, b) u
+    | None -> Hashtbl.remove current (t, k, b));
+    acked := (Log_store.file_bytes h, (t, k, b, next)) :: !acked
+  in
+  let put i = ignore (Store.put s (blob i)); Some (blob_id i) in
+  let open Log_store in
+  move Branches "a" "master" (put 0);
+  move Branches "a" "master" (put 1);
+  move Branches "a" "dev" (Some (blob_id 0));
+  move Tags "a" "v1" (Some (blob_id 0));
+  ignore (put 9);
+  ignore (Store.delete s (blob_id 9));
+  move Branches "b" "master" (put 2);
+  move Branches "a" "dev" None;
+  move Branches "a" "feature" (Some (blob_id 1));
+  (h, List.rev !acked)
+
+let test_ref_power_cut_matrix () =
+  with_temp_dir (fun dir ->
+      let h, acked = build_ref_log (Filename.concat dir "src") in
+      Log_store.sync h;
+      let bytes = read_file (Log_store.log_path h) in
+      let sealed = parse_ref_moves bytes in
+      check int_ "reference parse sees every move" (List.length acked)
+        (List.length sealed);
+      let header_size = 16 in
+      let rig = Filename.concat dir "rig" in
+      let upto cut moves =
+        List.filter_map (fun (stop, m) -> if stop <= cut then Some m else None) moves
+      in
+      for cut = 0 to String.length bytes do
+        List.iter
+          (fun (variant, data) ->
+            let ctx what = Printf.sprintf "refs %s cut=%d %s" variant cut what in
+            if Sys.file_exists rig then
+              Array.iter (fun f -> Sys.remove (Filename.concat rig f)) (Sys.readdir rig)
+            else Unix.mkdir rig 0o755;
+            write_file (Filename.concat rig "gen-0.log") data;
+            write_file (Filename.concat rig "CURRENT") "0\n";
+            match Log_store.create ~config:quick_config ~root:rig () with
+            | exception Failure _ when String.equal variant "tear" && cut < header_size
+              -> ()
+            | r ->
+              let got = norm_refs (Log_store.refs r) in
+              check bool_ (ctx "= model replay of the surviving sealed records")
+                true (got = model_refs (upto cut sealed));
+              check bool_ (ctx "= a prefix of the acknowledged moves") true
+                (got = model_refs (upto cut acked));
+              List.iter
+                (fun (_, _, _, hex) ->
+                  match Hash.of_hex hex with
+                  | Ok u ->
+                    if not (Store.mem (Log_store.store r) u) then
+                      Alcotest.fail (ctx "head names a missing chunk")
+                  | Error e -> Alcotest.fail e)
+                got;
+              Log_store.close r;
+              let r2 = Log_store.create ~config:quick_config ~root:rig () in
+              check bool_ (ctx "recovery is stable") true
+                ((Log_store.counters r2).Log_store.truncated_bytes = 0
+                && norm_refs (Log_store.refs r2) = got);
+              Log_store.close r2)
+          [ ("truncate", String.sub bytes 0 cut);
+            ("tear", if cut < String.length bytes then garble bytes cut else bytes) ]
+      done;
+      Log_store.close h)
+
+(* QCheck: with head moves among the operations, recovery through the
+   checkpoint and a full replay reach the model's chunks and heads —
+   across compactions too. *)
+let qcheck_ref_checkpoint_replay =
+  let op_gen =
+    QCheck.Gen.(
+      frequency
+        [ (4, map (fun i -> `Put (i mod 8)) (int_bound 100));
+          (2, map (fun i -> `Delete (i mod 8)) (int_bound 100));
+          (5, map2 (fun k i -> `Move (k mod 4, if i mod 5 = 0 then None else Some (i mod 8)))
+                (int_bound 100) (int_bound 100));
+          (1, return `Sync);
+          (1, return `Checkpoint);
+          (1, return `Compact) ])
+  in
+  let ops_arb =
+    QCheck.make
+      ~print:(fun ops ->
+        String.concat ";"
+          (List.map
+             (function
+               | `Put i -> Printf.sprintf "put %d" i
+               | `Delete i -> Printf.sprintf "del %d" i
+               | `Move (k, Some i) -> Printf.sprintf "move %d->%d" k i
+               | `Move (k, None) -> Printf.sprintf "remove %d" k
+               | `Sync -> "sync"
+               | `Checkpoint -> "ckpt"
+               | `Compact -> "compact")
+             ops))
+      QCheck.Gen.(list_size (int_range 1 40) op_gen)
+  in
+  QCheck.Test.make
+    ~name:"log: ref moves: checkpoint replay == full replay == model"
+    ~count:30 ops_arb (fun ops ->
+      with_temp_dir (fun dir ->
+          let chunks = Hashtbl.create 16 in
+          let heads = Hashtbl.create 16 in
+          let h = Log_store.create ~config:quick_config ~root:dir () in
+          let s = Log_store.store h in
+          let ref_of k =
+            ((if k = 3 then Log_store.Tags else Log_store.Branches),
+             Printf.sprintf "k%d" (k mod 2), Printf.sprintf "b%d" k)
+          in
+          List.iter
+            (function
+              | `Put i ->
+                ignore (Store.put s (blob i));
+                Hashtbl.replace chunks (blob_id i) ()
+              | `Delete i ->
+                ignore (Store.delete s (blob_id i));
+                Hashtbl.remove chunks (blob_id i)
+              | `Move (k, next) ->
+                let t, key, branch = ref_of k in
+                let next = Option.map blob_id next in
+                Log_store.append_ref h t ~key ~branch
+                  ~old:(Hashtbl.find_opt heads (t, key, branch)) next ();
+                (match next with
+                | Some u -> Hashtbl.replace heads (t, key, branch) u
+                | None -> Hashtbl.remove heads (t, key, branch))
+              | `Sync -> Log_store.sync h
+              | `Checkpoint -> Log_store.checkpoint h
+              | `Compact -> Log_store.compact h)
+            ops;
+          Log_store.close h;
+          let want =
+            norm_refs (Hashtbl.fold (fun (t, k, b) u acc -> (t, k, b, u) :: acc) heads [])
+          in
+          let agrees () =
+            let r = Log_store.create ~config:quick_config ~root:dir () in
+            let got = live_ids (Log_store.store r) in
+            let refs = norm_refs (Log_store.refs r) in
+            Log_store.close r;
+            refs = want
+            && List.length got = Hashtbl.length chunks
+            && List.for_all (Hashtbl.mem chunks) got
+          in
+          let via_checkpoint = agrees () in
+          Array.iter
+            (fun f ->
+              if Filename.check_suffix f ".idx" then Sys.remove (Filename.concat dir f))
+            (Sys.readdir dir);
+          let via_full_replay = agrees () in
+          via_checkpoint && via_full_replay))
+
+(* Every compaction carries the current heads forward: manual,
+   gc-driven, and a crash at any stage of either. *)
+let test_compaction_refs () =
+  let setup dir =
+    let h, _ = build_ref_log dir in
+    (h, norm_refs (Log_store.refs h))
+  in
+  with_temp_dir (fun dir ->
+      let h, want = setup dir in
+      Log_store.compact h;
+      check bool_ "heads after compaction" true (norm_refs (Log_store.refs h) = want);
+      (* gc liveness: only the chunks a head names survive. *)
+      let named id = List.exists (fun (_, _, _, hex) -> hex = Hash.to_hex id) want in
+      Log_store.compact ~live:named h;
+      check int_ "only named chunks kept" 3 (Log_store.live_chunks h);
+      check bool_ "heads after gc compaction" true (norm_refs (Log_store.refs h) = want);
+      Log_store.close h;
+      (match Log_store.fsck ~root:dir with
+      | Error e -> Alcotest.fail e
+      | Ok r ->
+        check bool_ "compacted log fscks clean" true (Log_store.fsck_clean r);
+        check int_ "one ref record per head" (List.length want)
+          r.Log_store.fsck_ref_records);
+      let r = Log_store.create ~config:quick_config ~root:dir () in
+      check bool_ "heads after reopen" true (norm_refs (Log_store.refs r) = want);
+      Log_store.close r);
+  List.iter
+    (fun stage ->
+      with_temp_dir (fun dir ->
+          let h, want = setup dir in
+          (match Log_store.compact ~on_stage:(fun st -> if st = stage then raise Exit) h with
+          | () -> Alcotest.fail "stage hook did not fire"
+          | exception Exit -> ());
+          let r = Log_store.create ~config:quick_config ~root:dir () in
+          check bool_ "heads survive a compaction crash" true
+            (norm_refs (Log_store.refs r) = want);
+          Log_store.close r))
+    [ Log_store.After_data; Log_store.Before_switch; Log_store.After_switch ]
+
+(* A ref payload written out longhand. *)
+let ref_payload ?old ~key () =
+  let l = Bytes.create 4 in
+  Bytes.set_int32_be l 0 (Int32.of_int (String.length key));
+  "\000" ^ (match old with Some u -> Hash.to_raw u | None -> no_uid)
+  ^ Bytes.to_string l ^ key ^ "master"
+
+(* fsck sees heads: a head naming an absent chunk, and a move whose old
+   uid is not the replayed head, are each a fault. *)
+let test_fsck_refs () =
+  with_temp_dir (fun dir ->
+      Unix.mkdir dir 0o755;
+      let header = Bytes.create 16 in
+      Bytes.blit_string "FBLOG01\n" 0 header 0 8;
+      Bytes.set_int64_be header 8 0L;
+      let chunk i = ref_record ~kind:0 ~id:(blob_id i) ~payload:(Chunk.encode (blob i)) in
+      let move ?old next = ref_record ~kind:2 ~id:next ~payload:(ref_payload ?old ~key:"k" ()) in
+      let fsck_of what records =
+        let root = Filename.concat dir what in
+        Unix.mkdir root 0o755;
+        write_file (Filename.concat root "gen-0.log")
+          (Bytes.to_string header ^ String.concat "" records);
+        write_file (Filename.concat root "CURRENT") "0\n";
+        match Log_store.fsck ~root with Ok r -> r | Error e -> Alcotest.fail e
+      in
+      let r =
+        fsck_of "clean"
+          [ chunk 1; move (blob_id 1); chunk 2; move ~old:(blob_id 1) (blob_id 2) ]
+      in
+      check bool_ "clean" true (Log_store.fsck_clean r);
+      check int_ "ref records counted" 2 r.Log_store.fsck_ref_records;
+      check int_ "heads" 1 r.Log_store.fsck_heads;
+      let r = fsck_of "dangling" [ chunk 1; move (blob_id 1); move ~old:(blob_id 1) (blob_id 7) ] in
+      check bool_ "dangling head is a fault" false (Log_store.fsck_clean r);
+      check bool_ "dangling head named" true
+        (r.Log_store.fsck_dangling_heads = [ (Log_store.Branches, "k", "master") ]);
+      check int_ "no conflict" 0 r.Log_store.fsck_ref_conflicts;
+      let r = fsck_of "conflict" [ chunk 1; move ~old:(blob_id 3) (blob_id 1) ] in
+      check bool_ "conflicting move is a fault" false (Log_store.fsck_clean r);
+      check int_ "conflict counted" 1 r.Log_store.fsck_ref_conflicts;
+      check bool_ "head itself present" true (r.Log_store.fsck_dangling_heads = []))
+
+(* The acknowledgement wait: with fsync on, it returns once a group
+   commit covers the record, concurrent committers included, and is
+   observed in fb.log.commit_wait_seconds; with fsync off nothing is
+   waited for or observed. *)
+let test_ref_commit_wait () =
+  with_temp_dir (fun dir ->
+      let count () = Fb_obs.Obs.hist_count Log_store.commit_wait_hist in
+      let h = Log_store.create ~root:(Filename.concat dir "on") () in
+      let s = Log_store.store h in
+      let n0 = count () in
+      ignore (Store.put s (blob 0));
+      Log_store.append_ref h Log_store.Branches ~key:"k" ~branch:"master" ~old:None
+        (Some (blob_id 0)) ();
+      check int_ "record covered on return" (Log_store.file_bytes h)
+        (Log_store.synced_bytes h);
+      check int_ "wait observed" (n0 + 1) (count ());
+      let threads =
+        List.init 4 (fun t ->
+            Thread.create
+              (fun () ->
+                for i = 1 to 25 do
+                  let id = Store.put s (blob ((t * 100) + i)) in
+                  Log_store.append_ref h Log_store.Branches
+                    ~key:(Printf.sprintf "t%d" t) ~branch:"master"
+                    ~old:(if i = 1 then None else Some (blob_id ((t * 100) + i - 1)))
+                    (Some id) ()
+                done)
+              ())
+      in
+      List.iter Thread.join threads;
+      check int_ "concurrent records covered" (Log_store.file_bytes h)
+        (Log_store.synced_bytes h);
+      check int_ "every wait observed" (n0 + 101) (count ());
+      check int_ "heads" 5 (List.length (Log_store.refs h));
+      Log_store.close h;
+      let h = Log_store.create ~config:quick_config ~root:(Filename.concat dir "off") () in
+      Log_store.append_ref h Log_store.Branches ~key:"k" ~branch:"master" ~old:None
+        (Some (blob_id 0)) ();
+      check int_ "nothing observed without fsync" (n0 + 101) (count ());
+      Log_store.close h)
+
 (* ------------------------- the Persistent seam ------------------------- *)
 
-(* The fsync-ordering invariant end to end: after [save], a power cut
-   anywhere at or past the log's acknowledgment boundary leaves a root
-   whose branch table and log agree — every saved head loads, reads and
-   verifies. *)
+(* The fsync-ordering invariant end to end: once a put returns with fsync
+   on, a power cut anywhere at or past the log's acknowledgment boundary
+   leaves a root whose heads and chunks agree — every acknowledged head
+   loads, reads and verifies. *)
 let test_persistent_power_cut () =
   with_temp_dir (fun dir ->
       let src = Filename.concat dir "src" in
@@ -766,23 +1095,24 @@ let test_persistent_power_cut () =
         | Ok v -> v
         | Error e -> Alcotest.fail (Errors.to_string e)
       in
-      let fb = ok (Persistent.open_ ~fsync:false ~backend:"log" ~root:src ()) in
+      let inst =
+        ok (Persistent.open_instance ~fsync:true ~backend:"log" ~root:src ())
+      in
+      let fb = inst.Persistent.fb in
       let keys = [ "alpha"; "beta"; "gamma" ] in
       List.iter
         (fun k -> ignore (ok (FB.put fb ~key:k (Value.string ("v-" ^ k)))))
         keys;
-      ok (Persistent.save ~root:src fb);
       let h =
-        match Persistent.log_handle ~root:src with
+        match inst.Persistent.log with
         | Some h -> h
-        | None -> Alcotest.fail "log engine not registered"
+        | None -> Alcotest.fail "log engine not open"
       in
       let ack = Log_store.synced_bytes h in
-      check int_ "save acknowledged the whole log" (Log_store.file_bytes h) ack;
-      (* Unacknowledged work after the save: lost by the cut, harmless. *)
-      ignore (ok (FB.put fb ~key:"delta" (Value.string "not saved")));
+      check int_ "puts acknowledged the whole log" (Log_store.file_bytes h) ack;
+      (* Unacknowledged work after the last put: lost by the cut, harmless. *)
+      ignore (Store.put (Log_store.store h) (blob 0));
       let log_bytes = read_file (Log_store.log_path h) in
-      let branches = read_file (Filename.concat src "BRANCHES") in
       let cuts =
         [ ack; min (ack + 1) (String.length log_bytes);
           (ack + String.length log_bytes) / 2; String.length log_bytes ]
@@ -792,31 +1122,31 @@ let test_persistent_power_cut () =
           let rig = Filename.concat dir (Printf.sprintf "rig%d" n) in
           Unix.mkdir rig 0o755;
           Unix.mkdir (Filename.concat rig "log") 0o755;
-          write_file (Filename.concat rig "BRANCHES") branches;
           write_file
             (Filename.concat (Filename.concat rig "log") "gen-0.log")
             (String.sub log_bytes 0 cut);
           write_file (Filename.concat (Filename.concat rig "log") "CURRENT") "0\n";
-          let fb2 = ok (Persistent.open_ ~fsync:false ~root:rig ()) in
+          let r = ok (Persistent.open_instance ~fsync:false ~root:rig ()) in
+          let fb2 = r.Persistent.fb in
           List.iter
             (fun k ->
               (match FB.get fb2 ~key:k with
               | Ok v ->
                 check bool_
-                  (Printf.sprintf "cut=%d saved key %s intact" cut k)
+                  (Printf.sprintf "cut=%d acknowledged key %s intact" cut k)
                   true
                   (Value.equal v (Value.string ("v-" ^ k)))
               | Error e ->
                 Alcotest.fail
-                  (Printf.sprintf "cut=%d saved key %s lost: %s" cut k
+                  (Printf.sprintf "cut=%d acknowledged key %s lost: %s" cut k
                      (Errors.to_string e)));
               let uid = ok (FB.head fb2 ~key:k) in
               check bool_ (Printf.sprintf "cut=%d %s verifies" cut k) true
                 (Result.is_ok (FB.verify fb2 uid)))
             keys;
-          Persistent.close ~root:rig)
+          Persistent.close r)
         cuts;
-      Persistent.close ~root:src)
+      Persistent.close inst)
 
 let test_persistent_backend_autodetect () =
   with_temp_dir (fun dir ->
@@ -824,34 +1154,34 @@ let test_persistent_backend_autodetect () =
         | Ok v -> v
         | Error e -> Alcotest.fail (Errors.to_string e)
       in
+      let chunk_log (i : Persistent.instance) =
+        match i.log with
+        | Some h -> Filename.basename (Log_store.root h) = "log"
+        | None -> false
+      in
       (* A fresh root gets the log engine... *)
       let file_root = Filename.concat dir "file" in
       let log_root = Filename.concat dir "log" in
-      let fb = ok (Persistent.open_ ~root:log_root ()) in
-      ignore (ok (FB.put fb ~key:"k" (Value.string "v")));
-      ok (Persistent.save ~root:log_root fb);
-      check bool_ "fresh root is log-backed" true
-        (Persistent.log_handle ~root:log_root <> None);
+      let i = ok (Persistent.open_instance ~root:log_root ()) in
+      ignore (ok (FB.put i.fb ~key:"k" (Value.string "v")));
+      check bool_ "fresh root is log-backed" true (chunk_log i);
       check bool_ "log dir exists" true
         (Sys.file_exists (Filename.concat log_root "log"));
-      Persistent.close ~root:log_root;
+      Persistent.close i;
       (* ...an existing chunks/ root keeps the file engine... *)
-      let fbf =
-        ok (Persistent.open_ ~backend:"file" ~root:file_root ())
-      in
-      ignore (ok (FB.put fbf ~key:"k" (Value.string "v")));
-      ok (Persistent.save ~root:file_root fbf);
-      let fbf2 = ok (Persistent.open_ ~root:file_root ()) in
-      check bool_ "chunks root stays file-backed" true
-        (Persistent.log_handle ~root:file_root = None);
+      let fi = ok (Persistent.open_instance ~backend:"file" ~root:file_root ()) in
+      ignore (ok (FB.put fi.fb ~key:"k" (Value.string "v")));
+      Persistent.close fi;
+      let fi2 = ok (Persistent.open_instance ~root:file_root ()) in
+      check bool_ "chunks root stays file-backed" false (chunk_log fi2);
       check bool_ "file data readable" true
-        (Result.is_ok (FB.get fbf2 ~key:"k"));
+        (Result.is_ok (FB.get fi2.fb ~key:"k"));
+      Persistent.close fi2;
       (* ...and a log root auto-detects on reopen. *)
-      let fb2 = ok (Persistent.open_ ~root:log_root ()) in
-      check bool_ "log root reopens onto the log" true
-        (Persistent.log_handle ~root:log_root <> None);
-      check bool_ "log data readable" true (Result.is_ok (FB.get fb2 ~key:"k"));
-      Persistent.close ~root:log_root)
+      let i2 = ok (Persistent.open_instance ~root:log_root ()) in
+      check bool_ "log root reopens onto the log" true (chunk_log i2);
+      check bool_ "log data readable" true (Result.is_ok (FB.get i2.fb ~key:"k"));
+      Persistent.close i2)
 
 let suite =
   [ Alcotest.test_case "roundtrip and reopen" `Quick test_roundtrip_reopen;
@@ -876,6 +1206,15 @@ let suite =
       `Quick test_on_disk_compat;
     Alcotest.test_case "checkpoint cadence: bytes bounded by log + one index"
       `Quick test_checkpoint_cadence;
+    Alcotest.test_case "power-cut matrix: ref records" `Quick
+      test_ref_power_cut_matrix;
+    QCheck_alcotest.to_alcotest qcheck_ref_checkpoint_replay;
+    Alcotest.test_case "compaction carries heads forward" `Quick
+      test_compaction_refs;
+    Alcotest.test_case "fsck: dangling and conflicting heads" `Quick
+      test_fsck_refs;
+    Alcotest.test_case "ref moves: acknowledged on return" `Quick
+      test_ref_commit_wait;
     Alcotest.test_case "persistent: power cut after save" `Quick
       test_persistent_power_cut;
     Alcotest.test_case "persistent: backend autodetect" `Quick

@@ -37,17 +37,19 @@ let with_temp_root f =
     ~finally:(fun () -> ignore (Sys.command ("rm -rf " ^ Filename.quote root)))
     (fun () -> f root)
 
-(* No periodic saver and no fixed port: tests must not collide. *)
+(* No fixed port: tests must not collide. *)
 let test_config =
-  { Server.default_config with port = 0; save_every_s = 0.0 }
+  { Server.default_config with port = 0 }
 
-let with_server ?(config = test_config) ?save fb f =
-  let srv = ok_net (Server.start ~config ?save fb) in
+let with_server ?(config = test_config) fb f =
+  let srv = ok_net (Server.start ~config fb) in
   Fun.protect ~finally:(fun () -> Server.stop srv) (fun () -> f srv)
 
-let with_client ?user srv f =
-  let c = ok_cl (Mux.connect ?user ~port:(Server.port srv) ()) in
+let with_client_port ?user port f =
+  let c = ok_cl (Mux.connect ?user ~port ()) in
   Fun.protect ~finally:(fun () -> Mux.close c) (fun () -> f c)
+
+let with_client ?user srv f = with_client_port ?user (Server.port srv) f
 
 (* ---------------- pure framing ---------------- *)
 
@@ -726,18 +728,93 @@ let test_server_user_identity () =
 let test_server_durability () =
   with_temp_root (fun root ->
       let fb = ok_fb (Persistent.open_ ~root ()) in
-      let save () = ignore (Persistent.save ~fsync:true ~root fb) in
-      let uid =
-        with_server ~save fb (fun srv ->
+      with_server fb (fun srv ->
+          let uid =
             with_client srv (fun c ->
-                ok_cl (Mux.request c [ "put"; "k"; "master"; "durable" ])))
-      in
-      (* with_server stopped the server; stop runs the final save, so a
-         fresh instance sees the head. *)
-      let fb2 = ok_fb (Persistent.open_ ~root ()) in
-      check bool_ "head persisted" true
-        (Fb_hash.Hash.equal (ok_fb (FB.parse_version uid))
-           (ok_fb (FB.head fb2 ~key:"k"))))
+                ok_cl (Mux.request c [ "put"; "k"; "master"; "durable" ]))
+          in
+          (* The server is still running and has saved nothing: the head
+             was journaled before the put answered, so a fresh instance
+             recovering the root sees it. *)
+          let fb2 = ok_fb (Persistent.open_ ~root ()) in
+          check bool_ "head persisted" true
+            (Fb_hash.Hash.equal (ok_fb (FB.parse_version uid))
+               (ok_fb (FB.head fb2 ~key:"k")))))
+
+(* The real daemon under SIGKILL: every write it acknowledged over TCP —
+   put, fork, merge, tag, push — is back after a restart on the same
+   root, with fsync on (the default) and off (a process crash loses
+   nothing either way). *)
+let forkbase_exe =
+  Filename.concat (Filename.dirname Sys.executable_name) "../bin/forkbase_cli.exe"
+
+let spawn_serve ~root ~fsync =
+  let r, w = Unix.pipe ~cloexec:true () in
+  let pid =
+    Unix.create_process forkbase_exe
+      [| forkbase_exe; "serve"; "--root"; root; "--port"; "0"; "--fsync"; fsync |]
+      Unix.stdin w Unix.stderr
+  in
+  Unix.close w;
+  let ic = Unix.in_channel_of_descr r in
+  (* "forkbase: serving ROOT on 127.0.0.1:PORT ..." *)
+  let banner = input_line ic in
+  let at = String.rindex banner ':' in
+  let digits = String.sub banner (at + 1) (String.length banner - at - 1) in
+  let port = Scanf.sscanf digits "%d" Fun.id in
+  let kill () =
+    Unix.kill pid Sys.sigkill;
+    ignore (Unix.waitpid [] pid);
+    close_in ic
+  in
+  (port, kill)
+
+let test_serve_sigkill () =
+  List.iter
+    (fun fsync ->
+      with_temp_root (fun root ->
+          let port, kill = spawn_serve ~root ~fsync in
+          let expected =
+            Fun.protect ~finally:kill (fun () ->
+                with_client_port port (fun c ->
+                    let req args = ok_cl (Mux.request c args) in
+                    let u1 = req [ "put"; "k"; "master"; "v1" ] in
+                    ignore (req [ "put"; "k"; "master"; "v2" ]);
+                    ignore (req [ "branch"; "k"; "master"; "dev" ]);
+                    let dev = req [ "put"; "k"; "dev"; "v3" ] in
+                    let master = req [ "merge"; "k"; "master"; "dev" ] in
+                    ignore (req [ "tag"; "k"; "first"; u1 ]);
+                    let local = FB.create (Fb_chunk.Mem_store.create ()) in
+                    ignore (ok_fb (FB.put local ~key:"p" (Value.string "pushed")));
+                    let r = ok_fb (Remote.connect ~port ()) in
+                    let pushed, _ =
+                      Fun.protect ~finally:(fun () -> Remote.close r) (fun () ->
+                          ok_fb (Remote.push r local ~key:"p"))
+                    in
+                    ( [ ("k", "master", master); ("k", "dev", dev);
+                        ("p", "master", FB.version_string pushed) ],
+                      u1 )))
+          in
+          let heads, u1 = expected in
+          let ctx what = Printf.sprintf "fsync %s: %s" fsync what in
+          (* Restart on the same root: every acknowledged head is there. *)
+          let port, kill = spawn_serve ~root ~fsync in
+          Fun.protect ~finally:kill (fun () ->
+              with_client_port port (fun c ->
+                  List.iter
+                    (fun (key, branch, uid) ->
+                      check string_
+                        (ctx (key ^ "/" ^ branch))
+                        uid
+                        (ok_cl (Mux.request c [ "head"; key; branch ])))
+                    heads));
+          (* The tag has no read verb: recover the root in-process. *)
+          let fb = ok_fb (Persistent.open_ ~root ()) in
+          check string_ (ctx "tag") u1
+            (FB.version_string (ok_fb (FB.tag_lookup fb ~key:"k" ~name:"first")));
+          check bool_ (ctx "merge verifies") true
+            (Result.is_ok (FB.verify fb (ok_fb (FB.head fb ~key:"k"))))))
+    [ "true"; "false" ]
 
 let test_server_shutdown () =
   let fb = FB.create (Fb_chunk.Mem_store.create ()) in
@@ -1279,6 +1356,32 @@ let test_slow_request_log () =
     check bool_ "span tree renders for that trace" true
       (Tutil.contains (Obs.render_trace trace) "net.server.request")
 
+(* A head move's acknowledgement wait is observable where an operator
+   looks: fb.log.commit_wait_seconds in metrics-json, and a commit_wait
+   summary in /healthz. *)
+let test_commit_wait_exported () =
+  with_temp_root (fun root ->
+      let inst = ok_fb (Persistent.open_instance ~fsync:true ~root ()) in
+      let config = { test_config with metrics_port = Some 0 } in
+      Fun.protect ~finally:(fun () -> Persistent.close inst) (fun () ->
+          with_server ~config inst.fb (fun srv ->
+              let mport =
+                match Server.metrics_port srv with
+                | Some p -> p
+                | None -> Alcotest.fail "sidecar did not start"
+              in
+              with_client srv (fun c ->
+                  ignore (ok_cl (Mux.request c [ "put"; "k"; "master"; "v" ]));
+                  check bool_ "metrics-json has the histogram" true
+                    (Tutil.contains
+                       (ok_cl (Mux.request c [ "metrics-json" ]))
+                       "fb.log.commit_wait_seconds"));
+              let healthz = http_get mport "/healthz" in
+              check bool_ "healthz has the commit wait" true
+                (Tutil.contains healthz "\"commit_wait\":{\"count\":");
+              check bool_ "the put's wait is counted" false
+                (Tutil.contains healthz "\"commit_wait\":{\"count\":0,"))))
+
 let suite =
   [ Alcotest.test_case "frame round-trip" `Quick test_frame_roundtrip;
     Alcotest.test_case "frame stream" `Quick test_frame_stream;
@@ -1307,6 +1410,10 @@ let suite =
     Alcotest.test_case "typed remote handle" `Quick test_remote_typed;
     Alcotest.test_case "server user identity" `Quick test_server_user_identity;
     Alcotest.test_case "server durability" `Quick test_server_durability;
+    Alcotest.test_case "serve: acknowledged heads survive SIGKILL" `Quick
+      test_serve_sigkill;
+    Alcotest.test_case "commit wait in metrics-json and /healthz" `Quick
+      test_commit_wait_exported;
     Alcotest.test_case "server shutdown" `Quick test_server_shutdown;
     Alcotest.test_case "slow peer" `Quick test_slow_peer;
     Alcotest.test_case "read timeout" `Quick test_read_timeout;

@@ -437,20 +437,20 @@ let test_persistent_gauge_retirement () =
     | Error e -> Alcotest.fail (Fb_core.Errors.to_string e)
   in
   let gname = "log." ^ Filename.concat root "log" ^ ".generation" in
+  let reopened = ref None in
   Fun.protect
     ~finally:(fun () ->
-      Fb_core.Persistent.close ~root;
+      Option.iter Fb_core.Persistent.close !reopened;
       ignore (Sys.command ("rm -rf " ^ Filename.quote root)))
     (fun () ->
-      let fb = ok (Fb_core.Persistent.open_ ~backend:"log" ~root ()) in
-      ignore (ok (FB.put fb ~key:"k" (Fb_types.Value.string "v")));
-      ignore (Fb_core.Persistent.save ~root fb);
+      let i = ok (Fb_core.Persistent.open_instance ~backend:"log" ~root ()) in
+      ignore (ok (FB.put i.fb ~key:"k" (Fb_types.Value.string "v")));
       check bool_ "gauges live while open" true (gauge_value gname <> None);
-      Fb_core.Persistent.close ~root;
+      Fb_core.Persistent.close i;
       check bool_ "gauges retired on close" true (gauge_value gname = None);
       (* Reopen takes the same names back. *)
-      let fb2 = ok (Fb_core.Persistent.open_ ~backend:"log" ~root ()) in
-      ignore fb2;
+      reopened :=
+        Some (ok (Fb_core.Persistent.open_instance ~backend:"log" ~root ()));
       check bool_ "gauges return on reopen" true (gauge_value gname <> None))
 
 let suite =

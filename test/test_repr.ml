@@ -185,17 +185,19 @@ let test_branch_rename_remove () =
   check bool_ "remove master" true (Branch.remove b ~key:"k" ~branch:"master");
   check bool_ "key gone" true (Branch.keys b = [])
 
+(* Tables are no longer written; old roots' files must still read. *)
 let test_branch_serialization () =
-  let b = Branch.create () in
-  Branch.set_head b ~key:"alpha" ~branch:"master" (uidx 1);
-  Branch.set_head b ~key:"alpha" ~branch:"x" (uidx 2);
-  Branch.set_head b ~key:"beta" ~branch:"master" (uidx 3);
-  match Branch.deserialize (Branch.serialize b) with
+  let old =
+    Tutil.old_table
+      [ ("alpha", [ ("master", uidx 1); ("x", uidx 2) ]);
+        ("beta", [ ("master", uidx 3) ]) ]
+  in
+  match Branch.deserialize old with
   | Error e -> Alcotest.fail e
   | Ok b' ->
-    check bool_ "keys" true (Branch.keys b' = Branch.keys b);
+    check bool_ "keys" true (Branch.keys b' = [ "alpha"; "beta" ]);
     check bool_ "heads" true
-      (Branch.branches b' ~key:"alpha" = Branch.branches b ~key:"alpha");
+      (Branch.branches b' ~key:"alpha" = [ ("master", uidx 1); ("x", uidx 2) ]);
     check bool_ "garbage rejected" true
       (Result.is_error (Branch.deserialize "not branches"))
 

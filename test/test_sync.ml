@@ -29,7 +29,7 @@ let ok_net = function
   | Error e -> Alcotest.fail e
 
 let test_config =
-  { Server.default_config with port = 0; save_every_s = 0.0 }
+  { Server.default_config with port = 0 }
 
 let with_server ?(config = test_config) fb f =
   let srv = ok_net (Server.start ~config fb) in

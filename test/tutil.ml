@@ -11,3 +11,22 @@ let contains haystack needle =
     in
     go 0
   end
+
+(* A BRANCHES/TAGS file as roots kept them before heads moved into the
+   log: a varint key count, then per key its bytes, a varint branch count
+   and per branch its name bytes and uid. *)
+let old_table (keys : (string * (string * Fb_hash.Hash.t) list) list) =
+  let module Codec = Fb_codec.Codec in
+  let w = Codec.writer () in
+  Codec.varint w (List.length keys);
+  List.iter
+    (fun (key, branches) ->
+      Codec.bytes w key;
+      Codec.varint w (List.length branches);
+      List.iter
+        (fun (name, uid) ->
+          Codec.bytes w name;
+          Codec.hash w uid)
+        branches)
+    keys;
+  Codec.contents w
