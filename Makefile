@@ -112,13 +112,18 @@ check:
 
 # Lines of OCaml (*.ml + *.mli, counted with wc -l) per source
 # directory, and lib + bin + bench + test together: the measure of net
-# source size that ROADMAP.md tracks.
+# source size that ROADMAP.md tracks.  Then each lib/* sub-library, for
+# per-layer size gates.
 loc:
 	@t=0; for d in lib bin bench test fbperf; do \
 	  n=$$(find $$d -name '*.ml' -o -name '*.mli' | xargs cat | wc -l); \
 	  printf '%-22s %6d\n' $$d $$n; \
 	  [ $$d = fbperf ] || t=$$((t + n)); \
-	done; printf '%-22s %6d\n' 'lib+bin+bench+test' $$t
+	done; printf '%-22s %6d\n' 'lib+bin+bench+test' $$t; \
+	for d in lib/*/; do \
+	  n=$$(find $$d -name '*.ml' -o -name '*.mli' | xargs cat | wc -l); \
+	  printf '  %-20s %6d\n' $${d%/} $$n; \
+	done
 
 clean:
 	dune clean

@@ -70,6 +70,7 @@ type compact_stage = After_data | Before_switch | After_switch
 type t = {
   root : string;
   config : config;
+  holder : string * Unix.file_descr; (* this instance's hold on [root] *)
   lock : Mutex.t;
   mutable gen : int;
   mutable wfd : Unix.file_descr;
@@ -785,8 +786,38 @@ let background_loop t =
 
 (* ------------------------- construction ------------------------- *)
 
-let create ?(config = default_config) ~root () =
-  mkdir_p root;
+exception Root_in_use of string
+
+(* One open instance per root.  An exclusive [lockf] on [root/LOCK]
+   excludes other processes and dies with its holder; POSIX record locks
+   never conflict within one process, so a set of the roots open here
+   excludes a second instance in this one. *)
+let open_roots : (string, unit) Hashtbl.t = Hashtbl.create 8
+let open_roots_lock = Mutex.create ()
+
+let hold_root root =
+  let key = Unix.realpath root in
+  Mutex.protect open_roots_lock (fun () ->
+      if Hashtbl.mem open_roots key then raise (Root_in_use root);
+      let fd =
+        Unix.openfile (Filename.concat root "LOCK")
+          [ Unix.O_RDWR; Unix.O_CREAT; Unix.O_CLOEXEC ] 0o644
+      in
+      (try Unix.lockf fd Unix.F_TLOCK 0
+       with Unix.Unix_error ((Unix.EAGAIN | Unix.EACCES), _, _) ->
+         Unix.close fd;
+         raise (Root_in_use root));
+      Hashtbl.replace open_roots key ();
+      (key, fd))
+
+let release_root (key, fd) =
+  Mutex.protect open_roots_lock (fun () ->
+      Hashtbl.remove open_roots key;
+      try Unix.close fd with Unix.Unix_error _ -> ())
+
+(* Recover [root], already held: nothing on disk is touched before the
+   hold is taken. *)
+let create_held ~config ~root ~holder =
   let gen =
     match pick_generation root with
     | `Use g -> g
@@ -803,6 +834,7 @@ let create ?(config = default_config) ~root () =
   let t =
     { root;
       config;
+      holder;
       lock = Mutex.create ();
       gen;
       (* placeholders; recover/reopen set the real state below *)
@@ -835,6 +867,15 @@ let create ?(config = default_config) ~root () =
   register_gauges t;
   if config.compactor then t.thread <- Some (Thread.create background_loop t);
   t
+
+let create ?(config = default_config) ~root () =
+  mkdir_p root;
+  let holder = hold_root root in
+  match create_held ~config ~root ~holder with
+  | t -> t
+  | exception e ->
+    release_root holder;
+    raise e
 
 let sync t = locked t (fun () -> ensure_open t; sync_locked t)
 
@@ -870,9 +911,12 @@ let close t =
            t.pending <- 0;
            t.c.flushes <- t.c.flushes + 1
          end);
-        checkpoint_locked t;
-        (try Unix.close t.wfd with Unix.Unix_error _ -> ());
-        (try Unix.close t.rfd with Unix.Unix_error _ -> ()));
+        Fun.protect
+          ~finally:(fun () ->
+            (try Unix.close t.wfd with Unix.Unix_error _ -> ());
+            (try Unix.close t.rfd with Unix.Unix_error _ -> ());
+            release_root t.holder)
+          (fun () -> checkpoint_locked t));
     Obs.unregister_gauges_prefix ("log." ^ t.root ^ ".")
 
 (* ------------------------- introspection ------------------------- *)

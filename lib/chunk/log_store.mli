@@ -49,8 +49,8 @@
     swaps [CURRENT]; a crash at any point leaves either the old or the
     new generation fully intact.
 
-    A root must be driven by one process at a time (same contract as
-    [File_store]); within a process every operation is thread-safe. *)
+    A root is driven by one open instance at a time, which {!create}
+    enforces; within it every operation is thread-safe. *)
 
 type t
 
@@ -89,10 +89,16 @@ type counters = {
   mutable background_errors : int;
 }
 
+exception Root_in_use of string
+(** The root named is held by another open instance, in any process. *)
+
 val create : ?config:config -> root:string -> unit -> t
 (** Open (creating or recovering) the log rooted at directory [root].
     Registers the instance's counters as [log.<root>.*] observability
-    gauges.  @raise Failure on a corrupt generation header. *)
+    gauges.  The instance holds the root until {!close} or its process's
+    death: a [lockf] on [root/LOCK] plus an in-process set of open roots.
+    @raise Root_in_use if the root is held, before recovery touches disk.
+    @raise Failure on a corrupt generation header. *)
 
 val store : t -> Store.t
 (** The {!Store.t} view: [put] appends (content-addressed dedup against
@@ -109,8 +115,8 @@ val checkpoint : t -> unit
 
 val close : t -> unit
 (** Stop the background thread, sync, checkpoint, release descriptors
-    and retire the [log.<root>.*] gauges.  Idempotent; using the {!store}
-    view afterwards raises. *)
+    and the root, and retire the [log.<root>.*] gauges.  Idempotent;
+    using the {!store} view afterwards raises. *)
 
 (** {1 Heads} *)
 

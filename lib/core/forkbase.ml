@@ -439,61 +439,9 @@ let set_resolver strategy =
 let pp_map_conflict (c : Pmap.conflict) = Printf.sprintf "entry %S" c.Pmap.key
 let pp_set_conflict (c : Pset.conflict) = Printf.sprintf "element %S" c.Pset.key
 
-(* Sequences (lists, blobs) merge when the two sides' edits are disjoint
-   ranges of the base: apply the higher-positioned splice first so the
-   lower one's offsets stay valid. *)
-let disjoint_ranges (a_pos, a_len) (b_pos, b_len) =
-  a_pos + a_len <= b_pos || b_pos + b_len <= a_pos
-
-let merge_lists ~base ~ours ~theirs =
-  match Plist.diff base ours, Plist.diff base theirs with
-  | None, _ -> Some theirs
-  | _, None -> Some ours
-  | Some da, Some db ->
-    if
-      disjoint_ranges
-        (da.Plist.old_pos, da.Plist.old_len)
-        (db.Plist.old_pos, db.Plist.old_len)
-    then begin
-      (* Splice theirs' replacement into ours; positions shift by ours'
-         length delta when theirs lands after ours' edit. *)
-      let delta = da.Plist.new_len - da.Plist.old_len in
-      let pos =
-        if db.Plist.old_pos >= da.Plist.old_pos + da.Plist.old_len then
-          db.Plist.old_pos + delta
-        else db.Plist.old_pos
-      in
-      let replacement =
-        List.filteri
-          (fun i _ -> i >= db.Plist.new_pos && i < db.Plist.new_pos + db.Plist.new_len)
-          (Plist.to_list theirs)
-      in
-      Some (Plist.splice ours ~pos ~remove:db.Plist.old_len ~insert:replacement)
-    end
-    else None
-
-let merge_blobs ~base ~ours ~theirs =
-  match Pblob.diff base ours, Pblob.diff base theirs with
-  | None, _ -> Some theirs
-  | _, None -> Some ours
-  | Some da, Some db ->
-    if
-      disjoint_ranges
-        (da.Pblob.old_pos, da.Pblob.old_len)
-        (db.Pblob.old_pos, db.Pblob.old_len)
-    then begin
-      let delta = da.Pblob.new_len - da.Pblob.old_len in
-      let pos =
-        if db.Pblob.old_pos >= da.Pblob.old_pos + da.Pblob.old_len then
-          db.Pblob.old_pos + delta
-        else db.Pblob.old_pos
-      in
-      let replacement =
-        Pblob.read theirs ~pos:db.Pblob.new_pos ~len:db.Pblob.new_len
-      in
-      Some (Pblob.splice ours ~pos ~remove:db.Pblob.old_len ~insert:replacement)
-    end
-    else None
+let pp_range side noun (d : Fb_postree.Seqtree.range_diff) =
+  Printf.sprintf "%s edits %s range [%d,%d) of base" side noun d.old_pos
+    (d.old_pos + d.old_len)
 
 (* Structural three-way value merge.  Equal values and one-sided changes
    are handled uniformly for every type; entry-level merging exists for
@@ -501,91 +449,62 @@ let merge_blobs ~base ~ours ~theirs =
    merge when the two sides edited disjoint ranges. *)
 let merge_values t ~key ~strategy ~base ~ours ~theirs =
   ignore t;
+  let conflict details = Error (Errors.Merge_conflict { key; details }) in
+  (* An entry-level merge: the conflicts its resolver left, named. *)
+  let entries wrap pp = function
+    | Ok m -> Ok (wrap m)
+    | Error cs -> conflict (List.map pp cs)
+  in
+  (* Both sides changed what cannot merge: only a strategy picks a winner. *)
+  let pick details =
+    match strategy with
+    | Prefer_ours -> Ok ours
+    | Prefer_theirs -> Ok theirs
+    | Fail_on_conflict -> conflict details
+  in
+  let sequence noun wrap = function
+    | Ok m -> Ok (wrap m)
+    | Error (a, b) -> pick [ pp_range "ours" noun a; pp_range "theirs" noun b ]
+  in
   if Value.equal ours theirs then Ok ours
   else if Value.equal base ours then Ok theirs   (* only theirs changed *)
   else if Value.equal base theirs then Ok ours   (* only ours changed *)
   else
     match (base : Value.t), (ours : Value.t), (theirs : Value.t) with
-    | Value.Map b, Value.Map o, Value.Map h -> (
-      match
-        Pmap.merge ~on_conflict:(map_resolver strategy) ~base:b ~ours:o
-          ~theirs:h ()
-      with
-      | Ok m -> Ok (Value.Map m)
-      | Error conflicts ->
-        Error
-          (Errors.Merge_conflict
-             { key; details = List.map pp_map_conflict conflicts }))
-    | Value.Set b, Value.Set o, Value.Set h -> (
-      match
-        Pset.merge ~on_conflict:(set_resolver strategy) ~base:b ~ours:o
-          ~theirs:h ()
-      with
-      | Ok s -> Ok (Value.Set s)
-      | Error conflicts ->
-        Error
-          (Errors.Merge_conflict
-             { key; details = List.map pp_set_conflict conflicts }))
+    | Value.Map b, Value.Map o, Value.Map h ->
+      entries (fun m -> Value.Map m) pp_map_conflict
+        (Pmap.merge ~on_conflict:(map_resolver strategy) ~base:b ~ours:o
+           ~theirs:h ())
+    | Value.Set b, Value.Set o, Value.Set h ->
+      entries (fun s -> Value.Set s) pp_set_conflict
+        (Pset.merge ~on_conflict:(set_resolver strategy) ~base:b ~ours:o
+           ~theirs:h ())
     | Value.Table b, Value.Table o, Value.Table h ->
-      let sb = Table.schema b and so = Table.schema o and sh = Table.schema h in
-      if not (Fb_types.Schema.equal so sh && Fb_types.Schema.equal sb so) then
-        Error
-          (Errors.Merge_conflict
-             { key; details = [ "table schemas diverged" ] })
-      else (
-        match
-          Pmap.merge ~on_conflict:(map_resolver strategy)
-            ~base:(Table.rows_map b) ~ours:(Table.rows_map o)
-            ~theirs:(Table.rows_map h) ()
-        with
-        | Ok rows ->
-          Ok
-            (Value.Table
-               (Table.of_rows_root (Pmap.store rows) so (Pmap.root rows)))
-        | Error conflicts ->
-          Error
-            (Errors.Merge_conflict
-               { key;
-                 details =
-                   List.map
-                     (fun (c : Pmap.conflict) ->
-                       Printf.sprintf "row %S" c.Pmap.key)
-                     conflicts }))
-    | Value.List b, Value.List o, Value.List h -> (
-      match merge_lists ~base:b ~ours:o ~theirs:h with
-      | Some merged -> Ok (Value.List merged)
-      | None -> (
-        match strategy with
-        | Prefer_ours -> Ok ours
-        | Prefer_theirs -> Ok theirs
-        | Fail_on_conflict ->
-          Error
-            (Errors.Merge_conflict
-               { key; details = [ "overlapping list edits" ] })))
-    | Value.Blob b, Value.Blob o, Value.Blob h -> (
-      match merge_blobs ~base:b ~ours:o ~theirs:h with
-      | Some merged -> Ok (Value.Blob merged)
-      | None -> (
-        match strategy with
-        | Prefer_ours -> Ok ours
-        | Prefer_theirs -> Ok theirs
-        | Fail_on_conflict ->
-          Error
-            (Errors.Merge_conflict
-               { key; details = [ "overlapping blob edits" ] })))
-    | _ -> (
-      (* No structural merge for primitives or type-changed values: both
-         sides changed, so only a strategy can pick a winner. *)
-      match strategy with
-      | Prefer_ours -> Ok ours
-      | Prefer_theirs -> Ok theirs
-      | Fail_on_conflict ->
-        Error
-          (Errors.Merge_conflict
-             { key;
-               details =
-                 [ Printf.sprintf "both sides changed this %s value"
-                     (Value.type_name ours) ] }))
+      let so = Table.schema o in
+      if
+        not
+          (Fb_types.Schema.equal so (Table.schema h)
+          && Fb_types.Schema.equal (Table.schema b) so)
+      then conflict [ "table schemas diverged" ]
+      else
+        entries
+          (fun rows ->
+            Value.Table (Table.of_rows_root (Pmap.store rows) so (Pmap.root rows)))
+          (fun (c : Pmap.conflict) -> Printf.sprintf "row %S" c.Pmap.key)
+          (Pmap.merge ~on_conflict:(map_resolver strategy)
+             ~base:(Table.rows_map b) ~ours:(Table.rows_map o)
+             ~theirs:(Table.rows_map h) ())
+    | Value.List b, Value.List o, Value.List h ->
+      sequence "list" (fun l -> Value.List l)
+        (Plist.merge ~base:b ~ours:o ~theirs:h)
+    | Value.Blob b, Value.Blob o, Value.Blob h ->
+      sequence "blob" (fun b -> Value.Blob b)
+        (Pblob.merge ~base:b ~ours:o ~theirs:h)
+    | _ ->
+      (* No structural merge for primitives or type-changed values. *)
+      pick
+        [ Printf.sprintf "both sides changed this %s value"
+            (Value.type_name ours) ]
 
 let merge ?(user = default_user) ?message ?(strategy = Fail_on_conflict) t
     ~key ~into ~from_branch =

@@ -35,11 +35,14 @@ let import_table path into =
         (Branch.keys old);
       Ok true
 
+let in_use r = Errors.invalid "store root %s is already open" r
+
 (* Backend names resolve through the provider registry: an unknown name
-   is a typed [Invalid] listing what is registered; a provider that
-   fails to open its storage is [Corrupt].  Heads are journaled to the
-   chunk log when the engine is one, else to a refs-only log at
-   [root/refs]; an in-memory store keeps none. *)
+   is a typed [Invalid] listing what is registered, and so is a root
+   another instance holds; a provider that fails to open its storage is
+   [Corrupt].  Heads are journaled to the chunk log when the engine is
+   one, else to a refs-only log at [root/refs]; an in-memory store keeps
+   none. *)
 let open_instance ?acl ?fsync ?(backend = "auto") ?log_config ?(params = [])
     ~root () =
   let* provider =
@@ -52,6 +55,7 @@ let open_instance ?acl ?fsync ?(backend = "auto") ?log_config ?(params = [])
     match provider.Provider.open_ config with
     | Ok i -> Ok i
     | Error msg -> Errors.corrupt "opening %s: %s" root msg
+    | exception Log_store.Root_in_use r -> in_use r
     | exception (Sys_error msg | Failure msg) ->
       Errors.corrupt "opening %s: %s" root msg
   in
@@ -109,6 +113,9 @@ let open_instance ?acl ?fsync ?(backend = "auto") ?log_config ?(params = [])
   | Error _ as e ->
     close ();
     e
+  | exception Log_store.Root_in_use r ->
+    close ();
+    in_use r
   | exception (Sys_error msg | Failure msg) ->
     close ();
     Errors.corrupt "opening %s: %s" root msg

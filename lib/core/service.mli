@@ -27,6 +27,8 @@
     FSCK                                report storage damage (dry scrub)
     SCRUB                               quarantine damaged chunks
     STAT                                instance statistics
+    METRICS / METRICS-JSON              the Obs registry (Prometheus text /
+                                        JSON with spans and buckets)
     GET-JSON / DIFF-JSON / LOG-JSON / STAT-JSON / LATEST-JSON
                                         same queries with JSON bodies
                                         (see {!Webview})
@@ -46,9 +48,10 @@ val classify : string list -> access * scope
 (** Concurrency contract of a request: [Read] verbs (GET, DIFF, LIST,
     HEAD, LATEST, META, STAT, METRICS, VERIFY, PROVE, FSCK and the JSON
     variants) never mutate the instance and may execute concurrently;
-    [Write] verbs (PUT, PUT-CSV, BRANCH, MERGE, RENAME, SCRUB) require
-    exclusion.  [Key k] narrows the needed exclusion to [k]'s lock
-    stripe; [Global] verbs span the whole instance.  Unknown verbs are
+    [Write] verbs (PUT, PUT-CSV, BRANCH, MERGE, RENAME, TAG, SYNC-PUT,
+    SYNC-ADVANCE, CHUNK-PUT, SCRUB) require exclusion.  [Key k] narrows
+    the needed exclusion to [k]'s lock stripe (CHUNK-PUT and SCRUB are
+    [Global]); [Global] verbs span the whole instance.  Unknown verbs are
     [(Read, Global)] — they only produce an error.  This is the table
     {!Fb_net.Server} drives its striped reader-writer locking from. *)
 

@@ -81,6 +81,11 @@ let diff_json d =
        :: ("summary", Json.String (Diffview.summary d))
        :: fields)
   in
+  let range kind (r : Fb_postree.Seqtree.range_diff) =
+    typed kind
+      [ ("old_pos", Json.int r.old_pos); ("old_len", Json.int r.old_len);
+        ("new_pos", Json.int r.new_pos); ("new_len", Json.int r.new_len) ]
+  in
   match (d : Diffview.t) with
   | Diffview.Same -> typed "same" []
   | Diffview.Type_change (k1, k2) ->
@@ -90,18 +95,8 @@ let diff_json d =
   | Diffview.Primitive_change (p1, p2) ->
     typed "primitive"
       [ ("before", primitive_json p1); ("after", primitive_json p2) ]
-  | Diffview.Blob_change r ->
-    typed "blob"
-      [ ("old_pos", Json.int r.Pblob.old_pos);
-        ("old_len", Json.int r.Pblob.old_len);
-        ("new_pos", Json.int r.Pblob.new_pos);
-        ("new_len", Json.int r.Pblob.new_len) ]
-  | Diffview.List_change r ->
-    typed "list"
-      [ ("old_pos", Json.int r.Plist.old_pos);
-        ("old_len", Json.int r.Plist.old_len);
-        ("new_pos", Json.int r.Plist.new_pos);
-        ("new_len", Json.int r.Plist.new_len) ]
+  | Diffview.Blob_change r -> range "blob" r
+  | Diffview.List_change r -> range "list" r
   | Diffview.Map_changes cs ->
     typed "map"
       [ ( "changes",

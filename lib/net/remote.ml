@@ -297,6 +297,9 @@ let fork ?user ?(from_branch = default_branch) t ~key ~new_branch =
 let rename_branch ?user t ~key ~from_branch ~to_branch =
   op ?user t [ "rename"; key; from_branch; to_branch ] unit_of
 
+let tag ?user t ~key ~name uid =
+  op ?user t [ "tag"; key; name; Forkbase.version_string uid ] unit_of
+
 let merge ?user t ~key ~into ~from_branch =
   op ?user t [ "merge"; key; into; from_branch ] uid_of
 

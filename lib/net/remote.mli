@@ -93,6 +93,11 @@ val rename_branch :
   ?user:string -> t -> key:string -> from_branch:string -> to_branch:string ->
   (unit, Fb_core.Errors.t) result
 
+val tag :
+  ?user:string -> t -> key:string -> name:string -> uid ->
+  (unit, Fb_core.Errors.t) result
+(** Name a version of [key] immutably, like {!Fb_core.Forkbase.tag}. *)
+
 val merge :
   ?user:string -> t -> key:string -> into:string -> from_branch:string ->
   (uid, Fb_core.Errors.t) result

@@ -1,401 +1,64 @@
-module Codec = Fb_codec.Codec
 module Chunk = Fb_chunk.Chunk
-module Store = Fb_chunk.Store
-module Hash = Fb_hash.Hash
 module Rolling = Fb_hash.Rolling
 
-type t = { store : Store.t; root : Hash.t option }
+module Leaf = struct
+  type seg = string
 
-let store t = t.store
-let root t = t.root
+  let kind = Chunk.Leaf_blob
+  let name = "Pblob"
+  let noun = "blob"
+  let unit = "bytes"
+  let encode s = s
+  let decode s = Ok s
+  let length = String.length
+  let sub = String.sub
+  let concat = String.concat ""
+  let equal_at a b i j = Char.equal a.[i] b.[j]
 
-let params = Rolling.default_blob_params
-let max_chunk_bytes = 16 * (1 lsl params.q)
+  let params = Rolling.default_blob_params
+  let max_chunk_bytes = 16 * (1 lsl params.q)
 
-let leaf_count chunk = String.length chunk.Chunk.payload
+  (* Byte-granularity content-defined chunker. *)
+  type chunker = { rolling : Rolling.t; buf : Buffer.t; emit : string -> unit }
 
-let leaf_content store h =
-  let chunk = Seqtree.read_chunk store h in
-  match chunk.Chunk.kind with
-  | Chunk.Leaf_blob -> chunk.Chunk.payload
-  | k ->
-    raise
-      (Postree.Corrupt
-         (Printf.sprintf "expected blob leaf, got %s" (Chunk.kind_to_string k)))
+  let chunker emit =
+    { rolling = Rolling.create params; buf = Buffer.create 8192; emit }
 
-(* Byte-granularity content-defined chunker. *)
-type bchunker = {
-  rolling : Rolling.t;
-  buf : Buffer.t;
-  emit : string -> unit;
-}
+  let flush ch =
+    ch.emit (Buffer.contents ch.buf);
+    Buffer.clear ch.buf;
+    Rolling.reset ch.rolling
 
-let bchunker emit =
-  { rolling = Rolling.create params; buf = Buffer.create 8192; emit }
+  let feed_char ch c =
+    let hit = Rolling.feed ch.rolling c in
+    Buffer.add_char ch.buf c;
+    if hit || Buffer.length ch.buf >= max_chunk_bytes then flush ch
 
-let bflush ch =
-  ch.emit (Buffer.contents ch.buf);
-  Buffer.clear ch.buf;
-  Rolling.reset ch.rolling
+  let feed ch s = String.iter (feed_char ch) s
+  let pending ch = Buffer.length ch.buf > 0
+  let finish ch = if pending ch then flush ch
+end
 
-let bfeed ch c =
-  let hit = Rolling.feed ch.rolling c in
-  Buffer.add_char ch.buf c;
-  if hit || Buffer.length ch.buf >= max_chunk_bytes then bflush ch
+include Seqtree.Make (Leaf)
 
-let bfeed_string ch s = String.iter (bfeed ch) s
-let bpending ch = Buffer.length ch.buf > 0
-let bfinish ch = if bpending ch then bflush ch
-
-let emit_leaf store out content =
-  let chunk = Chunk.v Chunk.Leaf_blob content in
-  let id = Store.put store chunk in
-  out := { Seqtree.child = id; count = String.length content } :: !out
-
-let of_string store s =
-  let out = ref [] in
-  let ch = bchunker (emit_leaf store out) in
-  bfeed_string ch s;
-  bfinish ch;
-  { store; root = Seqtree.build_up store (List.rev !out) }
-
-let of_root store root = { store; root }
-
-let length t = Seqtree.total_count t.store t.root ~leaf_count
-let is_empty t = t.root = None
-
-let leaf_row t = Seqtree.leaf_row t.store t.root ~leaf_count
-
-let iter_leaves t f =
-  List.iter
-    (fun ie -> f (leaf_content t.store ie.Seqtree.child))
-    (leaf_row t)
-
-let to_string t =
-  let buf = Buffer.create (length t) in
-  iter_leaves t (Buffer.add_string buf);
-  Buffer.contents buf
-
-let read t ~pos ~len =
-  if pos < 0 || len < 0 || pos + len > length t then
-    invalid_arg "Pblob.read: range out of bounds";
-  let buf = Buffer.create len in
-  let off = ref 0 in
-  iter_leaves t (fun content ->
-      let n = String.length content in
-      let lo = max pos !off and hi = min (pos + len) (!off + n) in
-      if lo < hi then Buffer.add_substring buf content (lo - !off) (hi - lo);
-      off := !off + n);
-  Buffer.contents buf
-
-let splice t ~pos ~remove ~insert =
-  let total = length t in
-  if pos < 0 || remove < 0 || pos + remove > total then
-    invalid_arg "Pblob.splice: range out of bounds";
-  match t.root with
-  | None -> of_string t.store insert
-  | Some _ ->
-    let row = Array.of_list (leaf_row t) in
-    let starts = Array.make (Array.length row) 0 in
-    let () =
-      let off = ref 0 in
-      Array.iteri
-        (fun i ie ->
-          starts.(i) <- !off;
-          off := !off + ie.Seqtree.count)
-        row
-    in
-    (* Leaf containing byte [p]; for p = total, the last leaf. *)
-    let leaf_of p =
-      let rec go i =
-        if i + 1 >= Array.length row then i
-        else if p < starts.(i + 1) then i
-        else go (i + 1)
-      in
-      go 0
-    in
-    let i0 = leaf_of pos in
-    let old_end = pos + remove in
-    let j = leaf_of (min old_end (total - 1)) in
-    let j = if old_end >= starts.(j) + row.(j).Seqtree.count then j + 1 else j in
-    (* [j] is now the first leaf whose content (partially) survives past the
-       removed range, or row length if the removal reaches the end. *)
-    let out = ref [] in
-    let ch = bchunker (emit_leaf t.store out) in
-    let head =
-      String.sub (leaf_content t.store row.(i0).Seqtree.child) 0
-        (pos - starts.(i0))
-    in
-    bfeed_string ch head;
-    bfeed_string ch insert;
-    if j < Array.length row then begin
-      let tail_first = leaf_content t.store row.(j).Seqtree.child in
-      let skip = old_end - starts.(j) in
-      bfeed_string ch
-        (String.sub tail_first skip (String.length tail_first - skip))
-    end;
-    (* Re-chunk further leaves until a boundary realigns with the original
-       layout, then reuse the remaining leaves verbatim. *)
-    let rec resync k =
-      if k >= Array.length row then (bfinish ch; [])
-      else if not (bpending ch) then
-        Array.to_list (Array.sub row k (Array.length row - k))
-      else begin
-        bfeed_string ch (leaf_content t.store row.(k).Seqtree.child);
-        resync (k + 1)
-      end
-    in
-    let suffix = resync (j + 1) in
-    let prefix = Array.to_list (Array.sub row 0 i0) in
-    let new_row = prefix @ List.rev !out @ suffix in
-    { t with root = Seqtree.build_up t.store new_row }
-
-let append t s = splice t ~pos:(length t) ~remove:0 ~insert:s
-
-type range_diff = {
-  old_pos : int;
-  old_len : int;
-  new_pos : int;
-  new_len : int;
-}
-
-let diff t1 t2 =
-  match t1.root, t2.root with
-  | None, None -> None
-  | _ ->
-    if Option.equal Hash.equal t1.root t2.root then None
-    else begin
-      let r1 = Array.of_list (leaf_row t1)
-      and r2 = Array.of_list (leaf_row t2) in
-      let n1 = Array.length r1 and n2 = Array.length r2 in
-      let eq i j = Hash.equal r1.(i).Seqtree.child r2.(j).Seqtree.child in
-      let rec pre i = if i < n1 && i < n2 && eq i i then pre (i + 1) else i in
-      let p = pre 0 in
-      let rec suf k =
-        if n1 - 1 - k >= p && n2 - 1 - k >= p && eq (n1 - 1 - k) (n2 - 1 - k)
-        then suf (k + 1)
-        else k
-      in
-      let s = suf 0 in
-      let sum r lo hi =
-        let acc = ref 0 in
-        for i = lo to hi - 1 do
-          acc := !acc + r.(i).Seqtree.count
-        done;
-        !acc
-      in
-      let old_pos = sum r1 0 p and new_pos = sum r2 0 p in
-      Some
-        { old_pos;
-          old_len = sum r1 p (n1 - s);
-          new_pos;
-          new_len = sum r2 p (n2 - s) }
-    end
+type range_diff = Seqtree.range_diff =
+  { old_pos : int; old_len : int; new_pos : int; new_len : int }
 
 type proof = string list
 
-(* Prover and verifier walk the tree in the same deterministic pre-order,
-   descending only into sub-trees overlapping [pos, pos+len); counts in
-   the (hash-covered) index entries drive the offset arithmetic, so a
-   forged count breaks its parent's hash. *)
-let overlaps pos len start count = start < pos + len && pos < start + count
+let of_string = of_seg
+let to_string = to_seg
+let append t s = splice t ~pos:(length t) ~remove:0 ~insert:s
 
 let prove t ~pos ~len =
   if pos < 0 || len < 0 || pos + len > length t then
     Error "prove: range out of bounds"
-  else
-    match t.root with
-    | None -> Error "cannot prove against an empty blob"
-    | Some root ->
-      let out = ref [] in
-      let rec walk h start =
-        match t.store.Store.get_raw h with
-        | None -> Error (Printf.sprintf "missing chunk %s" (Hash.to_hex h))
-        | Some raw -> (
-          out := raw :: !out;
-          let chunk = Seqtree.read_chunk t.store h in
-          match chunk.Chunk.kind with
-          | Chunk.Seq_index -> (
-            match Seqtree.decode_index chunk with
-            | Error e -> Error e
-            | Ok ies ->
-              let rec children start = function
-                | [] -> Ok ()
-                | ie :: rest ->
-                  let r =
-                    if overlaps pos len start ie.Seqtree.count then
-                      walk ie.Seqtree.child start
-                    else Ok ()
-                  in
-                  (match r with
-                   | Error _ as e -> e
-                   | Ok () -> children (start + ie.Seqtree.count) rest)
-              in
-              children start ies)
-          | _ -> Ok ())
-      in
-      (match walk root 0 with
-       | Ok () -> Ok (List.rev !out)
-       | Error e -> Error e
-       | exception Postree.Corrupt m -> Error m)
+  else prove t ~pos ~len
 
 let verify_proof ~root ~pos ~len proof =
   if pos < 0 || len < 0 then Error "proof: negative range"
-  else begin
-    let chunks = ref proof in
-    let next expected =
-      match !chunks with
-      | [] -> Error "proof: truncated path"
-      | raw :: rest ->
-        chunks := rest;
-        if not (Hash.equal (Hash.of_string raw) expected) then
-          Error "proof: chunk does not hash to the id its parent names"
-        else (
-          match Chunk.decode raw with
-          | Error e -> Error ("proof: " ^ e)
-          | Ok c -> Ok c)
-    in
-    let out = Buffer.create len in
-    let rec walk expected start =
-      match next expected with
-      | Error _ as e -> e
-      | Ok chunk -> (
-        match chunk.Chunk.kind with
-        | Chunk.Seq_index -> (
-          match Seqtree.decode_index chunk with
-          | Error e -> Error ("proof: " ^ e)
-          | Ok ies ->
-            let rec children start = function
-              | [] -> Ok ()
-              | ie :: rest -> (
-                let r =
-                  if overlaps pos len start ie.Seqtree.count then
-                    walk ie.Seqtree.child start
-                  else Ok ()
-                in
-                match r with
-                | Error _ as e -> e
-                | Ok () -> children (start + ie.Seqtree.count) rest)
-            in
-            children start ies)
-        | Chunk.Leaf_blob ->
-          let payload = chunk.Chunk.payload in
-          let lo = max pos start
-          and hi = min (pos + len) (start + String.length payload) in
-          if lo < hi then
-            Buffer.add_substring out payload (lo - start) (hi - lo);
-          Ok ()
-        | k ->
-          Error
-            (Printf.sprintf "proof: unexpected chunk kind %s"
-               (Chunk.kind_to_string k)))
-    in
-    match walk root 0 with
-    | Error _ as e -> e
-    | Ok () ->
-      if !chunks <> [] then Error "proof: trailing chunks"
-      else if Buffer.length out <> len then
-        Error "proof: range not fully covered"
-      else Ok (Buffer.contents out)
-  end
-
-let chunk_count t = List.length (leaf_row t)
-let leaf_sizes t = List.map (fun ie -> ie.Seqtree.count) (leaf_row t)
-
-let node_hashes t =
-  let acc = ref [] in
-  let rec go h =
-    acc := h :: !acc;
-    let chunk = Seqtree.read_chunk t.store h in
-    match chunk.Chunk.kind with
-    | Chunk.Seq_index -> (
-      match Seqtree.decode_index chunk with
-      | Ok ies -> List.iter (fun ie -> go ie.Seqtree.child) ies
-      | Error e -> raise (Postree.Corrupt e))
-    | _ -> ()
-  in
-  (match t.root with None -> () | Some h -> go h);
-  List.rev !acc
-
-let validate t =
-  let err fmt = Printf.ksprintf (fun s -> Error s) fmt in
-  let ( let* ) = Result.bind in
-  let check_integrity h =
-    match t.store.Store.get_raw h with
-    | None -> err "missing chunk %s" (Hash.to_hex h)
-    | Some raw ->
-      if not (Hash.equal (Hash.of_string raw) h) then
-        err "chunk %s: tampered content" (Hash.to_hex h)
-      else (
-        match Chunk.decode raw with
-        | Error e -> err "chunk %s: %s" (Hash.to_hex h) e
-        | Ok c -> Ok c)
-  in
-  (* A leaf must have its only pattern hit on its final byte, unless it is
-     the last leaf or was cut by the size cap. *)
-  let check_leaf_boundary ~is_last content h =
-    let hits = Rolling.hits_in params content in
-    let n = String.length content in
-    match hits with
-    | [] ->
-      if is_last || n >= max_chunk_bytes then Ok ()
-      else err "blob leaf %s: no pattern and not last" (Hash.to_hex h)
-    | [ hit ] when hit = n - 1 -> Ok ()
-    | hit :: _ -> err "blob leaf %s: pattern mid-chunk at %d" (Hash.to_hex h) hit
-  in
-  let rec check_level hashes =
-    let rec per_node hs children_acc =
-      match hs with
-      | [] -> Ok (List.rev children_acc)
-      | h :: rest ->
-        let* chunk = check_integrity h in
-        (match chunk.Chunk.kind with
-         | Chunk.Leaf_blob ->
-           let* () =
-             check_leaf_boundary ~is_last:(rest = []) chunk.Chunk.payload h
-           in
-           per_node rest children_acc
-         | Chunk.Seq_index ->
-           let* ies = Seqtree.decode_index chunk in
-           per_node rest (List.rev_append ies children_acc)
-         | k ->
-           err "chunk %s: unexpected kind %s" (Hash.to_hex h)
-             (Chunk.kind_to_string k))
-    in
-    let* children = per_node hashes [] in
-    match children with
-    | [] -> Ok ()
-    | ies ->
-      let* () =
-        List.fold_left
-          (fun acc ie ->
-            let* () = acc in
-            let* chunk = check_integrity ie.Seqtree.child in
-            let count =
-              match chunk.Chunk.kind with
-              | Chunk.Seq_index -> (
-                match Seqtree.decode_index chunk with
-                | Ok ces ->
-                  List.fold_left (fun a c -> a + c.Seqtree.count) 0 ces
-                | Error _ -> -1)
-              | _ -> leaf_count chunk
-            in
-            if count <> ie.Seqtree.count then
-              err "child %s: count %d, index says %d"
-                (Hash.to_hex ie.Seqtree.child)
-                count ie.Seqtree.count
-            else Ok ())
-          (Ok ()) ies
-      in
-      check_level (List.map (fun ie -> ie.Seqtree.child) ies)
-  in
-  match t.root with
-  | None -> Ok ()
-  | Some h -> ( try check_level [ h ] with Postree.Corrupt m -> Error m)
-
-let pp fmt t =
-  match t.root with
-  | None -> Format.pp_print_string fmt "<empty blob>"
-  | Some h ->
-    Format.fprintf fmt "<blob root=%a bytes=%d chunks=%d>" Hash.pp h
-      (length t) (chunk_count t)
+  else
+    match verify_proof ~root ~pos ~len proof with
+    | Ok bytes when String.length bytes <> len ->
+      Error "proof: range not fully covered"
+    | r -> r

@@ -1,9 +1,10 @@
 (** POS-Tree blob: an immutable byte string chunked by content.
 
-    Leaves are raw byte runs cut by the rolling-hash pattern (content-based
-    slicing, as in LBFS [8]); internal nodes are {!Seqtree} count-indexed
-    nodes.  Two blobs differing in a local edit share every chunk outside a
-    small window around the edit, whatever the byte offsets — this is the
+    An instance of {!Seqtree.Make} whose elements are bytes.  Leaves are
+    raw byte runs cut by the rolling-hash pattern (content-based slicing,
+    as in LBFS [8]); internal nodes are {!Seqtree} count-indexed nodes.
+    Two blobs differing in a local edit share every chunk outside a small
+    window around the edit, whatever the byte offsets — this is the
     deduplication Fig. 4 demonstrates on CSV files. *)
 
 type t
@@ -30,14 +31,20 @@ val splice : t -> pos:int -> remove:int -> insert:string -> t
 
 val append : t -> string -> t
 
-type range_diff = {
+type range_diff = Seqtree.range_diff = {
   old_pos : int; old_len : int;   (** replaced range in the old blob *)
   new_pos : int; new_len : int;   (** replacement range in the new blob *)
 }
 
 val diff : t -> t -> range_diff option
-(** [None] when equal; otherwise the smallest chunk-aligned replaced range
-    (common prefix and suffix chunks are pruned by id without reading). *)
+(** [None] when equal; otherwise the byte-exact replaced range: common
+    prefix and suffix chunks are pruned by id without reading, then equal
+    bytes are trimmed from both ends of the remaining window. *)
+
+val merge : base:t -> ours:t -> theirs:t -> (t, range_diff * range_diff) result
+(** Three-way merge of byte-disjoint edits ({!Seqtree} merge rule); two
+    edits in one chunk merge when their bytes do not overlap.
+    [Error (ours, theirs)]: the two diffs against base overlap. *)
 
 (** {1 Merkle proofs}
 

@@ -1,154 +1,69 @@
 module Codec = Fb_codec.Codec
 module Chunk = Fb_chunk.Chunk
-module Store = Fb_chunk.Store
-module Hash = Fb_hash.Hash
 module Rolling = Fb_hash.Rolling
 
-type t = { store : Store.t; root : Hash.t option }
+module Leaf = struct
+  type seg = string array
 
-let store t = t.store
-let root t = t.root
+  let kind = Chunk.Leaf_list
+  let name = "Plist"
+  let noun = "list"
+  let unit = "items"
 
-let params = Rolling.default_node_params
-let max_node_bytes = 16 * (1 lsl params.q)
+  let encode items =
+    let w = Codec.writer () in
+    Codec.varint w (Array.length items);
+    Array.iter (Codec.bytes w) items;
+    Codec.contents w
 
-let leaf_chunk items =
-  let w = Codec.writer () in
-  Codec.varint w (List.length items);
-  List.iter (Codec.bytes w) items;
-  Chunk.v Chunk.Leaf_list (Codec.contents w)
+  let decode payload =
+    match Codec.of_string (fun r -> Codec.read_list r Codec.read_bytes) payload with
+    | Ok items -> Ok (Array.of_list items)
+    | Error e -> Error ("list leaf: " ^ e)
 
-let leaf_items chunk =
-  match chunk.Chunk.kind with
-  | Chunk.Leaf_list -> (
-    match
-      Codec.of_string (fun r -> Codec.read_list r Codec.read_bytes)
-        chunk.Chunk.payload
-    with
-    | Ok items -> items
-    | Error e -> raise (Postree.Corrupt ("list leaf: " ^ e)))
-  | k ->
-    raise
-      (Postree.Corrupt
-         (Printf.sprintf "expected list leaf, got %s" (Chunk.kind_to_string k)))
+  let length = Array.length
+  let sub = Array.sub
+  let concat = Array.concat
+  let equal_at a b i j = String.equal a.(i) b.(j)
 
-let leaf_count chunk = List.length (leaf_items chunk)
+  (* Item-granularity: a boundary never splits an element. *)
+  type chunker = string Chunker.t
 
-let encode_item item = Codec.to_string Codec.bytes item
+  let params = Rolling.default_node_params
 
-let chunk_leaf_level store items =
-  let out = ref [] in
-  let emit items =
-    let chunk = leaf_chunk items in
-    let id = Store.put store chunk in
-    out := { Seqtree.child = id; count = List.length items } :: !out
-  in
-  let ch = Chunker.create ~params ~max_bytes:max_node_bytes ~emit () in
-  List.iter (fun it -> Chunker.add ch it (encode_item it)) items;
-  Chunker.finish ch;
-  List.rev !out
+  let chunker emit =
+    Chunker.create ~params ~max_bytes:(16 * (1 lsl params.q))
+      ~emit:(fun items -> emit (Array.of_list items))
+      ()
 
-let of_list store items =
-  { store; root = Seqtree.build_up store (chunk_leaf_level store items) }
+  let feed ch items =
+    Array.iter (fun it -> Chunker.add ch it (Codec.to_string Codec.bytes it)) items
 
-let of_root store root = { store; root }
-let length t = Seqtree.total_count t.store t.root ~leaf_count
-let is_empty t = t.root = None
-let leaf_row t = Seqtree.leaf_row t.store t.root ~leaf_count
+  let pending = Chunker.pending
+  let finish = Chunker.finish
+end
 
-let iter f t =
-  List.iter
-    (fun ie ->
-      List.iter f (leaf_items (Seqtree.read_chunk t.store ie.Seqtree.child)))
-    (leaf_row t)
+include Seqtree.Make (Leaf)
+
+type range_diff = Seqtree.range_diff =
+  { old_pos : int; old_len : int; new_pos : int; new_len : int }
+
+type proof = string list
+
+let of_list store items = of_seg store (Array.of_list items)
+let to_list t = Array.to_list (to_seg t)
+let iter f t = iter_leaves t (Array.iter f)
 
 let fold f acc t =
   let acc = ref acc in
   iter (fun x -> acc := f !acc x) t;
   !acc
 
-let to_list t = List.rev (fold (fun acc x -> x :: acc) [] t)
-
 let get t n =
-  if n < 0 then None
-  else
-    let rec go h n =
-      let chunk = Seqtree.read_chunk t.store h in
-      match chunk.Chunk.kind with
-      | Chunk.Seq_index -> (
-        match Seqtree.decode_index chunk with
-        | Error e -> raise (Postree.Corrupt e)
-        | Ok ies ->
-          let rec pick n = function
-            | [] -> None
-            | ie :: rest ->
-              if n < ie.Seqtree.count then go ie.Seqtree.child n
-              else pick (n - ie.Seqtree.count) rest
-          in
-          pick n ies)
-      | _ -> List.nth_opt (leaf_items chunk) n
-    in
-    match t.root with None -> None | Some h -> go h n
+  if n < 0 || n >= length t then None else Some (read t ~pos:n ~len:1).(0)
 
 let splice t ~pos ~remove ~insert =
-  let total = length t in
-  if pos < 0 || remove < 0 || pos + remove > total then
-    invalid_arg "Plist.splice: range out of bounds";
-  match t.root with
-  | None -> of_list t.store insert
-  | Some _ ->
-    let row = Array.of_list (leaf_row t) in
-    let starts = Array.make (Array.length row) 0 in
-    let () =
-      let off = ref 0 in
-      Array.iteri
-        (fun i ie ->
-          starts.(i) <- !off;
-          off := !off + ie.Seqtree.count)
-        row
-    in
-    let leaf_of p =
-      let rec go i =
-        if i + 1 >= Array.length row then i
-        else if p < starts.(i + 1) then i
-        else go (i + 1)
-      in
-      go 0
-    in
-    let i0 = leaf_of pos in
-    let old_end = pos + remove in
-    let j = leaf_of (min old_end (total - 1)) in
-    let j =
-      if old_end >= starts.(j) + row.(j).Seqtree.count then j + 1 else j
-    in
-    let out = ref [] in
-    let emit items =
-      let chunk = leaf_chunk items in
-      let id = Store.put t.store chunk in
-      out := { Seqtree.child = id; count = List.length items } :: !out
-    in
-    let ch = Chunker.create ~params ~max_bytes:max_node_bytes ~emit () in
-    let add_item it = Chunker.add ch it (encode_item it) in
-    let items_of k = leaf_items (Seqtree.read_chunk t.store row.(k).Seqtree.child) in
-    let take n l = List.filteri (fun i _ -> i < n) l in
-    let drop n l = List.filteri (fun i _ -> i >= n) l in
-    List.iter add_item (take (pos - starts.(i0)) (items_of i0));
-    List.iter add_item insert;
-    if j < Array.length row then
-      List.iter add_item (drop (old_end - starts.(j)) (items_of j));
-    let rec resync k =
-      if k >= Array.length row then (Chunker.finish ch; [])
-      else if not (Chunker.pending ch) then
-        Array.to_list (Array.sub row k (Array.length row - k))
-      else begin
-        List.iter add_item (items_of k);
-        resync (k + 1)
-      end
-    in
-    let suffix = resync (j + 1) in
-    let prefix = Array.to_list (Array.sub row 0 i0) in
-    let new_row = prefix @ List.rev !out @ suffix in
-    { t with root = Seqtree.build_up t.store new_row }
+  splice t ~pos ~remove ~insert:(Array.of_list insert)
 
 let set t n x =
   if n < 0 || n >= length t then invalid_arg "Plist.set: out of bounds";
@@ -156,240 +71,12 @@ let set t n x =
 
 let push_back t x = splice t ~pos:(length t) ~remove:0 ~insert:[ x ]
 
-type range_diff = {
-  old_pos : int;
-  old_len : int;
-  new_pos : int;
-  new_len : int;
-}
-
-let diff t1 t2 =
-  if Option.equal Hash.equal t1.root t2.root then None
-  else begin
-    let r1 = Array.of_list (leaf_row t1)
-    and r2 = Array.of_list (leaf_row t2) in
-    let n1 = Array.length r1 and n2 = Array.length r2 in
-    let eq i j = Hash.equal r1.(i).Seqtree.child r2.(j).Seqtree.child in
-    let rec pre i = if i < n1 && i < n2 && eq i i then pre (i + 1) else i in
-    let p = pre 0 in
-    let rec suf k =
-      if n1 - 1 - k >= p && n2 - 1 - k >= p && eq (n1 - 1 - k) (n2 - 1 - k)
-      then suf (k + 1)
-      else k
-    in
-    let s = suf 0 in
-    let sum r lo hi =
-      let acc = ref 0 in
-      for i = lo to hi - 1 do
-        acc := !acc + r.(i).Seqtree.count
-      done;
-      !acc
-    in
-    (* Chunk-aligned window, then trim equal elements at both ends. *)
-    let mid r lo hi st =
-      List.concat_map
-        (fun k -> leaf_items (Seqtree.read_chunk st k.Seqtree.child))
-        (Array.to_list (Array.sub r lo (hi - lo)))
-    in
-    let m1 = Array.of_list (mid r1 p (n1 - s) t1.store)
-    and m2 = Array.of_list (mid r2 p (n2 - s) t2.store) in
-    let l1 = Array.length m1 and l2 = Array.length m2 in
-    let rec epre i =
-      if i < l1 && i < l2 && String.equal m1.(i) m2.(i) then epre (i + 1)
-      else i
-    in
-    let ep = epre 0 in
-    let rec esuf k =
-      if l1 - 1 - k >= ep && l2 - 1 - k >= ep
-         && String.equal m1.(l1 - 1 - k) m2.(l2 - 1 - k)
-      then esuf (k + 1)
-      else k
-    in
-    let es = esuf 0 in
-    Some
-      { old_pos = sum r1 0 p + ep;
-        old_len = l1 - ep - es;
-        new_pos = sum r2 0 p + ep;
-        new_len = l2 - ep - es }
-  end
-
-type proof = string list
-
-(* Routing by index: the child whose cumulative count covers it; an
-   out-of-range index routes to the last child (whose leaf then proves the
-   range bound, like absence proofs in the keyed tree). *)
-let route ies n =
-  let rec pick n = function
-    | [] -> invalid_arg "route: empty index node"
-    | [ ie ] -> (ie, n)
-    | ie :: rest ->
-      if n < ie.Seqtree.count then (ie, n) else pick (n - ie.Seqtree.count) rest
-  in
-  pick n ies
-
 let prove t n =
-  if n < 0 then Error "prove: negative index"
-  else
-    match t.root with
-    | None -> Error "cannot prove against an empty list"
-    | Some root ->
-      let rec go h n acc =
-        match t.store.Store.get_raw h with
-        | None -> Error (Printf.sprintf "missing chunk %s" (Hash.to_hex h))
-        | Some raw -> (
-          let acc = raw :: acc in
-          let chunk = Seqtree.read_chunk t.store h in
-          match chunk.Chunk.kind with
-          | Chunk.Seq_index -> (
-            match Seqtree.decode_index chunk with
-            | Error e -> Error e
-            | Ok [] -> Error "empty index node"
-            | Ok ies ->
-              let ie, n' = route ies n in
-              go ie.Seqtree.child n' acc)
-          | _ -> Ok (List.rev acc))
-      in
-      (try go root n [] with Postree.Corrupt m -> Error m)
+  if n < 0 then Error "prove: negative index" else prove t ~pos:n ~len:1
 
 let verify_proof ~root n proof =
   if n < 0 then Ok None
   else
-    let rec walk expected n = function
-      | [] -> Error "proof: truncated path"
-      | raw :: rest ->
-        if not (Hash.equal (Hash.of_string raw) expected) then
-          Error "proof: chunk does not hash to the id its parent names"
-        else (
-          match Chunk.decode raw with
-          | Error e -> Error ("proof: " ^ e)
-          | Ok chunk -> (
-            match chunk.Chunk.kind with
-            | Chunk.Seq_index -> (
-              match Seqtree.decode_index chunk with
-              | Error e -> Error ("proof: " ^ e)
-              | Ok [] -> Error "proof: empty index node"
-              | Ok ies ->
-                let ie, n' = route ies n in
-                walk ie.Seqtree.child n' rest)
-            | Chunk.Leaf_list ->
-              if rest <> [] then Error "proof: trailing chunks after leaf"
-              else (
-                match
-                  Codec.of_string
-                    (fun r -> Codec.read_list r Codec.read_bytes)
-                    chunk.Chunk.payload
-                with
-                | Error e -> Error ("proof: " ^ e)
-                | Ok items -> Ok (List.nth_opt items n))
-            | k ->
-              Error
-                (Printf.sprintf "proof: unexpected chunk kind %s"
-                   (Chunk.kind_to_string k))))
-    in
-    walk root n proof
-
-let chunk_count t = List.length (leaf_row t)
-
-let node_hashes t =
-  let acc = ref [] in
-  let rec go h =
-    acc := h :: !acc;
-    let chunk = Seqtree.read_chunk t.store h in
-    match chunk.Chunk.kind with
-    | Chunk.Seq_index -> (
-      match Seqtree.decode_index chunk with
-      | Ok ies -> List.iter (fun ie -> go ie.Seqtree.child) ies
-      | Error e -> raise (Postree.Corrupt e))
-    | _ -> ()
-  in
-  (match t.root with None -> () | Some h -> go h);
-  List.rev !acc
-
-let validate t =
-  let err fmt = Printf.ksprintf (fun s -> Error s) fmt in
-  let ( let* ) = Result.bind in
-  let check_integrity h =
-    match t.store.Store.get_raw h with
-    | None -> err "missing chunk %s" (Hash.to_hex h)
-    | Some raw ->
-      if not (Hash.equal (Hash.of_string raw) h) then
-        err "chunk %s: tampered content" (Hash.to_hex h)
-      else (
-        match Chunk.decode raw with
-        | Error e -> err "chunk %s: %s" (Hash.to_hex h) e
-        | Ok c -> Ok c)
-  in
-  let check_boundary ~is_last ~node_bytes encoded_items h =
-    let rolling = Rolling.create params in
-    let rec scan = function
-      | [] -> Ok ()
-      | [ last ] ->
-        let hit = Rolling.feed_string rolling last in
-        if hit || is_last || node_bytes >= max_node_bytes then Ok ()
-        else err "node %s: unjustified boundary" (Hash.to_hex h)
-      | enc :: rest ->
-        if Rolling.feed_string rolling enc then
-          err "node %s: pattern before final item" (Hash.to_hex h)
-        else scan rest
-    in
-    scan encoded_items
-  in
-  let rec check_level hashes =
-    let rec per_node hs children_acc =
-      match hs with
-      | [] -> Ok (List.rev children_acc)
-      | h :: rest ->
-        let* chunk = check_integrity h in
-        (match chunk.Chunk.kind with
-         | Chunk.Leaf_list ->
-           let items = leaf_items chunk in
-           let* () =
-             check_boundary ~is_last:(rest = [])
-               ~node_bytes:(Chunk.encoded_size chunk)
-               (List.map encode_item items) h
-           in
-           per_node rest children_acc
-         | Chunk.Seq_index ->
-           let* ies = Seqtree.decode_index chunk in
-           per_node rest (List.rev_append ies children_acc)
-         | k ->
-           err "chunk %s: unexpected kind %s" (Hash.to_hex h)
-             (Chunk.kind_to_string k))
-    in
-    let* children = per_node hashes [] in
-    match children with
-    | [] -> Ok ()
-    | ies ->
-      let* () =
-        List.fold_left
-          (fun acc ie ->
-            let* () = acc in
-            let* chunk = check_integrity ie.Seqtree.child in
-            let count =
-              match chunk.Chunk.kind with
-              | Chunk.Seq_index -> (
-                match Seqtree.decode_index chunk with
-                | Ok ces ->
-                  List.fold_left (fun a c -> a + c.Seqtree.count) 0 ces
-                | Error _ -> -1)
-              | _ -> leaf_count chunk
-            in
-            if count <> ie.Seqtree.count then
-              err "child %s: count %d, index says %d"
-                (Hash.to_hex ie.Seqtree.child)
-                count ie.Seqtree.count
-            else Ok ())
-          (Ok ()) ies
-      in
-      check_level (List.map (fun ie -> ie.Seqtree.child) ies)
-  in
-  match t.root with
-  | None -> Ok ()
-  | Some h -> ( try check_level [ h ] with Postree.Corrupt m -> Error m)
-
-let pp fmt t =
-  match t.root with
-  | None -> Format.pp_print_string fmt "<empty list>"
-  | Some h ->
-    Format.fprintf fmt "<list root=%a items=%d chunks=%d>" Hash.pp h
-      (length t) (chunk_count t)
+    Result.map
+      (fun items -> if items = [||] then None else Some items.(0))
+      (verify_proof ~root ~pos:n ~len:1 proof)

@@ -1,7 +1,8 @@
 (** POS-Tree list: an immutable sequence of opaque string elements with
     positional access.
 
-    Like {!Pblob} but element-granular: node boundaries never split an
+    An instance of {!Seqtree.Make} whose elements are strings.  Like
+    {!Pblob} but element-granular: node boundaries never split an
     element, and positions index elements instead of bytes.  Backs the
     ForkBase [List] value type. *)
 
@@ -30,7 +31,7 @@ val set : t -> int -> string -> t
 
 val push_back : t -> string -> t
 
-type range_diff = {
+type range_diff = Seqtree.range_diff = {
   old_pos : int; old_len : int;
   new_pos : int; new_len : int;
 }
@@ -38,6 +39,11 @@ type range_diff = {
 val diff : t -> t -> range_diff option
 (** Element-granular minimal replaced range: chunk-level pruning by id,
     then element-level prefix/suffix trimming inside the changed window. *)
+
+val merge : base:t -> ours:t -> theirs:t -> (t, range_diff * range_diff) result
+(** Three-way merge of disjoint edits ({!Seqtree} merge rule), reading
+    only the leaves around them.  [Error (ours, theirs)]: the two diffs
+    against base overlap. *)
 
 (** {1 Merkle proofs}
 

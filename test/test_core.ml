@@ -234,7 +234,12 @@ let test_merge_lists_disjoint () =
   edit "master" 50 "A";
   edit "dev" 50 "B";
   match FB.merge fb ~key:"l" ~into:"master" ~from_branch:"dev" with
-  | Error (Errors.Merge_conflict _) -> ()
+  | Error (Errors.Merge_conflict { details; _ }) ->
+    (* Base is dev's head: ours also carries its merged edit at 5. *)
+    check (Alcotest.list Alcotest.string) "details name both base ranges"
+      [ "ours edits list range [5,51) of base";
+        "theirs edits list range [50,51) of base" ]
+      details
   | _ -> Alcotest.fail "overlapping list edits must conflict"
 
 let test_merge_blobs_disjoint () =

@@ -585,12 +585,12 @@ let test_persistent_crash_recovery () =
   (* File engine specifically: the crash artifact is a torn per-chunk tmp
      file; the log engine's recovery is exercised in test_log.ml. *)
   with_temp_dir (fun dir ->
-      (match Fb_core.Persistent.open_ ~backend:"file" ~root:dir () with
-       | Error e -> Alcotest.fail (Errors.to_string e)
-       | Ok fb ->
-         match FB.put fb ~key:"k" (Value.string "v") with
-         | Ok _ -> ()
-         | Error e -> Alcotest.fail (Errors.to_string e));
+      (match
+         Fb_core.Persistent.with_instance ~backend:"file" ~root:dir (fun i ->
+             FB.put i.Fb_core.Persistent.fb ~key:"k" (Value.string "v"))
+       with
+       | Ok _ -> ()
+       | Error e -> Alcotest.fail (Errors.to_string e));
       (* Crash artifact in the chunk tree; reopening recovers. *)
       let shard = Filename.concat (Filename.concat dir "chunks") "00" in
       (try Unix.mkdir shard 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());

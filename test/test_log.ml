@@ -54,6 +54,33 @@ let live_ids store =
   store.Store.iter (fun id _ -> acc := id :: !acc);
   List.sort_uniq Hash.compare !acc
 
+(* ------------------------- one instance per root ------------------------- *)
+
+(* A second open of a held root — under any spelling of its path — is
+   refused with the root's name before recovery touches anything on disk;
+   after [close] the root opens again. *)
+let test_root_held_in_process () =
+  with_temp_dir (fun dir ->
+      let h = Log_store.create ~config:quick_config ~root:dir () in
+      ignore (Store.put (Log_store.store h) (blob 0));
+      let stray = Filename.concat dir "crash.tmp" in
+      write_file stray "torn";
+      List.iter
+        (fun root ->
+          match Log_store.create ~config:quick_config ~root () with
+          | r ->
+            Log_store.close r;
+            Alcotest.fail "second open allowed"
+          | exception Log_store.Root_in_use named ->
+            check Alcotest.string "names the root" root named)
+        [ dir; Filename.concat dir "." ];
+      check bool_ "stray left alone" true (Sys.file_exists stray);
+      Log_store.close h;
+      let r = Log_store.create ~config:quick_config ~root:dir () in
+      check bool_ "reopens after close" true
+        (Option.is_some (Store.get (Log_store.store r) (blob_id 0)));
+      Log_store.close r)
+
 (* ------------------------- basics ------------------------- *)
 
 let test_roundtrip_reopen () =
@@ -441,7 +468,10 @@ let test_compaction_crash_stages () =
            with
           | () -> Alcotest.fail "stage hook did not fire"
           | exception Exit -> ());
-          (* The process is gone; [h] is abandoned un-closed. *)
+          (* The instance is dead; closing it releases the root (and
+             checkpoints the generation it still names, which recovery
+             must then discard as an orphan when CURRENT moved on). *)
+          Log_store.close h;
           let r = Log_store.create ~config:quick_config ~root:dir () in
           let ctx what =
             Printf.sprintf "crash@%s %s"
@@ -993,6 +1023,8 @@ let test_compaction_refs () =
           (match Log_store.compact ~on_stage:(fun st -> if st = stage then raise Exit) h with
           | () -> Alcotest.fail "stage hook did not fire"
           | exception Exit -> ());
+          (* Close the dead instance to release the root. *)
+          Log_store.close h;
           let r = Log_store.create ~config:quick_config ~root:dir () in
           check bool_ "heads survive a compaction crash" true
             (norm_refs (Log_store.refs r) = want);
@@ -1218,4 +1250,6 @@ let suite =
     Alcotest.test_case "persistent: power cut after save" `Quick
       test_persistent_power_cut;
     Alcotest.test_case "persistent: backend autodetect" `Quick
-      test_persistent_backend_autodetect ]
+      test_persistent_backend_autodetect;
+    Alcotest.test_case "one instance per root" `Quick
+      test_root_held_in_process ]

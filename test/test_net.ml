@@ -713,6 +713,23 @@ let test_remote_typed () =
         check bool_ "network-tagged" true (Tutil.contains msg "network")
       | _ -> Alcotest.fail "closed handle should be Transient")
 
+(* TAG over TCP: the tag lands in the served instance, and retagging the
+   name fails with the local API's error. *)
+let test_remote_tag () =
+  let fb = FB.create (Fb_chunk.Mem_store.create ()) in
+  with_server fb (fun srv ->
+      let r = ok_fb (Remote.connect ~port:(Server.port srv) ()) in
+      Fun.protect
+        ~finally:(fun () -> Remote.close r)
+        (fun () ->
+          let u1 = ok_fb (Remote.put r ~key:"k" "v1") in
+          ignore (ok_fb (Remote.put r ~key:"k" "v2"));
+          ok_fb (Remote.tag r ~key:"k" ~name:"first" u1);
+          check bool_ "tag found in-process" true
+            (Fb_hash.Hash.equal u1 (ok_fb (FB.tag_lookup fb ~key:"k" ~name:"first")));
+          check bool_ "retag refused" true
+            (Result.is_error (Remote.tag r ~key:"k" ~name:"first" u1))))
+
 let test_server_user_identity () =
   let fb = FB.create (Fb_chunk.Mem_store.create ()) in
   with_server fb (fun srv ->
@@ -735,11 +752,12 @@ let test_server_durability () =
           in
           (* The server is still running and has saved nothing: the head
              was journaled before the put answered, so a fresh instance
-             recovering the root sees it. *)
-          let fb2 = ok_fb (Persistent.open_ ~root ()) in
-          check bool_ "head persisted" true
-            (Fb_hash.Hash.equal (ok_fb (FB.parse_version uid))
-               (ok_fb (FB.head fb2 ~key:"k")))))
+             recovering a copy of the root sees it. *)
+          Tutil.with_snapshot root (fun snap ->
+              let fb2 = ok_fb (Persistent.open_ ~root:snap ()) in
+              check bool_ "head persisted" true
+                (Fb_hash.Hash.equal (ok_fb (FB.parse_version uid))
+                   (ok_fb (FB.head fb2 ~key:"k"))))))
 
 (* The real daemon under SIGKILL: every write it acknowledged over TCP —
    put, fork, merge, tag, push — is back after a restart on the same
@@ -815,6 +833,47 @@ let test_serve_sigkill () =
           check bool_ (ctx "merge verifies") true
             (Result.is_ok (FB.verify fb (ok_fb (FB.head fb ~key:"k"))))))
     [ "true"; "false" ]
+
+(* A root opens in one instance at a time, across processes too.  While
+   [forkbase serve] holds it, an in-process open and a CLI [put] are
+   refused, naming the root; once the server is SIGKILLed and reaped its
+   lock is gone.  While this process holds it, a CLI [put] is refused;
+   after [close] it goes through. *)
+let test_root_held_across_processes () =
+  with_temp_root (fun root ->
+      let cli_put () =
+        let err = Filename.temp_file "fb_cli" ".out" in
+        let fd = Unix.openfile err [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+        let pid =
+          Unix.create_process forkbase_exe
+            [| forkbase_exe; "put"; "k"; "--value"; "v"; "--root"; root |]
+            Unix.stdin fd fd
+        in
+        Unix.close fd;
+        let _, status = Unix.waitpid [] pid in
+        let out = In_channel.with_open_bin err In_channel.input_all in
+        Sys.remove err;
+        (status = Unix.WEXITED 0, out)
+      in
+      let refused what (ok, out) =
+        check bool_ (what ^ ": refused") false ok;
+        check bool_ (what ^ ": names the root") true
+          (Tutil.contains out (Filename.concat root "log")
+          && Tutil.contains out "already open")
+      in
+      let _port, kill = spawn_serve ~root ~fsync:"false" in
+      Fun.protect ~finally:kill (fun () ->
+          (match Persistent.open_instance ~root () with
+           | Error (Errors.Invalid m) -> refused "in-process open" (false, m)
+           | Ok i ->
+             Persistent.close i;
+             Alcotest.fail "opened a root a server holds"
+           | Error e -> Alcotest.fail (Errors.to_string e));
+          refused "cli put while served" (cli_put ()));
+      let i = ok_fb (Persistent.open_instance ~root ()) in
+      refused "cli put while held here" (cli_put ());
+      Persistent.close i;
+      check bool_ "cli put after close" true (fst (cli_put ())))
 
 let test_server_shutdown () =
   let fb = FB.create (Fb_chunk.Mem_store.create ()) in
@@ -1412,6 +1471,9 @@ let suite =
     Alcotest.test_case "server durability" `Quick test_server_durability;
     Alcotest.test_case "serve: acknowledged heads survive SIGKILL" `Quick
       test_serve_sigkill;
+    Alcotest.test_case "remote tag" `Quick test_remote_tag;
+    Alcotest.test_case "a root opens in one process at a time" `Quick
+      test_root_held_across_processes;
     Alcotest.test_case "commit wait in metrics-json and /healthz" `Quick
       test_commit_wait_exported;
     Alcotest.test_case "server shutdown" `Quick test_server_shutdown;

@@ -48,15 +48,16 @@ let test_roundtrip_across_sessions () =
       check bool_ "verifies" true (Result.is_ok (FB.verify fb u1)))
 
 (* No save step: a head move is durable once the call returns, so an
-   instance opened on the root meanwhile — while the writer is still open
-   and has closed nothing — recovers it. *)
+   instance opened on a copy of the root taken meanwhile — while the
+   writer is still open and has closed nothing — recovers it. *)
 let test_save_is_explicit () =
   with_temp_root (fun root ->
       let fb = ok (Persistent.open_ ~root ()) in
       let u = ok (FB.put fb ~key:"k" (Value.string "v")) in
-      let fb2 = ok (Persistent.open_ ~root ()) in
-      check bool_ "head durable without a save" true
-        (Hash.equal u (ok (FB.head fb2 ~key:"k")));
+      Tutil.with_snapshot root (fun snap ->
+          let fb2 = ok (Persistent.open_ ~root:snap ()) in
+          check bool_ "head durable without a save" true
+            (Hash.equal u (ok (FB.head fb2 ~key:"k"))));
       check bool_ "no table file written" false
         (Sys.file_exists (Filename.concat root "BRANCHES")))
 
@@ -188,10 +189,11 @@ let test_fsync_save_roundtrip () =
       check bool_ "no table files" false
         (Sys.file_exists (Filename.concat root "BRANCHES")
         || Sys.file_exists (Filename.concat root "TAGS"));
-      let fb2 = ok (Persistent.open_ ~root ()) in
-      check bool_ "head" true (Hash.equal u (ok (FB.head fb2 ~key:"k")));
-      check bool_ "branch" true
-        (Result.is_ok (FB.get fb2 ~branch:"dev" ~key:"k"));
+      Tutil.with_snapshot root (fun snap ->
+          let fb2 = ok (Persistent.open_ ~root:snap ()) in
+          check bool_ "head" true (Hash.equal u (ok (FB.head fb2 ~key:"k")));
+          check bool_ "branch" true
+            (Result.is_ok (FB.get fb2 ~branch:"dev" ~key:"k")));
       Persistent.close i)
 
 (* A root written before heads moved into the log: chunks in the log,

@@ -30,3 +30,14 @@ let old_table (keys : (string * (string * Fb_hash.Hash.t) list) list) =
         branches)
     keys;
   Codec.contents w
+
+(* [f] on a copy of directory [src] as it stands on disk — what a crash of
+   the instance holding [src] would leave — removed afterwards.  The
+   holder keeps [src]: a root opens in one instance at a time. *)
+let with_snapshot src f =
+  let dst = Filename.temp_file "fb_snap" "" in
+  Sys.remove dst;
+  let sh fmt = Printf.ksprintf (fun c -> ignore (Sys.command c)) fmt in
+  sh "cp -r %s %s" (Filename.quote src) (Filename.quote dst);
+  Fun.protect ~finally:(fun () -> sh "rm -rf %s" (Filename.quote dst)) (fun () ->
+      f dst)
