@@ -1025,7 +1025,7 @@ let run_cluster_net ?(quick = false) () =
 
 let run_micro () =
   header
-    "Bechamel micro-benchmarks (ns/op, OLS estimate over monotonic clock)";
+    "Bechamel micro-benchmarks (ns/op, OLS estimates over monotonic clock)";
   let open Bechamel in
   let open Toolkit in
   (* Shared prebuilt state. *)
@@ -1075,26 +1075,34 @@ let run_micro () =
   let grouped = Test.make_grouped ~name:"forkbase" tests in
   let instances = Instance.[ monotonic_clock ] in
   let cfg = Benchmark.cfg ~limit:1000 ~quota:(Time.second 0.5) () in
-  let raw = Benchmark.all cfg instances grouped in
   let ols =
     Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| Measure.run |]
   in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  let rows =
-    Hashtbl.fold
-      (fun name ols acc ->
+  (* One OLS estimate moves by about 15% from run to run, so each is
+     taken [runs] times and shown as a median with its range. *)
+  let runs = 5 in
+  let estimates = Hashtbl.create 8 in
+  for _ = 1 to runs do
+    let raw = Benchmark.all cfg instances grouped in
+    Hashtbl.iter
+      (fun name ols ->
         let ns =
           match Analyze.OLS.estimates ols with
           | Some (e :: _) -> e
           | _ -> nan
         in
-        (name, ns) :: acc)
-      results []
-  in
-  Printf.printf "%-40s %14s\n" "benchmark" "ns/op";
+        Hashtbl.replace estimates name
+          (ns :: Option.value (Hashtbl.find_opt estimates name) ~default:[]))
+      (Analyze.all ols Instance.monotonic_clock raw)
+  done;
+  Printf.printf "%-40s %12s %12s %12s   (%d runs)\n" "benchmark" "median ns"
+    "min" "max" runs;
   List.iter
-    (fun (name, ns) -> Printf.printf "%-40s %14.0f\n" name ns)
-    (List.sort compare rows)
+    (fun (name, ns) ->
+      let a = Array.of_list (List.sort compare ns) in
+      Printf.printf "%-40s %12.0f %12.0f %12.0f\n" name
+        a.(Array.length a / 2) a.(0) a.(Array.length a - 1))
+    (List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) estimates []))
 
 (* ------------------------------------------------------------------ *)
 (* Observability: histogram readout, self-overhead, trace spans.      *)

@@ -817,14 +817,16 @@ let scrub_cmd =
     with_persistent ~backend root (fun { Fb_core.Persistent.fb; log; _ } ->
         ignore user;
         (* The replica root is opened through Persistent so any provider
-           (log, per-file chunks, …) can donate healthy bytes. *)
-        let* replica =
+           (log, per-file chunks, …) can donate healthy bytes, and closed
+           again once the scrub is done. *)
+        let with_replica f =
           match repair_from with
-          | None -> Ok None
+          | None -> f None
           | Some dir ->
-            let* rfb = Fb_core.Persistent.open_ ~root:dir () in
-            Ok (Some (FB.store rfb))
+            Fb_core.Persistent.with_instance ~root:dir (fun r ->
+                f (Some (FB.store r.Fb_core.Persistent.fb)))
         in
+        with_replica @@ fun replica ->
         (* Keep the damaged bytes for forensics before they are deleted. *)
         let qdir = Filename.concat root "quarantine" in
         let quarantine id raw =
@@ -1070,7 +1072,7 @@ module Top = struct
       Ok { at = Unix.gettimeofday (); counters; gauges; hists }
 
   let fetch r =
-    match Fb_net.Remote.raw r [ "metrics-json" ] with
+    match Fb_net.Remote.call r Fb_core.Service.metrics_json () with
     | Error e -> Error (Errors.to_string e)
     | Ok body -> parse_sample body
 
@@ -1447,8 +1449,9 @@ module Cluster_cli = struct
               Fun.protect
                 ~finally:(fun () -> Fb_net.Remote.close r)
                 (fun () ->
-                  match Fb_net.Remote.raw r [ "chunk-stat" ] with
-                  | Ok payload -> (true, payload)
+                  match Fb_net.Remote.call r Fb_core.Service.chunk_stat () with
+                  | Ok (chunks, bytes) ->
+                    (true, Printf.sprintf "chunks=%d bytes=%d" chunks bytes)
                   | Error e -> (true, Errors.to_string e))
           in
           if not reachable then any_down := true;

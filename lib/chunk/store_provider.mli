@@ -9,7 +9,7 @@
     dependency: a backend {e registers} itself under a name with three
     capabilities — detect (does a root on disk look like mine?), open
     (build a {!Store.t} plus its lifecycle hooks), and a one-line doc —
-    and every consumer ([Persistent.open_ ?backend], [forkbase serve
+    and every consumer ([Persistent.open_instance ?backend], [forkbase serve
     --backend], scrub, gc, benches) resolves names through {!find} /
     {!resolve} without knowing the provider set.
 

@@ -120,10 +120,6 @@ let open_instance ?acl ?fsync ?(backend = "auto") ?log_config ?(params = [])
     close ();
     Errors.corrupt "opening %s: %s" root msg
 
-let open_ ?acl ?fsync ?backend ?log_config ?params ~root () =
-  let* i = open_instance ?acl ?fsync ?backend ?log_config ?params ~root () in
-  Ok i.fb
-
 let with_instance ?acl ?fsync ?backend ?log_config ?params ~root f =
   let* i = open_instance ?acl ?fsync ?backend ?log_config ?params ~root () in
   Fun.protect ~finally:i.close (fun () -> f i)

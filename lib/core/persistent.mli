@@ -71,14 +71,6 @@ val open_instance :
     on-disk damage surfaces as an error — never as silently wrong data;
     run scrub to quarantine and repair it. *)
 
-val open_ :
-  ?acl:Acl.t -> ?fsync:bool -> ?backend:string ->
-  ?log_config:Fb_chunk.Log_store.config ->
-  ?params:(string * string) list -> root:string -> unit ->
-  (Forkbase.t, Errors.t) result
-(** {!open_instance} for callers that never close: the engine stays open
-    until the process exits. *)
-
 val close : instance -> unit
 
 val with_instance :

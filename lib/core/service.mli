@@ -7,53 +7,99 @@
     onto these verbs one-to-one; keeping the layer in-process makes the
     whole surface testable without a network stack.
 
-    Verbs (case-insensitive):
-    {v
-    PUT <key> <branch> <value>          store a string primitive
-    PUT-CSV <key> <branch> <csv>        store a relational table
-    GET <key> <branch>                  render the head value
-    GET-AT <uid>                        render a version by uid
-    HEAD <key> <branch>                 head uid
-    LATEST <key>                        branch -> uid lines
-    LIST                                keys
-    LOG <key> <branch>                  history lines
-    BRANCH <key> <from> <new>           fork
-    RENAME <key> <from> <to>            rename a branch
-    TAG <key> <name> <uid>              immutable name for a version
-    META <uid>                          version metadata
-    DIFF <key> <branch1> <branch2>      differential query
-    MERGE <key> <into> <from>           three-way merge
-    VERIFY <key> <branch>               tamper check
-    FSCK                                report storage damage (dry scrub)
-    SCRUB                               quarantine damaged chunks
-    STAT                                instance statistics
-    METRICS / METRICS-JSON              the Obs registry (Prometheus text /
-                                        JSON with spans and buckets)
-    GET-JSON / DIFF-JSON / LOG-JSON / STAT-JSON / LATEST-JSON
-                                        same queries with JSON bodies
-                                        (see {!Webview})
-    PROVE <key> <branch> <entry-key>    hex entry proof for light clients
-    SYNC-HAVE <id...> / SYNC-GET <id> / SYNC-PUT <key> <branch> <id> <bytes>
-    SYNC-ADVANCE <key> <branch> <uid>   delta-sync session verbs
-    SYNC-BLOOM                          whole-store Bloom chunk summary
-    CHUNK-PUT <id> <bytes>              verified ingest, no closure check
-                                        (cluster storage members)
-    CHUNK-STAT                          physical chunk/byte counts
-    v} *)
+    Every verb is one entry of {!verbs}: its wire name, argument and
+    reply codecs, lock classification and handler.  The dispatcher, the
+    lock classification, the server's per-verb histograms and
+    [Fb_net.Remote.call] all derive from that table; a verb's usage
+    string (e.g. [put KEY BRANCH VALUE]) is what a wrong-arity request
+    is answered with.  Verb names are case-insensitive on the wire. *)
 
 type access = Read | Write
+(** [Read] verbs never move a head nor mutate the chunk store, so any
+    number may run at once; [Write] verbs need exclusion. *)
+
 type scope = Key of string | Global
+(** [Key k] narrows the exclusion to [k]'s lock stripe (every verb whose
+    first argument is a KEY); [Global] spans the whole instance. *)
+
+type ('a, 'r) verb = private {
+  name : string;  (** the wire token, lowercase *)
+  usage : string;  (** e.g. [put KEY BRANCH VALUE]; [ID...] repeats *)
+  access : access;
+  retry_safe : bool;  (** [Read] verbs, and the content-addressed [chunk-put] *)
+  scope : 'a -> scope;
+  encode_args : 'a -> string list;
+  decode_args : string list -> ('a, Errors.t) result;
+  encode_reply : 'r -> string;
+  decode_reply : string -> ('r, Errors.t) result;
+  handler : ?user:string -> Forkbase.t -> 'a -> ('r, Errors.t) result;
+}
+(** One verb with decoded arguments ['a] and result ['r].  A wrong token
+    count decodes to [Invalid "bad request: <usage>"].  Results render
+    as text (values in their service rendering: CSV for tables, [k=v]
+    lines for maps) and [decode_reply] parses that text back. *)
+
+type any = Verb : ('a, 'r) verb -> any
+
+val verbs : any list
+val find : string -> any option  (* case-insensitive *)
+
+(** {1 The verbs}
+
+    Versions travel in Base32 (hex accepted), chunk ids in hex;
+    everything else is a plain string, in the order of the usage. *)
+
+val put : (string * string * string, Forkbase.uid) verb
+val put_csv : (string * string * string, Forkbase.uid) verb
+val get : (string * string, string) verb
+val get_at : (Forkbase.uid, string) verb
+val head : (string * string, Forkbase.uid) verb
+val latest : (string, (string * Forkbase.uid) list) verb
+val list : (unit, string list) verb
+val log : (string * string, string list) verb  (* [uid seq author message] lines *)
+val branch : (string * string * string, Forkbase.uid) verb  (* fork FROM into NEW *)
+val rename : (string * string * string, unit) verb
+val tag : (string * string * Forkbase.uid, unit) verb
+val meta : (Forkbase.uid, string) verb
+val diff : (string * string * string, string) verb
+val merge : (string * string * string, Forkbase.uid) verb  (* three-way, FROM into INTO *)
+val verify : (string * string, string) verb
+val stat : (unit, string) verb
+val metrics : (unit, string) verb  (* the Obs registry, Prometheus text *)
+val metrics_json : (unit, string) verb  (* with spans and buckets *)
+val fsck : (unit, string) verb  (* a dry scrub *)
+val scrub : (unit, string) verb
+val get_json : (string * string, string) verb
+val diff_json : (string * string * string, string) verb
+val log_json : (string * string, string) verb
+val stat_json : (unit, string) verb
+val latest_json : (string, string) verb
+val sync_have : (Fb_hash.Hash.t list, bool list) verb
+val sync_get : (Fb_hash.Hash.t, string) verb
+val sync_put : (string * string * Fb_hash.Hash.t * string, unit) verb
+val sync_bloom : (unit, Sync.Bloom.t) verb
+val sync_advance : (string * string * Forkbase.uid, Forkbase.uid) verb
+val chunk_put : (Fb_hash.Hash.t * string, unit) verb  (* no closure check *)
+val chunk_stat : (unit, int * int) verb  (* physical chunks and bytes *)
+val prove : (string * string * string, string) verb  (* hex entry proof *)
+
+(** {1 Serving} *)
+
+val prepare :
+  string list ->
+  access * scope * (?user:string -> Forkbase.t -> (string, Errors.t) result)
+(** Decode a request once: its lock classification, from its entry and
+    decoded arguments, and its execution.  Unknown or malformed requests
+    are [(Read, Global)] — they only produce an error.  {!Fb_net.Server}
+    drives its striped reader-writer locking from this. *)
 
 val classify : string list -> access * scope
-(** Concurrency contract of a request: [Read] verbs (GET, DIFF, LIST,
-    HEAD, LATEST, META, STAT, METRICS, VERIFY, PROVE, FSCK and the JSON
-    variants) never mutate the instance and may execute concurrently;
-    [Write] verbs (PUT, PUT-CSV, BRANCH, MERGE, RENAME, TAG, SYNC-PUT,
-    SYNC-ADVANCE, CHUNK-PUT, SCRUB) require exclusion.  [Key k] narrows
-    the needed exclusion to [k]'s lock stripe (CHUNK-PUT and SCRUB are
-    [Global]); [Global] verbs span the whole instance.  Unknown verbs are
-    [(Read, Global)] — they only produce an error.  This is the table
-    {!Fb_net.Server} drives its striped reader-writer locking from. *)
+(** The classification half of {!prepare}. *)
+
+val classify_batch : (access * scope) list -> access * scope
+(** One classification covering a batch's sub-requests: [Write] if any
+    writes, [Key k] when every one names [k], else [Global]; an empty
+    batch is [(Read, Global)]. *)
 
 val tokenize : string -> (string list, string) result
 (** Split a request line on blanks; double quotes group (a closing quote

@@ -1,7 +1,7 @@
 (** Networked cluster composition — {!Fb_chunk.Cluster_store} whose
     members are live [forkbase serve] nodes reached through
     {!Remote.chunk_store}, plus the ["cluster"] store-provider
-    registration that makes [Persistent.open_ ~backend:"cluster"] and
+    registration that makes [Persistent.open_instance ~backend:"cluster"] and
     [forkbase serve --backend cluster] work end-to-end.
 
     Topology is a node list ([host:port] pairs), given either directly

@@ -4,6 +4,7 @@ module Service = Fb_core.Service
 module Obs = Fb_obs.Obs
 
 type uid = Forkbase.uid
+type 'a or_error = ('a, Errors.t) result
 
 (* Dial parameters, kept verbatim for the transparent reconnect. *)
 type params = {
@@ -50,18 +51,15 @@ let of_client_error = function
   | Mux.Remote e -> e
   | Mux.Transport msg -> Errors.Transient ("network: " ^ msg)
 
-let lift = function
-  | Ok _ as ok -> ok
-  | Error e -> Error (of_client_error e)
+let lift r = Result.map_error of_client_error r
 
 let connect ?host ?port ?user ?max_frame ?timeout_s () =
-  match Mux.connect ?host ?port ?user ?max_frame ?timeout_s () with
-  | Ok mux ->
-    Ok
+  Result.map
+    (fun mux ->
       { p = { host; port; user; max_frame; timeout_s };
         mu = Mutex.create (); mux; user_closed = false;
-        subs = Hashtbl.create 4; next_sub = 0; monitor_running = false }
-  | Error e -> Error (of_client_error e)
+        subs = Hashtbl.create 4; next_sub = 0; monitor_running = false })
+    (lift (Mux.connect ?host ?port ?user ?max_frame ?timeout_s ()))
 
 let close t =
   let mux =
@@ -138,7 +136,7 @@ let resubscribe_all t mux =
 
 (* One transparent reconnect: when the transport died under us (not by
    an explicit [close]), re-dial with the original parameters and retry
-   — but only requests whose classification is [Read].  A mutating verb
+   — but only requests whose verb is [retry_safe].  A mutating verb
    may have been applied before the connection tore; replaying it could
    double-apply, so it surfaces as [Transient] for the caller to decide.
    A fresh connection also resurrects live subscriptions (see
@@ -210,110 +208,67 @@ let run ~retryable t f =
       | None -> e
       | Some mux -> f mux)
 
-let tokens_retryable tokens =
-  match tokens with
-  (* chunk-put is Write-classified (the server excludes it globally) but
-     content-addressed and therefore idempotent: replaying it after a
-     torn connection cannot double-apply.  The one mutating verb safe to
-     retry across a reconnect. *)
-  | verb :: _ when String.lowercase_ascii verb = "chunk-put" -> true
-  | _ -> (
-    match Service.classify tokens with
-    | Service.Read, _ -> true
-    | Service.Write, _ -> false)
-
+(* An unknown verb only ever produces an error, so replaying it is safe. *)
 let raw ?user t tokens =
-  lift
-    (run ~retryable:(tokens_retryable tokens) t (fun mux ->
-         Mux.request ?user mux tokens))
+  let retryable =
+    match Option.bind (List.nth_opt tokens 0) Service.find with
+    | Some (Service.Verb v) -> v.retry_safe
+    | None -> true
+  in
+  lift (run ~retryable t (fun mux -> Mux.request ?user mux tokens))
 
 let raw_line ?user t line =
-  match Fb_core.Service.tokenize line with
+  match Service.tokenize line with
   | Error e -> Error (Errors.Invalid e)
   | Ok tokens -> raw ?user t tokens
 
-let uid_of payload = Forkbase.parse_version payload
+let call ?user t (v : _ Service.verb) a =
+  Result.bind
+    (lift
+       (run ~retryable:v.retry_safe t (fun mux ->
+            Mux.request ?user mux (v.name :: v.encode_args a))))
+    v.decode_reply
 
-let unit_of (_ : string) = Ok ()
+(* A batch of calls, each with its request tokens, retry safety and
+   reply decoding; replayed only when every call is safe to replay. *)
+let batch_calls ?user t calls =
+  let reqs = List.map (fun (tokens, _, _) -> tokens) calls in
+  let retryable = List.for_all (fun (_, safe, _) -> safe) calls in
+  Result.map
+    (List.map2 (fun (_, _, decode) reply -> Result.bind reply decode) calls)
+    (lift (run ~retryable t (fun mux -> Mux.batch ?user mux reqs)))
 
-let lines_of payload =
-  if payload = "" then [] else String.split_on_char '\n' payload
+let prepared (v : _ Service.verb) wrap a =
+  (v.name :: v.encode_args a, v.retry_safe, fun p -> Result.map wrap (v.decode_reply p))
 
-(* "branch uid" per line; the uid rendering never contains a blank, so
-   splitting at the last one is unambiguous even for odd branch names. *)
-let head_line line =
-  match String.rindex_opt line ' ' with
-  | None -> Error (Errors.Invalid ("bad head line: " ^ line))
-  | Some i ->
-    let branch = String.sub line 0 i in
-    let v = String.sub line (i + 1) (String.length line - i - 1) in
-    Result.map (fun uid -> (branch, uid)) (uid_of v)
-
-let heads_of payload =
-  List.fold_left
-    (fun acc line ->
-      match acc with
-      | Error _ as e -> e
-      | Ok heads ->
-        Result.map (fun h -> h :: heads) (head_line line))
-    (Ok []) (lines_of payload)
-  |> Result.map List.rev
-
-let op ?user t tokens parse = Result.bind (raw ?user t tokens) parse
+let batch_call ?user t v args =
+  batch_calls ?user t (List.map (prepared v Fun.id) args)
 
 (* ------------------------- the Forkbase mirror ------------------------- *)
 
 let default_branch = "master"
 
-let put ?user ?(branch = default_branch) t ~key value =
-  op ?user t [ "put"; key; branch; value ] uid_of
+let put ?user ?(branch = default_branch) t ~key v = call ?user t Service.put (key, branch, v)
 
 let put_csv ?user ?(branch = default_branch) t ~key csv =
-  op ?user t [ "put-csv"; key; branch; csv ] uid_of
+  call ?user t Service.put_csv (key, branch, csv)
 
-let get ?user ?(branch = default_branch) t ~key =
-  raw ?user t [ "get"; key; branch ]
-
-let get_at ?user t uid =
-  raw ?user t [ "get-at"; Forkbase.version_string uid ]
-
-let head ?user ?(branch = default_branch) t ~key =
-  op ?user t [ "head"; key; branch ] uid_of
-
-let latest ?user t ~key = op ?user t [ "latest"; key ] heads_of
-
-let list_keys ?user t =
-  Result.map lines_of (raw ?user t [ "list" ])
-
-let log ?user ?(branch = default_branch) t ~key =
-  Result.map lines_of (raw ?user t [ "log"; key; branch ])
-
-let meta ?user t uid =
-  raw ?user t [ "meta"; Forkbase.version_string uid ]
+let get ?user ?(branch = default_branch) t ~key = call ?user t Service.get (key, branch)
+let head ?user ?(branch = default_branch) t ~key = call ?user t Service.head (key, branch)
+let latest ?user t ~key = call ?user t Service.latest key
+let list_keys ?user t = call ?user t Service.list ()
+let log ?user ?(branch = default_branch) t ~key = call ?user t Service.log (key, branch)
+let meta ?user t uid = call ?user t Service.meta uid
 
 let fork ?user ?(from_branch = default_branch) t ~key ~new_branch =
-  op ?user t [ "branch"; key; from_branch; new_branch ] uid_of
+  call ?user t Service.branch (key, from_branch, new_branch)
 
 let rename_branch ?user t ~key ~from_branch ~to_branch =
-  op ?user t [ "rename"; key; from_branch; to_branch ] unit_of
+  call ?user t Service.rename (key, from_branch, to_branch)
 
-let tag ?user t ~key ~name uid =
-  op ?user t [ "tag"; key; name; Forkbase.version_string uid ] unit_of
-
-let merge ?user t ~key ~into ~from_branch =
-  op ?user t [ "merge"; key; into; from_branch ] uid_of
-
-let diff ?user t ~key ~branch1 ~branch2 =
-  raw ?user t [ "diff"; key; branch1; branch2 ]
-
-let verify ?user ?(branch = default_branch) t ~key =
-  raw ?user t [ "verify"; key; branch ]
-
-let prove ?user ?(branch = default_branch) t ~key ~entry_key =
-  raw ?user t [ "prove"; key; branch; entry_key ]
-
-let stat ?user t = raw ?user t [ "stat" ]
-let metrics ?user t = raw ?user t [ "metrics" ]
+let tag ?user t ~key ~name uid = call ?user t Service.tag (key, name, uid)
+let merge ?user t ~key ~into ~from_branch = call ?user t Service.merge (key, into, from_branch)
+let diff ?user t ~key ~branch1 ~branch2 = call ?user t Service.diff (key, branch1, branch2)
 
 (* ------------------------- subscriptions ------------------------- *)
 
@@ -371,32 +326,14 @@ type op_req =
 
 type op_reply = Uid of uid | Value of string
 
-let tokens_of_op = function
-  | Put { key; branch; value } -> [ "put"; key; branch; value ]
-  | Get { key; branch } -> [ "get"; key; branch ]
-  | Head { key; branch } -> [ "head"; key; branch ]
-
-let reply_of_op o (reply : Frame.reply) =
-  match o, reply with
-  | _, Error e -> Error e
-  | (Put _ | Head _), Ok payload -> Result.map (fun u -> Uid u) (uid_of payload)
-  | Get _, Ok payload -> Ok (Value payload)
-
-let batch_tokens_retryable reqs = List.for_all tokens_retryable reqs
-
 let batch ?user t ops =
-  let reqs = List.map tokens_of_op ops in
-  match
-    run ~retryable:(batch_tokens_retryable reqs) t (fun mux ->
-        Mux.batch ?user mux reqs)
-  with
-  | Error e -> Error (of_client_error e)
-  | Ok replies -> Ok (List.map2 reply_of_op ops replies)
-
-let batch_raw ?user t reqs =
-  lift
-    (run ~retryable:(batch_tokens_retryable reqs) t (fun mux ->
-         Mux.batch ?user mux reqs))
+  batch_calls ?user t
+    (List.map
+       (function
+         | Put { key; branch; value } -> prepared Service.put (fun u -> Uid u) (key, branch, value)
+         | Get { key; branch } -> prepared Service.get (fun v -> Value v) (key, branch)
+         | Head { key; branch } -> prepared Service.head (fun u -> Uid u) (key, branch))
+       ops)
 
 (* ------------------------- delta sync ------------------------- *)
 
@@ -467,12 +404,10 @@ let push ?user ?(branch = default_branch) t fb ~key =
        rests on the filter.  A saturated or unparsable filter (or an
        older server without the verb) degrades to exact waves only. *)
     let bloom =
-      match raw ?user t [ "sync-bloom" ] with
-      | Ok payload -> (
+      match call ?user t Service.sync_bloom () with
+      | Ok b ->
         incr rounds;
-        match Sync.Bloom.decode payload with
-        | Ok b when not (Sync.Bloom.saturated b) -> Some b
-        | Ok _ | Error _ -> None)
+        if Sync.Bloom.saturated b then None else Some b
       | Error _ -> None
     in
     (* Re-hash our own bytes before offering them: a tampered local
@@ -509,11 +444,8 @@ let push ?user ?(branch = default_branch) t fb ~key =
         let* () =
           if to_confirm = [] then Ok ()
           else begin
-            let* payload =
-              raw ?user t ("sync-have" :: List.map Hash.to_hex to_confirm)
-            in
+            let* bits = call ?user t Service.sync_have to_confirm in
             incr rounds;
-            let* bits = Sync.decode_have payload in
             if List.length bits <> List.length to_confirm then
               Errors.invalid "sync-have: %d probes, %d answers"
                 (List.length to_confirm) (List.length bits)
@@ -553,19 +485,13 @@ let push ?user ?(branch = default_branch) t fb ~key =
       | [] -> Ok ()
       | _ ->
         let batch, rest = take_put_batch staged [] 0 0 ids in
-        let reqs =
-          List.map
-            (fun (id, encoded) ->
-              [ "sync-put"; key; branch; Hash.to_hex id; encoded ])
-            batch
+        let* replies =
+          batch_call ?user t Service.sync_put
+            (List.map (fun (id, encoded) -> (key, branch, id, encoded)) batch)
         in
-        let* replies = batch_raw ?user t reqs in
         incr rounds;
         let* () =
-          List.fold_left
-            (fun acc reply ->
-              let* () = acc in
-              Result.map ignore reply)
+          List.fold_left (fun acc reply -> Result.bind acc (fun () -> reply))
             (Ok ()) replies
         in
         List.iter
@@ -574,11 +500,8 @@ let push ?user ?(branch = default_branch) t fb ~key =
         stream rest
     in
     let* () = stream order in
-    let* payload =
-      raw ?user t [ "sync-advance"; key; branch; Hash.to_hex local ]
-    in
+    let* uid = call ?user t Service.sync_advance (key, branch, local) in
     incr rounds;
-    let* uid = uid_of payload in
     Ok
       ( uid,
         { Sync.chunks_moved = Hash.Tbl.length staged; bytes_moved = !bytes;
@@ -615,8 +538,7 @@ let pull ?user ?(branch = default_branch) t fb ~key =
       if Queue.is_empty pending then Ok ()
       else begin
         let wave = take_wave Sync.get_batch pending in
-        let reqs = List.map (fun id -> [ "sync-get"; Hash.to_hex id ]) wave in
-        let* replies = batch_raw ?user t reqs in
+        let* replies = batch_call ?user t Service.sync_get wave in
         incr rounds;
         let* () =
           List.fold_left2
@@ -690,7 +612,7 @@ let chunk_store ?user t =
   let local = ref Store.empty_stats in
   let bump f = Mutex.protect traffic (fun () -> local := f !local) in
   let read id =
-    match raw ?user t [ "sync-get"; Hash.to_hex id ] with
+    match call ?user t Service.sync_get id with
     | Ok encoded -> Some encoded
     | Error (Errors.Version_not_found _) -> None
     | Error e -> escalate "get" e
@@ -708,7 +630,7 @@ let chunk_store ?user t =
   let put chunk =
     let id = Chunk.hash chunk in
     let encoded = Chunk.encode chunk in
-    match raw ?user t [ "chunk-put"; Hash.to_hex id; encoded ] with
+    match call ?user t Service.chunk_put (id, encoded) with
     | Ok _ ->
       bump (fun s ->
           { s with
@@ -718,8 +640,8 @@ let chunk_store ?user t =
     | Error e -> escalate "put" e
   in
   let mem id =
-    match raw ?user t [ "sync-have"; Hash.to_hex id ] with
-    | Ok bits -> String.length bits > 0 && bits.[0] = '1'
+    match call ?user t Service.sync_have [ id ] with
+    | Ok bits -> bits = [ true ]
     | Error e -> escalate "mem" e
   in
   let stats () =
@@ -727,11 +649,7 @@ let chunk_store ?user t =
        own traffic.  An unreachable member reports zero shape rather
        than failing a stats poll. *)
     let chunks, bytes =
-      match raw ?user t [ "chunk-stat" ] with
-      | Ok payload -> (
-        try Scanf.sscanf payload "chunks=%d bytes=%d" (fun a b -> (a, b))
-        with Scanf.Scan_failure _ | Failure _ | End_of_file -> (0, 0))
-      | Error _ -> (0, 0)
+      Result.value (call ?user t Service.chunk_stat ()) ~default:(0, 0)
     in
     let s = Mutex.protect traffic (fun () -> !local) in
     { s with Store.physical_chunks = chunks; physical_bytes = bytes }

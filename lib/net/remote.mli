@@ -17,8 +17,9 @@
     One handle wraps one {!Mux} connection, so concurrent calls from
     several threads pipeline over a single socket.  When the transport
     dies {e underneath} the handle (server restart, torn connection),
-    the next read-classified operation performs one transparent
-    reconnect with the original dial parameters and retries; mutating
+    the next operation whose verb is [retry_safe] (reads, and the
+    content-addressed [chunk-put]) performs one transparent reconnect
+    with the original dial parameters and retries; other mutating
     operations are never replayed (the write may have been applied
     before the tear — replaying could double-apply) and surface
     [Transient] directly.  After an explicit {!close}, every call fails
@@ -31,17 +32,13 @@
     [?user] defaults to the user given at {!connect}. *)
 
 type uid = Fb_core.Forkbase.uid
+type 'a or_error = ('a, Fb_core.Errors.t) result
 
 type t
 
 val connect :
-  ?host:string ->
-  ?port:int ->
-  ?user:string ->
-  ?max_frame:int ->
-  ?timeout_s:float ->
-  unit ->
-  (t, Fb_core.Errors.t) result
+  ?host:string -> ?port:int -> ?user:string -> ?max_frame:int -> ?timeout_s:float -> unit ->
+  t or_error
 (** Same defaults as {!Mux.connect}. *)
 
 val close : t -> unit
@@ -49,75 +46,41 @@ val is_open : t -> bool
 
 (** {1 The Forkbase mirror}
 
+    Each operation is one {!call} of its {!Fb_core.Service} verb.
     [branch]/[from_branch] default to ["master"] like the local API. *)
 
-val put :
-  ?user:string -> ?branch:string -> t -> key:string -> string ->
-  (uid, Fb_core.Errors.t) result
+val put : ?user:string -> ?branch:string -> t -> key:string -> string -> uid or_error
+val put_csv : ?user:string -> ?branch:string -> t -> key:string -> string -> uid or_error
 
-val put_csv :
-  ?user:string -> ?branch:string -> t -> key:string -> string ->
-  (uid, Fb_core.Errors.t) result
-
-val get :
-  ?user:string -> ?branch:string -> t -> key:string ->
-  (string, Fb_core.Errors.t) result
+val get : ?user:string -> ?branch:string -> t -> key:string -> string or_error
 (** The value in its service rendering. *)
 
-val get_at : ?user:string -> t -> uid -> (string, Fb_core.Errors.t) result
+val head : ?user:string -> ?branch:string -> t -> key:string -> uid or_error
 
-val head :
-  ?user:string -> ?branch:string -> t -> key:string ->
-  (uid, Fb_core.Errors.t) result
-
-val latest :
-  ?user:string -> t -> key:string ->
-  ((string * uid) list, Fb_core.Errors.t) result
+val latest : ?user:string -> t -> key:string -> (string * uid) list or_error
 (** All branch heads of a key, like {!Fb_core.Forkbase.latest}. *)
 
-val list_keys : ?user:string -> t -> (string list, Fb_core.Errors.t) result
+val list_keys : ?user:string -> t -> string list or_error
 
-val log :
-  ?user:string -> ?branch:string -> t -> key:string ->
-  (string list, Fb_core.Errors.t) result
+val log : ?user:string -> ?branch:string -> t -> key:string -> string list or_error
 (** One rendered line per version, newest first: [uid seq author message]. *)
 
-val meta : ?user:string -> t -> uid -> (string, Fb_core.Errors.t) result
+val meta : ?user:string -> t -> uid -> string or_error
 (** Rendered version metadata (key, seq, author, message, bases). *)
 
 val fork :
-  ?user:string -> ?from_branch:string -> t -> key:string ->
-  new_branch:string -> (uid, Fb_core.Errors.t) result
+  ?user:string -> ?from_branch:string -> t -> key:string -> new_branch:string -> uid or_error
 
 val rename_branch :
-  ?user:string -> t -> key:string -> from_branch:string -> to_branch:string ->
-  (unit, Fb_core.Errors.t) result
+  ?user:string -> t -> key:string -> from_branch:string -> to_branch:string -> unit or_error
 
-val tag :
-  ?user:string -> t -> key:string -> name:string -> uid ->
-  (unit, Fb_core.Errors.t) result
+val tag : ?user:string -> t -> key:string -> name:string -> uid -> unit or_error
 (** Name a version of [key] immutably, like {!Fb_core.Forkbase.tag}. *)
 
-val merge :
-  ?user:string -> t -> key:string -> into:string -> from_branch:string ->
-  (uid, Fb_core.Errors.t) result
+val merge : ?user:string -> t -> key:string -> into:string -> from_branch:string -> uid or_error
 
-val diff :
-  ?user:string -> t -> key:string -> branch1:string -> branch2:string ->
-  (string, Fb_core.Errors.t) result
+val diff : ?user:string -> t -> key:string -> branch1:string -> branch2:string -> string or_error
 (** Rendered diff summary + entries. *)
-
-val verify :
-  ?user:string -> ?branch:string -> t -> key:string ->
-  (string, Fb_core.Errors.t) result
-
-val prove :
-  ?user:string -> ?branch:string -> t -> key:string -> entry_key:string ->
-  (string, Fb_core.Errors.t) result
-(** Hex-encoded entry proof for offline verification. *)
-
-val stat : ?user:string -> t -> (string, Fb_core.Errors.t) result
-val metrics : ?user:string -> t -> (string, Fb_core.Errors.t) result
 
 (** {1 Subscriptions}
 
@@ -147,22 +110,19 @@ type sub_event =
         movement should re-read the heads they track on [Gap]. *)
 
 val subscribe :
-  ?user:string -> ?key:string -> ?branch:string ->
-  t -> (Fb_core.Forkbase.head_event -> unit) ->
-  (subscription, Fb_core.Errors.t) result
+  ?user:string -> ?key:string -> ?branch:string -> t -> (Fb_core.Forkbase.head_event -> unit) ->
+  subscription or_error
 (** [key]/[branch] omitted (or ["*"]) match everything.  A threaded-mode
     server answers [Error (Invalid _)].  Gap markers are dropped; use
     {!subscribe_events} to observe them. *)
 
 val subscribe_events :
-  ?user:string -> ?key:string -> ?branch:string ->
-  t -> (sub_event -> unit) ->
-  (subscription, Fb_core.Errors.t) result
+  ?user:string -> ?key:string -> ?branch:string -> t -> (sub_event -> unit) ->
+  subscription or_error
 (** Like {!subscribe} but the callback also receives {!sub_event.Gap}
     markers around reconnects. *)
 
-val unsubscribe :
-  ?user:string -> t -> subscription -> (unit, Fb_core.Errors.t) result
+val unsubscribe : ?user:string -> t -> subscription -> unit or_error
 (** Local deliveries stop immediately; the server registration is torn
     down before returning.  Idempotent. *)
 
@@ -182,9 +142,7 @@ type op_reply =
   | Uid of uid      (** for [Put] and [Head] *)
   | Value of string (** for [Get] *)
 
-val batch :
-  ?user:string -> t -> op_req list ->
-  ((op_reply, Fb_core.Errors.t) result list, Fb_core.Errors.t) result
+val batch : ?user:string -> t -> op_req list -> op_reply or_error list or_error
 
 (** {1 Delta sync (PUSH/PULL)}
 
@@ -201,13 +159,13 @@ val batch :
 
 val push :
   ?user:string -> ?branch:string -> t -> Fb_core.Forkbase.t -> key:string ->
-  (uid * Fb_core.Sync.stats, Fb_core.Errors.t) result
+  (uid * Fb_core.Sync.stats) or_error
 (** Replicate [key]/[branch] from the local instance {e to} the server;
     returns the advanced head and what moved. *)
 
 val pull :
   ?user:string -> ?branch:string -> t -> Fb_core.Forkbase.t -> key:string ->
-  (uid * Fb_core.Sync.stats, Fb_core.Errors.t) result
+  (uid * Fb_core.Sync.stats) or_error
 (** Replicate [key]/[branch] from the server {e into} the local
     instance.  Nothing reaches the local store until the complete
     missing closure has been fetched and verified. *)
@@ -240,16 +198,17 @@ val chunk_store : ?user:string -> t -> Fb_chunk.Store.t
     The needed grants are instance-wide ([key pattern "*"]): [Read] for
     gets/membership, [Write] for [chunk-put]. *)
 
-(** {1 Escape hatch} *)
+(** {1 Any verb} *)
 
-val raw :
-  ?user:string -> t -> string list -> (string, Fb_core.Errors.t) result
-(** Any service verb, tokens as {!Fb_core.Service.dispatch} takes them. *)
+val call : ?user:string -> t -> ('a, 'r) Fb_core.Service.verb -> 'a -> 'r or_error
+(** One request of a {!Fb_core.Service.verbs} entry: its arguments
+    encoded as the entry says, its reply decoded the same way.  Replayed
+    across one reconnect when the entry is [retry_safe].  Every typed
+    operation above is a [call]. *)
 
-val raw_line :
-  ?user:string -> t -> string -> (string, Fb_core.Errors.t) result
+val raw : ?user:string -> t -> string list -> string or_error
+(** Any request, tokens as {!Fb_core.Service.dispatch} takes them; the
+    reply payload unparsed. *)
+
+val raw_line : ?user:string -> t -> string -> string or_error
 (** Tokenize a service line client-side, then {!raw} — the REPL path. *)
-
-val batch_raw :
-  ?user:string -> t -> string list list ->
-  (Frame.reply list, Fb_core.Errors.t) result

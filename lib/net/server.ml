@@ -162,19 +162,10 @@ let conns_shed_total = Obs.counter "fb.net.conns_shed"
 (* Histograms are created per verb name, so the set must be closed — a
    peer sending garbage verbs must not grow the registry unboundedly. *)
 let verb_hists =
-  let tbl = Hashtbl.create 32 in
-  List.iter
-    (fun v ->
-      let metric = String.map (fun c -> if c = '-' then '_' else c) v in
-      Hashtbl.replace tbl v
-        (Obs.histogram (Printf.sprintf "fb.net.%s_seconds" metric)))
-    [ "put"; "put-csv"; "get"; "get-at"; "head"; "latest"; "list"; "log";
-      "branch"; "rename"; "tag"; "meta"; "diff"; "merge"; "verify"; "stat";
-      "metrics"; "metrics-json"; "fsck"; "scrub"; "get-json"; "diff-json";
-      "log-json"; "stat-json"; "latest-json"; "prove"; "batch"; "sync-have";
-      "sync-get"; "sync-put"; "sync-advance"; "sync-bloom"; "chunk-put";
-      "chunk-stat" ];
-  tbl
+  let metric v = String.map (function '-' -> '_' | c -> c) v in
+  ("batch" :: List.map (fun (Service.Verb v) -> v.name) Service.verbs)
+  |> List.map (fun v -> (v, Obs.histogram ("fb.net." ^ metric v ^ "_seconds")))
+  |> List.to_seq |> Hashtbl.of_seq
 
 let other_hist = Obs.histogram "fb.net.other_seconds"
 
@@ -186,10 +177,7 @@ let reply_encode_hist = Obs.histogram "fb.net.reply_encode_seconds"
 let reply_frame ?trace ?seq resp =
   Obs.time reply_encode_hist (fun () -> Frame.response_frame ?trace ?seq resp)
 
-let verb_hist verb =
-  match Hashtbl.find_opt verb_hists verb with
-  | Some h -> h
-  | None -> other_hist
+let verb_hist verb = Option.value (Hashtbl.find_opt verb_hists verb) ~default:other_hist
 
 (* ------------------------- helpers ------------------------- *)
 
@@ -211,41 +199,25 @@ let locked t ~access ~scope f =
   | Service.Key key -> Rwlock.Striped.with_key t.locks ~mode key f
   | Service.Global -> Rwlock.Striped.with_global t.locks ~mode f
 
-(* A batch runs under a single acquisition covering every sub-request:
-   exclusive if any sub-request mutates, one stripe when all sub-requests
-   name the same key, global otherwise. *)
-let classify_batch reqs =
-  List.fold_left
-    (fun (access, scope) tokens ->
-      let a, s = Service.classify tokens in
-      let access = if a = Service.Write then Service.Write else access in
-      let scope =
-        match scope, s with
-        | None, s -> Some s
-        | Some (Service.Key k), Service.Key k' when String.equal k k' ->
-          Some (Service.Key k)
-        | Some _, _ -> Some Service.Global
-      in
-      (access, scope))
-    (Service.Read, None) reqs
-  |> fun (access, scope) ->
-  (access, Option.value scope ~default:Service.Global)
-
-(* Dispatch under the computed lock; mutations run with watch delivery
-   deferred so callbacks fire after the exclusive section is released
-   (a slow observer must not extend writer-held time).  Each sub-request
-   gets its own [net.server.<verb>] span inside the lock, so a traced
-   BATCH shows one child span per sub-request under the batch span (and
-   a Single shows dispatch time distinct from lock wait). *)
-let dispatch_locked t ~user ~access ~scope reqs =
-  let dispatch_one tokens =
+(* Decode each request once, then dispatch under one lock covering them
+   all; mutations run with watch delivery deferred so callbacks fire
+   after the exclusive section is released (a slow observer must not
+   extend writer-held time).  Each sub-request gets its own
+   [net.server.<verb>] span inside the lock, so a traced BATCH shows one
+   child span per sub-request under the batch span (and a Single shows
+   dispatch time distinct from lock wait).  Returns the access taken. *)
+let dispatch_locked t ~user reqs =
+  let prepared = List.map (fun tokens -> (tokens, Service.prepare tokens)) reqs in
+  let access, scope =
+    Service.classify_batch (List.map (fun (_, (a, s, _)) -> (a, s)) prepared)
+  in
+  let dispatch_one (tokens, (_, _, run)) =
     let verb =
       match tokens with v :: _ -> String.lowercase_ascii v | [] -> "(empty)"
     in
-    Obs.with_span ("net.server." ^ verb) (fun () ->
-        Service.dispatch ~user t.fb tokens)
+    Obs.with_span ("net.server." ^ verb) (fun () -> run ?user:(Some user) t.fb)
   in
-  let run () = List.map dispatch_one reqs in
+  let run () = List.map dispatch_one prepared in
   let replies, flush =
     locked t ~access ~scope (fun () ->
         match access with
@@ -253,7 +225,7 @@ let dispatch_locked t ~user ~access ~scope reqs =
         | Service.Write -> Forkbase.with_deferred_watch t.fb run)
   in
   flush ();
-  replies
+  (access, replies)
 
 (* The remote caller's trace position, as an Obs context: request spans
    opened under it join the client's trace, with the client span as
@@ -309,11 +281,6 @@ let process t ~user ~trace ~seq req =
       let verb =
         match tokens with v :: _ -> String.lowercase_ascii v | [] -> ""
       in
-      let access, scope = Service.classify tokens in
-      Obs.incr
-        (match access with
-         | Service.Read -> read_verbs_total
-         | Service.Write -> write_verbs_total);
       let reply =
         Obs.with_span ?ctx
           ~attrs:[ ("verb", verb); ("user", user) ]
@@ -321,9 +288,12 @@ let process t ~user ~trace ~seq req =
           (fun () ->
             trace_ref := Obs.current_context ();
             Obs.time (verb_hist verb) (fun () ->
-                match dispatch_locked t ~user ~access ~scope [ tokens ] with
-                | [ r ] -> r
-                | _ -> Error (Errors.Invalid "internal: reply count mismatch")))
+                let access, replies = dispatch_locked t ~user [ tokens ] in
+                Obs.incr
+                  (match access with
+                   | Service.Read -> read_verbs_total
+                   | Service.Write -> write_verbs_total);
+                List.hd replies))
       in
       (match reply with
        | Ok _ -> ()
@@ -332,15 +302,13 @@ let process t ~user ~trace ~seq req =
     | Frame.Batch reqs ->
       Obs.incr batches_total;
       Obs.add batch_subrequests_total (List.length reqs);
-      let access, scope = classify_batch reqs in
       let replies =
         Obs.with_span ?ctx
           ~attrs:[ ("n", string_of_int (List.length reqs)); ("user", user) ]
           "net.server.batch"
           (fun () ->
             trace_ref := Obs.current_context ();
-            Obs.time (verb_hist "batch") (fun () ->
-                dispatch_locked t ~user ~access ~scope reqs))
+            Obs.time (verb_hist "batch") (fun () -> snd (dispatch_locked t ~user reqs)))
       in
       List.iter
         (function Ok _ -> () | Error _ -> Obs.incr request_errors)

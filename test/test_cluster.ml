@@ -301,8 +301,10 @@ let test_provider_unknown_backend () =
     check bool_ "lists log" true (contains ~affix:"log" msg);
     check bool_ "lists mem" true (contains ~affix:"mem" msg));
   with_temp_root (fun root ->
-      match Persistent.open_ ~backend:"punchcard" ~root () with
-      | Ok _ -> Alcotest.fail "Persistent accepted unknown backend"
+      match Persistent.open_instance ~backend:"punchcard" ~root () with
+      | Ok i ->
+        Persistent.close i;
+        Alcotest.fail "Persistent accepted unknown backend"
       | Error (Errors.Invalid _) -> ()
       | Error e -> Alcotest.failf "wrong error class: %s" (Errors.to_string e))
 

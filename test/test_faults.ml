@@ -598,13 +598,11 @@ let test_persistent_crash_recovery () =
       let oc = open_out_bin stray in
       output_string oc "torn";
       close_out oc;
-      match Fb_core.Persistent.open_ ~fsync:true ~root:dir () with
-      | Error e -> Alcotest.fail (Errors.to_string e)
-      | Ok fb2 ->
-        check bool_ "artifact removed" false (Sys.file_exists stray);
-        (match FB.get fb2 ~key:"k" with
-         | Ok v -> check bool_ "data intact" true (Value.equal v (Value.string "v"))
-         | Error e -> Alcotest.fail (Errors.to_string e)))
+      Tutil.with_fb ~fsync:true ~root:dir (fun fb2 ->
+          check bool_ "artifact removed" false (Sys.file_exists stray);
+          match FB.get fb2 ~key:"k" with
+          | Ok v -> check bool_ "data intact" true (Value.equal v (Value.string "v"))
+          | Error e -> Alcotest.fail (Errors.to_string e)))
 
 let test_service_fsck_verbs () =
   let store = Mem_store.create () in

@@ -10,6 +10,7 @@ module Client = Fb_net.Client
 module Mux = Fb_net.Mux
 module Remote = Fb_net.Remote
 module Server = Fb_net.Server
+module Service = Fb_core.Service
 
 let check = Alcotest.check
 let bool_ = Alcotest.bool
@@ -597,7 +598,7 @@ let test_server_roundtrip () =
           check string_ "tokenized line" "v2"
             (ok_cl
                (Mux.request c
-                  (ok_net (Fb_core.Service.tokenize "get \"k\" master"))));
+                  (ok_net (Service.tokenize "get \"k\" master"))));
           (* Application errors come back typed; the connection stays up. *)
           (match Mux.request c [ "get"; "missing"; "master" ] with
           | Error (Mux.Remote (Errors.Key_not_found _ | Errors.Branch_not_found _)) -> ()
@@ -744,7 +745,7 @@ let test_server_user_identity () =
 
 let test_server_durability () =
   with_temp_root (fun root ->
-      let fb = ok_fb (Persistent.open_ ~root ()) in
+      Tutil.with_fb ~root @@ fun fb ->
       with_server fb (fun srv ->
           let uid =
             with_client srv (fun c ->
@@ -754,10 +755,10 @@ let test_server_durability () =
              was journaled before the put answered, so a fresh instance
              recovering a copy of the root sees it. *)
           Tutil.with_snapshot root (fun snap ->
-              let fb2 = ok_fb (Persistent.open_ ~root:snap ()) in
-              check bool_ "head persisted" true
-                (Fb_hash.Hash.equal (ok_fb (FB.parse_version uid))
-                   (ok_fb (FB.head fb2 ~key:"k"))))))
+              Tutil.with_fb ~root:snap (fun fb2 ->
+                  check bool_ "head persisted" true
+                    (Fb_hash.Hash.equal (ok_fb (FB.parse_version uid))
+                       (ok_fb (FB.head fb2 ~key:"k")))))))
 
 (* The real daemon under SIGKILL: every write it acknowledged over TCP —
    put, fork, merge, tag, push — is back after a restart on the same
@@ -827,11 +828,12 @@ let test_serve_sigkill () =
                         (ok_cl (Mux.request c [ "head"; key; branch ])))
                     heads));
           (* The tag has no read verb: recover the root in-process. *)
-          let fb = ok_fb (Persistent.open_ ~root ()) in
-          check string_ (ctx "tag") u1
-            (FB.version_string (ok_fb (FB.tag_lookup fb ~key:"k" ~name:"first")));
-          check bool_ (ctx "merge verifies") true
-            (Result.is_ok (FB.verify fb (ok_fb (FB.head fb ~key:"k"))))))
+          Tutil.with_fb ~root (fun fb ->
+              check string_ (ctx "tag") u1
+                (FB.version_string
+                   (ok_fb (FB.tag_lookup fb ~key:"k" ~name:"first")));
+              check bool_ (ctx "merge verifies") true
+                (Result.is_ok (FB.verify fb (ok_fb (FB.head fb ~key:"k")))))))
     [ "true"; "false" ]
 
 (* A root opens in one instance at a time, across processes too.  While
@@ -1441,6 +1443,90 @@ let test_commit_wait_exported () =
               check bool_ "the put's wait is counted" false
                 (Tutil.contains healthz "\"commit_wait\":{\"count\":0,"))))
 
+(* ---------------- the verb table over TCP ---------------- *)
+
+(* Oracle: the script over every verb gives the same bytes through
+   [Remote.raw] as through in-process [Service.dispatch], and
+   [Remote.call] the same value as decoding the in-process reply.  Four
+   instances run every step once each, so they stay in lockstep. *)
+let test_remote_matches_dispatch () =
+  let fresh () = FB.create (Fb_chunk.Mem_store.create ()) in
+  let local_raw = fresh () and local_call = fresh () in
+  with_server (fresh ()) (fun s1 ->
+      with_server (fresh ()) (fun s2 ->
+          let r1 = ok_fb (Remote.connect ~port:(Server.port s1) ()) in
+          let r2 = ok_fb (Remote.connect ~port:(Server.port s2) ()) in
+          let step tokens =
+            let want = Service.dispatch local_raw tokens in
+            let got = Remote.raw r1 tokens in
+            let what = String.concat " " (List.map String.escaped tokens) in
+            (* The metrics registry is process-wide. *)
+            let volatile =
+              match tokens with
+              | ("metrics" | "metrics-json") :: _ -> true
+              | _ -> false
+            in
+            if volatile then
+              check bool_ ("raw ok: " ^ what) true (Result.is_ok got)
+            else check bool_ ("raw: " ^ what) true (got = want);
+            (match tokens with
+             | name :: args -> (
+               match Service.find name with
+               | Some (Service.Verb v) -> (
+                 match v.decode_args args with
+                 | Ok a ->
+                   let want =
+                     Result.bind (Service.dispatch local_call tokens)
+                       v.decode_reply
+                   in
+                   let got = Remote.call r2 v a in
+                   if volatile then
+                     check bool_ ("call ok: " ^ what) true (Result.is_ok got)
+                   else check bool_ ("call: " ^ what) true (got = want)
+                 | Error _ ->
+                   check bool_ ("refused: " ^ what) true
+                     (Result.is_error (Service.dispatch local_call tokens)
+                      && Result.is_error (Remote.raw r2 tokens)))
+               | None -> ())
+             | [] -> ());
+            want
+          in
+          ignore (Service_script.run step);
+          Remote.close r1;
+          Remote.close r2))
+
+(* The server registers one histogram per table verb, plus batches,
+   unknown verbs and reply encoding — the set it registered when the
+   verb list was written out by hand. *)
+let test_verb_histograms () =
+  let names =
+    match Fb_types.Json.parse (Fb_obs.Obs.dump_json ()) with
+    | Ok j -> (
+      match Fb_types.Json.member "histograms" j with
+      | Some (Fb_types.Json.Object kvs) -> List.map fst kvs
+      | _ -> Alcotest.fail "no histograms object")
+    | Error e -> Alcotest.fail e
+  in
+  let net =
+    List.filter
+      (fun n ->
+        String.starts_with ~prefix:"fb.net." n
+        && String.ends_with ~suffix:"_seconds" n)
+      names
+  in
+  let expected =
+    List.map
+      (fun v -> "fb.net." ^ String.map (function '-' -> '_' | c -> c) v ^ "_seconds")
+      [ "put"; "put-csv"; "get"; "get-at"; "head"; "latest"; "list"; "log";
+        "branch"; "rename"; "tag"; "meta"; "diff"; "merge"; "verify"; "stat";
+        "metrics"; "metrics-json"; "fsck"; "scrub"; "get-json"; "diff-json";
+        "log-json"; "stat-json"; "latest-json"; "prove"; "batch"; "sync-have";
+        "sync-get"; "sync-put"; "sync-advance"; "sync-bloom"; "chunk-put";
+        "chunk-stat"; "other"; "reply-encode" ]
+  in
+  check (Alcotest.list string_) "fb.net.*_seconds"
+    (List.sort compare expected) (List.sort compare net)
+
 let suite =
   [ Alcotest.test_case "frame round-trip" `Quick test_frame_roundtrip;
     Alcotest.test_case "frame stream" `Quick test_frame_stream;
@@ -1467,6 +1553,9 @@ let suite =
     Alcotest.test_case "server round-trip" `Quick test_server_roundtrip;
     Alcotest.test_case "batch round-trip" `Quick test_batch_roundtrip;
     Alcotest.test_case "typed remote handle" `Quick test_remote_typed;
+    Alcotest.test_case "remote raw and call match dispatch, every verb"
+      `Quick test_remote_matches_dispatch;
+    Alcotest.test_case "per-verb histograms" `Quick test_verb_histograms;
     Alcotest.test_case "server user identity" `Quick test_server_user_identity;
     Alcotest.test_case "server durability" `Quick test_server_durability;
     Alcotest.test_case "serve: acknowledged heads survive SIGKILL" `Quick

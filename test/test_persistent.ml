@@ -38,28 +38,28 @@ let test_roundtrip_across_sessions () =
                Ok u))
       in
       (* Session 2: everything is back. *)
-      let fb = ok (Persistent.open_ ~root ()) in
-      check bool_ "head" true (Hash.equal u1 (ok (FB.head fb ~key:"ds")));
-      check bool_ "branch" true
-        (Result.is_ok (FB.get fb ~branch:"dev" ~key:"ds"));
-      check bool_ "tag" true
-        (Hash.equal u1 (ok (FB.tag_lookup fb ~key:"ds" ~name:"v1")));
-      check bool_ "history" true (List.length (ok (FB.log fb ~key:"ds")) = 1);
-      check bool_ "verifies" true (Result.is_ok (FB.verify fb u1)))
+      Tutil.with_fb ~root (fun fb ->
+          check bool_ "head" true (Hash.equal u1 (ok (FB.head fb ~key:"ds")));
+          check bool_ "branch" true
+            (Result.is_ok (FB.get fb ~branch:"dev" ~key:"ds"));
+          check bool_ "tag" true
+            (Hash.equal u1 (ok (FB.tag_lookup fb ~key:"ds" ~name:"v1")));
+          check bool_ "history" true (List.length (ok (FB.log fb ~key:"ds")) = 1);
+          check bool_ "verifies" true (Result.is_ok (FB.verify fb u1))))
 
 (* No save step: a head move is durable once the call returns, so an
    instance opened on a copy of the root taken meanwhile — while the
    writer is still open and has closed nothing — recovers it. *)
 let test_save_is_explicit () =
   with_temp_root (fun root ->
-      let fb = ok (Persistent.open_ ~root ()) in
-      let u = ok (FB.put fb ~key:"k" (Value.string "v")) in
-      Tutil.with_snapshot root (fun snap ->
-          let fb2 = ok (Persistent.open_ ~root:snap ()) in
-          check bool_ "head durable without a save" true
-            (Hash.equal u (ok (FB.head fb2 ~key:"k"))));
-      check bool_ "no table file written" false
-        (Sys.file_exists (Filename.concat root "BRANCHES")))
+      Tutil.with_fb ~root (fun fb ->
+          let u = ok (FB.put fb ~key:"k" (Value.string "v")) in
+          Tutil.with_snapshot root (fun snap ->
+              Tutil.with_fb ~root:snap (fun fb2 ->
+                  check bool_ "head durable without a save" true
+                    (Hash.equal u (ok (FB.head fb2 ~key:"k")))));
+          check bool_ "no table file written" false
+            (Sys.file_exists (Filename.concat root "BRANCHES"))))
 
 (* A write that returned before the action failed is already durable:
    failure rolls nothing back and loses nothing. *)
@@ -75,9 +75,9 @@ let test_failed_action_does_not_save () =
        with
        | Error (Errors.Invalid _) -> ()
        | _ -> Alcotest.fail "expected failure");
-      let fb = ok (Persistent.open_ ~root ()) in
-      check bool_ "acknowledged head kept" true
-        (Some (ok (FB.head fb ~key:"k")) = !written))
+      Tutil.with_fb ~root (fun fb ->
+          check bool_ "acknowledged head kept" true
+            (Some (ok (FB.head fb ~key:"k")) = !written)))
 
 let test_corrupt_tables_rejected () =
   with_temp_root (fun root ->
@@ -88,9 +88,12 @@ let test_corrupt_tables_rejected () =
       let oc = open_out_bin (Filename.concat root "BRANCHES") in
       output_string oc "garbage";
       close_out oc;
-      match Persistent.open_ ~root () with
+      match Persistent.open_instance ~root () with
       | Error (Errors.Corrupt _) -> ()
-      | _ -> Alcotest.fail "corrupt table accepted")
+      | Ok i ->
+        Persistent.close i;
+        Alcotest.fail "corrupt table accepted"
+      | Error e -> Alcotest.failf "wrong error class: %s" (Errors.to_string e))
 
 let test_gc_survives_reopen () =
   with_temp_root (fun root ->
@@ -101,10 +104,10 @@ let test_gc_survives_reopen () =
                 let* _ = FB.put fb ~key:"a" (Value.string "1") in
                 let* _ = FB.put fb ~key:"b" (Value.string "2") in
                 FB.delete_branch fb ~key:"b" ~branch:"master")));
-      let fb = ok (Persistent.open_ ~root ()) in
-      let swept = (FB.gc fb).Fb_chunk.Gc.swept_chunks in
-      check int_ "b swept on disk" 1 swept;
-      check bool_ "a intact" true (Result.is_ok (FB.get fb ~key:"a")))
+      Tutil.with_fb ~root (fun fb ->
+          let swept = (FB.gc fb).Fb_chunk.Gc.swept_chunks in
+          check int_ "b swept on disk" 1 swept;
+          check bool_ "a intact" true (Result.is_ok (FB.get fb ~key:"a"))))
 
 let log_of (i : Persistent.instance) =
   match i.log with Some h -> h | None -> Alcotest.fail "no head log"
@@ -152,11 +155,12 @@ let test_crash_between_write_and_rename () =
       let last_record = 41 + 37 + String.length "k" + String.length "dev" in
       write_file path (String.sub bytes 0 (String.length bytes - last_record));
       Sys.remove (Filename.concat (Filename.dirname path) "gen-0.idx");
-      let fb3 = ok (Persistent.open_ ~root ()) in
-      check bool_ "next move recovered" true
-        (Hash.equal u3 (ok (FB.head fb3 ~key:"k")));
-      check bool_ "both names survive a torn rename" true
-        (List.map fst (ok (FB.latest fb3 ~key:"k")) = [ "dev"; "feature"; "master" ]))
+      Tutil.with_fb ~root (fun fb3 ->
+          check bool_ "next move recovered" true
+            (Hash.equal u3 (ok (FB.head fb3 ~key:"k")));
+          check bool_ "both names survive a torn rename" true
+            (List.map fst (ok (FB.latest fb3 ~key:"k"))
+             = [ "dev"; "feature"; "master" ])))
 
 (* A crash inside the very first head move: the root holds chunks but
    no sealed ref record.  It opens as a root without heads, not as a
@@ -171,8 +175,8 @@ let test_crash_before_any_save () =
       Persistent.close i;
       write_file path (String.sub bytes 0 (String.length bytes - 3));
       Sys.remove (Filename.concat (Filename.dirname path) "gen-0.idx");
-      let fb2 = ok (Persistent.open_ ~root ()) in
-      check bool_ "no head" true (Result.is_error (FB.head fb2 ~key:"k")))
+      Tutil.with_fb ~root (fun fb2 ->
+          check bool_ "no head" true (Result.is_error (FB.head fb2 ~key:"k"))))
 
 (* With fsync on, a mutating call returns only once a group commit covers
    its ref record; no table file is ever written. *)
@@ -190,10 +194,10 @@ let test_fsync_save_roundtrip () =
         (Sys.file_exists (Filename.concat root "BRANCHES")
         || Sys.file_exists (Filename.concat root "TAGS"));
       Tutil.with_snapshot root (fun snap ->
-          let fb2 = ok (Persistent.open_ ~root:snap ()) in
-          check bool_ "head" true (Hash.equal u (ok (FB.head fb2 ~key:"k")));
-          check bool_ "branch" true
-            (Result.is_ok (FB.get fb2 ~branch:"dev" ~key:"k")));
+          Tutil.with_fb ~root:snap (fun fb2 ->
+              check bool_ "head" true (Hash.equal u (ok (FB.head fb2 ~key:"k")));
+              check bool_ "branch" true
+                (Result.is_ok (FB.get fb2 ~branch:"dev" ~key:"k"))));
       Persistent.close i)
 
 (* A root written before heads moved into the log: chunks in the log,
@@ -231,8 +235,7 @@ let test_old_format_root () =
         || Sys.file_exists (Filename.concat root "TAGS"));
       check int_ "heads journaled" 4 (List.length (Log_store.refs (log_of i)));
       Persistent.close i;
-      let fb = ok (Persistent.open_ ~root ()) in
-      expect "reopen" fb)
+      Tutil.with_fb ~root (expect "reopen"))
 
 (* A cluster member's root holds chunks named by the router's heads and
    no heads of its own: gc refuses it instead of sweeping everything. *)

@@ -7,6 +7,7 @@ module Acl = Fb_core.Acl
 let check = Alcotest.check
 let bool_ = Alcotest.bool
 let string_ = Alcotest.string
+let int_ = Alcotest.int
 
 let fresh () = FB.create (Fb_chunk.Mem_store.create ())
 
@@ -131,6 +132,150 @@ let test_errors () =
   expect_err fb "GET-AT notaversion";
   expect_err fb "\"unterminated"
 
+(* ---------------- the verb table ---------------- *)
+
+(* Oracle: the table reproduces the hand-written dispatcher's replies to
+   a fixed script over every verb, byte for byte. *)
+let test_transcript () =
+  let got = Service_script.run (Service.dispatch (fresh ())) in
+  check int_ "steps" (List.length Service_transcript.expected) (List.length got);
+  List.iter2 (check string_ "reply") Service_transcript.expected got;
+  let covered =
+    List.filter
+      (fun (Service.Verb v) ->
+        List.exists
+          (fun line -> starts_with (Printf.sprintf "%S " v.name) line
+                       || starts_with (Printf.sprintf "%S -> " v.name) line)
+          got)
+      Service.verbs
+  in
+  check int_ "every verb scripted" (List.length Service.verbs)
+    (List.length covered)
+
+let params (Service.Verb v) = List.tl (String.split_on_char ' ' v.usage)
+
+let variadic verb =
+  match List.rev (params verb) with
+  | last :: _ -> String.ends_with ~suffix:"..." last
+  | [] -> false
+
+let test_table_shape () =
+  check int_ "33 verbs" 33 (List.length Service.verbs);
+  List.iter
+    (fun (Service.Verb v) ->
+      check bool_ ("found " ^ v.name) true
+        (match Service.find (String.uppercase_ascii v.name) with
+         | Some (Service.Verb w) -> w.name = v.name
+         | None -> false);
+      check bool_ (v.name ^ " retry") true
+        (v.retry_safe = (v.access = Service.Read || v.name = "chunk-put")))
+    Service.verbs
+
+(* Everything a request could change: statistics (but the read counter,
+   which this very check moves) and every head. *)
+let observable fb =
+  let heads = List.map (fun key -> (key, FB.latest fb ~key)) (FB.list_keys fb) in
+  let s = FB.stats fb in
+  ({ s with store = { s.store with gets = 0 } }, heads)
+
+let test_malformed_every_verb () =
+  let fb = fresh () in
+  ignore (expect_ok fb "PUT k master v");
+  ignore (expect_ok fb "PUT-CSV t master \"id,v\n1,x\n\"");
+  let before = observable fb in
+  let expect_bad what tokens =
+    (match Service.dispatch fb tokens with
+     | Error (Fb_core.Errors.Invalid msg) ->
+       check bool_ (what ^ ": " ^ msg) true (Tutil.contains msg "bad request")
+     | Ok _ -> Alcotest.failf "%s: accepted" what
+     | Error e -> Alcotest.failf "%s: %s" what (Fb_core.Errors.to_string e));
+    check bool_ (what ^ " changed nothing") true (observable fb = before)
+  in
+  List.iter
+    (fun (Service.Verb v as e) ->
+      let n = List.length (params e) in
+      (* Arguments a well-formed request could carry: the key that
+         exists, everywhere. *)
+      let args k = List.init k (fun _ -> "k") in
+      if n > 0 then expect_bad (v.name ^ " short") (v.name :: args (n - 1));
+      if not (variadic e) then
+        expect_bad (v.name ^ " long") (v.name :: args (n + 1)))
+    Service.verbs;
+  expect_bad "unknown verb" [ "frobnicate"; "k"; "master" ]
+
+let test_usage_errors () =
+  let fb = fresh () in
+  let err tokens =
+    match Service.dispatch fb tokens with
+    | Error e -> Fb_core.Errors.to_string e
+    | Ok p -> Alcotest.failf "accepted: %s" p
+  in
+  check string_ "arity" "invalid request: bad request: put KEY BRANCH VALUE"
+    (err [ "PUT"; "onlykey" ]);
+  check string_ "variadic" "invalid request: bad request: sync-have ID..."
+    (err [ "sync-have" ]);
+  check string_ "no args" "invalid request: bad request: stat"
+    (err [ "stat"; "x" ]);
+  check string_ "unknown keeps its text"
+    "invalid request: bad request: nosuchverb/2 arguments"
+    (err [ "NoSuchVerb"; "a"; "b" ])
+
+let test_classify_batch () =
+  let cb reqs = Service.classify_batch (List.map Service.classify reqs) in
+  check bool_ "empty" true (cb [] = (Service.Read, Service.Global));
+  check bool_ "one key" true
+    (cb [ [ "get"; "a"; "master" ]; [ "head"; "a"; "dev" ] ]
+     = (Service.Read, Service.Key "a"));
+  check bool_ "mixed keys" true
+    (cb [ [ "get"; "a"; "master" ]; [ "get"; "b"; "master" ] ]
+     = (Service.Read, Service.Global));
+  check bool_ "a keyless read" true
+    (cb [ [ "get"; "a"; "master" ]; [ "stat" ] ]
+     = (Service.Read, Service.Global));
+  check bool_ "any write" true
+    (cb [ [ "get"; "a"; "master" ]; [ "put"; "a"; "master"; "v" ] ]
+     = (Service.Write, Service.Key "a"));
+  check bool_ "write, mixed keys" true
+    (cb [ [ "put"; "a"; "master"; "v" ]; [ "get"; "b"; "master" ] ]
+     = (Service.Write, Service.Global))
+
+(* Well-formed requests, argument by placeholder: versions and chunk ids
+   that parse, anything else arbitrary bytes — binary, '=', newlines,
+   quotes, blanks, empty. *)
+let gen_request =
+  let open QCheck.Gen in
+  let bytes =
+    string_size ~gen:(oneofl [ 'a'; 'k'; '='; '\n'; '"'; ' '; '\\'; '\000'; '\255' ])
+      (int_bound 6)
+  in
+  let hash = map Fb_hash.Hash.of_string bytes in
+  let hex = map Fb_hash.Hash.to_hex hash in
+  let arg = function
+    | "UID" -> map (fun u -> [ u ]) (oneof [ map FB.version_string hash; hex ])
+    | "HEAD" | "ID" -> map (fun h -> [ h ]) hex
+    | "ID..." -> list_size (1 -- 4) hex
+    | _ -> map (fun b -> [ b ]) bytes
+  in
+  let* (Service.Verb v as e) = oneofl Service.verbs in
+  let* name = oneofl [ v.name; String.uppercase_ascii v.name ] in
+  let* args = flatten_l (List.map arg (params e)) in
+  let args = List.concat args in
+  return (name :: args)
+
+let ref_classify tokens =
+  let access = function Service_ref.Read -> Service.Read | Service_ref.Write -> Service.Write in
+  let scope = function Service_ref.Key k -> Service.Key k | Service_ref.Global -> Service.Global in
+  let a, s = Service_ref.classify tokens in
+  (access a, scope s)
+
+let qcheck_classify =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:1000
+       ~name:"classify = the hand-written classification"
+       (QCheck.make ~print:(fun t -> String.concat " | " (List.map String.escaped t))
+          gen_request)
+       (fun tokens -> Service.classify tokens = ref_classify tokens))
+
 let test_user_threading () =
   let acl = Acl.create () in
   Acl.grant acl ~user:"writer" ~key:"*" ~branch:"*" Acl.Admin;
@@ -148,4 +293,11 @@ let suite =
     Alcotest.test_case "json verbs" `Quick test_json_verbs;
     Alcotest.test_case "prove verb" `Quick test_prove_verb;
     Alcotest.test_case "errors" `Quick test_errors;
-    Alcotest.test_case "user threading" `Quick test_user_threading ]
+    Alcotest.test_case "user threading" `Quick test_user_threading;
+    Alcotest.test_case "table reproduces the dispatcher" `Quick test_transcript;
+    Alcotest.test_case "table shape" `Quick test_table_shape;
+    Alcotest.test_case "malformed requests, every verb" `Quick
+      test_malformed_every_verb;
+    Alcotest.test_case "usage errors" `Quick test_usage_errors;
+    Alcotest.test_case "classify_batch" `Quick test_classify_batch;
+    qcheck_classify ]

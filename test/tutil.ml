@@ -41,3 +41,13 @@ let with_snapshot src f =
   sh "cp -r %s %s" (Filename.quote src) (Filename.quote dst);
   Fun.protect ~finally:(fun () -> sh "rm -rf %s" (Filename.quote dst)) (fun () ->
       f dst)
+
+(* [f] on the instance at [root], closed again afterwards (a root opens
+   in one instance at a time); an open failure fails the test. *)
+let with_fb ?fsync ~root f =
+  match
+    Fb_core.Persistent.with_instance ?fsync ~root (fun i ->
+        Ok (f i.Fb_core.Persistent.fb))
+  with
+  | Ok v -> v
+  | Error e -> Alcotest.fail (Fb_core.Errors.to_string e)
