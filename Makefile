@@ -62,8 +62,9 @@ bench-obs:
 	dune exec bench/main.exe -- obs
 
 # Paired A/B of the `forkbase serve` benchmark (fbperf): BASE, extracted
-# from its committed files into a scratch directory, against the working
-# tree, over the listed seeds and workloads (20-second runs, as
+# from its committed files into a scratch directory, against a copy of the
+# working tree beside it (both built from an empty _build), over the listed
+# seeds and workloads (20-second runs, as
 # BENCHMARK.json sets them), alternating which side runs first per seed.
 # Prints each metric's medians, quartiles and wins per workload; fails if
 # a run fails or space_amp, wire_kib_per_op or the failed-operation count

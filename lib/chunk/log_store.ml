@@ -237,58 +237,79 @@ let header_bytes gen =
 
 (* ------------------------- replay ------------------------- *)
 
+(* The sealed record starting at [pos] of [ic], if one does: its kind,
+   id and payload, read whole and checked against its CRC (and, for a
+   ref move, its payload's shape).  Leaves [ic] just past it. *)
+let sealed_at ic ~pos ~size =
+  if pos + rec_overhead > size then None
+  else begin
+    seek_in ic pos;
+    match really_input_string ic rec_head_size with
+    | exception End_of_file -> None
+    | head ->
+      let kind = Char.code head.[0] in
+      let len = u32be head 1 in
+      if
+        kind > 2 || len > max_payload
+        || (kind = 1 && len <> 0)
+        || pos + rec_overhead + len > size
+      then None
+      else
+        match
+          let payload = really_input_string ic len in
+          (payload, u32be (really_input_string ic 4) 0)
+        with
+        | exception End_of_file -> None
+        | payload, stored_crc ->
+          let crc =
+            Crc32.update_sub
+              (Crc32.update_sub Crc32.empty head ~pos:0 ~len:rec_head_size)
+              payload ~pos:0 ~len
+          in
+          let id = Hash.of_raw_exn (String.sub head 5 32) in
+          if crc <> stored_crc || (kind = 2 && decode_ref ~id payload = None)
+          then None
+          else Some (kind, id, payload)
+  end
+
 (* Scan sealed records from [start]; [apply] sees each one in log order.
-   Returns the offset one past the last sealed record — everything after
-   is a torn tail.  [verify_hash] additionally re-hashes append payloads
-   (fsck); replay proper trusts the CRC seal. *)
+   Returns the offset one past the last sealed record, where the scan
+   stopped, and the records seen.  [verify_hash] additionally re-hashes
+   append payloads (fsck); replay proper trusts the CRC seal. *)
 let scan_records path ~start ~size ?(verify_hash = fun _ _ -> ()) apply =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      seek_in ic start;
-      let pos = ref start in
-      let records = ref 0 in
-      let sealed = ref true in
-      while !sealed do
-        if !pos + rec_overhead > size then sealed := false
-        else begin
-          match really_input_string ic rec_head_size with
-          | exception End_of_file -> sealed := false
-          | head ->
-            let kind = Char.code head.[0] in
-            let len = u32be head 1 in
-            if
-              kind > 2 || len > max_payload
-              || (kind = 1 && len <> 0)
-              || !pos + rec_overhead + len > size
-            then sealed := false
-            else begin
-              match
-                let payload = really_input_string ic len in
-                let stored_crc = u32be (really_input_string ic 4) 0 in
-                (payload, stored_crc)
-              with
-              | exception End_of_file -> sealed := false
-              | payload, stored_crc ->
-                let crc =
-                  Crc32.update_sub
-                    (Crc32.update_sub Crc32.empty head ~pos:0 ~len:rec_head_size)
-                    payload ~pos:0 ~len
-                in
-                let id = Hash.of_raw_exn (String.sub head 5 32) in
-                if crc <> stored_crc || (kind = 2 && decode_ref ~id payload = None)
-                then sealed := false
-                else begin
-                  if kind = 0 then verify_hash id payload;
-                  apply ~kind ~id ~off:(!pos + rec_head_size) ~len ~payload;
-                  pos := !pos + rec_overhead + len;
-                  incr records
-                end
-            end
-        end
-      done;
-      (!pos, !records))
+  In_channel.with_open_bin path (fun ic ->
+      let rec go pos records =
+        match sealed_at ic ~pos ~size with
+        | None -> (pos, records)
+        | Some (kind, id, payload) ->
+          let len = String.length payload in
+          if kind = 0 then verify_hash id payload;
+          apply ~kind ~id ~off:(pos + rec_head_size) ~len ~payload;
+          go (pos + rec_overhead + len) (records + 1)
+      in
+      go start 0)
+
+(* Where a scan stopped short of the end of the file, the bytes from
+   [stop] are a torn tail only if no sealed record starts anywhere after
+   it: a crash tears the end of the log, never its middle.  Anything else
+   is damage, reported as [Some stop].  The byte-by-byte search runs
+   only on this failure path. *)
+let damage_at path ~stop ~size =
+  if stop >= size then None
+  else
+    In_channel.with_open_bin path (fun ic ->
+        let rec search pos =
+          if pos + rec_overhead > size then None
+          else if sealed_at ic ~pos ~size <> None then Some stop
+          else search (pos + 1)
+        in
+        search (stop + 1))
+
+let damage_message path off =
+  Printf.sprintf
+    "log: damaged record at offset %d of %s: sealed records follow it, so it \
+     is not a torn tail; refusing to truncate"
+    off path
 
 let apply_ref refs (name, _, next) =
   match next with
@@ -661,6 +682,9 @@ let recover t =
     scan_records path ~start ~size (replay_record t.index t.refs)
   in
   t.c.replayed_records <- t.c.replayed_records + replayed;
+  Option.iter
+    (fun off -> failwith (damage_message path off))
+    (damage_at path ~stop ~size);
   if stop < size then begin
     (* Torn tail: physically drop it so the next append starts on a
        record boundary and a later scan sees only sealed records. *)
@@ -863,7 +887,11 @@ let create_held ~config ~root ~holder =
       dedup_hits = 0;
       logical_bytes = 0 }
   in
-  recover t;
+  (try recover t
+   with e ->
+     Unix.close t.wfd;
+     Unix.close t.rfd;
+     raise e);
   register_gauges t;
   if config.compactor then t.thread <- Some (Thread.create background_loop t);
   t
@@ -1020,6 +1048,7 @@ type fsck_report = {
   fsck_live : int;
   fsck_bytes : int;
   fsck_torn_bytes : int;
+  fsck_damage : int option;
   fsck_bad_hash : Hash.t list;
   fsck_idx_valid : bool;
   fsck_idx_consistent : bool;
@@ -1031,17 +1060,20 @@ type fsck_report = {
 }
 
 let fsck_clean r =
-  r.fsck_bad_hash = [] && r.fsck_torn_bytes = 0 && r.fsck_orphan_gens = []
+  r.fsck_bad_hash = [] && r.fsck_torn_bytes = 0 && r.fsck_damage = None
+  && r.fsck_orphan_gens = []
   && r.fsck_idx_valid && r.fsck_idx_consistent
   && r.fsck_dangling_heads = [] && r.fsck_ref_conflicts = 0
 
 let pp_fsck ppf r =
   Format.fprintf ppf
-    "gen %d: %d records (%d live, %d bytes), %d torn tail bytes, %d bad \
+    "gen %d: %d records (%d live, %d bytes), %s, %d bad \
      hashes, idx %s/%s, %d orphan generations; %d ref records (%d heads, \
      %d dangling, %d conflicting)"
     r.fsck_generation r.fsck_records r.fsck_live r.fsck_bytes
-    r.fsck_torn_bytes
+    (match r.fsck_damage with
+     | Some off -> Printf.sprintf "DAMAGED record at offset %d" off
+     | None -> Printf.sprintf "%d torn tail bytes" r.fsck_torn_bytes)
     (List.length r.fsck_bad_hash)
     (if r.fsck_idx_valid then "valid" else "INVALID")
     (if r.fsck_idx_consistent then "consistent" else "INCONSISTENT")
@@ -1097,6 +1129,7 @@ let run_fsck ~mem ~root =
                    (decode_ref ~id payload));
               replay_record full full_refs ~kind ~id ~off ~len ~payload)
         in
+        let damage = damage_at path ~stop ~size in
         let idx_valid, idx_consistent =
           if not (Sys.file_exists (idx_file root gen)) then (true, true)
           else
@@ -1125,7 +1158,8 @@ let run_fsck ~mem ~root =
           fsck_records = records;
           fsck_live = Hash.Tbl.length full;
           fsck_bytes = size;
-          fsck_torn_bytes = size - stop;
+          fsck_torn_bytes = (if damage = None then size - stop else 0);
+          fsck_damage = damage;
           fsck_bad_hash = List.rev !bad;
           fsck_idx_valid = idx_valid;
           fsck_idx_consistent = idx_consistent;

@@ -185,7 +185,12 @@ type fsck_report = {
   fsck_records : int;         (** sealed records in the active generation *)
   fsck_live : int;            (** live chunks after replaying tombstones *)
   fsck_bytes : int;           (** active generation file size *)
-  fsck_torn_bytes : int;      (** trailing bytes past the last sealed record *)
+  fsck_torn_bytes : int;
+      (** trailing bytes past the last sealed record, when no sealed
+          record follows them (a crash's torn tail) *)
+  fsck_damage : int option;
+      (** offset of a broken record that sealed records follow: damage,
+          which open refuses rather than truncating *)
   fsck_bad_hash : Fb_hash.Hash.t list;
       (** sealed records whose payload does not hash to their id *)
   fsck_idx_valid : bool;      (** checkpoint absent counts as valid *)

@@ -21,6 +21,7 @@ let empty_stats =
 let have_batch = 256
 let get_batch = 64
 let put_batch = 128
+let wave_window = 3
 let put_batch_bytes = 4 * 1024 * 1024
 
 let children = Dag.fnode_children
@@ -108,47 +109,48 @@ module Bloom = struct
   let k t = t.k
 
   (* Double hashing over the id's own SHA-256 bytes: h1 from bytes 0-7,
-     h2 from bytes 8-15, index_i = h1 + i*h2 (mod m).  The id is already
-     a uniform digest, so no further mixing is needed. *)
-  let word id off =
-    let raw = Hash.to_raw id in
-    let v = ref 0L in
-    for i = 0 to 7 do
-      v := Int64.logor (Int64.shift_left !v 8)
-             (Int64.of_int (Char.code raw.[off + i]))
-    done;
-    Int64.to_int (Int64.logand !v Int64.max_int)
+     h2 from bytes 8-15 (big-endian, to 63 bits), index_i = h1 + i*h2
+     (mod m).  The id is already a uniform digest, so no further mixing
+     is needed.  The loops below allocate nothing. *)
+  let word id off = Int64.to_int (String.get_int64_be (Hash.to_raw id) off)
 
-  let indices t id =
-    let h1 = word id 0 and h2 = word id 8 in
-    List.init t.k (fun i ->
-        let ix = (h1 + (i * h2)) mod t.m in
-        if ix < 0 then ix + t.m else ix)
+  let index t h1 h2 i =
+    let ix = (h1 + (i * h2)) mod t.m in
+    if ix < 0 then ix + t.m else ix
 
   let add t id =
-    List.iter
-      (fun ix ->
-        let b = ix / 8 and bit = ix mod 8 in
-        Bytes.set t.bits b
-          (Char.chr (Char.code (Bytes.get t.bits b) lor (1 lsl bit))))
-      (indices t id)
+    let h1 = word id 0 and h2 = word id 8 in
+    for i = 0 to t.k - 1 do
+      let ix = index t h1 h2 i in
+      let b = ix lsr 3 in
+      let byte = Char.code (Bytes.unsafe_get t.bits b) in
+      Bytes.unsafe_set t.bits b (Char.unsafe_chr (byte lor (1 lsl (ix land 7))))
+    done
 
   let mem t id =
-    List.for_all
-      (fun ix ->
-        let b = ix / 8 and bit = ix mod 8 in
-        Char.code (Bytes.get t.bits b) land (1 lsl bit) <> 0)
-      (indices t id)
+    let h1 = word id 0 and h2 = word id 8 in
+    let i = ref 0 in
+    while
+      !i < t.k
+      &&
+      let ix = index t h1 h2 !i in
+      Char.code (Bytes.unsafe_get t.bits (ix lsr 3)) land (1 lsl (ix land 7)) <> 0
+    do
+      incr i
+    done;
+    !i = t.k
+
+  (* Set bits per byte value. *)
+  let popcount =
+    String.init 256 (fun c ->
+        let rec bits c = if c = 0 then 0 else (c land 1) + bits (c lsr 1) in
+        Char.chr (bits c))
 
   let fill_ratio t =
     let set = ref 0 in
-    Bytes.iter
-      (fun c ->
-        let c = Char.code c in
-        for bit = 0 to 7 do
-          if c land (1 lsl bit) <> 0 then incr set
-        done)
-      t.bits;
+    for b = 0 to Bytes.length t.bits - 1 do
+      set := !set + Char.code popcount.[Char.code (Bytes.unsafe_get t.bits b)]
+    done;
     float_of_int !set /. float_of_int t.m
 
   (* Past half-full the false-positive rate climbs steeply (~(1/2)^k only

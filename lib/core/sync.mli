@@ -37,6 +37,12 @@ val have_batch : int
 val get_batch : int
 (** sync-get sub-requests per BATCH frame. *)
 
+val wave_window : int
+(** sync-have and sync-get waves a walk keeps in flight: the client
+    verifies one wave's reply while the server reads the next.  A partial
+    wave goes out only when none is in flight, so the walk sends the same
+    waves as one that waits for each reply before the next. *)
+
 val put_batch : int
 val put_batch_bytes : int
 (** sync-put sub-requests per BATCH frame are capped by count {e and}

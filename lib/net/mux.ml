@@ -195,38 +195,46 @@ let await t ticket =
         in
         wait ())
 
+let mismatch t what =
+  let msg = "mismatched reply shape for " ^ what in
+  poison t msg;
+  Error (Transport msg)
+
+let await_one t ticket =
+  match await t ticket with
+  | Error _ as e -> e
+  | Ok (Frame.One (Ok payload)) -> Ok payload
+  | Ok (Frame.One (Error e)) -> Error (Remote e)
+  | Ok (Frame.Many _ | Frame.Event _) -> mismatch t "a single request"
+
+let await_many t ticket ~n =
+  match await t ticket with
+  | Error _ as e -> e
+  | Ok (Frame.Many replies) when List.length replies = n -> Ok replies
+  | Ok _ -> mismatch t "a batch request"
+
+(* Every request runs inside a [net.client.*] span whose context the
+   frame carries, so the server's spans join the caller's trace. *)
+let traced req f =
+  match req with
+  | Frame.Single tokens ->
+    let verb = match tokens with v :: _ -> String.lowercase_ascii v | [] -> "" in
+    Obs.with_span ~attrs:[ ("verb", verb) ] "net.client.request" f
+  | Frame.Batch reqs ->
+    Obs.with_span
+      ~attrs:[ ("n", string_of_int (List.length reqs)) ]
+      "net.client.batch" f
+
+let issue ?user t req = traced req (fun () -> send ?user t req)
+
 let request ?user t tokens =
-  let verb = match tokens with v :: _ -> String.lowercase_ascii v | [] -> "" in
-  Obs.with_span ~attrs:[ ("verb", verb) ] "net.client.request" (fun () ->
-      match send ?user t (Frame.Single tokens) with
-      | Error _ as e -> e
-      | Ok tk -> (
-        match await t tk with
-        | Error _ as e -> e
-        | Ok (Frame.One (Ok payload)) -> Ok payload
-        | Ok (Frame.One (Error e)) -> Error (Remote e)
-        | Ok (Frame.Many _ | Frame.Event _) ->
-          let msg = "mismatched reply shape for a single request" in
-          poison t msg;
-          Error (Transport msg)))
+  let req = Frame.Single tokens in
+  traced req (fun () -> Result.bind (send ?user t req) (await_one t))
 
 let batch ?user t reqs =
-  Obs.with_span
-    ~attrs:[ ("n", string_of_int (List.length reqs)) ]
-    "net.client.batch"
-    (fun () ->
-      match send ?user t (Frame.Batch reqs) with
-      | Error _ as e -> e
-      | Ok tk -> (
-        match await t tk with
-        | Error _ as e -> e
-        | Ok (Frame.Many replies) when List.length replies = List.length reqs
-          ->
-          Ok replies
-        | Ok _ ->
-          let msg = "mismatched reply shape for a batch request" in
-          poison t msg;
-          Error (Transport msg)))
+  let req = Frame.Batch reqs in
+  traced req (fun () ->
+      Result.bind (send ?user t req) (await_many t ~n:(List.length reqs)))
 
 let subscribe ?user ?(key = "*") ?(branch = "*") t cb =
   match send ?user ~install:cb t (Frame.Single [ "subscribe"; key; branch ]) with
@@ -242,10 +250,7 @@ let subscribe ?user ?(key = "*") ?(branch = "*") t cb =
         poison t msg;
         Error (Transport msg))
     | Ok (Frame.One (Error e)) -> Error (Remote e)
-    | Ok _ ->
-      let msg = "mismatched reply shape for subscribe" in
-      poison t msg;
-      Error (Transport msg))
+    | Ok _ -> mismatch t "subscribe")
 
 let unsubscribe ?user t sid =
   (* Drop the local callback first so deliveries stop immediately; any

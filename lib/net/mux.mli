@@ -87,6 +87,20 @@ val await : t -> ticket -> (Frame.response, error) result
 (** Block until the reply for [ticket] arrives.  Each ticket may be
     awaited once. *)
 
+val issue : ?user:string -> t -> Frame.request -> (ticket, error) result
+(** {!send} inside the [net.client.request] / [net.client.batch] span
+    that {!request} and {!batch} open, so the frame carries the same
+    trace header; the span covers the send only, for a caller that keeps
+    several requests in flight and awaits them later. *)
+
+val await_one : t -> ticket -> (string, error) result
+(** {!await} for a [Single] request: its payload, or the server's typed
+    error as [Remote].  A reply of another shape poisons the connection. *)
+
+val await_many : t -> ticket -> n:int -> (Frame.reply list, error) result
+(** {!await} for a [Batch] of [n] sub-requests: exactly [n] in-order
+    replies, or the connection is poisoned. *)
+
 (** {1 Subscriptions} *)
 
 val subscribe :

@@ -374,6 +374,128 @@ let take_wave n q =
   in
   go [] n
 
+(* ------------------------- the wave driver ------------------------- *)
+
+(* Where a sync walk's client time goes, observed once per walk: blocked
+   on wave replies, re-hashing and decoding chunks, and (pull) writing
+   the verified closure to the local store. *)
+let wave_wait_hist = Obs.histogram "fb.remote.sync_wave_wait_seconds"
+let verify_hist = Obs.histogram "fb.remote.sync_verify_seconds"
+let store_hist = Obs.histogram "fb.remote.sync_store_seconds"
+
+(* One wave's request: [send] is kept so that a reconnect can issue it
+   again; [recv] awaits its reply and [handle] processes it. *)
+type 'r wave = {
+  send : Mux.t -> (Mux.ticket, Mux.error) result;
+  recv : Mux.t -> Mux.ticket -> ('r, Mux.error) result;
+  handle : 'r -> unit or_error;
+  retryable : bool;
+}
+
+(* A wave on the wire: the connection it went out on, and its ticket or
+   the send's failure. *)
+type 'r flight = {
+  wave : 'r wave;
+  mutable mux : Mux.t;
+  mutable sent : (Mux.ticket, Mux.error) result;
+  mutable reissued : bool;
+}
+
+(* A wave that is one request of [v]. *)
+let call_wave ?user (v : _ Service.verb) a handle =
+  { send =
+      (fun mux -> Mux.issue ?user mux (Frame.Single (v.name :: v.encode_args a)));
+    recv = (fun mux tk -> Result.map v.decode_reply (Mux.await_one mux tk));
+    handle = (fun reply -> Result.bind reply handle);
+    retryable = v.retry_safe }
+
+(* A wave that is one BATCH frame of [v] requests, one per argument. *)
+let batch_wave ?user (v : _ Service.verb) args handle =
+  { send =
+      (fun mux ->
+        Mux.issue ?user mux
+          (Frame.Batch (List.map (fun a -> v.name :: v.encode_args a) args)));
+    recv =
+      (fun mux tk ->
+        Result.map
+          (List.map (fun reply -> Result.bind reply v.decode_reply))
+          (Mux.await_many mux tk ~n:(List.length args)));
+    handle;
+    retryable = v.retry_safe }
+
+(* Drain [pending] in waves of [size] ids, keeping up to
+   [Sync.wave_window] waves in flight.  [issue ids] does a wave's local
+   work and returns the request it needs, if any; replies are processed
+   oldest first.  While a wave is in flight only full waves go out, and a
+   partial one only once nothing is in flight — so the waves, and the ids
+   in each, are those of the walk that keeps one wave in flight.
+
+   On a transport failure the connection is re-dialled once and every
+   wave in flight goes out again; a wave that fails twice ends the walk
+   with [Transient].  Any error leaves no reply unclaimed: the waves
+   still in flight are awaited and dropped. *)
+let drive t ~size pending ~issue =
+  let inflight = Queue.create () in
+  let wait = ref 0.0 and work = ref 0.0 in
+  let timed acc f =
+    let t0 = Unix.gettimeofday () in
+    let r = f () in
+    acc := !acc +. (Unix.gettimeofday () -. t0);
+    r
+  in
+  let await f = Result.bind f.sent (f.wave.recv f.mux) in
+  let recover dead err =
+    let spent f = f.reissued || not f.wave.retryable in
+    if Queue.fold (fun acc f -> acc || spent f) false inflight then
+      Error (of_client_error err)
+    else
+      match reconnect_for t dead with
+      | None -> Error (of_client_error err)
+      | Some mux ->
+        Queue.iter
+          (fun f ->
+            f.reissued <- true;
+            f.mux <- mux;
+            f.sent <- f.wave.send mux)
+          inflight;
+        Ok ()
+  in
+  let rec step () =
+    let queued = Queue.length pending and flying = Queue.length inflight in
+    if queued > 0 && ((queued >= size && flying < Sync.wave_window) || flying = 0)
+    then begin
+      let* next = timed work (fun () -> issue (take_wave size pending)) in
+      Option.iter
+        (fun wave ->
+          let mux = Mutex.protect t.mu (fun () -> t.mux) in
+          Queue.add { wave; mux; sent = wave.send mux; reissued = false } inflight)
+        next;
+      step ()
+    end
+    else if flying = 0 then Ok ()
+    else begin
+      let f = Queue.peek inflight in
+      match timed wait (fun () -> await f) with
+      | Ok reply ->
+        ignore (Queue.pop inflight);
+        let* () = timed work (fun () -> f.wave.handle reply) in
+        step ()
+      | Error (Mux.Transport _ as e) ->
+        let* () = recover f.mux e in
+        step ()
+      | Error (Mux.Remote e) ->
+        ignore (Queue.pop inflight);
+        Error e
+    end
+  in
+  let result =
+    Fun.protect step ~finally:(fun () ->
+        Queue.iter (fun f -> ignore (await f)) inflight)
+  in
+  Obs.observe wave_wait_hist !wait;
+  Obs.observe verify_hist !work;
+  result
+
 let push ?user ?(branch = default_branch) t fb ~key =
   let store = Forkbase.store fb in
   let* local = Forkbase.head ?user ~branch fb ~key in
@@ -424,53 +546,46 @@ let push ?user ?(branch = default_branch) t fb ~key =
         List.iter enqueue kids;
         Ok ()
     in
-    let rec probe () =
-      if Queue.is_empty pending then Ok ()
-      else begin
-        let wave = take_wave Sync.have_batch pending in
-        let missing_now, to_confirm =
-          match bloom with
-          | None -> ([], wave)
-          | Some b ->
-            List.partition (fun id -> not (Sync.Bloom.mem b id)) wave
-        in
-        let* () =
-          List.fold_left
-            (fun acc id ->
-              let* () = acc in
-              stage id)
-            (Ok ()) missing_now
-        in
-        let* () =
-          if to_confirm = [] then Ok ()
-          else begin
-            let* bits = call ?user t Service.sync_have to_confirm in
-            incr rounds;
-            if List.length bits <> List.length to_confirm then
-              Errors.invalid "sync-have: %d probes, %d answers"
-                (List.length to_confirm) (List.length bits)
-            else
-              List.fold_left2
-                (fun acc id have ->
-                  let* () = acc in
-                  if have then begin
-                    incr skipped;
-                    Ok ()
-                  end
-                  else begin
-                    (* Bloom said "probably held"; the exact probe says
-                       absent — a false positive the filter failed to
-                       save a confirmation for. *)
-                    if bloom <> None then incr bloom_fp;
-                    stage id
-                  end)
-                (Ok ()) to_confirm bits
-          end
-        in
-        probe ()
-      end
+    let stage_all ids =
+      List.fold_left (fun acc id -> Result.bind acc (fun () -> stage id)) (Ok ()) ids
     in
-    let* () = probe () in
+    let confirm to_confirm bits =
+      incr rounds;
+      if List.length bits <> List.length to_confirm then
+        Errors.invalid "sync-have: %d probes, %d answers"
+          (List.length to_confirm) (List.length bits)
+      else
+        List.fold_left2
+          (fun acc id have ->
+            let* () = acc in
+            if have then begin
+              incr skipped;
+              Ok ()
+            end
+            else begin
+              (* Bloom said "probably held"; the exact probe says
+                 absent — a false positive the filter failed to save a
+                 confirmation for. *)
+              if bloom <> None then incr bloom_fp;
+              stage id
+            end)
+          (Ok ()) to_confirm bits
+    in
+    let* () =
+      drive t ~size:Sync.have_batch pending ~issue:(fun wave ->
+          let missing_now, to_confirm =
+            match bloom with
+            | None -> ([], wave)
+            | Some b -> List.partition (fun id -> not (Sync.Bloom.mem b id)) wave
+          in
+          let* () = stage_all missing_now in
+          if to_confirm = [] then Ok None
+          else
+            Ok
+              (Some
+                 (call_wave ?user Service.sync_have to_confirm
+                    (confirm to_confirm))))
+    in
     let order =
       Sync.plan_order
         ~children:(fun id ->
@@ -534,29 +649,24 @@ let pull ?user ?(branch = default_branch) t fb ~key =
       end
     in
     enqueue remote;
-    let rec fetch () =
-      if Queue.is_empty pending then Ok ()
-      else begin
-        let wave = take_wave Sync.get_batch pending in
-        let* replies = batch_call ?user t Service.sync_get wave in
-        incr rounds;
-        let* () =
-          List.fold_left2
-            (fun acc id reply ->
-              let* () = acc in
-              let* encoded = reply in
-              let* chunk = Sync.verify_encoded id encoded in
-              let kids = Sync.children chunk in
-              Hash.Tbl.replace staged id (chunk, kids);
-              bytes := !bytes + String.length encoded;
-              List.iter enqueue kids;
-              Ok ())
-            (Ok ()) wave replies
-        in
-        fetch ()
-      end
+    let receive wave replies =
+      incr rounds;
+      List.fold_left2
+        (fun acc id reply ->
+          let* () = acc in
+          let* encoded = reply in
+          let* chunk = Sync.verify_encoded id encoded in
+          let kids = Sync.children chunk in
+          Hash.Tbl.replace staged id (chunk, kids);
+          bytes := !bytes + String.length encoded;
+          List.iter enqueue kids;
+          Ok ())
+        (Ok ()) wave replies
     in
-    let* () = fetch () in
+    let* () =
+      drive t ~size:Sync.get_batch pending ~issue:(fun wave ->
+          Ok (Some (batch_wave ?user Service.sync_get wave (receive wave))))
+    in
     (* Child-first store order keeps the local store closure-complete at
        every instant, mirroring what [sync_put] demands of our peers. *)
     let order =
@@ -567,12 +677,13 @@ let pull ?user ?(branch = default_branch) t fb ~key =
           | None -> [])
         ~missing:(Hash.Tbl.mem staged) ~roots:[ remote ]
     in
-    List.iter
-      (fun id ->
-        match Hash.Tbl.find_opt staged id with
-        | Some (chunk, _) -> ignore (Store.put store chunk)
-        | None -> ())
-      order;
+    Obs.time store_hist (fun () ->
+        List.iter
+          (fun id ->
+            match Hash.Tbl.find_opt staged id with
+            | Some (chunk, _) -> ignore (Store.put store chunk)
+            | None -> ())
+          order);
     let* uid = Forkbase.advance_head ?user ~branch fb ~key remote in
     Ok
       ( uid,

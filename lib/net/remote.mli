@@ -150,7 +150,13 @@ val batch : ?user:string -> t -> op_req list -> op_reply or_error list or_error
     server: exchange branch heads, walk the version DAG and POS-Tree
     from the newer head probing which chunks the other side already has
     (a held chunk roots a shared subtree — descent stops there), and
-    ship only the missing frontier in BATCH frames.  Both directions
+    ship only the missing frontier in BATCH frames.  The probe and fetch
+    waves go through one driver that keeps up to
+    {!Fb_core.Sync.wave_window} of them in flight, so the client verifies
+    one wave while the server reads the next; the waves sent are those of
+    a walk that awaits each one (see {!Fb_core.Sync.wave_window}).  A torn
+    connection is re-dialled once and the waves in flight re-issued; a
+    second failure of the same wave returns [Transient].  Both directions
     re-hash every chunk that crosses the wire and refuse mismatches; the
     receiving side stores child-first and finally fast-forwards the
     branch head atomically, so an aborted or tampered transfer leaves it
@@ -205,6 +211,12 @@ val call : ?user:string -> t -> ('a, 'r) Fb_core.Service.verb -> 'a -> 'r or_err
     encoded as the entry says, its reply decoded the same way.  Replayed
     across one reconnect when the entry is [retry_safe].  Every typed
     operation above is a [call]. *)
+
+val batch_call :
+  ?user:string -> t -> ('a, 'r) Fb_core.Service.verb -> 'a list ->
+  'r or_error list or_error
+(** One BATCH frame of {!call}s of the same entry, answered in order;
+    replayed across one reconnect when the entry is [retry_safe]. *)
 
 val raw : ?user:string -> t -> string list -> string or_error
 (** Any request, tokens as {!Fb_core.Service.dispatch} takes them; the

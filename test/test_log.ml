@@ -612,6 +612,56 @@ let test_fsck_bad_hash () =
           | _ -> false);
         check int_ "physically sealed" 0 r.Log_store.fsck_torn_bytes)
 
+(* One flipped byte in the middle of the middle of three records is
+   damage, not a torn tail: sealed records follow it.  Open refuses with
+   the file and offset named and leaves the log byte-identical; fsck
+   reports the damage; a Persistent open answers [Corrupt]. *)
+let test_damage_is_not_a_torn_tail () =
+  with_temp_dir (fun dir ->
+      let root = Filename.concat dir "root" in
+      let log = Filename.concat root "log" in
+      let h = Log_store.create ~config:quick_config ~root:log () in
+      List.iter
+        (fun i -> ignore (Store.put (Log_store.store h) (blob i)))
+        [ 0; 1; 2 ];
+      let path = Log_store.log_path h in
+      Log_store.close h;
+      (* No checkpoint: open replays every record. *)
+      Sys.remove (Filename.concat log "gen-0.idx");
+      let bytes = read_file path in
+      let ends = List.map (fun (stop, _, _) -> stop) (parse_records bytes) in
+      check bool_ "three records, nothing after" true
+        (List.length ends = 3 && List.nth ends 2 = String.length bytes);
+      let start = List.nth ends 0 and stop = List.nth ends 1 in
+      let damaged = Bytes.of_string bytes in
+      let mid = (start + stop) / 2 in
+      Bytes.set damaged mid (Char.chr (Char.code (Bytes.get damaged mid) lxor 0x10));
+      let damaged = Bytes.to_string damaged in
+      write_file path damaged;
+      (match Log_store.create ~config:quick_config ~root:log () with
+       | exception Failure msg ->
+         check bool_ "names the file" true (Tutil.contains msg path);
+         check bool_ "names the offset" true
+           (Tutil.contains msg (Printf.sprintf "offset %d" start))
+       | r ->
+         Log_store.close r;
+         Alcotest.fail "opened a damaged log");
+      check bool_ "log byte-identical" true (read_file path = damaged);
+      (match Persistent.open_instance ~root () with
+       | Error (Errors.Corrupt _) -> ()
+       | Ok i ->
+         Persistent.close i;
+         Alcotest.fail "Persistent opened a damaged log"
+       | Error e -> Alcotest.fail (Errors.to_string e));
+      check bool_ "still byte-identical" true (read_file path = damaged);
+      match Scrub.fsck_log ~root:log with
+      | Error e -> Alcotest.fail e
+      | Ok r ->
+        check bool_ "fsck: not clean" false (Scrub.fsck_log_clean r);
+        check bool_ "fsck: damage at the record" true
+          (r.Log_store.fsck_damage = Some start);
+        check int_ "fsck: no torn tail" 0 r.Log_store.fsck_torn_bytes)
+
 (* ------------------------- on-disk compatibility ------------------------- *)
 
 (* The layouts written out longhand, sealed with the reference CRC loop:
@@ -1232,6 +1282,8 @@ let suite =
       test_compaction_crash_stages;
     Alcotest.test_case "background compactor" `Quick test_background_compactor;
     Alcotest.test_case "fsck" `Quick test_fsck;
+    Alcotest.test_case "damage is not a torn tail" `Quick
+      test_damage_is_not_a_torn_tail;
     Alcotest.test_case "fsck: dishonest sealed record" `Quick
       test_fsck_bad_hash;
     Alcotest.test_case "on-disk compatibility: reference-sealed log and idx"

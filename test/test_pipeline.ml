@@ -356,6 +356,15 @@ let test_slow_reader_backpressure () =
       let big = String.make 65_536 'x' in
       with_mux srv (fun m ->
           ignore (ok_cl (Mux.request m [ "put"; "big"; "master"; big ])));
+      let conns () =
+        match Server.loop_stats srv with
+        | Some ls -> ls.Server.ls_conns
+        | None -> -1
+      in
+      (* The count below must be ours alone: the loader's connection is
+         reaped first. *)
+      check bool_ "loader connection reaped" true
+        (eventually ~timeout:10.0 (fun () -> conns () = 0));
       let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
       (* A tiny receive buffer (set before connect so the window is
          negotiated small) keeps the kernel from absorbing the reply
@@ -383,12 +392,14 @@ let test_slow_reader_backpressure () =
           (* Crucially: do NOT read.  Reading would reopen the TCP window
              and unstick the server.  The write-stall deadline must cut
              the connection loose on its own — observable as the loop's
-             connection count dropping to zero (ours was the only one). *)
+             connection count going from one (ours, once the loop has
+             accepted it) back to zero.  Without waiting for the accept,
+             a loop that has not yet run would already read zero, and the
+             drain below would then keep the connection alive. *)
+          check bool_ "stalled connection accepted" true
+            (eventually ~timeout:10.0 (fun () -> conns () = 1));
           check bool_ "stalled connection disconnected by the server" true
-            (eventually ~timeout:10.0 (fun () ->
-                 match Server.loop_stats srv with
-                 | Some ls -> ls.Server.ls_conns = 0
-                 | None -> false));
+            (eventually ~timeout:10.0 (fun () -> conns () = 0));
           (* And the socket really is dead: a bounded drain of whatever
              was buffered ends in EOF or a reset, never fresh data
              forever. *)

@@ -480,6 +480,356 @@ let test_pull_refuses_tampered_chunks () =
           | Ok _ -> Alcotest.fail "branch head advanced on a refused pull"
           | Error e -> Alcotest.fail (Errors.to_string e)))
 
+(* ---------------- the allocation-free Bloom filter ---------------- *)
+
+(* The filter against the one it replaced (test/bloom_ref.ml): the same
+   ids added give byte-identical wire forms, the same fill ratio, and the
+   same answer to every probe. *)
+let qcheck_bloom_oracle =
+  QCheck.Test.make ~count:200 ~name:"bloom filter matches the old filter"
+    QCheck.(
+      triple (int_range 1 5000)
+        (list_of_size Gen.(0 -- 600) (string_of_size Gen.(0 -- 12)))
+        (list_of_size Gen.(1 -- 300) (string_of_size Gen.(0 -- 12))))
+    (fun (expected, added, probes) ->
+      let b = Sync.Bloom.create ~expected and r = Bloom_ref.create ~expected in
+      List.iter
+        (fun s ->
+          let id = Hash.of_string s in
+          Sync.Bloom.add b id;
+          Bloom_ref.add r id)
+        added;
+      Sync.Bloom.encode b = Bloom_ref.encode r
+      && Sync.Bloom.fill_ratio b = Bloom_ref.fill_ratio r
+      && List.for_all
+           (fun s ->
+             let id = Hash.of_string s in
+             Sync.Bloom.mem b id = Bloom_ref.mem r id)
+           (probes @ added))
+
+(* ---------------- the wave driver ---------------- *)
+
+let store_ids store =
+  let acc = ref [] in
+  Store.ids store (fun id -> acc := Hash.to_hex id :: !acc);
+  List.sort compare !acc
+
+(* Equal stats; [rounds] only when no Bloom false positive occurred: a
+   false positive's children join the queue when its confirmation is
+   read, which a window may do after later waves went out. *)
+let same_stats (a : Sync.stats) (b : Sync.stats) =
+  a.chunks_moved = b.chunks_moved
+  && a.bytes_moved = b.bytes_moved
+  && a.chunks_skipped = b.chunks_skipped
+  && a.bloom_fp = b.bloom_fp
+  && (a.bloom_fp > 0 || a.rounds = b.rounds)
+
+(* Random maps and edit histories, synced twice: by the sequential walks
+   (test/sync_walk_ref.ml) against one server, and by Remote.push/pull
+   against a twin.  The first version is pushed and pulled; each later
+   one is committed and pushed (every version, or only the last), and
+   the last is pulled: one walk down several versions at once, where
+   replies add ids while a partial wave waits — the case the wave rule
+   is for.  Both sides must stage the same chunks (the servers' and the
+   replicas' stores stay equal) and report the same stats. *)
+let driver_oracle mode () =
+  let config = { test_config with mode } in
+  let fb_ref = FB.create (Mem_store.create ())
+  and fb_new = FB.create (Mem_store.create ()) in
+  with_server ~config fb_ref @@ fun srv_ref ->
+  with_server ~config fb_new @@ fun srv_new ->
+  with_remote srv_ref @@ fun r_ref ->
+  with_remote srv_new @@ fun r_new ->
+  let case = ref 0 in
+  let prop (n, eager, history) =
+    incr case;
+    let key = Printf.sprintf "k%d" !case in
+    let src_store = Mem_store.create () in
+    let src = FB.create src_store in
+    let rows = Array.of_list (bindings n "v") in
+    let dst_ref = FB.create (Mem_store.create ())
+    and dst_new = FB.create (Mem_store.create ()) in
+    let same (uid_a, stats_a) (uid_b, stats_b) =
+      Hash.equal uid_a uid_b && same_stats stats_a stats_b
+    in
+    let commit () =
+      ignore
+        (ok_fb
+           (FB.put src ~key (Value.map_of_bindings src_store (Array.to_list rows))))
+    in
+    let push () =
+      same
+        (ok_fb (Sync_walk_ref.push r_ref src ~key))
+        (ok_fb (Remote.push r_new src ~key))
+      && store_ids (FB.store fb_ref) = store_ids (FB.store fb_new)
+    in
+    let pull () =
+      same
+        (ok_fb (Sync_walk_ref.pull r_ref dst_ref ~key))
+        (ok_fb (Remote.pull r_new dst_new ~key))
+      && store_ids (FB.store dst_ref) = store_ids (FB.store dst_new)
+    in
+    commit ();
+    let first = push () && pull () in
+    let last = List.length history - 1 in
+    let later =
+      List.mapi
+        (fun i edits ->
+          List.iter
+            (fun (pos, v) ->
+              let i = pos mod n in
+              rows.(i) <- (fst rows.(i), Printf.sprintf "e%d" v))
+            edits;
+          commit ();
+          ((not eager) && i < last) || push ())
+        history
+    in
+    first && List.for_all Fun.id later && (history = [] || pull ())
+  in
+  (* No shrinking: each try is a full sync, and a failing case prints. *)
+  QCheck.Test.check_exn
+    (QCheck.Test.make ~count:8 ~name:"wave driver = sequential walks"
+       (QCheck.make
+          ~print:QCheck.Print.(triple int bool (list (list (pair int int))))
+          QCheck.Gen.(
+            triple (int_range 100 80_000) bool
+              (list_size (0 -- 6)
+                 (list_size (1 -- 300) (pair (int_bound 1_000_000) small_nat)))))
+       prop)
+
+(* Breadth-first order of a head's closure: the order a pull's waves
+   fetch it in. *)
+let bfs_order store head =
+  let seen = Hash.Tbl.create 64 and q = Queue.create () and out = ref [] in
+  Hash.Tbl.replace seen head ();
+  Queue.add head q;
+  while not (Queue.is_empty q) do
+    let id = Queue.pop q in
+    out := id :: !out;
+    match Option.map Chunk.decode (Store.peek store id) with
+    | Some (Ok chunk) ->
+      List.iter
+        (fun kid ->
+          if not (Hash.Tbl.mem seen kid) then begin
+            Hash.Tbl.replace seen kid ();
+            Queue.add kid q
+          end)
+        (Sync.children chunk)
+    | _ -> ()
+  done;
+  List.rev !out
+
+(* A server store that serves one chosen chunk with a flipped byte. *)
+let tampering store target =
+  { store with
+    Store.name = "tampering";
+    get_raw =
+      (fun id ->
+        Option.map
+          (fun s ->
+            if not (Option.equal Hash.equal (Some id) !target) then s
+            else begin
+              let b = Bytes.of_string s in
+              Bytes.set b 0 (Char.chr (Char.code (Bytes.get b 0) lxor 1));
+              Bytes.to_string b
+            end)
+          (store.Store.get_raw id)) }
+
+(* A tampered chunk in a middle wave, with later waves already in flight,
+   fails the pull with [Corrupt]: nothing reaches the local store, the
+   head stays absent, and the same Remote then serves a clean pull and a
+   plain request with no stale reply. *)
+let test_tampered_later_wave mode () =
+  let store = Mem_store.create () in
+  let target = ref None in
+  let srv_fb = FB.create (tampering store target) in
+  let honest =
+    ok_fb
+      (FB.put srv_fb ~key:"k"
+         (Value.map_of_bindings store (bindings 100_000 "v")))
+  in
+  let order = bfs_order store honest in
+  let waves = (List.length order + Sync.get_batch - 1) / Sync.get_batch in
+  check bool_ "enough waves to fill the window" true (waves > Sync.wave_window + 2);
+  (* Past the first waves, with full waves still queued behind it. *)
+  let queued_behind = Sync.wave_window * Sync.get_batch in
+  target := Some (List.nth order (List.length order - queued_behind - 1));
+  with_server ~config:{ test_config with mode } srv_fb (fun srv ->
+      with_remote srv (fun r ->
+          let dst_store = Mem_store.create () in
+          let dst = FB.create dst_store in
+          (match Remote.pull r dst ~key:"k" with
+           | Error (Errors.Corrupt _) -> ()
+           | Ok _ -> Alcotest.fail "tampered pull accepted"
+           | Error e -> Alcotest.fail (Errors.to_string e));
+          check int_ "nothing reached the local store" 0
+            (Store.stats dst_store).Store.physical_chunks;
+          (match FB.head dst ~key:"k" with
+           | Error (Errors.Key_not_found _) -> ()
+           | Ok _ -> Alcotest.fail "branch head advanced on a refused pull"
+           | Error e -> Alcotest.fail (Errors.to_string e));
+          check bool_ "the next request answers its own question" true
+            (Result.map (Hash.equal honest) (Remote.head r ~key:"k") = Ok true);
+          target := None;
+          let uid, _ = ok_fb (Remote.pull r dst ~key:"k") in
+          check bool_ "a clean pull on the same Remote" true (Hash.equal uid honest);
+          check bool_ "and its replica scrubs clean" true
+            (Fb_chunk.Scrub.clean (FB.scrub ~dry_run:true dst))))
+
+(* A loopback relay to [port] that cuts its first connection once
+   [cut_after] bytes have come back from the server; later connections
+   relay untouched.  [f] gets the relay's port and a count of the
+   connections it accepted. *)
+let with_relay ~port ~cut_after f =
+  let lfd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.setsockopt lfd Unix.SO_REUSEADDR true;
+  Unix.bind lfd (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+  Unix.listen lfd 8;
+  let relay_port =
+    match Unix.getsockname lfd with Unix.ADDR_INET (_, p) -> p | _ -> assert false
+  in
+  let cuts = ref 0 and threads = ref [] in
+  let close fd = try Unix.close fd with Unix.Unix_error _ -> () in
+  let kill a b =
+    List.iter
+      (fun fd -> try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ())
+      [ a; b ]
+  in
+  let pump ~limit src dst =
+    let buf = Bytes.create 65536 in
+    let moved = ref 0 in
+    let rec go () =
+      match Unix.read src buf 0 65536 with
+      | 0 -> kill src dst
+      | n ->
+        moved := !moved + n;
+        if !moved > limit then kill src dst
+        else begin
+          ignore (Unix.write dst buf 0 n);
+          go ()
+        end
+      | exception Unix.Unix_error _ -> kill src dst
+    in
+    (try go () with Unix.Unix_error _ -> kill src dst)
+  in
+  let accept () =
+    let rec loop () =
+      match Unix.accept lfd with
+      | exception Unix.Unix_error _ -> ()
+      | cfd, _ ->
+        let sfd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+        Unix.connect sfd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+        let limit = if !cuts = 0 then cut_after else max_int in
+        incr cuts;
+        threads :=
+          Thread.create (fun () -> pump ~limit:max_int cfd sfd) ()
+          :: Thread.create (fun () -> pump ~limit sfd cfd; close sfd; close cfd) ()
+          :: !threads;
+        loop ()
+    in
+    loop ()
+  in
+  let acceptor = Thread.create accept () in
+  Fun.protect
+    ~finally:(fun () ->
+      (try Unix.shutdown lfd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
+      close lfd;
+      Thread.join acceptor)
+    (fun () -> f relay_port (fun () -> !cuts))
+
+(* The connection drops mid-walk: the driver re-dials once, re-issues the
+   waves in flight, and the pull ends exactly as an uninterrupted one. *)
+let test_pull_survives_one_drop mode () =
+  let store = Mem_store.create () in
+  let srv_fb = FB.create store in
+  let head =
+    ok_fb
+      (FB.put srv_fb ~key:"k"
+         (Value.map_of_bindings store (bindings 100_000 "v")))
+  in
+  with_server ~config:{ test_config with mode } srv_fb (fun srv ->
+      let direct = FB.create (Mem_store.create ()) in
+      let _, want =
+        with_remote srv (fun r -> ok_fb (Remote.pull r direct ~key:"k"))
+      in
+      with_relay ~port:(Server.port srv) ~cut_after:(want.Sync.bytes_moved / 2)
+        (fun port accepted ->
+          let r =
+            match Remote.connect ~port () with
+            | Ok r -> r
+            | Error e -> Alcotest.fail (Errors.to_string e)
+          in
+          Fun.protect ~finally:(fun () -> Remote.close r) (fun () ->
+              let dst = FB.create (Mem_store.create ()) in
+              let uid, got = ok_fb (Remote.pull r dst ~key:"k") in
+              check int_ "one reconnect" 2 (accepted ());
+              check bool_ "pulled the head" true (Hash.equal uid head);
+              check bool_ "the stats of an uninterrupted pull" true
+                (same_stats want got);
+              check bool_ "the same chunks" true
+                (store_ids (FB.store direct) = store_ids (FB.store dst)))))
+
+(* The server stops mid-walk: the one reconnect finds nobody, the pull
+   ends [Transient], and the local store and head are untouched. *)
+let test_pull_server_stops mode () =
+  let store = Mem_store.create () in
+  let srv = ref None and gets = ref 0 in
+  let stopping =
+    { store with
+      Store.get_raw =
+        (fun id ->
+          incr gets;
+          if !gets = 3 * Sync.get_batch then begin
+            ignore (Thread.create (fun () -> Option.iter Server.stop !srv) ());
+            Thread.delay 0.2
+          end;
+          store.Store.get_raw id) }
+  in
+  let srv_fb = FB.create stopping in
+  ignore
+    (ok_fb
+       (FB.put srv_fb ~key:"k"
+          (Value.map_of_bindings store (bindings 100_000 "v"))));
+  let s = ok_net (Server.start ~config:{ test_config with mode } srv_fb) in
+  srv := Some s;
+  gets := 0;
+  Fun.protect ~finally:(fun () -> Server.stop s) (fun () ->
+      with_remote s (fun r ->
+          let dst_store = Mem_store.create () in
+          let dst = FB.create dst_store in
+          (match Remote.pull r dst ~key:"k" with
+           | Error (Errors.Transient _) -> ()
+           | Ok _ -> Alcotest.fail "pull finished against a stopped server"
+           | Error e -> Alcotest.fail (Errors.to_string e));
+          check int_ "nothing reached the local store" 0
+            (Store.stats dst_store).Store.physical_chunks;
+          check bool_ "no head" true (Result.is_error (FB.head dst ~key:"k"))))
+
+(* A pull observes each client stage once: wave wait, verify and the
+   local store. *)
+let test_stage_histograms () =
+  let module Obs = Fb_obs.Obs in
+  let names =
+    [ "fb.remote.sync_wave_wait_seconds"; "fb.remote.sync_verify_seconds";
+      "fb.remote.sync_store_seconds" ]
+  in
+  let count name = Obs.hist_count (Obs.histogram name) in
+  let was = Obs.is_enabled () in
+  Obs.set_enabled true;
+  Fun.protect ~finally:(fun () -> Obs.set_enabled was) @@ fun () ->
+  let store = Mem_store.create () in
+  let srv_fb = FB.create store in
+  ignore
+    (ok_fb
+       (FB.put srv_fb ~key:"k" (Value.map_of_bindings store (bindings 3_000 "v"))));
+  with_server srv_fb (fun srv ->
+      with_remote srv (fun r ->
+          let before = List.map count names in
+          ignore (ok_fb (Remote.pull r (FB.create (Mem_store.create ())) ~key:"k"));
+          List.iter2
+            (fun name b -> check int_ (name ^ " once per pull") (b + 1) (count name))
+            names before))
+
 let suite =
   [ QCheck_alcotest.to_alcotest qcheck_plan_order;
     QCheck_alcotest.to_alcotest qcheck_have_roundtrip;
@@ -504,4 +854,22 @@ let suite =
     Alcotest.test_case "sync-get batch records reply encode time" `Quick
       test_reply_encode_histogram;
     Alcotest.test_case "sync verbs have their own histograms" `Quick
-      test_sync_verb_histograms ]
+      test_sync_verb_histograms;
+    QCheck_alcotest.to_alcotest qcheck_bloom_oracle;
+    Alcotest.test_case "wave driver = sequential walks (event)" `Quick
+      (driver_oracle `Event);
+    Alcotest.test_case "wave driver = sequential walks (threaded)" `Quick
+      (driver_oracle `Threaded);
+    Alcotest.test_case "tampered later wave refused (event)" `Quick
+      (test_tampered_later_wave `Event);
+    Alcotest.test_case "tampered later wave refused (threaded)" `Quick
+      (test_tampered_later_wave `Threaded);
+    Alcotest.test_case "pull survives one dropped connection (event)" `Quick
+      (test_pull_survives_one_drop `Event);
+    Alcotest.test_case "pull survives one dropped connection (threaded)" `Quick
+      (test_pull_survives_one_drop `Threaded);
+    Alcotest.test_case "server stops mid-pull: Transient (event)" `Quick
+      (test_pull_server_stops `Event);
+    Alcotest.test_case "server stops mid-pull: Transient (threaded)" `Quick
+      (test_pull_server_stops `Threaded);
+    Alcotest.test_case "sync stage histograms" `Quick test_stage_histograms ]

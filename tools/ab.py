@@ -5,9 +5,13 @@ Run from the repository root:
 
     python3 tools/ab.py --base REV --seeds 1,2,3 --workloads sync,dataset
 
-The base revision's committed files are extracted into a scratch directory
-(`git archive`, so the base builds exactly what is committed) and built there;
-the working tree is built in place.  For every workload and seed the two sides
+Both sides run from fresh trees in a scratch directory, each built there from
+an empty `_build`: the base revision's committed files (`git archive`, so the
+base builds exactly what is committed), and a copy of the working tree's
+tracked and untracked-but-not-ignored files (`git ls-files -co
+--exclude-standard`).  Neither side reuses the live checkout's build or its
+leftovers, so a same-tree run compares like with like.  For every workload and
+seed the two sides
 run `python3 fbperf/run.py --workload W --seed S --seconds 20 --trace 0` (the
 run length BENCHMARK.json sets) back to back, alternating which side goes
 first from one seed to the next.  Each finished pair is reported on standard
@@ -70,6 +74,17 @@ def extract(rev, dest):
     subprocess.run(["tar", "-x", "-C", dest], input=archive.stdout, check=True)
 
 
+def copy_worktree(dest):
+    listed = subprocess.run(["git", "ls-files", "-co", "--exclude-standard", "-z"],
+                            stdout=subprocess.PIPE, check=True).stdout
+    for name in listed.decode().split("\0"):
+        if not name or not os.path.lexists(name):
+            continue  # a tracked file deleted in the working tree
+        target = os.path.join(dest, name)
+        os.makedirs(os.path.dirname(target) or dest, exist_ok=True)
+        shutil.copy2(name, target, follow_symlinks=False)
+
+
 def run_once(tree, workload, seed, trace):
     cmd = [sys.executable, "fbperf/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(SECONDS),
@@ -103,10 +118,12 @@ def main():
     ok = True
     rows = []
     try:
-        base_tree = os.path.join(scratch, "base")
-        os.mkdir(base_tree)
-        extract(args.base, base_tree)
-        sides = {"base": base_tree, "change": os.getcwd()}
+        sides = {"base": os.path.join(scratch, "base"),
+                 "change": os.path.join(scratch, "change")}
+        for tree in sides.values():
+            os.mkdir(tree)
+        extract(args.base, sides["base"])
+        copy_worktree(sides["change"])
         for workload in workloads:
             values = {"base": {}, "change": {}}
             wins = {}
