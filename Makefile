@@ -82,7 +82,8 @@ ab:
 	python3 tools/ab.py --base $(BASE) --seeds $(SEEDS) --workloads $(WORKLOADS) \
 	  $(if $(filter 1,$(TRACE)),--trace)
 
-# The pre-commit gate: full build, full test suite, the observability
+# The pre-commit gate: full build, full test suite, the Fig. 2 POS-Tree
+# bench (fails if `validate` refuses a tree it just built), the observability
 # smoke (instrumentation overhead + histogram/exposition/tracing smoke,
 # artifact untouched), a ~1-second hot-path sanity run (SHA-256 and
 # CRC-32 kernel equivalence + cache on/off smoke), a ~1-second network smoke (2
@@ -101,6 +102,7 @@ ab:
 check:
 	dune build
 	dune runtest
+	dune exec bench/main.exe -- fig2
 	dune exec bench/main.exe -- obs-quick
 	dune exec bench/main.exe -- hotpath-quick
 	dune exec bench/main.exe -- net-quick

@@ -66,3 +66,9 @@ let mem t h = t.mem h
 let ids t f = t.ids f
 let stats t = t.stats ()
 let physical_bytes t = (t.stats ()).physical_bytes
+
+let sink =
+  { name = "sink"; put = Chunk.hash; get = (fun _ -> None);
+    get_raw = (fun _ -> None); peek = (fun _ -> None); mem = (fun _ -> false);
+    stats = (fun () -> empty_stats); iter = ignore; ids = ignore;
+    delete = (fun _ -> false) }

@@ -86,3 +86,8 @@ val on_delete : (Fb_hash.Hash.t -> unit) -> unit
     every chunk removed via {!delete}.  Used by the decoded-node cache for
     invalidation.  Listeners must not raise and must not call back into
     the store. *)
+
+val sink : t
+(** A store that keeps nothing: [put] returns the chunk's id and every
+    read finds nothing.  A tree built into it yields its root id alone —
+    how the POS-Tree validators rebuild a tree to compare roots. *)

@@ -58,13 +58,15 @@ let ( let* ) = Result.bind
 
 (* Storage faults travel as exceptions below this layer —
    [Fb_chunk.Store.Transient] from the chunk store (retryable),
-   [Postree.Corrupt] from tree traversal over damaged chunks.  Every
-   store-touching entry point converts both into typed errors here, so
-   nothing raises across the API boundary. *)
+   [Postree.Corrupt] from tree traversal over damaged chunks — and so does
+   [Postree.Unbuildable], a tree build refusing its input (a key over the
+   limit).  Every store-touching entry point converts them into typed
+   errors here, so nothing raises across the API boundary. *)
 let guard f =
   try f () with
   | Store.Transient msg -> Error (Errors.Transient msg)
   | Fb_postree.Postree.Corrupt msg -> Error (Errors.Corrupt msg)
+  | Fb_postree.Postree.Unbuildable msg -> Error (Errors.Invalid msg)
 
 let create ?(acl = Acl.open_instance ()) ?journal store =
   let table t = Branch.create ?journal:(Option.map (fun j -> j t) journal) () in

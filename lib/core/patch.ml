@@ -124,12 +124,14 @@ let apply ?user ?(message = "apply patch") ?branch ?(force = false) fb ~key
         | Remove_entry k -> Pmap.Remove k)
       patch.ops
   in
-  let rows' = Pmap.update rows edits in
-  let value' =
-    match patch.shape with
-    | Map_shape -> Value.Map rows'
-    | Table_shape schema ->
-      Value.Table
-        (Table.of_rows_root (Pmap.store rows') schema (Pmap.root rows'))
-  in
-  Forkbase.put ?user ~message ?branch fb ~key value'
+  match Pmap.update rows edits with
+  | exception Fb_postree.Postree.Unbuildable e -> Error (Errors.Invalid e)
+  | rows' ->
+    let value' =
+      match patch.shape with
+      | Map_shape -> Value.Map rows'
+      | Table_shape schema ->
+        Value.Table
+          (Table.of_rows_root (Pmap.store rows') schema (Pmap.root rows'))
+    in
+    Forkbase.put ?user ~message ?branch fb ~key value'

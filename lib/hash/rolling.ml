@@ -98,11 +98,13 @@ let feed t c =
   if t.count < k then t.count <- t.count + 1;
   t.count >= k && t.state = 0
 
-let feed_string t s =
-  let n = String.length s in
-  bytes_scanned := !bytes_scanned + n;
+let feed_sub t s off len =
+  if off < 0 || len < 0 || off > String.length s - len then
+    invalid_arg "Rolling.feed_sub";
+  let n = off + len in
+  bytes_scanned := !bytes_scanned + len;
   let hit = ref false in
-  let i = ref 0 in
+  let i = ref off in
   let k = t.params.window in
   (* Warm-up: per-char until the window is full, so the not-yet-full branch
      stays out of the main loop. *)
@@ -147,6 +149,8 @@ let feed_string t s =
     t.pos <- !pos
   end;
   !hit
+
+let feed_string t s = feed_sub t s 0 (String.length s)
 
 let hits_in params s =
   let t = create params in

@@ -45,6 +45,10 @@ val feed_string : t -> string -> bool
     calling {!feed} per byte.  It is observationally identical to feeding
     each byte through {!feed} (property-tested). *)
 
+val feed_sub : t -> string -> int -> int -> bool
+(** [feed_sub t s off len] is {!feed_string} over [String.sub s off len],
+    without the copy.  @raise Invalid_argument on a range outside [s]. *)
+
 val fingerprint : t -> int
 (** Current rolling state Φ (q bits).  Exposed for diagnostics and for the
     differential tests that check {!feed_string} against per-byte

@@ -11,6 +11,7 @@ let () =
 
 type 'a t = {
   rolling : Fb_hash.Rolling.t;
+  window : int;
   max_bytes : int;
   emit : 'a list -> unit;
   mutable items : 'a list;      (* current node's items, reversed *)
@@ -24,6 +25,7 @@ let create ?(params = Fb_hash.Rolling.default_node_params) ?max_bytes ~emit ()
   in
   if max_bytes < 1 then invalid_arg "Chunker.create: max_bytes must be >= 1";
   { rolling = Fb_hash.Rolling.create params;
+    window = params.window;
     max_bytes;
     emit;
     items = [];
@@ -35,11 +37,25 @@ let boundary t =
   t.bytes <- 0;
   Fb_hash.Rolling.reset t.rolling
 
-let add t item encoded =
-  let hit = Fb_hash.Rolling.feed_string t.rolling encoded in
+let push t item encoded hit =
   t.items <- item :: t.items;
   t.bytes <- t.bytes + String.length encoded;
   if hit || t.bytes >= t.max_bytes then boundary t
+
+let add t item encoded =
+  push t item encoded (Fb_hash.Rolling.feed_string t.rolling encoded)
+
+(* Three runs of [encoded]: before the muted range, the muted range (its
+   hits dropped), and after it. *)
+let add_keyed t item encoded ~key_end =
+  let n = String.length encoded in
+  let lo = min (t.window - 1) n in
+  let hi = max lo (min key_end n) in
+  let r = t.rolling in
+  let before = Fb_hash.Rolling.feed_sub r encoded 0 lo in
+  ignore (Fb_hash.Rolling.feed_sub r encoded lo (hi - lo));
+  let after = Fb_hash.Rolling.feed_sub r encoded hi (n - hi) in
+  push t item encoded (before || after)
 
 let pending t = t.items <> []
 let finish t = if pending t then boundary t

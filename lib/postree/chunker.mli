@@ -23,6 +23,18 @@ val create :
 val add : 'a t -> 'a -> string -> unit
 (** Feed one item together with its serialized bytes. *)
 
+val add_keyed : 'a t -> 'a -> string -> key_end:int -> unit
+(** [add] for an index entry whose encoding starts with a key's encoding,
+    [key_end] bytes long.  A pattern hit whose whole window lies inside
+    that key is ignored: the muted range is the positions [p] (0-based in
+    the entry, [p] the byte completing the window) with
+    [window - 1 <= p < key_end].  Such a hit depends on the key alone, so
+    it would fire again for the same split key at every index level above
+    and keep the level from shrinking.  Hits whose window reaches into the
+    previous entry or past the key still count.  A key encoding shorter
+    than the window has an empty muted range, so [add_keyed] then cuts
+    exactly where [add] does. *)
+
 val pending : 'a t -> bool
 (** [true] if items have been fed since the last boundary. *)
 

@@ -10,6 +10,7 @@ module Entry = struct
 
   let key b = b.key
   let compare_key = String.compare
+  let key_size = String.length
   let equal a b = String.equal a.key b.key && String.equal a.value b.value
 
   let encode w b =

@@ -6,8 +6,11 @@ module Rolling = Fb_hash.Rolling
 module Obs = Fb_obs.Obs
 
 exception Corrupt of string
+exception Unbuildable of string
 
 let corrupt fmt = Printf.ksprintf (fun s -> raise (Corrupt s)) fmt
+
+let max_key_bytes = 4096
 
 module type ENTRY = Postree_intf.ENTRY
 module type S = Postree_intf.S
@@ -47,10 +50,14 @@ module Make (E : ENTRY) = struct
 
   let encode_entry e = Codec.to_string E.encode e
 
+  (* Returns the length of the split key's encoding, which leads. *)
   let encode_index_entry w ie =
+    let start = Codec.length w in
     E.encode_key w ie.split;
+    let key_end = Codec.length w - start in
     Codec.hash w ie.child;
-    Codec.varint w ie.count
+    Codec.varint w ie.count;
+    key_end
 
   let decode_index_entry r =
     let split = E.decode_key r in
@@ -67,7 +74,7 @@ module Make (E : ENTRY) = struct
   let index_chunk ies =
     let w = Codec.writer () in
     Codec.varint w (List.length ies);
-    List.iter (encode_index_entry w) ies;
+    List.iter (fun ie -> ignore (encode_index_entry w ie)) ies;
     Chunk.v Chunk.Index (Codec.contents w)
 
   let decode_node chunk =
@@ -117,20 +124,6 @@ module Make (E : ENTRY) = struct
     | [] -> invalid_arg "last_exn"
     | l -> List.nth l (List.length l - 1)
 
-  (* Chunk a level's items into nodes; return one index entry per node. *)
-  let chunk_level ~mk_chunk ~encode_item ~split_of ~count_of store items =
-    let out = ref [] in
-    let emit items =
-      let chunk = mk_chunk items in
-      let id = Store.put store chunk in
-      let count = List.fold_left (fun a it -> a + count_of it) 0 items in
-      out := { split = split_of (last_exn items); child = id; count } :: !out
-    in
-    let ch = Chunker.create ~params ~max_bytes:max_node_bytes ~emit () in
-    List.iter (fun it -> Chunker.add ch it (encode_item it)) items;
-    Chunker.finish ch;
-    List.rev !out
-
   (* A chunker whose every leaf is written to [store] and whose index
      entry is pushed onto [out] (so [out] holds the leaf row reversed). *)
   let leaf_chunker store out =
@@ -143,59 +136,93 @@ module Make (E : ENTRY) = struct
     in
     Chunker.create ~params ~max_bytes:max_node_bytes ~emit ()
 
-  let chunk_leaf_level store entries =
-    chunk_level ~mk_chunk:leaf_chunk ~encode_item:encode_entry
-      ~split_of:E.key ~count_of:(fun _ -> 1) store entries
+  let check_key k =
+    let n = E.key_size k in
+    if n > max_key_bytes then
+      raise
+        (Unbuildable
+           (Printf.sprintf "key of %d bytes exceeds the %d-byte key limit" n
+              max_key_bytes))
 
+  (* The one way an entry enters a leaf chunker. *)
+  let add_entry ch e =
+    check_key (E.key e);
+    Chunker.add ch e (encode_entry e)
+
+  (* Chunk a row of index entries into index nodes; return the parent row.
+     A pattern hit lying wholly inside a split key is muted
+     ([Chunker.add_keyed]): it would fire again for that key at every
+     level above, so a row of long keys would never shrink. *)
   let chunk_index_level store ies =
-    chunk_level ~mk_chunk:index_chunk
-      ~encode_item:(fun ie -> Codec.to_string encode_index_entry ie)
-      ~split_of:(fun ie -> ie.split)
-      ~count_of:(fun ie -> ie.count)
-      store ies
+    let out = ref [] in
+    let emit items =
+      let id = Store.put store (index_chunk items) in
+      let count = List.fold_left (fun a ie -> a + ie.count) 0 items in
+      out := { split = (last_exn items).split; child = id; count } :: !out
+    in
+    let ch = Chunker.create ~params ~max_bytes:max_node_bytes ~emit () in
+    List.iter
+      (fun ie ->
+        let w = Codec.writer () in
+        let key_end = encode_index_entry w ie in
+        Chunker.add_keyed ch ie (Codec.contents w) ~key_end)
+      ies;
+    Chunker.finish ch;
+    List.rev !out
 
-  (* Collapse rows upward until a single node remains. *)
+  (* Collapse rows upward until a single node remains.  A level may fail
+     to shrink by chance (a hit in every entry's child id), but not level
+     after level unless its split keys are too long for two entries to
+     share a node, which only a tree no builder made (a pushed one, say,
+     carried into a merge) can hold: that row is refused instead of
+     looping. *)
   let rec build_up store row =
     match row with
     | [] -> None
     | [ ie ] -> Some ie.child
-    | _ -> build_up store (chunk_index_level store row)
+    | _ ->
+      let up = chunk_index_level store row in
+      if List.compare_lengths up row >= 0 then
+        List.iter (fun ie -> check_key ie.split) row;
+      build_up store up
 
-  let sort_dedup_entries entries =
-    (* Stable sort + last-wins on duplicate keys. *)
-    let sorted =
-      List.stable_sort (fun a b -> E.compare_key (E.key a) (E.key b)) entries
-    in
-    let rec dedup = function
-      | a :: (b :: _ as rest) when E.compare_key (E.key a) (E.key b) = 0 ->
-        dedup rest
-      | a :: rest -> a :: dedup rest
-      | [] -> []
-    in
-    dedup sorted
-
-  let build store entries =
-    Obs.with_span span_build @@ fun () ->
-    let entries = sort_dedup_entries entries in
-    { store; root = build_up store (chunk_leaf_level store entries) }
-
-  let build_sorted_seq store seq =
-    Obs.with_span span_build @@ fun () ->
+  (* The builder every tree comes from: the entries [iter] yields, in
+     strictly increasing key order, through the leaf chunker into [store],
+     then [build_up]; returns the root.  [validate] runs it into
+     [Store.sink]. *)
+  let build_root store iter =
     let out = ref [] in
     let ch = leaf_chunker store out in
     let prev = ref None in
-    Seq.iter
-      (fun e ->
+    iter (fun e ->
         let k = E.key e in
         (match !prev with
          | Some p when E.compare_key p k >= 0 ->
            invalid_arg "build_sorted_seq: keys not strictly increasing"
          | _ -> ());
         prev := Some k;
-        Chunker.add ch e (encode_entry e))
-      seq;
+        add_entry ch e);
     Chunker.finish ch;
-    { store; root = build_up store (List.rev !out) }
+    build_up store (List.rev !out)
+
+  (* Stable sort, then last wins among equal keys. *)
+  let sort_dedup key l =
+    let cmp a b = E.compare_key (key a) (key b) in
+    let rec dedup = function
+      | a :: (b :: _ as rest) when cmp a b = 0 -> dedup rest
+      | a :: rest -> a :: dedup rest
+      | [] -> []
+    in
+    dedup (List.stable_sort cmp l)
+
+  let build store entries =
+    Obs.with_span span_build @@ fun () ->
+    let entries = sort_dedup E.key entries in
+    { store; root = build_root store (fun f -> List.iter f entries) }
+
+  let build_sorted_seq store seq =
+    Obs.with_span span_build @@ fun () ->
+    { store; root = build_root store (fun f -> Seq.iter f seq) }
 
   (* ---------------- accessors ---------------- *)
 
@@ -438,22 +465,8 @@ module Make (E : ENTRY) = struct
 
   let edit_key = function Put e -> E.key e | Remove k -> k
 
-  let sort_dedup_edits edits =
-    let sorted =
-      List.stable_sort (fun a b -> E.compare_key (edit_key a) (edit_key b))
-        edits
-    in
-    let rec dedup = function
-      | a :: (b :: _ as rest)
-        when E.compare_key (edit_key a) (edit_key b) = 0 ->
-        dedup rest
-      | a :: rest -> a :: dedup rest
-      | [] -> []
-    in
-    dedup sorted
-
   let update t edits =
-    let edits = sort_dedup_edits edits in
+    let edits = sort_dedup edit_key edits in
     if edits = [] then t
     else
       Obs.with_span span_update @@ fun () ->
@@ -474,7 +487,7 @@ module Make (E : ENTRY) = struct
         let out = ref [] in
         let reuse ie = out := ie :: !out in
         let ch = leaf_chunker t.store out in
-        let add_entry e = Chunker.add ch e (encode_entry e) in
+        let add_entry = add_entry ch in
         (* Reuse whole leaves strictly before the one containing [k]; a key
            beyond every split targets the last leaf (appends coalesce into
            it, since only the level-last node may end without a pattern). *)
@@ -821,7 +834,7 @@ module Make (E : ENTRY) = struct
       let store = ours.store in
       let out = ref [] in
       let ch = leaf_chunker store out in
-      let add e = Chunker.add ch e (encode_entry e) in
+      let add = add_entry ch in
       (* A row's last leaf may end without a pattern, so it is fed rather
          than passed through. *)
       let pass src last ie =
@@ -914,50 +927,35 @@ module Make (E : ENTRY) = struct
     leaf_node_sizes : int list;
   }
 
+  (* One level at a time, root first; the leaf level also gives the leaf
+     sizes and the entry count. *)
   let node_stats t =
+    let rec go hs nodes bytes =
+      let chunks = List.map (chunk_of_hash t.store) hs in
+      let sizes = List.map Chunk.encoded_size chunks in
+      let nodes = List.length hs :: nodes in
+      let bytes = List.fold_left ( + ) 0 sizes :: bytes in
+      let children = function
+        | Index ies -> List.map (fun ie -> ie.child) ies
+        | Leaf _ -> []
+      in
+      match List.map decode_node chunks with
+      | Index _ :: _ as level -> go (List.concat_map children level) nodes bytes
+      | level ->
+        { levels = List.length nodes;
+          nodes_per_level = List.rev nodes;
+          bytes_per_level = List.rev bytes;
+          leaf_entries =
+            List.fold_left
+              (fun a -> function Leaf es -> a + List.length es | Index _ -> a)
+              0 level;
+          leaf_node_sizes = sizes }
+    in
     match t.root with
     | None ->
       { levels = 0; nodes_per_level = []; bytes_per_level = [];
         leaf_entries = 0; leaf_node_sizes = [] }
-    | Some h ->
-      let rec go level_hashes (nodes, bytes, sizes_acc, entries_acc) =
-        let chunks = List.map (chunk_of_hash t.store) level_hashes in
-        let level_bytes =
-          List.fold_left (fun a c -> a + Chunk.encoded_size c) 0 chunks
-        in
-        let nodes = List.length level_hashes :: nodes in
-        let bytes = level_bytes :: bytes in
-        match decode_node (List.hd chunks) with
-        | Leaf _ ->
-          let sizes = List.map Chunk.encoded_size chunks in
-          let entries =
-            List.fold_left
-              (fun a c ->
-                match decode_node c with
-                | Leaf es -> a + List.length es
-                | Index _ -> a)
-              0 chunks
-          in
-          (List.rev nodes, List.rev bytes, sizes, entries + entries_acc)
-        | Index _ ->
-          let children =
-            List.concat_map
-              (fun c ->
-                match decode_node c with
-                | Index ies -> List.map (fun ie -> ie.child) ies
-                | Leaf _ -> [])
-              chunks
-          in
-          go children (nodes, bytes, sizes_acc, entries_acc)
-      in
-      let nodes_per_level, bytes_per_level, leaf_node_sizes, leaf_entries =
-        go [ h ] ([], [], [], 0)
-      in
-      { levels = List.length nodes_per_level;
-        nodes_per_level;
-        bytes_per_level;
-        leaf_entries;
-        leaf_node_sizes }
+    | Some h -> go [ h ] [] []
 
   let node_hashes t =
     let acc = ref [] in
@@ -972,131 +970,47 @@ module Make (E : ENTRY) = struct
 
   let leaf_hashes t = List.map (fun ie -> ie.child) (leaf_row t)
 
-  (* ---------------- validation ---------------- *)
+  (* ---------------- validation ----------------
+
+     One walk reads each stored chunk once, as raw bytes — never through
+     the node cache, which could hide a tampered chunk — and checks each
+     index node's hash, which also rules out cycles.  The leaf entries
+     stream through [build_root] into [Store.sink]: the tree is valid iff
+     the rebuilt root is the stored one.  Leaves need no hash check of
+     their own, since the rebuilt root commits to their content. *)
 
   let validate t =
-    let err fmt = Printf.ksprintf (fun s -> Error s) fmt in
-    let check_chunk_integrity h =
+    let read h =
       match t.store.Store.get_raw h with
-      | None -> err "missing chunk %s" (Hash.to_hex h)
-      | Some raw ->
-        if not (Hash.equal (Hash.of_string raw) h) then
-          err "chunk %s: stored bytes hash to %s (tampered)"
-            (Hash.to_hex h)
-            (Hash.to_hex (Hash.of_string raw))
-        else
-          (match Chunk.decode raw with
-           | Error e -> err "chunk %s: %s" (Hash.to_hex h) e
-           | Ok c -> Ok c)
+      | None -> corrupt "missing chunk %s" (Hash.to_hex h)
+      | Some raw -> (
+        match Chunk.decode raw with
+        | Error e -> corrupt "chunk %s: %s" (Hash.to_hex h) e
+        | Ok chunk -> (raw, decode_node chunk))
     in
-    let ( let* ) = Result.bind in
-    (* Check one level: ids in order, with their items' encodings; verify
-       sortedness, boundary justification, and collect children. *)
-    let check_boundary ~is_last ~node_bytes items_encoded h =
-      let rolling = Rolling.create params in
-      let rec scan = function
-        | [] -> Ok ()
-        | [ last ] ->
-          let hit = Rolling.feed_string rolling last in
-          if hit || is_last || node_bytes >= max_node_bytes then Ok ()
-          else
-            err "node %s: no pattern at final entry and not level-last"
-              (Hash.to_hex h)
-        | enc :: rest ->
-          if Rolling.feed_string rolling enc then
-            err "node %s: pattern fires before final entry" (Hash.to_hex h)
-          else scan rest
-      in
-      scan items_encoded
-    in
-    let rec check_level hashes ~expected_leaf_depth ~depth ~prev_key =
-      match hashes with
-      | [] -> Ok ()
-      | _ ->
-        let rec per_node hs prev_key children_acc =
-          match hs with
-          | [] -> Ok (List.rev children_acc, prev_key)
-          | h :: rest ->
-            let* chunk = check_chunk_integrity h in
-            let node = try Ok (decode_node chunk) with Corrupt m -> Error m in
-            let* node = node in
-            let is_last = rest = [] in
-            let node_bytes = Chunk.encoded_size chunk in
-            (match node, expected_leaf_depth with
-             | Leaf _, Some d when d <> depth ->
-               err "leaf %s at depth %d, expected %d" (Hash.to_hex h) depth d
-             | Leaf [], _ -> err "empty leaf %s" (Hash.to_hex h)
-             | Leaf entries, _ ->
-               let* () =
-                 check_boundary ~is_last ~node_bytes
-                   (List.map encode_entry entries) h
-               in
-               let* prev =
-                 List.fold_left
-                   (fun acc e ->
-                     let* prev = acc in
-                     let k = E.key e in
-                     match prev with
-                     | Some pk when E.compare_key pk k >= 0 ->
-                       err "keys not strictly increasing at %a"
-                         (fun () k -> Format.asprintf "%a" E.pp_key k) k
-                     | _ -> Ok (Some k))
-                   (Ok prev_key) entries
-               in
-               per_node rest prev children_acc
-             | Index [], _ -> err "empty index node %s" (Hash.to_hex h)
-             | Index ies, _ ->
-               let* () =
-                 check_boundary ~is_last ~node_bytes
-                   (List.map (fun ie -> Codec.to_string encode_index_entry ie)
-                      ies)
-                   h
-               in
-               (* Split keys and counts are validated against children after
-                  the whole level is assembled. *)
-               per_node rest prev_key (List.rev_append ies children_acc))
-        in
-        let* children, _last = per_node hashes prev_key [] in
-        (match children with
-         | [] -> Ok () (* leaf level: done *)
-         | ies ->
-           (* Validate each child's count and split key. *)
-           let* () =
-             List.fold_left
-               (fun acc ie ->
-                 let* () = acc in
-                 let* chunk = check_chunk_integrity ie.child in
-                 let node =
-                   try Ok (decode_node chunk) with Corrupt m -> Error m
-                 in
-                 let* node = node in
-                 let count, max_key =
-                   match node with
-                   | Leaf es -> (List.length es, E.key (last_exn es))
-                   | Index ces ->
-                     ( List.fold_left (fun a c -> a + c.count) 0 ces,
-                       (last_exn ces).split )
-                 in
-                 if count <> ie.count then
-                   err "child %s: count %d, index says %d"
-                     (Hash.to_hex ie.child) count ie.count
-                 else if E.compare_key max_key ie.split <> 0 then
-                   err "child %s: split key mismatch" (Hash.to_hex ie.child)
-                 else Ok ())
-               (Ok ()) ies
-           in
-           check_level
-             (List.map (fun ie -> ie.child) ies)
-             ~expected_leaf_depth ~depth:(depth + 1) ~prev_key)
+    let rec walk f h =
+      match read h with
+      | _, Leaf entries -> List.iter f entries
+      | raw, Index ies ->
+        let got = Hash.of_string raw in
+        if not (Hash.equal got h) then
+          corrupt "chunk %s: stored bytes hash to %s (tampered)"
+            (Hash.to_hex h) (Hash.to_hex got);
+        List.iter (fun ie -> walk f ie.child) ies
     in
     match t.root with
     | None -> Ok ()
-    | Some h ->
-      (try
-         let depth_of_leaves = height t in
-         check_level [ h ] ~expected_leaf_depth:(Some depth_of_leaves)
-           ~depth:1 ~prev_key:None
-       with Corrupt m -> Error m)
+    | Some root -> (
+      match build_root Store.sink (fun f -> walk f root) with
+      | Some r when Hash.equal r root -> Ok ()
+      | r ->
+        Error
+          (Printf.sprintf
+             "root %s is not the tree the builder makes over its entries \
+              (that is %s)"
+             (Hash.to_hex root)
+             (Option.fold ~none:"empty" ~some:Hash.to_hex r))
+      | exception (Corrupt m | Unbuildable m | Invalid_argument m) -> Error m)
 
   let pp fmt t =
     match t.root with

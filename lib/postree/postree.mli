@@ -22,6 +22,19 @@ exception Corrupt of string
     navigating a tree.  Use [validate] (or [Forkbase.verify]) for a
     non-raising integrity check. *)
 
+exception Unbuildable of string
+(** Raised by a build that cannot make a tree: an entry whose key is
+    longer than {!max_key_bytes}, or an index level that does not shrink
+    (split keys carried in by a pushed tree that no builder made).  The
+    API layer returns it as [Errors.Invalid]. *)
+
+val max_key_bytes : int
+(** Longest key, in {!ENTRY.key_size} bytes, that a tree accepts: 4 KiB.
+    Each index entry holds a split key, so the limit keeps every index
+    entry well below half of the 32 KiB node cap: two entries always fit
+    in one index node, and every index level shrinks.  A longer key is
+    refused with {!Unbuildable} when it is fed to the leaf chunker. *)
+
 module type ENTRY = Postree_intf.ENTRY
 (** Serialized-entry interface a POS-Tree is built over. *)
 

@@ -11,6 +11,9 @@ module type ENTRY = sig
   val key : t -> key
   val compare_key : key -> key -> int
 
+  val key_size : key -> int
+  (** Size of a key in bytes, as {!Postree.max_key_bytes} limits it. *)
+
   val equal : t -> t -> bool
   (** Structural equality of whole entries (used by [diff] and [merge]). *)
 
@@ -203,11 +206,13 @@ module type S = sig
       accounting). *)
 
   val validate : t -> (unit, string) result
-  (** Full integrity check: every chunk's bytes re-hash to its id; nodes
-      decode with the right kinds; keys are strictly sorted globally; index
-      split keys and counts match the children; leaf depth is uniform; and
-      every node boundary is justified (pattern in its final entry, size
-      cap, or level-last). *)
+  (** [Ok] iff the stored root equals [build]'s root over the tree's
+      entries; reads raw store bytes.  One walk reads each chunk once
+      (never through the node cache), checks each index node's hash, and
+      streams the leaf entries through the builder into a store that only
+      hashes.  A missing or tampered chunk, keys out of order, or any
+      shape other than the one [build] makes (a wrapped root, a node split
+      early or merged, leaves at mixed depths) is an [Error]. *)
 
   val pp : Format.formatter -> t -> unit
 end

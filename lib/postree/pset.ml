@@ -6,6 +6,7 @@ module Entry = struct
 
   let key x = x
   let compare_key = String.compare
+  let key_size = String.length
   let equal = String.equal
   let encode = Codec.bytes
   let decode = Codec.read_bytes

@@ -134,12 +134,18 @@ module Make (L : LEAF) = struct
     let id = Store.put store (Chunk.v L.kind (L.encode seg)) in
     out := { child = id; count = L.length seg } :: !out
 
-  let of_seg store seg =
+  (* The builder every tree comes from: [feed] runs the leaf chunker over
+     the content, then [build_up]; returns the root.  [validate] runs it
+     into [Store.sink]. *)
+  let build_root store feed =
     let out = ref [] in
     let ch = L.chunker (emit_leaf store out) in
-    L.feed ch seg;
+    feed ch;
     L.finish ch;
-    { store; root = build_up store (List.rev !out) }
+    build_up store (List.rev !out)
+
+  let of_seg store seg =
+    { store; root = build_root store (fun ch -> L.feed ch seg) }
 
   let length t =
     match t.root with
@@ -330,52 +336,44 @@ module Make (L : LEAF) = struct
     in
     Option.fold ~none:[] ~some:go t.root
 
-  (* A leaf is cut where the chunker puts it iff chunking its run afresh
-     emits exactly that run — or, for the last leaf, which may end without
-     a pattern, nothing yet. *)
-  let well_cut ~is_last seg =
-    let emitted = ref [] in
-    let ch = L.chunker (fun s -> emitted := s :: !emitted) in
-    L.feed ch seg;
-    match !emitted with
-    | [] -> is_last
-    | [ s ] -> L.length s = L.length seg
-    | _ -> false
-
-  (* One depth-first pass: each chunk present, hashing to its id and
-     decodable; each count equal to its child's; each leaf well cut. *)
+  (* One walk reads each chunk once as raw bytes (never through the chunk
+     cache) and checks each index node's hash; the leaf runs stream
+     through [build_root] into [Store.sink], and the tree is valid iff the
+     rebuilt root is the stored one. *)
   let validate t =
     let ( let* ) = Result.bind in
-    let err fmt = Printf.ksprintf (fun s -> Error s) fmt in
-    let rec check h ~is_last =
+    let rec walk ch h =
       let hex = Hash.to_hex h in
       match t.store.Store.get_raw h with
-      | None -> err "missing chunk %s" hex
-      | Some raw when not (Hash.equal (Hash.of_string raw) h) ->
-        err "chunk %s: tampered content" hex
+      | None -> Error ("missing chunk " ^ hex)
       | Some raw -> (
         let* chunk = Result.map_error (( ^ ) (hex ^ ": ")) (Chunk.decode raw) in
         match chunk.Chunk.kind with
         | Chunk.Seq_index ->
-          let* ies = decode_index chunk in
-          let rec children = function
-            | [] -> Ok (sum_counts ies)
-            | ie :: rest ->
-              let* n = check ie.child ~is_last:(is_last && rest = []) in
-              if n = ie.count then children rest
-              else
-                err "child %s: count %d, index says %d" (Hash.to_hex ie.child) n
-                  ie.count
+          let* () =
+            if Hash.equal (Hash.of_string raw) h then Ok ()
+            else Error ("chunk " ^ hex ^ ": tampered content")
           in
-          children ies
+          let* ies = decode_index chunk in
+          List.fold_left
+            (fun acc ie -> Result.bind acc (fun () -> walk ch ie.child))
+            (Ok ()) ies
         | _ ->
           let* seg = leaf_seg chunk in
-          if well_cut ~is_last seg then Ok (L.length seg)
-          else err "%s leaf %s: not cut where the pattern cuts" L.noun hex)
+          Ok (L.feed ch seg))
     in
     match t.root with
     | None -> Ok ()
-    | Some h -> Result.map ignore (check h ~is_last:true)
+    | Some root ->
+      let walked = ref (Ok ()) in
+      let rebuilt = build_root Store.sink (fun ch -> walked := walk ch root) in
+      let* () = !walked in
+      if Option.equal Hash.equal rebuilt (Some root) then Ok ()
+      else
+        Error
+          (Printf.sprintf
+             "%s root %s is not the tree the builder makes over its %s" L.noun
+             (Hash.to_hex root) L.unit)
 
   let pp fmt t =
     match t.root with

@@ -117,8 +117,12 @@ module Make (L : LEAF) : sig
   (** Every chunk of the tree, pre-order. *)
 
   val validate : t -> (unit, string) result
-  (** Every chunk present and hashing to its id, every count matching its
-      child, every leaf cut where the chunker cuts. *)
+  (** [Ok] iff the stored root equals [of_seg]'s root over the tree's
+      elements; reads raw store bytes.  One walk reads each chunk once
+      (never through the chunk cache) and checks each index node's hash;
+      the leaf runs stream through the builder into a store that only
+      hashes, so a forged count, a leaf cut anywhere the chunker does not
+      cut, or a wrapped root is an [Error]. *)
 
   val pp : Format.formatter -> t -> unit
 end

@@ -28,12 +28,15 @@ let decode_row_exn s =
   | Ok row -> row
   | Error e -> raise (Fb_postree.Postree.Corrupt ("table row: " ^ e))
 
+(* A row key over [Postree.max_key_bytes] is refused like a bad cell. *)
+let built f = try Ok (f ()) with Fb_postree.Postree.Unbuildable e -> Error e
+
 let insert t row =
   match Schema.check_row t.schema row with
   | Error _ as e -> e
   | Ok () ->
     let key = key_of_row t.schema row in
-    Ok { t with rows = Pmap.put t.rows key (encode_row row) }
+    built (fun () -> { t with rows = Pmap.put t.rows key (encode_row row) })
 
 let insert_many t rows =
   (* Validate everything first, then apply as one batch update. *)
@@ -54,7 +57,7 @@ let insert_many t rows =
             (Pmap.binding (key_of_row t.schema row) (encode_row row)))
         rows
     in
-    Ok { t with rows = Pmap.update t.rows edits }
+    built (fun () -> { t with rows = Pmap.update t.rows edits })
 
 let insert_exn t row =
   match insert t row with Ok t -> t | Error e -> invalid_arg e

@@ -60,6 +60,9 @@ let cell_of table_schema row column =
   | None -> Error (Printf.sprintf "no column %S" column)
   | Some i -> Ok (List.nth row i)
 
+(* An index key over [Postree.max_key_bytes] is refused as an error. *)
+let built f = try Ok (f ()) with Fb_postree.Postree.Unbuildable e -> Error e
+
 let build table ~column =
   let schema = Table.schema table in
   match Schema.column_index schema column with
@@ -73,9 +76,9 @@ let build table ~column =
           (entry_key v rk, entry_value v rk) :: acc)
         [] table
     in
-    Ok
-      { column;
-        idx = Pmap.of_bindings (Pmap.store (Table.rows_map table)) bindings }
+    built (fun () ->
+        { column;
+          idx = Pmap.of_bindings (Pmap.store (Table.rows_map table)) bindings })
 
 let of_root store ~column root = { column; idx = Pmap.of_root store root }
 
@@ -112,7 +115,7 @@ let apply_changes t table changes =
                :: acc)))
       (Ok []) changes
   in
-  Ok { t with idx = Pmap.update t.idx edits }
+  built (fun () -> { t with idx = Pmap.update t.idx edits })
 
 let lookup_keys t value =
   List.map

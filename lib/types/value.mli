@@ -51,6 +51,9 @@ val float : float -> t
 val blob_of_string : Fb_chunk.Store.t -> string -> t
 val map_of_bindings : Fb_chunk.Store.t -> (string * string) list -> t
 val set_of_elements : Fb_chunk.Store.t -> string list -> t
+(** Both raise [Fb_postree.Postree.Unbuildable] on a key over
+    [Postree.max_key_bytes]. *)
+
 val list_of_strings : Fb_chunk.Store.t -> string list -> t
 
 (** {1 Projections} *)

@@ -5,6 +5,7 @@ let () =
       ("chunk", Test_chunk.suite);
       ("postree", Test_postree.suite);
       ("seqtree", Test_seqtree.suite);
+      ("canonical", Test_canonical.suite);
       ("types", Test_types.suite);
       ("repr", Test_repr.suite);
       ("core", Test_core.suite);

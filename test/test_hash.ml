@@ -461,6 +461,17 @@ let qcheck_cases =
             String.iter (fun c -> if Rolling.feed slow c then hs := true) seg;
             hf = !hs && Rolling.fingerprint fast = Rolling.fingerprint slow)
           segments);
+    Test.make ~name:"rolling: feed_sub = feed_string of the sub-string"
+      ~count:200
+      (triple (string_gen Gen.char) small_nat small_nat)
+      (fun (s, a, b) ->
+        let params = { Rolling.window = 5; q = 4 } in
+        let off = min a (String.length s) in
+        let len = min b (String.length s - off) in
+        let t1 = Rolling.create params and t2 = Rolling.create params in
+        Rolling.feed_sub t1 s off len
+        = Rolling.feed_string t2 (String.sub s off len)
+        && Rolling.fingerprint t1 = Rolling.fingerprint t2);
     Test.make ~name:"rolling: hits depend only on trailing window"
       ~count:100
       (pair (string_gen Gen.char) small_string)

@@ -1236,7 +1236,24 @@ let test_golden_hashes () =
   let l = Fb_postree.Plist.of_list store (List.map snd (mk_bindings ~seed:3L 1200)) in
   check Alcotest.string "plist root"
     "2f10abfaef889420ab2ad705dec1346579aeaca68cbe775ab2468a71ec8876af"
-    (root_hex (Fb_postree.Plist.root l))
+    (root_hex (Fb_postree.Plist.root l));
+  (* Long keys pin the index levels' muted window: a pattern hit lying
+     wholly inside a split key does not cut.  36 bytes is a UUID, 64 a hex
+     SHA-256. *)
+  let hex_key i = Hash.to_hex (Hash.of_string (string_of_int i)) in
+  let uuid i =
+    let h = hex_key i in
+    String.concat "-"
+      [ String.sub h 0 8; String.sub h 8 4; String.sub h 12 4;
+        String.sub h 16 4; String.sub h 20 12 ]
+  in
+  let keyed n key = Pmap.of_bindings store (List.init n (fun i -> (key i, string_of_int i))) in
+  check Alcotest.string "pmap root, 36-byte keys"
+    "100c008a900173b39e5d183b9bcdd5afe6d1698db988d5d0a1d7c346076a2280"
+    (root_hex (Pmap.root (keyed 20_000 uuid)));
+  check Alcotest.string "pmap root, 64-byte keys"
+    "59d0fe0ff54be8be44d06b428b3a342ac760f2494ceec82850121a807ddc75cb"
+    (root_hex (Pmap.root (keyed 5_000 hex_key)))
 
 (* ---------------- Pset ---------------- *)
 
