@@ -2564,10 +2564,28 @@ let run_sync ?(quick = false) () =
       in
       Printf.printf "committed 1%% edit (%d records) in %.0f ms\n%!" edits
         edit_ms;
+      (* The server times each single-frame sync-have under its own
+         histogram before it replies: its count is the push's have waves. *)
+      let have_hist = Obs.histogram "fb.net.sync_have_seconds" in
+      let obs_was = Obs.is_enabled () in
+      Obs.set_enabled true;
+      let waves_before = Obs.hist_count have_hist in
       let (_, delta_push), delta_push_ms =
         time_ms (fun () -> ok_fb (Fb_net.Remote.push r src ~key:"table"))
       in
+      let have_waves = Obs.hist_count have_hist - waves_before in
+      Obs.set_enabled obs_was;
       show "push-delta" delta_push delta_push_ms;
+      Printf.printf "  push-delta sync-have waves: %d\n" have_waves;
+      (* The server's head vouches for every chunk the edit kept, and the
+         new chunks are Bloom negatives (none of this fixed content's new
+         ids is a false positive): a fast-forward push probes nothing. *)
+      if have_waves > 0 then
+        failwith
+          (Printf.sprintf
+             "sync: the 1%%-edit delta push sent %d sync-have waves; a \
+              fast-forward push should send none"
+             have_waves);
       let (_, delta_pull), delta_pull_ms =
         time_ms (fun () -> ok_fb (Fb_net.Remote.pull r dst ~key:"table"))
       in
@@ -2600,7 +2618,7 @@ let run_sync ?(quick = false) () =
            \"full_pull\":{\"chunks\":%d,\"bytes\":%d,\"skipped\":%d,\
            \"rounds\":%d,\"ms\":%.0f},\
            \"delta_push\":{\"chunks\":%d,\"bytes\":%d,\"skipped\":%d,\
-           \"rounds\":%d,\"ms\":%.0f},\
+           \"rounds\":%d,\"have_waves\":%d,\"ms\":%.0f},\
            \"delta_pull\":{\"chunks\":%d,\"bytes\":%d,\"skipped\":%d,\
            \"rounds\":%d,\"ms\":%.0f},\
            \"push_delta_over_full\":%.4f,\"pull_delta_over_full\":%.4f}\n"
@@ -2613,7 +2631,7 @@ let run_sync ?(quick = false) () =
           full_pull_ms delta_push.Fb_core.Sync.chunks_moved
           delta_push.Fb_core.Sync.bytes_moved
           delta_push.Fb_core.Sync.chunks_skipped delta_push.Fb_core.Sync.rounds
-          delta_push_ms delta_pull.Fb_core.Sync.chunks_moved
+          have_waves delta_push_ms delta_pull.Fb_core.Sync.chunks_moved
           delta_pull.Fb_core.Sync.bytes_moved
           delta_pull.Fb_core.Sync.chunks_skipped delta_pull.Fb_core.Sync.rounds
           delta_pull_ms push_ratio pull_ratio;

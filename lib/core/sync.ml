@@ -1,6 +1,8 @@
 module Chunk = Fb_chunk.Chunk
 module Hash = Fb_hash.Hash
 module Dag = Fb_repr.Dag
+module Fnode = Fb_repr.Fnode
+module Value = Fb_types.Value
 
 type stats = {
   chunks_moved : int;
@@ -70,6 +72,106 @@ let plan_order ~children ~missing ~roots =
   in
   go (List.map (fun r -> `Enter r) roots);
   List.rev !order
+
+(* The ids a push need not probe because the peer's head vouches for
+   them.  The peer keeps its heads closure-complete, so every chunk
+   reachable from [remote] is on it; this collects the part of that
+   closure a walk from [local] can meet.  The two versions' value trees
+   are descended together, level by level: [fresh] are the new version's
+   nodes at one height that the old one lacks (the walk will stage
+   them), [gone] the old nodes at that height that they replaced.  Old
+   nodes are read only when they are [gone] and the [fresh] ones have
+   children, so the reads are O(changed) and reach no old leaf.  Where
+   one tree is taller (a level added or removed at the top), its top
+   levels are expanded to the other's root height first; the leftmost
+   paths tell the heights and stop where they meet.  Old chunks are
+   re-hashed before their children are trusted; a chunk that fails, or
+   is absent, adds nothing.  Every id collected is in [remote]'s
+   closure, so a wrong answer can only be one the peer's closure check
+   catches. *)
+let known_held ~read ~remote ~local =
+  let held = Hash.Tbl.create 1024 in
+  let hold id = Hash.Tbl.replace held id () in
+  let unheld ids = List.filter (fun id -> not (Hash.Tbl.mem held id)) ids in
+  let verified id =
+    Option.bind (read id) (fun s -> Result.to_option (verify_encoded id s))
+  in
+  let decoded id =
+    Option.bind (read id) (fun s -> Result.to_option (Chunk.decode s))
+  in
+  let kids chunk_of ids =
+    List.concat_map
+      (fun id -> Option.fold ~none:[] ~some:children (chunk_of id))
+      ids
+  in
+  let first_kid id =
+    match Option.map children (decoded id) with
+    | Some (c :: _) -> Some c
+    | _ -> None
+  in
+  (* How many levels the tree under [a] stands above the one under [b]. *)
+  let rec gap a b =
+    if Hash.equal a b then 0
+    else
+      match (first_kid a, first_kid b) with
+      | Some a', Some b' -> gap a' b'
+      | Some a', None -> gap a' b + 1
+      | None, Some b' -> gap a b' - 1
+      | None, None -> 0
+  in
+  let rec new_below n ids = if n <= 0 then ids else new_below (n - 1) (kids decoded ids) in
+  let rec old_below n ids =
+    if n <= 0 then ids
+    else begin
+      let below = kids verified ids in
+      List.iter hold below;
+      old_below (n - 1) below
+    end
+  in
+  (* All nodes at one height are leaves or none is: when the first fresh
+     node is a leaf, nothing below is read. *)
+  let rec descend fresh gone =
+    match fresh with
+    | first :: _ when first_kid first <> None ->
+      let new_kids = kids decoded fresh and old_kids = kids verified gone in
+      let in_new = Hash.Tbl.create (List.length new_kids) in
+      List.iter (fun id -> Hash.Tbl.replace in_new id ()) new_kids;
+      let next_gone =
+        List.fold_left
+          (fun acc id ->
+            let replaced = not (Hash.Tbl.mem in_new id || Hash.Tbl.mem held id) in
+            hold id;
+            if replaced then id :: acc else acc)
+          [] old_kids
+      in
+      descend
+        (Hash.Tbl.fold
+           (fun id () acc -> if Hash.Tbl.mem held id then acc else id :: acc)
+           in_new [])
+        next_gone
+    | _ -> ()
+  in
+  let version chunk_of id =
+    Option.bind (chunk_of id) (fun c -> Result.to_option (Fnode.of_chunk c))
+  in
+  let value_roots v =
+    Result.value ~default:[]
+      (Value.roots_of_descriptor v.Fnode.value_descriptor)
+  in
+  (match version verified remote with
+   | None -> ()
+   | Some r -> (
+     hold remote;
+     List.iter hold r.Fnode.bases;
+     let old_roots = value_roots r in
+     List.iter hold old_roots;
+     match (old_roots, Option.map value_roots (version decoded local)) with
+     | [ o ], Some [ n ] when not (Hash.equal o n) ->
+       let d = gap n o in
+       let gone = old_below (-d) [ o ] in
+       descend (unheld (new_below d [ n ])) gone
+     | _ -> ()));
+  held
 
 (* The sync-have reply: one byte per probed id, '1' = the peer holds it.
    Positional, so the caller must keep its probe order. *)
@@ -153,10 +255,16 @@ module Bloom = struct
     done;
     float_of_int !set /. float_of_int t.m
 
-  (* Past half-full the false-positive rate climbs steeply (~(1/2)^k only
-     holds near the design load); callers should fall back to exact
-     waves rather than burn round trips confirming noise. *)
-  let saturated t = fill_ratio t > 0.5
+  (* A probe of an absent id is positive with probability fill^k.  At
+     design load ([bits_per_chunk] bits per id) the fill is
+     1 - e^(-k/bits_per_chunk), about 0.503 for k = 7; past 4x that
+     design false-positive rate (fill above ~0.614) the filter is
+     overloaded, and callers should fall back to exact waves rather than
+     burn round trips confirming noise. *)
+  let design_fill k = 1.0 -. exp (-.float_of_int k /. float_of_int bits_per_chunk)
+
+  let saturated t =
+    fill_ratio t > (4.0 ** (1.0 /. float_of_int t.k)) *. design_fill t.k
 
   (* Wire form: "m:k:" ++ raw bit bytes.  The prefix makes the geometry
      explicit so both ends agree without negotiating defaults. *)

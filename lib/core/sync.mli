@@ -13,13 +13,15 @@
     The wire verbs themselves live in {!Service} (sync-have / sync-get /
     sync-put / sync-advance); the client-side walk lives in
     [Fb_net.Remote.push]/[pull].  This module holds what both ends and
-    their tests share: verification, ordering, and the have-bitmap
-    codec. *)
+    their tests share: verification, ordering, the set of ids a push
+    need not probe, and the have-bitmap codec. *)
 
 type stats = {
   chunks_moved : int;   (** chunks that crossed the wire *)
   bytes_moved : int;    (** their encoded bytes — the delta-sync payoff *)
-  chunks_skipped : int; (** frontier cuts: probed chunks the peer already had *)
+  chunks_skipped : int;
+      (** frontier cuts: chunks the peer already had, whether a probe
+          confirmed it or the peer's head vouched for it ({!known_held}) *)
   rounds : int;         (** request round trips (probes + transfers + advance) *)
   bloom_fp : int;
       (** bloom-positive ids the exact confirmation wave revealed absent —
@@ -72,6 +74,24 @@ val plan_order :
     invariant (no stored chunk ever references an absent one) by
     checking only the incoming chunk's direct children. *)
 
+val known_held :
+  read:(Fb_hash.Hash.t -> string option) ->
+  remote:Fb_hash.Hash.t ->
+  local:Fb_hash.Hash.t ->
+  unit Fb_hash.Hash.Tbl.t
+(** [known_held ~read ~remote ~local] is a set of ids the peer must hold
+    because its head [remote] reaches them (the peer keeps heads
+    closure-complete): [remote], its bases, its value roots, and the
+    children of every node of [remote]'s value tree that [local]'s
+    replaced.  [read] fetches a chunk's encoded bytes from the pusher's
+    store.  The two value trees are descended together, so the reads are
+    O(changed): the fresh nodes of [local]'s tree above its leaves, the
+    replaced nodes of [remote]'s tree (each re-hashed before its children
+    are trusted), and the two leftmost paths down to where they meet,
+    which tell the trees' heights.  No history is read.  Empty when
+    [read] cannot produce [remote].  A push cuts these ids without a
+    probe. *)
+
 (** {1 Have-bitmap codec} *)
 
 val encode_have : bool list -> string
@@ -87,8 +107,8 @@ val decode_have : string -> (bool list, Errors.t) result
     definitive misses (send the chunk); positives are only {e probably}
     held, so they are confirmed with exact {!encode_have} waves before
     being skipped — correctness never rests on the filter.  When a
-    filter arrives saturated (fill ratio past 1/2) the sender ignores it
-    and falls back to exact waves entirely. *)
+    filter arrives {!Bloom.saturated} (loaded past its design) the
+    sender ignores it and falls back to exact waves entirely. *)
 module Bloom : sig
   type t
 
@@ -109,8 +129,10 @@ module Bloom : sig
 
   val fill_ratio : t -> float
   val saturated : t -> bool
-  (** Fill ratio past 0.5 — past design load, false positives dominate
-      and exact waves are cheaper than confirmations. *)
+  (** The false-positive rate the fill implies (fill{^k}) is past 4x the
+      rate at the filter's design load of [m / bits_per_chunk] ids — for
+      k = 7 a fill above ~0.614.  An overloaded filter's positives are
+      mostly noise, and exact waves are cheaper than confirmations. *)
 
   val encode : t -> string
   (** ["m:k:" ^ bits] — geometry travels with the filter. *)

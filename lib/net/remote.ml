@@ -229,6 +229,14 @@ let call ?user t (v : _ Service.verb) a =
             Mux.request ?user mux (v.name :: v.encode_args a))))
     v.decode_reply
 
+(* Send one request of [v] now; the function returned awaits its reply,
+   so local work can run while the server answers.  No reconnect: a
+   transport failure is the reply. *)
+let call_later ?user t (v : _ Service.verb) a =
+  let mux = Mutex.protect t.mu (fun () -> t.mux) in
+  let sent = Mux.issue ?user mux (Frame.Single (v.name :: v.encode_args a)) in
+  fun () -> Result.bind (lift (Result.bind sent (Mux.await_one mux))) v.decode_reply
+
 (* A batch of calls, each with its request tokens, retry safety and
    reply decoding; replayed only when every call is safe to replay. *)
 let batch_calls ?user t calls =
@@ -377,11 +385,13 @@ let take_wave n q =
 (* ------------------------- the wave driver ------------------------- *)
 
 (* Where a sync walk's client time goes, observed once per walk: blocked
-   on wave replies, re-hashing and decoding chunks, and (pull) writing
-   the verified closure to the local store. *)
+   on wave replies, re-hashing and decoding chunks, (pull) writing the
+   verified closure to the local store and (push) streaming sync-put
+   batches. *)
 let wave_wait_hist = Obs.histogram "fb.remote.sync_wave_wait_seconds"
 let verify_hist = Obs.histogram "fb.remote.sync_verify_seconds"
 let store_hist = Obs.histogram "fb.remote.sync_store_seconds"
+let stream_hist = Obs.histogram "fb.remote.sync_stream_seconds"
 
 (* One wave's request: [send] is kept so that a reconnect can issue it
    again; [recv] awaits its reply and [handle] processes it. *)
@@ -433,10 +443,11 @@ let batch_wave ?user (v : _ Service.verb) args handle =
    On a transport failure the connection is re-dialled once and every
    wave in flight goes out again; a wave that fails twice ends the walk
    with [Transient].  Any error leaves no reply unclaimed: the waves
-   still in flight are awaited and dropped. *)
-let drive t ~size pending ~issue =
+   still in flight are awaited and dropped.  [prep] is the walk's local
+   work before its first wave, counted with the rest as verify time. *)
+let drive ?(prep = 0.0) t ~size pending ~issue =
   let inflight = Queue.create () in
-  let wait = ref 0.0 and work = ref 0.0 in
+  let wait = ref 0.0 and work = ref prep in
   let timed acc f =
     let t0 = Unix.gettimeofday () in
     let r = f () in
@@ -504,122 +515,159 @@ let push ?user ?(branch = default_branch) t fb ~key =
   | Some r when Hash.equal r local ->
     Ok (local, { Sync.empty_stats with rounds = 1 })
   | _ ->
-    (* Frontier walk: probe remote membership level by level, descending
-       only below chunks the peer lacks — a chunk it holds roots a whole
-       shared subtree (content addressing), so the walk stops there. *)
-    let staged = Hash.Tbl.create 64 in  (* id -> (encoded, children) *)
-    let seen = Hash.Tbl.create 64 in
-    let skipped = ref 0 and rounds = ref 1 (* head probe *) in
-    let bloom_fp = ref 0 in
-    let pending = Queue.create () in
-    let enqueue id =
-      if not (Hash.Tbl.mem seen id) then begin
-        Hash.Tbl.replace seen id ();
-        Queue.add id pending
-      end
-    in
-    enqueue local;
+    let rounds = ref 1 (* head probe *) and moved = ref 0 and bytes = ref 0 in
+    let skipped = ref 0 and bloom_fp = ref 0 and stream_s = ref 0.0 in
     (* One sync-bloom round buys local membership answers for the whole
        walk: a Bloom negative is a definitive miss (stage the chunk, no
        probe), a positive is only probable and is confirmed with an
        exact sync-have wave before being skipped — correctness never
        rests on the filter.  A saturated or unparsable filter (or an
-       older server without the verb) degrades to exact waves only. *)
+       older server without the verb, or a torn connection, which the
+       walk's first wave re-dials) degrades to exact waves only.  The
+       server builds the filter while the set below is built here. *)
+    let bloom_reply = call_later ?user t Service.sync_bloom () in
+    (* The peer keeps its heads closure-complete, so its head vouches
+       for every chunk of its version: those the walk meets are cut
+       locally, and a fast-forward push probes only its new chunks.
+       Building the set reads O(changed) local chunks, and its time is
+       counted as verify. *)
+    let t0 = Unix.gettimeofday () in
+    let known =
+      match remote with
+      | None -> Hash.Tbl.create 1
+      | Some r -> (
+        try Sync.known_held ~read:(Store.peek store) ~remote:r ~local
+        with e ->
+          ignore (bloom_reply ());
+          raise e)
+    in
+    let prep = Unix.gettimeofday () -. t0 in
     let bloom =
-      match call ?user t Service.sync_bloom () with
+      match bloom_reply () with
       | Ok b ->
         incr rounds;
         if Sync.Bloom.saturated b then None else Some b
       | Error _ -> None
     in
-    (* Re-hash our own bytes before offering them: a tampered local
-       store must not propagate. *)
-    let stage id =
-      match Store.peek store id with
-      | None ->
-        Error
-          (Errors.Corrupt ("sync: local store lacks chunk " ^ Hash.to_hex id))
-      | Some encoded ->
-        let* chunk = Sync.verify_encoded id encoded in
-        let kids = Sync.children chunk in
-        Hash.Tbl.replace staged id (encoded, kids);
-        List.iter enqueue kids;
-        Ok ()
-    in
-    let stage_all ids =
-      List.fold_left (fun acc id -> Result.bind acc (fun () -> stage id)) (Ok ()) ids
-    in
-    let confirm to_confirm bits =
-      incr rounds;
-      if List.length bits <> List.length to_confirm then
-        Errors.invalid "sync-have: %d probes, %d answers"
-          (List.length to_confirm) (List.length bits)
-      else
-        List.fold_left2
-          (fun acc id have ->
-            let* () = acc in
-            if have then begin
-              incr skipped;
-              Ok ()
-            end
-            else begin
-              (* Bloom said "probably held"; the exact probe says
-                 absent — a false positive the filter failed to save a
-                 confirmation for. *)
-              if bloom <> None then incr bloom_fp;
-              stage id
-            end)
-          (Ok ()) to_confirm bits
-    in
-    let* () =
-      drive t ~size:Sync.have_batch pending ~issue:(fun wave ->
-          let missing_now, to_confirm =
-            match bloom with
-            | None -> ([], wave)
-            | Some b -> List.partition (fun id -> not (Sync.Bloom.mem b id)) wave
-          in
-          let* () = stage_all missing_now in
-          if to_confirm = [] then Ok None
-          else
-            Ok
-              (Some
-                 (call_wave ?user Service.sync_have to_confirm
-                    (confirm to_confirm))))
-    in
-    let order =
-      Sync.plan_order
-        ~children:(fun id ->
-          match Hash.Tbl.find_opt staged id with
-          | Some (_, kids) -> kids
-          | None -> [])
-        ~missing:(Hash.Tbl.mem staged) ~roots:[ local ]
-    in
-    let bytes = ref 0 in
-    let rec stream ids =
-      match ids with
-      | [] -> Ok ()
-      | _ ->
-        let batch, rest = take_put_batch staged [] 0 0 ids in
-        let* replies =
-          batch_call ?user t Service.sync_put
-            (List.map (fun (id, encoded) -> (key, branch, id, encoded)) batch)
-        in
+    (* Frontier walk: descend only below chunks the peer lacks — a chunk
+       it holds roots a whole shared subtree (content addressing), so
+       the walk stops there.  Ids in [known] are held without asking;
+       the rest go to the Bloom filter, then to exact sync-have waves. *)
+    let walk ~prep known =
+      let staged = Hash.Tbl.create 64 in  (* id -> (encoded, children) *)
+      let seen = Hash.Tbl.create (64 + Hash.Tbl.length known) in
+      let pending = Queue.create () in
+      let enqueue id =
+        if not (Hash.Tbl.mem seen id) then begin
+          Hash.Tbl.replace seen id ();
+          if Hash.Tbl.mem known id then incr skipped else Queue.add id pending
+        end
+      in
+      enqueue local;
+      (* Re-hash our own bytes before offering them: a tampered local
+         store must not propagate. *)
+      let stage id =
+        match Store.peek store id with
+        | None ->
+          Error
+            (Errors.Corrupt ("sync: local store lacks chunk " ^ Hash.to_hex id))
+        | Some encoded ->
+          let* chunk = Sync.verify_encoded id encoded in
+          let kids = Sync.children chunk in
+          Hash.Tbl.replace staged id (encoded, kids);
+          List.iter enqueue kids;
+          Ok ()
+      in
+      let stage_all ids =
+        List.fold_left (fun acc id -> Result.bind acc (fun () -> stage id)) (Ok ()) ids
+      in
+      let confirm to_confirm bits =
         incr rounds;
-        let* () =
-          List.fold_left (fun acc reply -> Result.bind acc (fun () -> reply))
-            (Ok ()) replies
-        in
-        List.iter
-          (fun (_, encoded) -> bytes := !bytes + String.length encoded)
-          batch;
-        stream rest
+        if List.length bits <> List.length to_confirm then
+          Errors.invalid "sync-have: %d probes, %d answers"
+            (List.length to_confirm) (List.length bits)
+        else
+          List.fold_left2
+            (fun acc id have ->
+              let* () = acc in
+              if have then begin
+                incr skipped;
+                Ok ()
+              end
+              else begin
+                (* Bloom said "probably held"; the exact probe says
+                   absent — a false positive the filter failed to save a
+                   confirmation for. *)
+                if bloom <> None then incr bloom_fp;
+                stage id
+              end)
+            (Ok ()) to_confirm bits
+      in
+      let* () =
+        drive ~prep t ~size:Sync.have_batch pending ~issue:(fun wave ->
+            let missing_now, to_confirm =
+              match bloom with
+              | None -> ([], wave)
+              | Some b -> List.partition (fun id -> not (Sync.Bloom.mem b id)) wave
+            in
+            let* () = stage_all missing_now in
+            if to_confirm = [] then Ok None
+            else
+              Ok
+                (Some
+                   (call_wave ?user Service.sync_have to_confirm
+                      (confirm to_confirm))))
+      in
+      let order =
+        Sync.plan_order
+          ~children:(fun id ->
+            match Hash.Tbl.find_opt staged id with
+            | Some (_, kids) -> kids
+            | None -> [])
+          ~missing:(Hash.Tbl.mem staged) ~roots:[ local ]
+      in
+      let rec stream ids =
+        match ids with
+        | [] -> Ok ()
+        | _ ->
+          let batch, rest = take_put_batch staged [] 0 0 ids in
+          let* replies =
+            batch_call ?user t Service.sync_put
+              (List.map (fun (id, encoded) -> (key, branch, id, encoded)) batch)
+          in
+          incr rounds;
+          let* () =
+            List.fold_left (fun acc reply -> Result.bind acc (fun () -> reply))
+              (Ok ()) replies
+          in
+          List.iter
+            (fun (_, encoded) ->
+              incr moved;
+              bytes := !bytes + String.length encoded)
+            batch;
+          stream rest
+      in
+      let t0 = Unix.gettimeofday () in
+      let streamed = stream order in
+      stream_s := !stream_s +. (Unix.gettimeofday () -. t0);
+      streamed
     in
-    let* () = stream order in
+    let walked =
+      match walk ~prep known with
+      | Error (Errors.Invalid _) when Hash.Tbl.length known > 0 ->
+        (* The peer refused a chunk whose children its head should have
+           covered: it lost part of its closure.  Walk once more probing
+           every id, which sends what it lacks. *)
+        walk ~prep:0.0 (Hash.Tbl.create 1)
+      | r -> r
+    in
+    Obs.observe stream_hist !stream_s;
+    let* () = walked in
     let* uid = call ?user t Service.sync_advance (key, branch, local) in
     incr rounds;
     Ok
       ( uid,
-        { Sync.chunks_moved = Hash.Tbl.length staged; bytes_moved = !bytes;
+        { Sync.chunks_moved = !moved; bytes_moved = !bytes;
           chunks_skipped = !skipped; rounds = !rounds; bloom_fp = !bloom_fp } )
 
 let pull ?user ?(branch = default_branch) t fb ~key =

@@ -382,6 +382,23 @@ let test_bloom_saturation () =
   check bool_ "saturated" true (Sync.Bloom.saturated b);
   check bool_ "fill high" true (Sync.Bloom.fill_ratio b > 0.5)
 
+(* Sized as the server sizes it and holding exactly its design load, the
+   filter is in use, and its false-positive rate stays near the design's
+   ~0.8%. *)
+let test_bloom_design_load () =
+  let n = 10_000 in
+  let b = Sync.Bloom.create ~expected:n in
+  for i = 0 to n - 1 do
+    Sync.Bloom.add b (Chunk.hash (blob i))
+  done;
+  check bool_ "not saturated at design load" false (Sync.Bloom.saturated b);
+  let fp = ref 0 in
+  for i = 0 to 99_999 do
+    if Sync.Bloom.mem b (Chunk.hash (blob (n + i))) then incr fp
+  done;
+  check bool_ (Printf.sprintf "false positives %d/100000 <= 2%%" !fp) true
+    (!fp <= 2_000)
+
 (* ---------------- service verbs ---------------- *)
 
 let test_chunk_verbs () =
@@ -597,6 +614,8 @@ let suite =
     Alcotest.test_case "bloom: wire roundtrip" `Quick test_bloom_roundtrip;
     Alcotest.test_case "bloom: saturation flips fallback" `Quick
       test_bloom_saturation;
+    Alcotest.test_case "bloom: design load is not saturation" `Quick
+      test_bloom_design_load;
     Alcotest.test_case "chunk-put/chunk-stat/sync-bloom verbs" `Quick
       test_chunk_verbs;
     Alcotest.test_case "remote chunk store over the wire" `Quick

@@ -394,18 +394,18 @@ let test_sync_verb_histograms () =
       with_remote srv (fun r ->
           put "v";
           ignore (ok_fb (Remote.push r src ~key:"table"));
-          (* A second push finds shared chunks: bloom positives are
-             confirmed with sync-have. *)
           put "w";
           ignore (ok_fb (Remote.push r src ~key:"table"));
-          (* Pushes and pulls batch their puts and gets; single frames
-             of each are what carry the verb's own name. *)
+          (* Pushes and pulls batch their puts and gets, and a
+             fast-forward push has no Bloom positive to confirm; single
+             frames of each are what carry the verb's own name. *)
           let leaf = Chunk.v Chunk.Leaf_blob "single sync-put" in
           let leaf_id = Hash.to_hex (Chunk.hash leaf) in
           ignore
             (ok_fb
                (Remote.raw r
                   [ "sync-put"; "table"; "master"; leaf_id; Chunk.encode leaf ]));
+          ignore (ok_fb (Remote.raw r [ "sync-have"; leaf_id ]));
           let chunks = Remote.chunk_store r in
           let id = Store.put chunks (Chunk.v Chunk.Leaf_blob "cluster slice") in
           check bool_ "sync-get serves the chunk" true
@@ -514,15 +514,22 @@ let store_ids store =
   Store.ids store (fun id -> acc := Hash.to_hex id :: !acc);
   List.sort compare !acc
 
-(* Equal stats; [rounds] only when no Bloom false positive occurred: a
-   false positive's children join the queue when its confirmation is
-   read, which a window may do after later waves went out. *)
-let same_stats (a : Sync.stats) (b : Sync.stats) =
+(* The same chunks moved, skipped and missed. *)
+let same_work (a : Sync.stats) (b : Sync.stats) =
   a.chunks_moved = b.chunks_moved
   && a.bytes_moved = b.bytes_moved
   && a.chunks_skipped = b.chunks_skipped
   && a.bloom_fp = b.bloom_fp
-  && (a.bloom_fp > 0 || a.rounds = b.rounds)
+
+(* Equal stats; [rounds] only when no Bloom false positive occurred: a
+   false positive's children join the queue when its confirmation is
+   read, which a window may do after later waves went out. *)
+let same_stats (a : Sync.stats) b =
+  same_work a b && (a.bloom_fp > 0 || a.rounds = b.rounds)
+
+(* A push cuts the ids its peer's head vouches for without a probe: it
+   does the probing walk [a]'s work in no more round trips. *)
+let same_push_stats (a : Sync.stats) b = same_work a b && b.Sync.rounds <= a.rounds
 
 (* Random maps and edit histories, synced twice: by the sequential walks
    (test/sync_walk_ref.ml) against one server, and by Remote.push/pull
@@ -530,8 +537,10 @@ let same_stats (a : Sync.stats) (b : Sync.stats) =
    one is committed and pushed (every version, or only the last), and
    the last is pulled: one walk down several versions at once, where
    replies add ids while a partial wave waits — the case the wave rule
-   is for.  Both sides must stage the same chunks (the servers' and the
-   replicas' stores stay equal) and report the same stats. *)
+   is for.  Both sides must stage the same chunks (the servers' stores,
+   heads and the replicas' stores stay equal) and report the same stats,
+   but for push's rounds: Remote.push skips the remote head's chunks
+   without probing them, so it may take fewer. *)
 let driver_oracle mode () =
   let config = { test_config with mode } in
   let fb_ref = FB.create (Mem_store.create ())
@@ -549,8 +558,8 @@ let driver_oracle mode () =
     let rows = Array.of_list (bindings n "v") in
     let dst_ref = FB.create (Mem_store.create ())
     and dst_new = FB.create (Mem_store.create ()) in
-    let same (uid_a, stats_a) (uid_b, stats_b) =
-      Hash.equal uid_a uid_b && same_stats stats_a stats_b
+    let same ~stats (uid_a, stats_a) (uid_b, stats_b) =
+      Hash.equal uid_a uid_b && stats stats_a stats_b
     in
     let commit () =
       ignore
@@ -558,13 +567,15 @@ let driver_oracle mode () =
            (FB.put src ~key (Value.map_of_bindings src_store (Array.to_list rows))))
     in
     let push () =
-      same
+      same ~stats:same_push_stats
         (ok_fb (Sync_walk_ref.push r_ref src ~key))
         (ok_fb (Remote.push r_new src ~key))
       && store_ids (FB.store fb_ref) = store_ids (FB.store fb_new)
+      && Result.equal ~ok:Hash.equal ~error:( = ) (FB.head fb_ref ~key)
+           (FB.head fb_new ~key)
     in
     let pull () =
-      same
+      same ~stats:same_stats
         (ok_fb (Sync_walk_ref.pull r_ref dst_ref ~key))
         (ok_fb (Remote.pull r_new dst_new ~key))
       && store_ids (FB.store dst_ref) = store_ids (FB.store dst_new)
@@ -721,10 +732,20 @@ let with_relay ~port ~cut_after f =
         Unix.connect sfd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
         let limit = if !cuts = 0 then cut_after else max_int in
         incr cuts;
-        threads :=
-          Thread.create (fun () -> pump ~limit:max_int cfd sfd) ()
-          :: Thread.create (fun () -> pump ~limit sfd cfd; close sfd; close cfd) ()
-          :: !threads;
+        (* The fds are closed only once both pumps are done: a pump still
+           blocked on a closed fd would wake on its number reused by the
+           next connection, and read from or shut down that one. *)
+        let up = Thread.create (fun () -> pump ~limit:max_int cfd sfd) () in
+        let down =
+          Thread.create
+            (fun () ->
+              pump ~limit sfd cfd;
+              Thread.join up;
+              close sfd;
+              close cfd)
+            ()
+        in
+        threads := up :: down :: !threads;
         loop ()
     in
     loop ()
@@ -806,13 +827,13 @@ let test_pull_server_stops mode () =
           check bool_ "no head" true (Result.is_error (FB.head dst ~key:"k"))))
 
 (* A pull observes each client stage once: wave wait, verify and the
-   local store. *)
+   local store; a push observes wave wait, verify and its sync-put
+   stream once. *)
 let test_stage_histograms () =
   let module Obs = Fb_obs.Obs in
-  let names =
-    [ "fb.remote.sync_wave_wait_seconds"; "fb.remote.sync_verify_seconds";
-      "fb.remote.sync_store_seconds" ]
-  in
+  let walk = [ "fb.remote.sync_wave_wait_seconds"; "fb.remote.sync_verify_seconds" ] in
+  let names = walk @ [ "fb.remote.sync_store_seconds" ] in
+  let push_names = walk @ [ "fb.remote.sync_stream_seconds" ] in
   let count name = Obs.hist_count (Obs.histogram name) in
   let was = Obs.is_enabled () in
   Obs.set_enabled true;
@@ -828,7 +849,239 @@ let test_stage_histograms () =
           ignore (ok_fb (Remote.pull r (FB.create (Mem_store.create ())) ~key:"k"));
           List.iter2
             (fun name b -> check int_ (name ^ " once per pull") (b + 1) (count name))
-            names before))
+            names before;
+          let before = List.map count push_names in
+          let src_store = Mem_store.create () in
+          let src = FB.create src_store in
+          ignore
+            (ok_fb
+               (FB.put src ~key:"p"
+                  (Value.map_of_bindings src_store (bindings 3_000 "w"))));
+          ignore (ok_fb (Remote.push r src ~key:"p"));
+          List.iter2
+            (fun name b -> check int_ (name ^ " once per push") (b + 1) (count name))
+            push_names before))
+
+(* ---------------- the known-held set ---------------- *)
+
+let id_set ids =
+  let t = Hash.Tbl.create 64 in
+  List.iter (fun id -> Hash.Tbl.replace t id ()) ids;
+  t
+
+let chunk_of store id =
+  Result.get_ok (Chunk.decode (Option.get (Store.peek store id)))
+
+(* Levels from [id] down to its leftmost leaf, [id] included. *)
+let rec height store id =
+  match Sync.children (chunk_of store id) with
+  | [] -> 1
+  | c :: _ -> 1 + height store c
+
+(* The ids of a version's value tree, without its history. *)
+let tree_ids store version =
+  id_set (bfs_order store (List.hd (Sync.children (chunk_of store version))))
+
+(* A map of [n] bindings committed under "m" over [store], and a way to
+   edit one record and commit again; each commit returns the new head. *)
+let map_source ?(store = Mem_store.create ()) n =
+  let src = FB.create store in
+  let rows = Array.of_list (bindings n "v") in
+  let commit () =
+    ignore
+      (ok_fb
+         (FB.put src ~key:"m" (Value.map_of_bindings store (Array.to_list rows))));
+    ok_fb (FB.head src ~key:"m")
+  in
+  let edit i v =
+    rows.(i) <- (fst rows.(i), v);
+    commit ()
+  in
+  (src, commit (), edit)
+
+(* After one push, a one-record edit of a 100k-record map pushes with no
+   sync-have wave: the remote head vouches for every chunk the new
+   version shares with it, and the new chunks are Bloom negatives.
+   Building the set reads only old index nodes the edit replaced, at
+   most two per tree level — never an old leaf or a shared chunk. *)
+let test_fast_forward_probes_nothing () =
+  let store = Mem_store.create () in
+  let src, v1, edit = map_source ~store 100_000 in
+  with_server (FB.create (Mem_store.create ())) (fun srv ->
+      with_remote srv (fun r ->
+          ignore (ok_fb (Remote.push r src ~key:"m"));
+          let v2 = edit 54_321 "edited" in
+          let uid, s = ok_fb (Remote.push r src ~key:"m") in
+          check bool_ "pushed the edit" true (Hash.equal uid v2);
+          check bool_ "one sync-put batch" true
+            (s.Sync.chunks_moved <= Sync.put_batch);
+          check int_ "no false positive" 0 s.Sync.bloom_fp;
+          check int_ "head + bloom + one put batch + advance" 4 s.Sync.rounds));
+  let v2 = ok_fb (FB.head src ~key:"m") in
+  let old_c = tree_ids store v1 and new_c = tree_ids store v2 in
+  let reads = ref [] in
+  let held =
+    Sync.known_held ~remote:v1 ~local:v2 ~read:(fun id ->
+        reads := id :: !reads;
+        Store.peek store id)
+  in
+  check bool_ "the remote head is held" true (Hash.Tbl.mem held v1);
+  let tree_height = height store v2 - 1 in
+  let old_reads = List.filter (Hash.Tbl.mem old_c) !reads in
+  check bool_ "reads no shared chunk" true
+    (List.for_all (fun id -> not (Hash.Tbl.mem new_c id)) old_reads);
+  check bool_ "reads no old leaf" true
+    (List.for_all (fun id -> (chunk_of store id).Chunk.kind = Chunk.Index) old_reads);
+  check bool_
+    (Printf.sprintf "%d old reads over %d levels" (List.length old_reads) tree_height)
+    true
+    (List.length old_reads <= 2 * tree_height)
+
+(* A push whose tree gained a level, then one whose tree lost it again:
+   the taller tree's top is expanded to the other's root height, and the
+   known set still covers every shared subtree — no sync-have wave, and
+   the probing walk's chunks and cuts. *)
+let test_height_change_probes_nothing () =
+  let store = Mem_store.create () in
+  let src = FB.create store in
+  let commit rows =
+    ignore (ok_fb (FB.put src ~key:"m" (Value.map_of_bindings store rows)));
+    ok_fb (FB.head src ~key:"m")
+  in
+  let height = height store in
+  let fb_ref = FB.create (Mem_store.create ())
+  and fb_new = FB.create (Mem_store.create ()) in
+  with_server fb_ref @@ fun srv_ref ->
+  with_server fb_new @@ fun srv_new ->
+  with_remote srv_ref @@ fun r_ref ->
+  with_remote srv_new @@ fun r_new ->
+  let push () =
+    let _, want = ok_fb (Sync_walk_ref.push r_ref src ~key:"m") in
+    let _, got = ok_fb (Remote.push r_new src ~key:"m") in
+    check bool_ "the probing walk's chunks and cuts" true (same_push_stats want got);
+    got
+  in
+  let v1 = commit (bindings 9_600 "v") in
+  ignore (push ());
+  let v2 = commit (bindings 9_700 "v") in
+  check bool_ "a level added" true (height v2 = height v1 + 1);
+  let grown = push () in
+  check int_ "grown: no false positive" 0 grown.Sync.bloom_fp;
+  check int_ "grown: head + bloom + one put batch + advance" 4 grown.Sync.rounds;
+  (* Its last leaf is new: v1's would be a Bloom positive, held by the
+     server through history but outside v2's tree. *)
+  let v3 =
+    commit
+      (List.map
+         (fun (k, v) -> (k, if k = "r009599" then "edited" else v))
+         (bindings 9_600 "v"))
+  in
+  check bool_ "a level removed" true (height v3 + 1 = height v2);
+  let shrunk = push () in
+  check int_ "shrunk: no false positive" 0 shrunk.Sync.bloom_fp;
+  check int_ "shrunk: head + bloom + one put batch + advance" 4 shrunk.Sync.rounds
+
+(* The server lost a leaf of its head's version behind its back: the push
+   cuts it as held, the server refuses its new parent, and the push walks
+   again probing everything, which sends the leaf back. *)
+let test_push_refills_lost_chunk () =
+  let store = Mem_store.create () in
+  let src, v1, edit = map_source ~store 20_000 in
+  let srv_store = Mem_store.create () in
+  let srv_fb = FB.create srv_store in
+  with_server srv_fb (fun srv ->
+      with_remote srv (fun r ->
+          ignore (ok_fb (Remote.push r src ~key:"m"));
+          let v2 = edit 10_000 "edited" in
+          let old_c = id_set (bfs_order store v1) in
+          (* An old leaf beside the edit: a child of a fresh node. *)
+          let victim =
+            List.find
+              (fun id ->
+                Hash.Tbl.mem old_c id
+                && (chunk_of store id).Chunk.kind = Chunk.Leaf_map)
+              (List.concat_map
+                 (fun id ->
+                   if Hash.Tbl.mem old_c id then []
+                   else Sync.children (chunk_of store id))
+                 (bfs_order store v2))
+          in
+          check bool_ "deleted from the server" true (Store.delete srv_store victim);
+          let uid, _ = ok_fb (Remote.push r src ~key:"m") in
+          check bool_ "pushed the edit" true (Hash.equal uid v2);
+          check bool_ "server head advanced" true
+            (Hash.equal v2 (ok_fb (FB.head srv_fb ~key:"m")));
+          check bool_ "the lost leaf is back" true (Store.mem srv_store victim);
+          check bool_ "server scrubs clean" true
+            (Fb_chunk.Scrub.clean (FB.scrub ~dry_run:true srv_fb))))
+
+(* The remote head is absent from the local store: the push has nothing
+   to vouch for any id and takes the probing walk, with the same stats
+   and the same server store. *)
+let test_push_without_remote_head () =
+  let store = Mem_store.create () in
+  let src, v1, edit = map_source ~store 20_000 in
+  let fb_ref = FB.create (Mem_store.create ())
+  and fb_new = FB.create (Mem_store.create ()) in
+  with_server fb_ref @@ fun srv_ref ->
+  with_server fb_new @@ fun srv_new ->
+  with_remote srv_ref @@ fun r_ref ->
+  with_remote srv_new @@ fun r_new ->
+  ignore (ok_fb (Sync_walk_ref.push r_ref src ~key:"m"));
+  ignore (ok_fb (Remote.push r_new src ~key:"m"));
+  let v2 = edit 10_000 "edited" in
+  check bool_ "remote head dropped locally" true (Store.delete store v1);
+  let uid_ref, want = ok_fb (Sync_walk_ref.push r_ref src ~key:"m") in
+  let uid, got = ok_fb (Remote.push r_new src ~key:"m") in
+  check bool_ "both pushed the edit" true (Hash.equal uid_ref v2 && Hash.equal uid v2);
+  check bool_ "the probing walk's stats" true (same_stats want got);
+  check bool_ "the same server store" true
+    (store_ids (FB.store fb_ref) = store_ids (FB.store fb_new))
+
+(* One old index node the known set would read is tampered with in the
+   local store: its children are not trusted, they are probed instead,
+   and the server stores only bytes that hash to their ids. *)
+let test_push_tampered_old_index () =
+  let store = Mem_store.create () in
+  let target = ref None in
+  let flip f id =
+    Option.map
+      (fun s ->
+        if not (Option.equal Hash.equal (Some id) !target) then s
+        else begin
+          let b = Bytes.of_string s in
+          let last = Bytes.length b - 1 in
+          Bytes.set b last (Char.chr (Char.code (Bytes.get b last) lxor 1));
+          Bytes.to_string b
+        end)
+      (f id)
+  in
+  let local =
+    { store with
+      Store.name = "tampering";
+      get_raw = flip store.Store.get_raw;
+      peek = flip store.Store.peek }
+  in
+  let src, v1, edit = map_source ~store:local 20_000 in
+  let srv_fb = FB.create (Mem_store.create ()) in
+  with_server srv_fb (fun srv ->
+      with_remote srv (fun r ->
+          ignore (ok_fb (Remote.push r src ~key:"m"));
+          let v2 = edit 10_000 "edited" in
+          let new_c = tree_ids store v2 in
+          target :=
+            List.find_opt
+              (fun id ->
+                (not (Hash.Tbl.mem new_c id))
+                && (chunk_of store id).Chunk.kind = Chunk.Index)
+              (List.rev (bfs_order store v1));
+          check bool_ "a replaced index node" true (!target <> None);
+          let uid, _ = ok_fb (Remote.push r src ~key:"m") in
+          check bool_ "pushed the edit" true (Hash.equal uid v2);
+          let report = FB.scrub ~dry_run:true srv_fb in
+          check int_ "no corrupt chunk on the server" 0
+            (List.length report.Fb_chunk.Scrub.corrupt);
+          check bool_ "server scrubs clean" true (Fb_chunk.Scrub.clean report)))
 
 let suite =
   [ QCheck_alcotest.to_alcotest qcheck_plan_order;
@@ -872,4 +1125,14 @@ let suite =
       (test_pull_server_stops `Event);
     Alcotest.test_case "server stops mid-pull: Transient (threaded)" `Quick
       (test_pull_server_stops `Threaded);
-    Alcotest.test_case "sync stage histograms" `Quick test_stage_histograms ]
+    Alcotest.test_case "sync stage histograms" `Quick test_stage_histograms;
+    Alcotest.test_case "fast-forward push probes nothing" `Quick
+      test_fast_forward_probes_nothing;
+    Alcotest.test_case "push across a height change probes nothing" `Quick
+      test_height_change_probes_nothing;
+    Alcotest.test_case "push re-sends a chunk the server lost" `Quick
+      test_push_refills_lost_chunk;
+    Alcotest.test_case "push without the remote head locally" `Quick
+      test_push_without_remote_head;
+    Alcotest.test_case "push past a tampered old index node" `Quick
+      test_push_tampered_old_index ]
