@@ -2326,6 +2326,66 @@ let durability_write_file path data =
   output_string oc data;
   close_out oc
 
+(* A root a killed writer left: [n] unique ~512-byte chunks appended
+   at a [checkpoint_bytes] cadence (fsync off: the row measures checkpoint
+   volume and recovery, not the disk), then SIGKILL with no close — base,
+   deltas and a log tail past the last one, as they stood.  The child
+   reports its log and checkpoint byte counts in [root/STATS] first. *)
+let durability_killed_writer ~root ~checkpoint_bytes n =
+  match Unix.fork () with
+  | 0 ->
+    let log =
+      Log_store.create
+        ~config:{ Log_store.default_config with fsync = false; checkpoint_bytes } ~root ()
+    in
+    let s = Log_store.store log in
+    for i = 0 to n - 1 do
+      let head = Printf.sprintf "kill-%08d-" i in
+      ignore
+        (Store.put s
+           (Fb_chunk.Chunk.v Fb_chunk.Chunk.Leaf_blob
+              (head ^ String.make (512 - String.length head) 'k')))
+    done;
+    let c = Log_store.counters log in
+    durability_write_file (Filename.concat root "STATS")
+      (Printf.sprintf "%d %d %d %d\n" (Log_store.file_bytes log)
+         c.Log_store.checkpoint_bytes c.Log_store.checkpoints c.Log_store.deltas);
+    Unix.kill (Unix.getpid ()) Sys.sigkill;
+    exit 1
+  | pid -> (
+    match Unix.waitpid [] pid with
+    | _, Unix.WSIGNALED sg when sg = Sys.sigkill ->
+      Scanf.sscanf (durability_read_file (Filename.concat root "STATS")) "%d %d %d %d"
+        (fun log_bytes ckpt_bytes ckpts deltas -> (log_bytes, ckpt_bytes, ckpts, deltas))
+    | _ -> failwith "durability: the writer was not killed")
+
+(* A root with a base, [deltas] deltas and the last one torn: reopening
+   keeps the others, replays the log past them, and a second open finds
+   the chain whole again. *)
+let durability_torn_delta ~root ~deltas =
+  let config = { Log_store.default_config with fsync = false; checkpoint_bytes = 1 } in
+  let log = Log_store.create ~config ~root () in
+  let s = Log_store.store log in
+  for i = 0 to deltas do
+    ignore (Store.put s (durability_blob i));
+    Log_store.sync log
+  done;
+  let delta_path = Log_store.delta_path log in
+  let wrote = (Log_store.counters log).Log_store.deltas = deltas in
+  (* Nothing changed since the last delta: close writes none. *)
+  Log_store.close log;
+  Unix.truncate delta_path ((Unix.stat delta_path).Unix.st_size - 3);
+  let reopen () =
+    let h = Log_store.create ~config ~root () in
+    let c = Log_store.counters h in
+    let r = (Log_store.live_chunks h, c.Log_store.loaded_deltas, c.Log_store.replayed_records) in
+    Log_store.close h;
+    r
+  in
+  let first = reopen () in
+  let second = reopen () in
+  wrote && first = (deltas + 1, deltas - 1, 1) && second = (deltas + 1, deltas, 0)
+
 let run_durability ?(quick = false) () =
   header
     (if quick then "DURABILITY (quick): log vs file under fsync, crash smoke"
@@ -2464,10 +2524,43 @@ let run_durability ?(quick = false) () =
     "crash matrix: %d/%d truncation points recovered cleanly (%d inside or \
      after ref records)\n"
     !crash_ok points (2 * List.length ref_ends);
+  let torn_root = tmp_root "torn" in
+  let torn_ok = durability_torn_delta ~root:torn_root ~deltas:5 in
+  Printf.printf "torn last delta: reopen keeps the other %d deltas and replays past them: %s\n"
+    4 (if torn_ok then "ok" else "FAILED");
+  (* The large row: checkpoint volume against log volume, and the open a
+     SIGKILLed writer leaves, deltas present. *)
+  let big_n = if quick then 2000 else 200_000 in
+  let kill_root = tmp_root "kill" in
+  let big_log, big_ckpt, big_ckpts, big_deltas =
+    durability_killed_writer ~root:kill_root big_n
+      ~checkpoint_bytes:(if quick then 1 lsl 16 else Log_store.default_config.checkpoint_bytes)
+  in
+  let h, kill_ms = time_ms (fun () -> Log_store.create ~root:kill_root ()) in
+  let kc = Log_store.counters h in
+  let kill_live = Log_store.live_chunks h in
+  let kill_loaded = kc.Log_store.loaded_deltas and kill_replayed = kc.Log_store.replayed_records in
+  Log_store.close h;
+  let ckpt_per_log = float_of_int big_ckpt /. float_of_int big_log in
+  Printf.printf
+    "%d chunks of ~512 B (%.1f MB of log), then SIGKILL:\n\
+    \  checkpoints  %d (%d deltas), %.1f MB: %.3f checkpoint bytes per log byte\n\
+    \  open         %7.2f ms  (%d deltas loaded, %d records replayed)\n"
+    big_n (float_of_int big_log /. 1e6) big_ckpts big_deltas (float_of_int big_ckpt /. 1e6)
+    ckpt_per_log kill_ms kill_loaded kill_replayed;
   durability_rm_rf file_root;
   durability_rm_rf log_root;
   durability_rm_rf rig;
+  durability_rm_rf torn_root;
+  durability_rm_rf kill_root;
   if !crash_ok <> points then failwith "durability: crash matrix failed";
+  if not torn_ok then failwith "durability: a torn last delta did not recover";
+  if kill_live <> big_n then
+    failwith
+      (Printf.sprintf "durability: the killed writer's root holds %d of %d chunks" kill_live
+         big_n);
+  if big_deltas = 0 || kill_loaded = 0 then
+    failwith "durability: the killed writer's root opened without deltas";
   if (not quick) && speedup < 5.0 then
     failwith
       (Printf.sprintf "durability: group-commit speedup %.1fx below the 5x bar"
@@ -2480,9 +2573,14 @@ let run_durability ?(quick = false) () =
        \"speedup\":%.2f,\"log_fsyncs\":%d,\
        \"recovery_checkpoint_ms\":%.2f,\"recovery_checkpoint_replayed\":%d,\
        \"recovery_replay_ms\":%.2f,\"recovery_replay_replayed\":%d,\
-       \"crash_points\":%d,\"crash_points_ok\":%d}\n"
+       \"crash_points\":%d,\"crash_points_ok\":%d,\
+       \"big_chunks\":%d,\"big_log_bytes\":%d,\"big_checkpoint_bytes\":%d,\
+       \"big_checkpoints\":%d,\"big_deltas\":%d,\
+       \"checkpoint_bytes_per_log_byte\":%.4f,\"open_after_kill_ms\":%.2f,\
+       \"open_after_kill_loaded_deltas\":%d,\"open_after_kill_replayed\":%d}\n"
       n file_puts log_puts speedup flushes ckpt_ms ckpt_replayed replay_ms
-      replay_replayed points !crash_ok;
+      replay_replayed points !crash_ok big_n big_log big_ckpt big_ckpts big_deltas
+      ckpt_per_log kill_ms kill_loaded kill_replayed;
     close_out oc;
     Printf.printf "machine-readable results written to BENCH_durability.json\n"
   end

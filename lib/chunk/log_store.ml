@@ -4,7 +4,8 @@ module Obs = Fb_obs.Obs
 
 (* On-disk layout (see the .mli for the contract):
      <root>/gen-<N>.log   header, then CRC-sealed records
-     <root>/gen-<N>.idx   checkpoint of the (id -> off, len) index
+     <root>/gen-<N>.idx   base checkpoint of the (id -> off, len) index
+     <root>/gen-<N>.delta index deltas since the base, appended
      <root>/CURRENT       ASCII generation number, swapped atomically
 
    Log header:  magic (8) | generation (8, BE)
@@ -15,10 +16,16 @@ module Obs = Fb_obs.Obs
    Checkpoint:  magic (8) | generation (8) | covered (8) | count (8)
                 | count * (id 32, off 8, len 8) | [ref_records] | crc32 (4)
                 [covered] is the log prefix the entries describe; replay
-                resumes there. *)
+                resumes there.
+   Delta:       magic (8) | covered (8) | size (8) | count (8) | dead (8)
+                | prev seal (4) | count * (id 32, off 8, len 8)
+                | dead * id 32 | [ref_records] | crc32 (4)
+                [size] counts the whole delta; [prev seal] is the CRC of
+                the base or delta before it, so deltas chain to one base. *)
 
 let log_magic = "FBLOG01\n"
 let idx_magic = "FBLOGIX\n"
+let delta_magic = "FBLOGDX\n"
 let header_size = 16
 let rec_head_size = 1 + 4 + 32 (* kind, length, id *)
 let rec_overhead = rec_head_size + 4 (* + crc *)
@@ -50,9 +57,11 @@ type counters = {
   mutable deletes : int;
   mutable flushes : int;
   mutable checkpoints : int;
+  mutable deltas : int;
   mutable checkpoint_bytes : int;
   mutable compactions : int;
   mutable auto_compactions : int;
+  mutable loaded_deltas : int;
   mutable replayed_records : int;
   mutable truncated_bytes : int;
   mutable background_errors : int;
@@ -78,7 +87,11 @@ type t = {
   mutable file_len : int;
   mutable synced_len : int;
   mutable ckpt_len : int; (* file_len as of the last checkpoint *)
-  mutable ckpt_size : int; (* bytes of the last checkpoint, 0 if none *)
+  mutable base_size : int; (* bytes of the base checkpoint, 0 if none *)
+  mutable delta_size : int; (* bytes of the deltas chained to it *)
+  mutable seal : int; (* CRC of the last base or delta: the next link *)
+  dirty : unit Hash.Tbl.t; (* ids appended or tombstoned since then *)
+  dirty_refs : (ref_table * string * string, unit) Hashtbl.t; (* heads moved *)
   mutable pending : int; (* records appended since the last sync *)
   mutable pending_since : float;
   index : entry Hash.Tbl.t;
@@ -158,13 +171,14 @@ let u64be s pos = Int64.to_int (String.get_int64_be s pos)
 
 let log_file root gen = Filename.concat root (Printf.sprintf "gen-%d.log" gen)
 let idx_file root gen = Filename.concat root (Printf.sprintf "gen-%d.idx" gen)
+let delta_file root gen = Filename.concat root (Printf.sprintf "gen-%d.delta" gen)
 let current_file root = Filename.concat root "CURRENT"
 
 let gen_of_filename name =
   if String.length name > 8 && String.sub name 0 4 = "gen-" then
     let stem = Filename.remove_extension name in
     let ext = Filename.extension name in
-    if ext = ".log" || ext = ".idx" then
+    if ext = ".log" || ext = ".idx" || ext = ".delta" then
       int_of_string_opt (String.sub stem 4 (String.length stem - 4))
     else None
   else None
@@ -334,24 +348,47 @@ let ref_bytes refs =
 
 let idx_head_size = 32 (* magic, generation, covered, count *)
 let idx_entry_size = 48 (* id 32, off 8, len 8 *)
+let delta_head_size = 44 (* magic, covered, size, count, dead, prev seal *)
 
 let checkpoint_size count = idx_head_size + (count * idx_entry_size) + 4
 
-(* The current heads as sealed ref records, each "absent before": what a
-   compaction appends after the live chunks and a checkpoint carries
-   after its index. *)
+(* A head as a sealed ref record, "absent before": [None] (a removed
+   head) is the all-zero uid. *)
+let ref_record (table, key, branch) uid =
+  let payload = encode_ref_payload table ~key ~old:None ~branch in
+  let id = match uid with Some u -> u | None -> Hash.of_raw_exn no_uid in
+  Bytes.unsafe_to_string (encode_record Bytes.empty ~kind:2 ~id ~payload)
+
+(* The current heads as ref records: what a compaction appends after the
+   live chunks and a base checkpoint carries after its index. *)
 let ref_records refs =
-  Hashtbl.fold
-    (fun (table, key, branch) uid acc ->
-      let payload = encode_ref_payload table ~key ~old:None ~branch in
-      Bytes.unsafe_to_string (encode_record Bytes.empty ~kind:2 ~id:uid ~payload)
-      :: acc)
-    refs []
+  Hashtbl.fold (fun name uid acc -> ref_record name (Some uid) :: acc) refs []
 
 let total_length = List.fold_left (fun acc r -> acc + String.length r) 0
 
+let set_entry b pos id e =
+  Bytes.blit_string (Hash.to_raw id) 0 b pos 32;
+  Bytes.set_int64_be b (pos + 32) (Int64.of_int e.off);
+  Bytes.set_int64_be b (pos + 40) (Int64.of_int e.len)
+
+let blit_all b pos records =
+  List.fold_left
+    (fun pos r ->
+      Bytes.blit_string r 0 b pos (String.length r);
+      pos + String.length r)
+    pos records
+
+(* Seal [b] in place: the CRC of everything before its last four bytes
+   goes there, and is returned. *)
+let seal_bytes b =
+  let n = Bytes.length b in
+  let crc = Crc32.update_bytes_sub Crc32.empty b ~pos:0 ~len:(n - 4) in
+  Bytes.set_int32_be b (n - 4) (Int32.of_int crc);
+  crc
+
 (* One exactly sized buffer, sealed in place: no per-entry allocation and
-   no copy of the body to append the CRC.  Returns the bytes written. *)
+   no copy of the body to append the CRC.  Returns the bytes written and
+   the seal. *)
 let write_checkpoint_file ~fsync path ~gen ~covered index refs =
   let count = Hash.Tbl.length index in
   let heads = ref_records refs in
@@ -364,69 +401,175 @@ let write_checkpoint_file ~fsync path ~gen ~covered index refs =
   let pos = ref idx_head_size in
   Hash.Tbl.iter
     (fun id e ->
-      Bytes.blit_string (Hash.to_raw id) 0 b !pos 32;
-      Bytes.set_int64_be b (!pos + 32) (Int64.of_int e.off);
-      Bytes.set_int64_be b (!pos + 40) (Int64.of_int e.len);
+      set_entry b !pos id e;
       pos := !pos + idx_entry_size)
     index;
-  List.iter
-    (fun r ->
-      Bytes.blit_string r 0 b !pos (String.length r);
-      pos := !pos + String.length r)
-    heads;
-  let crc = Crc32.update_bytes_sub Crc32.empty b ~pos:0 ~len:(n - 4) in
-  Bytes.set_int32_be b (n - 4) (Int32.of_int crc);
+  ignore (blit_all b !pos heads);
+  let crc = seal_bytes b in
   write_file_atomic ~fsync path (Bytes.unsafe_to_string b);
-  n
+  (n, crc)
 
-(* Returns [Some (covered, entries, refs, size)] when the checkpoint
-   verifies and describes a prefix of the current log file; anything
-   suspicious makes recovery fall back to a full replay. *)
-let load_checkpoint path ~gen ~file_size =
+(* A delta: the entries of the [dirty] ids still in [index], the
+   tombstones of those gone from it, and each moved head's current value
+   — what changed since the checkpoint whose seal is [prev]. *)
+let encode_delta ~covered ~prev index dirty refs dirty_refs =
+  let count = Hash.Tbl.fold (fun id () n -> if Hash.Tbl.mem index id then n + 1 else n) dirty 0 in
+  let dead = Hash.Tbl.length dirty - count in
+  let heads =
+    Hashtbl.fold (fun name () acc -> ref_record name (Hashtbl.find_opt refs name) :: acc)
+      dirty_refs []
+  in
+  let n =
+    delta_head_size + (count * idx_entry_size) + (dead * 32) + total_length heads + 4
+  in
+  let b = Bytes.create n in
+  Bytes.blit_string delta_magic 0 b 0 8;
+  Bytes.set_int64_be b 8 (Int64.of_int covered);
+  Bytes.set_int64_be b 16 (Int64.of_int n);
+  Bytes.set_int64_be b 24 (Int64.of_int count);
+  Bytes.set_int64_be b 32 (Int64.of_int dead);
+  Bytes.set_int32_be b 40 (Int32.of_int prev);
+  let live = ref delta_head_size in
+  let gone = ref (delta_head_size + (count * idx_entry_size)) in
+  Hash.Tbl.iter
+    (fun id () ->
+      match Hash.Tbl.find_opt index id with
+      | Some e ->
+        set_entry b !live id e;
+        live := !live + idx_entry_size
+      | None ->
+        Bytes.blit_string (Hash.to_raw id) 0 b !gone 32;
+        gone := !gone + 32)
+    dirty;
+  ignore (blit_all b !gone heads);
+  let crc = seal_bytes b in
+  (b, crc)
+
+(* The ref moves laid end to end in [raw] from [pos] to [stop] (a
+   checkpoint's heads), each a sealed, well-formed ref record; [None] if
+   anything else is there. *)
+let moves_in raw ~pos ~stop =
+  let rec go pos acc =
+    if pos = stop then Some (List.rev acc)
+    else if pos + rec_overhead > stop || raw.[pos] <> '\002' then None
+    else
+      let len = u32be raw (pos + 1) in
+      if len > stop - pos - rec_overhead then None
+      else
+        let next = pos + rec_overhead + len in
+        if
+          Crc32.update_sub Crc32.empty raw ~pos ~len:(rec_head_size + len)
+          <> u32be raw (next - 4)
+        then None
+        else
+          let id = Hash.of_raw_exn (String.sub raw (pos + 5) 32) in
+          match decode_ref ~id (String.sub raw (pos + rec_head_size) len) with
+          | None -> None
+          | Some move -> go next (move :: acc)
+  in
+  go pos []
+
+(* The [count] index entries from [pos] of [raw] all lie inside the log
+   prefix [covered]. *)
+let entries_ok raw ~pos ~count ~covered =
+  let rec go i =
+    i = count
+    ||
+    let base = pos + (i * idx_entry_size) in
+    let off = u64be raw (base + 32) and len = u64be raw (base + 40) in
+    off >= header_size && len >= 0 && off <= covered - len && go (i + 1)
+  in
+  go 0
+
+let add_entries index raw ~pos ~count =
+  for i = 0 to count - 1 do
+    let base = pos + (i * idx_entry_size) in
+    Hash.Tbl.replace index
+      (Hash.of_raw_exn (String.sub raw base 32))
+      { off = u64be raw (base + 32); len = u64be raw (base + 40) }
+  done
+
+(* When the base checkpoint verifies and describes a prefix of the
+   current log file, loads its entries and heads into [index] and [refs]
+   and returns [Some (covered, size, seal)]; anything suspicious makes
+   recovery fall back to a full replay, with nothing loaded. *)
+let load_checkpoint path ~gen ~file_size index refs =
   match read_file_opt path with
   | None -> None
   | Some raw ->
     let n = String.length raw in
-    (* Header: magic(8) gen(8) covered(8) count(8) = 32 bytes, then
-       count * (id 32, off 8, len 8), the heads' ref records, then the
-       CRC. *)
     if n < idx_head_size + 4 then None
     else if not (String.equal (String.sub raw 0 8) idx_magic) then None
-    else if Crc32.update_sub Crc32.empty raw ~pos:0 ~len:(n - 4) <> u32be raw (n - 4)
-    then None
-    else begin
-      let g = u64be raw 8 in
-      let covered = u64be raw 16 in
-      let count = u64be raw 24 in
+    else
+      let crc = Crc32.update_sub Crc32.empty raw ~pos:0 ~len:(n - 4) in
+      let covered = u64be raw 16 and count = u64be raw 24 in
       if
-        g <> gen || count < 0
-        || n < checkpoint_size count
+        crc <> u32be raw (n - 4)
+        || u64be raw 8 <> gen || count < 0
+        || count > (n - idx_head_size - 4) / idx_entry_size
         || covered < header_size || covered > file_size
       then None
-      else begin
-        let entries = Hash.Tbl.create (max 16 count) in
-        let ok = ref true in
-        (try
-           for i = 0 to count - 1 do
-             let base = idx_head_size + (i * idx_entry_size) in
-             let id = Hash.of_raw_exn (String.sub raw base 32) in
-             let off = u64be raw (base + 32) in
-             let len = u64be raw (base + 40) in
-             if off < header_size || len < 0 || off + len > covered then
-               ok := false;
-             Hash.Tbl.replace entries id { off; len }
-           done
-         with _ -> ok := false);
-        let refs = Hashtbl.create 16 in
-        let stop, _ =
-          scan_records path ~start:(checkpoint_size count - 4) ~size:(n - 4)
-            (fun ~kind ~id ~off:_ ~len:_ ~payload ->
-              if kind = 2 then Option.iter (apply_ref refs) (decode_ref ~id payload)
-              else ok := false)
-        in
-        if !ok && stop = n - 4 then Some (covered, entries, refs, n) else None
-      end
-    end
+      else
+        match moves_in raw ~pos:(checkpoint_size count - 4) ~stop:(n - 4) with
+        | Some moves when entries_ok raw ~pos:idx_head_size ~count ~covered ->
+          add_entries index raw ~pos:idx_head_size ~count;
+          List.iter (apply_ref refs) moves;
+          Some (covered, n, crc)
+        | _ -> None
+
+(* The delta at [pos] of [raw], if it is whole, sealed, chained to [seal]
+   and covers a prefix of the log between [covered] and [file_size]:
+   its size, seal and covered offset, its entry and tombstone counts and
+   its head moves. *)
+let delta_at raw ~pos ~seal ~covered ~file_size =
+  let n = String.length raw - pos in
+  if n < delta_head_size + 4 || not (String.equal (String.sub raw pos 8) delta_magic)
+  then None
+  else
+    let size = u64be raw (pos + 16) in
+    let count = u64be raw (pos + 24) and dead = u64be raw (pos + 32) in
+    let body = size - delta_head_size - 4 in
+    if
+      size < delta_head_size + 4 || size > n
+      || Crc32.update_sub Crc32.empty raw ~pos ~len:(size - 4) <> u32be raw (pos + size - 4)
+      || u32be raw (pos + 40) <> seal
+      || count < 0 || dead < 0
+      || count > body / idx_entry_size
+      || dead > (body - (count * idx_entry_size)) / 32
+    then None
+    else
+      let covered' = u64be raw (pos + 8) in
+      let gone = pos + delta_head_size + (count * idx_entry_size) in
+      if
+        covered' < covered || covered' > file_size
+        || not (entries_ok raw ~pos:(pos + delta_head_size) ~count ~covered:covered')
+      then None
+      else
+        Option.map
+          (fun moves -> (size, u32be raw (pos + size - 4), covered', count, dead, moves))
+          (moves_in raw ~pos:(gone + (dead * 32)) ~stop:(pos + size - 4))
+
+(* Apply the deltas of [path] chained to a base sealed [seal] that
+   covered [covered], in order, up to the first that does not verify.
+   Returns the covered offset and seal they reach, the bytes they take
+   and how many there were. *)
+let load_deltas path ~seal ~covered ~file_size index refs =
+  match read_file_opt path with
+  | None -> (covered, seal, 0, 0)
+  | Some raw ->
+    let rec go pos seal covered k =
+      match delta_at raw ~pos ~seal ~covered ~file_size with
+      | None -> (covered, seal, pos, k)
+      | Some (size, seal', covered', count, dead, moves) ->
+        add_entries index raw ~pos:(pos + delta_head_size) ~count;
+        let gone = pos + delta_head_size + (count * idx_entry_size) in
+        for i = 0 to dead - 1 do
+          Hash.Tbl.remove index (Hash.of_raw_exn (String.sub raw (gone + (32 * i)) 32))
+        done;
+        List.iter (apply_ref refs) moves;
+        go (pos + size) seal' covered' (k + 1)
+    in
+    go 0 seal covered 0
 
 (* ------------------------- observability ------------------------- *)
 
@@ -450,9 +593,11 @@ let register_gauges t =
   gi "deletes" (fun () -> t.c.deletes);
   gi "flushes" (fun () -> t.c.flushes);
   gi "checkpoints" (fun () -> t.c.checkpoints);
+  gi "deltas" (fun () -> t.c.deltas);
   gi "checkpoint_bytes" (fun () -> t.c.checkpoint_bytes);
   gi "compactions" (fun () -> t.c.compactions);
   gi "auto_compactions" (fun () -> t.c.auto_compactions);
+  gi "loaded_deltas" (fun () -> t.c.loaded_deltas);
   gi "replayed_records" (fun () -> t.c.replayed_records);
   gi "truncated_bytes" (fun () -> t.c.truncated_bytes);
   gi "background_errors" (fun () -> t.c.background_errors)
@@ -463,23 +608,72 @@ let locked t f =
   Mutex.lock t.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
 
-let checkpoint_locked t =
-  let n =
+let checkpoint_hist = Obs.histogram "fb.log.checkpoint_seconds"
+
+let clean_locked t = Hash.Tbl.length t.dirty = 0 && Hashtbl.length t.dirty_refs = 0
+
+let note_dirty_locked t id = Hash.Tbl.replace t.dirty id ()
+
+(* A fresh base of the whole index, then the old deltas dropped: until
+   the base's rename they chain to the old base, after it to nothing, so
+   a crash in between loads one base or the other with its own deltas. *)
+let write_base_locked t =
+  let n, crc =
     write_checkpoint_file ~fsync:t.config.fsync (idx_file t.root t.gen)
       ~gen:t.gen ~covered:t.synced_len t.index t.refs
   in
+  (try Sys.remove (delta_file t.root t.gen) with Sys_error _ -> ());
+  t.base_size <- n;
+  t.delta_size <- 0;
+  t.seal <- crc;
+  n
+
+(* What changed since the last checkpoint, appended to the delta file
+   and chained to it.  A torn append is a tail the next open drops. *)
+let write_delta_locked t =
+  let b, crc =
+    encode_delta ~covered:t.synced_len ~prev:t.seal t.index t.dirty t.refs t.dirty_refs
+  in
+  let n = Bytes.length b in
+  let fd =
+    Unix.openfile (delta_file t.root t.gen)
+      [ Unix.O_WRONLY; Unix.O_APPEND; Unix.O_CREAT; Unix.O_CLOEXEC ] 0o644
+  in
+  Fun.protect
+    ~finally:(fun () -> Unix.close fd)
+    (fun () ->
+      write_all fd b n;
+      if t.config.fsync then Unix.fsync fd);
+  t.delta_size <- t.delta_size + n;
+  t.seal <- crc;
+  t.c.deltas <- t.c.deltas + 1;
+  n
+
+(* A checkpoint is a delta, unless there is no base yet, [base] asks for
+   one, or the deltas have outgrown both the base and [delta_floor]: then
+   the index is folded into a fresh base, so base rewrites cost no more
+   than the deltas they replace and open reads at most about twice the
+   index (or [delta_floor] of deltas). *)
+let delta_floor = 1 lsl 16
+
+let checkpoint_locked ?(base = false) t =
+  let t0 = Unix.gettimeofday () in
+  let n =
+    if base || t.base_size = 0 || t.delta_size >= max t.base_size delta_floor then
+      write_base_locked t
+    else write_delta_locked t
+  in
+  Obs.observe checkpoint_hist (Unix.gettimeofday () -. t0);
+  Hash.Tbl.clear t.dirty;
+  Hashtbl.clear t.dirty_refs;
   t.ckpt_len <- t.synced_len;
-  t.ckpt_size <- n;
   t.c.checkpoints <- t.c.checkpoints + 1;
   t.c.checkpoint_bytes <- t.c.checkpoint_bytes + n
 
 (* The group commit point: push appended records to stable storage, then
-   checkpoint if enough log has accumulated since the last one: at least
-   [checkpoint_bytes], and at least the size of the last checkpoint, so a
-   large index is rewritten no more often than its own size in new log —
-   checkpoint bytes stay within log bytes plus one checkpoint.  The
-   checkpoint can only cover a synced prefix — its entries must never
-   point past what a power cut can preserve. *)
+   checkpoint once [checkpoint_bytes] of log have accumulated since the
+   last one.  The checkpoint can only cover a synced prefix — its entries
+   must never point past what a power cut can preserve. *)
 let sync_locked t =
   if t.synced_len < t.file_len || t.pending > 0 then begin
     if t.config.fsync then Unix.fsync t.wfd;
@@ -487,8 +681,7 @@ let sync_locked t =
     t.pending <- 0;
     t.c.flushes <- t.c.flushes + 1
   end;
-  if t.synced_len - t.ckpt_len >= max t.config.checkpoint_bytes t.ckpt_size
-  then checkpoint_locked t
+  if t.synced_len - t.ckpt_len >= t.config.checkpoint_bytes then checkpoint_locked t
 
 let maybe_group_commit_locked t =
   t.pending <- t.pending + 1;
@@ -498,12 +691,15 @@ let maybe_group_commit_locked t =
     || Unix.gettimeofday () -. t.pending_since >= t.config.group_window_s
   then sync_locked t
 
+(* Appends one record and returns its payload offset.  The caller applies
+   the record to the index and the dirty sets, then runs
+   [maybe_group_commit_locked]: a checkpoint that covers a record must
+   hold its effect. *)
 let append_record_locked t ~kind ~id ~payload =
   let n = record_size payload in
   write_all t.wfd (encode_record t.rec_buf ~kind ~id ~payload) n;
   let payload_off = t.file_len + rec_head_size in
   t.file_len <- t.file_len + n;
-  maybe_group_commit_locked t;
   payload_off
 
 (* The acknowledgement wait for a record ending at [upto] in generation
@@ -649,7 +845,10 @@ let append_ref t table ~key ~branch ~old next =
         in
         ignore (append_record_locked t ~kind:2 ~id ~payload);
         apply_ref t.refs ((table, key, branch), old, next);
-        (t.gen, t.file_len))
+        Hashtbl.replace t.dirty_refs (table, key, branch) ();
+        let upto = t.file_len in
+        maybe_group_commit_locked t;
+        (t.gen, upto))
   in
   fun () -> if t.config.fsync then wait_durable t ~gen ~upto
 
@@ -669,22 +868,45 @@ let recover t =
     init_generation t.root t.gen
   | `Short | `Bad -> failwith (Printf.sprintf "log: bad header in %s" path));
   let size = (Unix.stat path).Unix.st_size in
+  let deltas = delta_file t.root t.gen in
   let start =
-    match load_checkpoint (idx_file t.root t.gen) ~gen:t.gen ~file_size:size with
-    | Some (covered, entries, refs, size) ->
-      Hash.Tbl.iter (fun id e -> Hash.Tbl.replace t.index id e) entries;
-      Hashtbl.iter (Hashtbl.replace t.refs) refs;
-      t.ckpt_size <- size;
+    match
+      load_checkpoint (idx_file t.root t.gen) ~gen:t.gen ~file_size:size t.index t.refs
+    with
+    | Some (covered, base_size, seal) ->
+      let covered, seal, delta_size, loaded =
+        load_deltas deltas ~seal ~covered ~file_size:size t.index t.refs
+      in
+      t.base_size <- base_size;
+      t.delta_size <- delta_size;
+      t.seal <- seal;
+      t.c.loaded_deltas <- t.c.loaded_deltas + loaded;
       covered
     | None -> header_size
   in
-  let stop, replayed =
-    scan_records path ~start ~size (replay_record t.index t.refs)
+  (* The replayed tail is in no checkpoint yet: the next delta carries
+     it.  Without a base the next checkpoint is a base anyway. *)
+  let replay ~kind ~id ~off ~len ~payload =
+    replay_record t.index t.refs ~kind ~id ~off ~len ~payload;
+    if t.base_size > 0 then
+      if kind = 2 then
+        Option.iter
+          (fun (name, _, _) -> Hashtbl.replace t.dirty_refs name ())
+          (decode_ref ~id payload)
+      else note_dirty_locked t id
   in
+  let stop, replayed = scan_records path ~start ~size replay in
   t.c.replayed_records <- t.c.replayed_records + replayed;
   Option.iter
     (fun off -> failwith (damage_message path off))
     (damage_at path ~stop ~size);
+  (* Deltas past the last good one (or all, without a base) chain to
+     nothing: drop them so the next delta links to the live chain. *)
+  (match (Unix.stat deltas).Unix.st_size with
+  | n when t.delta_size = 0 && n > 0 -> Sys.remove deltas
+  | n when n > t.delta_size -> Unix.truncate deltas t.delta_size
+  | _ -> ()
+  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ());
   if stop < size then begin
     (* Torn tail: physically drop it so the next append starts on a
        record boundary and a later scan sees only sealed records. *)
@@ -754,10 +976,12 @@ let compact_locked ?(live = fun _ -> true) ?(on_stage = fun _ -> ()) t =
      raise e);
   Sys.rename tmp new_log;
   if t.config.fsync then fsync_dir t.root;
-  let ckpt_size =
+  let t0 = Unix.gettimeofday () in
+  let base_size, seal =
     write_checkpoint_file ~fsync:t.config.fsync (idx_file t.root new_gen)
       ~gen:new_gen ~covered:!new_len new_index t.refs
   in
+  Obs.observe checkpoint_hist (Unix.gettimeofday () -. t0);
   on_stage After_data;
   on_stage Before_switch;
   (* The commit point: CURRENT flips atomically to the new generation. *)
@@ -769,12 +993,17 @@ let compact_locked ?(live = fun _ -> true) ?(on_stage = fun _ -> ()) t =
   reopen_fds_locked t;
   (try Sys.remove (log_file t.root old_gen) with Sys_error _ -> ());
   (try Sys.remove (idx_file t.root old_gen) with Sys_error _ -> ());
+  (try Sys.remove (delta_file t.root old_gen) with Sys_error _ -> ());
   Hash.Tbl.reset t.index;
   Hash.Tbl.iter (fun id e -> Hash.Tbl.replace t.index id e) new_index;
   t.file_len <- !new_len;
   t.synced_len <- !new_len;
   t.ckpt_len <- !new_len;
-  t.ckpt_size <- ckpt_size;
+  t.base_size <- base_size;
+  t.delta_size <- 0;
+  t.seal <- seal;
+  Hash.Tbl.reset t.dirty;
+  Hashtbl.reset t.dirty_refs;
   t.pending <- 0;
   t.live_payload <- Hash.Tbl.fold (fun _ e acc -> acc + e.len) t.index 0;
   t.c.compactions <- t.c.compactions + 1
@@ -867,7 +1096,11 @@ let create_held ~config ~root ~holder =
       file_len = 0;
       synced_len = 0;
       ckpt_len = 0;
-      ckpt_size = 0;
+      base_size = 0;
+      delta_size = 0;
+      seal = 0;
+      dirty = Hash.Tbl.create 256;
+      dirty_refs = Hashtbl.create 16;
       pending = 0;
       pending_since = 0.0;
       index = Hash.Tbl.create 1024;
@@ -879,9 +1112,10 @@ let create_held ~config ~root ~holder =
       closed = false;
       thread = None;
       c =
-        { appends = 0; deletes = 0; flushes = 0; checkpoints = 0;
+        { appends = 0; deletes = 0; flushes = 0; checkpoints = 0; deltas = 0;
           checkpoint_bytes = 0; compactions = 0; auto_compactions = 0;
-          replayed_records = 0; truncated_bytes = 0; background_errors = 0 };
+          loaded_deltas = 0; replayed_records = 0; truncated_bytes = 0;
+          background_errors = 0 };
       puts = 0;
       gets = 0;
       dedup_hits = 0;
@@ -911,7 +1145,7 @@ let checkpoint t =
   locked t (fun () ->
       ensure_open t;
       sync_locked t;
-      checkpoint_locked t)
+      checkpoint_locked ~base:true t)
 
 let compact ?live ?on_stage t = locked t (fun () -> compact_locked ?live ?on_stage t)
 
@@ -944,7 +1178,7 @@ let close t =
             (try Unix.close t.wfd with Unix.Unix_error _ -> ());
             (try Unix.close t.rfd with Unix.Unix_error _ -> ());
             release_root t.holder)
-          (fun () -> checkpoint_locked t));
+          (fun () -> if t.base_size = 0 || not (clean_locked t) then checkpoint_locked t));
     Obs.unregister_gauges_prefix ("log." ^ t.root ^ ".")
 
 (* ------------------------- introspection ------------------------- *)
@@ -958,6 +1192,7 @@ let counters t = t.c
 let root t = t.root
 let log_path t = log_file t.root t.gen
 let idx_path t = idx_file t.root t.gen
+let delta_path t = delta_file t.root t.gen
 
 (* ------------------------- Store.t view ------------------------- *)
 
@@ -977,8 +1212,10 @@ let store t =
           let payload = Chunk.encode chunk in
           let off = append_record_locked t ~kind:0 ~id ~payload in
           Hash.Tbl.replace t.index id { off; len = size };
+          note_dirty_locked t id;
           t.live_payload <- t.live_payload + size;
           t.c.appends <- t.c.appends + 1;
+          maybe_group_commit_locked t;
           id
         end)
   in
@@ -1007,8 +1244,10 @@ let store t =
         | Some e ->
           ignore (append_record_locked t ~kind:1 ~id ~payload:"");
           Hash.Tbl.remove t.index id;
+          note_dirty_locked t id;
           t.live_payload <- t.live_payload - e.len;
           t.c.deletes <- t.c.deletes + 1;
+          maybe_group_commit_locked t;
           true)
   in
   let snapshot () =
@@ -1052,6 +1291,8 @@ type fsck_report = {
   fsck_bad_hash : Hash.t list;
   fsck_idx_valid : bool;
   fsck_idx_consistent : bool;
+  fsck_deltas : int;
+  fsck_bad_delta_bytes : int;
   fsck_orphan_gens : int list;
   fsck_ref_records : int;
   fsck_heads : int;
@@ -1062,14 +1303,14 @@ type fsck_report = {
 let fsck_clean r =
   r.fsck_bad_hash = [] && r.fsck_torn_bytes = 0 && r.fsck_damage = None
   && r.fsck_orphan_gens = []
-  && r.fsck_idx_valid && r.fsck_idx_consistent
+  && r.fsck_idx_valid && r.fsck_idx_consistent && r.fsck_bad_delta_bytes = 0
   && r.fsck_dangling_heads = [] && r.fsck_ref_conflicts = 0
 
 let pp_fsck ppf r =
   Format.fprintf ppf
     "gen %d: %d records (%d live, %d bytes), %s, %d bad \
-     hashes, idx %s/%s, %d orphan generations; %d ref records (%d heads, \
-     %d dangling, %d conflicting)"
+     hashes, idx %s/%s, %d deltas (%d bad bytes), %d orphan generations; \
+     %d ref records (%d heads, %d dangling, %d conflicting)"
     r.fsck_generation r.fsck_records r.fsck_live r.fsck_bytes
     (match r.fsck_damage with
      | Some off -> Printf.sprintf "DAMAGED record at offset %d" off
@@ -1077,6 +1318,7 @@ let pp_fsck ppf r =
     (List.length r.fsck_bad_hash)
     (if r.fsck_idx_valid then "valid" else "INVALID")
     (if r.fsck_idx_consistent then "consistent" else "INCONSISTENT")
+    r.fsck_deltas r.fsck_bad_delta_bytes
     (List.length r.fsck_orphan_gens)
     r.fsck_ref_records r.fsck_heads
     (List.length r.fsck_dangling_heads)
@@ -1130,16 +1372,29 @@ let run_fsck ~mem ~root =
               replay_record full full_refs ~kind ~id ~off ~len ~payload)
         in
         let damage = damage_at path ~stop ~size in
-        let idx_valid, idx_consistent =
-          if not (Sys.file_exists (idx_file root gen)) then (true, true)
+        let delta_bytes =
+          match (Unix.stat (delta_file root gen)).Unix.st_size with
+          | n -> n
+          | exception Unix.Unix_error (Unix.ENOENT, _, _) -> 0
+        in
+        let via_idx = Hash.Tbl.create 256 and idx_refs = Hashtbl.create 16 in
+        let idx_valid, idx_consistent, deltas, good =
+          if not (Sys.file_exists (idx_file root gen)) then (true, true, 0, 0)
           else
-            match load_checkpoint (idx_file root gen) ~gen ~file_size:stop with
-            | None -> (false, false)
-            | Some (covered, via_idx, idx_refs, _) ->
+            match load_checkpoint (idx_file root gen) ~gen ~file_size:stop via_idx idx_refs with
+            | None -> (false, false, 0, 0)
+            | Some (covered, _, seal) ->
+              let covered, _, good, deltas =
+                load_deltas (delta_file root gen) ~seal ~covered ~file_size:stop
+                  via_idx idx_refs
+              in
               ignore
                 (scan_records path ~start:covered ~size:stop
                    (replay_record via_idx idx_refs));
-              (true, same_index full via_idx && same_refs full_refs idx_refs)
+              ( true,
+                same_index full via_idx && same_refs full_refs idx_refs,
+                deltas,
+                good )
         in
         let orphans =
           Array.to_list (Sys.readdir root)
@@ -1163,6 +1418,8 @@ let run_fsck ~mem ~root =
           fsck_bad_hash = List.rev !bad;
           fsck_idx_valid = idx_valid;
           fsck_idx_consistent = idx_consistent;
+          fsck_deltas = deltas;
+          fsck_bad_delta_bytes = delta_bytes - good;
           fsck_orphan_gens = orphans;
           fsck_ref_records = !ref_records;
           fsck_heads = Hashtbl.length full_refs;

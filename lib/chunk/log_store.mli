@@ -3,9 +3,9 @@
 
     One generation file [gen-<N>.log] holds every chunk and every head
     move as a CRC-sealed record appended in arrival order; a side index
-    [gen-<N>.idx] is a periodic checkpoint of the in-memory (id -> offset,
-    length) table and the current heads; the
-    [CURRENT] file names the active generation.  This is the irmin-pack /
+    checkpoints the in-memory (id -> offset, length) table and the current
+    heads as a base [gen-<N>.idx] plus the index deltas appended since it
+    to [gen-<N>.delta]; the [CURRENT] file names the active generation.  This is the irmin-pack /
     single-file-repository layout: appends are sequential, random reads
     are one positioned read, and directory metadata is touched only at
     checkpoint and compaction boundaries.
@@ -23,10 +23,20 @@
     its CRC verifies; recovery treats the first incomplete or unsealed
     record as the end of the log and truncates the torn tail.
 
-    {b Checkpoint.}  [magic(8) | generation(8) | covered(8) | count(8)],
-    [count] × [id(32) | off(8) | len(8)], one sealed ref record per
-    current head (old uid absent; none in a log without heads, whose
-    checkpoint layout is unchanged), then [crc32(4)].
+    {b Checkpoint.}  A base is [magic(8) | generation(8) | covered(8) |
+    count(8)], [count] × [id(32) | off(8) | len(8)], one sealed ref record
+    per current head (old uid absent; none in a log without heads, whose
+    checkpoint layout is unchanged), then [crc32(4)].  A delta is
+    [magic(8) | covered(8) | size(8) | count(8) | dead(8) | prev(4)],
+    [count] entries added since the last checkpoint, [dead] ids
+    tombstoned since, one ref record per head moved since (an all-zero
+    uid: removed), then [crc32(4)], the delta's seal; [prev] is the seal
+    of the base or delta before it, so a delta applies only on top of
+    the chain it was written after.  Every [checkpoint_bytes] of log the
+    group commit appends a delta: its cost is the change, not the index.
+    When the deltas reach the base's size and 64 KiB (or there is no
+    base yet) the checkpoint is a fresh base instead and the delta file
+    is dropped.
 
     {b Group commit.}  Appends go to the OS immediately (one [write]) but
     [fsync] is batched: the log syncs after [group_chunks] unsynced
@@ -40,13 +50,15 @@
     {b Recovery.}  Opening a root replays: pick the generation named by
     [CURRENT] (falling back to the newest generation with a valid
     header), delete orphan generations left by a crashed compaction, load
-    the checkpoint (index and heads) if it verifies, replay the log tail
-    past the checkpoint, and physically truncate a torn final record.
+    the base (index and heads) if it verifies, then the deltas up to the
+    first that is torn or does not chain, replay the log tail past the
+    last covered offset, and physically truncate a torn final record and
+    the deltas past the last good one.
 
     {b Compaction.}  {!compact} rewrites live records (optionally
     filtered by a GC liveness predicate), then one ref record per current
-    head, into generation [N+1], writes its checkpoint, and atomically
-    swaps [CURRENT]; a crash at any point leaves either the old or the
+    head, into generation [N+1], writes its base checkpoint (no deltas),
+    and atomically swaps [CURRENT]; a crash at any point leaves either the old or the
     new generation fully intact.
 
     A root is driven by one open instance at a time, which {!create}
@@ -60,9 +72,9 @@ type config = {
   group_window_s : float;
       (** ... or when the oldest unsynced record is this old (seconds) *)
   checkpoint_bytes : int;
-      (** write an index checkpoint once this many bytes have been appended
-          since the last one — or the last checkpoint's own size, if that
-          is larger *)
+      (** append an index delta once this many bytes of log have been
+          synced since the last checkpoint: the most a crash leaves to
+          replay *)
   compactor : bool;
       (** run the background thread (aged-group flush + auto compaction) *)
   tick_s : float;  (** background thread wake-up interval *)
@@ -80,10 +92,13 @@ type counters = {
   mutable appends : int;
   mutable deletes : int;
   mutable flushes : int;           (** group-commit syncs performed *)
-  mutable checkpoints : int;       (** checkpoints written, compaction's own not counted *)
+  mutable checkpoints : int;
+      (** bases and deltas written, compaction's own base not counted *)
+  mutable deltas : int;            (** the deltas among them *)
   mutable checkpoint_bytes : int;  (** bytes those checkpoints wrote *)
   mutable compactions : int;
   mutable auto_compactions : int;  (** subset triggered by the background thread *)
+  mutable loaded_deltas : int;     (** deltas applied on open *)
   mutable replayed_records : int;  (** records replayed past the checkpoint on open *)
   mutable truncated_bytes : int;   (** torn tail bytes discarded by recovery *)
   mutable background_errors : int;
@@ -111,12 +126,14 @@ val sync : t -> unit
     when this returns.  Writes a checkpoint when one is due. *)
 
 val checkpoint : t -> unit
-(** {!sync}, then unconditionally write the index checkpoint. *)
+(** {!sync}, then unconditionally write a fresh base checkpoint of the
+    whole index, dropping the deltas. *)
 
 val close : t -> unit
-(** Stop the background thread, sync, checkpoint, release descriptors
-    and the root, and retire the [log.<root>.*] gauges.  Idempotent;
-    using the {!store} view afterwards raises. *)
+(** Stop the background thread, sync, checkpoint what changed since the
+    last checkpoint, release descriptors and the root, and retire the
+    [log.<root>.*] gauges.  Idempotent; using the {!store} view
+    afterwards raises. *)
 
 (** {1 Heads} *)
 
@@ -135,6 +152,10 @@ val refs : t -> (ref_table * string * string * Fb_hash.Hash.t) list
 
 val commit_wait_hist : Fb_obs.Obs.histogram
 (** [fb.log.commit_wait_seconds]. *)
+
+val checkpoint_hist : Fb_obs.Obs.histogram
+(** [fb.log.checkpoint_seconds]: the time of every base or delta
+    written, compaction's base included. *)
 
 type compact_stage =
   | After_data      (** new generation data + index written, [CURRENT] still old *)
@@ -173,7 +194,10 @@ val log_path : t -> string
 (** Active generation file (for test harnesses). *)
 
 val idx_path : t -> string
-(** Its checkpoint file. *)
+(** Its base checkpoint file. *)
+
+val delta_path : t -> string
+(** Its delta file (absent until the first delta). *)
 
 val export_pack : t -> path:string -> (int, string) result
 (** Freeze the live chunks into an immutable {!Pack} archive. *)
@@ -195,7 +219,11 @@ type fsck_report = {
       (** sealed records whose payload does not hash to their id *)
   fsck_idx_valid : bool;      (** checkpoint absent counts as valid *)
   fsck_idx_consistent : bool;
-      (** checkpoint + tail replay reaches the full-replay state *)
+      (** base + deltas + tail replay reaches the full-replay state *)
+  fsck_deltas : int;          (** deltas that verify and chain to the base *)
+  fsck_bad_delta_bytes : int;
+      (** delta bytes past them: torn, broken or chained to no base (the
+          next open drops them) *)
   fsck_orphan_gens : int list; (** stray generations a crashed compaction left *)
   fsck_ref_records : int;      (** sealed ref moves in the active generation *)
   fsck_heads : int;            (** heads after replaying them *)
@@ -206,13 +234,13 @@ type fsck_report = {
 }
 
 val fsck_clean : fsck_report -> bool
-(** No damaged records, no torn tail, index consistent, no orphans, no
-    dangling head, no conflicting ref move. *)
+(** No damaged records, no torn tail, index consistent, no bad delta
+    bytes, no orphans, no dangling head, no conflicting ref move. *)
 
 val fsck : root:string -> (fsck_report, string) result
 (** Offline check of a log root: replays every generation record,
-    re-hashes payloads, validates the checkpoint (index and heads)
-    against a full replay, and looks each head up among the log's
+    re-hashes payloads, validates the base and its deltas (index and
+    heads) against a full replay, and looks each head up among the log's
     chunks.  Read-only — never repairs; recovery happens on {!create}. *)
 
 val fsck_with : mem:(Fb_hash.Hash.t -> bool) -> root:string ->

@@ -45,14 +45,21 @@ type t = {
   branches : Branch.t;
   tags : Branch.t;   (* immutable name -> uid pointers, per key *)
   acl : Acl.t;
-  (* Guards the watcher list and the deferral state below; callbacks
-     themselves always run outside it. *)
+  (* Guards the watcher list, the write-section state and the trusted
+     set below; callbacks themselves always run outside it. *)
   watch_lock : Mutex.t;
   mutable watchers : watcher list;
   mutable next_watch : int;
-  mutable defer_depth : int;
+  mutable defer_depth : int; (* open write sections *)
   pending : head_event Queue.t;
+  (* Ids [sync_put] stored inside the open write sections: its closure
+     check takes them as present without a probe.  Emptied when the
+     outermost section ends, by [gc] and [scrub] before they delete, and
+     when it reaches [trusted_max]. *)
+  trusted : unit Hash.Tbl.t;
 }
+
+let trusted_max = 1 lsl 16
 
 let ( let* ) = Result.bind
 
@@ -73,7 +80,7 @@ let create ?(acl = Acl.open_instance ()) ?journal store =
   { store; branches = table Fb_chunk.Log_store.Branches;
     tags = table Fb_chunk.Log_store.Tags; acl;
     watch_lock = Mutex.create (); watchers = []; next_watch = 0;
-    defer_depth = 0; pending = Queue.create () }
+    defer_depth = 0; pending = Queue.create (); trusted = Hash.Tbl.create 64 }
 
 let watch ?key ?branch t callback =
   Mutex.protect t.watch_lock (fun () ->
@@ -122,6 +129,7 @@ let with_deferred_watch t f =
         if t.defer_depth = 0 then begin
           let evs = List.of_seq (Queue.to_seq t.pending) in
           Queue.clear t.pending;
+          Hash.Tbl.reset t.trusted;
           evs
         end
         else [])
@@ -887,22 +895,51 @@ let advance_head ?(user = default_user) ?(branch = Branch.default_branch) t
     move_head t ~key ~branch root;
     Ok root
 
+let closure_probed = Obs.counter "fb.sync.closure_probed"
+let closure_trusted = Obs.counter "fb.sync.closure_trusted"
+
+let forget_trusted t = Mutex.protect t.watch_lock (fun () -> Hash.Tbl.reset t.trusted)
+
+(* Ingested bytes the tree code would refuse to build: a key over the
+   limit. *)
+let check_keys id chunk =
+  match Fb_postree.Postree.oversized_key chunk with
+  | None -> Ok ()
+  | Some n ->
+    Errors.invalid "chunk %s holds a key of %d bytes, over the %d-byte limit"
+      (Hash.short id) n Fb_postree.Postree.max_key_bytes
+
 (* Ingest one chunk from a sync peer.  The bytes must hash to the id they
    were announced under ([Sync.verify_encoded]) and every chunk-level
    child must already be present — senders stream child-first
    ([Sync.plan_order]), so honoring this keeps the store closure-complete
-   at every instant and [advance_head] needs no O(history) closure walk. *)
+   at every instant and [advance_head] needs no O(history) closure walk.
+   A child this write section stored is present without a probe: nothing
+   deletes a chunk while it is trusted ([gc] and [scrub] forget the set
+   first). *)
 let sync_put ?(user = default_user) ?(branch = Branch.default_branch) t ~key
     id encoded =
   guard @@ fun () ->
   let* () = check t ~user ~key ~branch Acl.Write in
   let* chunk = Sync.verify_encoded id encoded in
-  match
-    List.filter
-      (fun c -> not (Store.mem t.store c))
-      (Dag.fnode_children chunk)
-  with
-  | [] -> Ok (Store.put t.store chunk)
+  let* () = check_keys id chunk in
+  let children = Dag.fnode_children chunk in
+  let untrusted =
+    Mutex.protect t.watch_lock (fun () ->
+        List.filter (fun c -> not (Hash.Tbl.mem t.trusted c)) children)
+  in
+  let probed = List.length untrusted in
+  Obs.add closure_probed probed;
+  Obs.add closure_trusted (List.length children - probed);
+  match List.filter (fun c -> not (Store.mem t.store c)) untrusted with
+  | [] ->
+    let id = Store.put t.store chunk in
+    Mutex.protect t.watch_lock (fun () ->
+        if t.defer_depth > 0 then begin
+          if Hash.Tbl.length t.trusted >= trusted_max then Hash.Tbl.reset t.trusted;
+          Hash.Tbl.replace t.trusted id ()
+        end);
+    Ok id
   | absent ->
     Errors.invalid "sync: chunk %s references %d absent children; send \
                     children first"
@@ -937,6 +974,7 @@ let chunk_put ?(user = default_user) t id encoded =
   guard @@ fun () ->
   let* () = check t ~user ~key:"*" ~branch:"*" Acl.Write in
   let* chunk = Sync.verify_encoded id encoded in
+  let* () = check_keys id chunk in
   Ok (Store.put t.store chunk)
 
 (* Physical store shape for cluster health/rebalance accounting. *)
@@ -1037,8 +1075,10 @@ let parse_version s =
       Errors.invalid "cannot parse version %S (expected Base32 or hex)" s)
 
 let gc (t : t) =
+  forget_trusted t;
   Fb_chunk.Gc.sweep t.store ~children:Dag.fnode_children ~roots:(all_heads t)
 
 let scrub ?replica ?quarantine ?(dry_run = false) (t : t) =
+  if not dry_run then forget_trusted t;
   Fb_chunk.Scrub.run ~children:Dag.fnode_children ~roots:(all_heads t)
     ?replica ?quarantine ~dry_run t.store

@@ -60,7 +60,9 @@ val with_deferred_watch : t -> (unit -> 'a) -> 'a * (unit -> unit)
     callbacks can take arbitrary time — or themselves issue reads —
     without extending the exclusive section.  Deferral nests and is
     thread-safe; under concurrent deferred mutators the last finisher's
-    thunk delivers the union, preserving order. *)
+    thunk delivers the union, preserving order.  [f] is a write section:
+    the chunks {!sync_put} stores inside it are trusted by its closure
+    check until the outermost section ends. *)
 
 (** {1 Writing} *)
 
@@ -317,9 +319,14 @@ val sync_put :
   (uid, Errors.t) result
 (** Ingest one encoded chunk announced under the given id.  The bytes are
     re-hashed and must match the id ([Error (Corrupt _)] otherwise — the
-    tamper-evidence gate), and every chunk-level child must already be
-    present so the store stays closure-complete ([Error (Invalid _)]
-    otherwise).  Needs [Write] on the key. *)
+    tamper-evidence gate), a map or set leaf key or index split key
+    longer than [Postree.max_key_bytes] is refused, and every
+    chunk-level child must already be present so the store stays
+    closure-complete ([Error (Invalid _)] otherwise).  A child stored by
+    [sync_put] in the open write sections ({!with_deferred_watch}) is
+    taken as present without a probe; {!gc} and a non-dry {!scrub}
+    forget those children before they delete anything.  Needs [Write]
+    on the key. *)
 
 val sync_have : ?user:string -> t -> uid list -> (bool list, Errors.t) result
 (** Positional membership probe: [true] for each id held locally.  Chunk
@@ -336,7 +343,8 @@ val chunk_put : ?user:string -> t -> uid -> string -> (uid, Errors.t) result
     storage nodes serve: under consistent-hash routing a node holds an
     arbitrary slice of the graph, and closure is the routing tier's
     invariant, not the member's.  Bytes are still re-hashed against the
-    id ([Error (Corrupt _)] on mismatch) and the put is idempotent, so
+    id ([Error (Corrupt _)] on mismatch), keys over the limit are refused
+    as by {!sync_put}, and the put is idempotent, so
     transports may retry it.  Needs the instance-wide write grant (key
     pattern ["*"]) — ordinary key-scoped sync users cannot bypass
     {!sync_put}'s closure check. *)

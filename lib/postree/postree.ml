@@ -12,6 +12,77 @@ let corrupt fmt = Printf.ksprintf (fun s -> raise (Corrupt s)) fmt
 
 let max_key_bytes = 4096
 
+(* The varint at [pos] of [s] as [(value lsl 32) lor next position], or
+   -1 if it runs past [n] or its value exceeds [n] (no length in a node
+   can). *)
+let rec varint_from s n pos shift acc =
+  if pos >= n || shift > 28 then -1
+  else
+    let b = Char.code (String.unsafe_get s pos) in
+    let acc = acc lor ((b land 0x7f) lsl shift) in
+    if b land 0x80 <> 0 then varint_from s n (pos + 1) (shift + 7) acc
+    else if acc > n then -1
+    else (acc lsl 32) lor (pos + 1)
+
+(* The position past the length-prefixed bytes at [pos] (one-byte
+   lengths inline), or -1. *)
+let skip_bytes s n pos =
+  if pos >= n then -1
+  else
+    let b = Char.code (String.unsafe_get s pos) in
+    if b < 0x80 then pos + 1 + b
+    else
+      let v = varint_from s n pos 0 0 in
+      if v < 0 then -1 else (v land 0xFFFFFFFF) + (v asr 32)
+
+(* The position past the varint at [pos], or -1. *)
+let rec skip_varint s n pos =
+  if pos >= n then -1
+  else if Char.code (String.unsafe_get s pos) land 0x80 = 0 then pos + 1
+  else skip_varint s n (pos + 1)
+
+(* Maps and sets encode a node as a varint count, then per entry the key
+   as varint length + bytes, followed by the value likewise (map leaves)
+   or the child id and a varint count (index nodes).  The scan reads
+   lengths and skips bytes: it allocates nothing per entry, and a key
+   whose length fits one varint byte (< 128) is short by construction.
+   A payload no longer than the limit cannot hold a longer key, so most
+   nodes are not scanned at all. *)
+let oversized_key (chunk : Chunk.t) =
+  let s = chunk.Chunk.payload in
+  let n = String.length s in
+  (* [after]: what follows each key — 0 nothing, 1 a value, 2 a child *)
+  let rec go pos left after =
+    if left = 0 || pos >= n then None
+    else
+      let b = Char.code (String.unsafe_get s pos) in
+      if b < 0x80 then past_key (pos + 1 + b) left after
+      else
+        let v = varint_from s n pos 0 0 in
+        if v < 0 then None
+        else if v asr 32 > max_key_bytes then Some (v asr 32)
+        else past_key ((v land 0xFFFFFFFF) + (v asr 32)) left after
+  and past_key key_end left after =
+    let pos =
+      if key_end > n then -1
+      else if after = 0 then key_end
+      else if after = 1 then skip_bytes s n key_end
+      else skip_varint s n (key_end + Hash.size)
+    in
+    if pos < 0 || pos > n then None else go pos (left - 1) after
+  in
+  let scan after =
+    let v = varint_from s n 0 0 0 in
+    if v < 0 then None else go (v land 0xFFFFFFFF) (v asr 32) after
+  in
+  if n <= max_key_bytes then None
+  else
+    match chunk.Chunk.kind with
+    | Chunk.Leaf_set -> scan 0
+    | Chunk.Leaf_map -> scan 1
+    | Chunk.Index -> scan 2
+    | Chunk.Leaf_list | Chunk.Leaf_blob | Chunk.Seq_index | Chunk.Fnode -> None
+
 module type ENTRY = Postree_intf.ENTRY
 module type S = Postree_intf.S
 

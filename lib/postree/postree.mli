@@ -35,6 +35,12 @@ val max_key_bytes : int
     in one index node, and every index level shrinks.  A longer key is
     refused with {!Unbuildable} when it is fed to the leaf chunker. *)
 
+val oversized_key : Fb_chunk.Chunk.t -> int option
+(** The length of the first key over {!max_key_bytes} in a map or set
+    leaf or an index node, found by reading lengths only (no entry is
+    decoded or allocated): the ingest check for trees no builder made.
+    [None] for other kinds and for a payload that does not parse. *)
+
 module type ENTRY = Postree_intf.ENTRY
 (** Serialized-entry interface a POS-Tree is built over. *)
 

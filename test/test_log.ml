@@ -291,57 +291,144 @@ let test_power_cut_matrix () =
       check bool_ "matrix covered both variants at every offset" true
         (!cases = 2 * (String.length bytes + 1)))
 
-(* A cut inside the checkpoint file must never corrupt recovery: any
-   damaged index falls back to a full replay with identical state. *)
+(* Heads as a sorted, comparable list. *)
+let norm_refs refs =
+  List.sort compare (List.map (fun (t, k, b, u) -> (t, k, b, Hash.to_hex u)) refs)
+
+(* A damaged checkpoint never changes what recovery reaches.  The source
+   root holds a base, four deltas (chunks, tombstones and head moves) and
+   a log tail past the last of them.  Every cut of the base falls back to
+   a full replay; every cut of the delta file keeps the deltas wholly
+   before it and replays the log from the last one's covered offset.
+   Either way the live set and heads are the full replay's, and the root
+   reopens after a close with nothing to replay: the delta appended at
+   close chains to what survived. *)
 let test_idx_cut_matrix () =
   with_temp_dir (fun dir ->
-      let src = Filename.concat dir "src" in
-      let h = Log_store.create ~config:quick_config ~root:src () in
+      let config =
+        { quick_config with checkpoint_bytes = 1; group_chunks = 1000;
+                            group_window_s = 3600.0 }
+      in
+      let h = Log_store.create ~config ~root:(Filename.concat dir "src") () in
       let s = Log_store.store h in
-      for i = 0 to 4 do
-        ignore (Store.put s (blob i))
-      done;
+      let records = ref 0 in
+      let put i = ignore (Store.put s (blob i)); incr records in
+      let del i = ignore (Store.delete s (blob_id i)); incr records in
+      let move key i =
+        let old =
+          List.find_map (fun (_, k, _, u) -> if k = key then Some u else None)
+            (Log_store.refs h)
+        in
+        Log_store.append_ref h Log_store.Branches ~key ~branch:"master" ~old
+          (Option.map blob_id i) ();
+        incr records
+      in
+      for i = 0 to 4 do put i done;
+      move "a" (Some 1);
       Log_store.checkpoint h;
-      let idx = read_file (Log_store.idx_path h) in
-      for i = 5 to 7 do
-        ignore (Store.put s (blob i))
-      done;
-      ignore (Store.delete s (blob_id 0));
-      Log_store.sync h;
-      let bytes = read_file (Log_store.log_path h) in
-      let full_live = live_ids s in
+      let base = read_file (Log_store.idx_path h) in
+      (* (end offset in the delta file, records covered) per delta *)
+      let deltas = ref [ (0, !records) ] in
+      let delta () =
+        Log_store.sync h;
+        deltas := (String.length (read_file (Log_store.delta_path h)), !records) :: !deltas
+      in
+      put 5; move "b" (Some 5); delta ();
+      put 6; del 0; delta ();
+      move "a" (Some 6); move "b" None; delta ();
+      put 7; delta ();
+      (* The tail: written, never synced, so no delta covers it. *)
+      put 8; del 5;
+      let deltas = List.rev !deltas in
+      check int_ "a base and four deltas" 4 (Log_store.counters h).Log_store.deltas;
+      let log = read_file (Log_store.log_path h) in
+      let delta_file = read_file (Log_store.delta_path h) in
+      let full_live = live_ids s and full_refs = norm_refs (Log_store.refs h) in
       check int_ "reference live" 7 (List.length full_live);
       let rig = Filename.concat dir "rig" in
-      let variants cut =
-        [ ("truncate", String.sub idx 0 cut);
-          ("tear", if cut < String.length idx then garble idx cut else idx) ]
+      let recover what ~idx ~delta ~loaded ~covered =
+        let ctx m = what ^ " " ^ m in
+        if Sys.file_exists rig then
+          Array.iter (fun f -> Sys.remove (Filename.concat rig f)) (Sys.readdir rig)
+        else Unix.mkdir rig 0o755;
+        write_file (Filename.concat rig "gen-0.log") log;
+        write_file (Filename.concat rig "gen-0.idx") idx;
+        write_file (Filename.concat rig "gen-0.delta") delta;
+        write_file (Filename.concat rig "CURRENT") "0\n";
+        let agrees r =
+          check bool_ (ctx "live set = full replay") true
+            (live_ids (Log_store.store r) = full_live);
+          check bool_ (ctx "heads = full replay") true (norm_refs (Log_store.refs r) = full_refs)
+        in
+        let r = Log_store.create ~config:quick_config ~root:rig () in
+        let c = Log_store.counters r in
+        agrees r;
+        check int_ (ctx "deltas loaded") loaded c.Log_store.loaded_deltas;
+        check int_ (ctx "replayed from the last good covered offset")
+          (!records - covered) c.Log_store.replayed_records;
+        Log_store.close r;
+        let r = Log_store.create ~config:quick_config ~root:rig () in
+        agrees r;
+        check int_ (ctx "reopened: nothing to replay") 0
+          (Log_store.counters r).Log_store.replayed_records;
+        Log_store.close r
       in
-      for cut = 0 to String.length idx do
+      let variants data cut =
+        [ ("truncate", String.sub data 0 cut);
+          ("tear", if cut < String.length data then garble data cut else data) ]
+      in
+      let last = List.length deltas - 1 in
+      for cut = 0 to String.length base do
         List.iter
-          (fun (variant, data) ->
-            let ctx what =
-              Printf.sprintf "idx %s cut=%d %s" variant cut what
-            in
-            ignore (Sys.command ("rm -rf " ^ Filename.quote rig));
-            Unix.mkdir rig 0o755;
-            write_file (Filename.concat rig "gen-0.log") bytes;
-            write_file (Filename.concat rig "gen-0.idx") data;
-            write_file (Filename.concat rig "CURRENT") "0\n";
-            let r = Log_store.create ~config:quick_config ~root:rig () in
-            let got = live_ids (Log_store.store r) in
-            check int_ (ctx "live count") (List.length full_live)
-              (List.length got);
-            check bool_ (ctx "checkpoint damage never changes state") true
-              (List.for_all2 Hash.equal full_live got);
-            Log_store.close r)
-          (variants cut)
+          (fun (variant, idx) ->
+            let intact = cut = String.length base in
+            recover (Printf.sprintf "base %s cut=%d" variant cut) ~idx ~delta:delta_file
+              ~loaded:(if intact then last else 0)
+              ~covered:(if intact then snd (List.nth deltas last) else 0))
+          (variants base cut)
+      done;
+      for cut = 0 to String.length delta_file do
+        (* The deltas wholly before the cut survive, the rest is dropped. *)
+        let loaded = List.length (List.filter (fun (stop, _) -> stop <= cut) deltas) - 1 in
+        List.iter
+          (fun (variant, delta) ->
+            recover (Printf.sprintf "delta %s cut=%d" variant cut) ~idx:base ~delta ~loaded
+              ~covered:(snd (List.nth deltas loaded)))
+          (variants delta_file cut)
       done;
       Log_store.close h)
 
 (* ------------------------- checkpoint equivalence ------------------------- *)
 
-(* QCheck: for ANY operation sequence, recovery through the checkpoint
-   (when intact) and a full replay (checkpoint deleted) reach exactly the
+(* With a one-byte cadence every [sync] that follows an append writes a
+   checkpoint: the first a base, later ones deltas, and [checkpoint] a
+   fresh base.  [with_deltas] brackets an operation sequence so a base
+   and at least three deltas follow it; ids 12-15 are outside the ones
+   the sequences use. *)
+let delta_config = { quick_config with checkpoint_bytes = 1 }
+
+let with_deltas ops =
+  [ `Put 12; `Sync ] @ ops @ [ `Put 13; `Sync; `Put 14; `Sync; `Put 15; `Sync ]
+
+(* Recovery three ways — through the base and its deltas, through the
+   base alone (deltas deleted), and by a full replay (checkpoints
+   deleted) — each judged by [agrees]; the first must load at least
+   three deltas. *)
+let three_recoveries dir agrees =
+  let remove suffix =
+    Array.iter
+      (fun f -> if Filename.check_suffix f suffix then Sys.remove (Filename.concat dir f))
+      (Sys.readdir dir)
+  in
+  let via_deltas = agrees (fun c -> c.Log_store.loaded_deltas >= 3) in
+  remove ".delta";
+  let via_base = agrees (fun c -> c.Log_store.loaded_deltas = 0) in
+  remove ".idx";
+  let via_full_replay = agrees (fun c -> c.Log_store.loaded_deltas = 0) in
+  via_deltas && via_base && via_full_replay
+
+(* QCheck: for ANY operation sequence, recovery through the base and its
+   deltas, through the base alone and by a full replay reach exactly the
    state a model Hashtbl predicts. *)
 let qcheck_checkpoint_replay_equivalence =
   let op_gen =
@@ -369,7 +456,7 @@ let qcheck_checkpoint_replay_equivalence =
     ~count:30 ops_arb (fun ops ->
       with_temp_dir (fun dir ->
           let model : (string, unit) Hashtbl.t = Hashtbl.create 16 in
-          let h = Log_store.create ~config:quick_config ~root:dir () in
+          let h = Log_store.create ~config:delta_config ~root:dir () in
           let s = Log_store.store h in
           List.iter
             (function
@@ -381,22 +468,16 @@ let qcheck_checkpoint_replay_equivalence =
                 Hashtbl.remove model (Hash.to_hex (blob_id i))
               | `Sync -> Log_store.sync h
               | `Checkpoint -> Log_store.checkpoint h)
-            ops;
+            (with_deltas ops);
           Log_store.close h;
-          let agrees () =
-            let r = Log_store.create ~config:quick_config ~root:dir () in
-            let got = live_ids (Log_store.store r) in
-            Log_store.close r;
-            List.length got = Hashtbl.length model
-            && List.for_all
-                 (fun id -> Hashtbl.mem model (Hash.to_hex id))
-                 got
-          in
-          let via_checkpoint = agrees () in
-          (try Sys.remove (Filename.concat dir "gen-0.idx")
-           with Sys_error _ -> ());
-          let via_full_replay = agrees () in
-          via_checkpoint && via_full_replay))
+          three_recoveries dir (fun loaded ->
+              let r = Log_store.create ~config:quick_config ~root:dir () in
+              let got = live_ids (Log_store.store r) in
+              let c = Log_store.counters r in
+              Log_store.close r;
+              loaded c
+              && List.length got = Hashtbl.length model
+              && List.for_all (fun id -> Hashtbl.mem model (Hash.to_hex id)) got)))
 
 (* ------------------------- compaction ------------------------- *)
 
@@ -492,6 +573,7 @@ let test_compaction_crash_stages () =
             |> List.filter (fun f ->
                    (Filename.check_suffix f ".log"
                    || Filename.check_suffix f ".idx"
+                   || Filename.check_suffix f ".delta"
                    || Filename.check_suffix f ".tmp")
                    && not
                         (String.length f >= String.length keep_prefix
@@ -579,6 +661,56 @@ let test_fsck () =
       | Ok r ->
         check bool_ "orphan generation listed" true
           (r.Log_store.fsck_orphan_gens = [ 9 ])))
+
+(* fsck reads the deltas: it counts those that chain to the base, checks
+   base + deltas + tail against a full replay, and reports the bytes of
+   a broken delta and all after it — which the next open drops. *)
+let test_fsck_deltas () =
+  with_temp_dir (fun dir ->
+      let h = Log_store.create ~config:delta_config ~root:dir () in
+      let s = Log_store.store h in
+      let ends = ref [] in
+      List.iter
+        (fun i ->
+          ignore (Store.put s (blob i));
+          if i = 3 then ignore (Store.delete s (blob_id 1));
+          Log_store.sync h;
+          if Sys.file_exists (Log_store.delta_path h) then
+            ends := String.length (read_file (Log_store.delta_path h)) :: !ends)
+        [ 0; 1; 2; 3; 4 ];
+      let delta_path = Log_store.delta_path h in
+      Log_store.close h;
+      let fsck what =
+        match Scrub.fsck_log ~root:dir with
+        | Error e -> Alcotest.fail (what ^ ": " ^ e)
+        | Ok r -> r
+      in
+      let r = fsck "intact" in
+      check int_ "four deltas after the base" 4 r.Log_store.fsck_deltas;
+      check int_ "no bad delta bytes" 0 r.Log_store.fsck_bad_delta_bytes;
+      check bool_ "clean" true (Scrub.fsck_log_clean r);
+      (* One flipped byte inside the third delta. *)
+      let first, second =
+        match List.rev !ends with a :: b :: _ -> (a, b) | _ -> Alcotest.fail "deltas"
+      in
+      let bytes = Bytes.of_string (read_file delta_path) in
+      Bytes.set bytes (second + 20) (Char.chr (Char.code (Bytes.get bytes (second + 20)) lxor 1));
+      write_file delta_path (Bytes.to_string bytes);
+      let r = fsck "broken" in
+      check int_ "the deltas before it" 2 r.Log_store.fsck_deltas;
+      check int_ "it and all after it reported" (Bytes.length bytes - second)
+        r.Log_store.fsck_bad_delta_bytes;
+      check bool_ "base + two deltas + tail still = full replay" true
+        (r.Log_store.fsck_idx_valid && r.Log_store.fsck_idx_consistent);
+      check bool_ "not clean" false (Scrub.fsck_log_clean r);
+      check bool_ "first delta ends before the second" true (first < second);
+      let h = Log_store.create ~config:quick_config ~root:dir () in
+      check int_ "open loads the two" 2 (Log_store.counters h).Log_store.loaded_deltas;
+      check int_ "and replays the rest" 3 (Log_store.counters h).Log_store.replayed_records;
+      Log_store.close h;
+      let r = fsck "reopened" in
+      check int_ "the close's delta chains on" 3 r.Log_store.fsck_deltas;
+      check bool_ "clean again" true (Scrub.fsck_log_clean r))
 
 let test_fsck_bad_hash () =
   with_temp_dir (fun dir ->
@@ -800,44 +932,53 @@ let test_on_disk_compat () =
       check int_ "every record replayed" 10 replayed;
       Log_store.close h)
 
-(* Checkpoints are paced by the index size: with a tiny [checkpoint_bytes]
-   and a sync after every record, the checkpoint bytes written stay within
-   the log bytes appended plus one checkpoint of the final index. *)
+(* Checkpoints run on the fixed [checkpoint_bytes] cadence and cost what
+   changed.  With a cadence of one byte and a sync after every record,
+   every record gets a checkpoint: a one-entry delta, or a fresh base once
+   the deltas reach the base's size.  Each base but the last weighs no
+   more than the deltas before its successor, so checkpoint bytes stay
+   within two one-entry deltas per record plus one base of the final
+   index (a full index per checkpoint would be ~n^2/2 entries), and a
+   crash leaves no record to replay. *)
 let test_checkpoint_cadence () =
   with_temp_dir (fun dir ->
       let config = { quick_config with checkpoint_bytes = 1; group_chunks = 1 } in
-      let h = Log_store.create ~config ~root:dir () in
+      let h = Log_store.create ~config ~root:(Filename.concat dir "src") () in
       let s = Log_store.store h in
       let n = 3000 in
       for i = 0 to n - 1 do
         ignore (Store.put s (blob i))
       done;
       let c = Log_store.counters h in
-      let appended = Log_store.synced_bytes h - 16 in
+      let one_delta = 44 + 48 + 4 in
       let one_checkpoint = 32 + (48 * n) + 4 in
       check bool_
-        (Printf.sprintf "checkpoint bytes %d <= appended %d + one checkpoint %d"
-           c.Log_store.checkpoint_bytes appended one_checkpoint)
+        (Printf.sprintf "checkpoint bytes %d <= 2 * %d deltas of %d + one base %d"
+           c.Log_store.checkpoint_bytes n one_delta one_checkpoint)
         true
-        (c.Log_store.checkpoint_bytes <= appended + one_checkpoint);
+        (c.Log_store.checkpoint_bytes <= (2 * n * one_delta) + one_checkpoint);
+      check int_ "a checkpoint per record" n c.Log_store.checkpoints;
       check bool_
-        (Printf.sprintf "still checkpoints as the index grows (%d)"
-           c.Log_store.checkpoints)
-        true (c.Log_store.checkpoints >= 5);
+        (Printf.sprintf "deltas, not bases (%d of %d)" c.Log_store.deltas n)
+        true
+        (c.Log_store.deltas > n * 9 / 10);
       check int_ "one flush per record" n c.Log_store.flushes;
-      (* The last checkpoint is recent: the tail to replay after a crash
-         is no longer than the log that checkpoint's own size allowed. *)
-      let idx = read_file (Log_store.idx_path h) in
-      let covered = Int64.to_int (String.get_int64_be idx 16) in
-      check bool_ "replay tail bounded by the last checkpoint's size" true
-        (Log_store.synced_bytes h - covered < String.length idx + 100);
+      (* A crash now: the files as they stand, opened without a close. *)
+      let rig = Filename.concat dir "rig" in
+      Unix.mkdir rig 0o755;
+      List.iter
+        (fun path -> write_file (Filename.concat rig (Filename.basename path)) (read_file path))
+        [ Log_store.log_path h; Log_store.idx_path h; Log_store.delta_path h ];
+      write_file (Filename.concat rig "CURRENT") "0\n";
+      let r = Log_store.create ~config:quick_config ~root:rig () in
+      let rc = Log_store.counters r in
+      check bool_ "deltas loaded" true (rc.Log_store.loaded_deltas > 0);
+      check int_ "nothing to replay" 0 rc.Log_store.replayed_records;
+      check int_ "every record live" n (Log_store.live_chunks r);
+      Log_store.close r;
       Log_store.close h)
 
 (* ------------------------- ref records ------------------------- *)
-
-(* Heads as a sorted, comparable list. *)
-let norm_refs refs =
-  List.sort compare (List.map (fun (t, k, b, u) -> (t, k, b, Hash.to_hex u)) refs)
 
 (* The heads a sequence of moves leaves, replayed by a model table. *)
 let model_refs moves =
@@ -957,8 +1098,8 @@ let test_ref_power_cut_matrix () =
       Log_store.close h)
 
 (* QCheck: with head moves among the operations, recovery through the
-   checkpoint and a full replay reach the model's chunks and heads —
-   across compactions too. *)
+   base and its deltas, through the base alone and by a full replay reach
+   the model's chunks and heads — across compactions too. *)
 let qcheck_ref_checkpoint_replay =
   let op_gen =
     QCheck.Gen.(
@@ -993,7 +1134,7 @@ let qcheck_ref_checkpoint_replay =
       with_temp_dir (fun dir ->
           let chunks = Hashtbl.create 16 in
           let heads = Hashtbl.create 16 in
-          let h = Log_store.create ~config:quick_config ~root:dir () in
+          let h = Log_store.create ~config:delta_config ~root:dir () in
           let s = Log_store.store h in
           let ref_of k =
             ((if k = 3 then Log_store.Tags else Log_store.Branches),
@@ -1018,27 +1159,21 @@ let qcheck_ref_checkpoint_replay =
               | `Sync -> Log_store.sync h
               | `Checkpoint -> Log_store.checkpoint h
               | `Compact -> Log_store.compact h)
-            ops;
+            (with_deltas ops);
           Log_store.close h;
           let want =
             norm_refs (Hashtbl.fold (fun (t, k, b) u acc -> (t, k, b, u) :: acc) heads [])
           in
-          let agrees () =
-            let r = Log_store.create ~config:quick_config ~root:dir () in
-            let got = live_ids (Log_store.store r) in
-            let refs = norm_refs (Log_store.refs r) in
-            Log_store.close r;
-            refs = want
-            && List.length got = Hashtbl.length chunks
-            && List.for_all (Hashtbl.mem chunks) got
-          in
-          let via_checkpoint = agrees () in
-          Array.iter
-            (fun f ->
-              if Filename.check_suffix f ".idx" then Sys.remove (Filename.concat dir f))
-            (Sys.readdir dir);
-          let via_full_replay = agrees () in
-          via_checkpoint && via_full_replay))
+          three_recoveries dir (fun loaded ->
+              let r = Log_store.create ~config:quick_config ~root:dir () in
+              let got = live_ids (Log_store.store r) in
+              let refs = norm_refs (Log_store.refs r) in
+              let c = Log_store.counters r in
+              Log_store.close r;
+              loaded c
+              && refs = want
+              && List.length got = Hashtbl.length chunks
+              && List.for_all (Hashtbl.mem chunks) got)))
 
 (* Every compaction carries the current heads forward: manual,
    gc-driven, and a crash at any stage of either. *)
@@ -1282,13 +1417,14 @@ let suite =
       test_compaction_crash_stages;
     Alcotest.test_case "background compactor" `Quick test_background_compactor;
     Alcotest.test_case "fsck" `Quick test_fsck;
+    Alcotest.test_case "fsck: deltas, and a broken one" `Quick test_fsck_deltas;
     Alcotest.test_case "damage is not a torn tail" `Quick
       test_damage_is_not_a_torn_tail;
     Alcotest.test_case "fsck: dishonest sealed record" `Quick
       test_fsck_bad_hash;
     Alcotest.test_case "on-disk compatibility: reference-sealed log and idx"
       `Quick test_on_disk_compat;
-    Alcotest.test_case "checkpoint cadence: bytes bounded by log + one index"
+    Alcotest.test_case "checkpoint cadence: a delta per change"
       `Quick test_checkpoint_cadence;
     Alcotest.test_case "power-cut matrix: ref records" `Quick
       test_ref_power_cut_matrix;

@@ -1371,6 +1371,13 @@ let test_metrics_sidecar () =
         (Tutil.contains metrics "fb_net_put_seconds");
       check bool_ "reply encode stage exported" true
         (Tutil.contains metrics "fb_net_reply_encode_seconds_count");
+      check bool_ "checkpoint time exported" true
+        (Tutil.contains metrics "fb_log_checkpoint_seconds_count");
+      List.iter
+        (fun c ->
+          check bool_ (c ^ " exported") true
+            (Tutil.contains metrics (Printf.sprintf "# TYPE %s counter" c)))
+        [ "fb_sync_closure_probed"; "fb_sync_closure_trusted" ];
       check bool_ "active sha256 kernel exported" true
         (Tutil.contains metrics
            (Printf.sprintf "hash_sha256_native %d"

@@ -14,6 +14,9 @@ module Mem_store = Fb_chunk.Mem_store
 module Frame = Fb_net.Frame
 module Remote = Fb_net.Remote
 module Server = Fb_net.Server
+module Mux = Fb_net.Mux
+module Dag = Fb_repr.Dag
+module Obs = Fb_obs.Obs
 
 let check = Alcotest.check
 let bool_ = Alcotest.bool
@@ -1083,6 +1086,238 @@ let test_push_tampered_old_index () =
             (List.length report.Fb_chunk.Scrub.corrupt);
           check bool_ "server scrubs clean" true (Fb_chunk.Scrub.clean report)))
 
+(* ---------------- the closure check's trusted set ---------------- *)
+
+(* (probed, trusted) children so far, process-wide. *)
+let closure_counts () =
+  ( Obs.counter_value (Obs.counter "fb.sync.closure_probed"),
+    Obs.counter_value (Obs.counter "fb.sync.closure_trusted") )
+
+(* A two-level map built in a scratch store: its root index node and its
+   leaves, as (id, encoded bytes). *)
+let two_level_map () =
+  let store = Mem_store.create () in
+  let map = Fb_postree.Pmap.of_bindings store (bindings 2_000 "v") in
+  let root = Option.get (Fb_postree.Pmap.root map) in
+  let encoded id = (id, Option.get (Store.peek store id)) in
+  let leaves = Sync.children (chunk_of store root) in
+  check bool_ "two levels" true
+    (leaves <> [] && List.for_all (fun id -> Sync.children (chunk_of store id) = []) leaves);
+  (encoded root, List.map encoded leaves)
+
+(* Every stored chunk's children are stored. *)
+let closure_complete store =
+  let ok = ref true in
+  Store.ids store (fun id ->
+      match Store.get store id with
+      | None -> ok := false
+      | Some c -> if not (List.for_all (Store.mem store) (Dag.fnode_children c)) then ok := false);
+  !ok
+
+let refused_absent what = function
+  | Ok _ -> Alcotest.failf "%s: parent accepted over deleted children" what
+  | Error e ->
+    check bool_ (what ^ ": absent children") true
+      (Tutil.contains (Errors.to_string e) "absent children")
+
+(* One write section — what the server runs each BATCH in — stores a
+   map's leaves through [sync_put], sweeps them with [gc] (no head names
+   them), then offers their parent: refused with "absent children", and
+   the store holds no chunk naming an absent one.  Without the sweep the
+   same section takes the parent with every child trusted, none
+   probed. *)
+let check_trusted_set_gc fb =
+  let (root_id, root_bytes), leaves = two_level_map () in
+  let sync_put (id, bytes) = FB.sync_put fb ~key:"m" id bytes in
+  let (), flush =
+    FB.with_deferred_watch fb (fun () ->
+        List.iter (fun l -> ignore (ok_fb (sync_put l))) leaves;
+        let swept = FB.gc fb in
+        check int_ "gc swept the leaves" (List.length leaves) swept.Fb_chunk.Gc.swept_chunks;
+        refused_absent "gc" (sync_put (root_id, root_bytes)))
+  in
+  flush ();
+  check bool_ "parent not stored" false (Store.mem (FB.store fb) root_id);
+  check bool_ "closure-complete" true (closure_complete (FB.store fb));
+  let probed, trusted = closure_counts () in
+  let (), flush =
+    FB.with_deferred_watch fb (fun () ->
+        List.iter (fun l -> ignore (ok_fb (sync_put l))) leaves;
+        ignore (ok_fb (sync_put (root_id, root_bytes))))
+  in
+  flush ();
+  let probed', trusted' = closure_counts () in
+  check int_ "every child trusted" (List.length leaves) (trusted' - trusted);
+  check int_ "no child probed" 0 (probed' - probed);
+  check bool_ "closure-complete" true (closure_complete (FB.store fb))
+
+let test_trusted_set_gc = function
+  | `Mem -> fun () -> check_trusted_set_gc (FB.create (Mem_store.create ()))
+  | `Log ->
+    fun () ->
+      let root =
+        Filename.concat (Filename.get_temp_dir_name ())
+          (Printf.sprintf "fb_sync_%d_%d" (Unix.getpid ()) (Random.bits ()))
+      in
+      Fun.protect
+        ~finally:(fun () -> ignore (Sys.command ("rm -rf " ^ Filename.quote root)))
+        (fun () -> Tutil.with_fb ~root check_trusted_set_gc)
+
+(* Over the wire, in one BATCH: [sync-put] of the leaves, [scrub], which
+   quarantines a leaf that rotted on the medium once stored, and
+   [sync-put] of the parent — refused, the quarantined leaf being gone;
+   the server's store stays closure-complete. *)
+let test_trusted_set_scrub mode () =
+  let (root_id, root_bytes), leaves = two_level_map () in
+  let victim = fst (List.hd leaves) in
+  let inner = Mem_store.create () in
+  let rot id raw =
+    if not (Hash.equal id victim) then raw
+    else
+      String.mapi
+        (fun i c -> if i = String.length raw - 1 then Char.chr (Char.code c lxor 1) else c)
+        raw
+  in
+  let read f id = Option.map (rot id) (f id) in
+  let store =
+    { inner with
+      Store.name = "rotting";
+      get_raw = read inner.Store.get_raw;
+      peek = read inner.Store.peek;
+      get =
+        (fun id ->
+          Option.bind (read inner.Store.get_raw id) (fun r -> Result.to_option (Chunk.decode r)));
+      iter = (fun f -> inner.Store.iter (fun id raw -> f id (rot id raw))) }
+  in
+  let fb = FB.create store in
+  let sync_put (id, bytes) = [ "sync-put"; "m"; "master"; Hash.to_hex id; bytes ] in
+  with_server ~config:{ test_config with mode } fb (fun srv ->
+      let c = match Mux.connect ~port:(Server.port srv) () with
+        | Ok c -> c
+        | Error e -> Alcotest.fail (Fb_net.Client.error_to_string e)
+      in
+      Fun.protect ~finally:(fun () -> Mux.close c) (fun () ->
+          let batch = List.map sync_put leaves @ [ [ "scrub" ]; sync_put (root_id, root_bytes) ] in
+          match Mux.batch c batch with
+          | Error e -> Alcotest.fail (Fb_net.Client.error_to_string e)
+          | Ok replies ->
+            List.iteri
+              (fun i r -> if i < List.length leaves then ignore (ok_fb r))
+              replies;
+            refused_absent "scrub" (List.nth replies (List.length leaves + 1))));
+  check bool_ "the rotted leaf was quarantined" false (Store.mem inner victim);
+  check bool_ "parent not stored" false (Store.mem inner root_id);
+  check bool_ "closure-complete" true (closure_complete inner)
+
+(* A fast-forward push of a one-record edit to a 100k-record map over a
+   live server: the reference walk's chunks and cuts, in one sync-put
+   BATCH, whose closure check probes exactly the children the BATCH did
+   not itself store — none that it did. *)
+let test_fast_forward_trusts_its_batch mode () =
+  let store = Mem_store.create () in
+  let src, _, edit = map_source ~store 100_000 in
+  let config = { test_config with mode } in
+  let srv_store = Mem_store.create () in
+  with_server ~config (FB.create (Mem_store.create ())) @@ fun srv_ref ->
+  with_server ~config (FB.create srv_store) @@ fun srv_new ->
+  with_remote srv_ref @@ fun r_ref ->
+  with_remote srv_new @@ fun r_new ->
+  ignore (ok_fb (Sync_walk_ref.push r_ref src ~key:"m"));
+  ignore (ok_fb (Remote.push r_new src ~key:"m"));
+  ignore (edit 54_321 "edited");
+  let before = id_set (List.map (fun h -> Result.get_ok (Hash.of_hex h)) (store_ids srv_store)) in
+  let probed, trusted = closure_counts () in
+  let _, want = ok_fb (Sync_walk_ref.push r_ref src ~key:"m") in
+  let probed_ref, trusted_ref = closure_counts () in
+  let _, got = ok_fb (Remote.push r_new src ~key:"m") in
+  let probed', trusted' = closure_counts () in
+  check bool_ "the reference walk's chunks and cuts" true (same_push_stats want got);
+  check bool_ "one sync-put batch" true (got.Sync.chunks_moved <= Sync.put_batch);
+  (* The BATCH: every id the push stored. *)
+  let pushed = Hash.Tbl.create 64 in
+  Store.ids srv_store (fun id ->
+      if not (Hash.Tbl.mem before id) then Hash.Tbl.replace pushed id ());
+  check int_ "pushed = moved" got.Sync.chunks_moved (Hash.Tbl.length pushed);
+  let inside, outside =
+    Hash.Tbl.fold
+      (fun id () (i, o) ->
+        let cs = Dag.fnode_children (chunk_of srv_store id) in
+        let n = List.length (List.filter (Hash.Tbl.mem pushed) cs) in
+        (i + n, o + List.length cs - n))
+      pushed (0, 0)
+  in
+  check bool_ "the batch names its own chunks" true (inside > 0);
+  check int_ "children stored in the batch: trusted" inside (trusted' - trusted_ref);
+  check int_ "the rest: probed" outside (probed' - probed_ref);
+  check int_ "the reference push probed them all" (inside + outside)
+    (probed_ref - probed + trusted_ref - trusted)
+
+(* The length scan agrees with decoding: on map and set leaves and index
+   nodes with keys on both sides of the limit, and with values and child
+   counts that take multi-byte varints, it names the first key over the
+   limit, or none. *)
+let qcheck_oversized_key =
+  let module Codec = Fb_codec.Codec in
+  let gen = QCheck.Gen.(pair (int_bound 2) (list_size (int_range 0 6) (int_range 0 5_000))) in
+  QCheck.Test.make ~count:200 ~name:"oversized_key = first long key of a node"
+    (QCheck.make ~print:QCheck.Print.(pair int (list int)) gen)
+    (fun (kind, lens) ->
+      let w = Codec.writer () in
+      Codec.varint w (List.length lens);
+      List.iteri
+        (fun i len ->
+          Codec.bytes w (String.make len 'k');
+          match kind with
+          | 0 -> ()
+          | 1 -> Codec.bytes w (String.make (i * 50) 'v')
+          | _ ->
+            Codec.hash w (Hash.of_string "child");
+            Codec.varint w (i * 1_000))
+        lens;
+      let kind = match kind with 0 -> Chunk.Leaf_set | 1 -> Chunk.Leaf_map | _ -> Chunk.Index in
+      Fb_postree.Postree.oversized_key (Chunk.v kind (Codec.contents w))
+      = List.find_opt (fun n -> n > Fb_postree.Postree.max_key_bytes) lens)
+
+(* A pushed tree whose leaf holds a key of max_key_bytes + 1 bytes, which
+   no builder makes: its leaf is refused [Invalid] at ingest and the
+   server's store is untouched.  An index node with such a split key is
+   refused the same way, by [sync_put] and by [chunk_put]. *)
+let test_ingest_key_limit () =
+  let store = Mem_store.create () in
+  let long = String.make (Fb_postree.Postree.max_key_bytes + 1) 'k' in
+  let w = Fb_codec.Codec.writer () in
+  Fb_codec.Codec.varint w 2;
+  List.iter (fun k -> Fb_codec.Codec.bytes w k; Fb_codec.Codec.bytes w "v") [ "a"; long ];
+  let leaf = Chunk.v Chunk.Leaf_map (Fb_codec.Codec.contents w) in
+  let leaf_id = Store.put store leaf in
+  let src = FB.create store in
+  ignore
+    (ok_fb
+       (FB.put src ~key:"m"
+          (Value.Map (Fb_postree.Pmap.of_root store (Some leaf_id)))));
+  let srv_store = Mem_store.create () in
+  let srv_fb = FB.create srv_store in
+  let invalid what = function
+    | Error (Errors.Invalid msg) ->
+      check bool_ (what ^ " names the limit") true (Tutil.contains msg "4096")
+    | Error e -> Alcotest.failf "%s: %s" what (Errors.to_string e)
+    | Ok _ -> Alcotest.failf "%s: long key accepted" what
+  in
+  with_server srv_fb (fun srv ->
+      with_remote srv (fun r ->
+          invalid "push" (Result.map fst (Remote.push r src ~key:"m"))));
+  check int_ "server store untouched" 0 (Store.stats srv_store).Store.physical_chunks;
+  let w = Fb_codec.Codec.writer () in
+  Fb_codec.Codec.varint w 1;
+  Fb_codec.Codec.bytes w long;
+  Fb_codec.Codec.hash w leaf_id;
+  Fb_codec.Codec.varint w 2;
+  let index = Chunk.encode (Chunk.v Chunk.Index (Fb_codec.Codec.contents w)) in
+  let index_id = Hash.of_string index in
+  invalid "sync_put of an index" (FB.sync_put srv_fb ~key:"m" index_id index);
+  invalid "chunk_put of an index" (FB.chunk_put srv_fb index_id index);
+  check int_ "still untouched" 0 (Store.stats srv_store).Store.physical_chunks
+
 let suite =
   [ QCheck_alcotest.to_alcotest qcheck_plan_order;
     QCheck_alcotest.to_alcotest qcheck_have_roundtrip;
@@ -1135,4 +1370,19 @@ let suite =
     Alcotest.test_case "push without the remote head locally" `Quick
       test_push_without_remote_head;
     Alcotest.test_case "push past a tampered old index node" `Quick
-      test_push_tampered_old_index ]
+      test_push_tampered_old_index;
+    Alcotest.test_case "trusted set: gc in the section (mem)" `Quick
+      (test_trusted_set_gc `Mem);
+    Alcotest.test_case "trusted set: gc in the section (log)" `Quick
+      (test_trusted_set_gc `Log);
+    Alcotest.test_case "trusted set: scrub in a BATCH (event)" `Quick
+      (test_trusted_set_scrub `Event);
+    Alcotest.test_case "trusted set: scrub in a BATCH (threaded)" `Quick
+      (test_trusted_set_scrub `Threaded);
+    Alcotest.test_case "fast-forward push trusts its BATCH (event)" `Quick
+      (test_fast_forward_trusts_its_batch `Event);
+    Alcotest.test_case "fast-forward push trusts its BATCH (threaded)" `Quick
+      (test_fast_forward_trusts_its_batch `Threaded);
+    QCheck_alcotest.to_alcotest qcheck_oversized_key;
+    Alcotest.test_case "ingest refuses keys over the limit" `Quick
+      test_ingest_key_limit ]
