@@ -267,9 +267,7 @@ let diff_cmd =
   let run root user key branch1 branch2 =
     with_instance root (fun fb ->
         let* d = FB.diff ~user fb ~key ~branch1 ~branch2 in
-        Ok
-          (Printf.sprintf "%s\n%s" (Fb_core.Diffview.summary d)
-             (Format.asprintf "%a" Fb_core.Diffview.render d)))
+        Ok (Fb_core.Diffview.report d))
   in
   Cmd.v
     (Cmd.info "diff" ~doc:"Differential query between two branches of KEY.")

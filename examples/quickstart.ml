@@ -39,9 +39,7 @@ let () =
   (* 5. Differential query between the branches (fast: equal sub-trees are
      pruned by Merkle id without being read). *)
   let diff = ok (FB.diff fb ~key:"fruit" ~branch1:"master" ~branch2:"experiment") in
-  Printf.printf "\nmaster vs experiment: %s\n%s"
-    (Fb_core.Diffview.summary diff)
-    (Format.asprintf "%a" Fb_core.Diffview.render diff);
+  Printf.printf "\nmaster vs experiment: %s" (Fb_core.Diffview.report diff);
 
   (* 6. Merge the branch back (three-way, sub-tree reusing). *)
   let merged = ok (FB.merge fb ~key:"fruit" ~into:"master" ~from_branch:"experiment") in

@@ -80,55 +80,87 @@ let summary = function
     Printf.sprintf "%d rows added, %d removed, %d modified (%d cells)" a r m
       cells
 
-let render_row fmt row =
-  Format.fprintf fmt "(%s)"
+let render_row b row =
+  Printf.bprintf b "(%s)"
     (String.concat ", " (List.map Primitive.to_string row))
 
-let render fmt = function
-  | Same -> Format.fprintf fmt "no differences@."
+(* [%S] as [Printf] writes it, without a format interpreter. *)
+let add_quoted b s =
+  Buffer.add_char b '"';
+  Buffer.add_string b (String.escaped s);
+  Buffer.add_char b '"'
+
+(* Map and set changes (a sync diff renders a thousand of them) are
+   written piece by piece; the rest go through [Printf.bprintf]. *)
+let render b = function
+  | Same -> Buffer.add_string b "no differences\n"
   | Type_change (k1, k2) ->
-    Format.fprintf fmt "! type: %s -> %s@." (Value.kind_name k1)
+    Printf.bprintf b "! type: %s -> %s\n" (Value.kind_name k1)
       (Value.kind_name k2)
   | Primitive_change (p1, p2) ->
-    Format.fprintf fmt "- %s@.+ %s@." (Primitive.to_string p1)
+    Printf.bprintf b "- %s\n+ %s\n" (Primitive.to_string p1)
       (Primitive.to_string p2)
   | Blob_change d ->
-    Format.fprintf fmt "@@ bytes [%d,+%d) -> [%d,+%d)@." d.Pblob.old_pos
+    Printf.bprintf b "@ bytes [%d,+%d) -> [%d,+%d)\n" d.Pblob.old_pos
       d.Pblob.old_len d.Pblob.new_pos d.Pblob.new_len
   | Map_changes cs ->
+    let binding sign (x : Pmap.binding) =
+      Buffer.add_string b sign;
+      Buffer.add_string b x.key;
+      Buffer.add_string b " = ";
+      add_quoted b x.value;
+      Buffer.add_char b '\n'
+    in
     List.iter
       (fun c ->
         match (c : Pmap.change) with
-        | Pmap.Added b -> Format.fprintf fmt "+ %s = %S@." b.key b.value
-        | Pmap.Removed b -> Format.fprintf fmt "- %s = %S@." b.key b.value
-        | Pmap.Modified (b1, b2) ->
-          Format.fprintf fmt "~ %s: %S -> %S@." b1.key b1.value b2.value)
+        | Pmap.Added x -> binding "+ " x
+        | Pmap.Removed x -> binding "- " x
+        | Pmap.Modified (x1, x2) ->
+          Buffer.add_string b "~ ";
+          Buffer.add_string b x1.key;
+          Buffer.add_string b ": ";
+          add_quoted b x1.value;
+          Buffer.add_string b " -> ";
+          add_quoted b x2.value;
+          Buffer.add_char b '\n')
       cs
   | Set_changes cs ->
     List.iter
       (fun c ->
-        match (c : Pset.change) with
-        | Pset.Added e -> Format.fprintf fmt "+ %s@." e
-        | Pset.Removed e -> Format.fprintf fmt "- %s@." e
-        | Pset.Modified (e, _) -> Format.fprintf fmt "~ %s@." e)
+        let sign, e =
+          match (c : Pset.change) with
+          | Pset.Added e -> ("+ ", e)
+          | Pset.Removed e -> ("- ", e)
+          | Pset.Modified (e, _) -> ("~ ", e)
+        in
+        Buffer.add_string b sign;
+        Buffer.add_string b e;
+        Buffer.add_char b '\n')
       cs
   | List_change d ->
-    Format.fprintf fmt "@@ elements [%d,+%d) -> [%d,+%d)@." d.Plist.old_pos
+    Printf.bprintf b "@ elements [%d,+%d) -> [%d,+%d)\n" d.Plist.old_pos
       d.Plist.old_len d.Plist.new_pos d.Plist.new_len
   | Table_changes cs ->
     List.iter
       (fun c ->
         match (c : Table.row_change) with
-        | Table.Row_added row ->
-          Format.fprintf fmt "+ row %a@." render_row row
+        | Table.Row_added row -> Printf.bprintf b "+ row %a\n" render_row row
         | Table.Row_removed row ->
-          Format.fprintf fmt "- row %a@." render_row row
+          Printf.bprintf b "- row %a\n" render_row row
         | Table.Row_modified (key, cells) ->
-          Format.fprintf fmt "~ row %S:@." key;
+          Printf.bprintf b "~ row %S:\n" key;
           List.iter
             (fun (cc : Table.cell_change) ->
-              Format.fprintf fmt "    %s: %s -> %s@." cc.Table.column
+              Printf.bprintf b "    %s: %s -> %s\n" cc.Table.column
                 (Primitive.to_string cc.Table.before)
                 (Primitive.to_string cc.Table.after))
             cells)
       cs
+
+let report d =
+  let b = Buffer.create 1024 in
+  Buffer.add_string b (summary d);
+  Buffer.add_char b '\n';
+  render b d;
+  Buffer.contents b

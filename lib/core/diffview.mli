@@ -22,6 +22,10 @@ val is_same : t -> bool
 val summary : t -> string
 (** One-line account: ["3 rows added, 1 modified (2 cells)"]. *)
 
-val render : Format.formatter -> t -> unit
-(** Multi-scope textual rendering: per-row, then per-cell for tables;
-    per-entry for maps and sets; replaced ranges for blobs and lists. *)
+val render : Buffer.t -> t -> unit
+(** Multi-scope textual rendering, appended to the buffer: per-row, then
+    per-cell for tables; per-entry for maps and sets; replaced ranges for
+    blobs and lists. *)
+
+val report : t -> string
+(** [summary], a newline, then [render]: the reply of the [diff] verb. *)

@@ -232,7 +232,7 @@ let diff =
   verb "diff" Read Arg.(three key (str "BRANCH1") (str "BRANCH2")) Reply.text
     (fun ?user fb (key, branch1, branch2) ->
       let+ d = Forkbase.diff ?user fb ~key ~branch1 ~branch2 in
-      Diffview.summary d ^ "\n" ^ Format.asprintf "%a" Diffview.render d)
+      Diffview.report d)
 let merge =
   verb "merge" Write Arg.(three key (str "INTO") (str "FROM")) Reply.uid
     (fun ?user fb (key, into, from_branch) -> Forkbase.merge ?user fb ~key ~into ~from_branch)

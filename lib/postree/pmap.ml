@@ -1,32 +1,14 @@
-module Codec = Fb_codec.Codec
-
 type binding = { key : string; value : string }
 
 let binding key value = { key; value }
 
 module Entry = struct
   type t = binding
-  type key = string
 
+  let has_value = true
   let key b = b.key
-  let compare_key = String.compare
-  let key_size = String.length
-  let equal a b = String.equal a.key b.key && String.equal a.value b.value
-
-  let encode w b =
-    Codec.bytes w b.key;
-    Codec.bytes w b.value
-
-  let decode r =
-    let key = Codec.read_bytes r in
-    let value = Codec.read_bytes r in
-    { key; value }
-
-  let encode_key = Codec.bytes
-  let decode_key = Codec.read_bytes
-  let leaf_kind = Fb_chunk.Chunk.Leaf_map
-  let pp fmt b = Format.fprintf fmt "%S -> %S" b.key b.value
-  let pp_key fmt k = Format.fprintf fmt "%S" k
+  let value b = b.value
+  let make key value = { key; value }
 end
 
 include Postree.Make (Entry)

@@ -13,15 +13,16 @@ let corrupt fmt = Printf.ksprintf (fun s -> raise (Corrupt s)) fmt
 let max_key_bytes = 4096
 
 (* The varint at [pos] of [s] as [(value lsl 32) lor next position], or
-   -1 if it runs past [n] or its value exceeds [n] (no length in a node
-   can). *)
+   -1 if it runs past [n], is not minimal (a final zero byte after the
+   first, which [Codec] refuses too) or its value exceeds [n] (no length
+   in a node can). *)
 let rec varint_from s n pos shift acc =
   if pos >= n || shift > 28 then -1
   else
     let b = Char.code (String.unsafe_get s pos) in
     let acc = acc lor ((b land 0x7f) lsl shift) in
     if b land 0x80 <> 0 then varint_from s n (pos + 1) (shift + 7) acc
-    else if acc > n then -1
+    else if acc > n || (b = 0 && shift > 0) then -1
     else (acc lsl 32) lor (pos + 1)
 
 (* The position past the length-prefixed bytes at [pos] (one-byte
@@ -40,6 +41,43 @@ let rec skip_varint s n pos =
   if pos >= n then -1
   else if Char.code (String.unsafe_get s pos) land 0x80 = 0 then pos + 1
   else skip_varint s n (pos + 1)
+
+external get64u : string -> int -> int64 = "%caml_string_get64u"
+
+(* Byte comparisons in place.  The loops are top-level functions, not
+   closures over their arguments, so a call allocates nothing. *)
+let rec compare_bytes s1 o1 s2 o2 i m l1 l2 =
+  if i = m then Int.compare l1 l2
+  else
+    let c1 = String.unsafe_get s1 (o1 + i)
+    and c2 = String.unsafe_get s2 (o2 + i) in
+    if c1 = c2 then compare_bytes s1 o1 s2 o2 (i + 1) m l1 l2
+    else Char.compare c1 c2
+
+let rec compare_words s1 o1 s2 o2 i m l1 l2 =
+  if i + 8 <= m && Int64.equal (get64u s1 (o1 + i)) (get64u s2 (o2 + i))
+  then compare_words s1 o1 s2 o2 (i + 8) m l1 l2
+  else compare_bytes s1 o1 s2 o2 i m l1 l2
+
+(* The order [String.compare] gives the [l1] bytes at [o1] of [s1] and
+   the [l2] bytes at [o2] of [s2]. *)
+let compare_sub s1 o1 l1 s2 o2 l2 =
+  compare_words s1 o1 s2 o2 0 (if l1 < l2 then l1 else l2) l1 l2
+
+let rec equal_from s1 o1 s2 o2 i len =
+  if i + 8 <= len then
+    Int64.equal (get64u s1 (o1 + i)) (get64u s2 (o2 + i))
+    && equal_from s1 o1 s2 o2 (i + 8) len
+  else
+    i = len
+    || String.unsafe_get s1 (o1 + i) = String.unsafe_get s2 (o2 + i)
+       && equal_from s1 o1 s2 o2 (i + 1) len
+
+(* Whether the [len] bytes at [o1] of [s1] equal those at [o2] of [s2]. *)
+let equal_sub s1 o1 s2 o2 len = equal_from s1 o1 s2 o2 0 len
+
+let diff_leaves_encoded = Obs.counter "fb.postree.diff_leaves_encoded"
+let diff_entries_decoded = Obs.counter "fb.postree.diff_entries_decoded"
 
 (* Maps and sets encode a node as a varint count, then per entry the key
    as varint length + bytes, followed by the value likewise (map leaves)
@@ -88,10 +126,10 @@ module type S = Postree_intf.S
 
 module Make (E : ENTRY) = struct
   type entry = E.t
-  type key = E.key
+  type key = string
   type t = { store : Store.t; root : Hash.t option }
 
-  type edit = Put of E.t | Remove of E.key
+  type edit = Put of E.t | Remove of key
 
   type change =
     | Added of E.t
@@ -101,12 +139,32 @@ module Make (E : ENTRY) = struct
   let change_key = function
     | Added e | Removed e | Modified (e, _) -> E.key e
 
+  (* The leaf entry layout, defined here alone: an entry is its key's
+     length-prefixed bytes, followed by its value's when entries have
+     values (map leaves; set leaves hold keys alone).  Keys order bytewise
+     ([String.compare]).  The builder writes entries with [write_entry],
+     [decode_node] reads them with [read_entry], and diff's cursor reads
+     them in place on the same layout. *)
+  let leaf_kind = if E.has_value then Chunk.Leaf_map else Chunk.Leaf_set
+
+  let write_entry w e =
+    Codec.bytes w (E.key e);
+    if E.has_value then Codec.bytes w (E.value e)
+
+  let read_entry r =
+    let key = Codec.read_bytes r in
+    E.make key (if E.has_value then Codec.read_bytes r else "")
+
+  let equal_entry a b =
+    String.equal (E.key a) (E.key b)
+    && ((not E.has_value) || String.equal (E.value a) (E.value b))
+
   let params = Rolling.default_node_params
   let max_node_bytes = 16 * (1 lsl params.q)
 
   (* Trace span names, computed once per instantiation so the hot paths
      only pay a pointer pass when tracing is on. *)
-  let kind_label = Chunk.kind_to_string E.leaf_kind
+  let kind_label = Chunk.kind_to_string leaf_kind
   let span_build = "postree.build(" ^ kind_label ^ ")"
   let span_update = "postree.update(" ^ kind_label ^ ")"
   let span_find = "postree.find(" ^ kind_label ^ ")"
@@ -115,23 +173,23 @@ module Make (E : ENTRY) = struct
 
   (* ---------------- node encoding ---------------- *)
 
-  type index_entry = { split : E.key; child : Hash.t; count : int }
+  type index_entry = { split : key; child : Hash.t; count : int }
 
   type node = Leaf of E.t list | Index of index_entry list
 
-  let encode_entry e = Codec.to_string E.encode e
+  let encode_entry e = Codec.to_string write_entry e
 
   (* Returns the length of the split key's encoding, which leads. *)
   let encode_index_entry w ie =
     let start = Codec.length w in
-    E.encode_key w ie.split;
+    Codec.bytes w ie.split;
     let key_end = Codec.length w - start in
     Codec.hash w ie.child;
     Codec.varint w ie.count;
     key_end
 
   let decode_index_entry r =
-    let split = E.decode_key r in
+    let split = Codec.read_bytes r in
     let child = Codec.read_hash r in
     let count = Codec.read_varint r in
     { split; child; count }
@@ -139,8 +197,8 @@ module Make (E : ENTRY) = struct
   let leaf_chunk entries =
     let w = Codec.writer () in
     Codec.varint w (List.length entries);
-    List.iter (E.encode w) entries;
-    Chunk.v E.leaf_kind (Codec.contents w)
+    List.iter (write_entry w) entries;
+    Chunk.v leaf_kind (Codec.contents w)
 
   let index_chunk ies =
     let w = Codec.writer () in
@@ -150,8 +208,8 @@ module Make (E : ENTRY) = struct
 
   let decode_node chunk =
     match chunk.Chunk.kind with
-    | k when Chunk.equal_kind k E.leaf_kind ->
-      (match Codec.of_string (fun r -> Codec.read_list r E.decode)
+    | k when Chunk.equal_kind k leaf_kind ->
+      (match Codec.of_string (fun r -> Codec.read_list r read_entry)
                chunk.Chunk.payload with
        | Ok entries -> Leaf entries
        | Error e -> corrupt "leaf decode: %s" e)
@@ -163,7 +221,7 @@ module Make (E : ENTRY) = struct
     | k ->
       corrupt "unexpected chunk kind %s (wanted %s or index)"
         (Chunk.kind_to_string k)
-        (Chunk.kind_to_string E.leaf_kind)
+        (Chunk.kind_to_string leaf_kind)
 
   (* One decoded-node cache per entry type (functor instantiation), shared
      by every tree of that type.  Containment is by chunk identity, so
@@ -172,16 +230,20 @@ module Make (E : ENTRY) = struct
   let node_cache : node Node_cache.t =
     Node_cache.create ~name:("postree." ^ kind_label)
 
+  let chunk_of_hash store h =
+    match Store.get store h with
+    | Some c -> c
+    | None -> corrupt "missing chunk %s" (Hash.to_hex h)
+
+  let cache_node h chunk =
+    let node = decode_node chunk in
+    Node_cache.add node_cache h node;
+    node
+
   let read_node store h =
     match Node_cache.find_live node_cache store h with
     | Some node -> node
-    | None ->
-      (match Store.get store h with
-       | None -> corrupt "missing chunk %s" (Hash.to_hex h)
-       | Some chunk ->
-         let node = decode_node chunk in
-         Node_cache.add node_cache h node;
-         node)
+    | None -> cache_node h (chunk_of_hash store h)
 
   (* ---------------- construction ---------------- *)
 
@@ -208,7 +270,7 @@ module Make (E : ENTRY) = struct
     Chunker.create ~params ~max_bytes:max_node_bytes ~emit ()
 
   let check_key k =
-    let n = E.key_size k in
+    let n = String.length k in
     if n > max_key_bytes then
       raise
         (Unbuildable
@@ -268,7 +330,7 @@ module Make (E : ENTRY) = struct
     iter (fun e ->
         let k = E.key e in
         (match !prev with
-         | Some p when E.compare_key p k >= 0 ->
+         | Some p when String.compare p k >= 0 ->
            invalid_arg "build_sorted_seq: keys not strictly increasing"
          | _ -> ());
         prev := Some k;
@@ -278,7 +340,7 @@ module Make (E : ENTRY) = struct
 
   (* Stable sort, then last wins among equal keys. *)
   let sort_dedup key l =
-    let cmp a b = E.compare_key (key a) (key b) in
+    let cmp a b = String.compare (key a) (key b) in
     let rec dedup = function
       | a :: (b :: _ as rest) when cmp a b = 0 -> dedup rest
       | a :: rest -> a :: dedup rest
@@ -320,9 +382,9 @@ module Make (E : ENTRY) = struct
   let rec find_in store h k =
     match read_node store h with
     | Leaf entries ->
-      List.find_opt (fun e -> E.compare_key (E.key e) k = 0) entries
+      List.find_opt (fun e -> String.compare (E.key e) k = 0) entries
     | Index ies -> (
-      match List.find_opt (fun ie -> E.compare_key k ie.split <= 0) ies with
+      match List.find_opt (fun ie -> String.compare k ie.split <= 0) ies with
       | None -> None
       | Some ie -> find_in store ie.child k)
 
@@ -373,10 +435,10 @@ module Make (E : ENTRY) = struct
      children from their stored counts without reading them. *)
 
   let ge_lo lo k =
-    match lo with None -> true | Some l -> E.compare_key k l >= 0
+    match lo with None -> true | Some l -> String.compare k l >= 0
 
   let le_hi hi k =
-    match hi with None -> true | Some h -> E.compare_key k h <= 0
+    match hi with None -> true | Some h -> String.compare k h <= 0
 
   let iter_range ?lo ?hi f t =
     let rec go h =
@@ -393,12 +455,12 @@ module Make (E : ENTRY) = struct
           | ie :: rest ->
             let below_lo =
               match lo with
-              | Some l -> E.compare_key ie.split l < 0
+              | Some l -> String.compare ie.split l < 0
               | None -> false
             in
             let above_hi =
               match hi, prev with
-              | Some h, Some p -> E.compare_key p h >= 0
+              | Some h, Some p -> String.compare p h >= 0
               | _ -> false
             in
             if not (below_lo || above_hi) then go ie.child;
@@ -431,12 +493,12 @@ module Make (E : ENTRY) = struct
           | ie :: rest ->
             let below_lo =
               match lo with
-              | Some l -> E.compare_key ie.split l < 0
+              | Some l -> String.compare ie.split l < 0
               | None -> false
             in
             let above_hi =
               match hi, prev with
-              | Some h, Some p -> E.compare_key p h >= 0
+              | Some h, Some p -> String.compare p h >= 0
               | _ -> false
             in
             let acc =
@@ -446,7 +508,7 @@ module Make (E : ENTRY) = struct
                 let lo_covered =
                   match lo, prev with
                   | None, _ -> true
-                  | Some l, Some p -> E.compare_key p l >= 0
+                  | Some l, Some p -> String.compare p l >= 0
                   | Some _, None -> false
                 in
                 if lo_covered && le_hi hi ie.split then acc + ie.count
@@ -522,11 +584,6 @@ module Make (E : ENTRY) = struct
               count = List.length entries } ])
       | ht -> row_below t.store h (ht - 1))
 
-  let chunk_of_hash store h =
-    match Store.get store h with
-    | Some c -> c
-    | None -> corrupt "missing chunk %s" (Hash.to_hex h)
-
   let leaf_entries t h =
     match read_node t.store h with
     | Leaf entries -> entries
@@ -567,7 +624,7 @@ module Make (E : ENTRY) = struct
           | [] -> []
           | [ last ] -> [ last ]
           | ie :: rest ->
-            if E.compare_key ie.split k < 0 then (reuse ie; skip_to k rest)
+            if String.compare ie.split k < 0 then (reuse ie; skip_to k rest)
             else leaves
         in
         let rec go leaves cur edits =
@@ -598,7 +655,7 @@ module Make (E : ENTRY) = struct
               go [] [] eds
             | l :: ls -> go ls (leaf_entries t l.child) edits)
           | ed :: eds, e :: cur' ->
-            let c = E.compare_key (E.key e) (edit_key ed) in
+            let c = String.compare (E.key e) (edit_key ed) in
             if c < 0 then (add_entry e; go leaves cur' edits)
             else if c = 0 then begin
               (match ed with Put x -> add_entry x | Remove _ -> ());
@@ -636,13 +693,188 @@ module Make (E : ENTRY) = struct
       | e1 :: r1, [] -> go r1 [] (Removed e1 :: acc)
       | [], e2 :: r2 -> go [] r2 (Added e2 :: acc)
       | e1 :: r1, e2 :: r2 ->
-        let c = E.compare_key (E.key e1) (E.key e2) in
+        let c = String.compare (E.key e1) (E.key e2) in
         if c < 0 then go r1 l2 (Removed e1 :: acc)
         else if c > 0 then go l1 r2 (Added e2 :: acc)
-        else if E.equal e1 e2 then go r1 r2 acc
+        else if equal_entry e1 e2 then go r1 r2 acc
         else go r1 r2 (Modified (e1, e2) :: acc)
     in
     go l1 l2 acc
+
+  (* A diff's leaf level compares two runs of leaves that cover the same
+     key range: an aligned pair, or the boundary-shifted spans of a row.
+     When no leaf of either run is in the node cache the runs are read raw
+     and walked in their encoded form: a cursor reads each entry's length
+     varints, keys compare bytewise in place ([String.compare]'s order,
+     the keys' order), and an entry whose key and encoded bytes match
+     the other side's is skipped without allocating.  Only added, removed
+     and modified entries are decoded, and nothing enters the cache, so a
+     one-pass diff does not churn it.  The cursor refuses what
+     [decode_node] refuses: a wrong chunk kind, a non-minimal or
+     overflowing varint, a count beyond the payload, a length past its
+     end, trailing bytes.  When a leaf of either run is cached, decoding
+     the other side is cheaper than reading the cached one again, so the
+     runs go through [read_node] and [diff_entries]. *)
+
+  (* One tree's side of a diff: its store, and the raw leftmost leaf that
+     [node_height] fetched, handed on to the first read of that leaf so a
+     cold diff fetches it once. *)
+  type side = {
+    side_store : Store.t;
+    mutable first : (Hash.t * Chunk.t) option;
+  }
+
+  let side_chunk side h =
+    match side.first with
+    | Some (h', chunk) when Hash.equal h h' ->
+      side.first <- None;
+      chunk
+    | _ -> chunk_of_hash side.side_store h
+
+  (* [read_node] through a side. *)
+  let side_node side h =
+    match Node_cache.find_live node_cache side.side_store h with
+    | Some node -> node
+    | None -> cache_node h (side_chunk side h)
+
+  type cursor = {
+    src : side;
+    mutable rest : Hash.t list;  (* leaves after the current one *)
+    mutable leaf : Hash.t option;  (* the current leaf *)
+    mutable buf : string;  (* its payload *)
+    mutable left : int;  (* its entries after the current one *)
+    mutable pos : int;  (* the current entry's first byte *)
+    mutable kpos : int;  (* its key bytes' first byte *)
+    mutable klen : int;
+    mutable stop : int;  (* one past its last byte *)
+  }
+
+  let cursor src hs =
+    { src; rest = hs; leaf = None; buf = ""; left = 0; pos = 0; kpos = 0;
+      klen = 0; stop = 0 }
+
+  let leaf_hex c = Option.fold ~none:"?" ~some:Hash.to_hex c.leaf
+
+  let malformed c pos =
+    corrupt "leaf decode: %s: malformed entry at offset %d" (leaf_hex c) pos
+
+  let load c h =
+    let chunk = side_chunk c.src h in
+    if not (Chunk.equal_kind chunk.Chunk.kind leaf_kind) then
+      corrupt "unexpected chunk kind %s at %s (wanted %s)"
+        (Chunk.kind_to_string chunk.Chunk.kind) (Hash.to_hex h) kind_label;
+    let s = chunk.Chunk.payload in
+    let n = String.length s in
+    let v = varint_from s n 0 0 0 in
+    c.leaf <- Some h;
+    if v < 0 then malformed c 0;
+    let count = v asr 32 and pos = v land 0xFFFFFFFF in
+    if count > n - pos then
+      corrupt "leaf decode: %s: count %d exceeds the payload" (leaf_hex c)
+        count;
+    c.buf <- s;
+    c.left <- count;
+    c.stop <- pos
+
+  (* Move to the run's next entry; [false] past its last. *)
+  let rec next c =
+    let s = c.buf in
+    let n = String.length s in
+    if c.left = 0 then begin
+      if c.stop <> n then
+        corrupt "leaf decode: %s: %d trailing bytes" (leaf_hex c) (n - c.stop);
+      match c.rest with
+      | [] -> false
+      | h :: rest ->
+        c.rest <- rest;
+        load c h;
+        next c
+    end
+    else begin
+      let pos = c.stop in
+      let v = varint_from s n pos 0 0 in
+      if v < 0 then malformed c pos;
+      let kpos = v land 0xFFFFFFFF and klen = v asr 32 in
+      let key_end = kpos + klen in
+      let stop = if E.has_value then skip_bytes s n key_end else key_end in
+      if stop < 0 || stop > n then malformed c pos;
+      c.pos <- pos;
+      c.kpos <- kpos;
+      c.klen <- klen;
+      c.stop <- stop;
+      c.left <- c.left - 1;
+      true
+    end
+
+  let decode c =
+    Obs.incr diff_entries_decoded;
+    read_entry (Codec.reader ~pos:c.pos c.buf)
+
+  (* Lockstep walk of two cursors; [acc] is built in reverse. *)
+  let diff_encoded c1 c2 acc =
+    let rec go more1 more2 acc =
+      match more1, more2 with
+      | false, false -> acc
+      | true, false ->
+        let acc = Removed (decode c1) :: acc in
+        go (next c1) false acc
+      | false, true ->
+        let acc = Added (decode c2) :: acc in
+        go false (next c2) acc
+      | true, true ->
+        let c =
+          compare_sub c1.buf c1.kpos c1.klen c2.buf c2.kpos c2.klen
+        in
+        if c < 0 then
+          let acc = Removed (decode c1) :: acc in
+          go (next c1) true acc
+        else if c > 0 then
+          let acc = Added (decode c2) :: acc in
+          go true (next c2) acc
+        else begin
+          (* Equal keys: the rest of each entry is its encoded value. *)
+          let v1 = c1.kpos + c1.klen and v2 = c2.kpos + c2.klen in
+          let len = c1.stop - v1 in
+          let acc =
+            if len = c2.stop - v2 && equal_sub c1.buf v1 c2.buf v2 len then
+              acc
+            else
+              let e1 = decode c1 in
+              Modified (e1, decode c2) :: acc
+          in
+          let more1 = next c1 in
+          go more1 (next c2) acc
+        end
+    in
+    let more1 = next c1 in
+    go more1 (next c2) acc
+
+  let diff_leaves s1 s2 hs1 hs2 acc =
+    let probe side =
+      List.map (fun h -> (h, Node_cache.find_live node_cache side.side_store h))
+    in
+    let p1 = probe s1 hs1 and p2 = probe s2 hs2 in
+    let cold = List.for_all (fun (_, node) -> Option.is_none node) in
+    if cold p1 && cold p2 then begin
+      Obs.incr diff_leaves_encoded;
+      diff_encoded (cursor s1 hs1) (cursor s2 hs2) acc
+    end
+    else
+      let leaf side (h, cached) =
+        let node, decoded =
+          match cached with
+          | Some node -> (node, false)
+          | None -> (cache_node h (side_chunk side h), true)
+        in
+        match node with
+        | Leaf es ->
+          if decoded then Obs.add diff_entries_decoded (List.length es);
+          es
+        | Index _ ->
+          corrupt "diff: index node %s where a leaf belongs" (Hash.to_hex h)
+      in
+      let entries side = List.concat_map (leaf side) in
+      diff_entries (entries s1 p1) (entries s2 p2) acc
 
   (* Diff recursion works on (node, height) pairs at a {e common} height.
      Two logically-close trees can still differ in total height (index-level
@@ -650,9 +882,23 @@ module Make (E : ENTRY) = struct
      structure — always a handful of small nodes — is first expanded into
      the row of sub-tree pointers at the shorter side's root height. *)
 
-  let node_height store h =
+  (* Down the leftmost path.  The leaf's kind is all the height needs, so
+     an uncached leaf is not decoded (nor cached): the side keeps its chunk
+     for the diff to compare encoded like any other. *)
+  let node_height side h =
     let rec go h acc =
-      match read_node store h with
+      let node =
+        match Node_cache.find_live node_cache side.side_store h with
+        | Some node -> node
+        | None ->
+          let chunk = chunk_of_hash side.side_store h in
+          if Chunk.equal_kind chunk.Chunk.kind leaf_kind then begin
+            side.first <- Some (h, chunk);
+            Leaf []
+          end
+          else cache_node h chunk
+      in
+      match node with
       | Leaf _ -> acc
       | Index [] -> corrupt "empty index node %s" (Hash.to_hex h)
       | Index (ie :: _) -> go ie.child (acc + 1)
@@ -660,15 +906,17 @@ module Make (E : ENTRY) = struct
     go h 1
 
   (* [s1] holds the first tree's nodes and [s2] the second's: the two trees
-     may live in different stores. *)
+     may live in different stores.  Height 1 is the leaf level. *)
   let rec diff_nodes s1 s2 h1 h2 height acc =
     if Hash.equal h1 h2 then acc
+    else if height = 1 then diff_leaves s1 s2 [ h1 ] [ h2 ] acc
     else
-      match read_node s1 h1, read_node s2 h2 with
-      | Leaf e1, Leaf e2 -> diff_entries e1 e2 acc
+      match side_node s1 h1, side_node s2 h2 with
       | Index i1, Index i2 -> diff_rows s1 s2 i1 i2 (height - 1) acc
-      | Leaf e1, Index _ -> diff_entries e1 (subtree_entries s2 [ h2 ]) acc
-      | Index _, Leaf e2 -> diff_entries (subtree_entries s1 [ h1 ]) e2 acc
+      | Leaf _, _ ->
+        corrupt "diff: leaf %s at height %d" (Hash.to_hex h1) height
+      | _, Leaf _ ->
+        corrupt "diff: leaf %s at height %d" (Hash.to_hex h2) height
 
   (* Walk two rows of index entries (pointing to sub-trees of [height]) by
      split key.  Children that align on the same split key are recursed into
@@ -686,10 +934,10 @@ module Make (E : ENTRY) = struct
       | _ when height > 1 ->
         (* Boundary-shifted index spans: expand one level and realign —
            the shift is local, so the next level prunes again. *)
-        let expand store span =
+        let expand side span =
           List.concat_map
             (fun ie ->
-              match read_node store ie.child with
+              match side_node side ie.child with
               | Index ies -> ies
               | Leaf _ ->
                 corrupt "diff: leaf at height %d under %s" height
@@ -698,12 +946,9 @@ module Make (E : ENTRY) = struct
         in
         diff_rows s1 s2 (expand s1 span1) (expand s2 span2) (height - 1) acc
       | _ ->
-        (* Leaf-level spans: compare the actual entries. *)
+        (* Leaf-level spans: compare the entries of both runs. *)
         let hs l = List.rev_map (fun ie -> ie.child) l in
-        diff_entries
-          (subtree_entries s1 (hs span1))
-          (subtree_entries s2 (hs span2))
-          acc
+        diff_leaves s1 s2 (hs span1) (hs span2) acc
     in
     let rec walk l1 l2 span1 span2 acc =
       match l1, l2 with
@@ -711,7 +956,7 @@ module Make (E : ENTRY) = struct
       | e1 :: r1, [] -> walk r1 [] (e1 :: span1) span2 acc
       | [], e2 :: r2 -> walk [] r2 span1 (e2 :: span2) acc
       | e1 :: r1, e2 :: r2 ->
-        let c = E.compare_key e1.split e2.split in
+        let c = String.compare e1.split e2.split in
         if c = 0 then
           let acc = flush (e1 :: span1) (e2 :: span2) acc in
           walk r1 r2 [] [] acc
@@ -732,29 +977,27 @@ module Make (E : ENTRY) = struct
       | Some h1, Some h2 ->
         if Hash.equal h1 h2 then []
         else begin
-          let ht1 = node_height t1.store h1
-          and ht2 = node_height t2.store h2 in
-          if ht1 = ht2 then diff_nodes t1.store t2.store h1 h2 ht1 []
+          let s1 = { side_store = t1.store; first = None }
+          and s2 = { side_store = t2.store; first = None } in
+          let ht1 = node_height s1 h1 and ht2 = node_height s2 h2 in
+          if ht1 = ht2 then diff_nodes s1 s2 h1 h2 ht1 []
           else begin
             (* Expand both sides to the rows one level below the shorter
                root: that is the first level where content-defined
                boundaries realign, so pruning applies again. *)
             let target = max 1 (min ht1 ht2 - 1) in
-            let row_of store h ht =
+            let row_of side h ht =
               if ht = target then
                 (* Only when the shorter tree is a single leaf. *)
                 let split =
-                  match read_node store h with
+                  match side_node side h with
                   | Leaf es -> E.key (last_exn es)
                   | Index ies -> (last_exn ies).split
                 in
                 [ { split; child = h; count = 0 } ]
-              else row_below store h (ht - target)
+              else row_below side.side_store h (ht - target)
             in
-            diff_rows t1.store t2.store
-              (row_of t1.store h1 ht1)
-              (row_of t2.store h2 ht2)
-              target []
+            diff_rows s1 s2 (row_of s1 h1 ht1) (row_of s2 h2 ht2) target []
           end
         end
     in
@@ -778,7 +1021,7 @@ module Make (E : ENTRY) = struct
      would make from the merged record set. *)
 
   type conflict = {
-    key : E.key;
+    key : key;
     base : E.t option;
     ours : edit;
     theirs : edit;
@@ -802,17 +1045,17 @@ module Make (E : ENTRY) = struct
     let rec go rb ro rt sb so st acc =
       match rb, ro, rt with
       | b :: rb', o :: ro', t :: rt' ->
-        let lo x y = if E.compare_key x y <= 0 then x else y in
+        let lo x y = if String.compare x y <= 0 then x else y in
         let m = lo b.split (lo o.split t.split) in
         let step ie rest seg =
-          if E.compare_key ie.split m = 0 then (rest, ie :: seg)
+          if String.compare ie.split m = 0 then (rest, ie :: seg)
           else (ie :: rest, seg)
         in
         let rb, sb = step b rb' sb
         and ro, so = step o ro' so
         and rt, st = step t rt' st in
-        if E.compare_key b.split o.split = 0
-           && E.compare_key b.split t.split = 0
+        if String.compare b.split o.split = 0
+           && String.compare b.split t.split = 0
         then
           go rb ro rt [] [] []
             ((List.rev sb, List.rev so, List.rev st) :: acc)
@@ -832,7 +1075,7 @@ module Make (E : ENTRY) = struct
   let same_entry a b =
     match a, b with
     | None, None -> true
-    | Some x, Some y -> E.equal x y
+    | Some x, Some y -> equal_entry x y
     | Some _, None | None, Some _ -> false
 
   (* Merge the entries of one two-sided segment.  Per key: a side equal to
@@ -841,7 +1084,7 @@ module Make (E : ENTRY) = struct
      reversed. *)
   let merge_entries on_conflict bs os ts (acc, conflicts) =
     let take k = function
-      | e :: rest when E.compare_key (E.key e) k = 0 -> (Some e, rest)
+      | e :: rest when String.compare (E.key e) k = 0 -> (Some e, rest)
       | l -> (None, l)
     in
     let keep e acc = match e with Some e -> e :: acc | None -> acc in
@@ -851,7 +1094,7 @@ module Make (E : ENTRY) = struct
           (fun m l ->
             match l, m with
             | [], _ -> m
-            | e :: _, Some k when E.compare_key k (E.key e) <= 0 -> m
+            | e :: _, Some k when String.compare k (E.key e) <= 0 -> m
             | e :: _, _ -> Some (E.key e))
           None [ bs; os; ts ]
       in
@@ -868,7 +1111,7 @@ module Make (E : ENTRY) = struct
           match on_conflict c with
           | None -> go bs os ts acc (c :: conflicts)
           | Some ed ->
-            if E.compare_key (edit_key ed) k <> 0 then
+            if String.compare (edit_key ed) k <> 0 then
               invalid_arg "Postree.merge: resolver edit for another key";
             let acc = match ed with Put e -> e :: acc | Remove _ -> acc in
             go bs os ts acc conflicts
@@ -936,7 +1179,7 @@ module Make (E : ENTRY) = struct
      split key is >= the target, else the last child (which also hosts
      absence proofs for keys beyond the key space). *)
   let route ies k =
-    match List.find_opt (fun ie -> E.compare_key k ie.split <= 0) ies with
+    match List.find_opt (fun ie -> String.compare k ie.split <= 0) ies with
     | Some ie -> ie
     | None -> last_exn ies
 
@@ -981,7 +1224,7 @@ module Make (E : ENTRY) = struct
             if rest <> [] then Error "proof: trailing chunks after leaf"
             else
               Ok
-                (List.find_opt (fun e -> E.compare_key (E.key e) k = 0)
+                (List.find_opt (fun e -> String.compare (E.key e) k = 0)
                    entries)
           | Ok (Index []) -> Error "proof: empty index node"
           | Ok (Index ies) -> walk (route ies k).child rest)

@@ -29,7 +29,7 @@ exception Unbuildable of string
     API layer returns it as [Errors.Invalid]. *)
 
 val max_key_bytes : int
-(** Longest key, in {!ENTRY.key_size} bytes, that a tree accepts: 4 KiB.
+(** Longest key, in bytes, that a tree accepts: 4 KiB.
     Each index entry holds a split key, so the limit keeps every index
     entry well below half of the 32 KiB node cap: two entries always fit
     in one index node, and every index level shrinks.  A longer key is
@@ -42,9 +42,9 @@ val oversized_key : Fb_chunk.Chunk.t -> int option
     [None] for other kinds and for a payload that does not parse. *)
 
 module type ENTRY = Postree_intf.ENTRY
-(** Serialized-entry interface a POS-Tree is built over. *)
+(** The entries a POS-Tree is built over. *)
 
 module type S = Postree_intf.S
 (** Output signature of {!Make}. *)
 
-module Make (E : ENTRY) : S with type entry = E.t and type key = E.key
+module Make (E : ENTRY) : S with type entry = E.t and type key = string

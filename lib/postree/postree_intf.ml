@@ -3,30 +3,23 @@
     be referenced from both [postree.mli] and instantiation interfaces
     without duplication. *)
 
-(** Serialized-entry interface a POS-Tree is built over. *)
+(** The entries a POS-Tree is built over: a string key, with a string
+    value in a map.  The tree owns the encoding (see {!Postree.Make}):
+    keys order bytewise ([String.compare]). *)
 module type ENTRY = sig
   type t
-  type key
 
-  val key : t -> key
-  val compare_key : key -> key -> int
+  val has_value : bool
+  (** Whether an entry holds a value besides its key: [true] for maps
+      (their leaves are [Leaf_map] chunks), [false] for sets ([Leaf_set]). *)
 
-  val key_size : key -> int
-  (** Size of a key in bytes, as {!Postree.max_key_bytes} limits it. *)
+  val key : t -> string
 
-  val equal : t -> t -> bool
-  (** Structural equality of whole entries (used by [diff] and [merge]). *)
+  val value : t -> string
+  (** Called only when [has_value]. *)
 
-  val encode : Fb_codec.Codec.writer -> t -> unit
-  val decode : Fb_codec.Codec.reader -> t
-  val encode_key : Fb_codec.Codec.writer -> key -> unit
-  val decode_key : Fb_codec.Codec.reader -> key
-
-  val leaf_kind : Fb_chunk.Chunk.kind
-  (** Chunk kind tag for this tree's leaves. *)
-
-  val pp : Format.formatter -> t -> unit
-  val pp_key : Format.formatter -> key -> unit
+  val make : string -> string -> t
+  (** [make key value]; [value] is [""] when not [has_value]. *)
 end
 
 (** Output signature of {!Make}. *)

@@ -5,6 +5,8 @@ module FB = Fb_core.Forkbase
 module Acl = Fb_core.Acl
 module Errors = Fb_core.Errors
 module Diffview = Fb_core.Diffview
+module Pmap = Fb_postree.Pmap
+module Pset = Fb_postree.Pset
 module Value = Fb_types.Value
 module Primitive = Fb_types.Primitive
 module Mem_store = Fb_chunk.Mem_store
@@ -653,11 +655,107 @@ let test_diffview_render_table () =
   let t1 = Result.get_ok (Fb_types.Table.of_csv store "id,v\n1,a\n2,b\n") in
   let t2 = Result.get_ok (Fb_types.Table.of_csv store "id,v\n1,a\n2,c\n3,d\n") in
   let d = ok (Diffview.compute (Value.Table t1) (Value.Table t2)) in
-  let rendered = Format.asprintf "%a" Diffview.render d in
+  let rendered = Diffview.report d in
   check bool_ "mentions modified row" true
     (Tutil.contains rendered "~ row \"2\"");
   check bool_ "mentions added row" true
     (Tutil.contains rendered "+ row")
+
+(* The [Format] rendering [Diffview.render] replaced, kept as the
+   reference its output must equal byte for byte. *)
+let format_render fmt = function
+  | Diffview.Same -> Format.fprintf fmt "no differences@."
+  | Diffview.Type_change (k1, k2) ->
+    Format.fprintf fmt "! type: %s -> %s@." (Value.kind_name k1)
+      (Value.kind_name k2)
+  | Diffview.Primitive_change (p1, p2) ->
+    Format.fprintf fmt "- %s@.+ %s@." (Primitive.to_string p1)
+      (Primitive.to_string p2)
+  | Diffview.Blob_change d ->
+    Format.fprintf fmt "@@ bytes [%d,+%d) -> [%d,+%d)@." d.old_pos d.old_len
+      d.new_pos d.new_len
+  | Diffview.List_change d ->
+    Format.fprintf fmt "@@ elements [%d,+%d) -> [%d,+%d)@." d.old_pos
+      d.old_len d.new_pos d.new_len
+  | Diffview.Map_changes cs ->
+    List.iter
+      (fun c ->
+        match (c : Pmap.change) with
+        | Pmap.Added b -> Format.fprintf fmt "+ %s = %S@." b.key b.value
+        | Pmap.Removed b -> Format.fprintf fmt "- %s = %S@." b.key b.value
+        | Pmap.Modified (b1, b2) ->
+          Format.fprintf fmt "~ %s: %S -> %S@." b1.key b1.value b2.value)
+      cs
+  | Diffview.Set_changes cs ->
+    List.iter
+      (fun c ->
+        match (c : Pset.change) with
+        | Pset.Added e -> Format.fprintf fmt "+ %s@." e
+        | Pset.Removed e -> Format.fprintf fmt "- %s@." e
+        | Pset.Modified (e, _) -> Format.fprintf fmt "~ %s@." e)
+      cs
+  | Diffview.Table_changes cs ->
+    let row fmt r =
+      Format.fprintf fmt "(%s)"
+        (String.concat ", " (List.map Fb_types.Primitive.to_string r))
+    in
+    List.iter
+      (fun c ->
+        match (c : Fb_types.Table.row_change) with
+        | Fb_types.Table.Row_added r -> Format.fprintf fmt "+ row %a@." row r
+        | Fb_types.Table.Row_removed r -> Format.fprintf fmt "- row %a@." row r
+        | Fb_types.Table.Row_modified (key, cells) ->
+          Format.fprintf fmt "~ row %S:@." key;
+          List.iter
+            (fun (cc : Fb_types.Table.cell_change) ->
+              Format.fprintf fmt "    %s: %s -> %s@." cc.column
+                (Fb_types.Primitive.to_string cc.before)
+                (Fb_types.Primitive.to_string cc.after))
+            cells)
+      cs
+
+let test_diffview_render_matches_format () =
+  let store = Mem_store.create () in
+  let awkward =
+    [ "plain"; "with \"quotes\""; "two\nlines"; "a = b"; "=";
+      "caf\xc3\xa9 \xff\x00\x7f"; ""; "tab\there \\ back";
+      String.make 300 'x' ^ "\n" ]
+  in
+  let keys = List.mapi (fun i s -> Printf.sprintf "%02d %s" i s) awkward in
+  let m1 = Pmap.of_bindings store (List.map (fun k -> (k, k)) keys) in
+  let m2 =
+    Pmap.of_bindings store
+      (List.filteri (fun i _ -> i mod 3 <> 0)
+         (List.mapi
+            (fun i k -> (k, if i mod 2 = 0 then List.nth awkward (8 - i) else k))
+            keys)
+       @ [ ("new \"key\"\n=", "fresh \xe2\x82\xac") ])
+  in
+  let s1 = Pset.of_elements store keys
+  and s2 = Pset.of_elements store (("extra \"=\"\n" :: List.tl keys)) in
+  let t1 =
+    Result.get_ok (Fb_types.Table.of_csv store "id,v\n1,\"a \"\"q\"\"\"\n2,b\n")
+  and t2 =
+    Result.get_ok (Fb_types.Table.of_csv store "id,v\n1,\"a\nb\"\n3,=\n")
+  in
+  let blob = Value.blob_of_string store in
+  let list = Value.list_of_strings store in
+  List.iter
+    (fun (name, v1, v2) ->
+      let d = ok (Diffview.compute v1 v2) in
+      let b = Buffer.create 16 in
+      Diffview.render b d;
+      check Alcotest.string name (Format.asprintf "%a" format_render d)
+        (Buffer.contents b))
+    [ ("map", Value.Map m1, Value.Map m2);
+      ("map, reversed", Value.Map m2, Value.Map m1);
+      ("set", Value.Set s1, Value.Set s2);
+      ("table", Value.Table t1, Value.Table t2);
+      ("same", Value.Map m1, Value.Map m1);
+      ("type", Value.int 1, Value.Map m1);
+      ("primitive", Value.string "a \"q\"\n", Value.int (-7));
+      ("blob", blob "hello, world", blob "hello there, world!");
+      ("list", list [ "a"; "b"; "c" ], list [ "a"; "x"; "y"; "c" ]) ]
 
 let suite =
   [ Alcotest.test_case "put/get" `Quick test_put_get;
@@ -710,4 +808,6 @@ let suite =
     Alcotest.test_case "diffview primitives/types" `Quick
       test_diffview_primitives_and_types;
     Alcotest.test_case "diffview render table" `Quick
-      test_diffview_render_table ]
+      test_diffview_render_table;
+    Alcotest.test_case "diffview render = Format rendering" `Quick
+      test_diffview_render_matches_format ]

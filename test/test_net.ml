@@ -1353,7 +1353,20 @@ let status_of reply =
   | _ -> "???"
 
 let test_metrics_sidecar () =
-  let fb = FB.create (Fb_chunk.Mem_store.create ()) in
+  let store = Fb_chunk.Mem_store.create () in
+  let fb = FB.create store in
+  (* Two branches of a multi-leaf map that differ in one value, so the
+     diff below compares leaves. *)
+  let rows x =
+    List.init 3000 (fun j ->
+        (Printf.sprintf "k%05d" j, if j = 1500 then x else string_of_int j))
+  in
+  let put ?branch x =
+    ignore (ok_fb (FB.put fb ?branch ~key:"m" (Value.map_of_bindings store (rows x))))
+  in
+  put "1500";
+  ignore (ok_fb (FB.fork fb ~key:"m" ~new_branch:"b"));
+  put ~branch:"b" "x";
   let config = { test_config with metrics_port = Some 0 } in
   with_server ~config fb (fun srv ->
       let mport =
@@ -1361,8 +1374,23 @@ let test_metrics_sidecar () =
         | Some p -> p
         | None -> Alcotest.fail "sidecar did not start"
       in
+      let counter name = Obs.counter_value (Obs.counter name) in
+      let encoded = counter "fb.postree.diff_leaves_encoded"
+      and decoded = counter "fb.postree.diff_entries_decoded" in
       with_client srv (fun c ->
-          ignore (ok_cl (Mux.request c [ "put"; "k"; "master"; "v" ])));
+          ignore (ok_cl (Mux.request c [ "put"; "k"; "master"; "v" ]));
+          ignore (ok_cl (Mux.request c [ "diff"; "m"; "master"; "b" ]));
+          let json = ok_cl (Mux.request c [ "metrics-json" ]) in
+          List.iter
+            (fun c ->
+              check bool_ (c ^ " in metrics-json") true
+                (Tutil.contains json (Printf.sprintf "\"%s\":" c)))
+            [ "fb.postree.diff_leaves_encoded";
+              "fb.postree.diff_entries_decoded" ]);
+      check bool_ "the diff compared leaves encoded" true
+        (counter "fb.postree.diff_leaves_encoded" > encoded);
+      check int_ "and decoded the modified pair only" 2
+        (counter "fb.postree.diff_entries_decoded" - decoded);
       let metrics = http_get mport "/metrics" in
       check string_ "metrics 200" "200" (status_of metrics);
       check bool_ "prometheus exposition has the frame counter" true
@@ -1377,7 +1405,8 @@ let test_metrics_sidecar () =
         (fun c ->
           check bool_ (c ^ " exported") true
             (Tutil.contains metrics (Printf.sprintf "# TYPE %s counter" c)))
-        [ "fb_sync_closure_probed"; "fb_sync_closure_trusted" ];
+        [ "fb_sync_closure_probed"; "fb_sync_closure_trusted";
+          "fb_postree_diff_leaves_encoded"; "fb_postree_diff_entries_decoded" ];
       check bool_ "active sha256 kernel exported" true
         (Tutil.contains metrics
            (Printf.sprintf "hash_sha256_native %d"

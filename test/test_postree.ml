@@ -1200,6 +1200,353 @@ let test_diff_across_stores () =
         cases)
     [ Node_cache.default_capacity; 0 ]
 
+(* ---------------- diff: encoded leaves ---------------- *)
+
+module Codec = Fb_codec.Codec
+module Obs = Fb_obs.Obs
+module SM = Map.Make (String)
+
+let clear_node_caches () =
+  Node_cache.set_capacity_all 0;
+  Node_cache.set_capacity_all Node_cache.default_capacity
+
+let leaves_encoded = Obs.counter "fb.postree.diff_leaves_encoded"
+let entries_decoded = Obs.counter "fb.postree.diff_entries_decoded"
+
+(* Pairs of multi-leaf binding lists, the second the first after a batch
+   of edits.  Keys and values reach 300 bytes (two-byte length varints),
+   a key often comes with keys it is a prefix of, values may be empty,
+   and runs of inserts and removals shift leaf boundaries. *)
+type diff_edit =
+  | Put_key of string * string
+  | Set_nth of int * string
+  | Remove_nth of int
+  | Remove_run of int * int
+  | Insert_run of int * int * string
+
+let gen_diff_case =
+  let open QCheck.Gen in
+  let bytes lo hi = string_size ~gen:char (int_range lo hi) in
+  let key = frequency [ (4, bytes 1 12); (1, bytes 128 300) ] in
+  let value =
+    frequency [ (1, return ""); (3, bytes 1 24); (1, bytes 128 300) ]
+  in
+  let family =
+    let* k = key and* exts = list_size (int_bound 2) (bytes 1 140) in
+    return (k :: List.map (( ^ ) k) exts)
+  in
+  let* keys = list_size (int_range 20 250) family in
+  let* base =
+    flatten_l
+      (List.map (fun k -> map (fun v -> (k, v)) value) (List.concat keys))
+  in
+  let edit =
+    frequency
+      [ (3, map2 (fun k v -> Put_key (k, v)) key value);
+        (3, map2 (fun i v -> Set_nth (i, v)) nat value);
+        (2, map (fun i -> Remove_nth i) nat);
+        (1, map2 (fun i n -> Remove_run (i, n)) nat (int_range 2 60));
+        (1, map3 (fun i n v -> Insert_run (i, n, v)) nat (int_range 2 60) value)
+      ]
+  in
+  let* edits = list_size (int_range 1 12) edit in
+  return (base, edits)
+
+let print_diff_case (base, edits) =
+  let edit = function
+    | Put_key (k, v) -> Printf.sprintf "put %S %S" k v
+    | Set_nth (i, v) -> Printf.sprintf "set #%d %S" i v
+    | Remove_nth i -> Printf.sprintf "remove #%d" i
+    | Remove_run (i, n) -> Printf.sprintf "remove #%d..+%d" i n
+    | Insert_run (i, n, v) -> Printf.sprintf "insert %d after #%d = %S" n i v
+  in
+  Printf.sprintf "%d bindings; %s" (List.length base)
+    (String.concat "; " (List.map edit edits))
+
+(* The case's two binding lists, sorted and key-unique (last wins). *)
+let diff_case_bindings (base, edits) =
+  let m0 = List.fold_left (fun m (k, v) -> SM.add k v m) SM.empty base in
+  let step m ed =
+    let ks = Array.of_list (List.map fst (SM.bindings m)) in
+    let nth i = ks.(i mod Array.length ks) in
+    let run i n f =
+      let j = i mod Array.length ks in
+      List.fold_left f m (List.init (min n (Array.length ks - j)) (( + ) j))
+    in
+    match ed with
+    | Put_key (k, v) -> SM.add k v m
+    | _ when ks = [||] -> m
+    | Set_nth (i, v) -> SM.add (nth i) v m
+    | Remove_nth i -> SM.remove (nth i) m
+    | Remove_run (i, n) -> run i n (fun m j -> SM.remove ks.(j) m)
+    | Insert_run (i, n, v) ->
+      (* Keys sorting right after the i-th: one contiguous run. *)
+      let k = nth i in
+      List.fold_left
+        (fun m t -> SM.add (Printf.sprintf "%s\x00%03d" k t) (v ^ string_of_int t) m)
+        m (List.init n Fun.id)
+  in
+  (SM.bindings m0, SM.bindings (List.fold_left step m0 edits))
+
+let arb_diff_case = QCheck.make ~print:print_diff_case gen_diff_case
+
+let set_to_naive (c : Pset.change) =
+  match c with
+  | Pset.Added e -> `Added (e, "")
+  | Pset.Removed e -> `Removed (e, "")
+  | Pset.Modified (e1, _) -> `Modified (e1, "", "")
+
+(* [run] three times: with no node cached, with both trees wholly cached,
+   and with only the first tree cached, so the leaf pairs are compared
+   encoded, decoded from the cache, and half from it.  The second run
+   must compare nothing encoded. *)
+let under_cache_states ~warm1 ~warm2 run =
+  clear_node_caches ();
+  let cold = run () in
+  warm1 ();
+  warm2 ();
+  let encoded = Obs.counter_value leaves_encoded in
+  let warm = run () in
+  let warm_encoded = Obs.counter_value leaves_encoded - encoded in
+  clear_node_caches ();
+  warm1 ();
+  let half = run () in
+  ([ cold; warm; half ], warm_encoded)
+
+let diff_oracle_property =
+  QCheck.Test.make ~count:40
+    ~name:"pos-tree: map and set diff = reference under every cache state"
+    arb_diff_case
+    (fun case ->
+      let bs1, bs2 = diff_case_bindings case in
+      let store = Mem_store.create () in
+      let m1 = Pmap.of_bindings store bs1 and m2 = Pmap.of_bindings store bs2 in
+      let s1 = Pset.of_elements store (List.map fst bs1)
+      and s2 = Pset.of_elements store (List.map fst bs2) in
+      let unit_values = List.map (fun (k, _) -> (k, "")) in
+      let sorted_keys keys =
+        let rec go = function
+          | a :: (b :: _ as rest) -> String.compare a b < 0 && go rest
+          | _ -> true
+        in
+        go keys
+      in
+      let map_diff () =
+        let cs = Pmap.diff m1 m2 in
+        if not (sorted_keys (List.map Pmap.change_key cs)) then
+          QCheck.Test.fail_report "map diff out of key order";
+        List.sort compare (List.map to_naive cs)
+      and set_diff () =
+        let cs = Pset.diff s1 s2 in
+        if not (sorted_keys (List.map Pset.change_key cs)) then
+          QCheck.Test.fail_report "set diff out of key order";
+        List.sort compare (List.map set_to_naive cs)
+      in
+      let warm_map t () = Pmap.iter ignore t
+      and warm_set t () = Pset.iter ignore t in
+      let check what want (runs, warm_encoded) =
+        List.iteri
+          (fun i got ->
+            if got <> want then
+              QCheck.Test.fail_reportf "%s diff %s differs from the reference"
+                what (List.nth [ "cold"; "warm"; "half-warm" ] i))
+          runs;
+        if warm_encoded <> 0 && Node_cache.default_capacity > 0 then
+          QCheck.Test.fail_reportf "%s: %d leaf pairs compared encoded with \
+                                    every leaf cached" what warm_encoded
+      in
+      check "map" (naive_diff bs1 bs2)
+        (under_cache_states ~warm1:(warm_map m1) ~warm2:(warm_map m2) map_diff);
+      check "set"
+        (naive_diff (unit_values bs1) (unit_values bs2))
+        (under_cache_states ~warm1:(warm_set s1) ~warm2:(warm_set s2) set_diff);
+      true)
+
+(* The leaf row of a tree as (split key, id, count, bindings). *)
+let leaf_row store t =
+  List.map
+    (fun id ->
+      match Store.get store id with
+      | None -> Alcotest.fail "missing leaf"
+      | Some c ->
+        let bs =
+          Codec.of_string_exn
+            (fun r ->
+              Codec.read_list r (fun r ->
+                  let k = Codec.read_bytes r in
+                  (k, Codec.read_bytes r)))
+            c.Chunk.payload
+        in
+        (fst (List.nth bs (List.length bs - 1)), id, List.length bs, bs))
+    (Pmap.leaf_hashes t)
+
+(* An index node over (split key, id, count) entries, encoded as the
+   builder encodes one. *)
+let index_over store row =
+  let w = Codec.writer () in
+  Codec.varint w (List.length row);
+  List.iter
+    (fun (split, id, count) ->
+      Codec.bytes w split;
+      Codec.hash w id;
+      Codec.varint w count)
+    row;
+  Store.put store (Chunk.v Chunk.Index (Codec.contents w))
+
+(* A map leaf's payload; [count] and the first key's length encoding can
+   be overridden to make it non-canonical. *)
+let leaf_payload ?count ?(first_key_len = Codec.varint) bs =
+  let w = Codec.writer () in
+  Codec.varint w (Option.value count ~default:(List.length bs));
+  List.iteri
+    (fun i (k, v) ->
+      (if i = 0 then first_key_len else Codec.varint) w (String.length k);
+      Codec.raw w k;
+      Codec.bytes w v)
+    bs;
+  Codec.contents w
+
+let refused what f =
+  match f () with
+  | cs -> Alcotest.failf "%s: diff returned %d changes" what (List.length cs)
+  | exception Fb_postree.Postree.Corrupt _ -> ()
+
+(* Leaves that hash to their own ids but that no builder writes: diff
+   refuses each, as decoding does, whether it compares the pair encoded
+   (nothing cached) or decoded (the good side cached). *)
+let test_diff_refuses_noncanonical_leaves () =
+  let store = Mem_store.create () in
+  let row = leaf_row store (Pmap.of_bindings store (mk_bindings 3000)) in
+  check bool_ "several leaves" true (List.length row >= 4);
+  let k = List.length row / 2 in
+  let split, good, count, bs = List.nth row k in
+  let root_with leaf =
+    Pmap.of_root store
+      (Some
+         (index_over store
+            (List.mapi
+               (fun i (split, id, count, _) ->
+                 (split, (if i = k then leaf else id), count))
+               row)))
+  in
+  let t1 = root_with good in
+  let put payload = Store.put store (Chunk.v Chunk.Leaf_map payload) in
+  let warm_good () =
+    clear_node_caches ();
+    ignore (Pmap.find t1 (fst (List.hd bs)))
+  in
+  (* Control: a canonical edit of the same leaf diffs to one change. *)
+  let edited =
+    put (leaf_payload (List.mapi (fun i (k, v) -> (k, if i = 1 then "!" else v)) bs))
+  in
+  List.iter
+    (fun prepare ->
+      prepare ();
+      check int_ "canonical leaf diffs" 1
+        (List.length (Pmap.diff t1 (root_with edited))))
+    [ clear_node_caches; warm_good ];
+  let non_minimal w n =
+    Codec.u8 w (n lor 0x80);
+    Codec.u8 w 0
+  in
+  List.iter
+    (fun (what, bad) ->
+      let t2 = root_with bad in
+      List.iter
+        (fun (how, prepare) ->
+          prepare ();
+          refused (what ^ ", " ^ how) (fun () -> Pmap.diff t1 t2);
+          prepare ();
+          refused (what ^ ", " ^ how ^ ", reversed") (fun () -> Pmap.diff t2 t1))
+        [ ("nothing cached", clear_node_caches); ("good leaf cached", warm_good) ])
+    [ ("non-minimal length varint", put (leaf_payload ~first_key_len:non_minimal bs));
+      ("trailing byte", put (leaf_payload bs ^ "\x00"));
+      ( "count beyond the payload",
+        put (leaf_payload ~count:(String.length (leaf_payload bs)) bs) );
+      ("index chunk where a leaf belongs", index_over store [ (split, good, count) ]);
+      ( "set leaf where a map leaf belongs",
+        Store.put store (Chunk.v Chunk.Leaf_set (leaf_payload bs)) ) ]
+
+(* A leaf whose stored bytes were flipped is refused by the verifying
+   store on its first read: the diff raises, it returns no changes. *)
+let test_diff_refuses_flipped_leaf () =
+  let inner, handle = Mem_store.create_with_handle () in
+  let store, violations = Fb_chunk.Verified_store.wrap ~once:true inner in
+  let t1 = Pmap.of_bindings store (mk_bindings 3000) in
+  let t2 = Pmap.put t1 "key-001500" "changed" in
+  let old = Pmap.leaf_hashes t1 in
+  let fresh =
+    List.filter (fun h -> not (List.exists (Hash.equal h) old)) (Pmap.leaf_hashes t2)
+  in
+  check bool_ "a fresh leaf" true (fresh <> []);
+  List.iter
+    (fun victim ->
+      ignore
+        (Mem_store.tamper handle victim ~f:(fun s ->
+             let b = Bytes.of_string s in
+             let i = Bytes.length b / 2 in
+             Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 1));
+             Bytes.to_string b)))
+    fresh;
+  clear_node_caches ();
+  refused "flipped leaf, nothing cached" (fun () -> Pmap.diff t1 t2);
+  check bool_ "the read was refused" true
+    (violations.Fb_chunk.Verified_store.rejected_reads > 0);
+  clear_node_caches ();
+  ignore (Pmap.find t1 "key-001500");
+  refused "flipped leaf, the other side cached" (fun () -> Pmap.diff t1 t2)
+
+(* The counters show the saving: a cold diff compares its leaves encoded
+   and decodes only the changed entries; a warm one decodes nothing. *)
+let test_diff_counters () =
+  let was = Obs.is_enabled () in
+  Obs.set_enabled true;
+  Fun.protect ~finally:(fun () -> Obs.set_enabled was) @@ fun () ->
+  let store = Mem_store.create () in
+  let t1 = Pmap.of_bindings store (mk_bindings 5000) in
+  let t2 =
+    Pmap.update t1
+      [ Pmap.Put (Pmap.binding "key-002500" "changed");
+        Pmap.Put (Pmap.binding "key-002500x" "added") ]
+  in
+  let run () =
+    let e0 = Obs.counter_value leaves_encoded
+    and d0 = Obs.counter_value entries_decoded in
+    let n = List.length (Pmap.diff t1 t2) in
+    (n, Obs.counter_value leaves_encoded - e0, Obs.counter_value entries_decoded - d0)
+  in
+  clear_node_caches ();
+  let n, encoded, decoded = run () in
+  check int_ "two changes" 2 n;
+  check bool_ "cold: leaves compared encoded" true (encoded >= 1);
+  check int_ "cold: the modified pair and the added entry decoded" 3 decoded;
+  if Node_cache.default_capacity > 0 then begin
+    Pmap.iter ignore t1;
+    Pmap.iter ignore t2;
+    let _, encoded, decoded = run () in
+    check int_ "warm: nothing compared encoded" 0 encoded;
+    check int_ "warm: nothing decoded" 0 decoded
+  end
+
+(* A cold diff fetches each differing node once: the leftmost leaf that
+   the height probe reads is the one the leaf comparison scans. *)
+let test_diff_cold_reads_each_node_once () =
+  let store = Mem_store.create () in
+  let gets () = (Store.stats store).Store.gets in
+  List.iter
+    (fun n ->
+      let t1 = Pmap.of_bindings store (mk_bindings n) in
+      let t2 = Pmap.put t1 "key-000000" "changed" in
+      let height = Pmap.height t1 in
+      check int_ "same height" height (Pmap.height t2);
+      clear_node_caches ();
+      let g0 = gets () in
+      check int_ "one change" 1 (List.length (Pmap.diff t1 t2));
+      check int_
+        (Printf.sprintf "%d bindings: the two leftmost paths, once each" n)
+        (2 * height) (gets () - g0))
+    [ 3; 5000 ]
+
 (* ---------------- golden hashes ---------------- *)
 
 let test_golden_hashes () =
@@ -1293,6 +1640,24 @@ let test_pset_basics () =
 
 (* ---------------- qcheck properties ---------------- *)
 
+let apply_diff_reproduces (bs1, bs2) =
+  let store = Mem_store.create () in
+  let t1 = Pmap.of_bindings store bs1 in
+  let t2 = Pmap.of_bindings store bs2 in
+  let edits = List.map Pmap.edit_of_change (Pmap.diff t1 t2) in
+  Option.equal Hash.equal (Pmap.root (Pmap.update t1 edits)) (Pmap.root t2)
+
+let diff_antisymmetric (bs1, bs2) =
+  let store = Mem_store.create () in
+  let t1 = Pmap.of_bindings store bs1 in
+  let t2 = Pmap.of_bindings store bs2 in
+  let flip = function
+    | Pmap.Added e -> Pmap.Removed e
+    | Pmap.Removed e -> Pmap.Added e
+    | Pmap.Modified (a, b) -> Pmap.Modified (b, a)
+  in
+  Pmap.diff t2 t1 = List.map flip (Pmap.diff t1 t2)
+
 let qcheck_cases =
   let open QCheck in
   let kv_list =
@@ -1363,15 +1728,10 @@ let qcheck_cases =
           (Pmap.root (Pmap.of_bindings store expected))
         && Pmap.validate updated = Ok ());
     Test.make ~name:"pos-tree: apply diff reproduces target" ~count:40
-      (pair kv_list kv_list)
-      (fun (bs1, bs2) ->
-        let store = Mem_store.create () in
-        let t1 = Pmap.of_bindings store bs1 in
-        let t2 = Pmap.of_bindings store bs2 in
-        let edits = List.map Pmap.edit_of_change (Pmap.diff t1 t2) in
-        Option.equal Hash.equal
-          (Pmap.root (Pmap.update t1 edits))
-          (Pmap.root t2));
+      (pair kv_list kv_list) apply_diff_reproduces;
+    Test.make ~name:"pos-tree: apply diff reproduces target (multi-leaf edits)"
+      ~count:25 arb_diff_case
+      (fun case -> apply_diff_reproduces (diff_case_bindings case));
     Test.make ~name:"pos-tree: validate accepts every build" ~count:40
       kv_list
       (fun bs ->
@@ -1413,22 +1773,16 @@ let qcheck_cases =
           = List.sort compare
               (Hashtbl.fold (fun k v acc -> (k, v) :: acc) expected []));
     Test.make ~name:"pos-tree: diff is antisymmetric" ~count:40
-      (pair kv_list kv_list)
-      (fun (bs1, bs2) ->
-        let store = Mem_store.create () in
-        let t1 = Pmap.of_bindings store bs1 in
-        let t2 = Pmap.of_bindings store bs2 in
-        let flip = function
-          | Pmap.Added e -> Pmap.Removed e
-          | Pmap.Removed e -> Pmap.Added e
-          | Pmap.Modified (a, b) -> Pmap.Modified (b, a)
-        in
-        Pmap.diff t2 t1 = List.map flip (Pmap.diff t1 t2))
+      (pair kv_list kv_list) diff_antisymmetric;
+    Test.make ~name:"pos-tree: diff is antisymmetric (multi-leaf edits)"
+      ~count:25 arb_diff_case
+      (fun case -> diff_antisymmetric (diff_case_bindings case))
   ]
 
 let suite =
   List.map QCheck_alcotest.to_alcotest
-    (qcheck_cases @ [ merge_oracle_property; node_cache_model_property ])
+    (qcheck_cases
+     @ [ merge_oracle_property; node_cache_model_property; diff_oracle_property ])
   @ [ Alcotest.test_case "empty tree" `Quick test_empty;
       Alcotest.test_case "build and find" `Quick test_build_and_find;
       Alcotest.test_case "single entry" `Quick test_single_entry;
@@ -1496,6 +1850,13 @@ let suite =
       Alcotest.test_case "node cache diff keeps warm path" `Quick
         test_node_cache_diff_keeps_warm_path;
       Alcotest.test_case "diff across stores" `Quick test_diff_across_stores;
+      Alcotest.test_case "diff refuses non-canonical leaves" `Quick
+        test_diff_refuses_noncanonical_leaves;
+      Alcotest.test_case "diff refuses a flipped leaf" `Quick
+        test_diff_refuses_flipped_leaf;
+      Alcotest.test_case "diff counters" `Quick test_diff_counters;
+      Alcotest.test_case "diff: cold reads each node once" `Quick
+        test_diff_cold_reads_each_node_once;
       Alcotest.test_case "golden hashes stable" `Quick test_golden_hashes;
       Alcotest.test_case "pset basics" `Quick test_pset_basics;
       Alcotest.test_case "pset proofs" `Quick test_pset_proofs ]
