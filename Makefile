@@ -14,7 +14,7 @@ bench:
 	dune exec bench/main.exe
 
 # Hot-path microbenchmarks (SHA-256 and CRC-32 kernels, chunker scan,
-# node cache);
+# node cache, CSV table import/export against the two-pass reference);
 # writes BENCH_hotpath.json.
 bench-hotpath:
 	dune exec bench/main.exe -- hotpath
@@ -86,7 +86,9 @@ ab:
 # bench (fails if `validate` refuses a tree it just built), the observability
 # smoke (instrumentation overhead + histogram/exposition/tracing smoke,
 # artifact untouched), a ~1-second hot-path sanity run (SHA-256 and
-# CRC-32 kernel equivalence + cache on/off smoke), a ~1-second network smoke (2
+# CRC-32 kernel equivalence + cache on/off smoke + a generated CSV table
+# that must export byte for byte and re-import to the same table), a
+# ~1-second network smoke (2
 # concurrent clients over loopback, asserts zero dropped/corrupt frames
 # and a clean shutdown), a ~1-second concurrency smoke (reader scaling,
 # BATCH), an event-loop smoke (event vs

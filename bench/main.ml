@@ -1329,7 +1329,8 @@ let run_obs ?(quick = false) () =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Hot path: SHA-256 and CRC-32 kernels, chunker scan, node cache.   *)
+(* Hot path: SHA-256 and CRC-32 kernels, chunker scan, node cache,  *)
+(* CSV table import/export.                                           *)
 (* ------------------------------------------------------------------ *)
 
 let run_hotpath ?(quick = false) () =
@@ -1338,7 +1339,7 @@ let run_hotpath ?(quick = false) () =
        "HOT PATH (quick sanity): kernel equivalence + throughput smoke run"
      else
        "HOT PATH: SHA-256 and CRC-32 kernels, fused chunker scan, \
-        decoded-node cache\n\
+        decoded-node cache, CSV tables\n\
         (throughputs single-threaded; tree ops on a mem store)");
   let module Sha256 = Fb_hash.Sha256 in
   let module Sha256_ref = Fb_hash.Sha256_ref in
@@ -1505,6 +1506,52 @@ let run_hotpath ?(quick = false) () =
   Node_cache.set_capacity_all Node_cache.default_capacity;
   let on_p50, on_p99, on_diff, on_merge = bench_tree "node cache on" in
   Printf.printf "lookup p50 speedup with cache: %.2fx\n" (off_p50 /. on_p50);
+  (* --- 5. CSV tables: one-pass import/export vs the two-pass reference --- *)
+  (* The fbperf dataset table (5,000 rows x 6 word columns; seed 3's first).
+     The export must be the generated document byte for byte, and must
+     re-import to the same table. *)
+  let doc =
+    Csvgen.generate { Csvgen.rows = 5_000; string_columns = 6; int_columns = 0; seed = 48L }
+  in
+  let csv_store = Mem_store.create () in
+  let imported r = match r with Ok t -> t | Error e -> failwith ("csv import: " ^ e) in
+  let root t = Value.descriptor (Value.Table t) in
+  let table = imported (Table.of_csv csv_store doc) in
+  let exported = Table.to_csv table in
+  if not (String.equal exported doc) then
+    failwith "csv: the export differs from the generated document";
+  if not (String.equal (root (imported (Table.of_csv csv_store exported))) (root table)) then
+    failwith "csv: the export re-imports to another table";
+  if not (String.equal (root (imported (Csv_ref.of_csv csv_store doc))) (root table)) then
+    failwith "csv: the reference import gives another table";
+  let csv_reps = if quick then 3 else 21 in
+  let median_ms f =
+    ignore (f ());
+    Gc.full_major ();
+    let ts = List.init csv_reps (fun _ -> snd (time_ms f)) in
+    List.nth (List.sort compare ts) (csv_reps / 2)
+  in
+  let doc_mb ms = float_of_int (String.length doc) /. mb /. (ms /. 1000.0) in
+  Printf.printf "\n%-18s %11s %11s %11s %11s %8s\n" "csv (5,000 x 6)" "ref ms" "ms" "ref MB/s"
+    "MB/s" "speedup";
+  let csv_rows =
+    List.map
+      (fun (label, ref_f, new_f) ->
+        let ref_ms = median_ms ref_f and new_ms = median_ms new_f in
+        Printf.printf "%-18s %11.2f %11.2f %11.1f %11.1f %7.2fx\n" label ref_ms new_ms
+          (doc_mb ref_ms) (doc_mb new_ms) (ref_ms /. new_ms);
+        (label, ref_ms, new_ms))
+      [ ("import", (fun () -> ignore (Csv_ref.of_csv csv_store doc)),
+         fun () -> ignore (Table.of_csv csv_store doc));
+        ("export", (fun () -> ignore (Csv_ref.to_csv table)),
+         fun () -> ignore (Table.to_csv table)) ]
+  in
+  let fb = FB.create (Mem_store.create ()) in
+  let fb_import_ms = median_ms (fun () -> ok_fb (FB.import_csv fb ~key:"t" doc)) in
+  Printf.printf
+    "(%d bytes, medians of %d; ref = the two-pass code the tests keep as their \
+     oracle)\nForkbase.import_csv (import + commit): %.2f ms\n"
+    (String.length doc) csv_reps fb_import_ms;
   if not quick then begin
     let json =
       Printf.sprintf
@@ -1518,7 +1565,9 @@ let run_hotpath ?(quick = false) () =
          \"diff_ms\":%.3f,\"merge_ms\":%.3f},\n\
         \  \"cache_on\":{\"lookup_p50_us\":%.2f,\"lookup_p99_us\":%.2f,\
          \"diff_ms\":%.3f,\"merge_ms\":%.3f},\n\
-        \  \"lookup_p50_speedup\":%.2f}}\n"
+        \  \"lookup_p50_speedup\":%.2f},\n\
+         \"csv\":{\"rows\":5000,\"bytes\":%d,\"reps\":%d,%s,\
+         \"forkbase_import_csv_ms\":%.2f}}\n"
         active
         (String.concat ","
            (List.map
@@ -1541,6 +1590,16 @@ let run_hotpath ?(quick = false) () =
               crc_rows))
         slow_mb fast_mb (fast_mb /. slow_mb) n lookups off_p50 off_p99
         off_diff off_merge on_p50 on_p99 on_diff on_merge (off_p50 /. on_p50)
+        (String.length doc) csv_reps
+        (String.concat ","
+           (List.map
+              (fun (label, ref_ms, new_ms) ->
+                Printf.sprintf
+                  "\"%s\":{\"ref_ms\":%.2f,\"ms\":%.2f,\"ref_mb_s\":%.1f,\"mb_s\":%.1f,\
+                   \"speedup\":%.2f}"
+                  label ref_ms new_ms (doc_mb ref_ms) (doc_mb new_ms) (ref_ms /. new_ms))
+              csv_rows))
+        fb_import_ms
     in
     let oc = open_out "BENCH_hotpath.json" in
     output_string oc json;

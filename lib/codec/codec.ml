@@ -181,11 +181,13 @@ let read_hash r =
   | Ok h -> h
   | Error e -> fail "%s" e
 
-let read_list r dec =
+let read_count r =
   let n = read_varint r in
   (* Guard against absurd counts from corrupt data before allocating. *)
   if n > remaining r then fail "list count %d exceeds remaining input" n;
-  List.init n (fun _ -> dec r)
+  n
+
+let read_list r dec = List.init (read_count r) (fun _ -> dec r)
 
 let of_string dec s =
   match

@@ -86,6 +86,10 @@ val read_raw : reader -> int -> string
 val read_hash : reader -> Fb_hash.Hash.t
 val read_list : reader -> (reader -> 'a) -> 'a list
 
+val read_count : reader -> int
+(** A list's element count, as {!read_list} reads it (refused when it
+    exceeds the bytes left); the caller then reads the elements. *)
+
 val of_string : (reader -> 'a) -> string -> ('a, string) result
 (** Decode a complete string; checks that all input is consumed. *)
 

@@ -338,15 +338,21 @@ module Make (E : ENTRY) = struct
     Chunker.finish ch;
     build_up store (List.rev !out)
 
-  (* Stable sort, then last wins among equal keys. *)
+  (* Stable sort, then last wins among equal keys.  Input already in
+     strictly increasing key order (a CSV import of sorted keys, say) is
+     returned as it is: one pass of compares instead of the sort. *)
   let sort_dedup key l =
     let cmp a b = String.compare (key a) (key b) in
+    let rec increasing = function
+      | a :: (b :: _ as rest) -> cmp a b < 0 && increasing rest
+      | _ -> true
+    in
     let rec dedup = function
       | a :: (b :: _ as rest) when cmp a b = 0 -> dedup rest
       | a :: rest -> a :: dedup rest
       | [] -> []
     in
-    dedup (List.stable_sort cmp l)
+    if increasing l then l else dedup (List.stable_sort cmp l)
 
   let build store entries =
     Obs.with_span span_build @@ fun () ->

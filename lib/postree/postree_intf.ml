@@ -46,7 +46,7 @@ module type S = sig
 
   val build : Fb_chunk.Store.t -> entry list -> t
   (** Bulk-build from entries; they are sorted and key-deduplicated
-      (last wins) first. *)
+      (last wins) first, unless their keys already strictly increase. *)
 
   val build_sorted_seq : Fb_chunk.Store.t -> entry Seq.t -> t
   (** Streaming bulk-build from an already strictly-key-sorted sequence —

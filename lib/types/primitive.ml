@@ -79,19 +79,56 @@ let looks_like_float s =
          || c = '.' || c = 'e' || c = 'E' || c = '+' || c = '-')
        s
 
+let parse_float s =
+  if looks_like_float s then
+    match float_of_string_opt s with Some f -> Float f | None -> String s
+  else String s
+
 let parse s =
   if s = "" then Null
   else if s = "true" then Bool true
   else if s = "false" then Bool false
   else
-    match Int64.of_string_opt s with
-    | Some i -> Int i
-    | None ->
-      if looks_like_float s then
-        match float_of_string_opt s with
-        | Some f -> Float f
-        | None -> String s
-      else String s
+    (* [Int64.of_string] wants a sign or a digit first and a float cell is
+       all float characters, so a word cell is a string at its first byte. *)
+    match s.[0] with
+    | '0' .. '9' | '+' | '-' -> (
+      match Int64.of_string_opt s with Some i -> Int i | None -> parse_float s)
+    | '.' | 'e' | 'E' -> parse_float s
+    | _ -> String s
+
+(* [parse] reads a float only from float characters, and [float_to_string]
+   drops the point of an integral value ([2], not [2.0]) and spells
+   infinity [inf]: put the point back, and spell an infinity as the
+   overflowing literal [parse] reads it from. *)
+let csv_float f =
+  if f = Float.infinity then "1e999"
+  else if f = Float.neg_infinity then "-1e999"
+  else
+    let s = float_to_string f in
+    if String.exists (fun c -> c = '.' || c = 'e' || c = 'n') s then s else s ^ ".0"
+
+(* A string cell of under 128 bytes, the common cell, is copied in place
+   from its encoding (tag 4, a one-byte length, the bytes); every other
+   cell goes through a reader. *)
+let add_csv buf src pos =
+  let n = String.length src in
+  if pos + 1 < n && String.unsafe_get src pos = '\004'
+     && Char.code (String.unsafe_get src (pos + 1)) < 0x80
+     && pos + 2 + Char.code (String.unsafe_get src (pos + 1)) <= n
+  then begin
+    let len = Char.code (String.unsafe_get src (pos + 1)) in
+    Csv.add_cell buf src (pos + 2) len;
+    pos + 2 + len
+  end
+  else begin
+    let r = Codec.reader ~pos src in
+    (match decode r with
+     | Float f -> Buffer.add_string buf (csv_float f)
+     | String s -> Csv.add_cell buf s 0 (String.length s)
+     | p -> Buffer.add_string buf (to_string p));
+    Codec.pos r
+  end
 
 (* Order-preserving byte encodings.  Ints: flip the sign bit so two's
    complement order becomes unsigned byte order.  Floats: the classic IEEE

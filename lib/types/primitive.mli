@@ -26,6 +26,15 @@ val parse : string -> t
     [false] → [Bool], integer syntax → [Int], float syntax → [Float],
     anything else → [String]. *)
 
+val add_csv : Buffer.t -> string -> int -> int
+(** [add_csv buf src pos] appends the CSV cell of the primitive encoded
+    ({!encode}) at [src.[pos]] and returns the offset past it; a short
+    string is copied straight from [src].  The text is {!to_string}'s (a
+    string quoted by {!Csv.add_cell}) except that a float keeps a float
+    spelling, so {!parse} reads the same float back: [2.0], not [2];
+    [1e999] for infinity.
+    @raise Fb_codec.Codec.Decode_error where {!decode} would. *)
+
 val sortable_key : t -> string
 (** An order-preserving byte rendering: comparing [sortable_key a] and
     [sortable_key b] as strings agrees with {!compare} (for floats, modulo

@@ -134,22 +134,15 @@ let join a b =
   | Some T_int, Some T_float | Some T_float, Some T_int -> Some T_float
   | Some _, Some _ -> Some T_any
 
-let infer ~header rows =
-  let n = List.length header in
-  let tys = Array.make n None in
-  List.iter
-    (fun row ->
-      List.iteri
-        (fun i p -> if i < n then tys.(i) <- join tys.(i) (type_of_primitive p))
-        row)
-    rows;
+let join_cell tys i p = if i < Array.length tys then tys.(i) <- join tys.(i) (type_of_primitive p)
+
+let of_types ?key_column ~header tys =
   let columns =
-    List.mapi
-      (fun i name ->
-        { name; ty = Option.value tys.(i) ~default:T_string })
-      header
+    List.mapi (fun i name -> { name; ty = Option.value tys.(i) ~default:T_string }) header
   in
-  v_exn ~key_column:0 columns
+  (* Duplicate names are refused before the key column is checked, as
+     the import always has. *)
+  Result.bind (v columns) (fun _ -> v ?key_column columns)
 
 let pp fmt t =
   Format.fprintf fmt "@[<h>(%a)@]"

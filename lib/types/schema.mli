@@ -35,9 +35,17 @@ val check_row : t -> Primitive.t list -> (unit, string) result
 (** Arity and per-cell type conformance ([Null] matches any type; [T_any]
     matches everything; the key cell must not be [Null]). *)
 
-val infer : header:string list -> Primitive.t list list -> t
-(** Schema from a CSV header and parsed sample rows: a column gets the
-    narrowest type covering all non-null samples ([T_any] when mixed).
-    Key column defaults to 0. *)
+val join_cell : col_type option array -> int -> Primitive.t -> unit
+(** [join_cell tys i p] widens column [i]'s type in [tys] ([None]: no
+    non-null cell yet) to the narrowest type covering [p] too ([T_any]
+    when mixed; ints embed in floats); a cell beyond the array is
+    ignored. *)
+
+val of_types :
+  ?key_column:int -> header:string list -> col_type option array ->
+  (t, string) result
+(** The schema of a CSV header whose column types {!join_cell} gathered
+    (a column with no non-null cell is [T_string]).  Errors on duplicate
+    names, then on the key column. *)
 
 val pp : Format.formatter -> t -> unit

@@ -379,36 +379,87 @@ let group_by t ~by ~targets =
               (gkey, cells) :: acc)
             !groups []))
 
+(* One pass: as the scanner hands each cell over, a data cell is typed,
+   joined into its column's type and encoded into its row there.  A row's
+   encoding opens with the header's width, the count of every row that is
+   not ragged; a ragged row only records the error.  Keys that arrive in
+   increasing order skip [Pmap.build]'s sort.  The errors keep the order of a validate-first import: CSV
+   syntax, the schema, the first ragged row, a null key, then a key over
+   the POS-Tree limit (from the build). *)
 let of_csv store ?(key_column = 0) content =
-  match Csv.parse content with
+  let header = ref [] and lines = ref 0 and width = ref 0 and tys = ref [||] in
+  let enc = ref (Codec.writer ()) and cells = ref 0 and key = ref Primitive.Null in
+  let ragged = ref None and null_key = ref false in
+  let rows = ref [] in
+  let cell text =
+    if !lines = 0 then header := text :: !header
+    else begin
+      let p = Primitive.parse text in
+      Schema.join_cell !tys !cells p;
+      if !cells = key_column then key := p;
+      Primitive.encode !enc p;
+      incr cells
+    end
+  in
+  let row () =
+    incr lines;
+    if !lines = 1 then begin
+      header := List.rev !header;
+      width := List.length !header;
+      tys := Array.make !width None
+    end
+    else if !cells <> !width then begin
+      if !ragged = None then
+        ragged :=
+          Some (Printf.sprintf "csv: row %d has %d cells, header has %d" !lines !cells !width)
+    end
+    else begin
+      match !key with
+      | Primitive.Null -> null_key := true
+      | p ->
+        rows := Pmap.binding (Primitive.to_string p) (Codec.contents !enc) :: !rows
+    end;
+    key := Primitive.Null;
+    cells := 0;
+    enc := Codec.writer ~initial_size:(Codec.length !enc + 16) ();
+    Codec.varint !enc !width
+  in
+  match Csv.scan content ~cell ~row with
   | Error _ as e -> e
-  | Ok [] -> Error "csv: empty document"
-  | Ok (header :: data) ->
-    let parsed = List.map (List.map Primitive.parse) data in
-    let schema = Schema.infer ~header parsed in
-    (match Schema.v ~key_column (schema.Schema.columns :> Schema.column list) with
-     | Error _ as e -> e
-     | Ok schema ->
-       let width = Schema.arity schema in
-       let rec pad_check i = function
-         | [] -> Ok ()
-         | row :: rest ->
-           if List.length row <> width then
-             Error
-               (Printf.sprintf "csv: row %d has %d cells, header has %d"
-                  (i + 2) (List.length row) width)
-           else pad_check (i + 1) rest
-       in
-       (match pad_check 0 parsed with
-        | Error _ as e -> e
-        | Ok () -> insert_many (create store schema) parsed))
+  | Ok () when !lines = 0 -> Error "csv: empty document"
+  | Ok () -> (
+    match Schema.of_types ~key_column ~header:!header !tys with
+    | Error _ as e -> e
+    | Ok schema -> (
+      match !ragged with
+      | Some e -> Error e
+      | None when !null_key -> Error "key cell is null"
+      | None -> built (fun () -> { schema; rows = Pmap.build store (List.rev !rows) })))
+
+let add_csv_row buf row =
+  match
+    let r = Codec.reader row in
+    let cells = Codec.read_count r in
+    let pos = ref (Codec.pos r) in
+    for i = 1 to cells do
+      if i > 1 then Buffer.add_char buf ',';
+      pos := Primitive.add_csv buf row !pos
+    done;
+    Codec.expect_end (Codec.reader ~pos:!pos row)
+  with
+  | () -> Buffer.add_char buf '\n'
+  | exception Codec.Decode_error e -> raise (Fb_postree.Postree.Corrupt ("table row: " ^ e))
 
 let to_csv t =
-  let header = Schema.column_names t.schema in
-  let rows =
-    List.map (fun row -> List.map Primitive.to_string row) (to_rows t)
-  in
-  Csv.render (header :: rows)
+  let buf = Buffer.create 65536 in
+  List.iteri
+    (fun i name ->
+      if i > 0 then Buffer.add_char buf ',';
+      Csv.add_cell buf name 0 (String.length name))
+    (Schema.column_names t.schema);
+  Buffer.add_char buf '\n';
+  Pmap.iter (fun (b : Pmap.binding) -> add_csv_row buf b.value) t.rows;
+  Buffer.contents buf
 
 let pp fmt t =
   Format.fprintf fmt "<table %a rows=%d>" Schema.pp t.schema (cardinal t)

@@ -111,10 +111,18 @@ val group_by :
 
 val of_csv :
   Fb_chunk.Store.t -> ?key_column:int -> string -> (t, string) result
-(** First row is the header; cell types inferred via {!Schema.infer}. *)
+(** First row is the header; cells are typed by {!Primitive.parse} and
+    column types joined by {!Schema.join_cell}.  The key is the key
+    cell's {!Primitive.to_string} ([007] gives key [7]); among rows with
+    one key the last wins.  Errors, first found first: CSV syntax, the
+    schema (duplicate names, key column), the first ragged row, a null
+    key, a key over the POS-Tree limit. *)
 
 val to_csv : t -> string
-(** Header plus one line per row, in key order.  [of_csv] of the result
-    reproduces the table (up to inferred schema). *)
+(** Header plus one line per row, in key order, rendered from the encoded
+    rows (cells as {!Primitive.add_csv} spells them).  For a table [of_csv]
+    made, [of_csv] of the result gives the same rows root, and the same
+    schema unless a row a duplicate key overwrote was what widened a
+    column's type. *)
 
 val pp : Format.formatter -> t -> unit

@@ -7,6 +7,7 @@ let () =
       ("seqtree", Test_seqtree.suite);
       ("canonical", Test_canonical.suite);
       ("types", Test_types.suite);
+      ("csv", Test_csv.suite);
       ("repr", Test_repr.suite);
       ("core", Test_core.suite);
       ("dataset", Test_dataset.suite);

@@ -86,7 +86,7 @@ let test_csv_render_roundtrip () =
       [ "2"; "multi\nline"; "" ] ]
   in
   check bool_ "roundtrip" true (Csv.parse (Csv.render rows) = Ok rows);
-  check string_ "render row" "a,\"b,c\"" (Csv.render_row [ "a"; "b,c" ])
+  check string_ "render row" "a,\"b,c\"\n" (Csv.render [ [ "a"; "b,c" ] ])
 
 (* ---------------- schema ---------------- *)
 
@@ -140,9 +140,15 @@ let test_schema_infer () =
     [ [ Primitive.Int 1L; Primitive.String "a"; Primitive.Float 0.5 ];
       [ Primitive.Int 2L; Primitive.Null; Primitive.Int 3L ] ]
   in
-  let s = Schema.infer ~header:[ "id"; "s"; "mix" ] rows in
+  let joined = Array.make 3 None in
+  List.iter (List.iteri (Schema.join_cell joined)) rows;
+  let s = Result.get_ok (Schema.of_types ~header:[ "id"; "s"; "mix" ] joined) in
   let tys = List.map (fun c -> c.Schema.ty) (s.Schema.columns :> Schema.column list) in
-  check bool_ "types" true (tys = [ Schema.T_int; Schema.T_string; Schema.T_float ])
+  check bool_ "types" true (tys = [ Schema.T_int; Schema.T_string; Schema.T_float ]);
+  Schema.join_cell joined 1 (Primitive.Bool true);
+  check bool_ "mixed is any" true (joined.(1) = Some Schema.T_any);
+  check bool_ "duplicate names" true
+    (Schema.of_types ~header:[ "a"; "a" ] [| None; None |] = Error "schema: duplicate column names")
 
 (* ---------------- table ---------------- *)
 
