@@ -14,8 +14,9 @@ bench:
 	dune exec bench/main.exe
 
 # Hot-path microbenchmarks (SHA-256 and CRC-32 kernels, chunker scan,
-# node cache, CSV table import/export against the two-pass reference);
-# writes BENCH_hotpath.json.
+# node cache, CSV table import/export against the two-pass reference,
+# varint decoding's allocation, update and three-way merge of a
+# 1M-record map); writes BENCH_hotpath.json.
 bench-hotpath:
 	dune exec bench/main.exe -- hotpath
 
@@ -87,7 +88,9 @@ ab:
 # smoke (instrumentation overhead + histogram/exposition/tracing smoke,
 # artifact untouched), a ~1-second hot-path sanity run (SHA-256 and
 # CRC-32 kernel equivalence + cache on/off smoke + a generated CSV table
-# that must export byte for byte and re-import to the same table), a
+# that must export byte for byte and re-import to the same table + a
+# varint decode that must allocate nothing + a 100k-record merge that must
+# give build's root), a
 # ~1-second network smoke (2
 # concurrent clients over loopback, asserts zero dropped/corrupt frames
 # and a clean shutdown), a ~1-second concurrency smoke (reader scaling,

@@ -1552,6 +1552,102 @@ let run_hotpath ?(quick = false) () =
     "(%d bytes, medians of %d; ref = the two-pass code the tests keep as their \
      oracle)\nForkbase.import_csv (import + commit): %.2f ms\n"
     (String.length doc) csv_reps fb_import_ms;
+  (* --- 6. varint decoding allocates nothing --- *)
+  let varints = 100_000 in
+  let vbuf =
+    let w = Fb_codec.Codec.writer () in
+    for i = 0 to varints - 1 do Fb_codec.Codec.varint w (((i * 0x1E3779B97F4A7C15) land max_int) lsr (i mod 63)) done;
+    Fb_codec.Codec.contents w
+  in
+  let r = Fb_codec.Codec.reader vbuf in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to varints do ignore (Fb_codec.Codec.read_varint r) done;
+  let words_per_varint = (Gc.minor_words () -. w0) /. float_of_int varints in
+  Printf.printf "\nread_varint: %.2f minor words per call (%d calls)\n" words_per_varint varints;
+  if words_per_varint >= 0.005 then
+    failwith (Printf.sprintf "read_varint allocates %.2f words per call" words_per_varint);
+  (* --- 7. edits of a large map: update and a three-way merge --- *)
+  (* fbperf sync's shapes: base values are 8 seeded letters; an update is
+     1,000 edits, half a contiguous run and half scattered; the merge takes
+     such an update (theirs) into a branch that changed every 10,000th
+     record (ours). *)
+  let records = if quick then 100_000 else 1_000_000 in
+  let edit_reps = if quick then 3 else 21 in
+  let ekey i = Printf.sprintf "r%07d" i in
+  let letters rng n = String.init n (fun _ -> Char.chr (97 + Prng.next_int rng 26)) in
+  let edit_store = Mem_store.create () in
+  let map0, build_ms =
+    time_ms (fun () ->
+        Pmap.build_sorted_seq edit_store
+          (Seq.init records (fun i ->
+               Pmap.binding (ekey i) (letters (Prng.create (Int64.of_int (i + 1))) 8))))
+  in
+  let rng = Prng.create 7L in
+  let reserved i = i mod 10_000 = 5_000 in
+  let edits =
+    let start = Prng.next_int rng (records - 2_000) in
+    let run = List.filter (fun i -> not (reserved i)) (List.init 510 (fun j -> start + j)) in
+    let run = List.filteri (fun j _ -> j < 500) run in
+    let rec scattered acc n =
+      if n = 0 then acc
+      else
+        let i = Prng.next_int rng records in
+        if reserved i || List.mem i acc || List.mem i run then scattered acc n
+        else scattered (i :: acc) (n - 1)
+    in
+    List.map
+      (fun i -> Pmap.Put (Pmap.binding (ekey i) ("e-" ^ letters rng 4)))
+      (List.sort compare (run @ scattered [] 500))
+  in
+  let curated =
+    List.init (records / 10_000) (fun j ->
+        Pmap.Put (Pmap.binding (ekey ((j * 10_000) + 5_000)) ("c-" ^ letters rng 6)))
+  in
+  let theirs = Pmap.update map0 edits in
+  let ours = Pmap.update map0 curated in
+  let merge () =
+    match Pmap.merge ~base:map0 ~ours ~theirs () with
+    | Ok m -> m
+    | Error _ -> failwith "edit: unexpected conflict"
+  in
+  let merged = merge () in
+  let changed = Hashtbl.create 2_000 in
+  List.iter
+    (function Pmap.Put b -> Hashtbl.replace changed b.Pmap.key b.Pmap.value | Pmap.Remove _ -> ())
+    (curated @ edits);
+  let rebuilt =
+    Pmap.of_bindings edit_store
+      (List.map
+         (fun (k, v) -> (k, Option.value (Hashtbl.find_opt changed k) ~default:v))
+         (Pmap.bindings map0))
+  in
+  if not (Option.equal Hash.equal (Pmap.root merged) (Pmap.root rebuilt)) then
+    failwith "edit: the merged root is not build's over the merged records";
+  (* Median and quartiles of [edit_reps] timed runs after a warm-up. *)
+  let spread f =
+    ignore (f ());
+    Gc.full_major ();
+    let ts = Array.of_list (List.sort compare (List.init edit_reps (fun _ -> snd (time_ms f)))) in
+    let q p = ts.(int_of_float (p *. float_of_int (edit_reps - 1))) in
+    (q 0.5, q 0.25, q 0.75)
+  in
+  let s0 = Store.stats edit_store in
+  ignore (merge ());
+  let s1 = Store.stats edit_store in
+  let merge_gets = s1.Store.gets - s0.Store.gets and merge_puts = s1.Store.puts - s0.Store.puts in
+  let edit_rows =
+    [ ("update", spread (fun () -> Pmap.update map0 edits));
+      ("merge", spread merge) ]
+  in
+  Printf.printf
+    "\nedits of a %d-record map (%d leaves, built in %.0f ms), ms over %d warmed runs:\n"
+    records (List.length (Pmap.leaf_hashes map0)) build_ms edit_reps;
+  List.iter
+    (fun (label, (p50, q1, q3)) ->
+      Printf.printf "%-24s p50 %7.2f   IQR %6.2f-%-6.2f\n" label p50 q1 q3)
+    edit_rows;
+  Printf.printf "merge store traffic: %d gets, %d puts; merged root = build's\n" merge_gets
+    merge_puts;
   if not quick then begin
     let json =
       Printf.sprintf
@@ -1567,7 +1663,10 @@ let run_hotpath ?(quick = false) () =
          \"diff_ms\":%.3f,\"merge_ms\":%.3f},\n\
         \  \"lookup_p50_speedup\":%.2f},\n\
          \"csv\":{\"rows\":5000,\"bytes\":%d,\"reps\":%d,%s,\
-         \"forkbase_import_csv_ms\":%.2f}}\n"
+         \"forkbase_import_csv_ms\":%.2f},\n\
+         \"read_varint_minor_words\":%.2f,\n\
+         \"edit\":{\"records\":%d,\"reps\":%d,%s,\
+         \"merge_gets\":%d,\"merge_puts\":%d}}\n"
         active
         (String.concat ","
            (List.map
@@ -1599,7 +1698,14 @@ let run_hotpath ?(quick = false) () =
                    \"speedup\":%.2f}"
                   label ref_ms new_ms (doc_mb ref_ms) (doc_mb new_ms) (ref_ms /. new_ms))
               csv_rows))
-        fb_import_ms
+        fb_import_ms words_per_varint records edit_reps
+        (String.concat ","
+           (List.map
+              (fun (label, (p50, q1, q3)) ->
+                Printf.sprintf "\"%s_ms\":{\"p50\":%.2f,\"q1\":%.2f,\"q3\":%.2f}" label p50 q1
+                  q3)
+              edit_rows))
+        merge_gets merge_puts
     in
     let oc = open_out "BENCH_hotpath.json" in
     output_string oc json;

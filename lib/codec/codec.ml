@@ -130,20 +130,21 @@ let read_u8 r =
   r.pos <- r.pos + 1;
   v
 
-let read_varint_bits r =
-  let rec go shift acc =
-    if shift > 56 then fail "varint overflow";
-    let b = read_u8 r in
-    let acc = acc lor ((b land 0x7f) lsl shift) in
-    if b land 0x80 <> 0 then go (shift + 7) acc
-    else begin
-      (* Reject non-minimal encodings: a final zero byte is only canonical
-         when it is the sole byte. *)
-      if b = 0 && shift > 0 then fail "non-minimal varint";
-      acc
-    end
-  in
-  go 0 0
+(* A top-level loop that takes the reader, not a closure over it, so a
+   call allocates nothing. *)
+let rec read_varint_from r shift acc =
+  if shift > 56 then fail "varint overflow";
+  let b = read_u8 r in
+  let acc = acc lor ((b land 0x7f) lsl shift) in
+  if b land 0x80 <> 0 then read_varint_from r (shift + 7) acc
+  else begin
+    (* Reject non-minimal encodings: a final zero byte is only canonical
+       when it is the sole byte. *)
+    if b = 0 && shift > 0 then fail "non-minimal varint";
+    acc
+  end
+
+let read_varint_bits r = read_varint_from r 0 0
 
 let read_varint r =
   let v = read_varint_bits r in

@@ -46,16 +46,18 @@ let add t item encoded =
   push t item encoded (Fb_hash.Rolling.feed_string t.rolling encoded)
 
 (* Three runs of [encoded]: before the muted range, the muted range (its
-   hits dropped), and after it. *)
+   hits dropped), and after it; one when the muted range is empty. *)
 let add_keyed t item encoded ~key_end =
   let n = String.length encoded in
   let lo = min (t.window - 1) n in
   let hi = max lo (min key_end n) in
-  let r = t.rolling in
-  let before = Fb_hash.Rolling.feed_sub r encoded 0 lo in
-  ignore (Fb_hash.Rolling.feed_sub r encoded lo (hi - lo));
-  let after = Fb_hash.Rolling.feed_sub r encoded hi (n - hi) in
-  push t item encoded (before || after)
+  if hi = lo then add t item encoded
+  else
+    let r = t.rolling in
+    let before = Fb_hash.Rolling.feed_sub r encoded 0 lo in
+    ignore (Fb_hash.Rolling.feed_sub r encoded lo (hi - lo));
+    let after = Fb_hash.Rolling.feed_sub r encoded hi (n - hi) in
+    push t item encoded (before || after)
 
 let pending t = t.items <> []
 let finish t = if pending t then boundary t

@@ -177,7 +177,14 @@ module Make (E : ENTRY) = struct
 
   type node = Leaf of E.t list | Index of index_entry list
 
-  let encode_entry e = Codec.to_string write_entry e
+  let rec varint_len v = if v < 0x80 then 1 else 1 + varint_len (v lsr 7)
+  let bytes_len s = varint_len (String.length s) + String.length s
+
+  let encode_entry e =
+    let n = bytes_len (E.key e) + if E.has_value then bytes_len (E.value e) else 0 in
+    let w = Codec.exact n in
+    write_entry w e;
+    Codec.contents w
 
   (* Returns the length of the split key's encoding, which leads. *)
   let encode_index_entry w ie =
@@ -194,17 +201,14 @@ module Make (E : ENTRY) = struct
     let count = Codec.read_varint r in
     { split; child; count }
 
-  let leaf_chunk entries =
-    let w = Codec.writer () in
-    Codec.varint w (List.length entries);
-    List.iter (write_entry w) entries;
-    Chunk.v leaf_kind (Codec.contents w)
-
-  let index_chunk ies =
-    let w = Codec.writer () in
-    Codec.varint w (List.length ies);
-    List.iter (fun ie -> ignore (encode_index_entry w ie)) ies;
-    Chunk.v Chunk.Index (Codec.contents w)
+  (* A node of [kind] over its entries' encodings: their count, then the
+     encodings one after another. *)
+  let node_chunk kind items =
+    let size = List.fold_left (fun n (_, s) -> n + String.length s) 8 items in
+    let w = Codec.writer ~initial_size:size () in
+    Codec.varint w (List.length items);
+    List.iter (fun (_, s) -> Codec.raw w s) items;
+    Chunk.v kind (Codec.contents w)
 
   let decode_node chunk =
     match chunk.Chunk.kind with
@@ -257,75 +261,164 @@ module Make (E : ENTRY) = struct
     | [] -> invalid_arg "last_exn"
     | l -> List.nth l (List.length l - 1)
 
-  (* A chunker whose every leaf is written to [store] and whose index
-     entry is pushed onto [out] (so [out] holds the leaf row reversed). *)
-  let leaf_chunker store out =
-    let emit items =
-      let id = Store.put store (leaf_chunk items) in
-      out :=
-        { split = E.key (last_exn items); child = id;
-          count = List.length items }
-        :: !out
-    in
-    Chunker.create ~params ~max_bytes:max_node_bytes ~emit ()
+  let too_long n =
+    Unbuildable (Printf.sprintf "key of %d bytes exceeds the %d-byte key limit" n max_key_bytes)
 
   let check_key k =
-    let n = String.length k in
-    if n > max_key_bytes then
-      raise
-        (Unbuildable
-           (Printf.sprintf "key of %d bytes exceeds the %d-byte key limit" n
-              max_key_bytes))
+    if String.length k > max_key_bytes then raise (too_long (String.length k))
 
-  (* The one way an entry enters a leaf chunker. *)
-  let add_entry ch e =
-    check_key (E.key e);
-    Chunker.add ch e (encode_entry e)
+  (* ---------------- the row assembler ----------------
 
-  (* Chunk a row of index entries into index nodes; return the parent row.
-     A pattern hit lying wholly inside a split key is muted
-     ([Chunker.add_keyed]): it would fire again for that key at every
-     level above, so a row of long keys would never shrink. *)
-  let chunk_index_level store ies =
-    let out = ref [] in
+     Every tree is written by one assembler: [build] feeds it entries,
+     [update] and [merge] entries and whole subtrees of their inputs.  A
+     chunker per level cuts the level below as it grows.  Boundaries are a
+     function of the entry bytes since the last boundary, so a subtree of a
+     builder-made tree stands for its entries when every chunker below its
+     level sits on a boundary and it is not on its tree's right spine
+     (whose nodes may end without a pattern): its index entry then goes to
+     its level's chunker as it is.  Otherwise it is expanded one level.
+     Either way the result is the tree the builder makes (DESIGN.md §4). *)
+
+  (* Row [l]: the index entries of the level-[l] nodes (leaves are level
+     0), and the chunker that cuts them into level-[l + 1] nodes.  The
+     first entry is [held] until a second arrives: a row of one entry is
+     the root, and no node is written over it.  [fed] counts the row's
+     entries; a subtree passed at a level above counts as one. *)
+  type row = {
+    ch : (index_entry * string) Chunker.t;
+    mutable held : index_entry option;
+    mutable fed : int;
+    mutable long_key : int;  (* its first split key over the limit, or 0 *)
+  }
+
+  type levels = { a_store : Store.t; mutable rows : row array }
+  type assembler = { lv : levels; leaves : (E.t * string) Chunker.t }
+
+  (* Chunkers carry each entry with its encoding, which the node reuses. *)
+  let feed r ie =
+    let w = Codec.exact (bytes_len ie.split + Hash.size + varint_len ie.count) in
+    let key_end = encode_index_entry w ie in
+    let enc = Codec.contents w in
+    Chunker.add_keyed r.ch (ie, enc) enc ~key_end
+
+  let rec row lv l =
+    while Array.length lv.rows <= l do
+      let at = Array.length lv.rows in
+      let ch =
+        Chunker.create ~params ~max_bytes:max_node_bytes
+          ~emit:(emit_index lv at) ()
+      in
+      lv.rows <- Array.append lv.rows [| { ch; held = None; fed = 0; long_key = 0 } |]
+    done;
+    lv.rows.(l)
+
+  and push lv l ie =
+    let r = row lv l in
+    if r.long_key = 0 && String.length ie.split > max_key_bytes then
+      r.long_key <- String.length ie.split;
+    r.fed <- r.fed + 1;
+    if r.fed = 1 then r.held <- Some ie
+    else begin
+      Option.iter (feed r) r.held;
+      r.held <- None;
+      feed r ie
+    end
+
+  (* A row that does not shrink holds split keys too long for two entries
+     to share a node, which only a tree no builder made can carry in: a
+     row holding a key over the limit is refused once every entry it has
+     had ended a node of its own, instead of growing levels without end. *)
+  and emit_index lv l items =
+    let id = Store.put lv.a_store (node_chunk Chunk.Index items) in
+    let count = List.fold_left (fun a (ie, _) -> a + ie.count) 0 items in
+    let r = lv.rows.(l) and up = row lv (l + 1) in
+    if r.long_key > 0 && up.fed + 1 >= r.fed then raise (too_long r.long_key);
+    push lv (l + 1) { split = (fst (last_exn items)).split; child = id; count }
+
+  let assembler store =
+    let lv = { a_store = store; rows = [||] } in
     let emit items =
-      let id = Store.put store (index_chunk items) in
-      let count = List.fold_left (fun a ie -> a + ie.count) 0 items in
-      out := { split = (last_exn items).split; child = id; count } :: !out
+      let id = Store.put store (node_chunk leaf_kind items) in
+      push lv 0
+        { split = E.key (fst (last_exn items)); child = id;
+          count = List.length items }
     in
-    let ch = Chunker.create ~params ~max_bytes:max_node_bytes ~emit () in
-    List.iter
-      (fun ie ->
-        let w = Codec.writer () in
-        let key_end = encode_index_entry w ie in
-        Chunker.add_keyed ch ie (Codec.contents w) ~key_end)
-      ies;
-    Chunker.finish ch;
-    List.rev !out
+    { lv; leaves = Chunker.create ~params ~max_bytes:max_node_bytes ~emit () }
 
-  (* Collapse rows upward until a single node remains.  A level may fail
-     to shrink by chance (a hit in every entry's child id), but not level
-     after level unless its split keys are too long for two entries to
-     share a node, which only a tree no builder made (a pushed one, say,
-     carried into a merge) can hold: that row is refused instead of
-     looping. *)
-  let rec build_up store row =
-    match row with
-    | [] -> None
-    | [ ie ] -> Some ie.child
-    | _ ->
-      let up = chunk_index_level store row in
-      if List.compare_lengths up row >= 0 then
-        List.iter (fun ie -> check_key ie.split) row;
-      build_up store up
+  (* The one way an entry enters a leaf. *)
+  let add a e =
+    check_key (E.key e);
+    let enc = encode_entry e in
+    Chunker.add a.leaves (e, enc) enc
+
+  (* Whether every chunker below level [h] sits on a boundary. *)
+  let clean a h =
+    let rows = a.lv.rows in
+    let rec idle l =
+      l >= h - 1 || l >= Array.length rows
+      || (rows.(l).held = None && (not (Chunker.pending rows.(l).ch))
+          && idle (l + 1))
+    in
+    (not (Chunker.pending a.leaves)) && idle 0
+
+  (* A tree that subtrees are taken from, and its greatest key: the split
+     key of every node on its right spine. *)
+  type source = { tree : t; last : key }
+
+  let node_at src h id =
+    match read_node src.tree.store id with
+    | Leaf _ as n when h = 1 -> n
+    | Index _ as n when h > 1 -> n
+    | _ -> corrupt "node %s is not at height %d" (Hash.to_hex id) h
+
+  (* Offer the subtree of [src] that [ie] names, [h] levels tall.  Only
+     leaves pass from a tree in another store, copied in if the result's
+     store lacks them. *)
+  let rec offer a src h ie =
+    let store = a.lv.a_store in
+    if clean a h && (not (String.equal ie.split src.last))
+       && (h = 1 || src.tree.store == store)
+    then begin
+      if src.tree.store != store && not (Store.mem store ie.child) then
+        ignore (Store.put store (chunk_of_hash src.tree.store ie.child));
+      for l = 0 to h - 2 do (row a.lv l).fed <- (row a.lv l).fed + 1 done;
+      push a.lv (h - 1) ie
+    end
+    else
+      match node_at src h ie.child with
+      | Leaf es -> List.iter (add a) es
+      | Index ies -> List.iter (offer a src (h - 1)) ies
+
+  (* Flush every level bottom-up; the root is the first row of one entry.
+     Where that entry is a passed subtree with nothing beside it, the
+     builder's root lies below it, at its first node of two or more
+     children. *)
+  let finish a =
+    Chunker.finish a.leaves;
+    let rec descend id =
+      match read_node a.lv.a_store id with
+      | Index [ ie ] -> descend ie.child
+      | _ -> id
+    in
+    (* Finishing a row may add the row above: [rows] is read afresh. *)
+    let rec up l =
+      let rows = a.lv.rows in
+      if l = Array.length rows then None
+      else
+        match rows.(l).held with
+        | Some ie when l > 0 && rows.(l - 1).fed = 1 -> Some (descend ie.child)
+        | Some ie -> Some ie.child
+        | None ->
+          Chunker.finish rows.(l).ch;
+          up (l + 1)
+    in
+    up 0
 
   (* The builder every tree comes from: the entries [iter] yields, in
-     strictly increasing key order, through the leaf chunker into [store],
-     then [build_up]; returns the root.  [validate] runs it into
-     [Store.sink]. *)
+     strictly increasing key order, through the assembler into [store];
+     returns the root.  [validate] runs it into [Store.sink]. *)
   let build_root store iter =
-    let out = ref [] in
-    let ch = leaf_chunker store out in
+    let a = assembler store in
     let prev = ref None in
     iter (fun e ->
         let k = E.key e in
@@ -334,9 +427,8 @@ module Make (E : ENTRY) = struct
            invalid_arg "build_sorted_seq: keys not strictly increasing"
          | _ -> ());
         prev := Some k;
-        add_entry ch e);
-    Chunker.finish ch;
-    build_up store (List.rev !out)
+        add a e);
+    finish a
 
   (* Stable sort, then last wins among equal keys.  Input already in
      strictly increasing key order (a CSV import of sorted keys, say) is
@@ -563,7 +655,7 @@ module Make (E : ENTRY) = struct
     in
     match t.root with None -> None | Some h -> go h
 
-  (* ---------------- leaf row ---------------- *)
+  (* ---------------- rows ---------------- *)
 
   (* Index entries [levels] below node [h]; [levels >= 1] and [h] is an
      index node at least [levels] deep. *)
@@ -574,106 +666,74 @@ module Make (E : ENTRY) = struct
       if levels = 1 then ies
       else List.concat_map (fun ie -> row_below store ie.child (levels - 1)) ies
 
-  (* The leaf level as index entries (split key, child id, count); for a
-     single-leaf tree the entry is synthesized.  Only the leftmost leaf is
-     read, to learn the height. *)
-  let leaf_row t =
-    match t.root with
-    | None -> []
-    | Some h -> (
-      match height t with
-      | 1 -> (
-        match read_node t.store h with
-        | Leaf [] | Index _ -> []
-        | Leaf entries ->
-          [ { split = E.key (last_exn entries); child = h;
-              count = List.length entries } ])
-      | ht -> row_below t.store h (ht - 1))
-
   let leaf_entries t h =
     match read_node t.store h with
     | Leaf entries -> entries
     | Index _ -> corrupt "expected leaf at %s" (Hash.to_hex h)
 
+  (* A non-empty tree's root as an index entry, split at its greatest key
+     (a root is never passed, so its count is not needed). *)
+  let root_entry t root =
+    let split =
+      match read_node t.store root with
+      | Leaf es -> E.key (last_exn es)
+      | Index ies -> (last_exn ies).split
+    in
+    { split; child = root; count = 0 }
+
   (* ---------------- update ---------------- *)
 
   let edit_key = function Put e -> E.key e | Remove k -> k
+  let apply_edit a = function Put e -> add a e | Remove _ -> ()
+
+  (* A leaf's entries with [edits] applied, both in key order. *)
+  let rec apply_leaf a es edits =
+    match es, edits with
+    | [], [] -> ()
+    | e :: es', [] -> add a e; apply_leaf a es' []
+    | [], ed :: eds -> apply_edit a ed; apply_leaf a [] eds
+    | e :: es', ed :: eds ->
+      let c = String.compare (E.key e) (edit_key ed) in
+      if c < 0 then (add a e; apply_leaf a es' edits)
+      else (apply_edit a ed; apply_leaf a (if c = 0 then es' else es) eds)
+
+  (* Offer the subtree [ie] of [src], [h] levels tall, with [edits]
+     applied: only the paths to edited leaves are read, and every other
+     subtree is offered whole.  Edits past the last split key (appends)
+     go to the right spine. *)
+  let rec offer_edited a src h ie edits =
+    if edits = [] then offer a src h ie
+    else
+      match node_at src h ie.child with
+      | Leaf es -> apply_leaf a es edits
+      | Index ies ->
+        let rec go edits = function
+          | [] -> ()
+          | [ c ] -> offer_edited a src (h - 1) c edits
+          | c :: rest ->
+            let rec mine acc = function
+              | ed :: eds when String.compare (edit_key ed) c.split <= 0 ->
+                mine (ed :: acc) eds
+              | eds -> (List.rev acc, eds)
+            in
+            let edits_c, edits = mine [] edits in
+            offer_edited a src (h - 1) c edits_c;
+            go edits rest
+        in
+        go edits ies
 
   let update t edits =
     let edits = sort_dedup edit_key edits in
     if edits = [] then t
     else
       Obs.with_span span_update @@ fun () ->
-      match t.root with
-      | None ->
-        let entries =
-          List.filter_map (function Put e -> Some e | Remove _ -> None) edits
-        in
-        build t.store entries
-      | Some _ ->
-        let row = leaf_row t in
-        (* The new leaf row is assembled left to right; untouched original
-           leaves are passed through by reference, leaves overlapping an
-           edit cluster are re-chunked, and chunking continues after each
-           cluster only until a node boundary re-synchronizes with the
-           original layout.  The result is bit-identical to a full rebuild
-           over the edited record set. *)
-        let out = ref [] in
-        let reuse ie = out := ie :: !out in
-        let ch = leaf_chunker t.store out in
-        let add_entry = add_entry ch in
-        (* Reuse whole leaves strictly before the one containing [k]; a key
-           beyond every split targets the last leaf (appends coalesce into
-           it, since only the level-last node may end without a pattern). *)
-        let rec skip_to k leaves =
-          match leaves with
-          | [] -> []
-          | [ last ] -> [ last ]
-          | ie :: rest ->
-            if String.compare ie.split k < 0 then (reuse ie; skip_to k rest)
-            else leaves
-        in
-        let rec go leaves cur edits =
-          match edits, cur with
-          | [], [] ->
-            if Chunker.pending ch then (
-              match leaves with
-              | [] -> Chunker.finish ch
-              | l :: ls -> go ls (leaf_entries t l.child) [])
-            else
-              (* Re-synchronized: everything left is reused verbatim. *)
-              List.iter reuse leaves
-          | [], e :: cur' ->
-            add_entry e;
-            go leaves cur' []
-          | ed :: _, [] when not (Chunker.pending ch) -> (
-            (* At a clean boundary with edits pending: skip ahead to the
-               next affected leaf without re-chunking the gap. *)
-            match skip_to (edit_key ed) leaves with
-            | [] ->
-              (match ed with Put e -> add_entry e | Remove _ -> ());
-              go [] [] (List.tl edits)
-            | l :: ls -> go ls (leaf_entries t l.child) edits)
-          | ed :: eds, [] -> (
-            match leaves with
-            | [] ->
-              (match ed with Put e -> add_entry e | Remove _ -> ());
-              go [] [] eds
-            | l :: ls -> go ls (leaf_entries t l.child) edits)
-          | ed :: eds, e :: cur' ->
-            let c = String.compare (E.key e) (edit_key ed) in
-            if c < 0 then (add_entry e; go leaves cur' edits)
-            else if c = 0 then begin
-              (match ed with Put x -> add_entry x | Remove _ -> ());
-              go leaves cur' eds
-            end
-            else begin
-              (match ed with Put x -> add_entry x | Remove _ -> ());
-              go leaves cur eds
-            end
-        in
-        go row [] edits;
-        { t with root = build_up t.store (List.rev !out) }
+      let a = assembler t.store in
+      (match t.root with
+       | None -> List.iter (apply_edit a) edits
+       | Some root ->
+         let ie = root_entry t root in
+         offer_edited a { tree = t; last = ie.split } (height t) ie edits);
+      { t with root = finish a }
 
   let insert t e = update t [ Put e ]
   let remove t k = update t [ Remove k ]
@@ -1016,15 +1076,17 @@ module Make (E : ENTRY) = struct
 
   (* ---------------- merge ----------------
 
-     The merge walks the three leaf rows side by side.  They are cut into
-     segments at the split keys where all three rows end a leaf, so a
+     The merge walks the three trees root-down at a common height, as
+     [diff] does.  At each level the three rows of index entries are cut
+     into segments at the split keys where all three end a node, so a
      segment covers the same key range in every row.  A segment that only
-     one side changed is taken from that side as leaf references; only the
-     segments both sides changed are decoded and merged entry by entry.
-     The output row is then assembled as [update] assembles its row: a
-     referenced leaf passes through while the chunker sits on a boundary
-     and is fed entry by entry otherwise, so the result is the tree [build]
-     would make from the merged record set. *)
+     one side changed (its children's ids equal base's, or the other
+     side's) is taken from that side as whole subtrees; a segment both
+     sides changed is expanded one level and cut again, down to the
+     leaves, where its entries are merged one by one.  The pieces then go
+     through the row assembler, which passes the subtrees through where it
+     can, so the result is the tree [build] would make from the merged
+     record set. *)
 
   type conflict = {
     key : key;
@@ -1038,18 +1100,22 @@ module Make (E : ENTRY) = struct
   let resolve_ours c = Some c.ours
   let resolve_theirs c = Some c.theirs
 
-  (* One piece of the merged leaf row, in key order: an input's leaves by
-     reference (with the id of that input's last leaf), or the merged
-     entries of a two-sided segment. *)
+  (* One piece of the merged tree, in key order: subtrees of one input
+     ([h] levels tall), or the merged entries of a leaf segment both sides
+     changed. *)
   type piece =
-    | Leaves of t * Hash.t option * index_entry list
+    | Subtrees of source * int * index_entry list
     | Entries of E.t list
 
-  (* Cut three leaf rows at their common split keys; the last segment runs
-     to the end of every row. *)
-  let segments rb ro rt =
+  (* Cut three rows at their common split keys; the last segment runs to
+     the end of every row. *)
+  let segments f acc rb ro rt =
     let rec go rb ro rt sb so st acc =
       match rb, ro, rt with
+      | b :: rb', o :: ro', t :: rt'
+        when String.equal b.split o.split && String.equal b.split t.split ->
+        go rb' ro' rt' [] [] []
+          (f acc (List.rev (b :: sb), List.rev (o :: so), List.rev (t :: st)))
       | b :: rb', o :: ro', t :: rt' ->
         let lo x y = if String.compare x y <= 0 then x else y in
         let m = lo b.split (lo o.split t.split) in
@@ -1060,20 +1126,10 @@ module Make (E : ENTRY) = struct
         let rb, sb = step b rb' sb
         and ro, so = step o ro' so
         and rt, st = step t rt' st in
-        if String.compare b.split o.split = 0
-           && String.compare b.split t.split = 0
-        then
-          go rb ro rt [] [] []
-            ((List.rev sb, List.rev so, List.rev st) :: acc)
-        else go rb ro rt sb so st acc
-      | _ ->
-        List.rev
-          (( List.rev_append sb rb,
-             List.rev_append so ro,
-             List.rev_append st rt )
-           :: acc)
+        go rb ro rt sb so st acc
+      | _ -> f acc (List.rev_append sb rb, List.rev_append so ro, List.rev_append st rt)
     in
-    go rb ro rt [] [] [] []
+    go rb ro rt [] [] [] acc
 
   let same_children a b =
     List.equal (fun x y -> Hash.equal x.child y.child) a b
@@ -1126,55 +1182,57 @@ module Make (E : ENTRY) = struct
 
   let merge ?(on_conflict = fun _ -> None) ~base ~ours ~theirs () =
     Obs.with_span span_merge @@ fun () ->
-    let rb = leaf_row base and ro = leaf_row ours and rt = leaf_row theirs in
-    let entries src ies =
-      List.concat_map (fun ie -> leaf_entries src ie.child) ies
+    let hb = height base and ho = height ours and ht = height theirs in
+    let top = List.fold_left (fun m h -> if h > 0 then min m h else m) max_int [ hb; ho; ht ] in
+    (* Rows of subtrees [target] levels tall: one level below the shortest
+       root, where all three trees' boundaries can first align. *)
+    let target = max 1 (top - 1) in
+    let row_of t h =
+      match t.root with
+      | None -> []
+      | Some root when h = target -> [ root_entry t root ]
+      | Some root -> row_below t.store root (h - target)
     in
-    let last row = if row = [] then None else Some (last_exn row).child in
-    let last_o = last ro and last_t = last rt in
+    let rb = row_of base hb and ro = row_of ours ho and rt = row_of theirs ht in
+    let source tree row =
+      { tree; last = (match row with [] -> "" | _ -> (last_exn row).split) }
+    in
+    let src_o = source ours ro and src_t = source theirs rt in
+    let children t ies =
+      let kids ie =
+        match read_node t.store ie.child with
+        | Index c -> c
+        | Leaf _ -> corrupt "merge: leaf %s above the leaf level" (Hash.to_hex ie.child)
+      in
+      match ies with [ ie ] -> kids ie | _ -> List.concat_map kids ies
+    in
+    let entries t ies = List.concat_map (fun ie -> leaf_entries t ie.child) ies in
     (* Plan before writing anything: the resolver runs and every conflict
        is found first, so a merge that fails leaves the store as it was. *)
-    let plan, conflicts =
-      List.fold_left
-        (fun (plan, conflicts) (sb, so, st) ->
-          if same_children so sb then
-            (Leaves (theirs, last_t, st) :: plan, conflicts)
-          else if same_children st sb || same_children so st then
-            (Leaves (ours, last_o, so) :: plan, conflicts)
-          else
-            let merged, conflicts =
-              merge_entries on_conflict (entries base sb) (entries ours so)
-                (entries theirs st) ([], conflicts)
-            in
-            (Entries (List.rev merged) :: plan, conflicts))
-        ([], []) (segments rb ro rt)
+    let rec walk h (plan, conflicts) (sb, so, st) =
+      if same_children so sb then (Subtrees (src_t, h, st) :: plan, conflicts)
+      else if same_children st sb || same_children so st then
+        (Subtrees (src_o, h, so) :: plan, conflicts)
+      else if h = 1 then
+        let merged, conflicts =
+          merge_entries on_conflict (entries base sb) (entries ours so)
+            (entries theirs st) ([], conflicts)
+        in
+        (Entries (List.rev merged) :: plan, conflicts)
+      else
+        segments (walk (h - 1)) (plan, conflicts) (children base sb)
+          (children ours so) (children theirs st)
     in
+    let plan, conflicts = segments (walk target) ([], []) rb ro rt in
     if conflicts <> [] then Error (List.rev conflicts)
     else begin
-      let store = ours.store in
-      let out = ref [] in
-      let ch = leaf_chunker store out in
-      let add = add_entry ch in
-      (* A row's last leaf may end without a pattern, so it is fed rather
-         than passed through. *)
-      let pass src last ie =
-        if Chunker.pending ch || Option.equal Hash.equal (Some ie.child) last
-        then
-          List.iter add (leaf_entries src ie.child)
-        else begin
-          (* The result lives in [ours.store]: copy a leaf it lacks. *)
-          if src.store != store && not (Store.mem store ie.child) then
-            ignore (Store.put store (chunk_of_hash src.store ie.child));
-          out := ie :: !out
-        end
-      in
+      let a = assembler ours.store in
       List.iter
         (function
-          | Leaves (src, last, ies) -> List.iter (pass src last) ies
-          | Entries es -> List.iter add es)
+          | Subtrees (src, h, ies) -> List.iter (offer a src h) ies
+          | Entries es -> List.iter (add a) es)
         (List.rev plan);
-      Chunker.finish ch;
-      Ok { ours with root = build_up store (List.rev !out) }
+      Ok { ours with root = finish a }
     end
 
   (* ---------------- Merkle proofs ---------------- *)
@@ -1288,7 +1346,13 @@ module Make (E : ENTRY) = struct
     (match t.root with None -> () | Some h -> go h);
     List.rev !acc
 
-  let leaf_hashes t = List.map (fun ie -> ie.child) (leaf_row t)
+  let leaf_hashes t =
+    match t.root with
+    | None -> []
+    | Some h -> (
+      match height t with
+      | 1 -> [ h ]
+      | ht -> List.map (fun ie -> ie.child) (row_below t.store h (ht - 1)))
 
   (* ---------------- validation ----------------
 

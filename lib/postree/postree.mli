@@ -10,8 +10,8 @@
     - logically equal trees share {e all} pages, so the chunk store
       deduplicates them to a single copy;
     - [diff] prunes identical sub-trees by id and runs in O(D log N);
-    - three-way [merge] links in the leaves only one side modified by
-      reference and re-chunks only the leaves both sides modified;
+    - three-way [merge] links in whole sub-trees only one side modified
+      and re-chunks only what both sides modified;
     - the root hash authenticates the entire content (tamper evidence).
 
     The functor is instantiated for maps ({!Pmap}) and sets ({!Pset});

@@ -104,11 +104,11 @@ module type S = sig
   (** {1 Updates} *)
 
   val update : t -> edit list -> t
-  (** Apply a batch of edits.  Only the leaves overlapping the edited key
-      range are re-chunked; chunking is continued past the last edit until
-      the node boundary re-synchronizes with the original layout, then the
-      remaining pages are reused verbatim.  The result is bit-identical to
-      [build] over the edited record set (structural invariance). *)
+  (** Apply a batch of edits.  Only the paths to edited leaves are read;
+      each level is re-chunked past an edit until its boundary
+      re-synchronizes with the original layout, and every other sub-tree
+      is reused by reference.  The result is bit-identical to [build] over
+      the edited record set (structural invariance). *)
 
   val insert : t -> entry -> t
   val remove : t -> key -> t
@@ -140,23 +140,26 @@ module type S = sig
   val merge :
     ?on_conflict:resolver -> base:t -> ours:t -> theirs:t -> unit ->
     (t, conflict list) result
-  (** Three-way merge (Fig. 3).  The three leaf rows are cut into segments
-      at the split keys where all three end a leaf.  A segment that only
-      one side changed is taken from that side by reference: its leaves are
-      neither decoded nor re-hashed, only linked into the result.  Segments
-      both sides changed are merged entry by entry: a side equal to [base]
-      yields the other side, two equal edits agree, and anything else is a
-      conflict.  Conflicts are found in key order and [on_conflict] is
-      called once per conflict, in key order; its edit must be for the
-      conflict's key ([Invalid_argument] otherwise).  The default resolver
-      resolves nothing, so any genuine conflict yields [Error] with the
-      conflicts in key order.
+  (** Three-way merge (Fig. 3).  The three trees are walked root-down at a
+      common height; at each level their rows are cut into segments at the
+      split keys where all three end a node.  A segment that only one side
+      changed is taken from that side as whole sub-trees, linked into the
+      result by reference where its boundaries allow (neither decoded nor
+      re-hashed).  Segments both sides changed are expanded down to the
+      leaves and merged entry by entry: a side equal to [base] yields the
+      other side, two equal edits agree, and anything else is a conflict.
+      Conflicts are found in key order and [on_conflict] is called once
+      per conflict, in key order; its edit must be for the conflict's key
+      ([Invalid_argument] otherwise).  The default resolver resolves
+      nothing, so any genuine conflict yields [Error] with the conflicts
+      in key order.
 
       The result is the tree [build] would make from the merged record set
       (structural invariance).  It lives in [ours]'s store: a leaf taken
-      from [base] or [theirs] that this store lacks is copied into it.  A
-      merge that returns [Error] writes nothing: conflicts are found and
-      the merge planned before any chunk is put. *)
+      from [theirs] that this store lacks is copied into it (from another
+      store only leaves are linked).  A merge that returns [Error] writes
+      nothing: conflicts are found and the merge planned before any chunk
+      is put. *)
 
   (** {1 Merkle proofs}
 

@@ -379,6 +379,21 @@ let group_by t ~by ~targets =
               (gkey, cells) :: acc)
             !groups []))
 
+(* The schema of [header] with its column types joined over the rows a
+   build kept, when it dropped some: a row that a later row with the same
+   key replaced types nothing.  [header] and [key_column] were accepted
+   already, and types cannot make them fail. *)
+let retype ~key_column ~header rows =
+  let tys = Array.make (List.length header) None in
+  Pmap.iter
+    (fun (b : Pmap.binding) ->
+      let r = Codec.reader b.value in
+      for i = 0 to Codec.read_count r - 1 do
+        Schema.join_cell tys i (Primitive.decode r)
+      done)
+    rows;
+  Result.get_ok (Schema.of_types ~key_column ~header tys)
+
 (* One pass: as the scanner hands each cell over, a data cell is typed,
    joined into its column's type and encoded into its row there.  A row's
    encoding opens with the header's width, the count of every row that is
@@ -434,7 +449,12 @@ let of_csv store ?(key_column = 0) content =
       match !ragged with
       | Some e -> Error e
       | None when !null_key -> Error "key cell is null"
-      | None -> built (fun () -> { schema; rows = Pmap.build store (List.rev !rows) })))
+      | None ->
+        built (fun () ->
+            let parsed = List.rev !rows in
+            let rows = Pmap.build store parsed in
+            if Pmap.cardinal rows = List.length parsed then { schema; rows }
+            else { schema = retype ~key_column ~header:!header rows; rows })))
 
 let add_csv_row buf row =
   match

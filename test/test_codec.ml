@@ -36,6 +36,18 @@ let test_varint_truncated () =
   check bool_ "truncated" true
     (Result.is_error (Codec.of_string Codec.read_varint "\x80"))
 
+(* The refusals, word for word: truncation, a non-minimal encoding, more
+   than nine bytes, and nine bytes past [max_int]. *)
+let test_varint_refusals () =
+  List.iter
+    (fun (name, input, expect) ->
+      check (Alcotest.result Alcotest.int string_) name (Error expect)
+        (Codec.of_string Codec.read_varint input))
+    [ ("truncated", "\x80", "truncated input: need 1 bytes at offset 1, have 0");
+      ("non-minimal", "\x80\x00", "non-minimal varint");
+      ("ten bytes", String.make 9 '\xff' ^ "\x01", "varint overflow");
+      ("past max_int", String.make 8 '\xff' ^ "\x7f", "varint overflow") ]
+
 let test_zigzag () =
   List.iter
     (fun v ->
@@ -179,6 +191,7 @@ let suite =
       Alcotest.test_case "varint negative" `Quick test_varint_negative;
       Alcotest.test_case "varint non-minimal" `Quick test_varint_non_minimal;
       Alcotest.test_case "varint truncated" `Quick test_varint_truncated;
+      Alcotest.test_case "varint refusals" `Quick test_varint_refusals;
       Alcotest.test_case "zigzag" `Quick test_zigzag;
       Alcotest.test_case "fixed width" `Quick test_fixed_width;
       Alcotest.test_case "bool" `Quick test_bool;

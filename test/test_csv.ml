@@ -119,10 +119,6 @@ let prop_export =
         String.equal out (expected_csv t)
         && (has_float t || String.equal out (Csv_ref.to_csv t)))
 
-let distinct_keys t doc =
-  (* The rows survived as many as the document held: no key repeated. *)
-  match Csv.parse doc with Ok (_ :: rows) -> List.length rows = Table.cardinal t | _ -> false
-
 let prop_roundtrip =
   QCheck.Test.make ~name:"csv: export re-imports to the same table" ~count:500 arb_doc (fun doc ->
       let store = Mem_store.create () in
@@ -131,11 +127,7 @@ let prop_roundtrip =
       | Ok t -> (
         match Table.of_csv store (Table.to_csv t) with
         | Error e -> QCheck.Test.fail_reportf "re-import: %s" e
-        | Ok t' ->
-          (* A row that a later duplicate overwrote still widened its
-             columns' types, so only the rows are sure to match then. *)
-          Option.equal Fb_hash.Hash.equal (Table.rows_root t) (Table.rows_root t')
-          && ((not (distinct_keys t doc)) || String.equal (root t) (root t'))))
+        | Ok t' -> String.equal (root t) (root t')))
 
 (* ---------------- fixed cases ---------------- *)
 
@@ -168,6 +160,22 @@ let test_keys () =
     (Table.find t "b" = Some [ Primitive.String "b"; Primitive.Int 3L ]);
   check bool_ "same root as sorted input" true
     (String.equal (root t) (root (import store "id,v\na,2\nb,3\n")))
+
+(* A row that a later row with the same key replaces types nothing: the
+   column holds what the table holds, so the export re-imports as it is.
+   The root is pinned. *)
+let test_replaced_rows () =
+  let store = Mem_store.create () in
+  let t = import store "id,x\na,1\na,b\n" in
+  check bool_ "the table of the surviving row" true
+    (String.equal (root t) (root (import store "id,x\na,b\n")));
+  check string_ "export" "id,x\na,b\n" (Table.to_csv t);
+  check string_ "root pinned"
+    "e327a15598dc2d9eac483c48e00602890392e69c00489712f4405f580c786134"
+    (Fb_hash.Hash.to_hex (Fb_hash.Hash.of_string (root t)));
+  let t = import store "id,x\na,b\nb,2\na,1\n" in
+  check bool_ "out of order: the table of the surviving rows" true
+    (String.equal (root t) (root (import store "id,x\na,1\nb,2\n")))
 
 let test_error_order () =
   let store = Mem_store.create () in
@@ -214,5 +222,6 @@ let suite =
   List.map QCheck_alcotest.to_alcotest [ prop_parse; prop_import; prop_export; prop_roundtrip ]
   @ [ Alcotest.test_case "float spelling" `Quick test_float_spelling;
       Alcotest.test_case "keys" `Quick test_keys;
+      Alcotest.test_case "replaced rows type nothing" `Quick test_replaced_rows;
       Alcotest.test_case "error order" `Quick test_error_order;
       Alcotest.test_case "corrupt row" `Quick test_corrupt_row ]

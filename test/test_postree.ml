@@ -567,6 +567,7 @@ type merge_op =
   | Drop_tail of int
   | Edit_tail of int
   | Keep_first of int           (* 0 empties the side *)
+  | Edit_head of int            (* puts the first base keys *)
 
 type merge_case = {
   n : int;
@@ -577,9 +578,29 @@ type merge_case = {
   resolver : int;               (* 0 none, 1 ours, 2 theirs *)
 }
 
-let edits_of_op n tag op =
-  let put i = Pmap.Put (Pmap.binding (slot_key i) (Printf.sprintf "%s%d" tag i)) in
-  let rm i = Pmap.Remove (slot_key i) in
+(* Key and value shapes: [long_keys] are 41 bytes, long enough for a
+   pattern hit to lie inside a split key; with [big_values] every 23rd slot
+   holds a 6-14 KiB value no pattern fires in, so leaves end at the node
+   size cap. *)
+type shape = { long_keys : bool; big_values : bool; second_store : bool }
+
+let plain = { long_keys = false; big_values = false; second_store = false }
+
+let shaped_key sh i =
+  if sh.long_keys then
+    Printf.sprintf "k%07d-%s" i (String.sub (Hash.to_hex (Hash.of_string (string_of_int i))) 0 32)
+  else slot_key i
+
+let shaped_value sh tag i small =
+  if sh.big_values && i mod 23 = 0 then tag ^ String.make (6144 + (i * 37 mod 8192)) 'x'
+  else small
+
+let edits_of_op ?(shape = plain) n tag op =
+  let put i =
+    Pmap.Put
+      (Pmap.binding (shaped_key shape i) (shaped_value shape tag i (Printf.sprintf "%s%d" tag i)))
+  in
+  let rm i = Pmap.Remove (shaped_key shape i) in
   let range lo len = List.init (max 0 len) (fun j -> lo + j) in
   let tail len = range (2 * max 0 (n - len)) (2 * min n len) in
   match op with
@@ -591,6 +612,7 @@ let edits_of_op n tag op =
   | Drop_tail l -> List.map rm (tail l)
   | Edit_tail l -> List.filter_map (fun i -> if i mod 2 = 0 then Some (put i) else None) (tail l)
   | Keep_first m -> List.map rm (range (2 * m) (2 * (n - m)))
+  | Edit_head l -> List.map (fun j -> put (2 * j)) (range 0 (min n l))
 
 let pp_merge_op = function
   | Cluster_put (s, l) -> Printf.sprintf "cluster_put(%d,%d)" s l
@@ -601,6 +623,7 @@ let pp_merge_op = function
   | Drop_tail l -> Printf.sprintf "drop_tail(%d)" l
   | Edit_tail l -> Printf.sprintf "edit_tail(%d)" l
   | Keep_first m -> Printf.sprintf "keep_first(%d)" m
+  | Edit_head l -> Printf.sprintf "edit_head(%d)" l
 
 let pp_merge_case c =
   let ops l = String.concat ";" (List.map pp_merge_op l) in
@@ -656,23 +679,56 @@ let model_merge resolver base ours theirs =
       Option.map (fun v -> (k, v)) v)
     keys
 
-let merge_case_base store c =
-  Pmap.of_bindings store (List.init c.n (fun i -> (slot_key (2 * i), "b")))
+let merge_case_base ?(shape = plain) store c =
+  Pmap.of_bindings store
+    (List.init c.n (fun i -> (shaped_key shape (2 * i), shaped_value shape "b" (2 * i) "b")))
 
-let merge_case_side c base tag own =
+let merge_case_edits ?shape c tag own =
   let shared_tag = if c.agree then "s" else tag in
-  Pmap.update base
-    (List.concat_map (edits_of_op c.n tag) own
-     @ List.concat_map (edits_of_op c.n shared_tag) c.shared)
+  List.concat_map (edits_of_op ?shape c.n tag) own
+  @ List.concat_map (edits_of_op ?shape c.n shared_tag) c.shared
+
+let merge_case_side ?shape c base tag own = Pmap.update base (merge_case_edits ?shape c tag own)
 
 let merge_case_sides store c =
   let base = merge_case_base store c in
   (base, merge_case_side c base "o" c.ours_ops,
    merge_case_side c base "t" c.theirs_ops)
 
-let check_merge_case c =
+(* A base's records after [edits], last edit of a key winning. *)
+let model_bindings base edits =
+  let t = Hashtbl.create 4096 in
+  List.iter (fun (k, v) -> Hashtbl.replace t k v) base;
+  List.iter
+    (function
+      | Pmap.Put b -> Hashtbl.replace t b.Pmap.key b.Pmap.value
+      | Pmap.Remove k -> Hashtbl.remove t k)
+    edits;
+  List.sort compare (List.of_seq (Hashtbl.to_seq t))
+
+(* Each side's [update] must give [build]'s root over its records, and
+   the merge (theirs read from a second store with [second_store]) the
+   reference's result, conflicts and resolver calls, and [build]'s root
+   over the model's merged records, in ours' store. *)
+let check_merge_case ?(shape = plain) c =
   let store = Mem_store.create () in
-  let base, ours, theirs = merge_case_sides store c in
+  let fail fmt = Printf.ksprintf (fun s -> QCheck.Test.fail_report s) fmt in
+  let base = merge_case_base ~shape store c in
+  let ours = merge_case_side ~shape c base "o" c.ours_ops
+  and theirs = merge_case_side ~shape c base "t" c.theirs_ops in
+  let built tag own =
+    Pmap.of_bindings store
+      (model_bindings (Pmap.bindings base) (merge_case_edits ~shape c tag own))
+  in
+  if not (same_root ours (built "o" c.ours_ops)) then fail "update (ours) is not build's tree";
+  if not (same_root theirs (built "t" c.theirs_ops)) then
+    fail "update (theirs) is not build's tree";
+  let theirs_merged =
+    if shape.second_store then
+      merge_case_side ~shape c (merge_case_base ~shape (Mem_store.create ()) c) "t"
+        c.theirs_ops
+    else theirs
+  in
   let resolver =
     match c.resolver with
     | 1 -> Pmap.resolve_ours
@@ -688,9 +744,8 @@ let check_merge_case c =
   in
   let on_new, calls_new = recording () in
   let on_ref, calls_ref = recording () in
-  let got = Pmap.merge ~on_conflict:on_new ~base ~ours ~theirs () in
+  let got = Pmap.merge ~on_conflict:on_new ~base ~ours ~theirs:theirs_merged () in
   let want = Ref.merge ~equal:( = ) ~on_conflict:on_ref ~base ~ours ~theirs () in
-  let fail fmt = Printf.ksprintf (fun s -> QCheck.Test.fail_report s) fmt in
   if !calls_new <> !calls_ref then fail "resolver calls differ";
   match got, want with
   | Ok m, Ok r ->
@@ -701,6 +756,7 @@ let check_merge_case c =
     in
     if not (same_root m r) then fail "merged root differs from the reference";
     if not (same_root m model) then fail "merged root is not the model's tree";
+    if Pmap.store m != store then fail "merged tree outside ours' store";
     (match Pmap.validate m with
      | Ok () -> true
      | Error e -> fail "validate: %s" e)
@@ -746,6 +802,195 @@ let test_merge_theirs_in_second_store () =
     check bool_ "same root as the reference" true (same_root m want);
     check bool_ "result in ours' store" true (Pmap.store m == store);
     check bool_ "validate" true (Pmap.validate m = Ok ())
+
+(* ---------------- the row assembler against build ----------------
+
+   [update] and [merge] write through the assembler, which passes whole
+   subtrees of their inputs through; [build] feeds it every entry.  Over
+   multi-level trees of every shape (41-byte keys, leaves ended by the
+   node size cap, sides of different heights, appends and edits at the
+   first key, removes that empty leaves, theirs in a second store), each
+   side's [update] must give [build]'s root over its records, and [merge]
+   the root of [build] over the model's merged records and the
+   reference's conflicts. *)
+
+type shaped_case = { shape : shape; case : merge_case }
+
+let gen_shaped_case =
+  let open QCheck.Gen in
+  triple bool (frequency [ (2, return false); (1, return true) ]) bool
+  >>= fun (long_keys, big_values, second_store) ->
+  (if big_values then int_range 300 2500 else int_range 1500 12000) >>= fun n ->
+  let slot = int_bound ((2 * n) - 1) in
+  let op =
+    frequency
+      [ (3, map2 (fun s l -> Cluster_put (s, l)) slot (int_range 1 200));
+        (3, map (fun l -> Scatter_put l) (list_size (int_range 1 40) slot));
+        (2, map2 (fun s l -> Cluster_remove (s, l)) slot (int_range 100 400));
+        (1, map (fun l -> Scatter_remove l) (list_size (int_range 1 40) slot));
+        (2, map (fun l -> Append l) (int_range 1 (2 * n)));
+        (1, map (fun l -> Drop_tail l) (int_range 1 300));
+        (2, map (fun l -> Edit_tail l) (int_range 1 40));
+        (2, map (fun l -> Edit_head l) (int_range 1 40));
+        (1, map (fun m -> Keep_first m) (int_range 0 10)) ]
+  in
+  let ops = list_size (int_range 1 3) op in
+  map3
+    (fun (ours_ops, theirs_ops) (shared, agree) resolver ->
+      { shape = { long_keys; big_values; second_store };
+        case = { n; ours_ops; theirs_ops; shared; agree; resolver } })
+    (pair ops ops)
+    (pair (list_size (int_range 0 2) op) bool)
+    (int_bound 2)
+
+let pp_shaped_case { shape; case } =
+  Printf.sprintf "long_keys=%b big_values=%b second_store=%b %s" shape.long_keys
+    shape.big_values shape.second_store (pp_merge_case case)
+
+let assembler_property =
+  QCheck.Test.make ~name:"pos-tree: update and merge = build (every shape)" ~count:25
+    (QCheck.make ~print:pp_shaped_case gen_shaped_case)
+    (fun { shape; case } -> check_merge_case ~shape case)
+
+(* The subtrees of [t] one level above the leaves, left to right: in
+   [node_hashes]' depth-first order, an index node followed by a leaf. *)
+let level1_subtrees store t =
+  let leaf h =
+    Fb_chunk.Chunk.equal_kind (Option.get (Store.get store h)).Fb_chunk.Chunk.kind
+      Fb_chunk.Chunk.Leaf_map
+  in
+  let rec go = function
+    | a :: (b :: _ as rest) when (not (leaf a)) && leaf b -> Pmap.of_root store (Some a) :: go rest
+    | _ :: rest -> go rest
+    | [] -> []
+  in
+  go (Pmap.node_hashes t)
+
+let leaf_keys store h = List.map fst (Pmap.bindings (Pmap.of_root store (Some h)))
+
+let last l = List.nth l (List.length l - 1)
+
+(* Updates around level-1 nodes, each against [build]:
+   - an edit inside the last leaf of a level-1 node keeps that leaf's end
+     but changes its id, so the level-1 node loses the pattern it ended
+     on: the next level-1 node must be expanded, not passed while the
+     level-1 chunker holds entries;
+   - removing all but the last leaf of the first level-1 node leaves a row
+     of one leaf, held back from the level-1 chunker: the next level-1 node
+     must not pass beside it;
+   - removing all but a level-1 node of one leaf passes that node alone:
+     the root is its leaf. *)
+let test_update_around_level1_nodes () =
+  let store = Mem_store.create () in
+  (* Keep the records [keep] names, by an update and by a build. *)
+  let kept_is_built base keep =
+    let bs = Pmap.bindings base in
+    same_root
+      (Pmap.update base
+         (List.filter_map (fun (k, _) -> if keep k then None else Some (Pmap.Remove k)) bs))
+      (Pmap.of_bindings store (List.filter (fun (k, _) -> keep k) bs))
+  in
+  let set keys =
+    let t = Hashtbl.create 64 in
+    List.iter (fun k -> Hashtbl.replace t k ()) keys;
+    Hashtbl.mem t
+  in
+  let base = Pmap.of_bindings store (mk_bindings 100_000) in
+  let nodes = level1_subtrees store base in
+  check bool_ "several level-1 nodes" true (List.length nodes > 8);
+  let first = List.hd nodes in
+  let first_max = (Option.get (Pmap.max_entry first)).Pmap.key in
+  let in_last_leaf = set (leaf_keys store (last (Pmap.leaf_hashes first))) in
+  check bool_ "one leaf, then whole level-1 nodes" true
+    (kept_is_built base (fun k -> k > first_max || in_last_leaf k));
+  let base22 = Pmap.of_bindings store (mk_bindings ~seed:22L 50_000) in
+  (match
+     List.find_opt
+       (fun n -> List.length (Pmap.leaf_hashes n) = 1)
+       (level1_subtrees store base22)
+   with
+   | None -> Alcotest.fail "no level-1 node of one leaf"
+   | Some node ->
+     check bool_ "a level-1 node of one leaf alone" true
+       (kept_is_built base22 (set (List.map fst (Pmap.bindings node)))));
+  List.iteri
+    (fun i node ->
+      if i < 4 then begin
+        let keys = leaf_keys store (last (Pmap.leaf_hashes node)) in
+        let k = List.nth keys (List.length keys / 2) in
+        let t = Pmap.put base k "edited" in
+        let want =
+          Pmap.of_bindings store
+            (List.map (fun (k', v) -> (k', if k' = k then "edited" else v)) (Pmap.bindings base))
+        in
+        check bool_ (Printf.sprintf "node %d: update = build" i) true (same_root t want)
+      end)
+    nodes
+
+(* Theirs ends at [k], a leaf end of base's, after editing the key before
+   it, so its last leaf (its right spine) ends at [k] without the pattern
+   base's leaf ended on.  Ours appends past base's end, so the merge goes
+   on past [k]: theirs' last leaf must be re-chunked, not passed. *)
+let test_merge_past_a_truncated_side () =
+  let store = Mem_store.create () in
+  let base = Pmap.of_bindings store (mk_bindings 30_000) in
+  let leaves = Pmap.leaf_hashes base in
+  let appended = List.init 50 (fun i -> Pmap.Put (Pmap.binding (Printf.sprintf "zz-%03d" i) "new")) in
+  let ours = Pmap.update base appended in
+  List.iter
+    (fun j ->
+      let keys = leaf_keys store (List.nth leaves j) in
+      let k = last keys and before = List.nth keys (List.length keys - 2) in
+      let theirs =
+        Pmap.update base
+          (Pmap.Put (Pmap.binding before "edited")
+           :: List.filter_map
+                (fun (k', _) -> if k' > k then Some (Pmap.Remove k') else None)
+                (Pmap.bindings base))
+      in
+      match Pmap.merge ~base ~ours ~theirs () with
+      | Error _ -> Alcotest.fail "conflict"
+      | Ok m ->
+        let want =
+          Pmap.of_bindings store
+            (List.filter_map
+               (fun (k', v) ->
+                 if k' > k then None else Some (k', if k' = before then "edited" else v))
+               (Pmap.bindings base)
+             @ List.init 50 (fun i -> (Printf.sprintf "zz-%03d" i, "new")))
+        in
+        check bool_ (Printf.sprintf "truncated at leaf %d: merge = build" j) true (same_root m want))
+    [ 40; 80; 120; 160; 200 ]
+
+(* A merge's store traffic follows the changed paths, not the leaf row: k
+   edits per side on a 50k-record map and on a 200k-record one cost the
+   same reads and puts, up to the extra level.  The decoded-node cache is
+   off, so every node the merge visits is a read. *)
+let test_merge_follows_changes () =
+  let traffic n =
+    let store = Mem_store.create () in
+    let key f = Printf.sprintf "key-%07d" (int_of_float (f *. float_of_int n)) in
+    let base = Pmap.of_bindings store (List.init n (fun i -> (Printf.sprintf "key-%07d" i, "v"))) in
+    let side tag fs = Pmap.update base (List.map (fun f -> Pmap.Put (Pmap.binding (key f) tag)) fs) in
+    let ours = side "ours" [ 0.1; 0.3; 0.5; 0.7; 0.9 ]
+    and theirs = side "theirs" [ 0.2; 0.4; 0.6; 0.8; 0.95 ] in
+    Fb_postree.Node_cache.set_capacity_all 0;
+    Fun.protect ~finally:(fun () ->
+        Fb_postree.Node_cache.set_capacity_all Fb_postree.Node_cache.default_capacity)
+    @@ fun () ->
+    let s0 = Store.stats store in
+    (match Pmap.merge ~base ~ours ~theirs () with
+     | Ok _ -> ()
+     | Error _ -> Alcotest.fail "conflict");
+    let s1 = Store.stats store in
+    (Pmap.height base, s1.Store.gets - s0.Store.gets, s1.Store.puts - s0.Store.puts)
+  in
+  let h50, gets50, puts50 = traffic 50_000 and h200, gets200, puts200 = traffic 200_000 in
+  check bool_ "one level apart" true (h200 = h50 + 1);
+  (* Slack: one read per changed path (2k of them) and one put per edit
+     (k) for the extra level. *)
+  check bool_ (Printf.sprintf "reads %d ~ %d" gets50 gets200) true (abs (gets200 - gets50) <= 10);
+  check bool_ (Printf.sprintf "puts %d ~ %d" puts50 puts200) true (abs (puts200 - puts50) <= 5)
 
 (* ---------------- validation / corruption ---------------- *)
 
@@ -1782,7 +2027,8 @@ let qcheck_cases =
 let suite =
   List.map QCheck_alcotest.to_alcotest
     (qcheck_cases
-     @ [ merge_oracle_property; node_cache_model_property; diff_oracle_property ])
+     @ [ merge_oracle_property; assembler_property; node_cache_model_property;
+         diff_oracle_property ])
   @ [ Alcotest.test_case "empty tree" `Quick test_empty;
       Alcotest.test_case "build and find" `Quick test_build_and_find;
       Alcotest.test_case "single entry" `Quick test_single_entry;
@@ -1794,6 +2040,12 @@ let suite =
       Alcotest.test_case "update empty edits" `Quick test_update_empty_edits;
       Alcotest.test_case "update to empty" `Quick test_update_to_empty;
       Alcotest.test_case "update from empty" `Quick test_update_from_empty;
+      Alcotest.test_case "merge follows the changed paths" `Quick
+        test_merge_follows_changes;
+      Alcotest.test_case "update = build around level-1 nodes" `Quick
+        test_update_around_level1_nodes;
+      Alcotest.test_case "merge past a truncated side's last leaf" `Quick
+        test_merge_past_a_truncated_side;
       Alcotest.test_case "update localized writes" `Slow
         test_update_localized_writes;
       Alcotest.test_case "to_seq lazy" `Quick test_to_seq_lazy;
