@@ -715,64 +715,7 @@ let run_ablation () =
     "point puts: %.0f ops/s (each creating a tamper-evident version's worth \
      of chunks)\nlookups:    %.0f ops/s\n"
     (1000.0 *. float_of_int updates /. put_ms)
-    (1000.0 *. float_of_int reads /. get_ms);
-  header
-    "ABLATION 4: secondary index vs table scan (equality lookups on a\n\
-     non-key column; index maintained incrementally from table diffs)";
-  let rows = 100_000 in
-  let store4 = Mem_store.create () in
-  let schema =
-    Fb_types.Schema.v_exn
-      [ { Fb_types.Schema.name = "id"; ty = Fb_types.Schema.T_int };
-        { Fb_types.Schema.name = "city"; ty = Fb_types.Schema.T_string };
-        { Fb_types.Schema.name = "qty"; ty = Fb_types.Schema.T_int } ]
-  in
-  let mk_row i =
-    [ Fb_types.Primitive.Int (Int64.of_int i);
-      Fb_types.Primitive.String (Printf.sprintf "city%03d" (i mod 500));
-      Fb_types.Primitive.Int (Int64.of_int (i mod 97)) ]
-  in
-  let table =
-    match
-      Table.insert_many (Table.create store4 schema) (List.init rows mk_row)
-    with
-    | Ok t -> t
-    | Error e -> failwith e
-  in
-  let idx, build_ms =
-    time_ms (fun () ->
-        match Fb_types.Table_index.build table ~column:"city" with
-        | Ok idx -> idx
-        | Error e -> failwith e)
-  in
-  let target = Fb_types.Primitive.String "city123" in
-  let via_index, idx_ms =
-    time_ms (fun () -> Fb_types.Table_index.lookup idx table target)
-  in
-  let via_scan, scan_ms =
-    time_ms (fun () ->
-        Table.select table (fun row ->
-            Fb_types.Primitive.equal (List.nth row 1) target))
-  in
-  assert (List.length via_index = List.length via_scan);
-  Printf.printf
-    "%d rows, 500 distinct cities; index build %.0f ms\n\
-     equality lookup (%d matches): index %.3f ms vs scan %.1f ms (%.0fx)\n"
-    rows build_ms (List.length via_index) idx_ms scan_ms (scan_ms /. idx_ms);
-  let table2 =
-    match Table.insert table (mk_row 42) with
-    | Ok t -> t
-    | Error e -> failwith e
-  in
-  let _, maint_ms =
-    time_ms (fun () ->
-        match Table.diff table table2 with
-        | Ok changes ->
-          ignore (Fb_types.Table_index.apply_changes idx table2 changes)
-        | Error e -> failwith e)
-  in
-  Printf.printf
-    "incremental index maintenance after one row upsert: %.2f ms\n" maint_ms
+    (1000.0 *. float_of_int reads /. get_ms)
 
 (* ------------------------------------------------------------------ *)
 (* Storage-tier ablation: wrapper costs and benefits.                 *)
@@ -1510,9 +1453,13 @@ let run_hotpath ?(quick = false) () =
   (* The fbperf dataset table (5,000 rows x 6 word columns; seed 3's first).
      The export must be the generated document byte for byte, and must
      re-import to the same table. *)
-  let doc =
-    Csvgen.generate { Csvgen.rows = 5_000; string_columns = 6; int_columns = 0; seed = 48L }
+  let header, data =
+    match Csvgen.generate_rows { Csvgen.rows = 5_000; string_columns = 6; int_columns = 0; seed = 48L } with
+    | h :: d -> (h, d)
+    | [] -> assert false
   in
+  let render rows = Csv.render (header :: rows) in
+  let doc = render data in
   let csv_store = Mem_store.create () in
   let imported r = match r with Ok t -> t | Error e -> failwith ("csv import: " ^ e) in
   let root t = Value.descriptor (Value.Table t) in
@@ -1546,12 +1493,64 @@ let run_hotpath ?(quick = false) () =
         ("export", (fun () -> ignore (Csv_ref.to_csv table)),
          fun () -> ignore (Table.to_csv table)) ]
   in
-  let fb = FB.create (Mem_store.create ()) in
-  let fb_import_ms = median_ms (fun () -> ok_fb (FB.import_csv fb ~key:"t" doc)) in
   Printf.printf
-    "(%d bytes, medians of %d; ref = the two-pass code the tests keep as their \
-     oracle)\nForkbase.import_csv (import + commit): %.2f ms\n"
-    (String.length doc) csv_reps fb_import_ms;
+    "(%d bytes, medians of %d; ref = the two-pass code the tests keep as their oracle)\n"
+    (String.length doc) csv_reps;
+  (* Forkbase.import_csv (import + commit) of the same rows three ways:
+     into a fresh key; onto a head holding the table with 8 rows edited
+     (fbperf dataset's put-csv); and onto a head sharing no key with it
+     (a full replacement).  The last two alternate between two documents,
+     so every import differs from its head. *)
+  let edited =
+    render
+      (List.mapi
+         (fun i r ->
+           if i mod 311 = 7 && i < 2_400 then
+             List.mapi (fun j c -> if j = 1 + (i mod 6) then Printf.sprintf "upd-%d" i else c) r
+           else r)
+         data)
+  in
+  let disjoint = render (List.map (fun r -> ("x" ^ List.hd r) :: List.tl r) data) in
+  let fb = FB.create (Mem_store.create ()) in
+  let import key doc = ok_fb (FB.import_csv fb ~key doc) in
+  let value key = Value.descriptor (ok_fb (FB.get fb ~key)) in
+  List.iter
+    (fun (label, doc) ->
+      ignore (import ("onto-" ^ label) doc);
+      ignore (import ("onto-" ^ label) doc);
+      ignore (import ("fresh-" ^ label) doc);
+      if not (String.equal (value ("onto-" ^ label)) (value ("fresh-" ^ label))) then
+        failwith ("csv: an import onto a head (" ^ label ^ ") gives another table than a fresh one"))
+    [ ("edited", edited); ("disjoint", disjoint) ];
+  let alternating key other =
+    let flip = ref false in
+    ignore (import key doc);
+    fun () ->
+      flip := not !flip;
+      import key (if !flip then other else doc)
+  in
+  let fresh = ref 0 in
+  let imports =
+    [ ("fresh", fun () -> incr fresh; import (Printf.sprintf "new-%d" !fresh) doc);
+      ("onto_head", alternating "h" edited);
+      ("replace", alternating "r" disjoint) ]
+  in
+  (* The three run in turn within each repetition, so that a slow phase of
+     the host slows all three alike and their ratios hold. *)
+  List.iter (fun (_, f) -> ignore (f ())) imports;
+  Gc.full_major ();
+  let reps = List.init csv_reps (fun _ -> List.map (fun (_, f) -> snd (time_ms f)) imports) in
+  let import_rows =
+    List.mapi
+      (fun i (label, _) ->
+        let ms = List.nth (List.sort compare (List.map (fun r -> List.nth r i) reps)) (csv_reps / 2) in
+        Printf.printf "Forkbase.import_csv %-28s %8.2f ms\n" label ms;
+        (label, ms))
+      imports
+  in
+  let import_ms label = List.assoc label import_rows in
+  Printf.printf "onto a head with 8 rows edited: %.2fx the fresh import's speed; full replacement %.2fx its time\n"
+    (import_ms "fresh" /. import_ms "onto_head") (import_ms "replace" /. import_ms "fresh");
   (* --- 6. varint decoding allocates nothing --- *)
   let varints = 100_000 in
   let vbuf =
@@ -1663,7 +1662,7 @@ let run_hotpath ?(quick = false) () =
          \"diff_ms\":%.3f,\"merge_ms\":%.3f},\n\
         \  \"lookup_p50_speedup\":%.2f},\n\
          \"csv\":{\"rows\":5000,\"bytes\":%d,\"reps\":%d,%s,\
-         \"forkbase_import_csv_ms\":%.2f},\n\
+         \"forkbase_import_csv_ms\":{%s}},\n\
          \"read_varint_minor_words\":%.2f,\n\
          \"edit\":{\"records\":%d,\"reps\":%d,%s,\
          \"merge_gets\":%d,\"merge_puts\":%d}}\n"
@@ -1698,7 +1697,9 @@ let run_hotpath ?(quick = false) () =
                    \"speedup\":%.2f}"
                   label ref_ms new_ms (doc_mb ref_ms) (doc_mb new_ms) (ref_ms /. new_ms))
               csv_rows))
-        fb_import_ms words_per_varint records edit_reps
+        (String.concat ","
+           (List.map (fun (label, ms) -> Printf.sprintf "\"%s\":%.2f" label ms) import_rows))
+        words_per_varint records edit_reps
         (String.concat ","
            (List.map
               (fun (label, (p50, q1, q3)) ->

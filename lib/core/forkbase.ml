@@ -657,12 +657,24 @@ let export_csv ?user ?branch t ~key =
   let* table = get_table ?user ?branch t ~key in
   Ok (Table.to_csv table)
 
-let import_csv ?user ?message ?branch ?key_column t ~key content =
+(* Write is checked before the document is scanned, so a refused import
+   stores nothing.  The rows of the branch head's table are the base the
+   import is written against: only the leaves holding changed rows are
+   re-chunked.  The base is a hint read before [put] takes the head, so a
+   head that moves in between, or holds no table, changes only the work. *)
+let import_csv ?(user = default_user) ?message ?(branch = Branch.default_branch)
+    ?key_column t ~key content =
   guard @@ fun () ->
-  match Table.of_csv t.store ?key_column content with
+  let* () = check t ~user ~key ~branch Acl.Write in
+  let base =
+    Option.bind (Branch.head t.branches ~key ~branch) (fun uid ->
+        match Result.bind (load_fnode t uid) (value_of_fnode t) with
+        | Ok value -> Option.map Table.rows_map (Value.to_table value)
+        | Error _ -> None)
+  in
+  match Table.of_csv t.store ?key_column ?base content with
   | Error e -> Error (Errors.Invalid e)
-  | Ok table ->
-    put ?user ?message ?branch t ~key (Value.Table table)
+  | Ok table -> put ~user ?message ~branch t ~key (Value.Table table)
 
 type row_event = {
   version : uid;

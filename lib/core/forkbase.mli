@@ -257,7 +257,11 @@ val export_csv :
 val import_csv :
   ?user:string -> ?message:string -> ?branch:string -> ?key_column:int ->
   t -> key:string -> string -> (uid, Errors.t) result
-(** Parse CSV (header + rows) into a table value and Put it. *)
+(** Parse CSV (header + rows) into a table value and Put it.  Write is
+    checked first: a refused import stores nothing.  The table is written
+    against the rows of the branch head's table, when it holds one, so a
+    new version re-chunks only the leaves holding changed rows; the value
+    put depends on the document alone. *)
 
 (** {1 Verification (paper §III-C)} *)
 

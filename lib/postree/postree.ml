@@ -167,6 +167,7 @@ module Make (E : ENTRY) = struct
   let kind_label = Chunk.kind_to_string leaf_kind
   let span_build = "postree.build(" ^ kind_label ^ ")"
   let span_update = "postree.update(" ^ kind_label ^ ")"
+  let span_replace = "postree.replace(" ^ kind_label ^ ")"
   let span_find = "postree.find(" ^ kind_label ^ ")"
   let span_diff = "postree.diff(" ^ kind_label ^ ")"
   let span_merge = "postree.merge(" ^ kind_label ^ ")"
@@ -737,6 +738,72 @@ module Make (E : ENTRY) = struct
 
   let insert t e = update t [ Put e ]
   let remove t k = update t [ Remove k ]
+
+  (* ---------------- replace ---------------- *)
+
+  (* What a subtree of the old tree becomes in the new one: itself, the new
+     entries in its key range (a leaf that changed), or a plan per child. *)
+  type plan = Same | Entries of E.t list | Children of (index_entry * plan) list
+
+  (* [es] cut after the last entry whose key is at most [hi] ([None]: no
+     bound): those entries in order, their count, and the rest. *)
+  let rec upto hi acc n = function
+    | e :: rest
+      when (match hi with None -> true | Some k -> String.compare (E.key e) k <= 0) ->
+      check_key (E.key e);
+      upto hi (e :: acc) (n + 1) rest
+    | rest -> (List.rev acc, n, rest)
+
+  let rec same_entries olds news =
+    match olds, news with
+    | [], [] -> true
+    | o :: olds, e :: news -> equal_entry o e && same_entries olds news
+    | _ -> false
+
+  (* The merge-walk of the subtree [ie] of [src], [h] levels tall, against
+     the sorted entries [es]: each leaf takes the entries up to its split
+     key ([hi] for a node's last child) and is [Same] only when they are
+     its own entries, encoding for encoding.  A leaf whose count differs
+     is not read.  Returns the plan and the entries past the subtree. *)
+  let rec plan src h ie hi es =
+    if h = 1 then begin
+      let mine, n, rest = upto hi [] 0 es in
+      let same =
+        n = ie.count
+        && match node_at src 1 ie.child with Leaf olds -> same_entries olds mine | Index _ -> false
+      in
+      ((if same then Same else Entries mine), rest)
+    end
+    else
+      match node_at src h ie.child with
+      | Leaf _ -> corrupt "node %s is not at height %d" (Hash.to_hex ie.child) h
+      | Index ies ->
+        let rec go acc all_same es = function
+          | [] -> ((if all_same then Same else Children (List.rev acc)), es)
+          | c :: rest ->
+            let p, es = plan src (h - 1) c (if rest = [] then hi else Some c.split) es in
+            go ((c, p) :: acc) (all_same && p = Same) es rest
+        in
+        go [] true es ies
+
+  let rec write_plan a src h ie = function
+    | Same -> offer a src h ie
+    | Entries es -> List.iter (add a) es
+    | Children cs -> List.iter (fun (c, p) -> write_plan a src (h - 1) c p) cs
+
+  let replace t entries =
+    match t.root with
+    | None -> build t.store entries
+    | Some root ->
+      Obs.with_span span_replace @@ fun () ->
+      let ie = { (root_entry t root) with count = cardinal t } in
+      let src = { tree = t; last = ie.split } in
+      match plan src (height t) ie None (sort_dedup E.key entries) with
+      | Same, _ -> t
+      | p, _ ->
+        let a = assembler t.store in
+        write_plan a src (height t) ie p;
+        { t with root = finish a }
 
   (* ---------------- diff ---------------- *)
 

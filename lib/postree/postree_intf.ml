@@ -110,6 +110,15 @@ module type S = sig
       is reused by reference.  The result is bit-identical to [build] over
       the edited record set (structural invariance). *)
 
+  val replace : t -> entry list -> t
+  (** [replace t entries] is the tree [build (store t) entries] makes,
+      written as an update of [t]: one walk of [t]'s leaves against the
+      sorted, key-deduplicated entries finds the leaves whose entries
+      changed (a leaf whose count differs is not read), and only their
+      paths are re-chunked; every other subtree is reused by reference.
+      [t] only decides the work done, never the result.  For an empty [t]
+      this is [build]. *)
+
   val insert : t -> entry -> t
   val remove : t -> key -> t
 

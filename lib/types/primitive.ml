@@ -130,32 +130,6 @@ let add_csv buf src pos =
     Codec.pos r
   end
 
-(* Order-preserving byte encodings.  Ints: flip the sign bit so two's
-   complement order becomes unsigned byte order.  Floats: the classic IEEE
-   trick — positive values get their sign bit set, negative values are
-   bitwise-negated — which makes byte order match numeric order. *)
-let sortable_key p =
-  let b = Buffer.create 12 in
-  Buffer.add_uint8 b (rank p);
-  (match p with
-   | Null -> ()
-   | Bool v -> Buffer.add_uint8 b (if v then 1 else 0)
-   | Int v ->
-     let flipped = Int64.logxor v Int64.min_int in
-     Buffer.add_int64_be b flipped
-   | Float v ->
-     (* Normalize -0.0: Float.compare treats the zeros as equal, so their
-        sortable keys must coincide too. *)
-     let v = if v = 0.0 then 0.0 else v in
-     let bits = Int64.bits_of_float v in
-     let mapped =
-       if Int64.compare bits 0L < 0 then Int64.lognot bits
-       else Int64.logxor bits Int64.min_int
-     in
-     Buffer.add_int64_be b mapped
-   | String s -> Buffer.add_string b s);
-  Buffer.contents b
-
 let type_name = function
   | Null -> "null"
   | Bool _ -> "bool"

@@ -35,11 +35,5 @@ val add_csv : Buffer.t -> string -> int -> int
     [1e999] for infinity.
     @raise Fb_codec.Codec.Decode_error where {!decode} would. *)
 
-val sortable_key : t -> string
-(** An order-preserving byte rendering: comparing [sortable_key a] and
-    [sortable_key b] as strings agrees with {!compare} (for floats, modulo
-    NaN, which sorts above every number here).  Used to key secondary
-    indexes so that POS-Tree range scans deliver ordered column access. *)
-
 val type_name : t -> string
 val pp : Format.formatter -> t -> unit

@@ -398,10 +398,12 @@ let retype ~key_column ~header rows =
    joined into its column's type and encoded into its row there.  A row's
    encoding opens with the header's width, the count of every row that is
    not ragged; a ragged row only records the error.  Keys that arrive in
-   increasing order skip [Pmap.build]'s sort.  The errors keep the order of a validate-first import: CSV
-   syntax, the schema, the first ragged row, a null key, then a key over
-   the POS-Tree limit (from the build). *)
-let of_csv store ?(key_column = 0) content =
+   increasing order skip [Pmap.build]'s sort.  The rows are written as a
+   [Pmap.replace] of [base] (in [store]; otherwise the empty tree), which
+   changes the work done but never the result.  The errors keep the order
+   of a validate-first import: CSV syntax, the schema, the first ragged
+   row, a null key, then a key over the POS-Tree limit (from the build). *)
+let of_csv store ?(key_column = 0) ?base content =
   let header = ref [] and lines = ref 0 and width = ref 0 and tys = ref [||] in
   let enc = ref (Codec.writer ()) and cells = ref 0 and key = ref Primitive.Null in
   let ragged = ref None and null_key = ref false in
@@ -452,7 +454,12 @@ let of_csv store ?(key_column = 0) content =
       | None ->
         built (fun () ->
             let parsed = List.rev !rows in
-            let rows = Pmap.build store parsed in
+            let base =
+              match base with
+              | Some b when Pmap.store b == store -> b
+              | _ -> Pmap.empty store
+            in
+            let rows = Pmap.replace base parsed in
             if Pmap.cardinal rows = List.length parsed then { schema; rows }
             else { schema = retype ~key_column ~header:!header rows; rows })))
 

@@ -110,13 +110,19 @@ val group_by :
 (** {1 CSV} *)
 
 val of_csv :
-  Fb_chunk.Store.t -> ?key_column:int -> string -> (t, string) result
+  Fb_chunk.Store.t -> ?key_column:int -> ?base:Fb_postree.Pmap.t -> string ->
+  (t, string) result
 (** First row is the header; cells are typed by {!Primitive.parse} and
     column types joined by {!Schema.join_cell}.  The key is the key
     cell's {!Primitive.to_string} ([007] gives key [7]); among rows with
     one key the last wins.  Errors, first found first: CSV syntax, the
     schema (duplicate names, key column), the first ragged row, a null
-    key, a key over the POS-Tree limit. *)
+    key, a key over the POS-Tree limit.
+
+    The rows are written as {!Fb_postree.Pmap.replace} of [base] (a
+    table's rows in the same store, say the previous version's), so only
+    the leaves holding changed rows are re-chunked.  [base] is a hint: the
+    rows, schema and errors depend on the document alone. *)
 
 val to_csv : t -> string
 (** Header plus one line per row, in key order, rendered from the encoded

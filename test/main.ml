@@ -14,7 +14,6 @@ let () =
       ("service", Test_service.suite);
       ("sharded", Test_sharded.suite);
       ("pack", Test_pack.suite);
-      ("index", Test_index.suite);
       ("proof", Test_proof.suite);
       ("json", Test_json.suite);
       ("persistent", Test_persistent.suite);

@@ -632,6 +632,71 @@ let test_acl_wildcards_and_default () =
     (Acl.allowed acl ~user:"anyone" ~key:"k" ~branch:"b" Acl.Write);
   check int_ "grants listed" 1 (List.length (Acl.grants acl))
 
+(* Write is checked before the document is scanned: a refused import,
+   onto an existing table, writes no chunk, in process or through the
+   put-csv verb. *)
+let test_refused_import_writes_nothing () =
+  let acl = Acl.create () in
+  Acl.grant acl ~user:"alice" ~key:"*" ~branch:"*" Acl.Admin;
+  Acl.grant acl ~user:"bob" ~key:"ds" ~branch:"*" Acl.Read;
+  let store = Mem_store.create () in
+  let fb = FB.create ~acl store in
+  ignore (ok (FB.import_csv ~user:"alice" fb ~key:"ds" "id,v\n1,a\n2,b\n"));
+  let ids () =
+    let l = ref [] in
+    Store.ids store (fun h -> l := h :: !l);
+    List.sort Hash.compare !l
+  in
+  let before = ids () in
+  (match FB.import_csv ~user:"bob" fb ~key:"ds" "id,v\n1,a\n2,B\n3,c\n" with
+   | Error (Errors.Permission_denied _) -> ()
+   | _ -> Alcotest.fail "bob imported");
+  check bool_ "in process: no chunk written" true (ids () = before);
+  let resp =
+    Fb_core.Service.handle ~user:"bob" fb "PUT-CSV ds master \"id,v\n1,a\n2,B\n3,c\n\""
+  in
+  check bool_ ("refused: " ^ resp) true (String.starts_with ~prefix:"ERR" resp);
+  check bool_ "put-csv: no chunk written" true (ids () = before)
+
+(* An import is written against the rows of the branch head's table, but
+   the value it puts depends on the document alone: onto a head holding a
+   string, a map, a table of another schema, an earlier version of the
+   table or a freshly forked one, it gives the value an import into a
+   fresh key gives. *)
+let test_import_onto_any_head () =
+  let fb = fresh () in
+  let header, data =
+    match
+      Fb_workload.Csvgen.generate_rows
+        { Fb_workload.Csvgen.rows = 3_000; string_columns = 3; int_columns = 1; seed = 9L }
+    with
+    | h :: d -> (h, d)
+    | [] -> assert false
+  in
+  let render rows = Fb_types.Csv.render (header :: rows) in
+  let edited =
+    render (List.mapi (fun i r -> if i mod 400 = 3 then List.mapi (fun j c -> if j = 1 then c ^ "!" else c) r else r) data)
+  in
+  let value key = Value.descriptor (ok (FB.get fb ~key)) in
+  ignore (ok (FB.import_csv fb ~key:"fresh" edited));
+  ignore (ok (FB.put fb ~key:"string" (Value.string "not a table")));
+  ignore
+    (ok (FB.put fb ~key:"map"
+           (Value.map_of_bindings (FB.store fb) (List.map (fun r -> (List.hd r, "v")) data))));
+  ignore
+    (ok (FB.import_csv fb ~key:"schema"
+           (Fb_types.Csv.render ([ "id"; "x" ] :: List.map (fun r -> [ List.hd r; "x" ]) data))));
+  ignore (ok (FB.import_csv fb ~key:"earlier" (render data)));
+  ignore (ok (FB.import_csv fb ~key:"forked" (render data)));
+  ignore (ok (FB.fork fb ~key:"forked" ~new_branch:"dev"));
+  List.iter
+    (fun (key, branch) ->
+      ignore (ok (FB.import_csv fb ~key ~branch edited));
+      let got = Value.descriptor (ok (FB.get fb ~key ~branch)) in
+      check bool_ (key ^ ": the fresh import's value") true (String.equal got (value "fresh")))
+    [ ("string", "master"); ("map", "master"); ("schema", "master"); ("earlier", "master");
+      ("forked", "dev") ]
+
 (* ---------------- diffview rendering ---------------- *)
 
 let test_diffview_primitives_and_types () =
@@ -803,6 +868,9 @@ let suite =
     Alcotest.test_case "stats and gc" `Quick test_stats_and_gc;
     Alcotest.test_case "acl levels" `Quick test_acl_levels;
     Alcotest.test_case "acl enforcement" `Quick test_acl_enforcement;
+    Alcotest.test_case "refused import writes nothing" `Quick
+      test_refused_import_writes_nothing;
+    Alcotest.test_case "import onto any head" `Quick test_import_onto_any_head;
     Alcotest.test_case "acl wildcards/default" `Quick
       test_acl_wildcards_and_default;
     Alcotest.test_case "diffview primitives/types" `Quick

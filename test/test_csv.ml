@@ -129,6 +129,34 @@ let prop_roundtrip =
         | Error e -> QCheck.Test.fail_reportf "re-import: %s" e
         | Ok t' -> String.equal (root t) (root t')))
 
+(* The rows an import is written against change only the work: for any
+   document (duplicate keys and errors included), with a base of the
+   document's own rows, another document's, a wider table's or a superset
+   of its own, the import gives the rows root, schema and error text of
+   an import without one. *)
+let wide_doc = "id,a,b,c,d,e,f\nk1,1,2,3,4,5,6\nk3,x,y,z,,,\n7,1.5,,,true,,\n"
+
+let prop_base =
+  QCheck.Test.make ~name:"csv: an import's base changes only the work" ~count:300
+    (QCheck.pair arb_doc arb_doc) (fun (doc, other) ->
+      let store = Mem_store.create () in
+      let rows d = Result.to_list (Result.map Table.rows_map (Table.of_csv store d)) in
+      let superset r =
+        Pmap.update r
+          (List.map
+             (fun k -> Pmap.Put (Pmap.binding k (Table.encode_row [ Primitive.String k ])))
+             [ "k0"; "k20"; "zz" ])
+      in
+      let own = rows doc in
+      let want = Table.of_csv store doc in
+      List.for_all
+        (fun base ->
+          match want, Table.of_csv store ~base doc with
+          | Ok t, Ok t' -> String.equal (root t) (root t') || QCheck.Test.fail_report "roots differ"
+          | Error e, Error e' -> String.equal e e' || QCheck.Test.fail_reportf "%s, then %s" e e'
+          | a, b -> QCheck.Test.fail_reportf "without a base %s, with %s" (show a) (show b))
+        (own @ rows other @ rows wide_doc @ List.map superset own))
+
 (* ---------------- fixed cases ---------------- *)
 
 let import store doc =
@@ -219,7 +247,8 @@ let test_corrupt_row () =
   check string_ "two-byte length" long (Table.to_csv (import store long))
 
 let suite =
-  List.map QCheck_alcotest.to_alcotest [ prop_parse; prop_import; prop_export; prop_roundtrip ]
+  List.map QCheck_alcotest.to_alcotest
+    [ prop_parse; prop_import; prop_export; prop_roundtrip; prop_base ]
   @ [ Alcotest.test_case "float spelling" `Quick test_float_spelling;
       Alcotest.test_case "keys" `Quick test_keys;
       Alcotest.test_case "replaced rows type nothing" `Quick test_replaced_rows;

@@ -710,16 +710,14 @@ let model_bindings base edits =
    the merge (theirs read from a second store with [second_store]) the
    reference's result, conflicts and resolver calls, and [build]'s root
    over the model's merged records, in ours' store. *)
-let check_merge_case ?(shape = plain) c =
+let check_merge_case ?(shape = plain) ?(replace = false) c =
   let store = Mem_store.create () in
   let fail fmt = Printf.ksprintf (fun s -> QCheck.Test.fail_report s) fmt in
   let base = merge_case_base ~shape store c in
   let ours = merge_case_side ~shape c base "o" c.ours_ops
   and theirs = merge_case_side ~shape c base "t" c.theirs_ops in
-  let built tag own =
-    Pmap.of_bindings store
-      (model_bindings (Pmap.bindings base) (merge_case_edits ~shape c tag own))
-  in
+  let records tag own = model_bindings (Pmap.bindings base) (merge_case_edits ~shape c tag own) in
+  let built tag own = Pmap.of_bindings store (records tag own) in
   if not (same_root ours (built "o" c.ours_ops)) then fail "update (ours) is not build's tree";
   if not (same_root theirs (built "t" c.theirs_ops)) then
     fail "update (theirs) is not build's tree";
@@ -729,6 +727,23 @@ let check_merge_case ?(shape = plain) c =
         c.theirs_ops
     else theirs
   in
+  (* [replace t es] = [build es] for every tree and record set, the empty
+     set and a set whose keys no tree holds (in reverse, so it is sorted)
+     included. *)
+  if replace then
+    List.iter
+      (fun (set, bs) ->
+        let want = Pmap.of_bindings store bs in
+        let es = List.map (fun (k, v) -> Pmap.binding k v) bs in
+        List.iter
+          (fun (tree, t) ->
+            if not (same_root (Pmap.replace t es) want) then
+              fail "replace %s by the %s records is not build's tree" tree set)
+          [ ("empty", Pmap.empty store); ("base", base); ("ours", ours);
+            ("theirs", theirs_merged) ])
+      [ ("no", []); ("base", Pmap.bindings base); ("ours", records "o" c.ours_ops);
+        ("theirs", records "t" c.theirs_ops);
+        ("disjoint", List.rev_map (fun (k, v) -> (k ^ "~", v)) (Pmap.bindings base)) ];
   let resolver =
     match c.resolver with
     | 1 -> Pmap.resolve_ours
@@ -805,14 +820,15 @@ let test_merge_theirs_in_second_store () =
 
 (* ---------------- the row assembler against build ----------------
 
-   [update] and [merge] write through the assembler, which passes whole
-   subtrees of their inputs through; [build] feeds it every entry.  Over
-   multi-level trees of every shape (41-byte keys, leaves ended by the
-   node size cap, sides of different heights, appends and edits at the
-   first key, removes that empty leaves, theirs in a second store), each
-   side's [update] must give [build]'s root over its records, and [merge]
-   the root of [build] over the model's merged records and the
-   reference's conflicts. *)
+   [update], [replace] and [merge] write through the assembler, which
+   passes whole subtrees of their inputs through; [build] feeds it every
+   entry.  Over multi-level trees of every shape (41-byte keys, leaves
+   ended by the node size cap, sides of different heights, appends and
+   edits at the first key, removes that empty leaves, theirs in a second
+   store), each side's [update] must give [build]'s root over its
+   records, [replace] of each tree by each side's records [build]'s root
+   over them, and [merge] the root of [build] over the model's merged
+   records and the reference's conflicts. *)
 
 type shaped_case = { shape : shape; case : merge_case }
 
@@ -850,7 +866,7 @@ let pp_shaped_case { shape; case } =
 let assembler_property =
   QCheck.Test.make ~name:"pos-tree: update and merge = build (every shape)" ~count:25
     (QCheck.make ~print:pp_shaped_case gen_shaped_case)
-    (fun { shape; case } -> check_merge_case ~shape case)
+    (fun { shape; case } -> check_merge_case ~shape ~replace:true case)
 
 (* The subtrees of [t] one level above the leaves, left to right: in
    [node_hashes]' depth-first order, an index node followed by a leaf. *)
@@ -991,6 +1007,39 @@ let test_merge_follows_changes () =
      (k) for the extra level. *)
   check bool_ (Printf.sprintf "reads %d ~ %d" gets50 gets200) true (abs (gets200 - gets50) <= 10);
   check bool_ (Printf.sprintf "puts %d ~ %d" puts50 puts200) true (abs (puts200 - puts50) <= 5)
+
+(* [replace] by records that differ from the tree's in a few values
+   writes what [update] with those edits writes, the paths to the edited
+   leaves; by the tree's own records (shuffled) it writes nothing. *)
+let test_replace_writes_what_changed () =
+  let store = Mem_store.create () in
+  let bs = mk_bindings 50_000 in
+  let base = Pmap.of_bindings store bs in
+  let puts f =
+    let s0 = (Store.stats store).Store.puts in
+    let t = f () in
+    (t, (Store.stats store).Store.puts - s0)
+  in
+  let edit i v = if i mod 10_000 = 7 then v ^ "!" else v in
+  let by_update, update_puts =
+    puts (fun () ->
+        Pmap.update base
+          (List.concat
+             (List.mapi
+                (fun i (k, v) -> if edit i v = v then [] else [ Pmap.Put (Pmap.binding k (edit i v)) ])
+                bs)))
+  in
+  let by_replace, replace_puts =
+    puts (fun () -> Pmap.replace base (List.mapi (fun i (k, v) -> Pmap.binding k (edit i v)) bs))
+  in
+  check bool_ "replace = update" true (same_root by_replace by_update);
+  check int_ "the same puts as update" update_puts replace_puts;
+  check bool_ (Printf.sprintf "%d puts for 5 edits" replace_puts) true (replace_puts <= 5 * Pmap.height base);
+  let same, same_puts =
+    puts (fun () -> Pmap.replace base (List.map (fun (k, v) -> Pmap.binding k v) (shuffle bs)))
+  in
+  check bool_ "own records: same root" true (same_root same base);
+  check int_ "own records: no puts" 0 same_puts
 
 (* ---------------- validation / corruption ---------------- *)
 
@@ -2040,6 +2089,7 @@ let suite =
       Alcotest.test_case "update empty edits" `Quick test_update_empty_edits;
       Alcotest.test_case "update to empty" `Quick test_update_to_empty;
       Alcotest.test_case "update from empty" `Quick test_update_from_empty;
+      Alcotest.test_case "replace writes what changed" `Quick test_replace_writes_what_changed;
       Alcotest.test_case "merge follows the changed paths" `Quick
         test_merge_follows_changes;
       Alcotest.test_case "update = build around level-1 nodes" `Quick

@@ -371,6 +371,69 @@ let test_value_roots () =
   check bool_ "bad descriptor" true
     (Result.is_error (Value.roots_of_descriptor "\xff\xffgarbage"))
 
+(* ---------------- group_by ---------------- *)
+
+let city_table () =
+  let schema =
+    Schema.v_exn [ col "id" Schema.T_int; col "city" Schema.T_string; col "pop" Schema.T_int ]
+  in
+  let row id city pop =
+    [ Primitive.Int (Int64.of_int id); Primitive.String city; Primitive.Int (Int64.of_int pop) ]
+  in
+  List.fold_left Table.insert_exn
+    (Table.create (Mem_store.create ()) schema)
+    [ row 1 "tokyo" 37; row 2 "delhi" 29; row 3 "tokyo" 37;
+      row 4 "shanghai" 26; row 5 "delhi" 31; row 6 "osaka" 19 ]
+
+let test_group_by () =
+  let t = city_table () in
+  match
+    Table.group_by t ~by:"city"
+      ~targets:[ ("pop", Table.Sum); ("pop", Table.Count); ("pop", Table.Max) ]
+  with
+  | Error e -> Alcotest.fail e
+  | Ok groups ->
+    check int_ "group count" 4 (List.length groups);
+    let find city = List.assoc (Primitive.String city) groups in
+    check bool_ "tokyo sum" true
+      (find "tokyo" = [ Primitive.Int 74L; Primitive.Int 2L; Primitive.Int 37L ]);
+    check bool_ "delhi sum" true
+      (find "delhi" = [ Primitive.Int 60L; Primitive.Int 2L; Primitive.Int 31L ]);
+    check bool_ "groups sorted" true
+      (List.map fst groups
+       = List.sort Primitive.compare (List.map fst groups))
+
+let test_group_by_avg_and_nulls () =
+  let store = Mem_store.create () in
+  let s = Schema.v_exn [ col "id" Schema.T_int; col "g" Schema.T_string; col "v" Schema.T_float ] in
+  let t = Table.create store s in
+  let mk id g v =
+    [ Primitive.Int (Int64.of_int id); Primitive.String g; v ]
+  in
+  let t =
+    List.fold_left Table.insert_exn t
+      [ mk 1 "a" (Primitive.Float 1.0); mk 2 "a" (Primitive.Float 2.0);
+        mk 3 "a" Primitive.Null; mk 4 "b" (Primitive.Float 10.0) ]
+  in
+  match Table.group_by t ~by:"g" ~targets:[ ("v", Table.Avg); ("v", Table.Count) ] with
+  | Error e -> Alcotest.fail e
+  | Ok groups ->
+    check bool_ "avg skips nulls" true
+      (List.assoc (Primitive.String "a") groups
+       = [ Primitive.Float 1.5; Primitive.Int 2L ]);
+    check bool_ "b avg" true
+      (List.assoc (Primitive.String "b") groups
+       = [ Primitive.Float 10.0; Primitive.Int 1L ])
+
+let test_group_by_errors () =
+  let t = city_table () in
+  check bool_ "unknown by" true
+    (Result.is_error (Table.group_by t ~by:"zz" ~targets:[]));
+  check bool_ "unknown target" true
+    (Result.is_error (Table.group_by t ~by:"city" ~targets:[ ("zz", Table.Sum) ]));
+  check bool_ "sum over strings" true
+    (Result.is_error (Table.group_by t ~by:"pop" ~targets:[ ("city", Table.Sum) ]))
+
 let qcheck_cases =
   let open QCheck in
   let cell = Gen.oneof [
@@ -421,4 +484,7 @@ let suite =
         test_value_table_descriptor;
       Alcotest.test_case "value content equality" `Quick
         test_value_equality_is_content;
-      Alcotest.test_case "value roots" `Quick test_value_roots ]
+      Alcotest.test_case "value roots" `Quick test_value_roots;
+      Alcotest.test_case "group_by" `Quick test_group_by;
+      Alcotest.test_case "group_by avg/nulls" `Quick test_group_by_avg_and_nulls;
+      Alcotest.test_case "group_by errors" `Quick test_group_by_errors ]

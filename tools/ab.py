@@ -19,7 +19,16 @@ error as it completes.
 
 The summary prints one row per workload and metric: the base and change
 medians with their quartiles, the relative change of the medians, and how many
-pairs the change won (direction from BENCHMARK.json's `better`).
+pairs the change won (direction from BENCHMARK.json's `better`).  A row whose
+change median is worse than its base median by more than the metric's `bound`
+in BENCHMARK.json is marked `BEYOND BOUND`.
+
+Before each pair a fixed Python loop is timed (the host-speed probe), so a
+slow host phase shows beside the pairs it slowed.  Every run appends one JSON
+line to BENCH_history.jsonl in the repository root: the base and change
+revisions (and whether the working tree was dirty), the host, `nproc`, the
+OCaml version, the seeds, each pair's probe, and each row's medians, quartiles
+and wins.
 
 The exit status is non-zero if any run failed, if any run reported failed
 operations, or if `space_amp`, `wire_kib_per_op` or the failed-operation count
@@ -38,11 +47,13 @@ legitimately move (`postree.*`, `chunk.gets_per_op`, `chunk.puts_per_op` and
 import argparse
 import json
 import os
+import platform
 import shutil
 import statistics
 import subprocess
 import sys
 import tempfile
+import time
 
 SECONDS = 20
 SAME_PER_SEED = ("space_amp", "wire_kib_per_op")
@@ -66,6 +77,23 @@ def quartiles(xs):
         return xs[0], xs[0]
     q = statistics.quantiles(xs, n=4, method="inclusive")
     return q[0], q[2]
+
+
+def probe_ms():
+    """Milliseconds a fixed pure-Python loop takes: the host's speed now."""
+    start = time.perf_counter()
+    acc = 0
+    for i in range(2_000_000):
+        acc = (acc + i * i) % 1_000_003
+    return round((time.perf_counter() - start) * 1000, 1)
+
+
+def output(cmd):
+    try:
+        return subprocess.run(cmd, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+                              text=True, check=True).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        return None
 
 
 def extract(rev, dest):
@@ -113,6 +141,8 @@ def main():
         bench = json.load(f)
     better = {m["name"]: m["better"]
               for m in bench["end_to_end"] + bench["per_layer"]}
+    bound = {m["name"]: m["bound"] for m in bench["end_to_end"] if "bound" in m}
+    probes = []
 
     scratch = tempfile.mkdtemp(prefix="fb-ab-")
     ok = True
@@ -130,6 +160,8 @@ def main():
             pairs = 0
             for i, seed in enumerate(seeds):
                 order = ("base", "change") if i % 2 == 0 else ("change", "base")
+                probe = probe_ms()
+                probes.append({"workload": workload, "seed": seed, "probe_ms": probe})
                 results = {side: run_once(sides[side], workload, seed, args.trace)
                            for side in order}
                 if any(r is None for r in results.values()):
@@ -168,24 +200,45 @@ def main():
                     f"{name} {b['metrics'][name]['value']:.4g}->"
                     f"{c['metrics'][name]['value']:.4g}"
                     for name in b["metrics"])
-                print(f"{workload} seed {seed} ({order[0]} first): {summary}",
-                      file=sys.stderr)
+                print(f"{workload} seed {seed} ({order[0]} first, probe {probe} ms): "
+                      f"{summary}", file=sys.stderr)
             for name in values["base"]:
                 bs, cs = values["base"][name], values["change"][name]
                 bm, cm = statistics.median(bs), statistics.median(cs)
+                worse = (cm - bm if better.get(name, "lower") == "lower" else bm - cm)
+                beyond = name in bound and bm != 0 and worse / abs(bm) > bound[name]
                 rows.append((workload, name, bm, quartiles(bs), cm, quartiles(cs),
                              (cm - bm) / bm * 100 if bm else 0.0,
-                             wins[name], pairs))
+                             wins[name], pairs, beyond))
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
 
     print("workload metric           base median [q1, q3]        "
           "change median [q1, q3]      delta  wins")
-    for workload, name, bm, (bl, bh), cm, (cl, ch), delta, won, pairs in rows:
+    for workload, name, bm, (bl, bh), cm, (cl, ch), delta, won, pairs, beyond in rows:
         base = f"{bm:.4g} [{bl:.4g}, {bh:.4g}]"
         change = f"{cm:.4g} [{cl:.4g}, {ch:.4g}]"
+        mark = "  BEYOND BOUND" if beyond else ""
         print(f"{workload:8s} {name:16s} {base:27s} {change:27s} "
-              f"{delta:+6.1f}%  {won}/{pairs}")
+              f"{delta:+6.1f}%  {won}/{pairs}{mark}")
+    record = {
+        "base": output(["git", "rev-parse", args.base]),
+        "change": output(["git", "rev-parse", "HEAD"]),
+        "dirty": bool(output(["git", "status", "--porcelain"])),
+        "host": platform.node(),
+        "nproc": os.cpu_count(),
+        "ocaml": output(["ocaml", "-vnum"]),
+        "trace": args.trace,
+        "seeds": seeds,
+        "probes": probes,
+        "rows": [{"workload": w, "metric": name,
+                  "base": {"median": bm, "q1": bl, "q3": bh},
+                  "change": {"median": cm, "q1": cl, "q3": ch},
+                  "wins": won, "pairs": pairs, "beyond_bound": beyond}
+                 for w, name, bm, (bl, bh), cm, (cl, ch), _, won, pairs, beyond in rows],
+    }
+    with open("BENCH_history.jsonl", "a") as f:
+        f.write(json.dumps(record) + "\n")
     return 0 if ok else 1
 
 
