@@ -26,9 +26,9 @@ in BENCHMARK.json is marked `BEYOND BOUND`.
 Before each pair a fixed Python loop is timed (the host-speed probe), so a
 slow host phase shows beside the pairs it slowed.  Every run appends one JSON
 line to BENCH_history.jsonl in the repository root: the base and change
-revisions (and whether the working tree was dirty), the host, `nproc`, the
-OCaml version, the seeds, each pair's probe, and each row's medians, quartiles
-and wins.
+revisions (and whether the working tree, this file aside, was dirty), the
+host, `nproc`, the OCaml version, the seeds, each pair's probe, and each row's
+medians, quartiles and wins.
 
 The exit status is non-zero if any run failed, if any run reported failed
 operations, or if `space_amp`, `wire_kib_per_op` or the failed-operation count
@@ -224,7 +224,8 @@ def main():
     record = {
         "base": output(["git", "rev-parse", args.base]),
         "change": output(["git", "rev-parse", "HEAD"]),
-        "dirty": bool(output(["git", "status", "--porcelain"])),
+        "dirty": bool(output(["git", "status", "--porcelain", "--", ".",
+                              ":!BENCH_history.jsonl"])),
         "host": platform.node(),
         "nproc": os.cpu_count(),
         "ocaml": output(["ocaml", "-vnum"]),
