@@ -90,7 +90,8 @@ ab:
 # CRC-32 kernel equivalence + cache on/off smoke + a generated CSV table
 # that must export byte for byte and re-import to the same table + a
 # varint decode that must allocate nothing + a 100k-record merge that must
-# give build's root), a
+# give build's root + a log read beside a busy OCaml thread that must cost
+# no more than 20x one alone), a
 # ~1-second network smoke (2
 # concurrent clients over loopback, asserts zero dropped/corrupt frames
 # and a clean shutdown), a ~1-second concurrency smoke (reader scaling,

@@ -1301,6 +1301,19 @@ let run_hotpath ?(quick = false) () =
     let rng = Prng.create seed in
     String.init n (fun _ -> Char.chr (Prng.next_int rng 256))
   in
+  (* [reps] timed runs of each of [fs] after a warm-up of each, the sides
+     taking turns within every repetition, so that a slow phase of the
+     host slows all sides alike and their ratios hold: each side's times
+     in ms, sorted. *)
+  let interleaved reps fs =
+    List.iter (fun f -> f ()) fs;
+    Gc.full_major ();
+    let runs = List.init reps (fun _ -> List.map (fun f -> snd (time_ms f)) fs) in
+    List.mapi
+      (fun i _ -> Array.of_list (List.sort compare (List.map (fun r -> List.nth r i) runs)))
+      fs
+  in
+  let quantile ts p = ts.(int_of_float (p *. float_of_int (Array.length ts - 1))) in
   (* --- 1. SHA-256: native and OCaml kernels vs the Int32 reference --- *)
   let ocaml_digest s =
     let ctx = Sha256.init_ocaml () in
@@ -1406,48 +1419,62 @@ let run_hotpath ?(quick = false) () =
   let tree2 = Pmap.put tree (Printf.sprintf "key-%08d" (n / 2)) "changed" in
   let ours = Pmap.put tree (Printf.sprintf "key-%08d" (n / 5)) "ours" in
   let theirs = Pmap.put tree (Printf.sprintf "key-%08d" (4 * n / 5)) "theirs" in
-  let bench_tree label =
-    let h = Obs.histogram ("bench.hotpath." ^ label) in
-    Obs.reset_histogram h;
-    let sweep ~record rng =
-      for _ = 1 to lookups do
-        let key = Printf.sprintf "key-%08d" (Prng.next_int rng n) in
-        if record then Obs.time h (fun () -> ignore (Pmap.find tree key))
-        else ignore (Pmap.find tree key)
-      done
-    in
-    (* Same warm pass in both configurations so they start steady-state. *)
-    sweep ~record:false (Prng.create 808L);
-    sweep ~record:true (Prng.create 808L);
-    let diff_res = ref [] in
-    let _, diff_ms =
-      time_ms (fun () ->
-          for _ = 1 to tree_reps do diff_res := Pmap.diff tree tree2 done)
-    in
-    assert (List.length !diff_res = 1);
-    let _, merge_ms =
-      time_ms (fun () ->
-          for _ = 1 to tree_reps do
-            match Pmap.merge ~base:tree ~ours ~theirs () with
-            | Ok _ -> ()
-            | Error _ -> failwith "unexpected conflict"
-          done)
-    in
+  (* Both configurations in turn within each repetition; each starts
+     from the same warm pass (lookups, diff and merge untimed). *)
+  let configs =
+    List.map
+      (fun (label, capacity) ->
+        let h = Obs.histogram ("bench.hotpath." ^ label) in
+        Obs.reset_histogram h;
+        (label, capacity, h))
+      [ ("node cache off", 0); ("node cache on", Node_cache.default_capacity) ]
+  in
+  let sweep ?h rng =
+    for _ = 1 to lookups do
+      let key = Printf.sprintf "key-%08d" (Prng.next_int rng n) in
+      match h with
+      | Some h -> Obs.time h (fun () -> ignore (Pmap.find tree key))
+      | None -> ignore (Pmap.find tree key)
+    done
+  in
+  let diff () =
+    let d = Pmap.diff tree tree2 in
+    assert (List.length d = 1)
+  in
+  let merge () =
+    match Pmap.merge ~base:tree ~ours ~theirs () with
+    | Ok _ -> ()
+    | Error _ -> failwith "unexpected conflict"
+  in
+  let diff_ms = Array.make 2 0.0 and merge_ms = Array.make 2 0.0 in
+  for _ = 1 to tree_reps do
+    List.iteri
+      (fun i (_, capacity, h) ->
+        Node_cache.set_capacity_all capacity;
+        sweep (Prng.create 808L);
+        diff ();
+        merge ();
+        sweep ~h (Prng.create 808L);
+        diff_ms.(i) <- diff_ms.(i) +. snd (time_ms diff);
+        merge_ms.(i) <- merge_ms.(i) +. snd (time_ms merge))
+      configs
+  done;
+  Node_cache.set_capacity_all Node_cache.default_capacity;
+  Printf.printf "\ntree ops on %d entries (%d lookups):\n" n lookups;
+  let tree_row i =
+    let label, _, h = List.nth configs i in
     let p50 = 1e6 *. Obs.quantile h 0.5
-    and p99 = 1e6 *. Obs.quantile h 0.99 in
-    let diff_ms = diff_ms /. float_of_int tree_reps
-    and merge_ms = merge_ms /. float_of_int tree_reps in
+    and p99 = 1e6 *. Obs.quantile h 0.99
+    and diff_ms = diff_ms.(i) /. float_of_int tree_reps
+    and merge_ms = merge_ms.(i) /. float_of_int tree_reps in
     Printf.printf
       "%-26s lookup p50 %6.2f us  p99 %6.2f us  diff %6.2f ms  merge %6.2f \
        ms\n"
       label p50 p99 diff_ms merge_ms;
     (p50, p99, diff_ms, merge_ms)
   in
-  Printf.printf "\ntree ops on %d entries (%d lookups):\n" n lookups;
-  Node_cache.set_capacity_all 0;
-  let off_p50, off_p99, off_diff, off_merge = bench_tree "node cache off" in
-  Node_cache.set_capacity_all Node_cache.default_capacity;
-  let on_p50, on_p99, on_diff, on_merge = bench_tree "node cache on" in
+  let off_p50, off_p99, off_diff, off_merge = tree_row 0 in
+  let on_p50, on_p99, on_diff, on_merge = tree_row 1 in
   Printf.printf "lookup p50 speedup with cache: %.2fx\n" (off_p50 /. on_p50);
   (* --- 5. CSV tables: one-pass import/export vs the two-pass reference --- *)
   (* The fbperf dataset table (5,000 rows x 6 word columns; seed 3's first).
@@ -1472,19 +1499,17 @@ let run_hotpath ?(quick = false) () =
   if not (String.equal (root (imported (Csv_ref.of_csv csv_store doc))) (root table)) then
     failwith "csv: the reference import gives another table";
   let csv_reps = if quick then 3 else 21 in
-  let median_ms f =
-    ignore (f ());
-    Gc.full_major ();
-    let ts = List.init csv_reps (fun _ -> snd (time_ms f)) in
-    List.nth (List.sort compare ts) (csv_reps / 2)
-  in
   let doc_mb ms = float_of_int (String.length doc) /. mb /. (ms /. 1000.0) in
   Printf.printf "\n%-18s %11s %11s %11s %11s %8s\n" "csv (5,000 x 6)" "ref ms" "ms" "ref MB/s"
     "MB/s" "speedup";
   let csv_rows =
     List.map
       (fun (label, ref_f, new_f) ->
-        let ref_ms = median_ms ref_f and new_ms = median_ms new_f in
+        let ref_ms, new_ms =
+          match interleaved csv_reps [ ref_f; new_f ] with
+          | [ r; n ] -> (quantile r 0.5, quantile n 0.5)
+          | _ -> assert false
+        in
         Printf.printf "%-18s %11.2f %11.2f %11.1f %11.1f %7.2fx\n" label ref_ms new_ms
           (doc_mb ref_ms) (doc_mb new_ms) (ref_ms /. new_ms);
         (label, ref_ms, new_ms))
@@ -1535,18 +1560,14 @@ let run_hotpath ?(quick = false) () =
       ("onto_head", alternating "h" edited);
       ("replace", alternating "r" disjoint) ]
   in
-  (* The three run in turn within each repetition, so that a slow phase of
-     the host slows all three alike and their ratios hold. *)
-  List.iter (fun (_, f) -> ignore (f ())) imports;
-  Gc.full_major ();
-  let reps = List.init csv_reps (fun _ -> List.map (fun (_, f) -> snd (time_ms f)) imports) in
   let import_rows =
-    List.mapi
-      (fun i (label, _) ->
-        let ms = List.nth (List.sort compare (List.map (fun r -> List.nth r i) reps)) (csv_reps / 2) in
+    List.map2
+      (fun (label, _) ts ->
+        let ms = quantile ts 0.5 in
         Printf.printf "Forkbase.import_csv %-28s %8.2f ms\n" label ms;
         (label, ms))
       imports
+      (interleaved csv_reps (List.map (fun (_, f) () -> ignore (f ())) imports))
   in
   let import_ms label = List.assoc label import_rows in
   Printf.printf "onto a head with 8 rows edited: %.2fx the fresh import's speed; full replacement %.2fx its time\n"
@@ -1622,21 +1643,16 @@ let run_hotpath ?(quick = false) () =
   in
   if not (Option.equal Hash.equal (Pmap.root merged) (Pmap.root rebuilt)) then
     failwith "edit: the merged root is not build's over the merged records";
-  (* Median and quartiles of [edit_reps] timed runs after a warm-up. *)
-  let spread f =
-    ignore (f ());
-    Gc.full_major ();
-    let ts = Array.of_list (List.sort compare (List.init edit_reps (fun _ -> snd (time_ms f)))) in
-    let q p = ts.(int_of_float (p *. float_of_int (edit_reps - 1))) in
-    (q 0.5, q 0.25, q 0.75)
-  in
   let s0 = Store.stats edit_store in
   ignore (merge ());
   let s1 = Store.stats edit_store in
   let merge_gets = s1.Store.gets - s0.Store.gets and merge_puts = s1.Store.puts - s0.Store.puts in
   let edit_rows =
-    [ ("update", spread (fun () -> Pmap.update map0 edits));
-      ("merge", spread merge) ]
+    List.map2
+      (fun label ts -> (label, (quantile ts 0.5, quantile ts 0.25, quantile ts 0.75)))
+      [ "update"; "merge" ]
+      (interleaved edit_reps
+         [ (fun () -> ignore (Pmap.update map0 edits)); (fun () -> ignore (merge ())) ])
   in
   Printf.printf
     "\nedits of a %d-record map (%d leaves, built in %.0f ms), ms over %d warmed runs:\n"
@@ -1647,6 +1663,77 @@ let run_hotpath ?(quick = false) () =
     edit_rows;
   Printf.printf "merge store traffic: %d gets, %d puts; merged root = build's\n" merge_gets
     merge_puts;
+  (* --- 8. log reads: a 2.4 KB page-cache read alone, beside a runnable
+     OCaml thread, and of a record just appended --- *)
+  (* A read that gives up the runtime lock beside a runnable thread waits
+     for that thread to hand it back; the log's first read keeps it.
+     Each figure is the median over batches of the mean us per read of a
+     batch, so a tick of the busy thread that lands in one batch moves no
+     median. *)
+  let module Log_store = Fb_chunk.Log_store in
+  let log_root =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "fb_bench_hotpath_log_%d" (Unix.getpid ()))
+  in
+  let rm_log () = ignore (Sys.command ("rm -rf " ^ Filename.quote log_root)) in
+  rm_log ();
+  let log =
+    Log_store.create ~config:{ Log_store.default_config with fsync = false } ~root:log_root ()
+  in
+  let ls = Log_store.store log in
+  let record i =
+    Fb_chunk.Chunk.v Fb_chunk.Chunk.Leaf_blob (rand_string (Int64.of_int (7_000 + i)) 2_400)
+  in
+  let held = 256 in
+  let held_ids = Array.init held (fun i -> Store.put ls (record i)) in
+  Log_store.sync log;
+  let batch = 16 and batches = if quick then 15 else 61 in
+  let read_us targets =
+    let rng = Prng.create 0x10aL in
+    let once () =
+      let ids = targets rng in
+      let t0 = Unix.gettimeofday () in
+      List.iter
+        (fun id -> if ls.Store.get_raw id = None then failwith "log read: a record is missing")
+        ids;
+      (Unix.gettimeofday () -. t0) *. 1e6 /. float_of_int batch
+    in
+    ignore (once ());
+    quantile (Array.of_list (List.sort compare (List.init batches (fun _ -> once ())))) 0.5
+  in
+  let cached rng = List.init batch (fun _ -> held_ids.(Prng.next_int rng held)) in
+  let appended = ref held in
+  let just_appended _ =
+    List.init batch (fun _ ->
+        incr appended;
+        Store.put ls (record !appended))
+  in
+  let fallbacks = Obs.counter "fb.log.read_fallbacks" in
+  let f0 = Obs.counter_value fallbacks in
+  let alone_us = read_us cached in
+  let fast_reads = Obs.counter_value fallbacks - f0 < batch * batches in
+  let beside_us =
+    let stop = Atomic.make false in
+    let busy = Thread.create (fun () -> while not (Atomic.get stop) do () done) () in
+    Fun.protect
+      ~finally:(fun () ->
+        Atomic.set stop true;
+        Thread.join busy)
+      (fun () -> read_us cached)
+  in
+  let fresh_us = read_us just_appended in
+  Log_store.close log;
+  rm_log ();
+  Printf.printf
+    "\nlog read of 2.4 KB from the page cache: alone %.2f us, beside a runnable thread %.2f us \
+     (%.1fx), just appended %.2f us\n"
+    alone_us beside_us (beside_us /. alone_us) fresh_us;
+  if not fast_reads then
+    Printf.printf "(no nonblocking read here: every read fell back; the beside-thread gate is off)\n"
+  else if beside_us > 20.0 *. alone_us then
+    failwith
+      (Printf.sprintf "a log read beside a runnable thread costs %.0fx one alone (gate: 20x)"
+         (beside_us /. alone_us));
   if not quick then begin
     let json =
       Printf.sprintf
@@ -1665,7 +1752,9 @@ let run_hotpath ?(quick = false) () =
          \"forkbase_import_csv_ms\":{%s}},\n\
          \"read_varint_minor_words\":%.2f,\n\
          \"edit\":{\"records\":%d,\"reps\":%d,%s,\
-         \"merge_gets\":%d,\"merge_puts\":%d}}\n"
+         \"merge_gets\":%d,\"merge_puts\":%d},\n\
+         \"log_read_us\":{\"bytes\":2400,\"alone\":%.2f,\"beside_thread\":%.2f,\
+         \"just_appended\":%.2f,\"nonblocking\":%b}}\n"
         active
         (String.concat ","
            (List.map
@@ -1706,7 +1795,7 @@ let run_hotpath ?(quick = false) () =
                 Printf.sprintf "\"%s_ms\":{\"p50\":%.2f,\"q1\":%.2f,\"q3\":%.2f}" label p50 q1
                   q3)
               edit_rows))
-        merge_gets merge_puts
+        merge_gets merge_puts alone_us beside_us fresh_us fast_reads
     in
     let oc = open_out "BENCH_hotpath.json" in
     output_string oc json;

@@ -435,6 +435,7 @@ let store t =
       Printf.sprintf "cluster:%s(%d/%d)" t.name t.replicas
         (Array.length t.members);
     put;
+    ingest = Store.plain_ingest;
     get;
     get_raw;
     peek;

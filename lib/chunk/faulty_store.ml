@@ -181,5 +181,6 @@ let wrap config (inner : Store.t) =
       physical_bytes = s.Store.physical_bytes + torn_bytes }
   in
   ( { Store.name = Printf.sprintf "faulty(%Ld):%s" config.seed inner.Store.name;
-      put; get; get_raw; peek; mem; stats; iter; ids; delete },
+      put; ingest = Store.plain_ingest; get; get_raw; peek; mem; stats; iter; ids;
+      delete },
     c )

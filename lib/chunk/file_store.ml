@@ -149,5 +149,5 @@ let create ?(fsync = false) ~root () =
             physical_bytes = max 0 (!stats.physical_bytes - size) };
         true)
   in
-  { Store.name = "file:" ^ root; put; get; get_raw; peek; mem;
-    stats = (fun () -> !stats); iter; ids; delete }
+  { Store.name = "file:" ^ root; put; ingest = Store.plain_ingest; get; get_raw;
+    peek; mem; stats = (fun () -> !stats); iter; ids; delete }

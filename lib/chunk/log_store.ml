@@ -99,6 +99,7 @@ type t = {
   mutable committing : bool; (* a waiter is in fsync outside [lock] *)
   committed : Condition.t; (* broadcast when it returns *)
   rec_buf : Bytes.t; (* record staging buffer, used under [lock] *)
+  nowait : bool ref; (* [read_at]'s fast read works here *)
   mutable live_payload : int; (* sum of live entry lengths *)
   mutable closed : bool;
   mutable thread : Thread.t option;
@@ -249,18 +250,94 @@ let header_bytes gen =
   Bytes.set_int64_be b 8 (Int64.of_int gen);
   b
 
+(* ------------------------- the read path ------------------------- *)
+
+external pread_nowait : Unix.file_descr -> Bytes.t -> int -> int -> int -> int
+  = "fb_log_pread_nowait"
+[@@noalloc]
+
+let reads = Obs.counter "fb.log.reads"
+let read_fallbacks = Obs.counter "fb.log.read_fallbacks"
+
+(* The one read of a byte range: first one [fast] read (one syscall that
+   keeps the runtime lock, so a page-cache hit never waits for another
+   thread to hand the lock back), then, for whatever it left, [lseek] and
+   [read], which release the lock while the disk works.  [fast]'s count
+   is only a head start: the blocking reads alone decide the end of the
+   file.  A [-2] from [fast] (no such read here) clears [nowait] for
+   good. *)
+let read_at ?(fast = pread_nowait) ~nowait fd ~off ~len =
+  Obs.incr reads;
+  let b = Bytes.create len in
+  let got =
+    if len = 0 || not !nowait then 0
+    else
+      match fast fd b 0 len off with
+      | n when n > 0 -> min n len
+      | -2 ->
+        nowait := false;
+        0
+      | _ -> 0
+  in
+  if got = len then Some (Bytes.unsafe_to_string b)
+  else begin
+    Obs.incr read_fallbacks;
+    match
+      ignore (Unix.lseek fd (off + got) Unix.SEEK_SET);
+      let n = ref got and eof = ref false in
+      while (not !eof) && !n < len do
+        let r = Unix.read fd b !n (len - !n) in
+        if r = 0 then eof := true else n := !n + r
+      done;
+      !n
+    with
+    | n when n = len -> Some (Bytes.unsafe_to_string b)
+    | _ -> None
+    | exception Unix.Unix_error _ -> None
+  end
+
+(* Replay and fsck read a log front to back through [read_at] too, a
+   window of [window_bytes] (or one record, if larger) at a time. *)
+let window_bytes = 1 lsl 16
+
+type window = {
+  w_fd : Unix.file_descr;
+  w_size : int;
+  w_nowait : bool ref;
+  mutable w_start : int;
+  mutable w_data : string;
+}
+
+let with_window path ~size f =
+  let fd = Unix.openfile path [ Unix.O_RDONLY; Unix.O_CLOEXEC ] 0 in
+  Fun.protect
+    ~finally:(fun () -> Unix.close fd)
+    (fun () ->
+      f { w_fd = fd; w_size = size; w_nowait = ref true; w_start = 0; w_data = "" })
+
+let window_read w ~pos ~len =
+  let inside () = pos >= w.w_start && pos + len <= w.w_start + String.length w.w_data in
+  if not (inside ()) then begin
+    let want = max len (min window_bytes (w.w_size - pos)) in
+    match read_at ~nowait:w.w_nowait w.w_fd ~off:pos ~len:want with
+    | Some data ->
+      w.w_start <- pos;
+      w.w_data <- data
+    | None -> ()
+  end;
+  if inside () then Some (String.sub w.w_data (pos - w.w_start) len) else None
+
 (* ------------------------- replay ------------------------- *)
 
-(* The sealed record starting at [pos] of [ic], if one does: its kind,
+(* The sealed record starting at [pos] of [w], if one does: its kind,
    id and payload, read whole and checked against its CRC (and, for a
-   ref move, its payload's shape).  Leaves [ic] just past it. *)
-let sealed_at ic ~pos ~size =
+   ref move, its payload's shape). *)
+let sealed_at w ~pos ~size =
   if pos + rec_overhead > size then None
-  else begin
-    seek_in ic pos;
-    match really_input_string ic rec_head_size with
-    | exception End_of_file -> None
-    | head ->
+  else
+    match window_read w ~pos ~len:rec_head_size with
+    | None -> None
+    | Some head ->
       let kind = Char.code head.[0] in
       let len = u32be head 1 in
       if
@@ -269,31 +346,28 @@ let sealed_at ic ~pos ~size =
         || pos + rec_overhead + len > size
       then None
       else
-        match
-          let payload = really_input_string ic len in
-          (payload, u32be (really_input_string ic 4) 0)
-        with
-        | exception End_of_file -> None
-        | payload, stored_crc ->
+        match window_read w ~pos:(pos + rec_head_size) ~len:(len + 4) with
+        | None -> None
+        | Some rest ->
           let crc =
             Crc32.update_sub
               (Crc32.update_sub Crc32.empty head ~pos:0 ~len:rec_head_size)
-              payload ~pos:0 ~len
+              rest ~pos:0 ~len
           in
+          let payload = String.sub rest 0 len in
           let id = Hash.of_raw_exn (String.sub head 5 32) in
-          if crc <> stored_crc || (kind = 2 && decode_ref ~id payload = None)
+          if crc <> u32be rest len || (kind = 2 && decode_ref ~id payload = None)
           then None
           else Some (kind, id, payload)
-  end
 
 (* Scan sealed records from [start]; [apply] sees each one in log order.
    Returns the offset one past the last sealed record, where the scan
    stopped, and the records seen.  [verify_hash] additionally re-hashes
    append payloads (fsck); replay proper trusts the CRC seal. *)
 let scan_records path ~start ~size ?(verify_hash = fun _ _ -> ()) apply =
-  In_channel.with_open_bin path (fun ic ->
+  with_window path ~size (fun w ->
       let rec go pos records =
-        match sealed_at ic ~pos ~size with
+        match sealed_at w ~pos ~size with
         | None -> (pos, records)
         | Some (kind, id, payload) ->
           let len = String.length payload in
@@ -311,10 +385,10 @@ let scan_records path ~start ~size ?(verify_hash = fun _ _ -> ()) apply =
 let damage_at path ~stop ~size =
   if stop >= size then None
   else
-    In_channel.with_open_bin path (fun ic ->
+    with_window path ~size (fun w ->
         let rec search pos =
           if pos + rec_overhead > size then None
-          else if sealed_at ic ~pos ~size <> None then Some stop
+          else if sealed_at w ~pos ~size <> None then Some stop
           else search (pos + 1)
         in
         search (stop + 1))
@@ -743,20 +817,7 @@ let await_commit_locked t =
     Condition.wait t.committed t.lock
   done
 
-let pread_locked t off len =
-  match
-    ignore (Unix.lseek t.rfd off Unix.SEEK_SET);
-    let b = Bytes.create len in
-    let n = ref 0 in
-    let eof = ref false in
-    while (not !eof) && !n < len do
-      let r = Unix.read t.rfd b !n (len - !n) in
-      if r = 0 then eof := true else n := !n + r
-    done;
-    if !n < len then None else Some (Bytes.unsafe_to_string b)
-  with
-  | r -> r
-  | exception Unix.Unix_error _ -> None
+let pread_locked t off len = read_at ~nowait:t.nowait t.rfd ~off ~len
 
 let ensure_open t = if t.closed then failwith ("log store closed: " ^ t.root)
 
@@ -1108,6 +1169,7 @@ let create_held ~config ~root ~holder =
       committing = false;
       committed = Condition.create ();
       rec_buf = Bytes.create rec_buf_size;
+      nowait = ref true;
       live_payload = 0;
       closed = false;
       thread = None;
@@ -1271,8 +1333,8 @@ let store t =
           logical_bytes = t.logical_bytes;
           gets = t.gets })
   in
-  { Store.name = "log:" ^ t.root; put; get; get_raw; peek; mem; stats; iter;
-    ids; delete }
+  { Store.name = "log:" ^ t.root; put; ingest = Store.plain_ingest; get; get_raw;
+    peek; mem; stats; iter; ids; delete }
 
 let export_pack t ~path =
   let entries = ref [] in

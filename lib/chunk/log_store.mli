@@ -202,6 +202,25 @@ val delta_path : t -> string
 val export_pack : t -> path:string -> (int, string) result
 (** Freeze the live chunks into an immutable {!Pack} archive. *)
 
+(** {1 The read path} *)
+
+val read_at :
+  ?fast:(Unix.file_descr -> Bytes.t -> int -> int -> int -> int) ->
+  nowait:bool ref -> Unix.file_descr -> off:int -> len:int -> string option
+(** [read_at ~nowait fd ~off ~len]: bytes [off, off + len) of [fd], or
+    [None] if the file ends first or a read fails.  Every read of the log
+    — the store's reads, compaction's copy, replay and fsck — is this
+    one.  The first attempt is [fast fd buf pos len off] (default: one
+    [preadv2] with [RWF_NOWAIT], made without releasing the OCaml
+    runtime lock), which answers the bytes it read (0 at end of file),
+    [-1] when the page cache cannot serve the read without blocking and
+    [-2] when the system has no such read.  Whatever it leaves goes
+    through [lseek] and [read], which release the lock while the disk
+    works; their answer alone decides where the file ends.  A [-2]
+    clears [nowait], and no fast read is tried while it is [false].
+    Reads and fallbacks count in [fb.log.reads] and
+    [fb.log.read_fallbacks]. *)
+
 (** {1 Offline verification (fsck)} *)
 
 type fsck_report = {

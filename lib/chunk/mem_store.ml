@@ -90,8 +90,8 @@ let create_with_handle ?(name = "mem") () =
             };
           true)
   in
-  ( { Store.name; put; get; get_raw; peek; mem; stats = (fun () -> h.stats);
-      iter; ids; delete },
+  ( { Store.name; put; ingest = Store.plain_ingest; get; get_raw; peek; mem;
+      stats = (fun () -> h.stats); iter; ids; delete },
     h )
 
 let create ?name () = fst (create_with_handle ?name ())

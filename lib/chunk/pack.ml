@@ -165,6 +165,7 @@ let reader t =
   in
   { Store.name = "pack:" ^ t.path;
     put = (fun _ -> frozen t.path ());
+    ingest = Store.plain_ingest;
     get =
       (fun id ->
         match get_raw id with
@@ -261,6 +262,7 @@ let with_overlay ~packs overlay =
   in
   { Store.name = Printf.sprintf "overlay+%d packs" (List.length packs);
     put;
+    ingest = Store.plain_ingest;
     get;
     get_raw;
     peek;

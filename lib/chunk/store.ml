@@ -33,6 +33,7 @@ exception Transient of string
 type t = {
   name : string;
   put : Chunk.t -> Fb_hash.Hash.t;
+  ingest : t -> Chunk.t -> Fb_hash.Hash.t;
   get : Fb_hash.Hash.t -> Chunk.t option;
   get_raw : Fb_hash.Hash.t -> string option;
   peek : Fb_hash.Hash.t -> string option;
@@ -44,6 +45,8 @@ type t = {
 }
 
 let put t c = t.put c
+let ingest t c = t.ingest t c
+let plain_ingest self c = self.put c
 let get t h = t.get h
 let peek t h = t.peek h
 
@@ -68,7 +71,7 @@ let stats t = t.stats ()
 let physical_bytes t = (t.stats ()).physical_bytes
 
 let sink =
-  { name = "sink"; put = Chunk.hash; get = (fun _ -> None);
-    get_raw = (fun _ -> None); peek = (fun _ -> None); mem = (fun _ -> false);
+  { name = "sink"; put = Chunk.hash; ingest = plain_ingest;
+    get = (fun _ -> None); get_raw = (fun _ -> None); peek = (fun _ -> None); mem = (fun _ -> false);
     stats = (fun () -> empty_stats); iter = ignore; ids = ignore;
     delete = (fun _ -> false) }

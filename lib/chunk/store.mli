@@ -36,6 +36,14 @@ exception Transient of string
 type t = {
   name : string;
   put : Chunk.t -> Fb_hash.Hash.t;
+  ingest : t -> Chunk.t -> Fb_hash.Hash.t;
+    (** [ingest self chunk] stores a chunk whose encoded bytes an ingest
+        gate has just hashed against its id ([Sync.verify_encoded]):
+        [self] is the outermost store the call came through, and the
+        write goes through [self.put], so a wrapper that replaces only
+        [put] still sees it.  Backends use {!plain_ingest}; an integrity
+        layer may also trust what the write stored
+        ({!Verified_store.wrap}'s [mark_ingest]). *)
   get : Fb_hash.Hash.t -> Chunk.t option;
   get_raw : Fb_hash.Hash.t -> string option;
     (** Encoded bytes as stored, {e without} integrity checking — the raw
@@ -61,6 +69,14 @@ type t = {
 }
 
 val put : t -> Chunk.t -> Fb_hash.Hash.t
+
+val ingest : t -> Chunk.t -> Fb_hash.Hash.t
+(** [ingest t chunk] is [t.ingest t chunk]. *)
+
+val plain_ingest : t -> Chunk.t -> Fb_hash.Hash.t
+(** [plain_ingest self chunk] is [self.put chunk]: an ingest that is a
+    plain put. *)
+
 val get : t -> Fb_hash.Hash.t -> Chunk.t option
 val peek : t -> Fb_hash.Hash.t -> string option
 

@@ -1,12 +1,16 @@
 module Hash = Fb_hash.Hash
+module Obs = Fb_obs.Obs
 
 type violations = {
   mutable rejected_reads : int;
   mutable last_offender : Hash.t option;
+  mutable hashed_reads : int;
 }
 
-let wrap ?(once = false) (inner : Store.t) =
-  let v = { rejected_reads = 0; last_offender = None } in
+let ingest_marked = Obs.counter "fb.verified.ingest_marked"
+
+let wrap ?(once = false) ?(mark_ingest = false) (inner : Store.t) =
+  let v = { rejected_reads = 0; last_offender = None; hashed_reads = 0 } in
   (* [once] mode: ids whose served bytes already passed the hash check.
      Content addressing makes a healthy chunk immutable, so re-verifying
      it guards only against the medium mutating underneath us — the
@@ -20,17 +24,20 @@ let wrap ?(once = false) (inner : Store.t) =
   let verified id =
     once && Mutex.protect seen_lock (fun () -> Hash.Tbl.mem seen id)
   in
+  let mark id = Mutex.protect seen_lock (fun () -> Hash.Tbl.replace seen id ()) in
   let check_bytes id raw =
     if verified id then Some raw
-    else if Hash.equal (Hash.of_string raw) id then begin
-      if once then
-        Mutex.protect seen_lock (fun () -> Hash.Tbl.replace seen id ());
-      Some raw
-    end
     else begin
-      v.rejected_reads <- v.rejected_reads + 1;
-      v.last_offender <- Some id;
-      None
+      v.hashed_reads <- v.hashed_reads + 1;
+      if Hash.equal (Hash.of_string raw) id then begin
+        if once then mark id;
+        Some raw
+      end
+      else begin
+        v.rejected_reads <- v.rejected_reads + 1;
+        v.last_offender <- Some id;
+        None
+      end
     end
   in
   let checked id =
@@ -57,12 +64,29 @@ let wrap ?(once = false) (inner : Store.t) =
   let mem id =
     if verified id then inner.Store.mem id else checked_peek id <> None
   in
+  (* Bytes an ingest gate just hashed against their id pass when the put
+     that follows writes them: their first read would hash them again.
+     A put that finds the id already held wrote nothing, and the record
+     it found was hashed by no one, so only an absent id is marked.  The
+     write goes through [self.put], the whole stack above and below. *)
+  let ingest =
+    if not (once && mark_ingest) then Store.plain_ingest
+    else fun self chunk ->
+      let fresh = not (inner.Store.mem (Chunk.hash chunk)) in
+      let id = self.Store.put chunk in
+      if fresh then begin
+        mark id;
+        Obs.incr ingest_marked
+      end;
+      id
+  in
   let delete id =
     Mutex.protect seen_lock (fun () -> Hash.Tbl.remove seen id);
     inner.Store.delete id
   in
   ( { inner with
       Store.name = "verified:" ^ inner.Store.name;
+      ingest;
       get;
       get_raw = checked;
       peek = checked_peek;

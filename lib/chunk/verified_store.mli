@@ -10,9 +10,10 @@ type violations = {
   mutable rejected_reads : int;
       (** reads whose bytes did not hash to the requested id *)
   mutable last_offender : Fb_hash.Hash.t option;
+  mutable hashed_reads : int;  (** reads whose bytes were hashed *)
 }
 
-val wrap : ?once:bool -> Store.t -> Store.t * violations
+val wrap : ?once:bool -> ?mark_ingest:bool -> Store.t -> Store.t * violations
 (** [wrap inner] — same contents, verified reads.  Writes pass through
     (they are self-addressed already).  [mem] also answers through the
     checked read path: a chunk whose stored bytes fail verification is
@@ -28,5 +29,18 @@ val wrap : ?once:bool -> Store.t -> Store.t * violations
     records it like a read does; once an id has passed, [mem] is the
     inner store's [mem] (an index probe on the log backend) and reads no
     bytes.  Only bytes that were hashed mark an id as passed — [put]
-    does not — and [delete] forgets it.  [ids] and [iter] pass through
-    to the inner store unverified. *)
+    does not — and [delete] forgets the mark before the inner delete
+    (so [gc]'s sweep and [scrub]'s quarantine, which delete through
+    {!Store.delete}, never leave a mark behind).  [ids] and [iter] pass
+    through to the inner store unverified.
+
+    [mark_ingest] (default [false]; meaningful with [once]) makes
+    {!Store.ingest} mark the chunk passed when the put writes it: the
+    caller's gate has just hashed those bytes against their id, so the
+    first read serves them unhashed.  Only a write marks — an ingest of
+    an id the inner store already holds (checked with the inner [mem]
+    before the put) marks nothing, so a damaged record the ingest
+    deduplicates onto is still refused at its first read.  Plain [put]s
+    never mark.  Set it over a local backend only: a cluster router's
+    members could serve other bytes than the put sent, so there every
+    first read must hash.  Marks count in [fb.verified.ingest_marked]. *)

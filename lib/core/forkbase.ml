@@ -928,7 +928,8 @@ let check_keys id chunk =
    at every instant and [advance_head] needs no O(history) closure walk.
    A child this write section stored is present without a probe: nothing
    deletes a chunk while it is trusted ([gc] and [scrub] forget the set
-   first). *)
+   first).  The chunk is stored by [Store.ingest]: its bytes were just
+   hashed, which a verifying store may take as the chunk's first check. *)
 let sync_put ?(user = default_user) ?(branch = Branch.default_branch) t ~key
     id encoded =
   guard @@ fun () ->
@@ -945,7 +946,7 @@ let sync_put ?(user = default_user) ?(branch = Branch.default_branch) t ~key
   Obs.add closure_trusted (List.length children - probed);
   match List.filter (fun c -> not (Store.mem t.store c)) untrusted with
   | [] ->
-    let id = Store.put t.store chunk in
+    let id = Store.ingest t.store chunk in
     Mutex.protect t.watch_lock (fun () ->
         if t.defer_depth > 0 then begin
           if Hash.Tbl.length t.trusted >= trusted_max then Hash.Tbl.reset t.trusted;
@@ -987,7 +988,7 @@ let chunk_put ?(user = default_user) t id encoded =
   let* () = check t ~user ~key:"*" ~branch:"*" Acl.Write in
   let* chunk = Sync.verify_encoded id encoded in
   let* () = check_keys id chunk in
-  Ok (Store.put t.store chunk)
+  Ok (Store.ingest t.store chunk)
 
 (* Physical store shape for cluster health/rebalance accounting. *)
 let chunk_stat ?(user = default_user) t =

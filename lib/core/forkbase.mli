@@ -329,8 +329,11 @@ val sync_put :
     closure-complete ([Error (Invalid _)] otherwise).  A child stored by
     [sync_put] in the open write sections ({!with_deferred_watch}) is
     taken as present without a probe; {!gc} and a non-dry {!scrub}
-    forget those children before they delete anything.  Needs [Write]
-    on the key. *)
+    forget those children before they delete anything.  The chunk is
+    stored with {!Fb_chunk.Store.ingest}: over a verifying store that
+    marks ingests ({!Fb_chunk.Verified_store.wrap}), a chunk this call
+    wrote is served on its first read without a second hash.  Needs
+    [Write] on the key. *)
 
 val sync_have : ?user:string -> t -> uid list -> (bool list, Errors.t) result
 (** Positional membership probe: [true] for each id held locally.  Chunk

@@ -172,6 +172,7 @@ let member_obtain m =
 let member_store m =
   { Store.name = "node(" ^ render_node m.node ^ ")";
     put = (fun c -> (member_obtain m).Store.put c);
+    ingest = Store.plain_ingest;
     get = (fun id -> (member_obtain m).Store.get id);
     get_raw = (fun id -> (member_obtain m).Store.get_raw id);
     peek = (fun id -> (member_obtain m).Store.peek id);

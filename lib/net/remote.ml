@@ -821,6 +821,7 @@ let chunk_store ?user t =
   let store =
     { Store.name;
       put;
+      ingest = Store.plain_ingest;
       get;
       get_raw;
       peek = read;

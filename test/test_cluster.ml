@@ -561,6 +561,59 @@ let test_cluster_provider_end_to_end () =
           check bool_ "members hold the chunks" true (member_chunks > 0);
           Persistent.close inst))
 
+
+(* A cluster router's members could serve other bytes than they were
+   sent, so a cluster-backed root marks no ingest as checked: a chunk
+   pushed through the router and then flipped on every member is refused
+   at its first read. *)
+let test_cluster_root_marks_nothing () =
+  let members = List.init 2 (fun _ -> Mem_store.create_with_handle ()) in
+  let nodes =
+    List.map
+      (fun (store, _) ->
+        match Server.start ~config:test_config (FB.create store) with
+        | Ok srv -> srv
+        | Error e -> Alcotest.fail e)
+      members
+  in
+  Fun.protect
+    ~finally:(fun () -> List.iter (fun s -> try Server.stop s with _ -> ()) nodes)
+    (fun () ->
+      with_temp_root (fun root ->
+          let nodes_param =
+            String.concat ","
+              (List.map (fun srv -> Printf.sprintf "127.0.0.1:%d" (Server.port srv)) nodes)
+          in
+          let inst =
+            ok_fb
+              (Persistent.open_instance ~backend:"cluster"
+                 ~params:[ ("nodes", nodes_param); ("replicas", "2") ]
+                 ~root ())
+          in
+          Fun.protect
+            ~finally:(fun () -> Persistent.close inst)
+            (fun () ->
+              let marked () =
+                Fb_obs.Obs.counter_value (Fb_obs.Obs.counter "fb.verified.ingest_marked")
+              in
+              let c = blob 77 in
+              let id = Chunk.hash c in
+              let m0 = marked () in
+              ignore (ok_fb (FB.sync_put inst.Persistent.fb ~key:"k" id (Chunk.encode c)));
+              check int_ "the router marks nothing" m0 (marked ());
+              let flip s =
+                let b = Bytes.of_string s in
+                let at = Bytes.length b / 2 in
+                Bytes.set b at (Char.chr (Char.code (Bytes.get b at) lxor 0xff));
+                Bytes.to_string b
+              in
+              let flipped =
+                List.filter (fun (_, h) -> Mem_store.tamper h id ~f:flip) members
+              in
+              check int_ "both replicas flipped" 2 (List.length flipped);
+              check bool_ "the first read refuses them" true
+                (Result.is_error (FB.sync_chunk inst.Persistent.fb id)))))
+
 let test_push_bloom_stats () =
   (* The Bloom round rides push: a second push with overlapping history
      must skip already-present chunks without shipping them. *)
@@ -624,5 +677,7 @@ let suite =
       test_net_cluster_failover;
     Alcotest.test_case "cluster provider end-to-end" `Quick
       test_cluster_provider_end_to_end;
+    Alcotest.test_case "cluster root marks no ingest" `Quick
+      test_cluster_root_marks_nothing;
     Alcotest.test_case "push rides the bloom exchange" `Quick
       test_push_bloom_stats ]

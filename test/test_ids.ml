@@ -19,6 +19,7 @@ module Metered = Fb_chunk.Metered_store
 module Node_cache = Fb_postree.Node_cache
 module Hash = Fb_hash.Hash
 module FB = Fb_core.Forkbase
+module Persistent = Fb_core.Persistent
 module Sync = Fb_core.Sync
 module Errors = Fb_core.Errors
 module Value = Fb_types.Value
@@ -324,6 +325,109 @@ let test_node_cache_hit_reads_nothing () =
       check bool_ "a deleted chunk is never served" true
         (Node_cache.find_live cache store id = None))
 
+
+(* ---------------- hash once: ingest marks ---------------- *)
+
+let ingest_marked () = Fb_obs.Obs.counter_value (Fb_obs.Obs.counter "fb.verified.ingest_marked")
+
+(* Flip a byte in the middle of the last record of the log at [path] that
+   holds [chunk]'s encoding, under the open store, as media damage
+   would. *)
+let flip_on_disk path chunk =
+  let enc = Chunk.encode chunk in
+  let data = In_channel.with_open_bin path In_channel.input_all in
+  let rec last i =
+    if i < 0 then Alcotest.fail "record not in the log"
+    else if String.sub data i (String.length enc) = enc then i
+    else last (i - 1)
+  in
+  let at = last (String.length data - String.length enc) + (String.length enc / 2) in
+  let fd = Unix.openfile path [ Unix.O_WRONLY ] 0 in
+  Fun.protect
+    ~finally:(fun () -> Unix.close fd)
+    (fun () ->
+      ignore (Unix.lseek fd at Unix.SEEK_SET);
+      let b = Bytes.make 1 (Char.chr (Char.code data.[at] lxor 0xff)) in
+      ignore (Unix.write fd b 0 1))
+
+(* A log root's stack with ingest marking on, as [Persistent] wires it. *)
+let with_marking_stack f =
+  with_temp_dir (fun dir ->
+      let log = Log_store.create ~config:quick_log ~root:dir () in
+      Fun.protect
+        ~finally:(fun () -> Log_store.close log)
+        (fun () ->
+          let inner, reads = counting (Log_store.store log) in
+          let v, violations = Verified.wrap ~once:true ~mark_ingest:true inner in
+          let store = Metered.wrap ~prefix:"test.ids" v in
+          f (FB.create store) store (Log_store.log_path log) reads violations))
+
+let sync_put fb chunk =
+  ignore (ok_fb (FB.sync_put fb ~key:"k" (Chunk.hash chunk) (Chunk.encode chunk)))
+
+let test_ingest_served_unhashed () =
+  with_marking_stack (fun fb store _ reads violations ->
+      let c = blob 1 in
+      let m0 = ingest_marked () in
+      sync_put fb c;
+      check int_ "the ingest marked its chunk" (m0 + 1) (ingest_marked ());
+      reads := 0;
+      let h0 = violations.Verified.hashed_reads in
+      check bool_ "the first read serves it" true (Store.get store (Chunk.hash c) <> None);
+      check int_ "from one read of the log" 1 !reads;
+      check int_ "without a hash" h0 violations.Verified.hashed_reads;
+      let id = Store.put store (blob 2) in
+      check bool_ "a plain put's chunk reads" true (Store.get store id <> None);
+      check int_ "hashed at its first read" (h0 + 1) violations.Verified.hashed_reads);
+  (* [Persistent] marks on a log root. *)
+  with_temp_dir (fun root ->
+      let i = ok_fb (Persistent.open_instance ~root ()) in
+      Fun.protect
+        ~finally:(fun () -> Persistent.close i)
+        (fun () ->
+          let m0 = ingest_marked () in
+          sync_put i.Persistent.fb (blob 3);
+          check int_ "a log root marks its ingests" (m0 + 1) (ingest_marked ())))
+
+let test_unmarked_damage_refused () =
+  with_marking_stack (fun fb store path _ violations ->
+      let plain = blob 4 in
+      let id = Store.put store plain in
+      flip_on_disk path plain;
+      check bool_ "a plain put's flipped record is refused" true (Store.get store id = None);
+      (* The gate hashes the healthy bytes it was sent, but the put finds
+         the damaged record held and writes nothing: nothing is marked. *)
+      let dup = blob 5 in
+      let id = Store.put store dup in
+      flip_on_disk path dup;
+      let m0 = ingest_marked () and r0 = violations.Verified.rejected_reads in
+      sync_put fb dup;
+      check int_ "an ingest that deduplicates marks nothing" m0 (ingest_marked ());
+      check bool_ "the damaged record is refused" true (Store.get store id = None);
+      check int_ "as a violation" (r0 + 1) violations.Verified.rejected_reads)
+
+(* A marked chunk that [gc] or [scrub] deletes loses its mark: written
+   again by a plain put and damaged, it is refused at its first read. *)
+let test_gc_and_scrub_forget_marks () =
+  with_marking_stack (fun fb store path _ _ ->
+      let rewrite_damaged c =
+        ignore (Store.put store c);
+        flip_on_disk path c;
+        Store.get store (Chunk.hash c) = None
+      in
+      let swept = blob 6 in
+      sync_put fb swept;
+      let r = FB.gc fb in
+      check bool_ "gc swept the marked chunk no head names" true
+        (r.Fb_chunk.Gc.swept_chunks >= 1 && not (Store.mem store (Chunk.hash swept)));
+      check bool_ "its damaged rewrite is refused" true (rewrite_damaged swept);
+      let quarantined = blob 7 in
+      sync_put fb quarantined;
+      flip_on_disk path quarantined;
+      let report = FB.scrub fb in
+      check bool_ "scrub found the damage" true (report.Fb_chunk.Scrub.quarantined >= 1);
+      check bool_ "its damaged rewrite is refused" true (rewrite_damaged quarantined))
+
 let suite =
   [ prop_mem;
     prop_file;
@@ -346,4 +450,10 @@ let suite =
     Alcotest.test_case "node cache hit reads no bytes" `Quick
       test_node_cache_hit_reads_nothing;
     Alcotest.test_case "gc sweep reads each chunk once" `Quick
-      test_gc_sweep_reads_each_chunk_once ]
+      test_gc_sweep_reads_each_chunk_once;
+    Alcotest.test_case "once: an ingested chunk is served unhashed" `Quick
+      test_ingest_served_unhashed;
+    Alcotest.test_case "once: unmarked damage is refused" `Quick
+      test_unmarked_damage_refused;
+    Alcotest.test_case "once: gc and scrub forget marks" `Quick
+      test_gc_and_scrub_forget_marks ]

@@ -1400,6 +1400,132 @@ let test_persistent_backend_autodetect () =
       check bool_ "log data readable" true (Result.is_ok (FB.get i2.fb ~key:"k"));
       Persistent.close i2)
 
+
+(* ------------------------- the read path ------------------------- *)
+
+(* The read the log made before its nonblocking first read: [lseek],
+   then [read] until the range is whole or the file ends. *)
+let blocking_read fd ~off ~len =
+  match
+    ignore (Unix.lseek fd off Unix.SEEK_SET);
+    let b = Bytes.create len in
+    let n = ref 0 and eof = ref false in
+    while (not !eof) && !n < len do
+      let r = Unix.read fd b !n (len - !n) in
+      if r = 0 then eof := true else n := !n + r
+    done;
+    if !n < len then None else Some (Bytes.to_string b)
+  with
+  | r -> r
+  | exception Unix.Unix_error _ -> None
+
+type fast_answer = Whole | Short of int | Would_block | Eof | Unsupported
+
+(* QCheck: whatever the nonblocking read answers — all of the range, a
+   short count, EAGAIN, a spurious end of file, no support — [read_at]
+   gives the blocking read's bytes, and [None] exactly where it does. *)
+let qcheck_read_at_equals_blocking =
+  let size = 5_000 in
+  let content = String.init size (fun i -> Char.chr ((i * 131 + (i / 7)) land 255)) in
+  let answer_gen =
+    QCheck.Gen.(
+      frequency
+        [ (2, return Whole); (3, map (fun k -> Short k) (int_range 1 4_000));
+          (2, return Would_block); (1, return Eof); (1, return Unsupported) ])
+  in
+  let range_gen = QCheck.Gen.(pair (int_range 0 (size + 50)) (int_range 0 3_000)) in
+  let show = function
+    | Whole -> "whole" | Short k -> Printf.sprintf "short %d" k
+    | Would_block -> "eagain" | Eof -> "eof" | Unsupported -> "unsupported"
+  in
+  QCheck.Test.make ~name:"log: read_at = the blocking read, whatever the fast read answers"
+    ~count:300
+    (QCheck.make
+       ~print:(fun (a, (off, len)) -> Printf.sprintf "%s at %d+%d" (show a) off len)
+       QCheck.Gen.(pair answer_gen range_gen))
+    (fun (answer, (off, len)) ->
+      with_temp_dir (fun dir ->
+          Unix.mkdir dir 0o755;
+          let path = Filename.concat dir "f" in
+          write_file path content;
+          let fd = Unix.openfile path [ Unix.O_RDONLY ] 0 in
+          Fun.protect
+            ~finally:(fun () -> Unix.close fd)
+            (fun () ->
+              (* A fast read that answers with a count put that many real
+                 bytes in the buffer, as preadv2 does. *)
+              let copy buf pos n =
+                let n = max 0 (min n (size - off)) in
+                if n > 0 then Bytes.blit_string content off buf pos n;
+                n
+              in
+              let fast _ buf pos want _ =
+                match answer with
+                | Whole -> copy buf pos want
+                | Short k -> copy buf pos (min k want)
+                | Would_block -> -1
+                | Eof -> 0
+                | Unsupported -> -2
+              in
+              let nowait = ref true in
+              let got = Log_store.read_at ~fast ~nowait fd ~off ~len in
+              let real = Log_store.read_at ~nowait:(ref true) fd ~off ~len in
+              let expected = blocking_read fd ~off ~len in
+              Option.equal String.equal got expected
+              && Option.equal String.equal real expected
+              && !nowait = (answer <> Unsupported || len = 0))))
+
+(* Readers, an appender and compactions that swap the descriptors, all
+   on one open log: every read of a record put earlier returns its bytes
+   whole. *)
+let test_concurrent_reads () =
+  with_temp_dir (fun dir ->
+      let log = Log_store.create ~config:quick_config ~root:dir () in
+      let s = Log_store.store log in
+      let payload i = Printf.sprintf "record %d %s" i (String.make (100 + (i mod 900)) 'r') in
+      let put i = Store.put s (Chunk.v Chunk.Leaf_blob (payload i)) in
+      let known = ref (Array.init 200 (fun i -> (put i, i))) in
+      let known_lock = Mutex.create () in
+      let bad = ref 0 and reads = ref 0 and stop = Atomic.make false in
+      let reader seed () =
+        let rng = Random.State.make [| seed |] in
+        while not (Atomic.get stop) do
+          let ids = Mutex.protect known_lock (fun () -> !known) in
+          let id, i = ids.(Random.State.int rng (Array.length ids)) in
+          (match Store.get s id with
+          | Some c when String.equal c.Chunk.payload (payload i) -> ()
+          | _ -> incr bad);
+          incr reads;
+          Thread.yield ()
+        done
+      in
+      let readers = List.init 3 (fun k -> Thread.create (reader k) ()) in
+      let appender =
+        Thread.create
+          (fun () ->
+            for i = 200 to 599 do
+              let id = put i in
+              Mutex.protect known_lock (fun () -> known := Array.append !known [| (id, i) |]);
+              if i mod 50 = 0 then Thread.yield ()
+            done)
+          ()
+      in
+      let gen0 = Log_store.generation log in
+      for _ = 1 to 5 do
+        Log_store.compact log;
+        Thread.delay 0.002
+      done;
+      Thread.join appender;
+      Atomic.set stop true;
+      List.iter Thread.join readers;
+      check int_ "no torn or missing record" 0 !bad;
+      check bool_ "the readers read" true (!reads > 0);
+      check int_ "five compactions swapped the file" (gen0 + 5) (Log_store.generation log);
+      check int_ "every record readable after" 600
+        (List.length (List.filter (fun (id, _) -> Store.get s id <> None)
+           (Array.to_list !known)));
+      Log_store.close log)
+
 let suite =
   [ Alcotest.test_case "roundtrip and reopen" `Quick test_roundtrip_reopen;
     Alcotest.test_case "full replay without idx" `Quick
@@ -1440,4 +1566,7 @@ let suite =
     Alcotest.test_case "persistent: backend autodetect" `Quick
       test_persistent_backend_autodetect;
     Alcotest.test_case "one instance per root" `Quick
-      test_root_held_in_process ]
+      test_root_held_in_process;
+    QCheck_alcotest.to_alcotest qcheck_read_at_equals_blocking;
+    Alcotest.test_case "concurrent reads, appends and compactions" `Quick
+      test_concurrent_reads ]

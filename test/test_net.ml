@@ -1386,7 +1386,8 @@ let test_metrics_sidecar () =
               check bool_ (c ^ " in metrics-json") true
                 (Tutil.contains json (Printf.sprintf "\"%s\":" c)))
             [ "fb.postree.diff_leaves_encoded";
-              "fb.postree.diff_entries_decoded" ]);
+              "fb.postree.diff_entries_decoded"; "fb.log.reads";
+              "fb.log.read_fallbacks"; "fb.verified.ingest_marked" ]);
       check bool_ "the diff compared leaves encoded" true
         (counter "fb.postree.diff_leaves_encoded" > encoded);
       check int_ "and decoded the modified pair only" 2
@@ -1406,7 +1407,8 @@ let test_metrics_sidecar () =
           check bool_ (c ^ " exported") true
             (Tutil.contains metrics (Printf.sprintf "# TYPE %s counter" c)))
         [ "fb_sync_closure_probed"; "fb_sync_closure_trusted";
-          "fb_postree_diff_leaves_encoded"; "fb_postree_diff_entries_decoded" ];
+          "fb_postree_diff_leaves_encoded"; "fb_postree_diff_entries_decoded";
+          "fb_log_reads"; "fb_log_read_fallbacks"; "fb_verified_ingest_marked" ];
       check bool_ "active sha256 kernel exported" true
         (Tutil.contains metrics
            (Printf.sprintf "hash_sha256_native %d"
