@@ -259,53 +259,58 @@ external pread_nowait : Unix.file_descr -> Bytes.t -> int -> int -> int -> int
 let reads = Obs.counter "fb.log.reads"
 let read_fallbacks = Obs.counter "fb.log.read_fallbacks"
 
-(* The one read of a byte range: first one [fast] read (one syscall that
-   keeps the runtime lock, so a page-cache hit never waits for another
-   thread to hand the lock back), then, for whatever it left, [lseek] and
-   [read], which release the lock while the disk works.  [fast]'s count
-   is only a head start: the blocking reads alone decide the end of the
-   file.  A [-2] from [fast] (no such read here) clears [nowait] for
-   good. *)
-let read_at ?(fast = pread_nowait) ~nowait fd ~off ~len =
+(* The one read of a byte range, into [buf] from [pos]: first one [fast]
+   read (one syscall that keeps the runtime lock, so a page-cache hit
+   never waits for another thread to hand the lock back), then, for
+   whatever it left, [lseek] and [read], which release the lock while the
+   disk works.  [fast]'s count is only a head start: the blocking reads
+   alone decide the end of the file.  A [-2] from [fast] (no such read
+   here) clears [nowait] for good.  Answers the bytes read: [len], or
+   fewer where the file ends or a read fails. *)
+let read_into ?(fast = pread_nowait) ~nowait fd buf ~pos ~off ~len =
   Obs.incr reads;
-  let b = Bytes.create len in
   let got =
     if len = 0 || not !nowait then 0
     else
-      match fast fd b 0 len off with
+      match fast fd buf pos len off with
       | n when n > 0 -> min n len
       | -2 ->
         nowait := false;
         0
       | _ -> 0
   in
-  if got = len then Some (Bytes.unsafe_to_string b)
+  if got = len then len
   else begin
     Obs.incr read_fallbacks;
-    match
-      ignore (Unix.lseek fd (off + got) Unix.SEEK_SET);
-      let n = ref got and eof = ref false in
-      while (not !eof) && !n < len do
-        let r = Unix.read fd b !n (len - !n) in
-        if r = 0 then eof := true else n := !n + r
-      done;
-      !n
-    with
-    | n when n = len -> Some (Bytes.unsafe_to_string b)
-    | _ -> None
-    | exception Unix.Unix_error _ -> None
+    let n = ref got and eof = ref false in
+    (try
+       ignore (Unix.lseek fd (off + got) Unix.SEEK_SET);
+       while (not !eof) && !n < len do
+         let r = Unix.read fd buf (pos + !n) (len - !n) in
+         if r = 0 then eof := true else n := !n + r
+       done
+     with Unix.Unix_error _ -> ());
+    !n
   end
 
-(* Replay and fsck read a log front to back through [read_at] too, a
-   window of [window_bytes] (or one record, if larger) at a time. *)
+let read_at ?fast ~nowait fd ~off ~len =
+  let b = Bytes.create len in
+  if read_into ?fast ~nowait fd b ~pos:0 ~off ~len = len then
+    Some (Bytes.unsafe_to_string b)
+  else None
+
+(* Replay and fsck read a log front to back through [read_into] too,
+   into one buffer of [window_bytes] (or one record, if larger) that each
+   refill overwrites. *)
 let window_bytes = 1 lsl 16
 
 type window = {
   w_fd : Unix.file_descr;
   w_size : int;
   w_nowait : bool ref;
-  mutable w_start : int;
-  mutable w_data : string;
+  mutable w_buf : Bytes.t;
+  mutable w_start : int; (* file offset of [w_buf]'s first byte *)
+  mutable w_len : int; (* bytes of [w_buf] that hold the file *)
 }
 
 let with_window path ~size f =
@@ -313,52 +318,53 @@ let with_window path ~size f =
   Fun.protect
     ~finally:(fun () -> Unix.close fd)
     (fun () ->
-      f { w_fd = fd; w_size = size; w_nowait = ref true; w_start = 0; w_data = "" })
+      f { w_fd = fd; w_size = size; w_nowait = ref true;
+          w_buf = Bytes.create window_bytes; w_start = 0; w_len = 0 })
 
-let window_read w ~pos ~len =
-  let inside () = pos >= w.w_start && pos + len <= w.w_start + String.length w.w_data in
-  if not (inside ()) then begin
+(* Brings [len] bytes at file offset [pos] into the window and answers
+   where they start in [w_buf], or [None] past the end of the file.  The
+   bytes stay there until the next fill. *)
+let window_fill w ~pos ~len =
+  if pos < w.w_start || pos + len > w.w_start + w.w_len then begin
     let want = max len (min window_bytes (w.w_size - pos)) in
-    match read_at ~nowait:w.w_nowait w.w_fd ~off:pos ~len:want with
-    | Some data ->
-      w.w_start <- pos;
-      w.w_data <- data
-    | None -> ()
+    if want > Bytes.length w.w_buf then w.w_buf <- Bytes.create want;
+    w.w_start <- pos;
+    w.w_len <- read_into ~nowait:w.w_nowait w.w_fd w.w_buf ~pos:0 ~off:pos ~len:want
   end;
-  if inside () then Some (String.sub w.w_data (pos - w.w_start) len) else None
+  if pos + len <= w.w_start + w.w_len then Some (pos - w.w_start) else None
 
 (* ------------------------- replay ------------------------- *)
 
 (* The sealed record starting at [pos] of [w], if one does: its kind,
    id and payload, read whole and checked against its CRC (and, for a
-   ref move, its payload's shape). *)
+   ref move, its payload's shape).  The head and the CRC are read in
+   the window; only the payload is copied out. *)
 let sealed_at w ~pos ~size =
   if pos + rec_overhead > size then None
   else
-    match window_read w ~pos ~len:rec_head_size with
+    match window_fill w ~pos ~len:rec_head_size with
     | None -> None
-    | Some head ->
-      let kind = Char.code head.[0] in
-      let len = u32be head 1 in
+    | Some o ->
+      let kind = Char.code (Bytes.get w.w_buf o) in
+      let len = u32be (Bytes.unsafe_to_string w.w_buf) (o + 1) in
       if
         kind > 2 || len > max_payload
         || (kind = 1 && len <> 0)
         || pos + rec_overhead + len > size
       then None
       else
-        match window_read w ~pos:(pos + rec_head_size) ~len:(len + 4) with
+        match window_fill w ~pos ~len:(rec_overhead + len) with
         | None -> None
-        | Some rest ->
-          let crc =
-            Crc32.update_sub
-              (Crc32.update_sub Crc32.empty head ~pos:0 ~len:rec_head_size)
-              rest ~pos:0 ~len
-          in
-          let payload = String.sub rest 0 len in
-          let id = Hash.of_raw_exn (String.sub head 5 32) in
-          if crc <> u32be rest len || (kind = 2 && decode_ref ~id payload = None)
-          then None
-          else Some (kind, id, payload)
+        | Some o ->
+          (* A view of the window, read before the next fill. *)
+          let data = Bytes.unsafe_to_string w.w_buf in
+          let crc = Crc32.update_sub Crc32.empty data ~pos:o ~len:(rec_head_size + len) in
+          if crc <> u32be data (o + rec_head_size + len) then None
+          else
+            let payload = String.sub data (o + rec_head_size) len in
+            let id = Hash.of_raw_exn (String.sub data (o + 5) 32) in
+            if kind = 2 && decode_ref ~id payload = None then None
+            else Some (kind, id, payload)
 
 (* Scan sealed records from [start]; [apply] sees each one in log order.
    Returns the offset one past the last sealed record, where the scan

@@ -210,7 +210,9 @@ val read_at :
 (** [read_at ~nowait fd ~off ~len]: bytes [off, off + len) of [fd], or
     [None] if the file ends first or a read fails.  Every read of the log
     — the store's reads, compaction's copy, replay and fsck — is this
-    one.  The first attempt is [fast fd buf pos len off] (default: one
+    one (replay and fsck run its loop into one reused 64 KiB window, so
+    a record is copied out once, and its CRC is checked in place).  The
+    first attempt is [fast fd buf pos len off] (default: one
     [preadv2] with [RWF_NOWAIT], made without releasing the OCaml
     runtime lock), which answers the bytes it read (0 at end of file),
     [-1] when the page cache cannot serve the read without blocking and

@@ -43,7 +43,7 @@ type t = {
         write goes through [self.put], so a wrapper that replaces only
         [put] still sees it.  Backends use {!plain_ingest}; an integrity
         layer may also trust what the write stored
-        ({!Verified_store.wrap}'s [mark_ingest]). *)
+        ({!Verified_store.wrap}'s [once] mode). *)
   get : Fb_hash.Hash.t -> Chunk.t option;
   get_raw : Fb_hash.Hash.t -> string option;
     (** Encoded bytes as stored, {e without} integrity checking — the raw

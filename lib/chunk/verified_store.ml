@@ -9,7 +9,7 @@ type violations = {
 
 let ingest_marked = Obs.counter "fb.verified.ingest_marked"
 
-let wrap ?(once = false) ?(mark_ingest = false) (inner : Store.t) =
+let wrap ?(once = false) (inner : Store.t) =
   let v = { rejected_reads = 0; last_offender = None; hashed_reads = 0 } in
   (* [once] mode: ids whose served bytes already passed the hash check.
      Content addressing makes a healthy chunk immutable, so re-verifying
@@ -25,6 +25,7 @@ let wrap ?(once = false) ?(mark_ingest = false) (inner : Store.t) =
     once && Mutex.protect seen_lock (fun () -> Hash.Tbl.mem seen id)
   in
   let mark id = Mutex.protect seen_lock (fun () -> Hash.Tbl.replace seen id ()) in
+  let forget id = Mutex.protect seen_lock (fun () -> Hash.Tbl.remove seen id) in
   let check_bytes id raw =
     if verified id then Some raw
     else begin
@@ -68,20 +69,30 @@ let wrap ?(once = false) ?(mark_ingest = false) (inner : Store.t) =
      that follows writes them: their first read would hash them again.
      A put that finds the id already held wrote nothing, and the record
      it found was hashed by no one, so only an absent id is marked.  The
-     write goes through [self.put], the whole stack above and below. *)
+     mark is set before the write, which goes through [self.put] (the
+     whole stack above and below): a [delete] landing anywhere after it
+     removes the mark with the chunk, or before the chunk exists, so no
+     mark outlives its chunk.  A put that raises takes its mark back.
+     Under a cluster router a marked read still re-hashes there: the
+     router refuses member bytes that do not hash to the id. *)
   let ingest =
-    if not (once && mark_ingest) then Store.plain_ingest
+    if not once then Store.plain_ingest
     else fun self chunk ->
-      let fresh = not (inner.Store.mem (Chunk.hash chunk)) in
-      let id = self.Store.put chunk in
-      if fresh then begin
+      let id = Chunk.hash chunk in
+      if inner.Store.mem id then self.Store.put chunk
+      else begin
         mark id;
-        Obs.incr ingest_marked
-      end;
-      id
+        match self.Store.put chunk with
+        | id ->
+          Obs.incr ingest_marked;
+          id
+        | exception e ->
+          forget id;
+          raise e
+      end
   in
   let delete id =
-    Mutex.protect seen_lock (fun () -> Hash.Tbl.remove seen id);
+    forget id;
     inner.Store.delete id
   in
   ( { inner with

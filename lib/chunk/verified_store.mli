@@ -13,7 +13,7 @@ type violations = {
   mutable hashed_reads : int;  (** reads whose bytes were hashed *)
 }
 
-val wrap : ?once:bool -> ?mark_ingest:bool -> Store.t -> Store.t * violations
+val wrap : ?once:bool -> Store.t -> Store.t * violations
 (** [wrap inner] — same contents, verified reads.  Writes pass through
     (they are self-addressed already).  [mem] also answers through the
     checked read path: a chunk whose stored bytes fail verification is
@@ -34,13 +34,15 @@ val wrap : ?once:bool -> ?mark_ingest:bool -> Store.t -> Store.t * violations
     {!Store.delete}, never leave a mark behind).  [ids] and [iter] pass
     through to the inner store unverified.
 
-    [mark_ingest] (default [false]; meaningful with [once]) makes
-    {!Store.ingest} mark the chunk passed when the put writes it: the
-    caller's gate has just hashed those bytes against their id, so the
-    first read serves them unhashed.  Only a write marks — an ingest of
-    an id the inner store already holds (checked with the inner [mem]
-    before the put) marks nothing, so a damaged record the ingest
-    deduplicates onto is still refused at its first read.  Plain [put]s
-    never mark.  Set it over a local backend only: a cluster router's
-    members could serve other bytes than the put sent, so there every
-    first read must hash.  Marks count in [fb.verified.ingest_marked]. *)
+    With [once], {!Store.ingest} also marks the chunk passed when the
+    put writes it: the caller's gate has just hashed those bytes against
+    their id, so the first read serves them unhashed.  Only a write
+    marks — an ingest of an id the inner store already holds (checked
+    with the inner [mem] before the put) marks nothing, so a damaged
+    record the ingest deduplicates onto is still refused at its first
+    read.  Plain [put]s never mark.  The mark is set before the write
+    and taken back if the put raises, so a [delete] racing the ingest
+    never leaves a mark on a deleted id.  Over a cluster router a marked
+    id is still hashed on every read, by the router, which refuses
+    member bytes that do not hash to the id.  Marks count in
+    [fb.verified.ingest_marked]. *)

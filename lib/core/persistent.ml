@@ -83,12 +83,10 @@ let open_instance ?acl ?fsync ?(backend = "auto") ?log_config ?(params = [])
     (* Stored bytes are untrusted: verify each chunk the first time it is
        served so media damage (or a lying remote member) is refused — and
        visible to scrub — instead of flowing out of the API as silently
-       wrong data.  On a local disk a chunk that sync ingest hashed and
-       wrote counts as checked; a cluster's members could serve other
-       bytes than they were sent, so there every first read hashes. *)
-    let local = List.mem pi.Provider.kind [ "log"; "file"; "mem" ] in
+       wrong data.  A chunk that sync ingest hashed and wrote counts as
+       checked. *)
     let store, _violations =
-      Fb_chunk.Verified_store.wrap ~once:true ~mark_ingest:local pi.Provider.store
+      Fb_chunk.Verified_store.wrap ~once:true pi.Provider.store
     in
     let store = Fb_chunk.Metered_store.wrap store in
     let fb =

@@ -350,7 +350,7 @@ let flip_on_disk path chunk =
       let b = Bytes.make 1 (Char.chr (Char.code data.[at] lxor 0xff)) in
       ignore (Unix.write fd b 0 1))
 
-(* A log root's stack with ingest marking on, as [Persistent] wires it. *)
+(* A log root's stack in once mode, as [Persistent] wires it. *)
 let with_marking_stack f =
   with_temp_dir (fun dir ->
       let log = Log_store.create ~config:quick_log ~root:dir () in
@@ -358,7 +358,7 @@ let with_marking_stack f =
         ~finally:(fun () -> Log_store.close log)
         (fun () ->
           let inner, reads = counting (Log_store.store log) in
-          let v, violations = Verified.wrap ~once:true ~mark_ingest:true inner in
+          let v, violations = Verified.wrap ~once:true inner in
           let store = Metered.wrap ~prefix:"test.ids" v in
           f (FB.create store) store (Log_store.log_path log) reads violations))
 
@@ -428,6 +428,59 @@ let test_gc_and_scrub_forget_marks () =
       check bool_ "scrub found the damage" true (report.Fb_chunk.Scrub.quarantined >= 1);
       check bool_ "its damaged rewrite is refused" true (rewrite_damaged quarantined))
 
+(* A [delete] (gc's sweep, scrub's quarantine) that lands while an ingest
+   stores its chunk, just before or just after the write, leaves no mark
+   behind, and neither does a put that raises: the chunk, written again
+   by a plain put and damaged, is refused at its first read. *)
+let test_ingest_racing_delete_leaves_no_mark () =
+  let flip s =
+    let b = Bytes.of_string s in
+    let at = Bytes.length b / 2 in
+    Bytes.set b at (Char.chr (Char.code (Bytes.get b at) lxor 0xff));
+    Bytes.to_string b
+  in
+  let cases =
+    [ ("a delete just before the write", fun ~write ~delete -> delete (); write ());
+      ("a delete just after the write", fun ~write ~delete ->
+          let id = write () in
+          delete ();
+          id);
+      ("a put that raises", fun ~write ~delete:_ ->
+          ignore (write ());
+          failwith "put failed") ]
+  in
+  List.iteri
+    (fun i (name, race) ->
+      let mem, h = Mem_store.create_with_handle () in
+      let c = blob (10 + i) in
+      let id = Chunk.hash c in
+      (* [race] runs once, around the write of the ingest below, and
+         deletes through the verifying store as gc and scrub do. *)
+      let verified = ref Store.sink in
+      let pending = ref (Some race) in
+      let hooked =
+        { mem with
+          Store.put =
+            (fun c ->
+              match !pending with
+              | None -> mem.Store.put c
+              | Some race ->
+                pending := None;
+                race
+                  ~write:(fun () -> mem.Store.put c)
+                  ~delete:(fun () -> ignore (Store.delete !verified id))) }
+      in
+      let v, violations = Verified.wrap ~once:true hooked in
+      verified := v;
+      (try ignore (Store.ingest v c) with Failure _ -> ());
+      ignore (Store.put v c);
+      check bool_ (name ^ ": the rewrite is held") true (Mem_store.tamper h id ~f:flip);
+      let r0 = violations.Verified.rejected_reads in
+      check bool_ (name ^ ": its damage is refused at the first read") true
+        (Store.get v id = None);
+      check int_ (name ^ ": as a violation") (r0 + 1) violations.Verified.rejected_reads)
+    cases
+
 let suite =
   [ prop_mem;
     prop_file;
@@ -456,4 +509,6 @@ let suite =
     Alcotest.test_case "once: unmarked damage is refused" `Quick
       test_unmarked_damage_refused;
     Alcotest.test_case "once: gc and scrub forget marks" `Quick
-      test_gc_and_scrub_forget_marks ]
+      test_gc_and_scrub_forget_marks;
+    Alcotest.test_case "once: a delete racing an ingest leaves no mark" `Quick
+      test_ingest_racing_delete_leaves_no_mark ]
